@@ -146,20 +146,17 @@ int Verify(const std::string& store_path, const std::string& page_path,
     std::fprintf(stderr, "%s\n", frozen.status().ToString().c_str());
     return 1;
   }
-  auto doc = html::ParseHtml(html);
-  if (!doc.ok()) {
-    std::fprintf(stderr, "%s\n", doc.status().ToString().c_str());
+  auto expected = html::ParseTree(html, attr);
+  if (!expected.ok()) {
+    std::fprintf(stderr, "%s\n", expected.status().ToString().c_str());
     return 1;
   }
-  const tree::Tree expected =
-      attr.empty() ? doc->tree()
-                   : html::ProjectAttributeIntoLabels(*doc, attr);
-  if (!tree::TreesEqual(expected, frozen->MakeTree())) {
+  if (!tree::TreesEqual(*expected, frozen->MakeTree())) {
     std::fprintf(stderr, "MISMATCH: snapshot differs from a fresh parse\n");
     return 1;
   }
   std::printf("ok: snapshot is identical to a fresh parse (%d nodes)\n",
-              expected.size());
+              expected->size());
   return 0;
 }
 

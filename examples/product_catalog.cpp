@@ -19,11 +19,10 @@ namespace {
 mdatalog::tree::Tree LoadCatalog(uint64_t seed,
                                  const mdatalog::html::CatalogOptions& opts) {
   mdatalog::util::Rng rng(seed);
-  auto doc = mdatalog::html::ParseHtml(
-      mdatalog::html::ProductCatalogPage(rng, opts));
   // Remark 2.2: fold the class attribute into the labels so the wrapper can
   // address "tr@item" / "td@price" nodes.
-  return mdatalog::html::ProjectAttributeIntoLabels(*doc, "class");
+  return *mdatalog::html::ParseTree(
+      mdatalog::html::ProductCatalogPage(rng, opts), "class");
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // the generated program shown for one of them.
 
 #include <cstdio>
+#include <utility>
 
 #include "src/core/grounder.h"
 #include "src/html/parser.h"
@@ -14,9 +15,9 @@ int main() {
   using namespace mdatalog;
 
   util::Rng rng(4);
-  auto doc = html::ParseHtml(html::NewsIndexPage(rng, 5));
-  if (!doc.ok()) return 1;
-  tree::Tree t = html::ProjectAttributeIntoLabels(*doc, "class");
+  auto parsed = html::ParseTree(html::NewsIndexPage(rng, 5), "class");
+  if (!parsed.ok()) return 1;
+  const tree::Tree t = *std::move(parsed);
 
   const char* queries[] = {
       "//div@article",

@@ -1,21 +1,46 @@
 #include "src/html/parser.h"
 
-#include <algorithm>
-#include <functional>
-#include <set>
-
-#include "src/html/tokenizer.h"
+#include <iterator>
 
 namespace mdatalog::html {
 
-bool IsVoidElement(const std::string& name) {
-  static const std::set<std::string> kVoid = {
-      "area", "base", "br",    "col",  "embed", "hr",   "img",
-      "input", "link", "meta", "param", "source", "track", "wbr"};
-  return kVoid.count(name) > 0;
+namespace {
+
+/// Records every created node's attributes for Document.
+struct AttributeRecorder {
+  std::vector<std::vector<std::pair<std::string, std::string>>>* table;
+
+  void OnCreate(tree::NodeId n, std::span<const AttrView> attrs) {
+    table->resize(n + 1);
+    for (const AttrView& a : attrs) {
+      (*table)[n].emplace_back(std::string(a.name), std::string(a.value));
+    }
+  }
+  void OnClose(tree::NodeId /*n*/) {}
+};
+
+/// Feeds the whole page through the scanner into `constructor`.
+template <typename Hooks>
+void ScanPage(std::string_view html, TreeConstructor<Hooks>* constructor) {
+  Scanner scanner;
+  // Without an EvalControl the scanner cannot fail.
+  util::Status st = scanner.Feed(html, constructor);
+  if (st.ok()) st = scanner.Finish(constructor);
+  (void)st;
+  constructor->CloseAll();
 }
 
-const std::vector<std::string>& AutoCloses(const std::string& name) {
+}  // namespace
+
+bool IsVoidElement(std::string_view name) {
+  static constexpr std::string_view kVoid[] = {
+      "area", "base", "br",    "col",  "embed", "hr",   "img",
+      "input", "link", "meta", "param", "source", "track", "wbr"};
+  return std::find(std::begin(kVoid), std::end(kVoid), name) !=
+         std::end(kVoid);
+}
+
+const std::vector<std::string>& AutoCloses(std::string_view name) {
   static const std::vector<std::string> kNone = {};
   static const std::vector<std::string> kLi = {"li"};
   static const std::vector<std::string> kCell = {"td", "th"};
@@ -30,6 +55,13 @@ const std::vector<std::string>& AutoCloses(const std::string& name) {
   if (name == "option") return kOption;
   if (name == "dd" || name == "dt") return kDef;
   return kNone;
+}
+
+util::Result<tree::Tree> ParseTree(std::string_view html,
+                                   std::string_view project_attr) {
+  TreeConstructor<> constructor(project_attr);
+  ScanPage(html, &constructor);
+  return constructor.Build();
 }
 
 std::string Document::GetAttr(tree::NodeId n, const std::string& name) const {
@@ -58,105 +90,35 @@ std::vector<tree::NodeId> Document::NodesWithAttr(
 }
 
 util::Result<Document> ParseHtml(std::string_view html) {
-  std::vector<Token> tokens = Tokenize(html);
-
-  // First pass: count top-level elements to decide on a synthetic root.
-  // We simply always build under a "#document" root, then strip it if it has
-  // exactly one element child and no text children.
-  tree::TreeBuilder builder;
   std::vector<std::vector<std::pair<std::string, std::string>>> attrs;
-  tree::NodeId root = builder.Root("#document");
-  attrs.push_back({});
-
-  // Stack of open nodes: (node id, tag name).
-  std::vector<std::pair<tree::NodeId, std::string>> stack = {
-      {root, "#document"}};
-
-  auto open_node = [&](const std::string& tag,
-                       const std::vector<Attribute>& tag_attrs) {
-    tree::NodeId n = builder.Child(stack.back().first, tag);
-    attrs.resize(n + 1);
-    for (const Attribute& a : tag_attrs) attrs[n].emplace_back(a.name, a.value);
-    return n;
-  };
-
-  for (const Token& token : tokens) {
-    switch (token.type) {
-      case Token::Type::kDoctype:
-      case Token::Type::kComment:
-        break;  // not represented in the document tree
-      case Token::Type::kText: {
-        tree::NodeId n = open_node("#text", {});
-        builder.SetText(n, token.data);
-        break;
-      }
-      case Token::Type::kStartTag: {
-        // Pop every implicitly-closed element (e.g. <tr> closes an open td
-        // and then the open tr).
-        const std::vector<std::string>& closes = AutoCloses(token.data);
-        while (stack.size() > 1 &&
-               std::find(closes.begin(), closes.end(),
-                         stack.back().second) != closes.end()) {
-          stack.pop_back();
-        }
-        tree::NodeId n = open_node(token.data, token.attrs);
-        bool is_void = IsVoidElement(token.data);
-        if (!is_void && !token.self_closing) stack.emplace_back(n, token.data);
-        break;
-      }
-      case Token::Type::kEndTag: {
-        // Find the matching open tag; ignore the end tag if there is none.
-        int32_t match = -1;
-        for (int32_t i = static_cast<int32_t>(stack.size()) - 1; i >= 1; --i) {
-          if (stack[i].second == token.data) {
-            match = i;
-            break;
-          }
-        }
-        if (match >= 1) stack.resize(match);
-        break;
-      }
-    }
-  }
-
-  tree::Tree full = builder.Build();
-  if (full.size() == 1) {
-    return util::Status::InvalidArgument("no content in HTML input");
-  }
-  // Strip the synthetic root when the document has a unique top-level node
-  // (node ids shift down by one: the builder appends in document order, so
-  // the preorder copy renumbers node k to k-1).
-  if (full.NumChildren(full.root()) == 1) {
-    std::vector<tree::NodeId> src_of_dst;
-    tree::Tree stripped =
-        tree::CopySubtree(full, full.first_child(full.root()), &src_of_dst);
-    std::vector<std::vector<std::pair<std::string, std::string>>> new_attrs;
-    new_attrs.reserve(src_of_dst.size());
-    for (tree::NodeId src : src_of_dst) new_attrs.push_back(attrs[src]);
-    return Document(std::move(stripped), std::move(new_attrs));
-  }
-  return Document(std::move(full), std::move(attrs));
+  TreeConstructor<AttributeRecorder> constructor({}, {&attrs});
+  ScanPage(html, &constructor);
+  const bool drops_root = constructor.single_rooted();
+  MD_ASSIGN_OR_RETURN(tree::Tree t, constructor.Build());
+  attrs.resize(t.size() + (drops_root ? 1 : 0));
+  if (drops_root) attrs.erase(attrs.begin());
+  return Document(std::move(t), std::move(attrs));
 }
 
 tree::Tree ProjectAttributeIntoLabels(const Document& doc,
                                       const std::string& attr) {
   const tree::Tree& t = doc.tree();
   tree::TreeBuilder builder;
-  std::function<void(tree::NodeId, tree::NodeId)> copy =
-      [&](tree::NodeId src, tree::NodeId dst_parent) {
-        std::string label = t.label_name(src);
-        std::string value = doc.GetAttr(src, attr);
-        if (!value.empty()) label += "@" + value;
-        tree::NodeId dst = dst_parent == tree::kNoNode
-                               ? builder.Root(label)
-                               : builder.Child(dst_parent, label);
-        if (t.HasText(src)) builder.SetText(dst, t.text(src));
-        for (tree::NodeId c = t.first_child(src); c != tree::kNoNode;
-             c = t.next_sibling(c)) {
-          copy(c, dst);
-        }
-      };
-  copy(t.root(), tree::kNoNode);
+  std::vector<tree::NodeId> dst_of(t.size(), tree::kNoNode);
+  std::string label;
+  // Preorder: the relabeled tree interns its alphabet in document order,
+  // exactly like construction-time projection.
+  for (const tree::NodeId src : t.Preorder()) {
+    label = t.label_name(src);
+    const std::string value = doc.GetAttr(src, attr);
+    if (!value.empty()) label.append("@").append(value);
+    const tree::NodeId parent = t.parent(src);
+    const tree::NodeId dst = parent == tree::kNoNode
+                                 ? builder.Root(label)
+                                 : builder.Child(dst_of[parent], label);
+    dst_of[src] = dst;
+    if (t.HasText(src)) builder.SetText(dst, t.text(src));
+  }
   return builder.Build();
 }
 

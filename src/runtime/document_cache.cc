@@ -2,43 +2,37 @@
 
 #include <utility>
 
+#include "src/html/parser.h"
 #include "src/util/check.h"
 
 namespace mdatalog::runtime {
 
 util::Result<std::shared_ptr<const CachedDocument>> CachedDocument::Parse(
     std::string_view html, const std::string& project_attr) {
-  MD_ASSIGN_OR_RETURN(html::Document doc, html::ParseHtml(html));
+  MD_ASSIGN_OR_RETURN(tree::Tree t, html::ParseTree(html, project_attr));
   // Not make_shared: the constructor is private, and the TreeDatabase must
-  // be emplaced only once the trees sit at their final heap address.
-  std::shared_ptr<CachedDocument> cached(
-      new CachedDocument(std::move(doc)));
-  if (!project_attr.empty()) {
-    cached->tree_ =
-        html::ProjectAttributeIntoLabels(*cached->doc_, project_attr);
-  }
-  cached->edb_.emplace(cached->tree());
+  // be emplaced only once the tree sits at its final heap address.
+  std::shared_ptr<CachedDocument> cached(new CachedDocument(std::move(t)));
+  cached->edb_.emplace(cached->tree_);
   cached->static_bytes_ = static_cast<int64_t>(sizeof(CachedDocument)) +
-                          cached->doc_->tree().ApproxBytes();
-  if (cached->tree_.has_value()) {
-    cached->static_bytes_ += cached->tree_->ApproxBytes();
-  }
+                          cached->tree_.ApproxBytes();
   return std::shared_ptr<const CachedDocument>(std::move(cached));
 }
 
 std::shared_ptr<const CachedDocument> CachedDocument::FromFrozen(
     const store::FrozenDocument& frozen,
     std::shared_ptr<const store::CorpusStore> store) {
-  std::shared_ptr<CachedDocument> cached(new CachedDocument());
+  // Zero-copy columns into the mapping.
+  std::shared_ptr<CachedDocument> cached(
+      new CachedDocument(frozen.MakeTree()));
   cached->store_ = std::move(store);
   cached->frozen_edb_ = frozen.edb;
-  cached->tree_ = frozen.MakeTree();  // zero-copy columns into the mapping
   // frozen_edb_ sits at its final address now; the database borrows it.
-  cached->edb_.emplace(*cached->tree_, &cached->frozen_edb_);
+  cached->edb_.emplace(cached->tree_, &cached->frozen_edb_);
   // Only owned heap is charged — the mapped pages are shared with every
   // other consumer of the store and reclaimable by the kernel.
   cached->static_bytes_ = static_cast<int64_t>(sizeof(CachedDocument)) +
-                          cached->tree_->ApproxBytes();
+                          cached->tree_.ApproxBytes();
   return std::shared_ptr<const CachedDocument>(std::move(cached));
 }
 

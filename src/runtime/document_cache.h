@@ -8,7 +8,6 @@
 #include <string_view>
 
 #include "src/core/database.h"
-#include "src/html/parser.h"
 #include "src/runtime/sharded_lfu_cache.h"
 #include "src/runtime/tenant.h"
 #include "src/store/corpus_store.h"
@@ -22,7 +21,7 @@
 /// one fixed program over streams of documents, and the same document is
 /// typically requested many times (re-crawls, several wrappers on one page,
 /// retries). The cache parses each distinct page once and shares the
-/// immutable artifacts — HTML parse, attribute-projected tree, TreeDatabase
+/// immutable artifacts — the (attribute-projected) tree and its TreeDatabase
 /// EDB materializations — between all concurrent queries, keyed by content
 /// hash.
 ///
@@ -44,12 +43,13 @@ using util::HashBytes128;
 /// One fully prepared, immutable document. Shared (shared_ptr const) between
 /// every query that hits the same content: the tree and parse are read-only,
 /// and the TreeDatabase's lazy EDB materialization is internally
-/// mutex-guarded, so concurrent evaluations are safe.
+/// mutex-guarded, so concurrent evaluations are safe. It holds exactly one
+/// tree: no unprojected copy, no per-node attribute table.
 class CachedDocument {
  public:
-  /// Parses `html`; if `project_attr` is non-empty, additionally projects
-  /// that attribute into the labels (Remark 2.2 — "div@sidebar"-style
-  /// alphabets wrappers match on).
+  /// Parses `html` in one pass (html::ParseTree); if `project_attr` is
+  /// non-empty, that attribute is projected into the labels as nodes are
+  /// created (Remark 2.2 — "div@sidebar"-style alphabets wrappers match on).
   static util::Result<std::shared_ptr<const CachedDocument>> Parse(
       std::string_view html, const std::string& project_attr);
 
@@ -57,20 +57,14 @@ class CachedDocument {
   /// tree columns and texts are read in place from the store's mapping (the
   /// store stays alive via the held shared_ptr) and the unary EDB relations
   /// load from the packed bit-arrays. Any projection was applied at pack
-  /// time. Store-backed documents carry no html::Document (has_html() is
-  /// false); wrappers only touch tree() and edb().
+  /// time.
   static std::shared_ptr<const CachedDocument> FromFrozen(
       const store::FrozenDocument& frozen,
       std::shared_ptr<const store::CorpusStore> store);
 
-  /// False for store-backed documents, which skip the HTML parse entirely.
-  bool has_html() const { return doc_.has_value(); }
-  const html::Document& doc() const { return *doc_; }
-  /// The tree wrappers evaluate over: the projected or frozen tree when one
-  /// exists, the raw parse tree otherwise.
-  const tree::Tree& tree() const {
-    return tree_.has_value() ? *tree_ : doc_->tree();
-  }
+  /// The tree wrappers evaluate over: the parsed (and projected) tree, or
+  /// the zero-copy frozen tree of a store-backed document.
+  const tree::Tree& tree() const { return tree_; }
   /// The shared relational view of tree(). Thread-safe lazy materialization.
   const core::TreeDatabase& edb() const { return *edb_; }
 
@@ -84,19 +78,15 @@ class CachedDocument {
   int64_t ApproxBytes() const { return static_bytes_ + edb_->ApproxBytes(); }
 
  private:
-  CachedDocument() = default;
-  explicit CachedDocument(html::Document doc) : doc_(std::move(doc)) {}
+  explicit CachedDocument(tree::Tree tree) : tree_(std::move(tree)) {}
 
-  std::optional<html::Document> doc_;  // absent for store-backed documents
-  // The evaluation tree when it is not doc_'s raw parse tree: the
-  // attribute-projected tree, or the zero-copy frozen tree.
-  std::optional<tree::Tree> tree_;
-  // Emplaced after doc_/tree_ reach their final heap location (it holds
-  // a reference to tree()).
+  tree::Tree tree_;
+  // Emplaced once tree_ sits at its final heap location (it holds a
+  // reference to it).
   std::optional<core::TreeDatabase> edb_;
   core::FrozenUnaryEdb frozen_edb_;  // referenced by edb_ when store-backed
   std::shared_ptr<const store::CorpusStore> store_;  // keepalive, may be null
-  int64_t static_bytes_ = 0;  // trees + parse, fixed after construction
+  int64_t static_bytes_ = 0;  // the tree, fixed after construction
 };
 
 struct DocumentCacheOptions {

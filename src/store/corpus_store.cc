@@ -123,6 +123,7 @@ std::string PackDocument(const tree::Tree& t, const util::Hash128& hash,
     for (tree::NodeId node = 0; node < n; ++node) {
       offs[node] = off;
       const std::string_view text = t.text(node);
+      if (text.empty()) continue;  // data() may be null
       std::memcpy(bytes + off, text.data(), text.size());
       off += static_cast<uint32_t>(text.size());
     }
@@ -159,13 +160,8 @@ std::string PackDocument(const tree::Tree& t, const util::Hash128& hash,
 
 util::Status CorpusStore::Builder::AddHtml(std::string_view html,
                                            const std::string& project_attr) {
-  const util::Hash128 hash = util::HashBytes128(html);
-  MD_ASSIGN_OR_RETURN(html::Document doc, html::ParseHtml(html));
-  if (!project_attr.empty()) {
-    return AddTree(html::ProjectAttributeIntoLabels(doc, project_attr), hash,
-                   project_attr);
-  }
-  return AddTree(doc.tree(), hash, project_attr);
+  MD_ASSIGN_OR_RETURN(tree::Tree t, html::ParseTree(html, project_attr));
+  return AddTree(t, util::HashBytes128(html), project_attr);
 }
 
 util::Status CorpusStore::Builder::AddTree(const tree::Tree& t,

@@ -34,23 +34,6 @@ std::string SubtreeTextOf(const tree::TreeBuilder& b, tree::NodeId n) {
   return out;
 }
 
-/// The label a node gets under attribute projection (Remark 2.2): the first
-/// occurrence of `attr` wins, and only a non-empty value projects — exactly
-/// ProjectAttributeIntoLabels' behavior, applied at creation time instead of
-/// in a post-parse tree copy.
-std::string ProjectedLabel(const std::string& tag,
-                           const std::vector<html::Attribute>& attrs,
-                           const std::string& attr) {
-  if (attr.empty()) return tag;
-  for (const html::Attribute& a : attrs) {
-    if (a.name == attr) {
-      if (a.value.empty()) return tag;
-      return tag + "@" + a.value;
-    }
-  }
-  return tag;
-}
-
 core::PredId EdbPred(const core::PredicateTable& preds,
                      const std::vector<bool>& intensional,
                      std::string_view name, int32_t arity) {
@@ -68,6 +51,8 @@ constexpr uint8_t kInStripped = 1;
 constexpr uint8_t kInKept = 2;
 constexpr uint8_t kEmitted = 4;
 
+constexpr core::PredId kUnresolved = -2;
+
 }  // namespace
 
 StreamSession::StreamSession(
@@ -79,6 +64,7 @@ StreamSession::StreamSession(
       options_(std::move(options)),
       request_(std::move(request)),
       control_(request_.deadline, request_.cancel.get()),
+      constructor_(project_attr_, ConstructionHooks{this}),
       telemetry_(telemetry),
       external_trace_(request_.trace) {
   MD_CHECK(program_ != nullptr);
@@ -140,21 +126,19 @@ StreamSession::StreamSession(
                                 MaybeEmit(pred, node);
                               });
   }
-  // The synthetic root, exactly as the batch parser starts: whether it
-  // survives into the output tree is settled at end of input. Until then the
-  // two evaluators disagree about it by design: the kept world knows
-  // everything about node 0 up front, the stripped world never hears of it
-  // (node 0 enters its domain factless and linkless, so no derivation can
-  // ever touch it).
-  const tree::NodeId root = builder_.Root("#document");
-  stack_.emplace_back(root, "#document");
+  // The synthetic root the constructor starts with: whether it survives
+  // into the output tree is settled at end of input. Until then the two
+  // evaluators disagree about it by design: the kept world knows everything
+  // about node 0 up front, the stripped world never hears of it (node 0
+  // enters its domain factless and linkless, so no derivation can ever
+  // touch it).
   num_children_.push_back(0);
   closed_.push_back(false);
   if (incremental_) {
-    eval_stripped_->AddNode(root, -1);
-    eval_kept_->AddNode(root, -1);
+    eval_stripped_->AddNode(0, -1);
+    eval_kept_->AddNode(0, -1);
     AssertUnary(eval_kept_.get(), root_pred_, 0);
-    AssertLabel(eval_kept_.get(), "#document", 0);
+    AssertUnary(eval_kept_.get(), LabelPred(0), 0);
   }
 }
 
@@ -228,7 +212,7 @@ void StreamSession::SettleSessionTrace() {
   telemetry::TraceContext* trace = cur_trace();
   if (trace == nullptr) return;
   trace->set_page_bytes(bytes_fed_);
-  trace->set_nodes(builder_.size());
+  trace->set_nodes(static_cast<int64_t>(num_children_.size()));
   const util::StatusCode code =
       status_.ok() ? util::StatusCode::kOk : status_.code();
   if (trace_ != nullptr && telemetry_ != nullptr) {
@@ -255,87 +239,33 @@ util::Status StreamSession::FeedImpl(std::string_view chunk) {
   bytes_fed_ += static_cast<int64_t>(chunk.size());
   telemetry::TraceSpan span(cur_trace(), "stream.feed");
   span.Value("bytes", static_cast<int64_t>(chunk.size()));
-  std::vector<html::Token> tokens;
-  util::Status s = tokenizer_.Feed(chunk, &tokens, control());
+  const int32_t nodes_before = builder().size();
+  util::Status s = scanner_.Feed(chunk, &constructor_, control());
   if (!s.ok()) return Terminal(std::move(s));
-  const int32_t nodes_before = builder_.size();
-  ProcessTokens(tokens);
-  span.Value("nodes", builder_.size() - nodes_before);
+  span.Value("nodes", builder().size() - nodes_before);
   s = PropagateAll();
   if (!s.ok()) return Terminal(std::move(s));
   UpdateEdbPeak();
   return util::Status::OK();
 }
 
-void StreamSession::ProcessTokens(const std::vector<html::Token>& tokens) {
-  // Token-for-token the batch parser's tree construction (html/parser.cc):
-  // any divergence here would break the byte-identical-to-batch invariant.
-  for (const html::Token& token : tokens) {
-    switch (token.type) {
-      case html::Token::Type::kDoctype:
-      case html::Token::Type::kComment:
-        break;  // not represented in the document tree
-      case html::Token::Type::kText: {
-        const tree::NodeId n = CreateNode("#text");
-        builder_.SetText(n, token.data);
-        CloseNode(n);
-        break;
-      }
-      case html::Token::Type::kStartTag: {
-        const std::vector<std::string>& closes = html::AutoCloses(token.data);
-        while (stack_.size() > 1 &&
-               std::find(closes.begin(), closes.end(),
-                         stack_.back().second) != closes.end()) {
-          CloseNode(stack_.back().first);
-          stack_.pop_back();
-        }
-        const tree::NodeId n = CreateNode(
-            ProjectedLabel(token.data, token.attrs, project_attr_));
-        if (!html::IsVoidElement(token.data) && !token.self_closing) {
-          stack_.emplace_back(n, token.data);
-        } else {
-          CloseNode(n);
-        }
-        break;
-      }
-      case html::Token::Type::kEndTag: {
-        int32_t match = -1;
-        for (int32_t i = static_cast<int32_t>(stack_.size()) - 1; i >= 1;
-             --i) {
-          if (stack_[i].second == token.data) {
-            match = i;
-            break;
-          }
-        }
-        if (match >= 1) {
-          while (static_cast<int32_t>(stack_.size()) > match) {
-            CloseNode(stack_.back().first);
-            stack_.pop_back();
-          }
-        }
-        break;
-      }
-    }
-  }
-}
-
-tree::NodeId StreamSession::CreateNode(const std::string& label) {
-  const tree::NodeId parent = stack_.back().first;
-  const tree::NodeId n = builder_.Child(parent, label);
+void StreamSession::CreateNode(tree::NodeId n) {
+  const tree::NodeId parent = builder().parent(n);
   num_children_.push_back(0);
   closed_.push_back(false);
   peak_live_nodes_ = std::max(peak_live_nodes_, ++live_nodes_);
   const int32_t k = ++num_children_[parent];
-  const tree::NodeId prev = builder_.prev_sibling(n);
-  if (!incremental_) return n;
+  const tree::NodeId prev = builder().prev_sibling(n);
+  if (!incremental_) return;
 
   // A second top-level node refutes the stripped hypothesis before any fact
   // about this node is asserted.
   if (parent == 0 && k == 2 && !settled_) ResolveKept();
 
+  const core::PredId label_pred = LabelPred(n);
   if (eval_stripped_ != nullptr) {
     eval_stripped_->AddNode(n, prev);
-    AssertLabel(eval_stripped_.get(), label, n);
+    AssertUnary(eval_stripped_.get(), label_pred, n);
     if (parent == 0) {
       // The first top-level node IS the root of the stripped tree (internal
       // ids run one above the batch EDB's). No sibling/parent facts: the
@@ -356,7 +286,7 @@ tree::NodeId StreamSession::CreateNode(const std::string& label) {
     // In the kept world node 0 is an ordinary node: top-level children link
     // to it exactly like any other parent.
     eval_kept_->AddNode(n, prev);
-    AssertLabel(eval_kept_.get(), label, n);
+    AssertUnary(eval_kept_.get(), label_pred, n);
     if (prev == tree::kNoNode) {
       AssertBinary(eval_kept_.get(), firstchild_pred_, parent, n);
       AssertUnary(eval_kept_.get(), firstsibling_pred_, n);
@@ -366,14 +296,13 @@ tree::NodeId StreamSession::CreateNode(const std::string& label) {
     AssertBinary(eval_kept_.get(), child_pred_, parent, n);
     AssertChildK(eval_kept_.get(), k, parent, n);
   }
-  return n;
 }
 
 void StreamSession::CloseNode(tree::NodeId n) {
   closed_[n] = true;
   --live_nodes_;
   if (!incremental_) return;
-  const tree::NodeId lc = builder_.last_child(n);
+  const tree::NodeId lc = builder().last_child(n);
   for (IncrementalTmnfEval* ev : {eval_stripped_.get(), eval_kept_.get()}) {
     if (ev == nullptr) continue;
     if (lc == tree::kNoNode) {
@@ -431,10 +360,17 @@ void StreamSession::FlushEligible() {
   }
 }
 
-void StreamSession::AssertLabel(IncrementalTmnfEval* ev,
-                                const std::string& label, tree::NodeId n) {
-  const auto it = label_preds_.find(label);
-  if (it != label_preds_.end()) ev->AddUnaryFact(it->second, n);
+core::PredId StreamSession::LabelPred(tree::NodeId n) {
+  const tree::LabelId id = builder().label(n);
+  if (static_cast<size_t>(id) >= label_pred_of_id_.size()) {
+    label_pred_of_id_.resize(id + 1, kUnresolved);
+  }
+  core::PredId& pred = label_pred_of_id_[id];
+  if (pred == kUnresolved) {
+    const auto it = label_preds_.find(builder().label_name(n));
+    pred = it == label_preds_.end() ? -1 : it->second;
+  }
+  return pred;
 }
 
 void StreamSession::AssertChildK(IncrementalTmnfEval* ev, int32_t k,
@@ -449,8 +385,8 @@ void StreamSession::EmitResult(int32_t pattern_index, tree::NodeId node) {
   if (!options_.on_result) return;
   StreamResult result;
   result.pattern = program_->prepared.extraction_patterns[pattern_index];
-  result.label = builder_.label_name(node);
-  result.text = SubtreeTextOf(builder_, node);
+  result.label = builder().label_name(node);
+  result.text = SubtreeTextOf(builder(), node);
   result.node = node;
   options_.on_result(result);
 }
@@ -467,16 +403,11 @@ util::Result<std::string> StreamSession::FinishImpl() {
   finished_ = true;
   telemetry::TraceSpan finish_span(cur_trace(), "stream.finish");
 
-  std::vector<html::Token> tokens;
-  util::Status s = tokenizer_.Finish(&tokens, control());
+  util::Status s = scanner_.Finish(&constructor_, control());
   if (!s.ok()) return Terminal(std::move(s));
-  ProcessTokens(tokens);
-  // End of input closes everything still open (batch: remaining stack).
-  while (stack_.size() > 1) {
-    CloseNode(stack_.back().first);
-    stack_.pop_back();
-  }
-  if (builder_.size() == 1) {
+  // End of input closes everything still open.
+  constructor_.CloseAll();
+  if (builder().size() == 1) {
     return Terminal(util::Status::InvalidArgument("no content in HTML input"));
   }
 
@@ -491,7 +422,7 @@ util::Result<std::string> StreamSession::FinishImpl() {
       winner = eval_stripped_.get();
     } else {
       winner = eval_kept_.get();
-      const tree::NodeId lc = builder_.last_child(0);
+      const tree::NodeId lc = builder().last_child(0);
       AssertUnary(winner, lastsibling_pred_, lc);
       AssertBinary(winner, lastchild_pred_, 0, lc);
     }
@@ -508,15 +439,15 @@ util::Result<std::string> StreamSession::FinishImpl() {
     // before Finish returns.
     FlushEligible();
   } else {
-    stripped_ = builder_.first_child(0) != tree::kNoNode &&
-                builder_.next_sibling(builder_.first_child(0)) ==
-                    tree::kNoNode;
+    stripped_ = constructor_.single_rooted();
   }
 
-  tree::Tree full = builder_.Build();
-  tree::Tree out_tree = stripped_
-                            ? tree::CopySubtree(full, full.first_child(0))
-                            : std::move(full);
+  // The batch parser's tree: the synthetic root is dropped exactly when a
+  // single top-level node exists, i.e. when the stripped hypothesis won.
+  MD_DCHECK(stripped_ == constructor_.single_rooted());
+  util::Result<tree::Tree> built = constructor_.Build();
+  MD_CHECK(built.ok());  // content exists, checked above
+  const tree::Tree out_tree = *std::move(built);
 
   elog::ElogResult matches;
   const auto& patterns = program_->prepared.extraction_patterns;

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/html/parser.h"
 #include "src/html/tokenizer.h"
 #include "src/runtime/runtime.h"
 #include "src/stream/incremental_eval.h"
@@ -18,11 +19,13 @@
 
 /// \file stream_session.h
 /// Streaming incremental extraction: one wrap request whose page arrives in
-/// chunks. Feed() pushes bytes through the incremental tokenizer, grows the
-/// document tree, asserts EDB facts the moment they become finally true, and
-/// runs semi-naive delta rounds over the compiled TMNF program — extraction
-/// results are emitted via StreamOptions::on_result as soon as they are both
-/// derived and final, typically long before end of input. Finish() settles
+/// chunks. Feed() pushes bytes through the same scanner and tree
+/// construction the batch parser uses (html::Scanner, html::TreeConstructor
+/// with this session's create/close hooks), asserts EDB facts the moment
+/// they become finally true, and runs semi-naive delta rounds over the
+/// compiled TMNF program — extraction results are emitted via
+/// StreamOptions::on_result as soon as they are both derived and final,
+/// typically long before end of input. Finish() settles
 /// the root, runs the last delta round and returns the output XML, byte-
 /// identical to what batch WrapperRuntime::Wrap produces on the concatenated
 /// bytes — for every input under every chunking (the invariant the
@@ -99,9 +102,9 @@ class StreamSession {
   /// tree (final ids = internal ids - 1). Meaningful once the second
   /// top-level node arrives (false from then on) or after Finish.
   bool stripped() const { return stripped_; }
-  /// Bytes held back by the tokenizer waiting for a construct to complete
+  /// Bytes held back by the scanner waiting for a construct to complete
   /// (bounded by the longest tag/comment/script body, not the page).
-  size_t buffered_bytes() const { return tokenizer_.buffered_bytes(); }
+  size_t buffered_bytes() const { return scanner_.buffered_bytes(); }
 
   /// Bounded-memory observability: the largest number of simultaneously
   /// open (subtree-incomplete) nodes the session has held. Open nodes are
@@ -133,10 +136,19 @@ class StreamSession {
   }
   void UpdateEdbPeak();
 
-  void ProcessTokens(const std::vector<html::Token>& tokens);
-  /// `label` is already projected (Remark 2.2); attributes are not retained.
-  tree::NodeId CreateNode(const std::string& label);
+  /// Tree-construction hooks: node `n` was just created (its label already
+  /// projected, Remark 2.2) / its subtree is complete.
+  struct ConstructionHooks {
+    StreamSession* session;
+    void OnCreate(tree::NodeId n, std::span<const html::AttrView> /*attrs*/) {
+      session->CreateNode(n);
+    }
+    void OnClose(tree::NodeId n) { session->CloseNode(n); }
+  };
+
+  void CreateNode(tree::NodeId n);
   void CloseNode(tree::NodeId n);
+  const tree::TreeBuilder& builder() const { return constructor_.builder(); }
   /// Second top-level node arrived: the root is definitely kept. Drops the
   /// stripped-hypothesis evaluator and flushes everything the kept world has
   /// already derived on closed subtrees.
@@ -162,8 +174,8 @@ class StreamSession {
                            tree::NodeId a, tree::NodeId b) {
     if (pred >= 0) ev->AddBinaryFact(pred, a, b);
   }
-  void AssertLabel(IncrementalTmnfEval* ev, const std::string& label,
-                   tree::NodeId n);
+  /// The label_<l> predicate of node n's label, or -1.
+  core::PredId LabelPred(tree::NodeId n);
   void AssertChildK(IncrementalTmnfEval* ev, int32_t k, tree::NodeId parent,
                     tree::NodeId child);
 
@@ -173,11 +185,8 @@ class StreamSession {
   const runtime::RequestOptions request_;  // keeps the cancel token alive
   const util::EvalControl control_;
 
-  html::StreamTokenizer tokenizer_;
-  tree::TreeBuilder builder_;
-  /// Open nodes, innermost last: (node, tag name). Mirrors the batch
-  /// parser's stack exactly (auto-close, unmatched end tags, void elements).
-  std::vector<std::pair<tree::NodeId, std::string>> stack_;
+  html::Scanner scanner_;
+  html::TreeConstructor<ConstructionHooks> constructor_;
   std::vector<int32_t> num_children_;  // per node, grows with the tree
   std::vector<bool> closed_;           // per node: subtree complete
 
@@ -192,6 +201,9 @@ class StreamSession {
   core::PredId firstchild_pred_ = -1, nextsibling_pred_ = -1;
   core::PredId child_pred_ = -1, lastchild_pred_ = -1;
   std::unordered_map<std::string, core::PredId> label_preds_;
+  /// label_preds_ by the tree's label id, resolved on first sight
+  /// (kUnresolved until then).
+  std::vector<core::PredId> label_pred_of_id_;
   std::unordered_map<int32_t, core::PredId> childk_preds_;
   /// pattern pred → indices into prepared.extraction_patterns.
   std::unordered_map<core::PredId, std::vector<int32_t>> pred_patterns_;

@@ -1,7 +1,5 @@
 #include "src/tree/serialize.h"
 
-#include <functional>
-
 namespace mdatalog::tree {
 
 std::string XmlEscape(std::string_view s) {
@@ -21,25 +19,29 @@ std::string XmlEscape(std::string_view s) {
 
 std::string ToXml(const Tree& t, int32_t indent) {
   std::string out;
-  std::function<void(NodeId, int32_t)> emit = [&](NodeId n, int32_t depth) {
-    std::string pad =
-        indent < 0 ? "" : std::string(static_cast<size_t>(depth * indent), ' ');
-    const std::string& tag = t.label_name(n);
-    out += pad + "<" + tag + ">";
-    bool multiline = false;
-    if (t.HasText(n)) out += XmlEscape(t.text(n));
-    if (!t.IsLeaf(n)) {
-      multiline = indent >= 0;
-      if (multiline) out += "\n";
-      for (NodeId c = t.first_child(n); c != kNoNode; c = t.next_sibling(c)) {
-        emit(c, depth + 1);
-      }
-      if (multiline) out += pad;
-    }
-    out += "</" + tag + ">";
-    if (indent >= 0) out += "\n";
+  int32_t depth = 0;
+  const auto pad = [&] {
+    if (indent > 0) out.append(static_cast<size_t>(depth * indent), ' ');
   };
-  emit(t.root(), 0);
+  WalkSubtree(
+      t, t.root(),
+      [&](NodeId n) {
+        pad();
+        out += '<';
+        out += t.label_name(n);
+        out += '>';
+        if (t.HasText(n)) out += XmlEscape(t.text(n));
+        if (!t.IsLeaf(n) && indent >= 0) out += '\n';
+        ++depth;
+      },
+      [&](NodeId n) {
+        --depth;
+        if (!t.IsLeaf(n) && indent >= 0) pad();
+        out += "</";
+        out += t.label_name(n);
+        out += '>';
+        if (indent >= 0) out += '\n';
+      });
   return out;
 }
 

@@ -1,6 +1,6 @@
 #include "src/tree/tree.h"
 
-#include <functional>
+#include <algorithm>
 #include <utility>
 
 namespace mdatalog::tree {
@@ -122,15 +122,8 @@ bool Tree::IsAncestor(NodeId anc, NodeId n) const {
 std::vector<NodeId> Tree::Preorder() const {
   std::vector<NodeId> order;
   order.reserve(size_);
-  std::vector<NodeId> stack = {root()};
-  while (!stack.empty()) {
-    NodeId n = stack.back();
-    stack.pop_back();
-    order.push_back(n);
-    // Push children right-to-left so the leftmost is visited first.
-    std::vector<NodeId> kids = Children(n);
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) stack.push_back(*it);
-  }
+  WalkSubtree(
+      *this, root(), [&](NodeId n) { order.push_back(n); }, [](NodeId) {});
   return order;
 }
 
@@ -161,11 +154,8 @@ int32_t Tree::Height() const {
 
 std::string Tree::SubtreeText(NodeId n) const {
   std::string out;
-  std::function<void(NodeId)> walk = [&](NodeId m) {
-    out += text(m);
-    for (NodeId c = first_child(m); c != kNoNode; c = next_sibling(c)) walk(c);
-  };
-  walk(n);
+  WalkSubtree(
+      *this, n, [&](NodeId m) { out += text(m); }, [](NodeId) {});
   return out;
 }
 
@@ -230,64 +220,64 @@ Tree TreeBuilder::Build() {
   return std::move(tree_);
 }
 
-Tree CopySubtree(const Tree& t, NodeId n, std::vector<NodeId>* src_of_dst) {
-  MD_CHECK(n >= 0 && n < t.size());
-  if (src_of_dst != nullptr) src_of_dst->clear();
-  TreeBuilder builder;
-  std::function<void(NodeId, NodeId)> copy = [&](NodeId src,
-                                                 NodeId dst_parent) {
-    NodeId dst = dst_parent == kNoNode
-                     ? builder.Root(t.label_name(src))
-                     : builder.Child(dst_parent, t.label_name(src));
-    if (src_of_dst != nullptr) src_of_dst->push_back(src);
-    if (t.HasText(src)) builder.SetText(dst, t.text(src));
-    for (NodeId c = t.first_child(src); c != kNoNode; c = t.next_sibling(c)) {
-      copy(c, dst);
-    }
-  };
-  copy(n, kNoNode);
-  return builder.Build();
-}
-
 namespace {
 
-bool SubtreesEqual(const Tree& a, NodeId na, const Tree& b, NodeId nb) {
-  if (a.label_name(na) != b.label_name(nb)) return false;
-  if (a.text(na) != b.text(nb)) return false;
-  NodeId ca = a.first_child(na);
-  NodeId cb = b.first_child(nb);
-  while (ca != kNoNode && cb != kNoNode) {
-    if (!SubtreesEqual(a, ca, b, cb)) return false;
-    ca = a.next_sibling(ca);
-    cb = b.next_sibling(cb);
-  }
-  return ca == kNoNode && cb == kNoNode;
-}
-
-void DebugRender(const Tree& t, NodeId n, std::string* out) {
-  *out += t.label_name(n);
-  if (!t.IsLeaf(n)) {
-    *out += '(';
-    bool first = true;
-    for (NodeId c = t.first_child(n); c != kNoNode; c = t.next_sibling(c)) {
-      if (!first) *out += ',';
-      first = false;
-      DebugRender(t, c, out);
-    }
-    *out += ')';
-  }
-}
+/// The column entry for an id one below: references to the dropped root
+/// (id 0) become kNoNode.
+int32_t ShiftDown(int32_t v) { return v > 0 ? v - 1 : kNoNode; }
 
 }  // namespace
 
+Tree TreeBuilder::BuildDroppingRoot() {
+  Tree& t = tree_;
+  MD_CHECK(t.own_label_.size() >= 2 && t.own_first_child_[0] == 1 &&
+           t.own_last_child_[0] == 1);
+  for (auto* col : {&t.own_parent_, &t.own_first_child_, &t.own_last_child_,
+                    &t.own_prev_sibling_, &t.own_next_sibling_}) {
+    col->erase(col->begin());
+    for (int32_t& v : *col) v = ShiftDown(v);
+  }
+  const LabelId dropped = t.own_label_[0];
+  t.own_label_.erase(t.own_label_.begin());
+  if (std::find(t.own_label_.begin(), t.own_label_.end(), dropped) ==
+      t.own_label_.end()) {
+    t.labels_.Erase(dropped);
+    for (LabelId& l : t.own_label_) {
+      if (l > dropped) --l;
+    }
+  }
+  if (!t.texts_.empty()) t.texts_.erase(t.texts_.begin());
+  return Build();
+}
+
 bool TreesEqual(const Tree& a, const Tree& b) {
   if (a.size() != b.size()) return false;
-  return SubtreesEqual(a, a.root(), b, b.root());
+  // A preorder sequence of (label, text, child count) determines an ordered
+  // tree, so comparing the two sequences compares the trees.
+  const std::vector<NodeId> pa = a.Preorder();
+  const std::vector<NodeId> pb = b.Preorder();
+  for (size_t i = 0; i < pa.size(); ++i) {
+    if (a.label_name(pa[i]) != b.label_name(pb[i]) ||
+        a.text(pa[i]) != b.text(pb[i]) ||
+        a.NumChildren(pa[i]) != b.NumChildren(pb[i])) {
+      return false;
+    }
+  }
+  return true;
 }
 
 std::string ToDebugString(const Tree& t) {
   std::string out;
-  DebugRender(t, t.root(), &out);
+  WalkSubtree(
+      t, t.root(),
+      [&](NodeId n) {
+        if (n != t.root() && t.prev_sibling(n) != kNoNode) out += ',';
+        out += t.label_name(n);
+        if (!t.IsLeaf(n)) out += '(';
+      },
+      [&](NodeId n) {
+        if (!t.IsLeaf(n)) out += ')';
+      });
   return out;
 }
 

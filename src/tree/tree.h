@@ -246,8 +246,9 @@ class TreeBuilder {
   NodeId last_child(NodeId n) const { return At(tree_.own_last_child_, n); }
   NodeId prev_sibling(NodeId n) const { return At(tree_.own_prev_sibling_, n); }
   NodeId next_sibling(NodeId n) const { return At(tree_.own_next_sibling_, n); }
+  LabelId label(NodeId n) const { return At(tree_.own_label_, n); }
   const std::string& label_name(NodeId n) const {
-    return tree_.labels_.Name(At(tree_.own_label_, n));
+    return tree_.labels_.Name(label(n));
   }
   std::string_view text(NodeId n) const {
     if (static_cast<size_t>(n) < tree_.texts_.size()) return tree_.texts_[n];
@@ -256,6 +257,13 @@ class TreeBuilder {
 
   /// Finalizes the tree. The builder must not be reused afterwards.
   Tree Build();
+  /// Finalizes the tree without its root, whose only child becomes the new
+  /// root: every column shifts down by one id (O(n), no copy of labels or
+  /// texts), and the root's label leaves the alphabet unless another node
+  /// carries it. When nodes were created in document order — as every
+  /// parser here does — this is the subtree copy of the root's child, same
+  /// ids and same label order. The root must have exactly one child.
+  Tree BuildDroppingRoot();
 
  private:
   int32_t At(const std::vector<int32_t>& col, NodeId n) const {
@@ -266,14 +274,30 @@ class TreeBuilder {
   Tree tree_;
 };
 
-/// A deep copy of the subtree of `t` rooted at `n`, as its own tree (labels
-/// and texts included; the new root is node 0). Nodes are copied in preorder,
-/// so when `t` itself was built in document order, the copy's NodeIds are the
-/// source ids renumbered by preorder rank. `src_of_dst`, when non-null, is
-/// filled with the source NodeId of every destination node (indexed by
-/// destination id) so callers can remap per-node side tables.
-Tree CopySubtree(const Tree& t, NodeId n,
-                 std::vector<NodeId>* src_of_dst = nullptr);
+/// Visits the subtree of `t` rooted at `n` in document order without
+/// recursion or an explicit stack (it climbs the parent column): enter(m) on
+/// the way down, leave(m) once m's whole subtree has been visited. Depth is
+/// unbounded — HTML pages can nest arbitrarily deep.
+template <typename Enter, typename Leave>
+void WalkSubtree(const Tree& t, NodeId n, Enter&& enter, Leave&& leave) {
+  NodeId m = n;
+  for (;;) {
+    enter(m);
+    if (const NodeId c = t.first_child(m); c != kNoNode) {
+      m = c;
+      continue;
+    }
+    for (;;) {
+      leave(m);
+      if (m == n) return;
+      if (const NodeId s = t.next_sibling(m); s != kNoNode) {
+        m = s;
+        break;
+      }
+      m = t.parent(m);
+    }
+  }
+}
 
 /// Structural + label + text equality (labels compared by name, so trees with
 /// different interners compare correctly).

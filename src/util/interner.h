@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -34,9 +35,10 @@ inline constexpr SymbolId kInvalidSymbol = -1;
 /// Interner per worker instead if mutation is needed.
 class Interner {
  public:
-  /// Returns the id for `s`, interning it on first sight.
+  /// Returns the id for `s`, interning it on first sight. A hit builds no
+  /// temporary string (heterogeneous lookup).
   SymbolId Intern(std::string_view s) {
-    auto it = ids_.find(std::string(s));
+    auto it = ids_.find(s);
     if (it != ids_.end()) return it->second;
     SymbolId id = static_cast<SymbolId>(strings_.size());
     strings_.emplace_back(s);
@@ -46,8 +48,19 @@ class Interner {
 
   /// Returns the id for `s`, or kInvalidSymbol if never interned.
   SymbolId Find(std::string_view s) const {
-    auto it = ids_.find(std::string(s));
+    auto it = ids_.find(s);
     return it == ids_.end() ? kInvalidSymbol : it->second;
+  }
+
+  /// Forgets `id`; every later id moves down by one. O(size()). Callers
+  /// renumber whatever refers to the shifted ids.
+  void Erase(SymbolId id) {
+    MD_CHECK(id >= 0 && static_cast<size_t>(id) < strings_.size());
+    ids_.erase(strings_[id]);
+    strings_.erase(strings_.begin() + id);
+    for (size_t i = id; i < strings_.size(); ++i) {
+      ids_[strings_[i]] = static_cast<SymbolId>(i);
+    }
   }
 
   /// Returns the string for an id. Id must be valid.
@@ -71,8 +84,15 @@ class Interner {
   }
 
  private:
+  struct Hash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   std::vector<std::string> strings_;
-  std::unordered_map<std::string, SymbolId> ids_;
+  std::unordered_map<std::string, SymbolId, Hash, std::equal_to<>> ids_;
 };
 
 }  // namespace mdatalog::util

@@ -1,6 +1,5 @@
 #include "src/wrapper/wrapper.h"
 
-#include <functional>
 #include <utility>
 
 #include "src/html/parser.h"
@@ -69,38 +68,34 @@ Tree BuildOutputTree(const std::vector<std::string>& extraction_patterns,
   // is a leaf iff it is the innermost pattern on its input node and nothing
   // below is selected; leaves carry the input subtree's text.
   std::vector<bool> marked_below(t.size(), false);
-  std::function<bool(NodeId)> scan = [&](NodeId n) {
-    bool below = false;
-    for (NodeId c = t.first_child(n); c != kNoNode; c = t.next_sibling(c)) {
-      below |= scan(c);
-    }
-    marked_below[n] = below;
-    return below || !patterns_of[n].empty();
-  };
-  scan(t.root());
+  tree::WalkSubtree(
+      t, t.root(), [](NodeId) {},
+      [&](NodeId n) {
+        if (n != t.root() && (marked_below[n] || !patterns_of[n].empty())) {
+          marked_below[t.parent(n)] = true;
+        }
+      });
 
   tree::TreeBuilder builder;
   NodeId out_root = builder.Root("result");
   std::vector<NodeId> parent_stack = {out_root};
-  std::function<void(NodeId)> walk = [&](NodeId n) {
-    size_t pushed = 0;
-    for (size_t i = 0; i < patterns_of[n].size(); ++i) {
-      int32_t pi = patterns_of[n][i];
-      NodeId built =
-          builder.Child(parent_stack.back(), extraction_patterns[pi]);
-      bool innermost = (i + 1 == patterns_of[n].size());
-      if (innermost && !marked_below[n]) {
-        builder.SetText(built, t.SubtreeText(n));
-      }
-      parent_stack.push_back(built);
-      ++pushed;
-    }
-    for (NodeId c = t.first_child(n); c != kNoNode; c = t.next_sibling(c)) {
-      walk(c);
-    }
-    for (size_t i = 0; i < pushed; ++i) parent_stack.pop_back();
-  };
-  walk(t.root());
+  tree::WalkSubtree(
+      t, t.root(),
+      [&](NodeId n) {
+        for (size_t i = 0; i < patterns_of[n].size(); ++i) {
+          int32_t pi = patterns_of[n][i];
+          NodeId built =
+              builder.Child(parent_stack.back(), extraction_patterns[pi]);
+          bool innermost = (i + 1 == patterns_of[n].size());
+          if (innermost && !marked_below[n]) {
+            builder.SetText(built, t.SubtreeText(n));
+          }
+          parent_stack.push_back(built);
+        }
+      },
+      [&](NodeId n) {
+        parent_stack.resize(parent_stack.size() - patterns_of[n].size());
+      });
   return builder.Build();
 }
 
@@ -124,8 +119,8 @@ util::Result<Tree> WrapTree(const PreparedWrapper& wrapper, const Tree& t,
 
 util::Result<std::string> WrapHtmlToXml(const Wrapper& wrapper,
                                         std::string_view html) {
-  MD_ASSIGN_OR_RETURN(html::Document doc, html::ParseHtml(html));
-  MD_ASSIGN_OR_RETURN(Tree out, WrapTree(wrapper, doc.tree()));
+  MD_ASSIGN_OR_RETURN(Tree t, html::ParseTree(html));
+  MD_ASSIGN_OR_RETURN(Tree out, WrapTree(wrapper, t));
   return tree::ToXml(out);
 }
 

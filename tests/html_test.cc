@@ -1,3 +1,7 @@
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/html/parser.h"
@@ -10,6 +14,24 @@ namespace mdatalog::html {
 namespace {
 
 using tree::NodeId;
+
+/// The labels a one-pass ParseTree(page, attr) gives every node: the tag,
+/// plus "@value" when the node's first `attr` attribute (as Document
+/// records it) is non-empty. Same node ids on both sides.
+void ExpectProjectionMatchesAttributes(std::string_view page,
+                                       const std::string& attr) {
+  auto doc = ParseHtml(page);
+  auto projected = ParseTree(page, attr);
+  ASSERT_TRUE(doc.ok());
+  ASSERT_TRUE(projected.ok());
+  ASSERT_EQ(projected->size(), doc->tree().size());
+  for (NodeId n = 0; n < projected->size(); ++n) {
+    std::string label = doc->tree().label_name(n);
+    const std::string value = doc->GetAttr(n, attr);
+    if (!value.empty()) label += "@" + value;
+    EXPECT_EQ(projected->label_name(n), label) << "node " << n;
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Tokenizer
@@ -189,6 +211,16 @@ TEST(ParserTest, AttributesAccessible) {
   std::vector<NodeId> with_href = doc->NodesWithAttr("href", "/x");
   ASSERT_EQ(with_href.size(), 1u);
   EXPECT_EQ(doc->tree().label_name(with_href[0]), "a");
+
+  // The same attributes through construction-time projection.
+  const std::string page = "<div class=main id=top><a href=\"/x\">l</a></div>";
+  EXPECT_EQ(ParseTree(page, "class")->label_name(0), "div@main");
+  EXPECT_EQ(ParseTree(page, "id")->label_name(0), "div@top");
+  EXPECT_EQ(ParseTree(page, "style")->label_name(0), "div");
+  EXPECT_EQ(ParseTree(page, "href")->label_name(with_href[0]), "a@/x");
+  for (const std::string attr : {"class", "id", "href", "style"}) {
+    ExpectProjectionMatchesAttributes(page, attr);
+  }
 }
 
 TEST(ParserTest, ProjectAttributeIntoLabels) {
@@ -227,6 +259,21 @@ TEST(SyntheticTest, CatalogPageStructure) {
     EXPECT_EQ(doc->GetAttr(cells[2], "class"), "seller");
     EXPECT_FALSE(doc->tree().SubtreeText(cells[1]).empty());
   }
+
+  // The same rows and cells through construction-time projection.
+  util::Rng again(1);
+  const std::string page = ProductCatalogPage(again, opts);
+  auto projected = ParseTree(page, "class");
+  ASSERT_TRUE(projected.ok());
+  for (NodeId row : items) {
+    EXPECT_EQ(projected->label_name(row), "tr@item");
+    std::vector<NodeId> cells = projected->Children(row);
+    ASSERT_EQ(cells.size(), 3u);
+    EXPECT_EQ(projected->label_name(cells[0]), "td@name");
+    EXPECT_EQ(projected->label_name(cells[1]), "td@price");
+    EXPECT_EQ(projected->label_name(cells[2]), "td@seller");
+  }
+  ExpectProjectionMatchesAttributes(page, "class");
 }
 
 TEST(SyntheticTest, CatalogAdsAddRows) {
@@ -241,6 +288,8 @@ TEST(SyntheticTest, CatalogAdsAddRows) {
     if (doc->GetAttr(n, "class") == "ad") ++ads;
   }
   EXPECT_EQ(ads, 2);  // after items 3 and 6
+  util::Rng again(2);
+  ExpectProjectionMatchesAttributes(ProductCatalogPage(again, opts), "class");
 }
 
 TEST(SyntheticTest, AltLayoutKeepsItems) {
@@ -255,6 +304,8 @@ TEST(SyntheticTest, AltLayoutKeepsItems) {
     if (doc->GetAttr(n, "class") == "item") ++items;
   }
   EXPECT_EQ(items, 5);
+  util::Rng again(3);
+  ExpectProjectionMatchesAttributes(ProductCatalogPage(again, opts), "class");
 }
 
 TEST(SyntheticTest, NewsIndexArticles) {
@@ -266,6 +317,8 @@ TEST(SyntheticTest, NewsIndexArticles) {
     if (doc->GetAttr(n, "class") == "article") ++articles;
   }
   EXPECT_EQ(articles, 12);
+  util::Rng again(4);
+  ExpectProjectionMatchesAttributes(NewsIndexPage(again, 12), "class");
 }
 
 TEST(SyntheticTest, NestedBoardDepth) {
@@ -289,6 +342,167 @@ TEST(SyntheticTest, GeneratorsAreDeterministic) {
   util::Rng a(42), b(42);
   CatalogOptions opts;
   EXPECT_EQ(ProductCatalogPage(a, opts), ProductCatalogPage(b, opts));
+}
+
+// ---------------------------------------------------------------------------
+// Pinned parser behavior
+// ---------------------------------------------------------------------------
+
+struct Golden {
+  std::string_view html;
+  std::string_view tree;       ///< ToDebugString(ParseHtml)
+  std::string_view projected;  ///< ToDebugString under "class" projection
+  std::string_view texts;      ///< "node=text|" for every node with text
+};
+
+/// Edge cases whose trees were recorded from the token-vector parser that
+/// preceded the in-place scanner; the scanner must reproduce them exactly.
+constexpr Golden kGoldens[] = {
+    {"<p>1 < 2 <3 <</p>", "p(#text)", "p(#text)", "1=1 < 2 <3 <|"},
+    {"<DIV CLASS=Big ID=Top><SPAN Class=X>t</SPAN></DIV>", "div(span(#text))",
+     "div@Big(span@X(#text))", "2=t|"},
+    {"<div class=\"a&amp;b\"><p class='x &lt; y'>t</p></div>", "div(p(#text))",
+     "div@a&b(p@x < y(#text))", "2=t|"},
+    {"<a href=/x?a=1 checked disabled title = \"q\" class=>l</a>", "a(#text)",
+     "a(#text)", "1=l|"},
+    // Raw-text end tags match case-sensitively: </SCRIPT> does not close.
+    {"<div><script>var x = 1;</SCRIPT><p>after</p></div>", "div(script)",
+     "div(script)", ""},
+    {"<div><script/><p>a</p></script><p>b</p></div>", "div(script,p(#text))",
+     "div(script,p(#text))", "3=b|"},
+    {"<p>x</p><!-", "p(#text)", "p(#text)", "1=x|"},
+    {"<p>x</p><!-- never closed <p>y</p>", "p(#text)", "p(#text)", "1=x|"},
+    {"<ul><li class=a class=b>1<li class=\"\" class=c>2</ul>",
+     "ul(li(#text),li(#text))", "ul(li@a(#text),li(#text))", "2=1|4=2|"},
+    {"text<b>bold</b>tail &amp; &#65;&#9999; &bogus;",
+     "#document(#text,b(#text),#text)", "#document(#text,b(#text),#text)",
+     "1=text|3=bold|4=tail & A&#9999; &bogus;|"},
+    {"<table><tr><td>1<td>2<tr><td>3</table><br/>",
+     "#document(table(tr(td(#text),td(#text)),tr(td(#text))),br)",
+     "#document(table(tr(td(#text),td(#text)),tr(td(#text))),br)",
+     "4=1|6=2|9=3|"},
+    {"<div>\n  <p>x</p>\n</div>\n", "div(p(#text))", "div(p(#text))", "2=x|"},
+    {"<!DOCTYPE html><html><head><style>p{}</style></head><body><p>a<b>b</p>"
+     "c</body></html>",
+     "html(head(style),body(p(#text,b(#text)),#text))",
+     "html(head(style),body(p(#text,b(#text)),#text))", "5=a|7=b|8=c|"},
+    {"<x-y:z data_k=v/>after", "x-y:z(#text)", "x-y:z(#text)", "1=after|"},
+};
+
+std::string TextsOf(const tree::Tree& t) {
+  std::string out;
+  for (NodeId n = 0; n < t.size(); ++n) {
+    if (t.HasText(n)) {
+      out += std::to_string(n) + "=" + std::string(t.text(n)) + "|";
+    }
+  }
+  return out;
+}
+
+TEST(ParserGoldenTest, EdgeCasesKeepTheirTrees) {
+  for (const Golden& g : kGoldens) {
+    auto doc = ParseHtml(g.html);
+    ASSERT_TRUE(doc.ok()) << g.html;
+    EXPECT_EQ(tree::ToDebugString(doc->tree()), g.tree) << g.html;
+    EXPECT_EQ(TextsOf(doc->tree()), g.texts) << g.html;
+    EXPECT_EQ(tree::ToDebugString(ProjectAttributeIntoLabels(*doc, "class")),
+              g.projected)
+        << g.html;
+    auto projected = ParseTree(g.html, "class");
+    ASSERT_TRUE(projected.ok()) << g.html;
+    EXPECT_EQ(tree::ToDebugString(*projected), g.projected) << g.html;
+    EXPECT_EQ(TextsOf(*projected), g.texts) << g.html;
+  }
+}
+
+TEST(ParserGoldenTest, DroppedRootLeavesTheAlphabet) {
+  auto t = ParseTree("<div><p>x</p></div>");
+  ASSERT_TRUE(t.ok());
+  EXPECT_EQ(t->FindLabel(kDocumentLabel), util::kInvalidSymbol);
+  ASSERT_EQ(t->labels().size(), 3);
+  EXPECT_EQ(t->labels().Name(0), "div");
+  EXPECT_EQ(t->labels().Name(1), "p");
+  EXPECT_EQ(t->labels().Name(2), "#text");
+  // Kept above several top-level nodes.
+  auto kept = ParseTree("<p>a</p><p>b</p>");
+  ASSERT_TRUE(kept.ok());
+  EXPECT_EQ(kept->label_name(kept->root()), kDocumentLabel);
+}
+
+// ---------------------------------------------------------------------------
+// Chunking invariance: the streaming ingestion (scanner fed in chunks into
+// the same tree construction) builds the batch tree
+// ---------------------------------------------------------------------------
+
+util::Result<tree::Tree> StreamedTree(std::string_view page, size_t chunk,
+                                      std::string_view attr) {
+  TreeConstructor<> constructor(attr);
+  Scanner scanner;
+  for (size_t i = 0; i < page.size(); i += chunk) {
+    MD_RETURN_NOT_OK(scanner.Feed(page.substr(i, chunk), &constructor));
+  }
+  MD_RETURN_NOT_OK(scanner.Finish(&constructor));
+  constructor.CloseAll();
+  return constructor.Build();
+}
+
+/// Same shape, labels, texts and alphabet order (the order the corpus
+/// store packs label ids in).
+void ExpectSameTree(const tree::Tree& got, const tree::Tree& want,
+                    const std::string& context) {
+  EXPECT_TRUE(tree::TreesEqual(got, want)) << context;
+  ASSERT_EQ(got.labels().size(), want.labels().size()) << context;
+  for (int32_t l = 0; l < got.labels().size(); ++l) {
+    EXPECT_EQ(got.labels().Name(l), want.labels().Name(l)) << context;
+  }
+}
+
+/// The robustness suite's junk generator: random bytes from a pool rich in
+/// markup-significant characters.
+std::string Junk(util::Rng& rng) {
+  constexpr std::string_view pool =
+      "abcXY_()[]{}<>/\\.,:;|&~^-=*+\"'0123456789 \t\n%@#!?";
+  std::string out;
+  const int32_t len = 1 + static_cast<int32_t>(rng.Below(120));
+  for (int32_t i = 0; i < len; ++i) out += pool[rng.Below(pool.size())];
+  return out;
+}
+
+TEST(ChunkingInvarianceTest, StreamedTreeEqualsBatchParse) {
+  std::vector<std::string> pages;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    util::Rng rng(seed);
+    CatalogOptions opts;
+    opts.num_items = 4 + static_cast<int32_t>(seed);
+    opts.with_ads = seed != 2;
+    opts.alt_layout = seed == 3;
+    pages.push_back(ProductCatalogPage(rng, opts));
+  }
+  {
+    util::Rng rng(7);
+    pages.push_back(NewsIndexPage(rng, 5));
+    pages.push_back(NestedBoardPage(rng, 3, 3));
+  }
+  for (const Golden& g : kGoldens) pages.emplace_back(g.html);
+  util::Rng junk(77);
+  for (int i = 0; i < 300; ++i) pages.push_back(Junk(junk));
+
+  for (size_t pi = 0; pi < pages.size(); ++pi) {
+    const std::string& page = pages[pi];
+    auto doc = ParseHtml(page);
+    for (const size_t chunk : {1, 2, 3, 7, 64, 4096}) {
+      const std::string context =
+          "page " + std::to_string(pi) + ", chunk " + std::to_string(chunk);
+      auto raw = StreamedTree(page, chunk, "");
+      auto projected = StreamedTree(page, chunk, "class");
+      ASSERT_EQ(raw.ok(), doc.ok()) << context;
+      ASSERT_EQ(projected.ok(), doc.ok()) << context;
+      if (!doc.ok()) continue;
+      ExpectSameTree(*raw, doc->tree(), context);
+      ExpectSameTree(*projected, ProjectAttributeIntoLabels(*doc, "class"),
+                     context);
+    }
+  }
 }
 
 }  // namespace

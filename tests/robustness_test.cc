@@ -86,6 +86,12 @@ TEST(RobustnessTest, HtmlPathologies) {
   EXPECT_EQ(attrs->GetAttr(0, "x"), "1");
   EXPECT_EQ(attrs->GetAttr(0, "y"), "2");
   EXPECT_TRUE(attrs->HasAttr(0, "z"));
+  // The same attributes through construction-time projection; the bare z
+  // has an empty value, which never projects.
+  const std::string page = "<a x=1 === y='2' \"stray\" z>t</a>";
+  EXPECT_EQ(html::ParseTree(page, "x")->label_name(0), "a@1");
+  EXPECT_EQ(html::ParseTree(page, "y")->label_name(0), "a@2");
+  EXPECT_EQ(html::ParseTree(page, "z")->label_name(0), "a");
 }
 
 // ---------------------------------------------------------------------------

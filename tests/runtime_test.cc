@@ -303,7 +303,7 @@ TEST(DocumentCacheTest, StoreHitsNotDoubleCountedUnderRace) {
       gate.arrive_and_wait();
       auto doc = cache.GetOrParse(pages[r], "");
       ASSERT_TRUE(doc.ok());
-      EXPECT_FALSE((*doc)->has_html());  // served from the store
+      EXPECT_TRUE((*doc)->tree().frozen());  // served from the store
     }
   };
   std::thread a(worker), b(worker);

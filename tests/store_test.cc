@@ -6,7 +6,9 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -86,6 +88,83 @@ std::shared_ptr<const store::CorpusStore> BuildAndOpen(
   auto store = store::CorpusStore::Open(path);
   EXPECT_TRUE(store.ok()) << store.status().ToString();
   return *store;
+}
+
+// ---------------------------------------------------------------------------
+// Format stability
+// ---------------------------------------------------------------------------
+
+uint64_t Fnv64(std::string_view bytes) {
+  uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(CorpusStoreTest, PackedBytesArePinned) {
+  // Single-document snapshot files, digested. The digests were recorded
+  // before the in-place scanner replaced the token-vector parser: packing
+  // the same pages must produce the same bytes (label order, no leftover
+  // "#document" symbol), so the format version stays.
+  std::vector<std::pair<std::string, std::string>> pages;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    util::Rng rng(seed);
+    html::CatalogOptions opts;
+    opts.num_items = 5 + static_cast<int32_t>(seed);
+    opts.with_ads = seed % 2 == 1;
+    pages.emplace_back(html::ProductCatalogPage(rng, opts), "class");
+  }
+  {
+    util::Rng rng(9);
+    pages.emplace_back(html::NewsIndexPage(rng, 4), "class");
+  }
+  {
+    util::Rng rng(10);
+    pages.emplace_back(html::NestedBoardPage(rng, 3, 2), "");
+  }
+  const std::vector<std::string> edge_cases = {
+      "<p>1 < 2 <3 <</p>",
+      "<DIV CLASS=Big ID=Top><SPAN Class=X>t</SPAN></DIV>",
+      "<div class=\"a&amp;b\"><p class=\'x &lt; y\'>t</p></div>",
+      "<a href=/x?a=1 checked disabled title = \"q\" class=>l</a>",
+      "<div><script>var x = 1;</SCRIPT><p>after</p></div>",
+      "<div><script/><p>a</p></script><p>b</p></div>",
+      "<p>x</p><!-",
+      "<p>x</p><!-- never closed <p>y</p>",
+      "<ul><li class=a class=b>1<li class=\"\" class=c>2</ul>",
+      "text<b>bold</b>tail &amp; &#65;&#9999; &bogus;",
+      "<table><tr><td>1<td>2<tr><td>3</table><br/>",
+      "<div>\n  <p>x</p>\n</div>\n",
+      "<!DOCTYPE html><html><head><style>p{}</style></head><body><p>a<b>b</p>"
+      "c</body></html>",
+      "<x-y:z data_k=v/>after",
+  };
+  for (const std::string& page : edge_cases) pages.emplace_back(page, "class");
+  for (const std::string& page : edge_cases) pages.emplace_back(page, "");
+  const std::vector<uint64_t> expected = {
+      0xff432774a215f13aull, 0xe5ca1b83e2e237afull, 0xe145a220626012c0ull,
+      0x1bc420ab4409078cull, 0xe924b157b00bd480ull, 0xb2c188fa9e5f31abull,
+      0xdc9dac9dddaec06dull, 0xb91dfa6d2006c85bull, 0xdc812bbf8f9d89f7ull,
+      0xda01cc7ce05f07cbull, 0x8c0629c8b03e845aull, 0x10f789296043a7b8ull,
+      0xbfda173ec04a9eddull, 0x7fb3f76bfc78ccd9ull, 0xe8c38128c1ef2532ull,
+      0x4b5706ad59f16569ull, 0x7e1dac6ab80a1c9bull, 0xea5eb37a22a53a38ull,
+      0x2caedd87e4d82faaull, 0xe8e8ce6414a54566ull, 0xfcd293aa637d8b12ull,
+      0x7fee5824288520caull, 0xa549c6878ac505c4ull, 0xf32778485368d704ull,
+      0x97c15b1dcd5303b6ull, 0xdc0ca0b8c5ae0b36ull, 0x1ed8687c2dc56756ull,
+      0xaafe6a34d6d2c71full, 0x4f7e6a286d4b0520ull, 0x52624f67c5c7b007ull,
+      0x5ce5cee2664e56b7ull, 0x9c61294a20c4ce8cull, 0x754e6b68ac006acdull,
+  };
+  ASSERT_EQ(pages.size(), expected.size());
+  const std::string path = TempPath("pinned.mdcs");
+  for (size_t i = 0; i < pages.size(); ++i) {
+    store::CorpusStore::Builder b;
+    ASSERT_TRUE(b.AddHtml(pages[i].first, pages[i].second).ok()) << i;
+    ASSERT_TRUE(b.Save(path).ok()) << i;
+    EXPECT_EQ(Fnv64(ReadFile(path)), expected[i]) << "page " << i;
+  }
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -485,6 +485,54 @@ TEST(StreamDeadlineTest, MillisecondDeadlineKillsMultiMegabyteSession) {
 }
 
 // ---------------------------------------------------------------------------
+// Adversarial depth
+// ---------------------------------------------------------------------------
+
+TEST(DeepNestingTest, HundredThousandNestedDivsServeThroughWrapAndStream) {
+  // ~1.4MB of nesting: every walk on the serving path (parse, root drop,
+  // evaluation, output build, XML) must be free of recursion.
+  constexpr int kDepth = 100000;
+  std::string page;
+  for (int i = 0; i < kDepth; ++i) page += "<div class=x>";
+  page += "bottom";
+  for (int i = 0; i < kDepth; ++i) page += "</div>";
+
+  auto program = elog::ParseElog(R"(
+    anynode(X) <- root(X).
+    anynode(X) <- anynode(P), subelem(P, "_", X).
+    top(X) <- root(X).
+    bottom(X) <- anynode(P), subelem(P, "_", X), leaf(X).
+  )");
+  ASSERT_TRUE(program.ok());
+  // "top" alone makes the root an output leaf (its text is the whole
+  // subtree's); with "bottom" the output nests.
+  for (const std::vector<std::string>& patterns :
+       {std::vector<std::string>{"top"},
+        std::vector<std::string>{"top", "bottom"}}) {
+    wrapper::Wrapper w;
+    w.program = *program;
+    w.extraction_patterns = patterns;
+    runtime::WrapperRuntime rt;
+    auto handle = rt.Register(w, "class");
+    ASSERT_TRUE(handle.ok());
+    ASSERT_EQ(handle->program->has_ground_plan, true);  // auto → grounded
+
+    auto batch = rt.Wrap(*handle, page);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+
+    auto session = rt.SubmitStream({.wrapper = *handle}, {});
+    ASSERT_TRUE(session.ok());
+    for (const std::string& chunk : FixedChunks(page, 4096)) {
+      ASSERT_TRUE((*session)->Feed(chunk).ok());
+    }
+    auto streamed = (*session)->Finish();
+    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+    EXPECT_EQ(*streamed, *batch);
+    EXPECT_NE(batch->find("bottom"), std::string::npos);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Session lifecycle and typed errors
 // ---------------------------------------------------------------------------
 
