@@ -94,10 +94,9 @@ std::vector<runtime::Request> TenantBatch(const runtime::WrapperHandle& handle,
   return requests;
 }
 
-/// The hot set's post-evaluation resident bytes (the cache recharges entries
-/// with their materialized-EDB footprint after evaluation, so a parse-time
-/// probe would undersize the budget). Measured once through a throwaway
-/// runtime with an effectively unbounded cache.
+/// The hot set's resident bytes, as the document cache charged them at
+/// insert. Measured once by serving the hot set through a throwaway runtime
+/// with an effectively unbounded cache.
 int64_t HotSetServedBytes() {
   static const int64_t bytes = [] {
     runtime::RuntimeOptions opts;

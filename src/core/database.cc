@@ -69,23 +69,6 @@ const std::vector<int32_t>& Relation::Backward(int32_t b) const {
   return bwd_[b];
 }
 
-int64_t Relation::ApproxBytes() const {
-  int64_t bytes = static_cast<int64_t>(sizeof(Relation));
-  bytes += static_cast<int64_t>(unary_.capacity()) * sizeof(int32_t);
-  bytes += static_cast<int64_t>(unary_set_.domain_size() + 63) / 64 * 8;
-  bytes += static_cast<int64_t>(pairs_.capacity()) * sizeof(pairs_[0]);
-  // Adjacency lists: vector headers plus elements.
-  for (const auto* adj : {&fwd_, &bwd_}) {
-    bytes += static_cast<int64_t>(adj->capacity()) * sizeof((*adj)[0]);
-    for (const auto& v : *adj) {
-      bytes += static_cast<int64_t>(v.capacity()) * sizeof(int32_t);
-    }
-  }
-  bytes += static_cast<int64_t>(fwd_fn_.capacity() + bwd_fn_.capacity()) *
-           sizeof(int32_t);
-  return bytes;
-}
-
 void ExplicitDatabase::AddFact(const std::string& pred) {
   GetOrCreate(pred, 0)->SetNullaryTrue();
 }
@@ -150,11 +133,6 @@ const Relation* TreeDatabase::Get(const std::string& name,
   auto it = cache_.find(key);
   if (it != cache_.end()) return &it->second;
   return Materialize(name, arity);
-}
-
-int64_t TreeDatabase::ApproxBytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cached_bytes_;
 }
 
 const Relation* TreeDatabase::Materialize(const std::string& name,
@@ -251,9 +229,6 @@ const Relation* TreeDatabase::Materialize(const std::string& name,
   auto [it, inserted] =
       cache_.emplace(std::make_pair(name, arity), std::move(rel));
   MD_CHECK(inserted);
-  cached_bytes_ +=
-      static_cast<int64_t>(it->first.first.capacity()) +
-      it->second.ApproxBytes();
   return &it->second;
 }
 

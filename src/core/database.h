@@ -80,9 +80,6 @@ class Relation {
     return static_cast<int64_t>(pairs_.size());
   }
 
-  /// Approximate heap footprint in bytes (for cache byte-budget accounting).
-  int64_t ApproxBytes() const;
-
  private:
   int32_t arity_;
   int32_t domain_size_;
@@ -155,11 +152,11 @@ class ExplicitDatabase : public EdbSource {
 ///
 /// Thread safety: the lazy materialization cache is mutex-guarded, so a
 /// single TreeDatabase may serve concurrent Get() calls from many evaluation
-/// threads (the serving runtime shares one instance per cached document).
-/// Returned Relation pointers stay valid for the database's lifetime — the
-/// node-based map never invalidates values — and Relations are immutable
-/// once published. The lock is only taken on the Get path, which engines hit
-/// once per (program, atom) at plan-compile time, never per tuple.
+/// threads. Returned Relation pointers stay valid for the database's
+/// lifetime — the node-based map never invalidates values — and Relations
+/// are immutable once published. The lock is only taken on the Get path,
+/// which engines hit once per (program, atom) at plan-compile time, never
+/// per tuple.
 /// Borrowed view of the per-predicate unary bit-arrays a corpus-store blob
 /// carries, so the τ_ur unary relations of a frozen document load as one
 /// memcpy each instead of an O(n) node scan. Layout: `sets` is
@@ -196,13 +193,6 @@ class TreeDatabase : public EdbSource {
   /// True iff `name`/`arity` is one of the tree-schema predicate names above.
   static bool IsTreePredicate(const std::string& name, int32_t arity);
 
-  /// Approximate heap footprint of the materialized relations, in bytes.
-  /// Grows as queries touch new predicates; the document cache re-reads it
-  /// on every hit to keep its byte accounting honest. O(1) — the counter is
-  /// maintained incrementally at materialization time, so re-reading it on
-  /// the serving hot path costs one mutex acquisition, not a heap walk.
-  int64_t ApproxBytes() const;
-
  private:
   /// Requires mu_ held.
   const Relation* Materialize(const std::string& name, int32_t arity) const;
@@ -213,7 +203,6 @@ class TreeDatabase : public EdbSource {
   mutable std::unordered_map<std::pair<std::string, int32_t>, Relation,
                              RelKeyHash>
       cache_;
-  mutable int64_t cached_bytes_ = 0;  // Σ ApproxBytes of cache_ entries
 };
 
 /// Name of the label predicate for label `l` ("label_" + l).

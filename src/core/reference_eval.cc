@@ -39,7 +39,7 @@ std::vector<int32_t> ReferenceResult::Query() const {
   return Unary(query_pred_);
 }
 
-/// The seed FixpointEngine, unchanged: per-enumeration planning, map-backed
+/// The seed FixpointEngine's naive loop: per-enumeration planning, map-backed
 /// stores, string-keyed EDB resolution per join step.
 class ReferenceEngine {
  public:
@@ -55,7 +55,7 @@ class ReferenceEngine {
       std::vector<GroundAtomRef> additions;
       for (size_t ri = 0; ri < program_.rules().size(); ++ri) {
         const Rule& rule = program_.rules()[ri];
-        EnumerateRule(rule, /*delta_pos=*/-1,
+        EnumerateRule(rule,
                       [&](const Rule& r, const std::vector<int32_t>& binding) {
                         GroundAtomRef head = Instantiate(r.head, binding);
                         if (InDomain(head) && !Holds(head)) {
@@ -73,62 +73,6 @@ class ReferenceEngine {
       ++result_.num_iterations_;
       if (added == 0) break;
       result_.num_derived_ += added;
-    }
-    return Finish();
-  }
-
-  util::Result<ReferenceResult> RunSemiNaive() {
-    MD_RETURN_NOT_OK(Setup());
-    std::vector<GroundAtomRef> delta;
-    std::vector<GroundAtomRef> buffer;
-    auto flush_buffer = [&](std::vector<GroundAtomRef>* sink) {
-      for (GroundAtomRef& g : buffer) {
-        if (!Holds(g)) {
-          Insert(g);
-          sink->push_back(std::move(g));
-        }
-      }
-      buffer.clear();
-    };
-    for (const Rule& rule : program_.rules()) {
-      EnumerateRule(rule, -1,
-                    [&](const Rule& r, const std::vector<int32_t>& binding) {
-                      GroundAtomRef head = Instantiate(r.head, binding);
-                      if (InDomain(head) && !Holds(head)) {
-                        buffer.push_back(std::move(head));
-                      }
-                    });
-      flush_buffer(&delta);
-    }
-    result_.num_derived_ += static_cast<int64_t>(delta.size());
-    ++result_.num_iterations_;
-    while (!delta.empty()) {
-      delta_.clear();
-      for (const GroundAtomRef& g : delta) {
-        auto [it, _] = delta_.try_emplace(
-            g.pred, Relation(static_cast<int32_t>(g.args.size()),
-                             std::max(domain_size_, 1)));
-        AddTuple(&it->second, g.args);
-      }
-      std::vector<GroundAtomRef> next_delta;
-      for (const Rule& rule : program_.rules()) {
-        for (size_t pos = 0; pos < rule.body.size(); ++pos) {
-          if (!intensional_[rule.body[pos].pred]) continue;
-          if (delta_.find(rule.body[pos].pred) == delta_.end()) continue;
-          EnumerateRule(
-              rule, static_cast<int32_t>(pos),
-              [&](const Rule& r, const std::vector<int32_t>& binding) {
-                GroundAtomRef head = Instantiate(r.head, binding);
-                if (InDomain(head) && !Holds(head)) {
-                  buffer.push_back(std::move(head));
-                }
-              });
-          flush_buffer(&next_delta);
-        }
-      }
-      result_.num_derived_ += static_cast<int64_t>(next_delta.size());
-      ++result_.num_iterations_;
-      delta = std::move(next_delta);
     }
     return Finish();
   }
@@ -154,14 +98,6 @@ class ReferenceEngine {
   util::Result<ReferenceResult> Finish() {
     result_.idb_ = std::move(idb_);
     return std::move(result_);
-  }
-
-  static void AddTuple(Relation* rel, const std::vector<int32_t>& args) {
-    switch (rel->arity()) {
-      case 0: rel->SetNullaryTrue(); break;
-      case 1: rel->AddUnary(args[0]); break;
-      default: rel->AddBinary(args[0], args[1]);
-    }
   }
 
   GroundAtomRef Instantiate(const Atom& atom,
@@ -200,27 +136,31 @@ class ReferenceEngine {
     auto [it, _] = idb_.try_emplace(
         g.pred, Relation(static_cast<int32_t>(g.args.size()),
                          std::max(domain_size_, 1)));
-    AddTuple(&it->second, g.args);
+    Relation& rel = it->second;
+    switch (rel.arity()) {
+      case 0: rel.SetNullaryTrue(); break;
+      case 1: rel.AddUnary(g.args[0]); break;
+      default: rel.AddBinary(g.args[0], g.args[1]);
+    }
   }
 
-  const Relation* AtomRelation(const Atom& atom, bool use_delta) const {
+  const Relation* AtomRelation(const Atom& atom) const {
     if (intensional_[atom.pred]) {
-      const auto& store = use_delta ? delta_ : idb_;
-      auto it = store.find(atom.pred);
-      return it == store.end() ? nullptr : &it->second;
+      auto it = idb_.find(atom.pred);
+      return it == idb_.end() ? nullptr : &it->second;
     }
     return edb_.Get(program_.preds().Name(atom.pred),
                     static_cast<int32_t>(atom.args.size()));
   }
 
   template <typename Emit>
-  void EnumerateRule(const Rule& rule, int32_t delta_pos, Emit emit) {
-    std::vector<int32_t> order = PlanOrder(rule, delta_pos);
+  void EnumerateRule(const Rule& rule, Emit emit) {
+    std::vector<int32_t> order = PlanOrder(rule);
     std::vector<int32_t> binding(std::max(rule.num_vars(), 1), -1);
-    Join(rule, order, 0, delta_pos, binding, emit);
+    Join(rule, order, 0, binding, emit);
   }
 
-  std::vector<int32_t> PlanOrder(const Rule& rule, int32_t delta_pos) const {
+  std::vector<int32_t> PlanOrder(const Rule& rule) const {
     int32_t n = static_cast<int32_t>(rule.body.size());
     std::vector<int32_t> order;
     std::vector<bool> used(n, false);
@@ -230,11 +170,6 @@ class ReferenceEngine {
         if (t.is_var()) bound[t.value] = true;
       }
     };
-    if (delta_pos >= 0) {
-      order.push_back(delta_pos);
-      used[delta_pos] = true;
-      bind_atom_vars(rule.body[delta_pos]);
-    }
     while (static_cast<int32_t>(order.size()) < n) {
       int32_t best = -1;
       int64_t best_score = INT64_MIN;
@@ -265,14 +200,14 @@ class ReferenceEngine {
 
   template <typename Emit>
   void Join(const Rule& rule, const std::vector<int32_t>& order, size_t depth,
-            int32_t delta_pos, std::vector<int32_t>& binding, Emit emit) {
+            std::vector<int32_t>& binding, Emit emit) {
     if (depth == order.size()) {
       emit(rule, binding);
       return;
     }
     int32_t pos = order[depth];
     const Atom& atom = rule.body[pos];
-    const Relation* rel = AtomRelation(atom, pos == delta_pos);
+    const Relation* rel = AtomRelation(atom);
     if (rel == nullptr) return;  // empty extension
 
     auto value_of = [&](const Term& t) -> int32_t {
@@ -282,7 +217,7 @@ class ReferenceEngine {
     switch (atom.args.size()) {
       case 0: {
         if (rel->nullary_true()) {
-          Join(rule, order, depth + 1, delta_pos, binding, emit);
+          Join(rule, order, depth + 1, binding, emit);
         }
         return;
       }
@@ -290,14 +225,14 @@ class ReferenceEngine {
         int32_t v = value_of(atom.args[0]);
         if (v >= 0) {
           if (rel->ContainsUnary(v)) {
-            Join(rule, order, depth + 1, delta_pos, binding, emit);
+            Join(rule, order, depth + 1, binding, emit);
           }
           return;
         }
         VarId var = atom.args[0].value;
         for (int32_t m : rel->unary_tuples()) {
           binding[var] = m;
-          Join(rule, order, depth + 1, delta_pos, binding, emit);
+          Join(rule, order, depth + 1, binding, emit);
         }
         binding[var] = -1;
         return;
@@ -309,14 +244,14 @@ class ReferenceEngine {
                         atom.args[0].value == atom.args[1].value;
         if (a >= 0 && b >= 0) {
           if (rel->ContainsBinary(a, b)) {
-            Join(rule, order, depth + 1, delta_pos, binding, emit);
+            Join(rule, order, depth + 1, binding, emit);
           }
         } else if (a >= 0) {
           VarId var = atom.args[1].value;
           for (int32_t m : rel->Forward(a)) {
             if (same_var && m != a) continue;
             binding[var] = m;
-            Join(rule, order, depth + 1, delta_pos, binding, emit);
+            Join(rule, order, depth + 1, binding, emit);
           }
           binding[var] = -1;
         } else if (b >= 0) {
@@ -324,7 +259,7 @@ class ReferenceEngine {
           for (int32_t m : rel->Backward(b)) {
             if (same_var && m != b) continue;
             binding[var] = m;
-            Join(rule, order, depth + 1, delta_pos, binding, emit);
+            Join(rule, order, depth + 1, binding, emit);
           }
           binding[var] = -1;
         } else {
@@ -334,12 +269,12 @@ class ReferenceEngine {
             if (same_var) {
               if (x != y) continue;
               binding[va] = x;
-              Join(rule, order, depth + 1, delta_pos, binding, emit);
+              Join(rule, order, depth + 1, binding, emit);
               binding[va] = -1;
             } else {
               binding[va] = x;
               binding[vb] = y;
-              Join(rule, order, depth + 1, delta_pos, binding, emit);
+              Join(rule, order, depth + 1, binding, emit);
               binding[va] = -1;
               binding[vb] = -1;
             }
@@ -355,7 +290,6 @@ class ReferenceEngine {
   int32_t domain_size_;
   std::vector<bool> intensional_;
   std::map<PredId, Relation> idb_;
-  std::map<PredId, Relation> delta_;
   ReferenceResult result_;
 };
 
@@ -363,12 +297,6 @@ util::Result<ReferenceResult> EvaluateNaiveReference(const Program& program,
                                                      const EdbSource& edb) {
   ReferenceEngine engine(program, edb);
   return engine.RunNaive();
-}
-
-util::Result<ReferenceResult> EvaluateSemiNaiveReference(
-    const Program& program, const EdbSource& edb) {
-  ReferenceEngine engine(program, edb);
-  return engine.RunSemiNaive();
 }
 
 }  // namespace mdatalog::core

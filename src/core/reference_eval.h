@@ -9,25 +9,24 @@
 #include "src/util/result.h"
 
 /// \file reference_eval.h
-/// The pre-compilation fixpoint engines, preserved verbatim from before the
-/// vectorized rewrite (NodeSet relations + CompiledProgram plans, eval.h).
+/// The test-only oracle: the pre-compilation naive fixpoint engine, preserved
+/// from before the vectorized rewrite (NodeSet relations + CompiledProgram
+/// plans, eval.h).
 ///
-/// They re-plan every rule on every enumeration, resolve every body atom
-/// through the string-keyed EdbSource::Get per join step, and store IDB
-/// relations in std::map — exactly the costs the production engines
-/// eliminated. Kept for two jobs:
+/// It re-plans every rule on every enumeration, resolves every body atom
+/// through the string-keyed EdbSource::Get per join step, and stores IDB
+/// relations in std::map — nothing it shares with the production engines
+/// but the EdbSource interface. That independence is its one job: the
+/// cross-engine equivalence tests check every engine against it, and a bug
+/// would have to be written twice, in two very different implementations,
+/// to go unnoticed. Only tests call it.
 ///
-///  1. independent oracle for the cross-engine equivalence property tests
-///     (a bug would have to be reintroduced twice, in two very different
-///     implementations, to go unnoticed);
-///  2. the old-vs-new benchmark series in bench/bench_eval_linear.cc that
-///     documents the rewrite's speedup.
-///
-/// Not for production use — O(|P|·|dom|) with a much larger constant.
+/// Not for production use — O(|P|·|dom|) per T_P round with a much larger
+/// constant.
 
 namespace mdatalog::core {
 
-/// Fixpoint of the reference engines, restricted to intensional predicates.
+/// Fixpoint of the reference engine, restricted to intensional predicates.
 class ReferenceResult {
  public:
   bool NullaryTrue(PredId p) const;
@@ -54,9 +53,5 @@ class ReferenceResult {
 /// Naive evaluation: literally iterates T_P until fixpoint.
 util::Result<ReferenceResult> EvaluateNaiveReference(const Program& program,
                                                      const EdbSource& edb);
-
-/// Semi-naive evaluation with delta relations; same fixpoint.
-util::Result<ReferenceResult> EvaluateSemiNaiveReference(
-    const Program& program, const EdbSource& edb);
 
 }  // namespace mdatalog::core

@@ -10,30 +10,17 @@ namespace mdatalog::runtime {
 util::Result<std::shared_ptr<const CachedDocument>> CachedDocument::Parse(
     std::string_view html, const std::string& project_attr) {
   MD_ASSIGN_OR_RETURN(tree::Tree t, html::ParseTree(html, project_attr));
-  // Not make_shared: the constructor is private, and the TreeDatabase must
-  // be emplaced only once the tree sits at its final heap address.
-  std::shared_ptr<CachedDocument> cached(new CachedDocument(std::move(t)));
-  cached->edb_.emplace(cached->tree_);
-  cached->static_bytes_ = static_cast<int64_t>(sizeof(CachedDocument)) +
-                          cached->tree_.ApproxBytes();
-  return std::shared_ptr<const CachedDocument>(std::move(cached));
+  // Not make_shared: the constructor is private.
+  return std::shared_ptr<const CachedDocument>(
+      new CachedDocument(std::move(t), nullptr));
 }
 
 std::shared_ptr<const CachedDocument> CachedDocument::FromFrozen(
     const store::FrozenDocument& frozen,
     std::shared_ptr<const store::CorpusStore> store) {
-  // Zero-copy columns into the mapping.
-  std::shared_ptr<CachedDocument> cached(
-      new CachedDocument(frozen.MakeTree()));
-  cached->store_ = std::move(store);
-  cached->frozen_edb_ = frozen.edb;
-  // frozen_edb_ sits at its final address now; the database borrows it.
-  cached->edb_.emplace(cached->tree_, &cached->frozen_edb_);
-  // Only owned heap is charged — the mapped pages are shared with every
-  // other consumer of the store and reclaimable by the kernel.
-  cached->static_bytes_ = static_cast<int64_t>(sizeof(CachedDocument)) +
-                          cached->tree_.ApproxBytes();
-  return std::shared_ptr<const CachedDocument>(std::move(cached));
+  // Zero-copy columns into the mapping, which `store` keeps alive.
+  return std::shared_ptr<const CachedDocument>(
+      new CachedDocument(frozen.MakeTree(), std::move(store)));
 }
 
 uint64_t DocumentCache::KeyHash64(const Hash128& content_hash,
@@ -125,12 +112,6 @@ DocumentCache::PrepareDocument(std::string_view html,
   }
   telemetry::TraceSpan span(telemetry::CurrentTrace(), "html.parse");
   return CachedDocument::Parse(html, project_attr);
-}
-
-void DocumentCache::Recharge(const Hash128& content_hash,
-                             const std::string& project_attr) {
-  Key key{content_hash, project_attr};
-  cache_.Recharge(key, KeyHash64(content_hash, project_attr));
 }
 
 DocumentCacheStats DocumentCache::stats() const {

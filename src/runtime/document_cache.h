@@ -3,11 +3,9 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 
-#include "src/core/database.h"
 #include "src/runtime/sharded_lfu_cache.h"
 #include "src/runtime/tenant.h"
 #include "src/store/corpus_store.h"
@@ -21,9 +19,9 @@
 /// one fixed program over streams of documents, and the same document is
 /// typically requested many times (re-crawls, several wrappers on one page,
 /// retries). The cache parses each distinct page once and shares the
-/// immutable artifacts — the (attribute-projected) tree and its TreeDatabase
-/// EDB materializations — between all concurrent queries, keyed by content
-/// hash.
+/// immutable (attribute-projected) tree between all concurrent queries,
+/// keyed by content hash. Both engines read that tree directly, so an entry's
+/// byte cost is fixed when it is prepared and charged once, at insert.
 ///
 /// The sharding / TinyLFU / byte-budget / fair-share machinery lives in
 /// ShardedLfuCache (sharded_lfu_cache.h — one template shared with the
@@ -41,10 +39,9 @@ using util::HashBytes;
 using util::HashBytes128;
 
 /// One fully prepared, immutable document. Shared (shared_ptr const) between
-/// every query that hits the same content: the tree and parse are read-only,
-/// and the TreeDatabase's lazy EDB materialization is internally
-/// mutex-guarded, so concurrent evaluations are safe. It holds exactly one
-/// tree: no unprojected copy, no per-node attribute table.
+/// every query that hits the same content: the tree is read-only, so
+/// concurrent evaluations are safe. It holds exactly one tree: no unprojected
+/// copy, no per-node attribute table, no relational (EDB) view.
 class CachedDocument {
  public:
   /// Parses `html` in one pass (html::ParseTree); if `project_attr` is
@@ -55,9 +52,8 @@ class CachedDocument {
 
   /// Rehydrates a document out of an open corpus store — no parsing: the
   /// tree columns and texts are read in place from the store's mapping (the
-  /// store stays alive via the held shared_ptr) and the unary EDB relations
-  /// load from the packed bit-arrays. Any projection was applied at pack
-  /// time.
+  /// store stays alive via the held shared_ptr). Any projection was applied
+  /// at pack time.
   static std::shared_ptr<const CachedDocument> FromFrozen(
       const store::FrozenDocument& frozen,
       std::shared_ptr<const store::CorpusStore> store);
@@ -65,28 +61,25 @@ class CachedDocument {
   /// The tree wrappers evaluate over: the parsed (and projected) tree, or
   /// the zero-copy frozen tree of a store-backed document.
   const tree::Tree& tree() const { return tree_; }
-  /// The shared relational view of tree(). Thread-safe lazy materialization.
-  const core::TreeDatabase& edb() const { return *edb_; }
 
-  /// Approximate heap footprint. Grows as evaluations materialize further
-  /// EDB relations; the cache refreshes its charge on every hit and on
-  /// Recharge. O(1): the immutable tree part is measured once at parse time
-  /// and the EDB keeps an incremental counter — no heap walk on the serving
-  /// hot path. Store-backed documents charge only their owned heap — the
-  /// mapped pages are shared and kernel-evictable, so the cache deliberately
-  /// leaves them off its budget.
-  int64_t ApproxBytes() const { return static_bytes_ + edb_->ApproxBytes(); }
+  /// Approximate heap footprint, measured once at construction — the
+  /// document is immutable, so the cache charges it once, at insert.
+  /// Store-backed documents charge only their owned heap — the mapped pages
+  /// are shared and kernel-evictable, so the cache deliberately leaves them
+  /// off its budget.
+  int64_t ApproxBytes() const { return bytes_; }
 
  private:
-  explicit CachedDocument(tree::Tree tree) : tree_(std::move(tree)) {}
+  CachedDocument(tree::Tree tree,
+                 std::shared_ptr<const store::CorpusStore> store)
+      : tree_(std::move(tree)),
+        store_(std::move(store)),
+        bytes_(static_cast<int64_t>(sizeof(CachedDocument)) +
+               tree_.ApproxBytes()) {}
 
   tree::Tree tree_;
-  // Emplaced once tree_ sits at its final heap location (it holds a
-  // reference to it).
-  std::optional<core::TreeDatabase> edb_;
-  core::FrozenUnaryEdb frozen_edb_;  // referenced by edb_ when store-backed
   std::shared_ptr<const store::CorpusStore> store_;  // keepalive, may be null
-  int64_t static_bytes_ = 0;  // the tree, fixed after construction
+  int64_t bytes_ = 0;
 };
 
 struct DocumentCacheOptions {
@@ -158,14 +151,6 @@ class DocumentCache {
       std::string_view html, const std::string& project_attr,
       const Hash128& content_hash, telemetry::TraceSpan* span = nullptr,
       TenantId tenant = kDefaultTenant);
-
-  /// Re-reads the entry's ApproxBytes and re-balances its shard. Call after
-  /// an evaluation that may have materialized EDB relations: the byte charge
-  /// recorded at admission does not include lazily materialized relations,
-  /// and an entry that is never hit again would otherwise occupy budget the
-  /// shard does not know about. No-op if the key is absent (evicted or
-  /// rejected). Does not touch LRU order or hit/miss stats.
-  void Recharge(const Hash128& content_hash, const std::string& project_attr);
 
   /// Aggregated over all shards.
   DocumentCacheStats stats() const;

@@ -30,8 +30,6 @@ WrapperRuntime::WrapperRuntime(const RuntimeOptions& options)
           telemetry_.registry().GetCounter("runtime.pages_wrapped")),
       grounded_evals_(
           telemetry_.registry().GetCounter("runtime.grounded_evals")),
-      seminaive_evals_(
-          telemetry_.registry().GetCounter("runtime.seminaive_evals")),
       native_evals_(telemetry_.registry().GetCounter("runtime.native_evals")),
       deadline_exceeded_(
           telemetry_.registry().GetCounter("runtime.deadline_exceeded")),
@@ -79,7 +77,7 @@ util::Result<std::string> WrapperRuntime::Wrap(const WrapperHandle& handle,
   // A caller-owned trace wins (the caller keeps it, bypassing sampling and
   // the ring); otherwise the telemetry policy decides and the runtime
   // retains the finished trace. The TraceScope makes the trace visible to
-  // every layer below (EDB materialization, fixpoint engines, SAT core)
+  // every layer below (store rehydration, HTML parse, the engines)
   // via CurrentTrace() without threading a pointer through signatures.
   std::unique_ptr<telemetry::TraceContext> owned =
       request.trace != nullptr ? nullptr : telemetry_.StartTrace("wrap");
@@ -153,13 +151,6 @@ util::Result<std::string> WrapperRuntime::WrapImpl(
   util::Result<std::string> xml =
       Evaluate(*handle.program, *doc,
                control.unbounded() ? nullptr : &control);
-  {
-    // Honest byte accounting: the evaluation may have materialized EDB
-    // relations on the shared TreeDatabase; recharge the shard now rather
-    // than waiting for a hit that may never come.
-    telemetry::TraceSpan span(trace, "cache.recharge");
-    documents_.Recharge(content_hash, handle.project_attr);
-  }
   if (!xml.ok()) {
     CountFailure(xml.status(), tenant);
     return xml.status();
@@ -176,22 +167,17 @@ util::Result<std::string> WrapperRuntime::WrapImpl(
 util::Result<std::string> WrapperRuntime::Evaluate(
     const CompiledWrapperProgram& program, const CachedDocument& doc,
     const util::EvalControl* control) {
-  using EngineMode = RuntimeOptions::EngineMode;
+  // One engine per fragment: Elog⁻ programs replay their Corollary 6.4
+  // ground plan (Theorem 4.2); Elog⁻Δ programs have none and run natively.
   const bool grounded =
-      options_.engine == EngineMode::kGroundedDatalog ||
-      (options_.engine == EngineMode::kAuto && program.has_ground_plan);
-  const bool seminaive = options_.engine == EngineMode::kSemiNaiveDatalog;
+      options_.engine == RuntimeOptions::EngineMode::kAuto &&
+      program.has_ground_plan;
   telemetry::TraceContext* trace = telemetry::CurrentTrace();
 
   elog::ElogResult matches;
-  if (grounded || seminaive) {
-    if (!program.has_ground_plan) {
-      return util::Status::FailedPrecondition(
-          "engine mode requires the datalog pipeline but it did not compile "
-          "for this program (Elog⁻Δ builtins?)");
-    }
+  if (grounded) {
     core::EvalResult eval;
-    if (grounded) {
+    {
       telemetry::TraceSpan span(trace, "eval.grounded");
       // One arena per worker thread: all clause-arena and solver allocations
       // amortize across the documents this thread serves.
@@ -203,19 +189,6 @@ util::Result<std::string> WrapperRuntime::Evaluate(
                                        control));
       if (span) {
         span.Value("clauses", gstats.num_clauses);
-        span.Value("rounds", eval.num_iterations());
-        span.Value("derived", eval.num_derived());
-      }
-    } else {
-      telemetry::TraceSpan span(trace, "eval.seminaive");
-      // The shared, mutex-guarded TreeDatabase: EDB relations materialize on
-      // first touch and every later query on this document reuses them.
-      core::EvalOptions eval_options;
-      eval_options.control = control;
-      MD_ASSIGN_OR_RETURN(eval, core::EvaluateSemiNaive(program.tmnf,
-                                                        doc.edb(),
-                                                        eval_options));
-      if (span) {
         span.Value("rounds", eval.num_iterations());
         span.Value("derived", eval.num_derived());
       }
@@ -242,10 +215,7 @@ util::Result<std::string> WrapperRuntime::Evaluate(
   }
 
   pages_wrapped_->Add(1);
-  (grounded   ? grounded_evals_
-   : seminaive ? seminaive_evals_
-               : native_evals_)
-      ->Add(1);
+  (grounded ? grounded_evals_ : native_evals_)->Add(1);
   return xml;
 }
 
@@ -341,33 +311,6 @@ std::vector<util::Result<std::string>> WrapperRuntime::SubmitBatch(
   return results;
 }
 
-std::future<util::Result<std::string>> WrapperRuntime::Submit(
-    const WrapperHandle& handle, std::string html,
-    const RequestOptions& request) {
-  return Submit(Request{PageRef::Copy(std::move(html)), handle, request});
-}
-
-std::vector<util::Result<std::string>> WrapperRuntime::RunBatch(
-    const WrapperHandle& handle, const std::vector<std::string>& pages,
-    const RequestOptions& request) {
-  std::vector<Request> requests;
-  requests.reserve(pages.size());
-  // Borrowed pages, not copies: this function owns `pages` until SubmitBatch
-  // joins, so a corpus-sized duplication would buy nothing.
-  for (const std::string& page : pages) {
-    requests.push_back(Request{PageRef::View(page), handle, request});
-  }
-  return SubmitBatch(std::move(requests));
-}
-
-util::Result<std::unique_ptr<stream::StreamSession>>
-WrapperRuntime::SubmitStream(const WrapperHandle& handle,
-                             stream::StreamOptions options,
-                             const RequestOptions& request) {
-  return SubmitStream(Request{PageRef{}, handle, request},
-                      std::move(options));
-}
-
 uint64_t WrapperRuntime::MemoKeyHash64(const MemoKey& key) {
   // Keyed SipHash over the full key: the memo shares shard-routing /
   // sketch-aliasing concerns with the document cache (document_cache.cc).
@@ -397,7 +340,6 @@ RuntimeStats WrapperRuntime::stats() const {
   out.memo_bytes = memo.bytes_in_use;
   out.pages_wrapped = pages_wrapped_->Value();
   out.grounded_evals = grounded_evals_->Value();
-  out.seminaive_evals = seminaive_evals_->Value();
   out.native_evals = native_evals_->Value();
   out.deadline_exceeded = deadline_exceeded_->Value();
   out.cancelled = cancelled_->Value();

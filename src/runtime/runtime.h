@@ -48,8 +48,7 @@
 ///
 /// The request surface is one value type: build a Request (page + wrapper +
 /// options) and hand it to Submit / SubmitBatch / SubmitStream, or wrap
-/// synchronously with Wrap(Request). The pre-Request entry points remain as
-/// deprecated shims for one release.
+/// synchronously with Wrap(Request).
 
 namespace mdatalog::stream {
 class StreamSession;  // stream_session.h includes runtime.h, not vice versa
@@ -95,16 +94,6 @@ struct RuntimeOptions {
     kAuto,
     /// Always the native Elog evaluator (supports Elog⁻Δ).
     kNativeElog,
-    /// Require the grounded plan; Wrap fails for programs without one.
-    kGroundedDatalog,
-    /// Semi-naive datalog over the document's shared TreeDatabase: the
-    /// cached EDB materializations (firstchild/nextsibling/label relations
-    /// and functional arrays) are built once per document and shared by
-    /// every query on it. Requires the datalog translation, like
-    /// kGroundedDatalog. Mainly for cross-engine checking and for workloads
-    /// where many programs hit one document (the EDB amortizes across
-    /// programs; a GroundPlan amortizes across documents).
-    kSemiNaiveDatalog,
   };
   EngineMode engine = EngineMode::kAuto;
 
@@ -203,7 +192,6 @@ struct RuntimeStats {
   int64_t memo_bytes = 0;
   int64_t pages_wrapped = 0;       // full evaluations (memo hits excluded)
   int64_t grounded_evals = 0;
-  int64_t seminaive_evals = 0;
   int64_t native_evals = 0;
   int64_t deadline_exceeded = 0;   // requests unwound by their deadline
   int64_t cancelled = 0;           // requests unwound by their cancel token
@@ -256,7 +244,7 @@ class WrapperRuntime {
   util::Result<std::string> Wrap(const Request& request) {
     return Wrap(request.wrapper, request.page.bytes(), request.options);
   }
-  /// Same, with the parts spelled out (the sync core the shims reuse).
+  /// Same, with the parts spelled out (the sync core Submit reuses).
   util::Result<std::string> Wrap(const WrapperHandle& handle,
                                  std::string_view html,
                                  const RequestOptions& request = {});
@@ -283,21 +271,6 @@ class WrapperRuntime {
   /// is already expired.
   util::Result<std::unique_ptr<stream::StreamSession>> SubmitStream(
       const Request& request, stream::StreamOptions options);
-
-  /// Pre-Request entry points, kept one release for migration. They forward
-  /// to the Request surface verbatim.
-  [[deprecated("build a Request and call Submit(Request)")]]
-  std::future<util::Result<std::string>> Submit(const WrapperHandle& handle,
-                                                std::string html,
-                                                const RequestOptions& request);
-  [[deprecated("build Requests and call SubmitBatch")]]
-  std::vector<util::Result<std::string>> RunBatch(
-      const WrapperHandle& handle, const std::vector<std::string>& pages,
-      const RequestOptions& request = {});
-  [[deprecated("build a Request and call SubmitStream(Request, options)")]]
-  util::Result<std::unique_ptr<stream::StreamSession>> SubmitStream(
-      const WrapperHandle& handle, stream::StreamOptions options,
-      const RequestOptions& request);
 
   RuntimeStats stats() const;
   /// One tenant's QoS counters and cache slices. Unknown ids read as the
@@ -376,7 +349,6 @@ class WrapperRuntime {
   // scrape, so the two can never disagree.
   telemetry::Counter* const pages_wrapped_;
   telemetry::Counter* const grounded_evals_;
-  telemetry::Counter* const seminaive_evals_;
   telemetry::Counter* const native_evals_;
   telemetry::Counter* const deadline_exceeded_;
   telemetry::Counter* const cancelled_;

@@ -30,9 +30,9 @@
 ///  * TinyLFU admission (admission.h): a candidate that would overflow the
 ///    shard must out-rank its victim in the frequency sketch or it is served
 ///    uncached — one-hit scan traffic cannot churn the resident set;
-///  * byte accounting via a caller-supplied cost function, re-read on every
-///    hit and on Recharge (document EDB materializations grow after
-///    admission);
+///  * byte accounting via a caller-supplied cost function, read once at
+///    Insert — both cached value types are immutable, so a hit only splices
+///    the LRU list;
 ///  * values held as shared_ptr<const V>: lookups copy a pointer under the
 ///    shard mutex, and evicted values stay alive for in-flight readers.
 ///
@@ -113,9 +113,8 @@ template <typename Key, typename Value, typename KeyHasher>
 class ShardedLfuCache {
  public:
   using ValuePtr = std::shared_ptr<const Value>;
-  /// Byte charge of an entry. Re-read on every hit / Recharge, so it may
-  /// grow over the entry's lifetime (document EDB materialization); must be
-  /// cheap (O(1)).
+  /// Byte charge of an entry, read once at Insert; values are immutable, so
+  /// the charge is fixed for the entry's lifetime.
   using CostFn = int64_t (*)(const Key& key, const Value& value);
 
   ShardedLfuCache(const CacheOptions& options, CostFn cost,
@@ -156,8 +155,7 @@ class ShardedLfuCache {
   int64_t shard_byte_budget() const { return shard_byte_budget_; }
 
   /// Returns the cached value or null. A hit records the access in the
-  /// shard's sketch, bumps the entry to MRU and refreshes its byte charge
-  /// (evicting others if the entry grew past budget). A disabled cache
+  /// shard's sketch and bumps the entry to MRU. A disabled cache
   /// (byte_budget 0) counts the miss and returns null.
   ValuePtr Lookup(const Key& key, uint64_t key_hash,
                   TenantId tenant = kDefaultTenant) {
@@ -174,7 +172,6 @@ class ShardedLfuCache {
       ++shard.hits;
       ++TenantSlot(shard, tenant).hits;
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      RefreshChargeAndEvict(shard, shard.lru.begin());
       return it->second->value;
     }
     ++shard.misses;
@@ -204,7 +201,7 @@ class ShardedLfuCache {
     const int64_t cost = cost_(key, *value);
     while (shard.bytes_in_use + cost > shard_byte_budget_ &&
            !shard.lru.empty()) {
-      auto victim = FindVictim(shard, tenant, shard.lru.end());
+      auto victim = FindVictim(shard, tenant);
       if (victim == shard.lru.end()) {
         // Every scannable victim belongs to a tenant within its share: the
         // candidate is served uncached rather than breaking the guarantee.
@@ -224,18 +221,6 @@ class ShardedLfuCache {
     shard.bytes_in_use += cost;
     TenantSlot(shard, tenant).bytes += cost;
     return InsertOutcome{std::move(value), true, false, false};
-  }
-
-  /// Re-reads the entry's cost and re-balances its shard. No-op when the key
-  /// is absent (evicted or rejected). Does not touch LRU order or hit/miss
-  /// stats.
-  void Recharge(const Key& key, uint64_t key_hash) {
-    if (byte_budget_ <= 0) return;
-    Shard& shard = ShardFor(key_hash);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it == shard.index.end()) return;
-    RefreshChargeAndEvict(shard, it->second);
   }
 
   ShardedCacheStats stats() const {
@@ -320,12 +305,12 @@ class ShardedLfuCache {
   }
 
   /// Requires shard.mu and a non-empty LRU. The evictable entry closest to
-  /// the tail, skipping `keep` and fair-share-protected entries; lru.end()
-  /// when no victim exists within the scan cap.
-  EntryIt FindVictim(Shard& shard, TenantId for_tenant, EntryIt keep) {
+  /// the tail, skipping fair-share-protected entries; lru.end() when no
+  /// victim exists within the scan cap.
+  EntryIt FindVictim(Shard& shard, TenantId for_tenant) {
     int scanned = 0;
     for (auto it = std::prev(shard.lru.end());; --it) {
-      if (it != keep && !Protected(shard, *it, for_tenant)) return it;
+      if (!Protected(shard, *it, for_tenant)) return it;
       if (it == shard.lru.begin() || ++scanned >= kMaxVictimScan) {
         return shard.lru.end();
       }
@@ -339,22 +324,6 @@ class ShardedLfuCache {
     ++shard.evictions;
     shard.index.erase(victim->key);
     shard.lru.erase(victim);
-  }
-
-  /// Requires shard.mu. Re-reads `it`'s cost (it may have grown since
-  /// admission) and evicts entries other than `it` until the budget holds —
-  /// or until only protected entries remain (a grown resident cannot be
-  /// bounced, so the shard runs over budget rather than breaking a share).
-  void RefreshChargeAndEvict(Shard& shard, EntryIt it) {
-    const int64_t fresh = cost_(it->key, *it->value);
-    shard.bytes_in_use += fresh - it->charged_bytes;
-    TenantSlot(shard, it->tenant).bytes += fresh - it->charged_bytes;
-    it->charged_bytes = fresh;
-    while (shard.bytes_in_use > shard_byte_budget_ && shard.lru.size() > 1) {
-      auto victim = FindVictim(shard, it->tenant, it);
-      if (victim == shard.lru.end()) break;
-      Evict(shard, victim);
-    }
   }
 
   const int64_t byte_budget_;        // total, across shards

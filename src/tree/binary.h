@@ -32,8 +32,11 @@ struct BinaryTree {
 /// Encodes an unranked tree (Figure 1 (a) → (b)). Node ids are preserved.
 BinaryTree EncodeFirstChildNextSibling(const Tree& t);
 
-/// Decodes a binary tree back to the unranked original. Fails if the root has
-/// a right child (the root of a valid encoding has no next sibling).
+/// Decodes a binary tree back to the unranked original. The input is
+/// untrusted: fails with InvalidArgument if the root has a right child (the
+/// root of a valid encoding has no next sibling), if `root`, a `left` or a
+/// `right` lies outside [0, nodes.size()), or if a node is reached twice (a
+/// cycle or a shared child). Iterative, so depth is bounded only by memory.
 util::Result<Tree> DecodeFirstChildNextSibling(const BinaryTree& b);
 
 /// Renders the encoding as lines "n1 -fc-> n2", "n2 -ns-> n3", ... in id order

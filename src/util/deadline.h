@@ -21,7 +21,7 @@
 namespace mdatalog::util {
 
 /// Shared cancellation flag. One token may be watched by many concurrent
-/// requests (e.g. every page of one RunBatch); Cancel() is sticky.
+/// requests (e.g. every page of one SubmitBatch); Cancel() is sticky.
 class CancelToken {
  public:
   void Cancel() { cancelled_.store(true, std::memory_order_relaxed); }

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/database.h"
 #include "src/core/grounder.h"
 #include "src/core/reference_eval.h"
 #include "src/elog/ast.h"
@@ -29,6 +30,7 @@
 #include "src/util/deadline.h"
 #include "src/util/rng.h"
 #include "src/wrapper/wrapper.h"
+#include "tests/engine_oracles.h"
 
 namespace {
 
@@ -181,39 +183,23 @@ TEST(DocumentCacheTest, ZeroBudgetDisablesCaching) {
   EXPECT_EQ(cache.stats().entries, 0);
 }
 
-TEST(DocumentCacheTest, AccountsLateEdbMaterialization) {
-  runtime::DocumentCache cache(64 << 20);
-  std::string page = BoardPage(5, 3, 3);
-  auto doc = cache.GetOrParse(page, "");
-  ASSERT_TRUE(doc.ok());
-  const int64_t before = cache.stats().bytes_in_use;
-  // Touch EDB relations after admission — the charge must grow on next hit.
-  (void)(*doc)->edb().Get("firstchild", 2);
-  (void)(*doc)->edb().Get("nextsibling", 2);
-  (void)(*doc)->edb().Get("child", 2);
-  auto again = cache.GetOrParse(page, "");
-  ASSERT_TRUE(again.ok());
-  EXPECT_GT(cache.stats().bytes_in_use, before);
-}
-
-TEST(DocumentCacheTest, RechargeAccountsMaterializationWithoutAHit) {
-  // The budget-honesty fix: an entry whose EDB materializes after admission
-  // must be rechargeable explicitly — a document evaluated once and never
-  // hit again would otherwise occupy bytes the shard doesn't know about.
-  runtime::DocumentCache cache(64 << 20);
-  std::string page = BoardPage(6, 3, 3);
-  const runtime::Hash128 hash = runtime::HashBytes128(page);
-  auto doc = cache.GetOrParse(page, "", hash);
-  ASSERT_TRUE(doc.ok());
-  const int64_t before = cache.stats().bytes_in_use;
-  (void)(*doc)->edb().Get("firstchild", 2);
-  (void)(*doc)->edb().Get("nextsibling", 2);
-  cache.Recharge(hash, "");
-  EXPECT_GT(cache.stats().bytes_in_use, before);
-  // No LRU/stat side effects: recharge is bookkeeping, not an access.
-  EXPECT_EQ(cache.stats().hits, 0);
-  // Recharging an absent key is a no-op.
-  cache.Recharge(runtime::HashBytes128("no such page"), "");
+TEST(DocumentCacheTest, ChargesEachDocumentOnceAtInsert) {
+  // Documents are immutable, so the charge taken at insert is final:
+  // evaluations and hits leave the shard's byte count alone.
+  runtime::RuntimeOptions opts;
+  opts.result_memo.byte_budget = 0;  // every Wrap evaluates
+  runtime::WrapperRuntime rt(opts);
+  auto handle = rt.Register(CatalogWrapper(), "class");
+  ASSERT_TRUE(handle.ok());
+  const std::string page = CatalogPage(5, 10);
+  auto probe = runtime::CachedDocument::Parse(page, "class");
+  ASSERT_TRUE(probe.ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(rt.Wrap(*handle, page).ok());
+    EXPECT_EQ(rt.stats().document_cache.bytes_in_use,
+              (*probe)->ApproxBytes());
+  }
+  EXPECT_EQ(rt.stats().document_cache.hits, 2);
 }
 
 TEST(DocumentCacheTest, TinyLfuKeepsHotEntryAgainstColdScan) {
@@ -500,7 +486,7 @@ TEST(GroundPlanTest, ReplayWithSharedArenaMatchesReferenceEval) {
     auto replay = core::EvaluateGrounded(*plan, t, &arena);
     auto oneshot = core::EvaluateGrounded(*tmnf, t);
     core::TreeDatabase db(t);
-    auto reference = core::EvaluateSemiNaiveReference(*tmnf, db);
+    auto reference = core::EvaluateNaiveReference(*tmnf, db);
     ASSERT_TRUE(replay.ok());
     ASSERT_TRUE(oneshot.ok());
     ASSERT_TRUE(reference.ok());
@@ -547,49 +533,42 @@ TEST(WrapperRuntimeTest, EnginesProduceIdenticalOutput) {
   runtime::RuntimeOptions native_opts;
   native_opts.engine = runtime::RuntimeOptions::EngineMode::kNativeElog;
   native_opts.result_memo.byte_budget = 0;
-  runtime::RuntimeOptions grounded_opts;
-  grounded_opts.engine = runtime::RuntimeOptions::EngineMode::kGroundedDatalog;
-  grounded_opts.result_memo.byte_budget = 0;
-  runtime::RuntimeOptions seminaive_opts;
-  seminaive_opts.engine =
-      runtime::RuntimeOptions::EngineMode::kSemiNaiveDatalog;
-  seminaive_opts.result_memo.byte_budget = 0;
+  runtime::RuntimeOptions auto_opts;
+  auto_opts.result_memo.byte_budget = 0;
   runtime::WrapperRuntime native(native_opts);
-  runtime::WrapperRuntime grounded(grounded_opts);
-  runtime::WrapperRuntime seminaive(seminaive_opts);
+  runtime::WrapperRuntime grounded(auto_opts);  // kAuto: the ground plan
   auto hn = native.Register(CatalogWrapper(), "class");
   auto hg = grounded.Register(CatalogWrapper(), "class");
-  auto hs = seminaive.Register(CatalogWrapper(), "class");
   ASSERT_TRUE(hn.ok());
   ASSERT_TRUE(hg.ok());
-  ASSERT_TRUE(hs.ok());
-  // Two passes: the second pass hits the document cache, which re-reads
-  // each entry's byte charge — by then the semi-naive engine's shared EDB
-  // materializations from pass one are accounted.
+  // Two passes: the second serves every page from the document cache.
   for (int pass = 0; pass < 2; ++pass) {
     for (uint64_t seed = 10; seed <= 14; ++seed) {
       std::string page = CatalogPage(seed, 8);
       auto a = native.Wrap(*hn, page);
       auto b = grounded.Wrap(*hg, page);
-      auto c = seminaive.Wrap(*hs, page);
       ASSERT_TRUE(a.ok());
       ASSERT_TRUE(b.ok());
-      ASSERT_TRUE(c.ok());
       EXPECT_EQ(*a, *b);
+      // The compiled semi-naive engine, from core, over the same tree.
+      auto doc = runtime::CachedDocument::Parse(page, "class");
+      ASSERT_TRUE(doc.ok());
+      const core::TreeDatabase db((*doc)->tree());
+      auto c = oracle::SemiNaiveXml(*hg->program, db, (*doc)->tree());
+      ASSERT_TRUE(c.ok()) << c.status().ToString();
       EXPECT_EQ(*a, *c);
     }
   }
   EXPECT_EQ(native.stats().native_evals, 10);
   EXPECT_EQ(grounded.stats().grounded_evals, 10);
-  EXPECT_EQ(seminaive.stats().seminaive_evals, 10);
-  // The semi-naive engine runs over the cached documents' shared
-  // TreeDatabase — its EDB materializations must show up in the cache's
-  // byte accounting (the grounded replay walks the tree directly instead).
-  EXPECT_GT(seminaive.stats().document_cache.bytes_in_use,
+  EXPECT_EQ(grounded.stats().native_evals, 0);
+  // Neither engine changes a cached document, so both runtimes charge the
+  // same bytes for the same pages.
+  EXPECT_EQ(native.stats().document_cache.bytes_in_use,
             grounded.stats().document_cache.bytes_in_use);
 }
 
-TEST(WrapperRuntimeTest, GroundedModeFailsForDeltaBuiltins) {
+TEST(WrapperRuntimeTest, AutoServesDeltaBuiltinsNatively) {
   auto program = elog::ParseElog(
       "a0(X) <- root(R), subelem(R, \"a\", X), notafter(R, \"a\", X).\n");
   ASSERT_TRUE(program.ok());
@@ -597,20 +576,16 @@ TEST(WrapperRuntimeTest, GroundedModeFailsForDeltaBuiltins) {
   w.program = *program;
   w.extraction_patterns = {"a0"};
 
-  runtime::RuntimeOptions opts;
-  opts.engine = runtime::RuntimeOptions::EngineMode::kGroundedDatalog;
-  runtime::WrapperRuntime rt(opts);
+  // Elog⁻Δ has no ground plan: kAuto serves it through the native engine.
+  runtime::WrapperRuntime rt;
   auto handle = rt.Register(w);
-  ASSERT_TRUE(handle.ok());  // registration succeeds (native still works)
-  EXPECT_FALSE(rt.Wrap(*handle, "<a>x</a>").ok());
-
-  // kAuto serves the same wrapper through the native engine.
-  runtime::WrapperRuntime rt_auto;
-  auto h2 = rt_auto.Register(w);
-  ASSERT_TRUE(h2.ok());
-  auto got = rt_auto.Wrap(*h2, "<html><a>x</a></html>");
+  ASSERT_TRUE(handle.ok());
+  EXPECT_FALSE(handle->program->has_ground_plan);
+  auto got = rt.Wrap(*handle, "<html><a>x</a></html>");
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(*got, SequentialXml(w, "<html><a>x</a></html>", ""));
+  EXPECT_EQ(rt.stats().native_evals, 1);
+  EXPECT_EQ(rt.stats().grounded_evals, 0);
 }
 
 TEST(WrapperRuntimeTest, MemoServesIdenticalBytesAndCounts) {

@@ -249,8 +249,7 @@ TEST(RuntimeTelemetryTest, CountersPreservedNameForNameWhenDisabled) {
   // stats() must stay exact with telemetry off: counters always record.
   const runtime::RuntimeStats stats = rt.stats();
   EXPECT_EQ(stats.pages_wrapped, 1);
-  EXPECT_EQ(stats.grounded_evals + stats.seminaive_evals + stats.native_evals,
-            1);
+  EXPECT_EQ(stats.grounded_evals + stats.native_evals, 1);
   EXPECT_EQ(stats.memo_hits, 1);
   // Tracing is off: no retained traces, no per-stage histograms.
   EXPECT_TRUE(rt.telemetry().RecentTraces().empty());

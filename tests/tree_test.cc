@@ -189,6 +189,71 @@ TEST(BinaryEncodingTest, DecodeRejectsEmpty) {
   EXPECT_FALSE(DecodeFirstChildNextSibling(b).ok());
 }
 
+/// A two-node encoding a(b): n0 -fc-> n1.
+BinaryTree TwoNodeEncoding() {
+  BinaryTree b;
+  b.nodes.push_back({.label = "a", .left = 1, .right = kNoNode});
+  b.nodes.push_back({.label = "b", .left = kNoNode, .right = kNoNode});
+  b.root = 0;
+  return b;
+}
+
+TEST(BinaryEncodingTest, DecodeRejectsOutOfRangeRoot) {
+  BinaryTree b = TwoNodeEncoding();
+  for (NodeId root : {2, 7, -2}) {
+    b.root = root;
+    EXPECT_EQ(DecodeFirstChildNextSibling(b).status().code(),
+              util::StatusCode::kInvalidArgument)
+        << root;
+  }
+}
+
+TEST(BinaryEncodingTest, DecodeRejectsOutOfRangeChildren) {
+  for (NodeId bad : {2, 7, -2}) {
+    BinaryTree left = TwoNodeEncoding();
+    left.nodes[1].left = bad;
+    EXPECT_EQ(DecodeFirstChildNextSibling(left).status().code(),
+              util::StatusCode::kInvalidArgument)
+        << "left " << bad;
+    BinaryTree right = TwoNodeEncoding();
+    right.nodes[1].right = bad;
+    EXPECT_EQ(DecodeFirstChildNextSibling(right).status().code(),
+              util::StatusCode::kInvalidArgument)
+        << "right " << bad;
+  }
+}
+
+TEST(BinaryEncodingTest, DecodeRejectsBackEdgeCycle) {
+  BinaryTree b = TwoNodeEncoding();
+  b.nodes[1].left = b.root;
+  EXPECT_EQ(DecodeFirstChildNextSibling(b).status().code(),
+            util::StatusCode::kInvalidArgument);
+  BinaryTree self = TwoNodeEncoding();
+  self.nodes[1].right = 1;
+  EXPECT_EQ(DecodeFirstChildNextSibling(self).status().code(),
+            util::StatusCode::kInvalidArgument);
+}
+
+TEST(BinaryEncodingTest, DecodeRejectsNodeWithTwoParents) {
+  // n0 -fc-> n1, n1 -ns-> n2, n1 -fc-> n2: n2 is both n1's child and its
+  // sibling, so it would be built twice.
+  BinaryTree b = TwoNodeEncoding();
+  b.nodes.push_back({.label = "c", .left = kNoNode, .right = kNoNode});
+  b.nodes[1].left = 2;
+  b.nodes[1].right = 2;
+  EXPECT_EQ(DecodeFirstChildNextSibling(b).status().code(),
+            util::StatusCode::kInvalidArgument);
+}
+
+TEST(BinaryEncodingTest, DeepChainRoundTrips) {
+  // Deep enough to overflow a recursive decoder's stack.
+  Tree t = ChainTree(100000, "a");
+  auto back = DecodeFirstChildNextSibling(EncodeFirstChildNextSibling(t));
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->size(), t.size());
+  EXPECT_TRUE(TreesEqual(t, *back));
+}
+
 TEST(GeneratorTest, CompleteBinaryTreeSize) {
   for (int32_t d = 0; d <= 6; ++d) {
     Tree t = CompleteBinaryTree(d, "a");
