@@ -25,9 +25,23 @@ warnings when they moved past the threshold — request-latency quantiles on
 shared runners are too jittery to gate merges, but a drift should be
 visible in the CI log.
 
+Repetitions: a benchmark run with --benchmark_repetitions=N appears N
+times under one name; every comparison above uses the median throughput
+over its repetitions (aggregate rows are skipped).
+
+Linearity (--linearity "FAMILY,SMALL,LARGE"): Theorem 4.2's O(|P|·|dom|)
+bound as a measured ratio in the FRESH file. The per-unit cost of
+FAMILY/LARGE (median real time, divided by LARGE) is divided by that of
+FAMILY/SMALL; a ratio above LINEARITY_MAX (1.3) prints a NON-BLOCKING
+warning. FAMILY must report no items_per_second, so that its throughput is
+1/real_time. E.g. BM_EvenA_Grounded,1024,131072 is the ns/node growth from
+1k to 131k nodes, and BM_ProgramSize_Grounded,8,512 the per-rule growth
+from 8 to 512 rules.
+
 Usage:
   bench/check_bench_regression.py BASELINE.json FRESH.json [--threshold 0.25]
       [--overhead-pair BASE,TEST]... [--overhead-threshold 0.03]
+      [--linearity FAMILY,SMALL,LARGE]...
 
 Exit codes: 0 ok (including missing baseline file), 1 regression past
 threshold or overhead pair past its threshold, 2 unusable input.
@@ -37,9 +51,13 @@ import argparse
 import json
 import os
 import re
+import statistics
 import sys
 
 LATENCY_FIELD_RE = re.compile(r"^p\d+(_|$)")
+TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+# Per-unit cost ratio above which --linearity warns.
+LINEARITY_MAX = 1.3
 
 
 def load_doc(path):
@@ -52,8 +70,10 @@ def load_doc(path):
 
 
 def load_benchmarks(doc):
-    """name -> throughput (higher is better), aggregates skipped."""
-    out = {}
+    """name -> median throughput per second over its repetitions (higher is
+    better): items_per_second when reported, else 1/real_time. Aggregate
+    rows are skipped."""
+    runs = {}
     for bench in doc.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             continue
@@ -61,10 +81,14 @@ def load_benchmarks(doc):
         if not name:
             continue
         if "items_per_second" in bench:
-            out[name] = float(bench["items_per_second"])
+            throughput = float(bench["items_per_second"])
         elif bench.get("real_time"):
-            out[name] = 1.0 / float(bench["real_time"])
-    return out
+            unit = TIME_UNIT_NS.get(bench.get("time_unit", "ns"), 1.0)
+            throughput = 1e9 / (float(bench["real_time"]) * unit)
+        else:
+            continue
+        runs.setdefault(name, []).append(throughput)
+    return {name: statistics.median(values) for name, values in runs.items()}
 
 
 def load_latency_fields(doc):
@@ -118,6 +142,34 @@ def check_overhead_pairs(fresh, pairs, threshold):
     return failures
 
 
+def warn_nonlinear(fresh, specs):
+    """Prints the per-unit cost ratio LARGE/SMALL of each FAMILY,SMALL,LARGE
+    spec from the median throughputs `fresh`, and a non-blocking warning
+    above LINEARITY_MAX."""
+    for spec in specs:
+        parts = [p.strip() for p in spec.split(",")]
+        if len(parts) != 3 or not parts[1].isdigit() or not parts[2].isdigit():
+            print(f"error: malformed --linearity {spec!r}", file=sys.stderr)
+            sys.exit(2)
+        family, small, large = parts[0], int(parts[1]), int(parts[2])
+        names = [f"{family}/{small}", f"{family}/{large}"]
+        missing = [n for n in names if n not in fresh]
+        if missing:
+            print(f"error: linearity names {missing} not in fresh results",
+                  file=sys.stderr)
+            sys.exit(2)
+        per_small = 1e9 / (fresh[names[0]] * small)
+        per_large = 1e9 / (fresh[names[1]] * large)
+        ratio = per_large / per_small
+        marker = ""
+        if ratio > LINEARITY_MAX:
+            marker = f"  <-- warning: above {LINEARITY_MAX:.2f} — non-blocking"
+        print(
+            f"linearity {family}: {per_small:.1f} ns/unit at {small} -> "
+            f"{per_large:.1f} ns/unit at {large} (ratio {ratio:.2f}){marker}"
+        )
+
+
 def warn_latency_drift(baseline_doc, fresh_doc, threshold):
     """Prints non-blocking warnings for p50/p99 movements past threshold."""
     base_lat = load_latency_fields(baseline_doc)
@@ -160,6 +212,14 @@ def main():
         default=0.03,
         help="budget for --overhead-pair checks (default 3%%)",
     )
+    parser.add_argument(
+        "--linearity",
+        action="append",
+        default=[],
+        metavar="FAMILY,SMALL,LARGE",
+        help="warn when FAMILY's per-unit cost at LARGE exceeds "
+        f"{LINEARITY_MAX} times its cost at SMALL (repeatable)",
+    )
     args = parser.parse_args()
 
     fresh_doc = load_doc(args.fresh)
@@ -173,6 +233,7 @@ def main():
     overhead_failures = check_overhead_pairs(
         fresh, args.overhead_pair, args.overhead_threshold
     )
+    warn_nonlinear(fresh, args.linearity)
 
     if not os.path.exists(args.baseline):
         print(

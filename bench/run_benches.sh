@@ -25,8 +25,11 @@ cmake --build "${BUILD_DIR}" --target bench_eval_linear bench_runtime \
   bench_admission bench_store bench_stream bench_analysis bench_telemetry \
   bench_qos -j"$(nproc)"
 
+# Core engines, five repetitions each: check_bench_regression.py
+# --linearity reads the medians (Theorem 4.2: ns/node and ns/rule stay flat).
 "${BUILD_DIR}/bench_eval_linear" \
   --benchmark_filter="${FILTER}" \
+  --benchmark_repetitions=5 \
   --benchmark_format=json \
   --benchmark_out="${REPO_ROOT}/BENCH_eval.json" \
   --benchmark_out_format=json

@@ -52,8 +52,8 @@ int main() {
   auto grounded = core::EvaluateGrounded(program, big, &stats);
   if (!grounded.ok()) return 1;
   std::printf(
-      "\nTheorem 4.2 engine on a %d-node tree: %lld ground clauses, "
-      "%lld Horn atoms, %zu selected nodes\n",
+      "\nTheorem 4.2 engine on a %d-node tree: %lld rule instances fired, "
+      "%lld ground atoms, %zu selected nodes\n",
       big.size(), static_cast<long long>(stats.num_clauses),
       static_cast<long long>(stats.num_atoms), grounded->Query().size());
   return 0;

@@ -130,15 +130,17 @@ struct GroundPlan::Impl {
   std::vector<bool> intensional;
   std::vector<int8_t> pred_arity;
 
-  // Atom-id layout, statically assigned: unary IDB atoms occupy
-  // [0, num_unary·n); nullary IDB atoms [num_unary·n, +num_nullary); bridge
-  // atoms (connectedness split, proof step 1) [.., +num_bridges). Only the
-  // unary block scales with the tree.
+  // Atom-slot layout, statically assigned: each unary IDB predicate owns a
+  // slot in [0, num_unary) (one NodeSet per tree); nullary IDB atoms follow
+  // in [num_unary, +num_nullary), then the bridge atoms of the connectedness
+  // split (proof step 1) in [.., +num_bridges). Only unary slots scale with
+  // the tree.
   std::vector<int32_t> unary_index;   // per pred, -1 or dense unary slot
   std::vector<int32_t> nullary_slot;  // per pred, -1 or dense nullary slot
   int32_t num_unary = 0;
   int32_t num_nullary = 0;
   int32_t num_bridges = 0;
+  int32_t max_vars = 1;
 
   // Extensional classification (per EDB PredId of the given arity).
   struct UnaryPlanSpec {
@@ -157,29 +159,51 @@ struct GroundPlan::Impl {
     bool forward;
   };
 
-  /// The compiled schedule of one variable component of one rule.
-  struct ComponentPlan {
+  /// The test of one variable component of one rule from a fixed anchor
+  /// variable: binding the anchor determines every other variable (Prop.
+  /// 4.1), then the extensional atoms are checked against the tree and the
+  /// intensional literals against the atoms derived so far.
+  struct Schedule {
     VarId anchor = -1;
-    int32_t num_vars = 0;  // size of the component (for the BFS invariant)
     std::vector<Step> steps;
     std::vector<std::pair<PredId, VarId>> unary_checks;  // EDB arity-1
-    std::vector<std::pair<PredId, VarId>> idb_lits;      // IDB arity-1
-    std::vector<Atom> residual;  // constant-carrying binary EDB/IDB atoms
-    int32_t bridge_slot = -1;    // >= 0 iff this is a bridge component
+    std::vector<Atom> residual;  // constant-carrying binary EDB atoms
+    std::vector<std::pair<int32_t, VarId>> idb_lits;  // (unary slot, var)
   };
 
+  /// One occurrence of a unary IDB predicate as a body literal of a rule
+  /// component — an entry of LTUR's occurrence list, compiled once. When
+  /// p(n) is derived, the schedule rooted at the occurrence's variable
+  /// builds the single instance of the component containing that atom.
+  struct Trigger {
+    int32_t rule = -1;
+    Schedule schedule;  // idb_lits exclude the triggering occurrence
+  };
+
+  /// A program rule, or the bridge rule `b ← component` of one of its
+  /// components without the head variable (proof step 1).
   struct RulePlan {
-    PredId head_pred = -1;
+    int32_t head_slot = -1;
     bool head_has_arg = false;  // arity-1 head
-    bool head_is_var = false;
-    int32_t head_const = -1;  // when arity-1 head with a constant
-    VarId head_var = -1;      // when arity-1 head with a variable
-    int32_t num_vars = 0;
-    std::vector<Atom> ground_atoms;  // variable-free body atoms
-    std::vector<ComponentPlan> bridges;
-    std::optional<ComponentPlan> head_comp;  // nullopt: const/nullary head
+    VarId head_var = -1;        // >= 0 iff the head is p(x)
+    int32_t head_const = -1;    // when the head is p(c)
+    std::vector<Atom> ground_edb;  // variable-free EDB body atoms
+    // Shared-body IDB occurrences (ground IDB atoms and bridges). The rule
+    // fires only once all of them hold.
+    int32_t num_shared = 0;
+    // The head variable's (or a bridge's) component; nullopt: the rule has
+    // a single instance (constant or nullary head).
+    std::optional<Schedule> head_sweep;
   };
   std::vector<RulePlan> rules;
+
+  // Per unary slot: the triggers of its predicate, and its ground body
+  // occurrences p(c) as (c, rule), sorted.
+  std::vector<std::vector<Trigger>> triggers;
+  std::vector<std::vector<std::pair<tree::NodeId, int32_t>>> ground_uses;
+  // Per nullary or bridge slot (offset by num_unary): the rules whose shared
+  // body holds it, one entry per occurrence.
+  std::vector<std::vector<int32_t>> shared_uses;
 };
 
 GroundPlan::GroundPlan(std::unique_ptr<const Impl> impl)
@@ -190,20 +214,18 @@ GroundPlan::~GroundPlan() = default;
 
 namespace {
 
-/// Compiles one variable component: atom partition + BFS schedule.
-GroundPlan::Impl::ComponentPlan CompileComponent(
-    const GroundPlan::Impl& plan, const Rule& rule,
-    const std::vector<int32_t>& comp, int32_t c,
-    const std::vector<const Atom*>& atoms) {
-  GroundPlan::Impl::ComponentPlan out;
+using IdbLit = std::pair<int32_t, VarId>;  // (unary slot, var)
 
-  std::vector<VarId> vars;
-  for (VarId v = 0; v < rule.num_vars(); ++v) {
-    if (comp[v] == c) vars.push_back(v);
-  }
-  MD_CHECK(!vars.empty());
-  out.num_vars = static_cast<int32_t>(vars.size());
-  out.anchor = vars[0];
+/// Compiles the test of one variable component (`atoms`, all of whose
+/// `num_vars` variables lie in the component) rooted at `anchor`. `skip` is
+/// an IDB literal left out of idb_lits: the one whose derivation runs the
+/// schedule.
+GroundPlan::Impl::Schedule CompileSchedule(
+    const GroundPlan::Impl& plan, const Rule& rule,
+    const std::vector<const Atom*>& atoms, [[maybe_unused]] int32_t num_vars,
+    VarId anchor, IdbLit skip = {-1, -1}) {
+  GroundPlan::Impl::Schedule out;
+  out.anchor = anchor;
 
   struct DirEdge {
     VarId from, to;
@@ -217,7 +239,11 @@ GroundPlan::Impl::ComponentPlan CompileComponent(
     if (plan.intensional[a->pred]) {
       // Monadic + in this component ⇒ one argument, and it is a variable.
       MD_DCHECK(a->args.size() == 1 && a->args[0].is_var());
-      out.idb_lits.emplace_back(a->pred, a->args[0].value);
+      const IdbLit lit{plan.unary_index[a->pred], a->args[0].value};
+      if (lit != skip && std::find(out.idb_lits.begin(), out.idb_lits.end(),
+                                   lit) == out.idb_lits.end()) {
+        out.idb_lits.push_back(lit);
+      }
     } else if (a->args.size() == 1) {
       MD_DCHECK(a->args[0].is_var());
       out.unary_checks.emplace_back(a->pred, a->args[0].value);
@@ -236,8 +262,8 @@ GroundPlan::Impl::ComponentPlan CompileComponent(
   // injective partial functions, so the reverse direction needs no re-check).
   std::vector<bool> atom_done(atoms.size(), false);
   std::vector<bool> assigned(rule.num_vars(), false);
-  assigned[out.anchor] = true;
-  std::vector<VarId> queue{out.anchor};
+  assigned[anchor] = true;
+  std::vector<VarId> queue{anchor};
   for (size_t qi = 0; qi < queue.size(); ++qi) {
     for (const DirEdge& e : adj[queue[qi]]) {
       if (!assigned[e.to]) {
@@ -251,7 +277,7 @@ GroundPlan::Impl::ComponentPlan CompileComponent(
       }
     }
   }
-  MD_DCHECK(queue.size() == vars.size());  // component is connected
+  MD_DCHECK(static_cast<int32_t>(queue.size()) == num_vars);  // connected
   return out;
 }
 
@@ -308,16 +334,22 @@ util::Result<GroundPlan> GroundPlan::Compile(const Program& program) {
       ClassifyBinary(name, &impl->binary_specs[p]);
     }
   }
+  impl->triggers.resize(impl->num_unary);
+  impl->ground_uses.resize(impl->num_unary);
+  impl->shared_uses.resize(impl->num_nullary);
 
   // Per-rule compilation (proof steps 1–2 of Theorem 4.2, program side).
   for (const Rule& rule : program.rules()) {
+    const int32_t r = static_cast<int32_t>(impl->rules.size());
+    impl->rules.emplace_back();  // set below, after its bridge rules
     Impl::RulePlan rp;
-    rp.head_pred = rule.head.pred;
-    rp.num_vars = rule.num_vars();
-    if (!rule.head.args.empty()) {
+    impl->max_vars = std::max(impl->max_vars, rule.num_vars());
+    if (rule.head.args.empty()) {
+      rp.head_slot = impl->num_unary + impl->nullary_slot[rule.head.pred];
+    } else {
+      rp.head_slot = impl->unary_index[rule.head.pred];
       rp.head_has_arg = true;
-      rp.head_is_var = rule.head.args[0].is_var();
-      if (rp.head_is_var) {
+      if (rule.head.args[0].is_var()) {
         rp.head_var = rule.head.args[0].value;
       } else {
         rp.head_const = rule.head.args[0].value;
@@ -329,10 +361,15 @@ util::Result<GroundPlan> GroundPlan::Compile(const Program& program) {
         rule.num_vars() == 0
             ? 0
             : 1 + *std::max_element(comp.begin(), comp.end());
-    int32_t head_comp = -1;
-    if (rp.head_has_arg && rp.head_is_var) head_comp = comp[rp.head_var];
+    const int32_t head_comp = rp.head_var >= 0 ? comp[rp.head_var] : -1;
 
     std::vector<std::vector<const Atom*>> comp_atoms(num_comps);
+    std::vector<VarId> first_var(num_comps, -1);
+    std::vector<int32_t> comp_size(num_comps, 0);
+    for (VarId v = rule.num_vars() - 1; v >= 0; --v) {
+      first_var[comp[v]] = v;
+      ++comp_size[comp[v]];
+    }
     for (const Atom& a : rule.body) {
       int32_t c = -1;
       for (const Term& t : a.args) {
@@ -341,35 +378,58 @@ util::Result<GroundPlan> GroundPlan::Compile(const Program& program) {
           break;
         }
       }
-      if (c < 0) {
-        rp.ground_atoms.push_back(a);
-      } else {
+      if (c >= 0) {
         comp_atoms[c].push_back(&a);
+      } else if (!impl->intensional[a.pred]) {
+        rp.ground_edb.push_back(a);
+      } else {
+        ++rp.num_shared;
+        if (a.args.empty()) {
+          impl->shared_uses[impl->nullary_slot[a.pred]].push_back(r);
+        } else {
+          impl->ground_uses[impl->unary_index[a.pred]].emplace_back(
+              a.args[0].value, r);
+        }
       }
     }
 
     for (int32_t c = 0; c < num_comps; ++c) {
-      Impl::ComponentPlan cp =
-          CompileComponent(*impl, rule, comp, c, comp_atoms[c]);
-      if (c == head_comp) {
-        rp.head_comp = std::move(cp);
-      } else {
-        cp.bridge_slot = impl->num_bridges++;
-        rp.bridges.push_back(std::move(cp));
+      Impl::RulePlan bridge;
+      Impl::RulePlan& owner = c == head_comp ? rp : bridge;
+      const int32_t owner_index =
+          c == head_comp ? r : static_cast<int32_t>(impl->rules.size());
+      if (c != head_comp) {
+        bridge.head_slot =
+            impl->num_unary + impl->num_nullary + impl->num_bridges++;
+        impl->shared_uses.push_back({r});
+        ++rp.num_shared;
       }
+      owner.head_sweep = CompileSchedule(*impl, rule, comp_atoms[c],
+                                         comp_size[c], first_var[c]);
+      for (const IdbLit& lit : owner.head_sweep->idb_lits) {
+        impl->triggers[lit.first].push_back(
+            {owner_index, CompileSchedule(*impl, rule, comp_atoms[c],
+                                          comp_size[c], lit.second, lit)});
+      }
+      if (c != head_comp) impl->rules.push_back(std::move(bridge));
     }
-    impl->rules.push_back(std::move(rp));
+    impl->rules[r] = std::move(rp);
   }
+  for (auto& uses : impl->ground_uses) std::sort(uses.begin(), uses.end());
   return GroundPlan(std::move(impl));
 }
 
-/// Per-tree replay of a GroundPlan: grounds every rule by schedule replay,
-/// emits clauses into the arena, solves, and assembles the EvalResult.
+/// Per-tree replay of a GroundPlan: LTUR over the implicit ground program.
+/// Atoms are marked true when popped; a rule instance is built only when
+/// one of its body atoms pops and fires iff its whole body is then true, so
+/// it fires exactly once, at the pop of its last body atom.
 /// (Named GroundedEvaluator to keep the EvalResult friendship.)
 class GroundedEvaluator {
  public:
-  GroundedEvaluator(const GroundPlan::Impl& plan, const tree::Tree& t,
-                    GroundArena& arena, const util::EvalControl* control)
+  using Impl = GroundPlan::Impl;
+
+  GroundedEvaluator(const Impl& plan, const tree::Tree& t, GroundArena& arena,
+                    const util::EvalControl* control)
       : plan_(plan), tree_(t), arena_(arena), control_(control),
         ticker_(control), n_(t.size()) {}
 
@@ -378,10 +438,6 @@ class GroundedEvaluator {
     // must not ground anything. Also makes expiry deterministic for trees
     // smaller than the ticker stride.
     if (control_ != nullptr) MD_RETURN_NOT_OK(control_->Check());
-    arena_.flat.Clear();
-    nullary_base_ = plan_.num_unary * n_;
-    bridge_base_ = nullary_base_ + plan_.num_nullary;
-    arena_.flat.num_atoms = bridge_base_ + plan_.num_bridges;
 
     // Per-tree label resolution: the only tree-dependent compile work. A
     // label absent from this tree's alphabet resolves to kInvalidSymbol,
@@ -393,17 +449,64 @@ class GroundedEvaluator {
         arena_.unary_labels[p] = tree_.FindLabel(plan_.unary_specs[p].label);
       }
     }
+    arena_.queue.clear();
+    arena_.binding.assign(plan_.max_vars, tree::kNoNode);
+    sets_.reserve(plan_.num_unary);
+    for (int32_t s = 0; s < plan_.num_unary; ++s) {
+      sets_.emplace_back(std::max(n_, 1));
+    }
+    flags_.assign(plan_.num_nullary + plan_.num_bridges, 0);
 
-    // Grounding sweep: each rule replays its schedule over all anchor nodes,
-    // ticking the deadline poll per node; the sweep unwinds mid-rule when it
-    // fires. The Horn solve below polls its own propagation queue.
-    for (const GroundPlan::Impl::RulePlan& rp : plan_.rules) {
-      GroundRule(rp);
+    // A rule is pending while some shared-body IDB atom is not yet true; a
+    // failed ground EDB atom or an out-of-domain constant head keeps it
+    // pending for good.
+    pending_.resize(plan_.rules.size());
+    for (size_t r = 0; r < plan_.rules.size(); ++r) {
+      const Impl::RulePlan& rp = plan_.rules[r];
+      bool live =
+          !rp.head_has_arg || rp.head_var >= 0 || InDomain(rp.head_const);
+      for (const Atom& a : rp.ground_edb) live = live && EdbAtomHolds(a);
+      pending_[r] = rp.num_shared + (live ? 0 : 1);
+    }
+
+    // Seeds: rules whose bodies hold no IDB literal. A rule with IDB
+    // literals only in its swept component needs no sweep now (nothing is
+    // derived yet); its triggers build its instances.
+    for (size_t r = 0; r < plan_.rules.size(); ++r) {
+      const Impl::RulePlan& rp = plan_.rules[r];
+      if (pending_[r] != 0) continue;
+      if (rp.head_sweep.has_value() && !rp.head_sweep->idb_lits.empty()) {
+        continue;
+      }
+      Activate(rp);
       if (aborted_) return abort_status_;
     }
 
-    MD_RETURN_NOT_OK(SolveHornBounded(arena_.flat, &arena_.horn, control_));
-    const std::vector<bool>& model = arena_.horn.value;
+    // Propagation: one poll per popped atom.
+    std::vector<std::pair<int32_t, tree::NodeId>>& queue = arena_.queue;
+    while (!queue.empty()) {
+      if (!Poll()) return abort_status_;
+      const auto [slot, node] = queue.back();
+      queue.pop_back();
+      if (slot < plan_.num_unary) {
+        if (!sets_[slot].Insert(node)) continue;
+        for (const Impl::Trigger& tr : plan_.triggers[slot]) Fire(tr, node);
+        const auto& uses = plan_.ground_uses[slot];
+        for (auto it = std::lower_bound(uses.begin(), uses.end(),
+                                        std::make_pair(node, int32_t{0}));
+             it != uses.end() && it->first == node; ++it) {
+          Release(it->second);
+        }
+      } else {
+        uint8_t& flag = flags_[slot - plan_.num_unary];
+        if (flag != 0) continue;
+        flag = 1;
+        for (int32_t r : plan_.shared_uses[slot - plan_.num_unary]) {
+          Release(r);
+        }
+      }
+      if (aborted_) return abort_status_;
+    }
 
     EvalResult result;
     result.query_pred_ = plan_.query_pred;
@@ -412,190 +515,138 @@ class GroundedEvaluator {
       if (!plan_.intensional[p]) continue;
       EvalResult::PredFacts& f = result.facts_[p];
       if (plan_.pred_arity[p] == 1) {
-        NodeSet members(std::max(n_, 1));
-        const int32_t base = plan_.unary_index[p] * n_;
-        for (tree::NodeId node = 0; node < n_; ++node) {
-          if (model[base + node]) {
-            members.Insert(node);
-            ++result.num_derived_;
-          }
-        }
+        NodeSet& members = sets_[plan_.unary_index[p]];
         if (!members.empty()) {
+          result.num_derived_ += members.count();
           f.arity = 1;
           f.unary = std::move(members);
         }
-      } else {
-        if (model[nullary_base_ + plan_.nullary_slot[p]]) {
-          f.arity = 0;
-          f.nullary_true = true;
-          ++result.num_derived_;
-        }
+      } else if (flags_[plan_.nullary_slot[p]] != 0) {
+        f.arity = 0;
+        f.nullary_true = true;
+        ++result.num_derived_;
       }
     }
     result.num_iterations_ = 1;
     if (stats != nullptr) {
-      stats->num_clauses = arena_.flat.num_clauses();
-      stats->num_atoms = arena_.flat.num_atoms;
-      stats->num_literals = arena_.flat.NumLiterals();
+      stats->num_clauses = fired_;
+      stats->num_atoms = int64_t{plan_.num_unary} * n_ + plan_.num_nullary +
+                         plan_.num_bridges;
+      stats->num_literals = lookups_;
     }
     return result;
   }
 
  private:
-  int32_t UnaryAtomId(PredId p, tree::NodeId node) const {
-    MD_DCHECK(plan_.unary_index[p] >= 0);
-    return plan_.unary_index[p] * n_ + node;
-  }
-  int32_t NullaryAtomId(PredId p) const {
-    MD_DCHECK(plan_.nullary_slot[p] >= 0);
-    return nullary_base_ + plan_.nullary_slot[p];
-  }
+  bool InDomain(int32_t v) const { return v >= 0 && v < n_; }
 
-  void GroundRule(const GroundPlan::Impl::RulePlan& rp) {
-    // Grounding of the fully ground part: EDB atoms checked now; IDB atoms
-    // become Horn literals shared by every instantiation.
-    arena_.shared_body.clear();
-    for (const Atom& a : rp.ground_atoms) {
-      if (!EmitGroundAtom(a, nullptr, &arena_.shared_body)) return;
-    }
-
-    // Bridge components, then (head atoms are statically assigned) the
-    // bridge literals join the shared body of the main part.
-    for (const GroundPlan::Impl::ComponentPlan& cp : rp.bridges) {
-      GroundComponent(rp, cp, /*head_pred=*/-1,
-                      bridge_base_ + cp.bridge_slot, /*extra_body=*/{});
-      if (aborted_) return;
-      arena_.shared_body.push_back(bridge_base_ + cp.bridge_slot);
-    }
-
-    if (rp.head_comp.has_value()) {
-      GroundComponent(rp, *rp.head_comp, rp.head_pred, /*fixed_head_atom=*/-1,
-                      arena_.shared_body);
-    } else {
-      // Ground or propositional head: a single clause.
-      int32_t head_atom;
-      if (!rp.head_has_arg) {
-        head_atom = NullaryAtomId(rp.head_pred);
-      } else {
-        if (rp.head_const < 0 || rp.head_const >= n_) return;
-        head_atom = UnaryAtomId(rp.head_pred, rp.head_const);
-      }
-      arena_.flat.body_lits.insert(arena_.flat.body_lits.end(),
-                                   arena_.shared_body.begin(),
-                                   arena_.shared_body.end());
-      arena_.flat.Commit(head_atom);
-    }
+  /// Strided deadline poll; records the status and returns false once it
+  /// fires.
+  bool Poll() {
+    if (!ticker_.active()) return true;
+    util::Status s = ticker_.Tick();
+    if (s.ok()) return true;
+    aborted_ = true;
+    abort_status_ = std::move(s);
+    return false;
   }
 
-  /// Replays one component schedule over all anchor nodes. If head_pred >= 0,
-  /// emits clauses with head head_pred(binding of the rule's head variable);
-  /// otherwise with the fixed (bridge) head atom. `extra_body` is copied into
-  /// every emitted clause. Note: `extra_body` must not alias arena_ buffers
-  /// that this function mutates (it only appends to flat.body_lits, which is
-  /// disjoint from shared_body).
-  void GroundComponent(const GroundPlan::Impl::RulePlan& rp,
-                       const GroundPlan::Impl::ComponentPlan& cp,
-                       PredId head_pred, int32_t fixed_head_atom,
-                       const std::vector<int32_t>& extra_body) {
-    FlatHornInstance& flat = arena_.flat;
+  /// Counts one fired instance and queues its head atom (slot, node) unless
+  /// that is already true. `node` is kNoNode for nullary and bridge atoms.
+  void Derive(int32_t slot, tree::NodeId node) {
+    ++fired_;
+    const bool known = slot < plan_.num_unary
+                           ? sets_[slot].Contains(node)
+                           : flags_[slot - plan_.num_unary] != 0;
+    if (!known) arena_.queue.emplace_back(slot, node);
+  }
+
+  /// Binds the schedule's anchor to `node` and tests the component instance
+  /// this determines.
+  bool Matches(const Impl::Schedule& sc, tree::NodeId node) {
     std::vector<tree::NodeId>& binding = arena_.binding;
-    binding.assign(std::max(rp.num_vars, 1), tree::kNoNode);
-
-    for (tree::NodeId node = 0; node < n_; ++node) {
-      if (ticker_.active()) {
-        util::Status s = ticker_.Tick();
-        if (!s.ok()) {
-          aborted_ = true;
-          abort_status_ = std::move(s);
-          return;
-        }
+    binding[sc.anchor] = node;
+    for (const Impl::Step& s : sc.steps) {
+      const tree::NodeId target =
+          s.forward ? ApplyForward(tree_, s.rel, binding[s.from])
+                    : ApplyBackward(tree_, s.rel, binding[s.from]);
+      if (s.assign) {
+        if (target == tree::kNoNode) return false;
+        binding[s.to] = target;
+      } else if (target != binding[s.to]) {
+        return false;
       }
-      binding[cp.anchor] = node;
-      bool failed = false;
-      for (const GroundPlan::Impl::Step& s : cp.steps) {
-        const tree::NodeId target =
-            s.forward ? ApplyForward(tree_, s.rel, binding[s.from])
-                      : ApplyBackward(tree_, s.rel, binding[s.from]);
-        if (s.assign) {
-          if (target == tree::kNoNode) {
-            failed = true;
-            break;
-          }
-          binding[s.to] = target;
-        } else if (target != binding[s.to]) {
-          failed = true;
-          break;
-        }
-      }
-      if (failed) continue;
-      for (const auto& [p, v] : cp.unary_checks) {
-        if (!CheckUnaryTreePred(tree_, plan_.unary_specs[p].kind,
-                                arena_.unary_labels[p], binding[v])) {
-          failed = true;
-          break;
-        }
-      }
-      if (failed) continue;
-      for (const Atom& a : cp.residual) {
-        arena_.residual_body.clear();
-        if (!EmitGroundAtom(a, &binding, &arena_.residual_body)) {
-          failed = true;
-          break;
-        }
-        // Residual atoms are EDB-only (CompileComponent routes intensional
-        // atoms to idb_lits), so EmitGroundAtom must emit no literals here —
-        // anything it pushed would be silently dropped from the clause.
-        MD_DCHECK(arena_.residual_body.empty());
-      }
-      if (failed) continue;
-
-      // Emit the clause straight into the flat arena.
-      flat.body_lits.insert(flat.body_lits.end(), extra_body.begin(),
-                            extra_body.end());
-      for (const auto& [p, v] : cp.idb_lits) {
-        flat.body_lits.push_back(UnaryAtomId(p, binding[v]));
-      }
-      flat.Commit(head_pred >= 0 ? UnaryAtomId(head_pred, binding[rp.head_var])
-                                 : fixed_head_atom);
     }
+    for (const auto& [p, v] : sc.unary_checks) {
+      if (!CheckUnaryTreePred(tree_, plan_.unary_specs[p].kind,
+                              arena_.unary_labels[p], binding[v])) {
+        return false;
+      }
+    }
+    for (const Atom& a : sc.residual) {
+      if (!EdbAtomHolds(a)) return false;
+    }
+    for (const auto& [slot, v] : sc.idb_lits) {
+      ++lookups_;
+      if (!sets_[slot].Contains(binding[v])) return false;
+    }
+    return true;
   }
 
-  /// For a (now fully bound) body atom: checks EDB atoms against the tree
-  /// (returning false if violated) and appends IDB atoms to `body`.
-  /// `binding` may be nullptr for atoms without variables.
-  bool EmitGroundAtom(const Atom& a, const std::vector<tree::NodeId>* binding,
-                      std::vector<int32_t>* body) {
+  /// Checks a bound extensional atom against the tree; variables read the
+  /// current binding.
+  bool EdbAtomHolds(const Atom& a) const {
     auto value_of = [&](const Term& t) -> int32_t {
-      if (t.is_var()) {
-        MD_CHECK(binding != nullptr);
-        return (*binding)[t.value];
-      }
-      return t.value;
+      return t.is_var() ? arena_.binding[t.value] : t.value;
     };
-    if (plan_.intensional[a.pred]) {
-      if (a.args.empty()) {
-        body->push_back(NullaryAtomId(a.pred));
-      } else {
-        int32_t v = value_of(a.args[0]);
-        if (v < 0 || v >= n_) return false;
-        body->push_back(UnaryAtomId(a.pred, v));
-      }
-      return true;
-    }
     if (a.args.size() == 1) {
-      int32_t v = value_of(a.args[0]);
-      if (v < 0 || v >= n_) return false;
-      return CheckUnaryTreePred(tree_, plan_.unary_specs[a.pred].kind,
+      const int32_t v = value_of(a.args[0]);
+      return InDomain(v) &&
+             CheckUnaryTreePred(tree_, plan_.unary_specs[a.pred].kind,
                                 arena_.unary_labels[a.pred], v);
     }
     MD_CHECK(a.args.size() == 2);
-    int32_t x = value_of(a.args[0]);
-    int32_t y = value_of(a.args[1]);
-    if (x < 0 || x >= n_ || y < 0 || y >= n_) return false;
-    return ApplyForward(tree_, plan_.binary_specs[a.pred], x) == y;
+    const int32_t x = value_of(a.args[0]);
+    const int32_t y = value_of(a.args[1]);
+    return InDomain(x) && InDomain(y) &&
+           ApplyForward(tree_, plan_.binary_specs[a.pred], x) == y;
   }
 
-  const GroundPlan::Impl& plan_;
+  /// The head atom of `rp`'s instance under the current binding.
+  tree::NodeId HeadNode(const Impl::RulePlan& rp) const {
+    if (rp.head_var >= 0) return arena_.binding[rp.head_var];
+    return rp.head_has_arg ? rp.head_const : tree::kNoNode;
+  }
+
+  /// The derivation of `node` fires trigger `tr`.
+  void Fire(const Impl::Trigger& tr, tree::NodeId node) {
+    if (pending_[tr.rule] != 0 || !Matches(tr.schedule, node)) return;
+    const Impl::RulePlan& rp = plan_.rules[tr.rule];
+    Derive(rp.head_slot, HeadNode(rp));
+  }
+
+  /// One shared-body atom of rule `r` became true.
+  void Release(int32_t r) {
+    if (--pending_[r] == 0) Activate(plan_.rules[r]);
+  }
+
+  /// The shared body of `rp` holds: fire its single instance, or sweep its
+  /// component over all anchors (a bridge only until one instance holds).
+  /// Runs at most once per rule.
+  void Activate(const Impl::RulePlan& rp) {
+    if (!rp.head_sweep.has_value()) {
+      Derive(rp.head_slot, HeadNode(rp));
+      return;
+    }
+    for (tree::NodeId node = 0; node < n_; ++node) {
+      if (!Poll()) return;
+      if (!Matches(*rp.head_sweep, node)) continue;
+      Derive(rp.head_slot, HeadNode(rp));
+      if (rp.head_var < 0) return;
+    }
+  }
+
+  const Impl& plan_;
   const tree::Tree& tree_;
   GroundArena& arena_;
   const util::EvalControl* control_;
@@ -603,8 +654,11 @@ class GroundedEvaluator {
   bool aborted_ = false;
   util::Status abort_status_ = util::Status::OK();
   int32_t n_;
-  int32_t nullary_base_ = 0;
-  int32_t bridge_base_ = 0;
+  std::vector<NodeSet> sets_;     // per unary slot: atoms popped so far
+  std::vector<uint8_t> flags_;    // per nullary/bridge slot: popped
+  std::vector<int32_t> pending_;  // per rule: shared-body atoms not yet true
+  int64_t fired_ = 0;
+  int64_t lookups_ = 0;
 };
 
 util::Result<EvalResult> EvaluateGrounded(const GroundPlan& plan,

@@ -1,11 +1,11 @@
 #pragma once
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/core/ast.h"
 #include "src/core/eval.h"
-#include "src/core/horn.h"
 #include "src/tree/tree.h"
 #include "src/util/deadline.h"
 #include "src/util/result.h"
@@ -26,7 +26,12 @@
 ///     ground instantiations, found by propagating along the rule's query
 ///     graph from an anchor node;
 ///  3. the resulting ground program is propositional Horn and is solved with
-///     the linear-time LTUR solver (Proposition 3.5).
+///     LTUR (Proposition 3.5) — with implicit clauses: the plan keeps, per
+///     IDB predicate, a *trigger list* (one propagation schedule per body
+///     occurrence, rooted at that occurrence's variable), so a rule instance
+///     is built only when one of its body atoms is derived and no clause is
+///     ever stored. Each atom is derived once and fires each trigger once,
+///     which keeps the total at O(|P| · |dom|).
 ///
 /// Only the two-way-functional binary predicates are admitted; programs using
 /// child / lastchild / nextsibling_tc must first be normalized (TMNF pipeline,
@@ -34,9 +39,14 @@
 
 namespace mdatalog::core {
 
+/// Work counters of one grounded evaluation.
 struct GroundStats {
+  /// Ground rule instances whose body held (fired), bridge and
+  /// propositional instances included; each fires at most once.
   int64_t num_clauses = 0;
+  /// Size of the ground atom space: |unary IDB|·|dom| + nullary + bridges.
   int64_t num_atoms = 0;
+  /// IDB body-literal lookups made while testing instances.
   int64_t num_literals = 0;
 };
 
@@ -54,23 +64,20 @@ util::Result<EvalResult> EvaluateGrounded(const Program& program,
 //
 // A wrapper workload evaluates one fixed program over a stream of documents.
 // Everything the Theorem 4.2 evaluator derives from the *program* — the
-// connectedness split, the per-component propagation schedules, the
-// extensional-predicate classification, the atom-id layout — is identical for
+// connectedness split, the propagation schedules and trigger lists, the
+// extensional-predicate classification, the atom-slot layout — is identical for
 // every tree. GroundPlan captures that work once; EvaluateGrounded(plan, t)
 // replays it per tree in O(|P|·|dom|), with only a per-tree label-id
 // resolution (labels are interned per tree) on top.
 
-/// Reusable per-worker evaluation state: the CSR clause arena, the Horn
-/// solver buffers, and the grounding scratch vectors. Cleared — capacity
-/// kept — between evaluations, so a worker serving many similar documents
-/// performs no arena allocations after warm-up. Not thread-safe: use one
-/// arena per worker thread.
+/// Reusable per-worker evaluation scratch: the propagation queue, the
+/// variable binding of the instance under test, and the per-tree label
+/// resolution. Reset — capacity kept — on entry to every evaluation, so an
+/// aborted evaluation leaves no residue. Not thread-safe: use one arena per
+/// worker thread.
 struct GroundArena {
-  FlatHornInstance flat;
-  HornSolveScratch horn;
+  std::vector<std::pair<int32_t, tree::NodeId>> queue;  // (atom slot, node)
   std::vector<tree::NodeId> binding;
-  std::vector<int32_t> shared_body;
-  std::vector<int32_t> residual_body;
   std::vector<tree::LabelId> unary_labels;  // per-PredId, resolved per tree
 };
 
@@ -101,9 +108,9 @@ class GroundPlan {
 };
 
 /// Replays a compiled plan over one tree. `arena` may be nullptr (a local
-/// arena is used); passing a per-worker arena amortizes all clause-arena and
-/// solver allocations across documents. `control` (nullable) is polled
-/// cooperatively during the node sweep and the Horn solve — a deadline or
+/// arena is used); passing a per-worker arena amortizes the queue and
+/// binding allocations across documents. `control` (nullable) is polled
+/// cooperatively per swept node and per propagated atom — a deadline or
 /// cancellation unwinds with the typed status instead of finishing the page.
 util::Result<EvalResult> EvaluateGrounded(
     const GroundPlan& plan, const tree::Tree& t, GroundArena* arena = nullptr,

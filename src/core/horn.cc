@@ -5,92 +5,41 @@
 namespace mdatalog::core {
 
 std::vector<bool> SolveHorn(const HornInstance& instance) {
-  // Legacy entry point: convert to the flat layout and delegate, so there is
-  // exactly one propagation implementation.
-  FlatHornInstance flat;
-  flat.num_atoms = instance.num_atoms;
-  flat.heads.reserve(instance.clauses.size());
-  for (const HornClause& c : instance.clauses) {
-    flat.body_lits.insert(flat.body_lits.end(), c.body.begin(), c.body.end());
-    flat.Commit(c.head);
-  }
-  return SolveHorn(flat);
-}
-
-std::vector<bool> SolveHorn(const FlatHornInstance& instance) {
-  HornSolveScratch scratch;
-  SolveHorn(instance, &scratch);
-  return std::move(scratch.value);
-}
-
-const std::vector<bool>& SolveHorn(const FlatHornInstance& instance,
-                                   HornSolveScratch* scratch) {
-  util::Status status = SolveHornBounded(instance, scratch, nullptr);
-  MD_CHECK(status.ok());  // unbounded solve cannot fail
-  return scratch->value;
-}
-
-util::Status SolveHornBounded(const FlatHornInstance& instance,
-                              HornSolveScratch* scratch,
-                              const util::EvalControl* control) {
   const int32_t n = instance.num_atoms;
-  const int32_t num_clauses = static_cast<int32_t>(instance.heads.size());
-  std::vector<bool>& value = scratch->value;
-  value.assign(n, false);
-  std::vector<int32_t>& counter = scratch->counter;
-  counter.assign(num_clauses, 0);
-  std::vector<int32_t>& occ_start = scratch->occ_start;
-  occ_start.assign(static_cast<size_t>(n) + 1, 0);
-  std::vector<int32_t>& queue = scratch->queue;
-  queue.clear();
+  std::vector<bool> value(n, false);
+  // counter[c]: body occurrences of clause c not yet known true.
+  std::vector<int32_t> counter(instance.clauses.size());
+  // occurrences[a]: one entry per body occurrence of atom a.
+  std::vector<std::vector<int32_t>> occurrences(n);
+  std::vector<int32_t> queue;
 
-  for (int32_t ci = 0; ci < num_clauses; ++ci) {
-    MD_DCHECK(instance.heads[ci] >= 0 && instance.heads[ci] < n);
-    const int32_t body_size =
-        instance.body_start[ci + 1] - instance.body_start[ci];
-    counter[ci] = body_size;
-    if (body_size == 0 && !value[instance.heads[ci]]) {
-      value[instance.heads[ci]] = true;
-      queue.push_back(instance.heads[ci]);
+  for (size_t ci = 0; ci < instance.clauses.size(); ++ci) {
+    const HornClause& c = instance.clauses[ci];
+    MD_DCHECK(c.head >= 0 && c.head < n);
+    counter[ci] = static_cast<int32_t>(c.body.size());
+    for (int32_t a : c.body) {
+      MD_DCHECK(a >= 0 && a < n);
+      occurrences[a].push_back(static_cast<int32_t>(ci));
     }
-  }
-  for (int32_t a : instance.body_lits) {
-    MD_DCHECK(a >= 0 && a < n);
-    ++occ_start[a + 1];
-  }
-  for (int32_t a = 0; a < n; ++a) occ_start[a + 1] += occ_start[a];
-  std::vector<int32_t>& occ = scratch->occ;
-  occ.resize(instance.body_lits.size());
-  {
-    std::vector<int32_t>& fill = scratch->fill;
-    fill.assign(occ_start.begin(), occ_start.end() - 1);
-    for (int32_t ci = 0; ci < num_clauses; ++ci) {
-      for (int32_t i = instance.body_start[ci];
-           i < instance.body_start[ci + 1]; ++i) {
-        occ[fill[instance.body_lits[i]]++] = ci;
-      }
+    if (c.body.empty() && !value[c.head]) {
+      value[c.head] = true;
+      queue.push_back(c.head);
     }
   }
 
-  util::EvalTicker ticker(control);
   while (!queue.empty()) {
-    // One tick per popped atom: propagation touches each atom at most once,
-    // so the strided poll adds one decrement to O(#literals) total work.
-    MD_RETURN_NOT_OK(ticker.Tick());
-    int32_t a = queue.back();
+    const int32_t a = queue.back();
     queue.pop_back();
-    for (int32_t i = occ_start[a]; i < occ_start[a + 1]; ++i) {
-      const int32_t ci = occ[i];
-      if (--counter[ci] == 0) {
-        int32_t h = instance.heads[ci];
-        if (!value[h]) {
-          value[h] = true;
-          queue.push_back(h);
-        }
+    for (int32_t ci : occurrences[a]) {
+      if (--counter[ci] != 0) continue;
+      const int32_t h = instance.clauses[ci].head;
+      if (!value[h]) {
+        value[h] = true;
+        queue.push_back(h);
       }
     }
   }
-  return util::Status::OK();
+  return value;
 }
 
 }  // namespace mdatalog::core

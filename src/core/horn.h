@@ -3,14 +3,16 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/util/deadline.h"
-#include "src/util/status.h"
-
 /// \file horn.h
 /// Linear-time propositional Horn inference (Proposition 3.5). The solver is
 /// the classic unit-propagation scheme of Dowling–Gallier / Minoux's LTUR:
 /// per-clause counters of unsatisfied body atoms plus occurrence lists give
 /// O(#clauses + #literals) total work.
+///
+/// The grounded tree evaluator (grounder.h) runs the same propagation with
+/// implicit clauses — its occurrence lists are compiled into the GroundPlan.
+/// This explicit-clause form is its test oracle: core_eval_test grounds small
+/// trees clause by clause and checks EvaluateGrounded against SolveHorn.
 
 namespace mdatalog::core {
 
@@ -34,75 +36,8 @@ struct HornInstance {
   }
 };
 
-/// A Horn program in CSR layout: clause bodies live in one shared arena
-/// instead of one heap vector per clause. The grounded evaluator emits
-/// O(|P|·|dom|) clauses; the flat layout makes emission allocation-free and
-/// unit propagation cache-friendly.
-///
-/// Emission protocol: push body literals onto `body_lits`, then Commit(head)
-/// to seal the clause. Emitters must decide satisfiability before pushing
-/// (the grounded evaluator runs all its checks first, then emits).
-struct FlatHornInstance {
-  int32_t num_atoms = 0;
-  std::vector<int32_t> heads;               // per clause
-  std::vector<int32_t> body_start = {0};    // clause i's body: [start[i], start[i+1])
-  std::vector<int32_t> body_lits;
-
-  void Commit(int32_t head) {
-    heads.push_back(head);
-    body_start.push_back(static_cast<int32_t>(body_lits.size()));
-  }
-
-  /// Empties the instance but keeps the arena capacity — wrapper-serving
-  /// workloads ground one program per page, and reusing the buffers makes
-  /// emission allocation-free after the first page.
-  void Clear() {
-    num_atoms = 0;
-    heads.clear();
-    body_start.assign(1, 0);
-    body_lits.clear();
-  }
-
-  int64_t num_clauses() const { return static_cast<int64_t>(heads.size()); }
-  int64_t NumLiterals() const {
-    return static_cast<int64_t>(heads.size()) +
-           static_cast<int64_t>(body_lits.size());
-  }
-};
-
-/// Reusable buffers for SolveHorn. A worker that solves many instances of
-/// similar size (one per document) keeps one scratch and pays no solver
-/// allocations after the first call.
-struct HornSolveScratch {
-  std::vector<int32_t> counter;
-  std::vector<int32_t> occ_start;
-  std::vector<int32_t> occ;
-  std::vector<int32_t> fill;
-  std::vector<int32_t> queue;
-  std::vector<bool> value;
-};
-
 /// Computes the least model: value[a] == true iff atom a is derivable.
 /// Runs in time linear in NumLiterals().
 std::vector<bool> SolveHorn(const HornInstance& instance);
-
-/// Least model of a flat instance; same algorithm, zero per-clause
-/// allocations.
-std::vector<bool> SolveHorn(const FlatHornInstance& instance);
-
-/// Like SolveHorn(flat) but with caller-owned buffers: the model is left in
-/// scratch->value (and a reference to it is returned). No allocations once
-/// the scratch has warmed up to the instance size.
-const std::vector<bool>& SolveHorn(const FlatHornInstance& instance,
-                                   HornSolveScratch* scratch);
-
-/// SolveHorn with cooperative deadline/cancellation: the unit-propagation
-/// queue polls `control` (strided) and unwinds with kDeadlineExceeded /
-/// kCancelled, leaving scratch->value partially propagated (do not read it
-/// on error). `control` may be nullptr — then this is exactly
-/// SolveHorn(instance, scratch).
-util::Status SolveHornBounded(const FlatHornInstance& instance,
-                              HornSolveScratch* scratch,
-                              const util::EvalControl* control);
 
 }  // namespace mdatalog::core

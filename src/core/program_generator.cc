@@ -25,6 +25,17 @@ Program RandomMonadicProgram(util::Rng& rng,
     binary_edb.push_back(preds.MustIntern("child", 2));
     binary_edb.push_back(preds.MustIntern("lastchild", 2));
   }
+  std::vector<PredId> nullary_idb;
+  if (options.allow_nonlocal) {
+    nullary_idb = {preds.MustIntern("z0", 0), preds.MustIntern("z1", 0)};
+  }
+  auto pick = [&rng](const std::vector<PredId>& v) {
+    return v[rng.Below(v.size())];
+  };
+  // Constants range past small trees, so some are out of the domain.
+  auto random_const = [&rng] {
+    return Term::Const(static_cast<int32_t>(rng.Below(12)));
+  };
 
   for (int32_t r = 0; r < options.num_rules; ++r) {
     // Head variable is v0; grow a variable pool connected through binary
@@ -41,6 +52,23 @@ Program RandomMonadicProgram(util::Rng& rng,
     }
     int32_t extra = static_cast<int32_t>(rng.Below(options.max_body_atoms));
     for (int32_t i = 0; i < extra; ++i) {
+      if (options.allow_nonlocal && rng.Chance(1, 3)) {
+        // A nullary IDB atom; a unary atom on a fresh variable (a bridge
+        // component) or on a constant; or a binary atom with a constant.
+        const uint64_t kind = rng.Below(4);
+        const PredId unary = rng.Chance(1, 2) ? pick(idb) : pick(unary_edb);
+        if (kind == 0) {
+          body.push_back(MakeAtom(pick(nullary_idb), {}));
+        } else if (kind == 1) {
+          body.push_back(MakeAtom(unary, {Term::Var(num_vars++)}));
+        } else if (kind == 2) {
+          body.push_back(MakeAtom(unary, {random_const()}));
+        } else {
+          const Term var = Term::Var(static_cast<VarId>(rng.Below(num_vars)));
+          body.push_back(MakeAtom(pick(binary_edb), {var, random_const()}));
+        }
+        continue;
+      }
       uint64_t kind = rng.Below(10);
       if (kind < 3) {  // unary EDB on an existing variable
         body.push_back(MakeAtom(
@@ -67,6 +95,9 @@ Program RandomMonadicProgram(util::Rng& rng,
       }
     }
     Atom head = MakeAtom(idb[rng.Below(idb.size())], {Term::Var(0)});
+    const uint64_t head_kind = options.allow_nonlocal ? rng.Below(4) : 2;
+    if (head_kind == 0) head = MakeAtom(pick(nullary_idb), {});
+    if (head_kind == 1) head.args[0] = random_const();
     p.AddRule(MakeRule(std::move(head), std::move(body)));
   }
   // Every q_i must be intensional, or engines would treat it as an (empty)
@@ -74,6 +105,11 @@ Program RandomMonadicProgram(util::Rng& rng,
   std::vector<bool> headed(preds.size(), false);
   for (const Rule& r : p.rules()) headed[r.head.pred] = true;
   PredId root = preds.MustIntern("root", 1);
+  for (PredId z : nullary_idb) {
+    if (headed[z]) continue;
+    p.AddRule(
+        MakeRule(MakeAtom(z, {}), {MakeAtom(root, {Term::Var(0)})}, {"x"}));
+  }
   for (PredId q : idb) {
     if (!headed[q]) {
       p.AddRule(MakeRule(MakeAtom(q, {Term::Var(0)}),

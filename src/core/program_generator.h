@@ -19,6 +19,11 @@ struct ProgramGenOptions {
   /// Admit child / lastchild (extended signature; such programs are not
   /// groundable and exercise the semi-naive path and the TMNF chase).
   bool allow_extended = false;
+  /// Also emit what the Theorem 4.2 grounder must split off or share across
+  /// instances: variable components without the head variable (bridges),
+  /// nullary IDB predicates z0/z1 in heads and bodies, and constants (some
+  /// outside small trees) in heads and ground body atoms.
+  bool allow_nonlocal = false;
 };
 
 /// Generates a safe monadic program; every rule's head variable occurs in the

@@ -7,6 +7,7 @@
 #include "src/core/horn.h"
 #include "src/core/parser.h"
 #include "src/core/program_generator.h"
+#include "src/core/reference_eval.h"
 #include "src/tree/generator.h"
 #include "src/util/rng.h"
 
@@ -421,6 +422,242 @@ TEST(GroundedTest, StatsAreLinear) {
   EXPECT_LE(stats.num_clauses,
             static_cast<int64_t>(p.rules().size()) * t.size());
   EXPECT_GT(stats.num_clauses, 0);
+}
+
+// Theorem 4.2 as a work count rather than a time: every ground rule instance
+// fires at most once, so the fired instances stay within one per (rule,
+// node) as the tree grows and as the program grows.
+TEST(GroundedTest, WorkIsLinearInTreeAndProgram) {
+  const Program even_a = EvenAProgram({"b", "c"});
+  const int64_t even_a_rules = static_cast<int64_t>(even_a.rules().size());
+  for (int32_t log_n = 10; log_n <= 16; ++log_n) {
+    util::Rng rng(42);
+    Tree t = tree::RandomTree(rng, 1 << log_n, {"a", "b", "c"});
+    GroundStats stats;
+    auto grounded = EvaluateGrounded(even_a, t, &stats);
+    ASSERT_TRUE(grounded.ok());
+    TreeDatabase db(t);
+    auto reference = EvaluateSemiNaive(even_a, db);
+    ASSERT_TRUE(reference.ok());
+    EXPECT_EQ(grounded->num_derived(), reference->num_derived()) << t.size();
+    EXPECT_LE(stats.num_clauses, even_a_rules * t.size()) << t.size();
+    EXPECT_GE(stats.num_clauses, grounded->num_derived()) << t.size();
+  }
+
+  util::Rng rng(42);
+  const Tree t = tree::RandomTree(rng, 4096, {"a", "b", "c"});
+  TreeDatabase db(t);
+  for (int32_t m = 8; m <= 512; m *= 2) {
+    const Program chain = ChainProgram(m);
+    const int64_t rules = static_cast<int64_t>(chain.rules().size());
+    GroundStats stats;
+    auto grounded = EvaluateGrounded(chain, t, &stats);
+    ASSERT_TRUE(grounded.ok());
+    auto reference = EvaluateSemiNaive(chain, db);
+    ASSERT_TRUE(reference.ok());
+    EXPECT_EQ(grounded->num_derived(), reference->num_derived()) << m;
+    EXPECT_LE(stats.num_clauses, rules * t.size()) << m;
+  }
+}
+
+// One GroundArena serves alternating programs and trees of different sizes;
+// stale queue, binding or label state from the previous evaluation must not
+// leak into the next. The programs include bridges, nullary IDB predicates
+// and constants, so every shared-body path of the evaluator runs.
+TEST(GroundedTest, ArenaReuseAcrossProgramsAndTrees) {
+  util::Rng rng(20261017);
+  GroundArena arena;
+  for (int trial = 0; trial < 60; ++trial) {
+    ProgramGenOptions opts;
+    opts.num_rules = 2 + static_cast<int32_t>(rng.Below(10));
+    opts.num_idb_preds = 1 + static_cast<int32_t>(rng.Below(5));
+    opts.max_body_atoms = 1 + static_cast<int32_t>(rng.Below(6));
+    opts.allow_nonlocal = trial % 4 != 3;
+    Program p = RandomMonadicProgram(rng, opts);
+    ASSERT_TRUE(GroundableOverTree(p)) << ToString(p);
+    auto plan = GroundPlan::Compile(p);
+    ASSERT_TRUE(plan.ok());
+    const int32_t size = trial % 2 == 0
+                             ? 1 + static_cast<int32_t>(rng.Below(12))
+                             : 40 + static_cast<int32_t>(rng.Below(200));
+    Tree t = tree::RandomTree(rng, size, {"a", "b"});
+    TreeDatabase db(t);
+    auto reference = EvaluateNaiveReference(p, db);
+    ASSERT_TRUE(reference.ok());
+    auto grounded = EvaluateGrounded(*plan, t, &arena);
+    ASSERT_TRUE(grounded.ok());
+    for (PredId q = 0; q < p.preds().size(); ++q) {
+      EXPECT_EQ(grounded->NullaryTrue(q), reference->NullaryTrue(q))
+          << p.preds().Name(q) << "\n" << ToString(p);
+      EXPECT_EQ(grounded->Unary(q), reference->Unary(q))
+          << p.preds().Name(q) << "\n" << ToString(p);
+    }
+    EXPECT_EQ(grounded->num_derived(), reference->num_derived())
+        << ToString(p);
+  }
+}
+
+/// Theorem 4.2's proof taken literally: grounds `p` over `t` by brute force
+/// — every rule under every assignment of its variables to nodes whose
+/// extensional body holds becomes one clause — and solves the ground program
+/// with SolveHorn (Proposition 3.5). Atom ids: q·(|dom|+1) for a nullary q,
+/// q·(|dom|+1) + 1 + v for q(v).
+std::vector<bool> SolveExplicitGrounding(const Program& p, const Tree& t) {
+  const int32_t n = t.size();
+  const std::vector<bool> intensional = p.IntensionalMask();
+  TreeDatabase db(t);
+  auto atom_id = [n](PredId q, int32_t v) { return q * (n + 1) + 1 + v; };
+  HornInstance inst;
+  inst.num_atoms = p.preds().size() * (n + 1);
+  for (const Rule& r : p.rules()) {
+    std::vector<int32_t> binding(r.num_vars(), 0);
+    auto value = [&](const Term& term) {
+      return term.is_var() ? binding[term.value] : term.value;
+    };
+    // The ground atom id of an IDB atom; false if its constant lies outside
+    // the domain (such an atom never holds).
+    auto idb_atom = [&](const Atom& a, int32_t* id) {
+      const int32_t v = a.args.empty() ? -1 : value(a.args[0]);
+      if (v >= n) return false;
+      *id = atom_id(a.pred, v);
+      return true;
+    };
+    auto edb_holds = [&](const Atom& a) {
+      std::vector<int32_t> args;
+      for (const Term& term : a.args) args.push_back(value(term));
+      for (int32_t v : args) {
+        if (v >= n) return false;
+      }
+      const Relation* rel = db.Get(p.preds().Name(a.pred),
+                                   static_cast<int32_t>(args.size()));
+      if (rel == nullptr) return false;
+      return args.size() == 1 ? rel->ContainsUnary(args[0])
+                              : rel->ContainsBinary(args[0], args[1]);
+    };
+    while (true) {
+      HornClause clause;
+      bool holds = idb_atom(r.head, &clause.head);
+      for (const Atom& a : r.body) {
+        if (!holds) break;
+        int32_t id;
+        if (!intensional[a.pred]) {
+          holds = edb_holds(a);
+        } else if ((holds = idb_atom(a, &id))) {
+          clause.body.push_back(id);
+        }
+      }
+      if (holds) inst.clauses.push_back(std::move(clause));
+      // Next assignment (odometer over dom^vars).
+      int32_t k = 0;
+      while (k < r.num_vars() && ++binding[k] == n) binding[k++] = 0;
+      if (k == r.num_vars()) break;
+    }
+  }
+  return SolveHorn(inst);
+}
+
+// The grounded evaluator (implicit clauses, built when a body atom is
+// derived) against the explicit ground program solved by SolveHorn, on
+// every tree shape up to a few nodes: paper programs, the bridge /
+// propositional / constant cases, and random programs with all three.
+TEST(GroundedTest, MatchesExplicitGroundingSolvedByHorn) {
+  std::vector<Program> programs;
+  programs.push_back(EvenAProgram());
+  programs.push_back(HasAncestorProgram("a"));
+  programs.push_back(EvenDepthLeafProgram());
+  for (const char* text : {
+           "q(X) :- leaf(X), label_c(Y).",
+           "found :- label_c(X). q(X) :- leaf(X), found.",
+           "q(2) :- root(0). r(X) :- q(X). q(X) :- r(Y), nextsibling(Y, X).",
+           "p(Y) :- label_b(Y). q(X) :- child2(X, Y), p(Y). "
+           "r(X) :- child3(X, Y), leaf(Y).",
+           "q(0). q(Y) :- q(X), firstchild(X, Y). q(Y) :- q(X), "
+           "nextsibling(X, Y).",
+       }) {
+    auto parsed = ParseProgramWithQuery(text, "q");
+    ASSERT_TRUE(parsed.ok()) << text;
+    programs.push_back(*std::move(parsed));
+  }
+  util::Rng rng(3502);
+  for (int i = 0; i < 40; ++i) {
+    ProgramGenOptions opts;
+    opts.num_rules = 2 + static_cast<int32_t>(rng.Below(6));
+    opts.num_idb_preds = 1 + static_cast<int32_t>(rng.Below(4));
+    opts.max_body_atoms = 1 + static_cast<int32_t>(rng.Below(4));
+    opts.allow_nonlocal = i % 4 != 3;
+    programs.push_back(RandomMonadicProgram(rng, opts));
+  }
+  for (const Program& p : programs) {
+    ASSERT_TRUE(GroundableOverTree(p)) << ToString(p);
+    const std::vector<bool> intensional = p.IntensionalMask();
+    std::vector<Tree> trees;
+    trees.push_back(tree::ChildrenWord("a", {"c", "a", "b", "b", "a"}));
+    for (int32_t size = 1; size <= 7; ++size) {
+      trees.push_back(tree::RandomTree(rng, size, {"a", "b", "c"}));
+    }
+    for (const Tree& t : trees) {
+      const int32_t size = t.size();
+      auto grounded = EvaluateGrounded(p, t);
+      ASSERT_TRUE(grounded.ok()) << ToString(p);
+      const std::vector<bool> model = SolveExplicitGrounding(p, t);
+      int64_t num_true = 0;
+      for (PredId q = 0; q < p.preds().size(); ++q) {
+        if (!intensional[q]) continue;
+        const int32_t base = q * (size + 1);
+        num_true += model[base];
+        EXPECT_EQ(grounded->NullaryTrue(q), static_cast<bool>(model[base]))
+            << p.preds().Name(q) << "\n" << ToString(p);
+        if (p.preds().Arity(q) != 1) continue;
+        std::vector<int32_t> expected;
+        for (int32_t v = 0; v < size; ++v) {
+          if (model[base + 1 + v]) expected.push_back(v);
+        }
+        num_true += static_cast<int64_t>(expected.size());
+        EXPECT_EQ(grounded->Unary(q), expected)
+            << p.preds().Name(q) << "\n" << ToString(p);
+      }
+      EXPECT_EQ(grounded->num_derived(), num_true) << ToString(p);
+    }
+  }
+}
+
+/// Grounded vs the compiled semi-naive engine on the full IDB of `p`.
+void ExpectGroundedMatchesSemiNaive(const Program& p, const Tree& t) {
+  auto grounded = EvaluateGrounded(p, t);
+  ASSERT_TRUE(grounded.ok());
+  TreeDatabase db(t);
+  auto semi = EvaluateSemiNaive(p, db);
+  ASSERT_TRUE(semi.ok());
+  for (PredId q = 0; q < p.preds().size(); ++q) {
+    EXPECT_EQ(grounded->Unary(q), semi->Unary(q)) << p.preds().Name(q);
+    EXPECT_EQ(grounded->NullaryTrue(q), semi->NullaryTrue(q));
+  }
+  EXPECT_EQ(grounded->num_derived(), semi->num_derived());
+}
+
+std::vector<Program> AdversarialShapePrograms() {
+  std::vector<Program> programs;
+  programs.push_back(EvenAProgram({"b"}));
+  programs.push_back(HasAncestorProgram("a"));
+  programs.push_back(EvenDepthLeafProgram());
+  programs.push_back(DomProgram());
+  return programs;
+}
+
+TEST(GroundedTest, DeepChainMatchesSemiNaive) {
+  const Tree t = tree::ChainTree(100000, "a");
+  for (const Program& p : AdversarialShapePrograms()) {
+    ExpectGroundedMatchesSemiNaive(p, t);
+  }
+}
+
+TEST(GroundedTest, WideFanOutMatchesSemiNaive) {
+  std::vector<std::string> children(100000, "a");
+  for (size_t i = 0; i < children.size(); i += 3) children[i] = "b";
+  const Tree t = tree::ChildrenWord("a", children);
+  for (const Program& p : AdversarialShapePrograms()) {
+    ExpectGroundedMatchesSemiNaive(p, t);
+  }
 }
 
 TEST(GroundedTest, SelfLoopBinaryAtomIsUnsatisfiable) {

@@ -1,10 +1,10 @@
 // Per-request deadlines and cooperative cancellation (util/deadline.h),
 // threaded from WrapperRuntime through elog/eval, wrapper/wrapper, the
-// semi-naive rounds of core/eval.cc, the grounded node sweep, and the Horn
-// propagation loop of core/horn.cc. The contract under test: a bounded
-// request unwinds with a *typed* kDeadlineExceeded / kCancelled status — it
-// never hangs a worker, never returns a partial result as success, and never
-// poisons shared state for later requests.
+// semi-naive rounds of core/eval.cc, and the node sweeps and atom
+// propagation of the grounded evaluator (core/grounder.cc). The contract
+// under test: a bounded request unwinds with a *typed* kDeadlineExceeded /
+// kCancelled status — it never hangs a worker, never returns a partial result
+// as success, and never poisons shared state for later requests.
 
 #include <chrono>
 #include <future>
@@ -16,8 +16,9 @@
 
 #include "src/core/database.h"
 #include "src/core/eval.h"
+#include "src/core/examples.h"
 #include "src/core/grounder.h"
-#include "src/core/horn.h"
+#include "src/core/parser.h"
 #include "src/elog/ast.h"
 #include "src/elog/eval.h"
 #include "src/elog/to_datalog.h"
@@ -184,26 +185,54 @@ TEST(EngineDeadlineTest, GroundedReplayHonorsTheControl) {
   EXPECT_EQ(ok_result->num_derived(), fresh->num_derived());
 }
 
-TEST(EngineDeadlineTest, HornPropagationHonorsTheDeadline) {
-  // An implication chain longer than the ticker stride, so the propagation
-  // queue itself (not the setup) hits the poll.
-  core::FlatHornInstance instance;
-  const int32_t n = 3 * util::EvalTicker::kDefaultStride;
-  instance.num_atoms = n;
-  instance.Commit(0);  // fact: atom 0
-  for (int32_t a = 1; a < n; ++a) {
-    instance.body_lits.push_back(a - 1);
-    instance.Commit(a);
-  }
-  core::HornSolveScratch scratch;
-  // Unbounded: the full chain derives.
-  ASSERT_TRUE(core::SolveHornBounded(instance, &scratch, nullptr).ok());
-  EXPECT_TRUE(scratch.value[n - 1]);
+/// Runs `program` over `t` under a 1 ms deadline, expects the typed
+/// kDeadlineExceeded, then checks that the aborted arena (queue and binding
+/// left mid-evaluation) serves the next, unbounded evaluation correctly.
+void ExpectGroundedUnwindsAt1ms(const core::Program& program,
+                                const tree::Tree& t) {
+  auto plan = core::GroundPlan::Compile(program);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
 
-  util::EvalControl expired(ExpiredDeadline(), nullptr);
-  util::Status status = core::SolveHornBounded(instance, &scratch, &expired);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), util::StatusCode::kDeadlineExceeded);
+  core::GroundArena arena;
+  util::EvalControl bounded(util::Deadline::After(milliseconds(1)), nullptr);
+  auto result =
+      core::EvaluateGrounded(*plan, t, &arena, /*stats=*/nullptr, &bounded);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), util::StatusCode::kDeadlineExceeded);
+
+  auto reused = core::EvaluateGrounded(*plan, t, &arena);
+  ASSERT_TRUE(reused.ok());
+  auto fresh = core::EvaluateGrounded(*plan, t);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(reused->num_derived(), fresh->num_derived());
+  EXPECT_EQ(reused->Query(), fresh->Query());
+}
+
+TEST(EngineDeadlineTest, GroundedSweepHonorsTheDeadline) {
+  // One seed rule and nothing to propagate: on a chain no node has a next
+  // sibling, so the sweep walks three steps from each of 2^20 anchors and
+  // derives nothing. Only the per-node poll of the sweep can unwind it.
+  auto p = core::ParseProgramWithQuery(
+      "q(X) :- firstchild(X, Y), firstchild(Y, Z), firstchild(Z, U), "
+      "nextsibling(U, V).",
+      "q");
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  tree::Tree t = tree::ChainTree(1 << 20, "a");
+  ExpectGroundedUnwindsAt1ms(*p, t);
+}
+
+TEST(EngineDeadlineTest, GroundedPropagationHonorsTheDeadline) {
+  // No seed sweep: the fact q(0) is the only seed, and the 2^20-node chain
+  // is derived one atom per pop. All the work is propagation, so only the
+  // per-atom poll can unwind it.
+  auto p = core::ParseProgramWithQuery(
+      "q(0). q(Y) :- q(X), firstchild(X, Y).", "q");
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  tree::Tree t = tree::ChainTree(1 << 20, "a");
+  ExpectGroundedUnwindsAt1ms(*p, t);
+  auto full = core::EvaluateGrounded(*p, t);
+  ASSERT_TRUE(full.ok());
+  EXPECT_EQ(full->num_derived(), t.size());
 }
 
 TEST(EngineDeadlineTest, NativeElogHonorsTheControl) {
@@ -230,12 +259,12 @@ TEST(EngineDeadlineTest, NativeElogHonorsTheControl) {
 // ---------------------------------------------------------------------------
 
 TEST(RuntimeDeadlineTest, AdversarialPageReturnsDeadlineExceededUnder1ms) {
-  // A deep synthetic board (~88k nodes): hashing + parsing + grounding far
-  // exceeds 1ms on any hardware this runs on, and every stage past the entry
-  // check polls cooperatively — the request must come back as a typed
+  // A deep synthetic board (~47k nodes, ~30 ms to serve): hashing + parsing
+  // + grounding far exceeds 1ms on any hardware this runs on, and the
+  // evaluation polls cooperatively — the request must come back as a typed
   // kDeadlineExceeded, not hang the worker.
   util::Rng rng(13);
-  const std::string adversarial = html::NestedBoardPage(rng, 10, 3);
+  const std::string adversarial = html::NestedBoardPage(rng, 12, 3);
 
   runtime::WrapperRuntime rt;
   auto handle = rt.Register(BoardWrapper());
