@@ -1,6 +1,8 @@
 #include "src/core/grounder.h"
 
 #include <algorithm>
+#include <charconv>
+#include <climits>
 #include <optional>
 #include <utility>
 
@@ -11,12 +13,13 @@ namespace mdatalog::core {
 
 namespace {
 
-/// Binary tree relations admissible for grounding: functional in both
-/// directions (Proposition 4.1).
-enum class TreeRel { kFirstChild, kNextSibling, kChildK };
+/// Binary tree relations admissible for grounding: firstchild, nextsibling
+/// and child_k are functional in both directions (Proposition 4.1); child is
+/// functional upward and enumerated downward.
+enum class TreeRel { kFirstChild, kNextSibling, kChildK, kChild };
 
 struct RelKind {
-  TreeRel rel;
+  TreeRel rel = TreeRel::kFirstChild;
   int32_t k = 0;  // for kChildK
 };
 
@@ -29,6 +32,10 @@ bool ClassifyBinary(const std::string& name, RelKind* out) {
     *out = {TreeRel::kNextSibling, 0};
     return true;
   }
+  if (name == "child") {
+    *out = {TreeRel::kChild, 0};
+    return true;
+  }
   int32_t k = ChildKIndex(name);
   if (k >= 1) {
     *out = {TreeRel::kChildK, k};
@@ -37,13 +44,15 @@ bool ClassifyBinary(const std::string& name, RelKind* out) {
   return false;
 }
 
-/// y = f_R(x), or kNoNode.
+/// y = f_R(x), or kNoNode. Never called for child, which is not functional
+/// downward (schedules enumerate it instead).
 tree::NodeId ApplyForward(const tree::Tree& t, const RelKind& r,
                           tree::NodeId x) {
   switch (r.rel) {
     case TreeRel::kFirstChild: return t.first_child(x);
     case TreeRel::kNextSibling: return t.next_sibling(x);
     case TreeRel::kChildK: return t.ChildK(x, r.k);
+    case TreeRel::kChild: break;
   }
   return tree::kNoNode;
 }
@@ -66,6 +75,8 @@ tree::NodeId ApplyBackward(const tree::Tree& t, const RelKind& r,
       if (t.prev_sibling(c) != tree::kNoNode) return tree::kNoNode;
       return t.parent(y);
     }
+    case TreeRel::kChild:
+      return t.parent(y);
   }
   return tree::kNoNode;
 }
@@ -93,7 +104,62 @@ bool CheckUnaryTreePred(const tree::Tree& t, UnaryKind kind,
   return false;
 }
 
+// --- Δ builtins -------------------------------------------------------------
+
+struct BuiltinName {
+  DeltaBuiltin kind = DeltaBuiltin::kNotAfter;
+  int32_t alpha = 0, beta = 100;
+  std::vector<std::string> path;
+};
+
+constexpr std::string_view kBuiltinPrefix = "delta:";
+
+/// A step label resolved against one tree; kAnyLabel is the "_" wildcard.
+constexpr tree::LabelId kAnyLabel = -2;
+
+/// Consumes "<int>:" from the front of `s`.
+bool TakeInt(std::string_view* s, int32_t* out) {
+  const size_t colon = s->find(':');
+  if (colon == std::string_view::npos) return false;
+  const char* end = s->data() + colon;
+  const auto [ptr, ec] = std::from_chars(s->data(), end, *out);
+  if (ec != std::errc() || ptr != end) return false;
+  s->remove_prefix(colon + 1);
+  return true;
+}
+
+/// Decodes a DeltaBuiltinPredName of the given arity.
+bool ClassifyBuiltin(std::string_view name, int32_t arity, BuiltinName* out) {
+  int32_t kind = -1;
+  if (!name.starts_with(kBuiltinPrefix)) return false;
+  name.remove_prefix(kBuiltinPrefix.size());
+  if (!TakeInt(&name, &kind) || !TakeInt(&name, &out->alpha) ||
+      !TakeInt(&name, &out->beta) || kind < 0 ||
+      kind > static_cast<int32_t>(DeltaBuiltin::kBeforeAny)) {
+    return false;
+  }
+  out->kind = static_cast<DeltaBuiltin>(kind);
+  while (!name.empty()) {
+    const size_t dot = name.find('.');
+    out->path.emplace_back(name.substr(0, dot));
+    name.remove_prefix(dot == std::string_view::npos ? name.size() : dot + 1);
+  }
+  if (out->kind == DeltaBuiltin::kBeforeAny && out->path.empty()) return false;
+  return arity == (out->kind == DeltaBuiltin::kBeforeWindow ? 3 : 2);
+}
+
+int64_t FloorDiv100(int64_t a) { return a >= 0 ? a / 100 : -((-a + 99) / 100); }
+int64_t CeilDiv100(int64_t a) { return -FloorDiv100(-a); }
+
 }  // namespace
+
+std::string DeltaBuiltinPredName(DeltaBuiltin kind, std::string_view path,
+                                 int32_t alpha_pct, int32_t beta_pct) {
+  return std::string(kBuiltinPrefix) +
+         std::to_string(static_cast<int32_t>(kind)) + ":" +
+         std::to_string(alpha_pct) + ":" + std::to_string(beta_pct) + ":" +
+         std::string(path);
+}
 
 bool GroundableOverTree(const Program& program) {
   if (!CheckSafety(program).ok()) return false;
@@ -104,6 +170,13 @@ bool GroundableOverTree(const Program& program) {
       if (intensional[a.pred]) continue;
       const std::string& name = program.preds().Name(a.pred);
       int32_t arity = program.preds().Arity(a.pred);
+      BuiltinName builtin;
+      if (ClassifyBuiltin(name, arity, &builtin)) {
+        for (const Term& t : a.args) {
+          if (!t.is_var()) return false;
+        }
+        continue;
+      }
       if (arity == 0) return false;  // no nullary EDB in the tree schema
       if (arity == 1) {
         if (name != "root" && name != "leaf" && name != "lastsibling" &&
@@ -150,31 +223,68 @@ struct GroundPlan::Impl {
   std::vector<UnaryPlanSpec> unary_specs;
   std::vector<RelKind> binary_specs;
 
-  /// One propagation step of a component schedule (spanning-tree assignment
-  /// or consistency check, BFS order from the anchor).
-  struct Step {
-    bool assign;  // true: binding[to] = f(from); false: f(from) == binding[to]
-    VarId from, to;
-    RelKind rel;
-    bool forward;
+  // Δ builtins. Each reads at most one per-tree table, filled per distinct
+  // (kind, path) by one bottom-up pass of |path| sweeps over the tree.
+  enum class TableKind : uint8_t {
+    kMinRank,      // min pre(π(n)), INT32_MAX if empty
+    kMaxRank,      // max pre(π(n)), -1 if empty
+    kSiblingHits,  // for a child c: how many of its siblings up to and
+                   // including c match π's first step and reach π's rest
+  };
+  struct PathTable {
+    TableKind kind;
+    std::vector<std::string> path;
+  };
+  struct Builtin {
+    DeltaBuiltin kind;
+    int32_t alpha = 0, beta = 100;
+    int32_t table = -1;  // index into path_tables, -1 for kWindow
+  };
+  std::vector<int32_t> builtin_index;  // per pred, -1 or index into builtins
+  std::vector<Builtin> builtins;
+  std::vector<PathTable> path_tables;
+  bool needs_child_index = false;  // a before builtin reads child positions
+
+  /// One step of a schedule. Variables a, b, c are binding indices.
+  enum class OpKind : uint8_t {
+    kAssign,      // binding[b] = f_rel(binding[a]) (forward or backward)
+    kCheck,       // f_rel(binding[a]) == binding[b]
+    kChildren,    // binding[b] ranges over the children of binding[a]
+    kWindow,      // binding[c] ranges over the children of binding[a] in
+                  // builtin `index`'s window after binding[b]
+    kWindowBack,  // binding[b] ranges over the children x of binding[a]
+                  // whose window (builtin `index`) holds binding[c]
+    kDomain,      // binding[a] ranges over dom (joins no tree edge reaches)
+    kUnary,       // unary EDB predicate `index` holds of binding[a]
+    kIdb,         // unary slot `index` holds binding[a]
+    kBuiltin,     // builtin `index` holds of (binding[a], binding[b][, c])
+    kResidual,    // residual atom `index` holds
+  };
+  struct Op {
+    OpKind kind;
+    VarId a = -1, b = -1, c = -1;
+    int32_t index = -1;
+    RelKind rel{};
+    bool forward = true;
   };
 
   /// The test of one variable component of one rule from a fixed anchor
-  /// variable: binding the anchor determines every other variable (Prop.
-  /// 4.1), then the extensional atoms are checked against the tree and the
-  /// intensional literals against the atoms derived so far.
+  /// variable: a greedy order that binds every variable — by a functional
+  /// tree step when one exists (Prop. 4.1), else by enumerating children or
+  /// a before window — with each check placed as soon as its variables are
+  /// bound. Intensional literals are tested against the atoms derived so far.
   struct Schedule {
     VarId anchor = -1;
-    std::vector<Step> steps;
-    std::vector<std::pair<PredId, VarId>> unary_checks;  // EDB arity-1
+    std::vector<Op> ops;
     std::vector<Atom> residual;  // constant-carrying binary EDB atoms
     std::vector<std::pair<int32_t, VarId>> idb_lits;  // (unary slot, var)
+    int32_t cost = 0;  // enumerating steps, weighted; picks sweep anchors
   };
 
   /// One occurrence of a unary IDB predicate as a body literal of a rule
   /// component — an entry of LTUR's occurrence list, compiled once. When
   /// p(n) is derived, the schedule rooted at the occurrence's variable
-  /// builds the single instance of the component containing that atom.
+  /// builds every instance of the component containing that atom.
   struct Trigger {
     int32_t rule = -1;
     Schedule schedule;  // idb_lits exclude the triggering occurrence
@@ -215,6 +325,13 @@ GroundPlan::~GroundPlan() = default;
 namespace {
 
 using IdbLit = std::pair<int32_t, VarId>;  // (unary slot, var)
+using Op = GroundPlan::Impl::Op;
+using OpKind = GroundPlan::Impl::OpKind;
+
+/// Enumerating steps cost 1, a domain enumeration far more: the head sweep
+/// anchors where the fewest are needed.
+constexpr int32_t kEnumerateCost = 1;
+constexpr int32_t kDomainCost = 1000;
 
 /// Compiles the test of one variable component (`atoms`, all of whose
 /// `num_vars` variables lie in the component) rooted at `anchor`. `skip` is
@@ -222,20 +339,30 @@ using IdbLit = std::pair<int32_t, VarId>;  // (unary slot, var)
 /// schedule.
 GroundPlan::Impl::Schedule CompileSchedule(
     const GroundPlan::Impl& plan, const Rule& rule,
-    const std::vector<const Atom*>& atoms, [[maybe_unused]] int32_t num_vars,
-    VarId anchor, IdbLit skip = {-1, -1}) {
+    const std::vector<const Atom*>& atoms, int32_t num_vars, VarId anchor,
+    IdbLit skip = {-1, -1}) {
   GroundPlan::Impl::Schedule out;
   out.anchor = anchor;
 
-  struct DirEdge {
-    VarId from, to;
+  struct Edge {  // a binary tree atom x → y between two variables
+    VarId x, y;
     RelKind rel;
-    bool forward;
-    int32_t atom;
+    bool done = false;
   };
-  std::vector<std::vector<DirEdge>> adj(rule.num_vars());
-  for (size_t ai = 0; ai < atoms.size(); ++ai) {
-    const Atom* a = atoms[ai];
+  struct Window {  // a before window (x0, x, c)
+    VarId x0, x, c;
+    int32_t builtin;
+    bool done = false;
+  };
+  std::vector<Edge> edges;
+  std::vector<Window> windows;
+  std::vector<Op> pending;  // checks waiting for their variables
+  std::vector<bool> in_component(rule.num_vars(), false);
+  in_component[anchor] = true;
+  for (const Atom* a : atoms) {
+    for (const Term& t : a->args) {
+      if (t.is_var()) in_component[t.value] = true;
+    }
     if (plan.intensional[a->pred]) {
       // Monadic + in this component ⇒ one argument, and it is a variable.
       MD_DCHECK(a->args.size() == 1 && a->args[0].is_var());
@@ -243,41 +370,158 @@ GroundPlan::Impl::Schedule CompileSchedule(
       if (lit != skip && std::find(out.idb_lits.begin(), out.idb_lits.end(),
                                    lit) == out.idb_lits.end()) {
         out.idb_lits.push_back(lit);
+        pending.push_back({OpKind::kIdb, lit.second, -1, -1, lit.first});
       }
+    } else if (const int32_t bi = plan.builtin_index[a->pred]; bi >= 0) {
+      Op op{OpKind::kBuiltin, a->args[0].value, a->args[1].value, -1, bi};
+      if (a->args.size() == 3) {
+        op.c = a->args[2].value;
+        windows.push_back({op.a, op.b, op.c, bi});
+      }
+      pending.push_back(op);
     } else if (a->args.size() == 1) {
       MD_DCHECK(a->args[0].is_var());
-      out.unary_checks.emplace_back(a->pred, a->args[0].value);
+      pending.push_back({OpKind::kUnary, a->args[0].value, -1, -1, a->pred});
     } else if (a->args[0].is_var() && a->args[1].is_var()) {
-      const RelKind& kind = plan.binary_specs[a->pred];
-      VarId x = a->args[0].value, y = a->args[1].value;
-      adj[x].push_back({x, y, kind, true, static_cast<int32_t>(ai)});
-      adj[y].push_back({y, x, kind, false, static_cast<int32_t>(ai)});
+      edges.push_back(
+          {a->args[0].value, a->args[1].value, plan.binary_specs[a->pred]});
     } else {
+      const VarId v = a->args[0].is_var() ? a->args[0].value : a->args[1].value;
+      pending.push_back({OpKind::kResidual, v, -1, -1,
+                         static_cast<int32_t>(out.residual.size())});
       out.residual.push_back(*a);
     }
   }
+  // Cheap checks first: tree predicates, then builtins, then IDB lookups.
+  std::stable_sort(pending.begin(), pending.end(),
+                   [](const Op& x, const Op& y) {
+                     auto rank = [](OpKind k) {
+                       return k == OpKind::kIdb       ? 2
+                              : k == OpKind::kBuiltin ? 1
+                                                      : 0;
+                     };
+                     return rank(x.kind) < rank(y.kind);
+                   });
 
-  // BFS from the anchor: spanning-tree assignments + consistency checks.
-  // Each binary atom is validated exactly once (the tree relations are
-  // injective partial functions, so the reverse direction needs no re-check).
-  std::vector<bool> atom_done(atoms.size(), false);
   std::vector<bool> assigned(rule.num_vars(), false);
-  assigned[anchor] = true;
-  std::vector<VarId> queue{anchor};
-  for (size_t qi = 0; qi < queue.size(); ++qi) {
-    for (const DirEdge& e : adj[queue[qi]]) {
-      if (!assigned[e.to]) {
-        out.steps.push_back({true, e.from, e.to, e.rel, e.forward});
-        assigned[e.to] = true;
-        atom_done[e.atom] = true;
-        queue.push_back(e.to);
-      } else if (!atom_done[e.atom]) {
-        out.steps.push_back({false, e.from, e.to, e.rel, e.forward});
-        atom_done[e.atom] = true;
+  int32_t num_assigned = 0;
+  auto bound = [&](VarId v) { return v < 0 || assigned[v]; };
+  // Binds `v`, then emits every check whose variables are now all bound.
+  auto bind = [&](VarId v) {
+    assigned[v] = true;
+    ++num_assigned;
+    for (Edge& e : edges) {
+      if (e.done || !assigned[e.x] || !assigned[e.y]) continue;
+      e.done = true;
+      // Check through a functional direction: child only upward.
+      if (e.rel.rel == TreeRel::kChild) {
+        out.ops.push_back({OpKind::kCheck, e.y, e.x, -1, -1, e.rel, false});
+      } else {
+        out.ops.push_back({OpKind::kCheck, e.x, e.y, -1, -1, e.rel, true});
       }
     }
+    for (size_t i = 0; i < pending.size();) {
+      const Op& op = pending[i];
+      if (bound(op.a) && bound(op.b) && bound(op.c)) {
+        out.ops.push_back(op);
+        pending.erase(pending.begin() + static_cast<ptrdiff_t>(i));
+      } else {
+        ++i;
+      }
+    }
+  };
+  // A window used as an enumerator holds by construction: drop its check.
+  auto consume_window = [&](Window& w) {
+    w.done = true;
+    for (size_t i = 0; i < pending.size(); ++i) {
+      const Op& op = pending[i];
+      if (op.kind == OpKind::kBuiltin && op.index == w.builtin &&
+          op.a == w.x0 && op.b == w.x && op.c == w.c) {
+        pending.erase(pending.begin() + static_cast<ptrdiff_t>(i));
+        return;
+      }
+    }
+  };
+  const RelKind kChildRel{TreeRel::kChild, 0};
+
+  bind(anchor);
+  while (num_assigned < num_vars) {
+    bool progressed = false;
+    // 1. A functional step (Prop. 4.1): any edge but child-downward, or a
+    //    window's child c up to its x0.
+    for (Edge& e : edges) {
+      if (e.done || assigned[e.x] == assigned[e.y]) continue;
+      if (assigned[e.x] && e.rel.rel == TreeRel::kChild) continue;
+      const bool forward = assigned[e.x];
+      const VarId from = forward ? e.x : e.y, to = forward ? e.y : e.x;
+      out.ops.push_back({OpKind::kAssign, from, to, -1, -1, e.rel, forward});
+      e.done = true;
+      bind(to);
+      progressed = true;
+      break;
+    }
+    for (Window& w : windows) {
+      if (progressed) break;
+      if (!assigned[w.c] || assigned[w.x0]) continue;
+      out.ops.push_back(
+          {OpKind::kAssign, w.c, w.x0, -1, -1, kChildRel, false});
+      bind(w.x0);
+      progressed = true;
+    }
+    // 2. A before window, forward (x0, x → c) or backward (x0, c → x, when
+    //    x is itself a child of x0).
+    for (Window& w : windows) {
+      if (progressed) break;
+      if (w.done || !assigned[w.x0]) continue;
+      if (assigned[w.x] && !assigned[w.c]) {
+        out.ops.push_back({OpKind::kWindow, w.x0, w.x, w.c, w.builtin});
+        consume_window(w);
+        out.cost += kEnumerateCost;
+        bind(w.c);
+        progressed = true;
+      } else if (assigned[w.c] && !assigned[w.x]) {
+        for (Edge& e : edges) {
+          if (e.done || e.rel.rel != TreeRel::kChild || e.x != w.x0 ||
+              e.y != w.x) {
+            continue;
+          }
+          e.done = true;
+          out.ops.push_back(
+              {OpKind::kWindowBack, w.x0, w.x, w.c, w.builtin});
+          consume_window(w);
+          out.cost += kEnumerateCost;
+          bind(w.x);
+          progressed = true;
+          break;
+        }
+      }
+    }
+    // 3. A child edge downward: enumerate the children.
+    for (Edge& e : edges) {
+      if (progressed) break;
+      if (e.done || e.rel.rel != TreeRel::kChild || !assigned[e.x] ||
+          assigned[e.y]) {
+        continue;
+      }
+      out.ops.push_back({OpKind::kChildren, e.x, e.y});
+      e.done = true;
+      out.cost += kEnumerateCost;
+      bind(e.y);
+      progressed = true;
+    }
+    // 4. Nothing reaches the rest from here (a builtin joins it): enumerate
+    //    the domain.
+    for (VarId v = 0; !progressed && v < rule.num_vars(); ++v) {
+      if (!in_component[v] || assigned[v]) continue;
+      out.ops.push_back({OpKind::kDomain, v});
+      out.cost += kDomainCost;
+      bind(v);
+      progressed = true;
+    }
+    MD_DCHECK(progressed);
+    if (!progressed) break;
   }
-  MD_DCHECK(static_cast<int32_t>(queue.size()) == num_vars);  // connected
+  MD_DCHECK(pending.empty());
   return out;
 }
 
@@ -299,6 +543,18 @@ util::Result<GroundPlan> GroundPlan::Compile(const Program& program) {
   impl->binary_specs.resize(preds.size());
   impl->unary_index.assign(preds.size(), -1);
   impl->nullary_slot.assign(preds.size(), -1);
+  impl->builtin_index.assign(preds.size(), -1);
+
+  // The per-tree table a builtin reads, shared between equal (kind, path).
+  auto table_of = [&impl](Impl::TableKind kind,
+                          std::vector<std::string> path) -> int32_t {
+    for (size_t i = 0; i < impl->path_tables.size(); ++i) {
+      const Impl::PathTable& t = impl->path_tables[i];
+      if (t.kind == kind && t.path == path) return static_cast<int32_t>(i);
+    }
+    impl->path_tables.push_back({kind, std::move(path)});
+    return static_cast<int32_t>(impl->path_tables.size()) - 1;
+  };
 
   for (PredId p = 0; p < preds.size(); ++p) {
     impl->pred_arity[p] = static_cast<int8_t>(preds.Arity(p));
@@ -313,7 +569,27 @@ util::Result<GroundPlan> GroundPlan::Compile(const Program& program) {
     // Extensional classification. Unclassifiable predicates never occur in a
     // body of a groundable program, so their specs are never read.
     const std::string& name = preds.Name(p);
-    if (preds.Arity(p) == 1) {
+    BuiltinName builtin;
+    if (ClassifyBuiltin(name, preds.Arity(p), &builtin)) {
+      Impl::Builtin b{builtin.kind, builtin.alpha, builtin.beta};
+      switch (builtin.kind) {
+        case DeltaBuiltin::kNotAfter:
+          b.table = table_of(Impl::TableKind::kMinRank, builtin.path);
+          break;
+        case DeltaBuiltin::kNotBefore:
+          b.table = table_of(Impl::TableKind::kMaxRank, builtin.path);
+          break;
+        case DeltaBuiltin::kBeforeAny:
+          b.table = table_of(Impl::TableKind::kSiblingHits, builtin.path);
+          break;
+        case DeltaBuiltin::kBeforeWindow:
+          break;
+      }
+      impl->needs_child_index |= builtin.kind == DeltaBuiltin::kBeforeWindow ||
+                                 builtin.kind == DeltaBuiltin::kBeforeAny;
+      impl->builtin_index[p] = static_cast<int32_t>(impl->builtins.size());
+      impl->builtins.push_back(b);
+    } else if (preds.Arity(p) == 1) {
       Impl::UnaryPlanSpec& spec = impl->unary_specs[p];
       if (name == "root") {
         spec.kind = UnaryKind::kRoot;
@@ -364,12 +640,8 @@ util::Result<GroundPlan> GroundPlan::Compile(const Program& program) {
     const int32_t head_comp = rp.head_var >= 0 ? comp[rp.head_var] : -1;
 
     std::vector<std::vector<const Atom*>> comp_atoms(num_comps);
-    std::vector<VarId> first_var(num_comps, -1);
     std::vector<int32_t> comp_size(num_comps, 0);
-    for (VarId v = rule.num_vars() - 1; v >= 0; --v) {
-      first_var[comp[v]] = v;
-      ++comp_size[comp[v]];
-    }
+    for (VarId v = 0; v < rule.num_vars(); ++v) ++comp_size[comp[v]];
     for (const Atom& a : rule.body) {
       int32_t c = -1;
       for (const Term& t : a.args) {
@@ -404,8 +676,17 @@ util::Result<GroundPlan> GroundPlan::Compile(const Program& program) {
         impl->shared_uses.push_back({r});
         ++rp.num_shared;
       }
-      owner.head_sweep = CompileSchedule(*impl, rule, comp_atoms[c],
-                                         comp_size[c], first_var[c]);
+      // The sweep anchors where the fewest enumerations are needed (first
+      // variable on ties).
+      for (VarId v = 0; v < rule.num_vars(); ++v) {
+        if (comp[v] != c) continue;
+        if (owner.head_sweep.has_value() && owner.head_sweep->cost == 0) break;
+        Impl::Schedule sc =
+            CompileSchedule(*impl, rule, comp_atoms[c], comp_size[c], v);
+        if (!owner.head_sweep.has_value() || sc.cost < owner.head_sweep->cost) {
+          owner.head_sweep = std::move(sc);
+        }
+      }
       for (const IdbLit& lit : owner.head_sweep->idb_lits) {
         impl->triggers[lit.first].push_back(
             {owner_index, CompileSchedule(*impl, rule, comp_atoms[c],
@@ -445,12 +726,15 @@ class GroundedEvaluator {
     arena_.unary_labels.assign(plan_.num_preds, util::kInvalidSymbol);
     for (PredId p = 0; p < plan_.num_preds; ++p) {
       if (!plan_.intensional[p] && plan_.pred_arity[p] == 1 &&
+          plan_.builtin_index[p] < 0 &&
           plan_.unary_specs[p].kind == UnaryKind::kLabel) {
         arena_.unary_labels[p] = tree_.FindLabel(plan_.unary_specs[p].label);
       }
     }
+    if (!plan_.builtins.empty() && !FillBuiltinTables()) return abort_status_;
     arena_.queue.clear();
     arena_.binding.assign(plan_.max_vars, tree::kNoNode);
+    binding_ = arena_.binding.data();
     sets_.reserve(plan_.num_unary);
     for (int32_t s = 0; s < plan_.num_unary; ++s) {
       sets_.emplace_back(std::max(n_, 1));
@@ -551,6 +835,145 @@ class GroundedEvaluator {
     return false;
   }
 
+  bool LabelMatches(tree::LabelId step, tree::NodeId n) const {
+    return step == kAnyLabel || tree_.label(n) == step;
+  }
+
+  /// The per-tree integers the Δ builtins read: preorder ranks, one table
+  /// per distinct (kind, path) of the plan, and — for before — child
+  /// positions and the children of every node in one array. Iterative, O(n)
+  /// per pass and per path step; false once the deadline poll fires.
+  bool FillBuiltinTables() {
+    const int32_t n = n_;
+    std::vector<int32_t>& rank = arena_.rank;
+    std::vector<int32_t>& start = arena_.kid_start;
+    std::vector<tree::NodeId>& kids = arena_.kids;
+    if (plan_.needs_child_index) {
+      std::vector<int32_t>& pos = arena_.child_pos;
+      start.assign(n + 1, 0);
+      for (tree::NodeId c = 0; c < n; ++c) {
+        if (!Poll()) return false;
+        const tree::NodeId p = tree_.parent(c);
+        if (p != tree::kNoNode) ++start[p + 1];
+      }
+      for (tree::NodeId p = 0; p < n; ++p) start[p + 1] += start[p];
+      pos.assign(n, 0);
+      kids.resize(start[n]);
+      for (tree::NodeId p = 0; p < n; ++p) {
+        if (!Poll()) return false;
+        int32_t j = 0;
+        for (tree::NodeId c = tree_.first_child(p); c != tree::kNoNode;
+             c = tree_.next_sibling(c)) {
+          kids[start[p] + j] = c;
+          pos[c] = ++j;
+        }
+      }
+    }
+    rank.resize(n);
+    int32_t next_rank = 0;
+    for (tree::NodeId v = tree_.root();;) {
+      if (!Poll()) return false;
+      rank[v] = next_rank++;
+      if (tree_.first_child(v) != tree::kNoNode) {
+        v = tree_.first_child(v);
+        continue;
+      }
+      while (v != tree::kNoNode && tree_.next_sibling(v) == tree::kNoNode) {
+        v = tree_.parent(v);
+      }
+      if (v == tree::kNoNode) break;
+      v = tree_.next_sibling(v);
+    }
+
+    arena_.path_tables.resize(plan_.path_tables.size());
+    for (size_t ti = 0; ti < plan_.path_tables.size(); ++ti) {
+      const Impl::PathTable& pt = plan_.path_tables[ti];
+      std::vector<tree::LabelId>& labels = arena_.step_labels;
+      labels.clear();
+      for (const std::string& step : pt.path) {
+        labels.push_back(step == "_" ? kAnyLabel : tree_.FindLabel(step));
+      }
+      const bool take_max = pt.kind == Impl::TableKind::kMaxRank;
+      const int32_t none = take_max ? -1 : INT32_MAX;
+      // Bottom-up over the path's steps: out[n] aggregates pre(π_s(n)) for
+      // the suffix π_s; the ε suffix is n itself.
+      std::vector<int32_t>& out = arena_.path_tables[ti];
+      std::vector<int32_t>& next = arena_.scratch;
+      out.assign(rank.begin(), rank.end());
+      const size_t first = pt.kind == Impl::TableKind::kSiblingHits ? 1 : 0;
+      for (size_t s = labels.size(); s-- > first;) {
+        next.assign(n, none);
+        for (tree::NodeId c = 0; c < n; ++c) {
+          if (!Poll()) return false;
+          const tree::NodeId p = tree_.parent(c);
+          if (p == tree::kNoNode || out[c] == none ||
+              !LabelMatches(labels[s], c)) {
+            continue;
+          }
+          next[p] = take_max ? std::max(next[p], out[c])
+                             : std::min(next[p], out[c]);
+        }
+        out.swap(next);
+      }
+      if (pt.kind == Impl::TableKind::kSiblingHits) {
+        // out[c] ≠ none ⇔ the rest of π reaches below c. Turn it into the
+        // running count of such children matching π's first step.
+        for (tree::NodeId p = 0; p < n; ++p) {
+          if (!Poll()) return false;
+          int32_t hits = 0;
+          for (int32_t j = start[p]; j < start[p + 1]; ++j) {
+            const tree::NodeId c = kids[j];
+            if (out[c] != none && LabelMatches(labels[0], c)) ++hits;
+            out[c] = hits;
+          }
+        }
+      }
+    }
+    return true;
+  }
+
+  /// The 1-based positions [*lo, *hi] of x0's children that lie in the
+  /// before window after x; false if empty or x is not below x0.
+  bool Window(const Impl::Builtin& b, tree::NodeId x0, tree::NodeId x,
+              int32_t* lo, int32_t* hi) const {
+    tree::NodeId top = x;
+    while (top != tree::kNoNode && tree_.parent(top) != x0) {
+      top = tree_.parent(top);
+    }
+    if (top == tree::kNoNode) return false;
+    const int64_t k = arena_.kid_start[x0 + 1] - arena_.kid_start[x0];
+    const int64_t at = arena_.child_pos[top];
+    *lo = static_cast<int32_t>(
+        std::max<int64_t>(1, at + CeilDiv100(k * b.alpha)));
+    *hi = static_cast<int32_t>(
+        std::min<int64_t>(k, at + FloorDiv100(k * b.beta)));
+    return *lo <= *hi;
+  }
+
+  bool BuiltinHolds(const Impl::Builtin& b, tree::NodeId x0, tree::NodeId x,
+                    tree::NodeId c) const {
+    switch (b.kind) {
+      case DeltaBuiltin::kNotAfter:
+        return arena_.rank[x] <= arena_.path_tables[b.table][x0];
+      case DeltaBuiltin::kNotBefore:
+        return arena_.rank[x] >= arena_.path_tables[b.table][x0];
+      case DeltaBuiltin::kBeforeWindow: {
+        int32_t lo, hi;
+        return tree_.parent(c) == x0 && Window(b, x0, x, &lo, &hi) &&
+               arena_.child_pos[c] >= lo && arena_.child_pos[c] <= hi;
+      }
+      case DeltaBuiltin::kBeforeAny: {
+        int32_t lo, hi;
+        if (!Window(b, x0, x, &lo, &hi)) return false;
+        const std::vector<int32_t>& hits = arena_.path_tables[b.table];
+        const int32_t base = arena_.kid_start[x0] - 1;
+        return hits[arena_.kids[base + hi]] >
+               (lo > 1 ? hits[arena_.kids[base + lo - 1]] : 0);
+      }
+    }
+    return false;
+  }
+
   /// Counts one fired instance and queues its head atom (slot, node) unless
   /// that is already true. `node` is kNoNode for nullary and bridge atoms.
   void Derive(int32_t slot, tree::NodeId node) {
@@ -561,36 +984,142 @@ class GroundedEvaluator {
     if (!known) arena_.queue.emplace_back(slot, node);
   }
 
-  /// Binds the schedule's anchor to `node` and tests the component instance
-  /// this determines.
-  bool Matches(const Impl::Schedule& sc, tree::NodeId node) {
-    std::vector<tree::NodeId>& binding = arena_.binding;
-    binding[sc.anchor] = node;
-    for (const Impl::Step& s : sc.steps) {
-      const tree::NodeId target =
-          s.forward ? ApplyForward(tree_, s.rel, binding[s.from])
-                    : ApplyBackward(tree_, s.rel, binding[s.from]);
-      if (s.assign) {
-        if (target == tree::kNoNode) return false;
-        binding[s.to] = target;
-      } else if (target != binding[s.to]) {
-        return false;
-      }
+  /// Runs step `i` of `sc` under the current binding: false if the instance
+  /// fails there. An enumerating step binds its first candidate and pushes a
+  /// cursor for the rest. The steps every schedule uses are inlined into
+  /// the replay loops; the rest run out of line.
+  bool Step(const Impl::Schedule& sc, int32_t i) {
+    const Impl::Op& op = sc.ops[i];
+    tree::NodeId* const b = binding_;
+    if (op.kind == OpKind::kAssign) {
+      const tree::NodeId t = op.forward
+                                 ? ApplyForward(tree_, op.rel, b[op.a])
+                                 : ApplyBackward(tree_, op.rel, b[op.a]);
+      b[op.b] = t;
+      return t != tree::kNoNode;
     }
-    for (const auto& [p, v] : sc.unary_checks) {
-      if (!CheckUnaryTreePred(tree_, plan_.unary_specs[p].kind,
-                              arena_.unary_labels[p], binding[v])) {
-        return false;
-      }
+    if (op.kind == OpKind::kUnary) {
+      return CheckUnaryTreePred(tree_, plan_.unary_specs[op.index].kind,
+                                arena_.unary_labels[op.index], b[op.a]);
     }
-    for (const Atom& a : sc.residual) {
-      if (!EdbAtomHolds(a)) return false;
-    }
-    for (const auto& [slot, v] : sc.idb_lits) {
+    if (op.kind == OpKind::kIdb) {
       ++lookups_;
-      if (!sets_[slot].Contains(binding[v])) return false;
+      return sets_[op.index].Contains(b[op.a]);
     }
-    return true;
+    if (op.kind == OpKind::kCheck) {
+      return (op.forward ? ApplyForward(tree_, op.rel, b[op.a])
+                         : ApplyBackward(tree_, op.rel, b[op.a])) == b[op.b];
+    }
+    return RareStep(sc, i);
+  }
+
+  [[gnu::noinline]] bool RareStep(const Impl::Schedule& sc, int32_t i) {
+    const Impl::Op& op = sc.ops[i];
+    tree::NodeId* b = arena_.binding.data();
+    switch (op.kind) {
+      case OpKind::kChildren: {
+        const tree::NodeId c = tree_.first_child(b[op.a]);
+        if (c == tree::kNoNode) return false;
+        b[op.b] = c;
+        arena_.cursors.push_back({i, c, 0});
+        return true;
+      }
+      case OpKind::kWindow: {
+        int32_t lo, hi;
+        if (!Window(plan_.builtins[op.index], b[op.a], b[op.b], &lo, &hi)) {
+          return false;
+        }
+        const int32_t base = arena_.kid_start[b[op.a]] - 1;
+        b[op.c] = arena_.kids[base + lo];
+        arena_.cursors.push_back({i, base + lo, base + hi});
+        return true;
+      }
+      case OpKind::kWindowBack: {
+        // x ranges over the children of x0 whose window holds c:
+        // pos(c) − pos(x) ∈ [⌈kα/100⌉, ⌊kβ/100⌋].
+        const tree::NodeId x0 = b[op.a], c = b[op.c];
+        if (tree_.parent(c) != x0) return false;
+        const Impl::Builtin& bi = plan_.builtins[op.index];
+        const int64_t k = arena_.kid_start[x0 + 1] - arena_.kid_start[x0];
+        const int64_t at = arena_.child_pos[c];
+        const int64_t lo = std::max<int64_t>(1, at - FloorDiv100(k * bi.beta));
+        const int64_t hi = std::min<int64_t>(k, at - CeilDiv100(k * bi.alpha));
+        if (lo > hi) return false;
+        const int32_t base = arena_.kid_start[x0] - 1;
+        b[op.b] = arena_.kids[base + lo];
+        arena_.cursors.push_back({i, static_cast<int32_t>(base + lo),
+                                  static_cast<int32_t>(base + hi)});
+        return true;
+      }
+      case OpKind::kDomain:
+        b[op.a] = 0;
+        arena_.cursors.push_back({i, 0, n_ - 1});
+        return true;
+      case OpKind::kBuiltin:
+        return BuiltinHolds(plan_.builtins[op.index], b[op.a], b[op.b],
+                            op.c >= 0 ? b[op.c] : tree::kNoNode);
+      case OpKind::kResidual:
+        return EdbAtomHolds(sc.residual[op.index]);
+      default:
+        return false;  // handled by Step
+    }
+  }
+
+  /// Moves `cursor` to its enumeration's next candidate; false when done.
+  bool Advance(const Impl::Schedule& sc, GroundArena::Cursor& cursor) {
+    const Impl::Op& op = sc.ops[cursor.op];
+    tree::NodeId* b = arena_.binding.data();
+    switch (op.kind) {
+      case OpKind::kChildren:
+        cursor.cur = tree_.next_sibling(cursor.cur);
+        b[op.b] = cursor.cur;
+        return cursor.cur != tree::kNoNode;
+      case OpKind::kWindow:
+      case OpKind::kWindowBack:
+        if (cursor.cur == cursor.last) return false;
+        b[op.kind == OpKind::kWindow ? op.c : op.b] =
+            arena_.kids[++cursor.cur];
+        return true;
+      case OpKind::kDomain:
+        if (cursor.cur == cursor.last) return false;
+        b[op.a] = ++cursor.cur;
+        return true;
+      default:
+        return false;
+    }
+  }
+
+  /// Binds the schedule's anchor to `node` and calls `on_match` for every
+  /// instance of the component this determines, until it returns false.
+  /// Backtracks over the enumerating steps, one poll per candidate.
+  template <typename OnMatch>
+  void ForEachMatch(const Impl::Schedule& sc, tree::NodeId node,
+                    OnMatch&& on_match) {
+    arena_.binding[sc.anchor] = node;
+    const int32_t num_ops = static_cast<int32_t>(sc.ops.size());
+    if (sc.cost == 0) {  // no enumerating step: at most one instance
+      for (int32_t i = 0; i < num_ops; ++i) {
+        if (!Step(sc, i)) return;
+      }
+      on_match();
+      return;
+    }
+    std::vector<GroundArena::Cursor>& cursors = arena_.cursors;
+    cursors.clear();
+    int32_t i = 0;
+    for (;;) {
+      while (i < num_ops && Step(sc, i)) ++i;
+      if (i == num_ops && !on_match()) return;
+      for (;;) {
+        if (cursors.empty()) return;
+        if (!Poll()) return;
+        if (Advance(sc, cursors.back())) {
+          i = cursors.back().op + 1;
+          break;
+        }
+        cursors.pop_back();
+      }
+    }
   }
 
   /// Checks a bound extensional atom against the tree; variables read the
@@ -609,7 +1138,7 @@ class GroundedEvaluator {
     const int32_t x = value_of(a.args[0]);
     const int32_t y = value_of(a.args[1]);
     return InDomain(x) && InDomain(y) &&
-           ApplyForward(tree_, plan_.binary_specs[a.pred], x) == y;
+           ApplyBackward(tree_, plan_.binary_specs[a.pred], y) == x;
   }
 
   /// The head atom of `rp`'s instance under the current binding.
@@ -620,9 +1149,12 @@ class GroundedEvaluator {
 
   /// The derivation of `node` fires trigger `tr`.
   void Fire(const Impl::Trigger& tr, tree::NodeId node) {
-    if (pending_[tr.rule] != 0 || !Matches(tr.schedule, node)) return;
+    if (pending_[tr.rule] != 0) return;
     const Impl::RulePlan& rp = plan_.rules[tr.rule];
-    Derive(rp.head_slot, HeadNode(rp));
+    ForEachMatch(tr.schedule, node, [&] {
+      Derive(rp.head_slot, HeadNode(rp));
+      return true;
+    });
   }
 
   /// One shared-body atom of rule `r` became true.
@@ -638,11 +1170,16 @@ class GroundedEvaluator {
       Derive(rp.head_slot, HeadNode(rp));
       return;
     }
-    for (tree::NodeId node = 0; node < n_; ++node) {
+    const bool bridge = rp.head_var < 0;
+    bool found = false;
+    for (tree::NodeId node = 0; node < n_ && !found; ++node) {
       if (!Poll()) return;
-      if (!Matches(*rp.head_sweep, node)) continue;
-      Derive(rp.head_slot, HeadNode(rp));
-      if (rp.head_var < 0) return;
+      ForEachMatch(*rp.head_sweep, node, [&] {
+        Derive(rp.head_slot, HeadNode(rp));
+        found = bridge;
+        return !bridge;
+      });
+      if (aborted_) return;
     }
   }
 
@@ -657,6 +1194,7 @@ class GroundedEvaluator {
   std::vector<NodeSet> sets_;     // per unary slot: atoms popped so far
   std::vector<uint8_t> flags_;    // per nullary/bridge slot: popped
   std::vector<int32_t> pending_;  // per rule: shared-body atoms not yet true
+  tree::NodeId* binding_ = nullptr;  // arena_.binding, sized per plan
   int64_t fired_ = 0;
   int64_t lookups_ = 0;
 };

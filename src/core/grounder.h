@@ -1,6 +1,8 @@
 #pragma once
 
 #include <memory>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -21,10 +23,11 @@
 ///     b ← p2(y).);
 ///  2. each connected rule is grounded: by Proposition 4.1 every binary
 ///     predicate of the tree schemata (firstchild, nextsibling, child_k) is
-///     functional in both directions, so fixing any one variable of a
-///     connected rule determines all others — each rule has only O(|dom|)
-///     ground instantiations, found by propagating along the rule's query
-///     graph from an anchor node;
+///     functional in both directions, and child is functional upward, so
+///     fixing one variable of a connected rule determines the others along
+///     those edges; a `child` edge walked downward enumerates the children of
+///     the bound node — found by propagating along the rule's query graph
+///     from an anchor node;
 ///  3. the resulting ground program is propositional Horn and is solved with
 ///     LTUR (Proposition 3.5) — with implicit clauses: the plan keeps, per
 ///     IDB predicate, a *trigger list* (one propagation schedule per body
@@ -33,9 +36,16 @@
 ///     ever stored. Each atom is derived once and fires each trigger once,
 ///     which keeps the total at O(|P| · |dom|).
 ///
-/// Only the two-way-functional binary predicates are admitted; programs using
-/// child / lastchild / nextsibling_tc must first be normalized (TMNF pipeline,
-/// Theorem 5.2) or be evaluated with the semi-naive engine.
+/// The Elog⁻Δ builtins (Theorem 6.6) are admitted as extensional predicates
+/// whose names carry their parameters (DeltaBuiltinPredName below). They
+/// are residual checks against per-tree integers that one bottom-up pass
+/// fills per distinct path π — min/max preorder rank of π(x0), child
+/// positions, a per-sibling prefix count — so Elog⁻Δ keeps the
+/// O(|P| · |dom|) bound: Theorem 6.6 takes it beyond MSO, not beyond linear
+/// time. The Elog lowering (elog/to_datalog.h) emits exactly these shapes.
+///
+/// Programs using lastchild / nextsibling_tc must first be normalized (TMNF
+/// pipeline, Theorem 5.2) or be evaluated with the semi-naive engine.
 
 namespace mdatalog::core {
 
@@ -50,9 +60,44 @@ struct GroundStats {
   int64_t num_literals = 0;
 };
 
-/// True iff every rule of `program` can be grounded by this evaluator
-/// (monadic + safe + EDB predicates limited to the functional tree schema).
+/// True iff every rule of `program` can be grounded by this evaluator:
+/// monadic and safe, with extensional atoms from the tree schema — root,
+/// leaf, firstsibling, lastsibling, label_a, firstchild, nextsibling,
+/// child_k, child — or the Δ builtins below (variable arguments only).
+///
+/// `child` is admitted in any shape. Evaluation is O(|P| · |dom|) when no
+/// variable of a rule has `child` successors in two branches that the rule
+/// joins only through that variable (a trigger would enumerate their
+/// product); the Elog lowering splits every such branch into a predicate of
+/// its own. A before window whose y is used later enumerates the window, so
+/// a wide one costs up to the fan-out per instance.
 bool GroundableOverTree(const Program& program);
+
+// --- Elog⁻Δ builtins as extensional predicates ------------------------------
+//
+// A path π is an Elog path (elog/ast.h): steps joined by '.', "_" the
+// wildcard. pre(n) is n's preorder rank and π(x0) the nodes reached from x0
+// along π.
+
+enum class DeltaBuiltin : uint8_t {
+  /// notafter_π(x0, y) ⇔ pre(y) ≤ min pre(π(x0)) (true when π(x0) is empty).
+  kNotAfter,
+  /// notbefore_π(x0, y) ⇔ pre(y) ≥ max pre(π(x0)) (true when π(x0) is empty).
+  kNotBefore,
+  /// The window of before_{π,α%,β%}, ternary (x0, x, c): c is a child of x0
+  /// and pos(c) − pos(top) ∈ [⌈kα/100⌉, ⌊kβ/100⌋], where k is x0's number of
+  /// children and top the child of x0 that is an ancestor-or-self of x
+  /// (false if x is not a proper descendant of x0). π is unused.
+  kBeforeWindow,
+  /// before_{π,α%,β%}(x0, x, y) with y used nowhere else, binary (x0, x):
+  /// some y ∈ π(x0) (π non-empty) lies below a child of x0 in that window.
+  kBeforeAny,
+};
+
+/// The name of the extensional predicate that carries a builtin and its
+/// parameters; its arity is 3 for kBeforeWindow and 2 otherwise.
+std::string DeltaBuiltinPredName(DeltaBuiltin kind, std::string_view path,
+                                 int32_t alpha_pct = 0, int32_t beta_pct = 100);
 
 /// Evaluates `program` over `t` per Theorem 4.2. Fails with
 /// FailedPrecondition if !GroundableOverTree(program).
@@ -71,14 +116,29 @@ util::Result<EvalResult> EvaluateGrounded(const Program& program,
 // resolution (labels are interned per tree) on top.
 
 /// Reusable per-worker evaluation scratch: the propagation queue, the
-/// variable binding of the instance under test, and the per-tree label
-/// resolution. Reset — capacity kept — on entry to every evaluation, so an
-/// aborted evaluation leaves no residue. Not thread-safe: use one arena per
-/// worker thread.
+/// variable binding of the instance under test, the enumeration cursors, the
+/// per-tree label resolution and the per-tree builtin tables. Reset —
+/// capacity kept — on entry to every evaluation, so an aborted evaluation
+/// leaves no residue and steady serving does not allocate. Not thread-safe:
+/// use one arena per worker thread.
 struct GroundArena {
+  struct Cursor {
+    int32_t op;    // the enumerating step of the schedule
+    int32_t cur;   // current node, or index into `kids`
+    int32_t last;  // last candidate (domain and window enumerations)
+  };
   std::vector<std::pair<int32_t, tree::NodeId>> queue;  // (atom slot, node)
   std::vector<tree::NodeId> binding;
+  std::vector<Cursor> cursors;
   std::vector<tree::LabelId> unary_labels;  // per-PredId, resolved per tree
+  // Filled only for plans with Δ builtins:
+  std::vector<int32_t> rank;       // preorder rank per node
+  std::vector<int32_t> child_pos;  // 1-based position among its siblings
+  std::vector<int32_t> kid_start;  // CSR offsets into `kids`, size n + 1
+  std::vector<tree::NodeId> kids;  // children of each node, in order
+  std::vector<std::vector<int32_t>> path_tables;  // per plan path table
+  std::vector<int32_t> scratch;
+  std::vector<tree::LabelId> step_labels;
 };
 
 /// The program-level compilation of the grounded evaluator. Immutable after
@@ -110,8 +170,9 @@ class GroundPlan {
 /// Replays a compiled plan over one tree. `arena` may be nullptr (a local
 /// arena is used); passing a per-worker arena amortizes the queue and
 /// binding allocations across documents. `control` (nullable) is polled
-/// cooperatively per swept node and per propagated atom — a deadline or
-/// cancellation unwinds with the typed status instead of finishing the page.
+/// cooperatively per swept node, per propagated atom, per enumerated node and
+/// per node of the builtin pass — a deadline or cancellation unwinds with the
+/// typed status instead of finishing the page.
 util::Result<EvalResult> EvaluateGrounded(
     const GroundPlan& plan, const tree::Tree& t, GroundArena* arena = nullptr,
     GroundStats* stats = nullptr, const util::EvalControl* control = nullptr);

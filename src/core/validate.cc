@@ -103,9 +103,14 @@ std::vector<int32_t> RuleVarComponents(const Program& program,
     return x;
   };
   for (const Atom& a : rule.body) {
-    if (a.args.size() != 2) continue;
-    if (a.args[0].is_var() && a.args[1].is_var()) {
-      int32_t ra = find(a.args[0].value), rb = find(a.args[1].value);
+    int32_t first = -1;  // joins every variable of the atom
+    for (const Term& t : a.args) {
+      if (!t.is_var()) continue;
+      if (first < 0) {
+        first = t.value;
+        continue;
+      }
+      int32_t ra = find(first), rb = find(t.value);
       if (ra != rb) parent[ra] = rb;
     }
   }

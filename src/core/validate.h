@@ -34,7 +34,8 @@ std::vector<std::string> ExtensionalPredNames(const Program& program);
 int32_t FindGuard(const Rule& rule);
 
 /// Rule connectedness in the sense of the proof of Theorem 4.2: the graph on
-/// Vars(r) with an edge {x,y} per *binary* body atom R(x,y) is connected.
+/// Vars(r) joining the variables of every body atom with two or more (binary
+/// tree atoms R(x,y); the ternary before window of Elog⁻Δ) is connected.
 bool IsConnectedRule(const Program& program, const Rule& rule);
 
 /// Variable connected components of a rule under the Theorem 4.2 graph.

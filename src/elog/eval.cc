@@ -238,8 +238,11 @@ class ElogEvaluator {
           return util::Status::InvalidArgument(
               "before requires bound first and second variables");
         }
+        // An x that is not below x0 has no position: the window is empty.
+        auto pos_x_or = ChildPosition(x0, x);
+        if (!pos_x_or.ok()) return false;
+        const int64_t pos_x = *pos_x_or;
         int64_t k = t_.NumChildren(x0);
-        MD_ASSIGN_OR_RETURN(int64_t pos_x, ChildPosition(x0, x));
         for (NodeId y : PathTargets(t_, x0, c.path)) {
           auto pos_y = ChildPosition(x0, y);
           if (!pos_y.ok()) continue;

@@ -16,8 +16,12 @@
 /// of the root node; each rule extends its head pattern from the parent
 /// pattern's instances through the subelem path and the conditions. The Δ
 /// builtins (before%, notafter, notbefore) are interpreted natively against
-/// document order and child positions — they have no datalog counterpart
-/// (Theorem 6.6: Elog⁻Δ exceeds MSO).
+/// document order and child positions (Theorem 6.6: Elog⁻Δ exceeds MSO).
+///
+/// This is the reference evaluator, independent of the datalog engines: the
+/// serving runtime replays each wrapper's ground plan
+/// (to_datalog.h: LowerToGroundProgram) and reaches this code only in its
+/// forced kNativeElog reference mode; tests compare the two.
 
 namespace mdatalog::elog {
 

@@ -22,26 +22,48 @@ uint64_t ProgramCache::Fingerprint(const wrapper::Wrapper& wrapper) {
 
 namespace {
 
-/// Attempts the Corollary 6.4 pipeline. Failure is not an error — Elog⁻Δ
-/// programs are expected to fall back to the native evaluator.
-void TryCompileGroundPlan(CompiledWrapperProgram* out) {
-  if (out->prepared.program.program().UsesDeltaBuiltins()) return;
-  auto datalog = elog::ElogToDatalog(out->prepared.program.program());
-  if (!datalog.ok()) return;
-  auto tmnf = tmnf::ToTmnf(*datalog);
-  if (!tmnf.ok()) return;
-  auto plan = core::GroundPlan::Compile(*tmnf);
-  if (!plan.ok()) return;
-  out->tmnf = std::move(*tmnf);
-  out->ground_plan = std::move(*plan);
+/// Lowers the wrapper's Elog rules straight into its ground plan. For a
+/// Δ-free wrapper it also runs the Corollary 6.4 pipeline to TMNF, which
+/// only the incremental stream evaluator needs; a TMNF failure just leaves
+/// the stream session on its batch fallback.
+util::Status CompileGroundPlan(CompiledWrapperProgram* out) {
+  const elog::ElogProgram& program = out->prepared.program.program();
+  MD_ASSIGN_OR_RETURN(core::Program lowered,
+                      elog::LowerToGroundProgram(program));
+  MD_ASSIGN_OR_RETURN(out->ground_plan, core::GroundPlan::Compile(lowered));
   out->pattern_preds.reserve(out->prepared.extraction_patterns.size());
   for (const std::string& pattern : out->prepared.extraction_patterns) {
-    out->pattern_preds.push_back(out->tmnf.preds().Find("pat_" + pattern));
+    out->pattern_preds.push_back(lowered.preds().Find("pat_" + pattern));
   }
   out->has_ground_plan = true;
+
+  if (program.UsesDeltaBuiltins()) return util::Status::OK();
+  auto datalog = elog::ElogToDatalog(program);
+  if (!datalog.ok()) return util::Status::OK();
+  auto tmnf = tmnf::ToTmnf(*datalog);
+  if (!tmnf.ok()) return util::Status::OK();
+  out->tmnf = std::move(*tmnf);
+  out->has_tmnf = true;
+  return util::Status::OK();
 }
 
 }  // namespace
+
+elog::ElogResult CompiledWrapperProgram::Matches(
+    const core::EvalResult& eval) const {
+  elog::ElogResult matches;
+  for (size_t i = 0; i < prepared.extraction_patterns.size(); ++i) {
+    if (pattern_preds[i] < 0) continue;  // never derivable: empty extent
+    matches.matches[prepared.extraction_patterns[i]] =
+        eval.Unary(pattern_preds[i]);
+  }
+  return matches;
+}
+
+core::GroundArena& ThreadArena() {
+  thread_local core::GroundArena arena;
+  return arena;
+}
 
 ProgramCache::ProgramCache(int32_t capacity, bool canonical_keys)
     : capacity_(std::max(capacity, 1)), canonical_keys_(canonical_keys) {}
@@ -83,8 +105,8 @@ ProgramCache::GetOrCompile(const wrapper::Wrapper& wrapper) {
                       wrapper::PreparedWrapper::Prepare(wrapper));
   compiled->fingerprint = fp;
   compiled->canonical_fingerprint = canonical_fp;
-  TryCompileGroundPlan(compiled.get());
-  if (compiled->has_ground_plan) ++stats_.ground_plans;
+  MD_RETURN_NOT_OK(CompileGroundPlan(compiled.get()));
+  ++stats_.ground_plans;
 
   lru_.push_front(Entry{canonical_fp, {fp}, compiled});
   index_.emplace(fp, lru_.begin());

@@ -20,14 +20,14 @@
 /// alone is compiled exactly once and shared:
 ///
 ///  * the Elog validation (PreparedElogProgram);
-///  * for Elog⁻ programs (no Δ builtins) the full Corollary 6.4 pipeline —
-///    ElogToDatalog → TMNF normalization (Theorem 5.2) → GroundPlan
-///    (Theorem 4.2 schedules) — so per-document evaluation is a plan replay
-///    in O(|P|·|dom|) with per-worker arena reuse.
-///
-/// Elog⁻Δ programs (before%/notafter/notbefore — beyond MSO, Theorem 6.6)
-/// have no datalog counterpart and keep the native evaluator; the cache
-/// still amortizes their validation.
+///  * the ground plan: the Elog rules lowered straight into the Theorem 4.2
+///    engine (elog::LowerToGroundProgram → GroundPlan), with the Elog⁻Δ
+///    builtins as residual checks — one plan for every wrapper, so
+///    per-document evaluation is a plan replay in O(|P|·|dom|) with
+///    per-worker arena reuse;
+///  * for Elog⁻ programs (no Δ builtins) also the Corollary 6.4 pipeline
+///    ElogToDatalog → TMNF (Theorem 5.2), which only the incremental stream
+///    evaluator runs.
 
 namespace mdatalog::runtime {
 
@@ -36,13 +36,21 @@ namespace mdatalog::runtime {
 struct CompiledWrapperProgram {
   wrapper::PreparedWrapper prepared;
 
-  /// The Corollary 6.4 pipeline, when available.
+  /// The lowered Elog rules; every compiled wrapper has one.
   bool has_ground_plan = false;
-  core::Program tmnf;  // owns the PredicateTable pattern_preds indexes
   std::optional<core::GroundPlan> ground_plan;
-  /// PredId of "pat_<pattern>" in `tmnf` per extraction pattern (parallel to
+  /// The TMNF program of a Δ-free wrapper (the stream session's incremental
+  /// evaluator); absent for Elog⁻Δ.
+  bool has_tmnf = false;
+  core::Program tmnf;
+  /// PredId of "pat_<pattern>" per extraction pattern (parallel to
   /// prepared.extraction_patterns); -1 if the pattern is never derivable.
+  /// It indexes both the plan's EvalResult and `tmnf`: the lowered program
+  /// keeps ElogToDatalog's predicate table, which ToTmnf copies.
   std::vector<core::PredId> pattern_preds;
+
+  /// The extraction patterns' matches in a replay of `ground_plan`.
+  elog::ElogResult Matches(const core::EvalResult& eval) const;
 
   /// Fingerprint of the wrapper text + pattern list, as registered.
   uint64_t fingerprint = 0;
@@ -53,12 +61,16 @@ struct CompiledWrapperProgram {
   uint64_t canonical_fingerprint = 0;
 };
 
+/// The calling thread's grounded-evaluation scratch, shared by every plan
+/// replay on that thread, batch and stream alike.
+core::GroundArena& ThreadArena();
+
 struct ProgramCacheStats {
   int64_t hits = 0;
   int64_t misses = 0;
   int64_t evictions = 0;
   int32_t entries = 0;
-  /// Programs whose Corollary 6.4 pipeline compiled (vs native-only).
+  /// Programs compiled to a ground plan (every compiled program).
   int64_t ground_plans = 0;
   /// Hits resolved through the canonical key: the wrapper text was new but
   /// canonically identical to a cached program (reformulated revision).

@@ -167,11 +167,11 @@ util::Result<std::string> WrapperRuntime::WrapImpl(
 util::Result<std::string> WrapperRuntime::Evaluate(
     const CompiledWrapperProgram& program, const CachedDocument& doc,
     const util::EvalControl* control) {
-  // One engine per fragment: Elog⁻ programs replay their Corollary 6.4
-  // ground plan (Theorem 4.2); Elog⁻Δ programs have none and run natively.
-  const bool grounded =
-      options_.engine == RuntimeOptions::EngineMode::kAuto &&
-      program.has_ground_plan;
+  // One engine for every wrapper: Elog⁻ and Elog⁻Δ programs alike replay
+  // their ground plan (Theorem 4.2, the Δ builtins as residual checks). The
+  // native evaluator serves only the forced kNativeElog reference mode.
+  const bool grounded = options_.engine == RuntimeOptions::EngineMode::kAuto;
+  MD_DCHECK(!grounded || program.has_ground_plan);
   telemetry::TraceContext* trace = telemetry::CurrentTrace();
 
   elog::ElogResult matches;
@@ -179,26 +179,20 @@ util::Result<std::string> WrapperRuntime::Evaluate(
     core::EvalResult eval;
     {
       telemetry::TraceSpan span(trace, "eval.grounded");
-      // One arena per worker thread: all clause-arena and solver allocations
-      // amortize across the documents this thread serves.
-      thread_local core::GroundArena arena;
+      // One arena per worker thread: the queue, binding, cursor and builtin
+      // tables amortize across the documents this thread serves.
       core::GroundStats gstats;
       MD_ASSIGN_OR_RETURN(
           eval, core::EvaluateGrounded(*program.ground_plan, doc.tree(),
-                                       &arena, span ? &gstats : nullptr,
-                                       control));
+                                       &ThreadArena(),
+                                       span ? &gstats : nullptr, control));
       if (span) {
         span.Value("clauses", gstats.num_clauses);
         span.Value("rounds", eval.num_iterations());
         span.Value("derived", eval.num_derived());
       }
     }
-    const auto& patterns = program.prepared.extraction_patterns;
-    for (size_t i = 0; i < patterns.size(); ++i) {
-      core::PredId pred = program.pattern_preds[i];
-      if (pred < 0) continue;  // never derivable: empty extent
-      matches.matches[patterns[i]] = eval.Unary(pred);
-    }
+    matches = program.Matches(eval);
   } else {
     telemetry::TraceSpan span(trace, "eval.native");
     MD_ASSIGN_OR_RETURN(

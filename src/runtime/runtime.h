@@ -89,10 +89,9 @@ struct RuntimeOptions {
   QosOptions qos;
 
   enum class EngineMode {
-    /// Grounded-datalog plan replay when the Corollary 6.4 pipeline
-    /// compiled, native Elog evaluation otherwise.
+    /// Ground-plan replay, for every wrapper (Elog⁻ and Elog⁻Δ).
     kAuto,
-    /// Always the native Elog evaluator (supports Elog⁻Δ).
+    /// Always the native Elog evaluator: the reference engine.
     kNativeElog,
   };
   EngineMode engine = EngineMode::kAuto;

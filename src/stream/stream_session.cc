@@ -76,7 +76,7 @@ StreamSession::StreamSession(
   } else if (telemetry_ != nullptr) {
     trace_ = telemetry_->StartTrace("stream");
   }
-  if (program_->has_ground_plan) {
+  if (program_->has_tmnf) {
     eval_stripped_ = IncrementalTmnfEval::Compile(program_->tmnf);
   }
   incremental_ = eval_stripped_ != nullptr;
@@ -461,12 +461,13 @@ util::Result<std::string> StreamSession::FinishImpl() {
       matches.matches[patterns[i]] = std::move(extent);
     }
   } else {
-    // Fallback (Elog⁻Δ etc.): the page streamed, the evaluation is batch.
-    util::Result<elog::ElogResult> result = elog::EvaluateElog(
-        program_->prepared.program, out_tree, elog::kDefaultMaxDerivations,
-        control());
+    // Fallback (Elog⁻Δ): the page streamed, the evaluation replays the
+    // wrapper's ground plan over the built tree, as Wrap does.
+    util::Result<core::EvalResult> result =
+        core::EvaluateGrounded(*program_->ground_plan, out_tree,
+                               &runtime::ThreadArena(), nullptr, control());
     if (!result.ok()) return Terminal(result.status());
-    matches = *std::move(result);
+    matches = program_->Matches(*result);
     if (options_.on_result) {
       const int32_t shift = stripped_ ? 1 : 0;
       for (const std::string& pattern : patterns) {

@@ -52,9 +52,9 @@
 /// node arrives (kept) or at Finish (stripped); the loser is discarded and
 /// the winner's remaining closed derivations flush.
 ///
-/// Programs outside the datalog pipeline (Elog⁻Δ builtins) degrade
-/// gracefully: the session still parses incrementally but evaluates natively
-/// at Finish (streaming() == false); results then all emit at Finish.
+/// Programs without a TMNF program (Elog⁻Δ builtins) degrade gracefully:
+/// the session still parses incrementally but replays the wrapper's ground
+/// plan at Finish (streaming() == false); results then all emit at Finish.
 
 namespace mdatalog::stream {
 

@@ -360,7 +360,7 @@ TEST(EngineEquivalenceTest, PaperProgramsOnRandomTrees) {
 // ---------------------------------------------------------------------------
 
 TEST(GroundedTest, RejectsExtendedSignature) {
-  auto p = ParseProgram("q(X) :- child(X, Y), leaf(Y).");
+  auto p = ParseProgram("q(X) :- lastchild(X, Y), leaf(Y).");
   ASSERT_TRUE(p.ok());
   EXPECT_FALSE(GroundableOverTree(*p));
   EXPECT_FALSE(EvaluateGrounded(*p, SmallTree()).ok());
@@ -368,6 +368,22 @@ TEST(GroundedTest, RejectsExtendedSignature) {
   auto r = EvaluateOnTree(*p, SmallTree(), Engine::kAuto);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->Unary(p->preds().Find("q")), (std::vector<int32_t>{0, 2}));
+}
+
+TEST(GroundedTest, AdmitsChildUpwardAndDownward) {
+  // child is functional upward and enumerated downward: q needs some leaf
+  // child (downward from X), r the parent of a leaf labeled e (upward).
+  auto p = ParseProgram(
+      "q(X) :- child(X, Y), leaf(Y).\n"
+      "r(X) :- child(X, Y), label_e(Y).\n"
+      "s(Y) :- r(X), child(X, Y).");
+  ASSERT_TRUE(p.ok());
+  EXPECT_TRUE(GroundableOverTree(*p));
+  auto r = EvaluateGrounded(*p, SmallTree());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->Unary(p->preds().Find("q")), (std::vector<int32_t>{0, 2}));
+  EXPECT_EQ(r->Unary(p->preds().Find("r")), (std::vector<int32_t>{2}));
+  EXPECT_EQ(r->Unary(p->preds().Find("s")), (std::vector<int32_t>{3, 4}));
 }
 
 TEST(GroundedTest, DisconnectedRuleSplitsViaBridge) {

@@ -235,6 +235,44 @@ TEST(EngineDeadlineTest, GroundedPropagationHonorsTheDeadline) {
   EXPECT_EQ(full->num_derived(), t.size());
 }
 
+TEST(EngineDeadlineTest, GroundedBuiltinPassHonorsTheDeadline) {
+  // An Elog⁻Δ builtin over an 8-step path on a 2^20-node chain: the
+  // per-tree pass fills its table (nine sweeps of the tree) before anything
+  // propagates, and q has no seed, so nothing else runs. Only the polls of
+  // the builtin pass can unwind it.
+  core::Program p;
+  const core::PredId q = p.preds().MustIntern("q", 1);
+  const std::string eight_steps = "_._._._._._._._";
+  const core::PredId notafter = p.preds().MustIntern(
+      core::DeltaBuiltinPredName(core::DeltaBuiltin::kNotAfter, eight_steps),
+      2);
+  p.AddRule(core::MakeRule(
+      core::MakeAtom(q, {core::Term::Var(0)}),
+      {core::MakeAtom(q, {core::Term::Var(0)}),
+       core::MakeAtom(notafter, {core::Term::Var(0), core::Term::Var(0)})},
+      {"X"}));
+  p.set_query_pred(q);
+  tree::Tree t = tree::ChainTree(1 << 20, "a");
+  ExpectGroundedUnwindsAt1ms(p, t);
+}
+
+TEST(EngineDeadlineTest, GroundedChildEnumerationHonorsTheDeadline) {
+  // One pop, q(0), on a root with 2^20 children: each of its four triggers
+  // enumerates every child and derives nothing. No sweep and no further
+  // pops, so only the poll per enumerated child can unwind it.
+  auto p = core::ParseProgramWithQuery(
+      "q(0).\n"
+      "r(Y) :- q(X), child(X, Y), label_b(Y).\n"
+      "r(Y) :- q(X), child(X, Y), firstchild(Y, Z).\n"
+      "r(Y) :- q(X), child(X, Y), leaf(Y), label_c(Y).\n"
+      "r(Y) :- q(X), child(X, Y), nextsibling(Y, Z), label_b(Z).",
+      "r");
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  tree::Tree t =
+      tree::ChildrenWord("r", std::vector<std::string>(1 << 20, "a"));
+  ExpectGroundedUnwindsAt1ms(*p, t);
+}
+
 TEST(EngineDeadlineTest, NativeElogHonorsTheControl) {
   wrapper::Wrapper w = BoardWrapper();
   util::Rng rng(11);

@@ -2,8 +2,8 @@
 
 // Engines the serving runtime does not select, rendered as wrapper output so
 // tests can compare them with the runtime byte for byte. The runtime serves
-// Elog⁻ through its ground plan and Elog⁻Δ natively; the compiled
-// semi-naive engine stays in core and is checked from here. Header-only:
+// every wrapper through its ground plan; the compiled semi-naive engine
+// stays in core and is checked from here. Header-only:
 // every tests/*.cc file builds into its own test binary.
 
 #include <cstddef>
@@ -23,11 +23,11 @@ namespace mdatalog::oracle {
 /// The XML that core::EvaluateSemiNaive over the program's TMNF translation
 /// extracts from `t`. `edb` is the relational view of `t` — a plain
 /// core::TreeDatabase, or one over a store's packed unary bit-arrays. Needs
-/// the Corollary 6.4 pipeline (program.has_ground_plan).
+/// the Corollary 6.4 pipeline (program.has_tmnf).
 inline util::Result<std::string> SemiNaiveXml(
     const runtime::CompiledWrapperProgram& program, const core::EdbSource& edb,
     const tree::Tree& t) {
-  if (!program.has_ground_plan) {
+  if (!program.has_tmnf) {
     return util::Status::FailedPrecondition(
         "no datalog translation for this program (Elog⁻Δ builtins?)");
   }

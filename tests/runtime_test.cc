@@ -337,7 +337,7 @@ TEST(ProgramCacheTest, CompilesOnceAndBuildsGroundPlan) {
   EXPECT_NE(a->get(), c->get());
 }
 
-TEST(ProgramCacheTest, DeltaBuiltinProgramFallsBackToNativeOnly) {
+TEST(ProgramCacheTest, DeltaBuiltinProgramGetsAGroundPlan) {
   auto program = elog::ParseElog(
       "a0(X) <- root(R), subelem(R, \"a\", X), notafter(R, \"a\", X).\n");
   ASSERT_TRUE(program.ok());
@@ -347,8 +347,11 @@ TEST(ProgramCacheTest, DeltaBuiltinProgramFallsBackToNativeOnly) {
   runtime::ProgramCache cache(4);
   auto compiled = cache.GetOrCompile(w);
   ASSERT_TRUE(compiled.ok());
-  EXPECT_FALSE((*compiled)->has_ground_plan);
-  EXPECT_EQ(cache.stats().ground_plans, 0);
+  // The builtin is a residual check of the plan; only the stream session's
+  // TMNF program is Δ-free-only.
+  EXPECT_TRUE((*compiled)->has_ground_plan);
+  EXPECT_FALSE((*compiled)->has_tmnf);
+  EXPECT_EQ(cache.stats().ground_plans, 1);
 }
 
 TEST(ProgramCacheTest, CapacityEvictsLru) {
@@ -568,7 +571,7 @@ TEST(WrapperRuntimeTest, EnginesProduceIdenticalOutput) {
             grounded.stats().document_cache.bytes_in_use);
 }
 
-TEST(WrapperRuntimeTest, AutoServesDeltaBuiltinsNatively) {
+TEST(WrapperRuntimeTest, AutoServesDeltaBuiltinsFromTheGroundPlan) {
   auto program = elog::ParseElog(
       "a0(X) <- root(R), subelem(R, \"a\", X), notafter(R, \"a\", X).\n");
   ASSERT_TRUE(program.ok());
@@ -576,16 +579,16 @@ TEST(WrapperRuntimeTest, AutoServesDeltaBuiltinsNatively) {
   w.program = *program;
   w.extraction_patterns = {"a0"};
 
-  // Elog⁻Δ has no ground plan: kAuto serves it through the native engine.
+  // Elog⁻Δ replays its ground plan too; the native engine is the reference.
   runtime::WrapperRuntime rt;
   auto handle = rt.Register(w);
   ASSERT_TRUE(handle.ok());
-  EXPECT_FALSE(handle->program->has_ground_plan);
+  EXPECT_TRUE(handle->program->has_ground_plan);
   auto got = rt.Wrap(*handle, "<html><a>x</a></html>");
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(*got, SequentialXml(w, "<html><a>x</a></html>", ""));
-  EXPECT_EQ(rt.stats().native_evals, 1);
-  EXPECT_EQ(rt.stats().grounded_evals, 0);
+  EXPECT_EQ(rt.stats().native_evals, 0);
+  EXPECT_EQ(rt.stats().grounded_evals, 1);
 }
 
 TEST(WrapperRuntimeTest, MemoServesIdenticalBytesAndCounts) {

@@ -601,7 +601,10 @@ TEST(StreamSessionTest, DeltaProgramFallsBackButStillStreamsTheParse) {
   runtime::WrapperRuntime rt;
   auto handle = rt.Register(DeltaWrapper(), "");
   ASSERT_TRUE(handle.ok());
-  EXPECT_FALSE(handle->program->has_ground_plan);
+  // The batch side replays a ground plan; streaming needs the TMNF program,
+  // which Δ wrappers lack, so the evaluation waits for Finish.
+  EXPECT_TRUE(handle->program->has_ground_plan);
+  EXPECT_FALSE(handle->program->has_tmnf);
 
   std::vector<stream::StreamResult> emitted;
   stream::StreamOptions options;
