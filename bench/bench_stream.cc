@@ -10,12 +10,17 @@
 //                               Counters report how few of the page's bytes
 //                               were needed.
 //   BM_StreamFullPage         — the whole page through Feed+Finish: what the
-//                               incremental machinery costs end-to-end when
-//                               the caller wants the full XML anyway.
+//                               incremental replay of the same ground plan
+//                               (two root-hypothesis worlds, early emission)
+//                               costs end-to-end when the caller wants the
+//                               full XML anyway.
 //
-// The acceptance bar: BM_StreamFirstResult real time is a small fraction of
-// BM_BatchWrapFullPage (first-result latency decoupled from page size).
-// peak_rss_mb is recorded on every series for the memory trajectory.
+// The acceptance bars: BM_StreamFirstResult real time is a small fraction of
+// BM_BatchWrapFullPage (first-result latency decoupled from page size), and
+// BM_StreamFullPage stays within 1.5x of BM_BatchWrapFullPage in the same
+// run (CI: check_bench_regression.py --overhead-pair, threshold 0.34 on the
+// throughput ratio). peak_rss_mb is recorded on every series for the memory
+// trajectory.
 
 #include <benchmark/benchmark.h>
 

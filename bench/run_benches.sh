@@ -71,10 +71,15 @@ echo "wrote ${REPO_ROOT}/BENCH_admission.json"
 echo "wrote ${REPO_ROOT}/BENCH_store.json"
 
 # Streaming front: first-result latency vs batch full-wrap on a 1000-item
-# page, plus the end-to-end cost of the incremental machinery.
+# page, plus the end-to-end cost of the incremental replay. Five repetitions,
+# interleaved so host-speed drift hits both series alike: CI gates the
+# medians of the full-page pair (stream within 1.5x of batch,
+# check_bench_regression.py --overhead-pair).
 "${BUILD_DIR}/bench_stream" \
   --benchmark_filter="${FILTER}" \
   --benchmark_min_time=0.2 \
+  --benchmark_repetitions=5 \
+  --benchmark_enable_random_interleaving=true \
   --benchmark_format=json \
   --benchmark_out="${REPO_ROOT}/BENCH_stream.json" \
   --benchmark_out_format=json

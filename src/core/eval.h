@@ -78,6 +78,7 @@ class EvalResult {
 
  private:
   friend class FixpointEngine;
+  template <typename TreeT>
   friend class GroundedEvaluator;
 
   /// Facts of one intensional predicate. arity == -1 means "no facts

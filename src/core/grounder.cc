@@ -1,9 +1,11 @@
 #include "src/core/grounder.h"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <climits>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "src/core/database.h"
@@ -45,9 +47,10 @@ bool ClassifyBinary(const std::string& name, RelKind* out) {
 }
 
 /// y = f_R(x), or kNoNode. Never called for child, which is not functional
-/// downward (schedules enumerate it instead).
-tree::NodeId ApplyForward(const tree::Tree& t, const RelKind& r,
-                          tree::NodeId x) {
+/// downward (schedules enumerate it instead). TreeT is tree::Tree or the
+/// growing-tree view of an incremental replay.
+template <typename TreeT>
+tree::NodeId ApplyForward(const TreeT& t, const RelKind& r, tree::NodeId x) {
   switch (r.rel) {
     case TreeRel::kFirstChild: return t.first_child(x);
     case TreeRel::kNextSibling: return t.next_sibling(x);
@@ -58,8 +61,8 @@ tree::NodeId ApplyForward(const tree::Tree& t, const RelKind& r,
 }
 
 /// x = f_R^{-1}(y), or kNoNode.
-tree::NodeId ApplyBackward(const tree::Tree& t, const RelKind& r,
-                           tree::NodeId y) {
+template <typename TreeT>
+tree::NodeId ApplyBackward(const TreeT& t, const RelKind& r, tree::NodeId y) {
   switch (r.rel) {
     case TreeRel::kFirstChild:
       return (t.prev_sibling(y) == tree::kNoNode) ? t.parent(y) : tree::kNoNode;
@@ -92,8 +95,9 @@ enum class UnaryKind : uint8_t {
   kLabel,
 };
 
-bool CheckUnaryTreePred(const tree::Tree& t, UnaryKind kind,
-                        tree::LabelId label, tree::NodeId n) {
+template <typename TreeT>
+bool CheckUnaryTreePred(const TreeT& t, UnaryKind kind, tree::LabelId label,
+                        tree::NodeId n) {
   switch (kind) {
     case UnaryKind::kRoot: return t.IsRoot(n);
     case UnaryKind::kLeaf: return t.IsLeaf(n);
@@ -150,6 +154,15 @@ bool ClassifyBuiltin(std::string_view name, int32_t arity, BuiltinName* out) {
 
 int64_t FloorDiv100(int64_t a) { return a >= 0 ? a / 100 : -((-a + 99) / 100); }
 int64_t CeilDiv100(int64_t a) { return -FloorDiv100(-a); }
+
+/// The node events of an incremental replay that make structural EDB facts
+/// final (IncrementalReplay).
+enum NodeEvent : int32_t {
+  kCreated,       // label, firstsibling, root; child end of every edge
+  kClosed,        // leaf
+  kParentClosed,  // lastsibling
+  kNumNodeEvents,
+};
 
 }  // namespace
 
@@ -314,6 +327,18 @@ struct GroundPlan::Impl {
   // Per nullary or bridge slot (offset by num_unary): the rules whose shared
   // body holds it, one entry per occurrence.
   std::vector<std::vector<int32_t>> shared_uses;
+
+  // Incremental replay, filled only when streamable: per NodeEvent, the
+  // triggers anchored at the node whose event makes one of a rule
+  // component's structural EDB atoms final. A creation trigger whose anchor
+  // must be the root, or carry a label, runs only for such a node:
+  // created_filter (parallel to edb_triggers[kCreated]) holds kAnyNode,
+  // kRootOnly or the label predicate.
+  static constexpr PredId kAnyNode = -1;
+  static constexpr PredId kRootOnly = -2;
+  bool streamable = false;
+  std::array<std::vector<Trigger>, kNumNodeEvents> edb_triggers;
+  std::vector<PredId> created_filter;
 };
 
 GroundPlan::GroundPlan(std::unique_ptr<const Impl> impl)
@@ -525,7 +550,52 @@ GroundPlan::Impl::Schedule CompileSchedule(
   return out;
 }
 
+/// Adds the EDB triggers of one rule component (`atoms`, with `num_vars`
+/// variables, built by rule `owner`): one schedule per variable and node
+/// event that makes one of the component's structural EDB atoms final.
+/// Atoms that turn final at the same event share it: the schedule checks
+/// them all.
+void AddEdbTriggers(GroundPlan::Impl& plan, const Rule& rule,
+                    const std::vector<const Atom*>& atoms, int32_t num_vars,
+                    int32_t owner) {
+  std::vector<std::pair<NodeEvent, VarId>> anchors;
+  for (const Atom* a : atoms) {
+    if (plan.intensional[a->pred]) continue;
+    const VarId v = a->args.back().value;  // a binary fact's child end
+    NodeEvent event = kCreated;
+    if (a->args.size() == 1) {
+      const UnaryKind kind = plan.unary_specs[a->pred].kind;
+      if (kind == UnaryKind::kLeaf) event = kClosed;
+      if (kind == UnaryKind::kLastSibling) event = kParentClosed;
+    }
+    if (std::find(anchors.begin(), anchors.end(), std::make_pair(event, v)) ==
+        anchors.end()) {
+      anchors.emplace_back(event, v);
+    }
+  }
+  for (const auto& [event, v] : anchors) {
+    plan.edb_triggers[event].push_back(
+        {owner, CompileSchedule(plan, rule, atoms, num_vars, v)});
+    if (event != kCreated) continue;
+    PredId filter = GroundPlan::Impl::kAnyNode;
+    for (const Atom* a : atoms) {
+      if (plan.intensional[a->pred] || a->args.size() != 1 ||
+          a->args[0].value != v) {
+        continue;
+      }
+      const UnaryKind kind = plan.unary_specs[a->pred].kind;
+      if (kind == UnaryKind::kRoot) filter = GroundPlan::Impl::kRootOnly;
+      if (kind == UnaryKind::kLabel && filter == GroundPlan::Impl::kAnyNode) {
+        filter = a->pred;
+      }
+    }
+    plan.created_filter.push_back(filter);
+  }
+}
+
 }  // namespace
+
+bool GroundPlan::streamable() const { return impl_->streamable; }
 
 util::Result<GroundPlan> GroundPlan::Compile(const Program& program) {
   if (!GroundableOverTree(program)) {
@@ -613,6 +683,18 @@ util::Result<GroundPlan> GroundPlan::Compile(const Program& program) {
   impl->triggers.resize(impl->num_unary);
   impl->ground_uses.resize(impl->num_unary);
   impl->shared_uses.resize(impl->num_nullary);
+  impl->streamable = true;
+  auto has_const = [](const Atom& a) {
+    return std::any_of(a.args.begin(), a.args.end(),
+                       [](const Term& t) { return !t.is_var(); });
+  };
+  for (const Rule& rule : program.rules()) {
+    impl->streamable = impl->streamable && !has_const(rule.head);
+    for (const Atom& a : rule.body) {
+      impl->streamable = impl->streamable && !has_const(a) &&
+                         impl->builtin_index[a.pred] < 0;
+    }
+  }
 
   // Per-rule compilation (proof steps 1–2 of Theorem 4.2, program side).
   for (const Rule& rule : program.rules()) {
@@ -692,6 +774,9 @@ util::Result<GroundPlan> GroundPlan::Compile(const Program& program) {
             {owner_index, CompileSchedule(*impl, rule, comp_atoms[c],
                                           comp_size[c], lit.second, lit)});
       }
+      if (impl->streamable) {
+        AddEdbTriggers(*impl, rule, comp_atoms[c], comp_size[c], owner_index);
+      }
       if (c != head_comp) impl->rules.push_back(std::move(bridge));
     }
     impl->rules[r] = std::move(rp);
@@ -700,16 +785,115 @@ util::Result<GroundPlan> GroundPlan::Compile(const Program& program) {
   return GroundPlan(std::move(impl));
 }
 
-/// Per-tree replay of a GroundPlan: LTUR over the implicit ground program.
-/// Atoms are marked true when popped; a rule instance is built only when
-/// one of its body atoms pops and fires iff its whole body is then true, so
-/// it fires exactly once, at the pop of its last body atom.
+namespace {
+
+/// The label a hidden node reports: neither a label id nor kInvalidSymbol
+/// (an unresolved label predicate) nor kAnyLabel.
+constexpr tree::LabelId kHiddenLabel = -3;
+
+/// A tree under construction as an incremental replay reads it: the tree as
+/// of the node events the replay has processed. A node is visible once its
+/// creation was processed (nodes arrive in id order, so that is a prefix of
+/// the ids), leaf(n) holds once n's close was, lastsibling(n) once its
+/// parent's was; before that the answer is kNoNode or false. Every answer is
+/// final — it holds of the finished tree — and the view only grows. With a
+/// hidden root (the stripped world), node 0 is invisible — no label, no
+/// links — and node 1, its only child, is the root.
+class GrowingTreeView {
+ public:
+  GrowingTreeView(const tree::TreeBuilder& b, bool hide_root)
+      : b_(b), hidden_(hide_root ? 0 : tree::kNoNode),
+        root_(hide_root ? 1 : 0) {}
+
+  /// Node n, the next in id order, was created: it and its links are final.
+  void Reveal(tree::NodeId n) {
+    frontier_ = n + 1;
+    closed_.resize(frontier_, 0);
+  }
+  /// Node n (visible) closed: its children are all visible and final.
+  void Close(tree::NodeId n) { closed_[n] = 1; }
+
+  /// The visible nodes are [0, size()); the events queued so far name nodes
+  /// in [0, num_created()).
+  int32_t size() const { return frontier_; }
+  int32_t num_created() const { return b_.size(); }
+  int32_t num_labels() const { return b_.labels().size(); }
+  tree::LabelId FindLabel(std::string_view name) const {
+    return b_.labels().Find(name);
+  }
+
+  bool IsRoot(tree::NodeId n) const { return n == root_; }
+  bool IsLeaf(tree::NodeId n) const {
+    return n != hidden_ && closed_[n] != 0 &&
+           b_.first_child(n) == tree::kNoNode;
+  }
+  bool IsLastSibling(tree::NodeId n) const {
+    const tree::NodeId p = parent(n);
+    return p != tree::kNoNode && closed_[p] != 0 &&
+           b_.next_sibling(n) == tree::kNoNode;
+  }
+  bool IsFirstSibling(tree::NodeId n) const {
+    return parent(n) != tree::kNoNode && b_.prev_sibling(n) == tree::kNoNode;
+  }
+  tree::LabelId label(tree::NodeId n) const {
+    return n == hidden_ ? kHiddenLabel : b_.label(n);
+  }
+
+  tree::NodeId parent(tree::NodeId n) const {
+    const tree::NodeId p = b_.parent(n);
+    return p == hidden_ ? tree::kNoNode : p;
+  }
+  tree::NodeId first_child(tree::NodeId n) const {
+    return n == hidden_ ? tree::kNoNode : Visible(b_.first_child(n));
+  }
+  tree::NodeId last_child(tree::NodeId n) const {
+    return n == hidden_ ? tree::kNoNode : b_.last_child(n);
+  }
+  tree::NodeId next_sibling(tree::NodeId n) const {
+    return Visible(b_.next_sibling(n));
+  }
+  tree::NodeId prev_sibling(tree::NodeId n) const {
+    return b_.prev_sibling(n);
+  }
+  tree::NodeId ChildK(tree::NodeId n, int32_t k) const {
+    tree::NodeId c = first_child(n);
+    for (int32_t i = 1; i < k && c != tree::kNoNode; ++i) c = next_sibling(c);
+    return c;
+  }
+
+ private:
+  /// `n` if it is visible, else kNoNode (a later node, or none).
+  tree::NodeId Visible(tree::NodeId n) const {
+    return n < frontier_ ? n : tree::kNoNode;
+  }
+
+  const tree::TreeBuilder& b_;
+  const tree::NodeId hidden_;  // 0 in the stripped world, else kNoNode
+  const tree::NodeId root_;
+  tree::NodeId frontier_ = 0;     // one past the last visible node
+  std::vector<uint8_t> closed_;  // per visible node: its close processed
+};
+
+}  // namespace
+
+/// Replay of a GroundPlan: LTUR over the implicit ground program. Atoms are
+/// marked true when popped; a rule instance is built only when one of its
+/// body atoms pops and fires iff its whole body is then true, so it fires
+/// exactly once, at the pop of its last body atom. TreeT is the tree the
+/// schedules read: a finished `const tree::Tree` (EvaluateGrounded, which
+/// seeds by sweeping it) or a GrowingTreeView (IncrementalReplay, whose node
+/// events run the plan's EDB triggers instead, and advance the view).
 /// (Named GroundedEvaluator to keep the EvalResult friendship.)
+template <typename TreeT>
 class GroundedEvaluator {
  public:
   using Impl = GroundPlan::Impl;
+  /// A batch replay also polls inside enumerations and sweeps, and abandons
+  /// the page on expiry. An incremental one polls only between pops, so an
+  /// aborted Propagate leaves every popped atom and event fully processed.
+  static constexpr bool kBatch = std::is_same_v<TreeT, const tree::Tree>;
 
-  GroundedEvaluator(const Impl& plan, const tree::Tree& t, GroundArena& arena,
+  GroundedEvaluator(const Impl& plan, TreeT& t, GroundArena& arena,
                     const util::EvalControl* control)
       : plan_(plan), tree_(t), arena_(arena), control_(control),
         ticker_(control), n_(t.size()) {}
@@ -720,17 +904,9 @@ class GroundedEvaluator {
     // smaller than the ticker stride.
     if (control_ != nullptr) MD_RETURN_NOT_OK(control_->Check());
 
-    // Per-tree label resolution: the only tree-dependent compile work. A
-    // label absent from this tree's alphabet resolves to kInvalidSymbol,
-    // which no node carries — the empty relation of Remark 2.2.
+    // Per-tree label resolution: the only tree-dependent compile work.
     arena_.unary_labels.assign(plan_.num_preds, util::kInvalidSymbol);
-    for (PredId p = 0; p < plan_.num_preds; ++p) {
-      if (!plan_.intensional[p] && plan_.pred_arity[p] == 1 &&
-          plan_.builtin_index[p] < 0 &&
-          plan_.unary_specs[p].kind == UnaryKind::kLabel) {
-        arena_.unary_labels[p] = tree_.FindLabel(plan_.unary_specs[p].label);
-      }
-    }
+    ResolveLabels();
     if (!plan_.builtins.empty() && !FillBuiltinTables()) return abort_status_;
     arena_.queue.clear();
     arena_.binding.assign(plan_.max_vars, tree::kNoNode);
@@ -740,18 +916,7 @@ class GroundedEvaluator {
       sets_.emplace_back(std::max(n_, 1));
     }
     flags_.assign(plan_.num_nullary + plan_.num_bridges, 0);
-
-    // A rule is pending while some shared-body IDB atom is not yet true; a
-    // failed ground EDB atom or an out-of-domain constant head keeps it
-    // pending for good.
-    pending_.resize(plan_.rules.size());
-    for (size_t r = 0; r < plan_.rules.size(); ++r) {
-      const Impl::RulePlan& rp = plan_.rules[r];
-      bool live =
-          !rp.head_has_arg || rp.head_var >= 0 || InDomain(rp.head_const);
-      for (const Atom& a : rp.ground_edb) live = live && EdbAtomHolds(a);
-      pending_[r] = rp.num_shared + (live ? 0 : 1);
-    }
+    InitPending();
 
     // Seeds: rules whose bodies hold no IDB literal. A rule with IDB
     // literals only in its swept component needs no sweep now (nothing is
@@ -766,7 +931,8 @@ class GroundedEvaluator {
       if (aborted_) return abort_status_;
     }
 
-    // Propagation: one poll per popped atom.
+    // Propagation: one poll per popped atom. (PopAtom's body, spelled out:
+    // as a call, it costs the batch loop ~8% on copy-chain programs.)
     std::vector<std::pair<int32_t, tree::NodeId>>& queue = arena_.queue;
     while (!queue.empty()) {
       if (!Poll()) return abort_status_;
@@ -821,8 +987,188 @@ class GroundedEvaluator {
     return result;
   }
 
+  // --- incremental replay (TreeT = GrowingTreeView) ------------------------
+
+  /// Readies an empty replay. Only single-instance rules are seeded: the
+  /// instances of a swept component are built by its EDB triggers as the
+  /// nodes they need arrive.
+  void Start() {
+    arena_.queue.clear();
+    arena_.events.clear();
+    arena_.binding.assign(plan_.max_vars, tree::kNoNode);
+    binding_ = arena_.binding.data();
+    arena_.unary_labels.assign(plan_.num_preds, util::kInvalidSymbol);
+    sets_.resize(plan_.num_unary);
+    flags_.assign(plan_.num_nullary + plan_.num_bridges, 0);
+    n_ = 0;
+    InitPending();
+    for (size_t r = 0; r < plan_.rules.size(); ++r) {
+      if (pending_[r] == 0 && !plan_.rules[r].head_sweep.has_value()) {
+        Activate(plan_.rules[r]);
+      }
+    }
+  }
+
+  /// Queues a node event. A close only makes leaf and lastsibling facts
+  /// final, so a plan that reads neither skips it.
+  void QueueEvent(NodeEvent event, tree::NodeId n) {
+    if (event == kClosed && plan_.edb_triggers[kClosed].empty() &&
+        plan_.edb_triggers[kParentClosed].empty()) {
+      return;
+    }
+    arena_.events.emplace_back(event, n);
+  }
+
+  /// Runs to fixpoint: the derived atoms LIFO, and between them the queued
+  /// node events in order, each one advancing the view. So an instance is
+  /// built when the last of its body atoms turns true, derived or final,
+  /// like in batch. Records every new atom of a slot with watched[slot] >= 0
+  /// as (watched[slot], node) in `log`.
+  util::Status Propagate(const util::EvalControl* control,
+                         const std::vector<PredId>& watched,
+                         std::vector<std::pair<PredId, tree::NodeId>>* log) {
+    ticker_ = util::EvalTicker(control);
+    aborted_ = false;
+    for (NodeSet& set : sets_) set.Grow(tree_.num_created());
+    if (tree_.num_labels() != labels_seen_) {
+      labels_seen_ = tree_.num_labels();
+      ResolveLabels();
+    }
+    std::vector<std::pair<int32_t, tree::NodeId>>& queue = arena_.queue;
+    std::vector<std::pair<int32_t, tree::NodeId>>& events = arena_.events;
+    for (;;) {
+      if (!Poll()) return abort_status_;
+      if (!queue.empty()) {
+        const auto [slot, node] = queue.back();
+        queue.pop_back();
+        if (PopAtom(slot, node) && slot < plan_.num_unary &&
+            watched[slot] >= 0) {
+          log->emplace_back(watched[slot], node);
+        }
+        continue;
+      }
+      if (next_event_ == events.size()) break;
+      const auto [event, node] = events[next_event_++];
+      OnNodeEvent(static_cast<NodeEvent>(event), node);
+    }
+    events.clear();
+    next_event_ = 0;
+    return util::Status::OK();
+  }
+
+  /// The unary slot of `pred`, or -1 if it is not a unary IDB predicate.
+  int32_t SlotOf(PredId pred) const {
+    return pred >= 0 && pred < plan_.num_preds ? plan_.unary_index[pred] : -1;
+  }
+  const NodeSet* Members(PredId pred) const {
+    const int32_t slot = SlotOf(pred);
+    return slot >= 0 ? &sets_[slot] : nullptr;
+  }
+  bool NullaryTrue(PredId pred) const {
+    return pred >= 0 && pred < plan_.num_preds &&
+           plan_.nullary_slot[pred] >= 0 &&
+           flags_[plan_.nullary_slot[pred]] != 0;
+  }
+  int64_t NumDerived() const {
+    int64_t n = 0;
+    for (const NodeSet& set : sets_) n += set.count();
+    for (const uint8_t flag : flags_) n += flag;
+    return n;
+  }
+  int64_t ApproxBytes() const {
+    int64_t bytes = 0;
+    for (const NodeSet& set : sets_) {
+      bytes += static_cast<int64_t>(set.num_words() * sizeof(uint64_t));
+    }
+    bytes += static_cast<int64_t>(
+        (arena_.queue.capacity() + arena_.events.capacity()) *
+            sizeof(arena_.queue[0]) +
+        arena_.cursors.capacity() * sizeof(GroundArena::Cursor) +
+        pending_.capacity() * sizeof(int32_t) + flags_.capacity());
+    return bytes;
+  }
+
  private:
   bool InDomain(int32_t v) const { return v >= 0 && v < n_; }
+
+  /// Resolves every label predicate still unresolved against the tree's
+  /// alphabet. A label absent from it stays kInvalidSymbol, which no node
+  /// carries — the empty relation of Remark 2.2 (in a growing tree, until a
+  /// node with that label arrives).
+  void ResolveLabels() {
+    for (PredId p = 0; p < plan_.num_preds; ++p) {
+      if (!plan_.intensional[p] && plan_.pred_arity[p] == 1 &&
+          plan_.builtin_index[p] < 0 &&
+          plan_.unary_specs[p].kind == UnaryKind::kLabel &&
+          arena_.unary_labels[p] == util::kInvalidSymbol) {
+        arena_.unary_labels[p] = tree_.FindLabel(plan_.unary_specs[p].label);
+      }
+    }
+  }
+
+  /// A rule is pending while some shared-body IDB atom is not yet true; a
+  /// failed ground EDB atom or an out-of-domain constant head keeps it
+  /// pending for good.
+  void InitPending() {
+    pending_.resize(plan_.rules.size());
+    for (size_t r = 0; r < plan_.rules.size(); ++r) {
+      const Impl::RulePlan& rp = plan_.rules[r];
+      bool live =
+          !rp.head_has_arg || rp.head_var >= 0 || InDomain(rp.head_const);
+      for (const Atom& a : rp.ground_edb) live = live && EdbAtomHolds(a);
+      pending_[r] = rp.num_shared + (live ? 0 : 1);
+    }
+  }
+
+  /// Marks a popped atom true and runs what it completes: its triggers, and
+  /// the rules whose shared body holds it. False if it was true already.
+  bool PopAtom(int32_t slot, tree::NodeId node) {
+    if (slot < plan_.num_unary) {
+      if (!sets_[slot].Insert(node)) return false;
+      for (const Impl::Trigger& tr : plan_.triggers[slot]) Fire(tr, node);
+      const auto& uses = plan_.ground_uses[slot];
+      for (auto it = std::lower_bound(uses.begin(), uses.end(),
+                                      std::make_pair(node, int32_t{0}));
+           it != uses.end() && it->first == node; ++it) {
+        Release(it->second);
+      }
+      return true;
+    }
+    uint8_t& flag = flags_[slot - plan_.num_unary];
+    if (flag != 0) return false;
+    flag = 1;
+    for (int32_t r : plan_.shared_uses[slot - plan_.num_unary]) Release(r);
+    return true;
+  }
+
+  /// A node event makes EDB facts final: reveal them, then run the
+  /// triggers anchored there.
+  void OnNodeEvent(NodeEvent event, tree::NodeId n) {
+    if (event == kCreated) {
+      tree_.Reveal(n);
+      n_ = tree_.size();
+      const std::vector<Impl::Trigger>& created = plan_.edb_triggers[kCreated];
+      for (size_t i = 0; i < created.size(); ++i) {
+        const PredId filter = plan_.created_filter[i];
+        if (filter == Impl::kRootOnly && !tree_.IsRoot(n)) continue;
+        if (filter >= 0 && arena_.unary_labels[filter] != tree_.label(n)) {
+          continue;
+        }
+        Fire(created[i], n);
+      }
+      return;
+    }
+    tree_.Close(n);
+    if (tree_.IsLeaf(n)) {
+      for (const Impl::Trigger& tr : plan_.edb_triggers[kClosed]) Fire(tr, n);
+    }
+    const tree::NodeId last = tree_.last_child(n);
+    if (last != tree::kNoNode && tree_.IsLastSibling(last)) {
+      for (const Impl::Trigger& tr : plan_.edb_triggers[kParentClosed]) {
+        Fire(tr, last);
+      }
+    }
+  }
 
   /// Strided deadline poll; records the status and returns false once it
   /// fires.
@@ -1112,7 +1458,9 @@ class GroundedEvaluator {
       if (i == num_ops && !on_match()) return;
       for (;;) {
         if (cursors.empty()) return;
-        if (!Poll()) return;
+        if constexpr (kBatch) {
+          if (!Poll()) return;
+        }
         if (Advance(sc, cursors.back())) {
           i = cursors.back().op + 1;
           break;
@@ -1173,7 +1521,9 @@ class GroundedEvaluator {
     const bool bridge = rp.head_var < 0;
     bool found = false;
     for (tree::NodeId node = 0; node < n_ && !found; ++node) {
-      if (!Poll()) return;
+      if constexpr (kBatch) {
+        if (!Poll()) return;
+      }
       ForEachMatch(*rp.head_sweep, node, [&] {
         Derive(rp.head_slot, HeadNode(rp));
         found = bridge;
@@ -1184,7 +1534,7 @@ class GroundedEvaluator {
   }
 
   const Impl& plan_;
-  const tree::Tree& tree_;
+  TreeT& tree_;
   GroundArena& arena_;
   const util::EvalControl* control_;
   util::EvalTicker ticker_;
@@ -1197,6 +1547,9 @@ class GroundedEvaluator {
   tree::NodeId* binding_ = nullptr;  // arena_.binding, sized per plan
   int64_t fired_ = 0;
   int64_t lookups_ = 0;
+  // Incremental replay only.
+  int32_t labels_seen_ = 0;  // the labels resolved against so far
+  size_t next_event_ = 0;    // arena_.events[next_event_] is the next to run
 };
 
 util::Result<EvalResult> EvaluateGrounded(const GroundPlan& plan,
@@ -1205,9 +1558,76 @@ util::Result<EvalResult> EvaluateGrounded(const GroundPlan& plan,
                                           GroundStats* stats,
                                           const util::EvalControl* control) {
   GroundArena local;
-  GroundedEvaluator evaluator(*plan.impl_, t,
-                              arena != nullptr ? *arena : local, control);
+  GroundedEvaluator<const tree::Tree> evaluator(
+      *plan.impl_, t, arena != nullptr ? *arena : local, control);
   return evaluator.Run(stats);
+}
+
+struct IncrementalReplay::State {
+  State(const GroundPlan::Impl& plan, const tree::TreeBuilder& builder,
+        bool hide_root)
+      : view(builder, hide_root),
+        eval(plan, view, arena, nullptr),
+        watched(plan.num_unary, -1) {}
+
+  GrowingTreeView view;
+  GroundArena arena;  // the replay's own: it outlives every Propagate
+  GroundedEvaluator<GrowingTreeView> eval;
+  std::vector<PredId> watched;  // per unary slot: its predicate, if watched
+  std::vector<std::pair<PredId, tree::NodeId>> derived;
+};
+
+IncrementalReplay::IncrementalReplay(const GroundPlan& plan,
+                                     const tree::TreeBuilder& builder,
+                                     bool hide_root) {
+  MD_CHECK(plan.streamable());
+  state_ = std::make_unique<State>(*plan.impl_, builder, hide_root);
+  state_->eval.Start();
+}
+
+IncrementalReplay::~IncrementalReplay() = default;
+
+void IncrementalReplay::NodeCreated(tree::NodeId n) {
+  state_->eval.QueueEvent(kCreated, n);
+}
+
+void IncrementalReplay::NodeClosed(tree::NodeId n) {
+  state_->eval.QueueEvent(kClosed, n);
+}
+
+util::Status IncrementalReplay::Propagate(const util::EvalControl* control) {
+  return state_->eval.Propagate(control, state_->watched, &state_->derived);
+}
+
+const NodeSet* IncrementalReplay::Members(PredId pred) const {
+  return state_->eval.Members(pred);
+}
+
+bool IncrementalReplay::NullaryTrue(PredId pred) const {
+  return state_->eval.NullaryTrue(pred);
+}
+
+int64_t IncrementalReplay::num_derived() const {
+  return state_->eval.NumDerived();
+}
+
+void IncrementalReplay::Watch(PredId pred) {
+  const int32_t slot = state_->eval.SlotOf(pred);
+  MD_CHECK(slot >= 0);
+  state_->watched[slot] = pred;
+}
+
+const std::vector<std::pair<PredId, tree::NodeId>>&
+IncrementalReplay::derived() const {
+  return state_->derived;
+}
+
+void IncrementalReplay::ClearDerived() { state_->derived.clear(); }
+
+int64_t IncrementalReplay::ApproxBytes() const {
+  return state_->eval.ApproxBytes() +
+         static_cast<int64_t>(state_->derived.capacity() *
+                              sizeof(state_->derived[0]));
 }
 
 util::Result<EvalResult> EvaluateGrounded(const Program& program,

@@ -46,6 +46,16 @@
 ///
 /// Programs using lastchild / nextsibling_tc must first be normalized (TMNF
 /// pipeline, Theorem 5.2) or be evaluated with the semi-naive engine.
+///
+/// The same plan also runs incrementally, over a tree that grows in document
+/// order (IncrementalReplay, the engine of the streaming front). Besides its
+/// IDB trigger lists, a plan keeps EDB trigger lists: per rule component, one
+/// schedule per variable whose node event makes one of the component's
+/// structural EDB atoms final — its creation (label, firstsibling, root and
+/// the child end of firstchild, nextsibling, child, child_k), its close
+/// (leaf) or its parent's close (lastsibling). The last body atom of every
+/// rule instance to become true, derived atom or final EDB fact, thus runs
+/// a schedule that builds the instance.
 
 namespace mdatalog::core {
 
@@ -128,6 +138,8 @@ struct GroundArena {
     int32_t last;  // last candidate (domain and window enumerations)
   };
   std::vector<std::pair<int32_t, tree::NodeId>> queue;  // (atom slot, node)
+  // Incremental replay only: node events (NodeEvent, node), in order.
+  std::vector<std::pair<int32_t, tree::NodeId>> events;
   std::vector<tree::NodeId> binding;
   std::vector<Cursor> cursors;
   std::vector<tree::LabelId> unary_labels;  // per-PredId, resolved per tree
@@ -155,6 +167,11 @@ class GroundPlan {
   GroundPlan& operator=(GroundPlan&&) noexcept;
   ~GroundPlan();
 
+  /// True iff IncrementalReplay can run the plan: no Δ builtin (they read
+  /// tables of the finished tree) and no node constant (the stripped world
+  /// numbers nodes one above the finished tree).
+  bool streamable() const;
+
   struct Impl;
 
  private:
@@ -165,6 +182,7 @@ class GroundPlan {
                                                    const tree::Tree&,
                                                    GroundArena*, GroundStats*,
                                                    const util::EvalControl*);
+  friend class IncrementalReplay;
 };
 
 /// Replays a compiled plan over one tree. `arena` may be nullptr (a local
@@ -176,6 +194,67 @@ class GroundPlan {
 util::Result<EvalResult> EvaluateGrounded(
     const GroundPlan& plan, const tree::Tree& t, GroundArena* arena = nullptr,
     GroundStats* stats = nullptr, const util::EvalControl* control = nullptr);
+
+// --- incremental replay (streaming) -----------------------------------------
+
+/// A replay of a streamable GroundPlan over the tree a TreeBuilder is growing
+/// in document order, with the same LTUR worklist as EvaluateGrounded. The
+/// caller reports each node's creation and close, in the order they happen;
+/// both are queued in the replay's arena, and Propagate processes them in
+/// that order between derived atoms. After the last close (node 0's
+/// included) the derived sets equal EvaluateGrounded's on the finished tree,
+/// and every atom derived before is among them.
+///
+/// The replay sees the tree as of the events it has processed, and only its
+/// final facts: a node once its creation is processed, leaf(n) once n's
+/// close is, lastsibling(n) once its parent's is; a first child, next
+/// sibling or k-th child is absent until it is visible. With `hide_root` it
+/// replays the stripped world: node 0 does not exist and node 1 — which
+/// must then stay node 0's only child — is the root, so its sets are those
+/// of the finished tree under node 1 with every id one higher.
+///
+/// Not thread-safe. `plan` and `builder` must outlive the replay.
+class IncrementalReplay {
+ public:
+  IncrementalReplay(const GroundPlan& plan, const tree::TreeBuilder& builder,
+                    bool hide_root);
+  ~IncrementalReplay();
+  IncrementalReplay(const IncrementalReplay&) = delete;
+  IncrementalReplay& operator=(const IncrementalReplay&) = delete;
+
+  /// Queues node n's creation: its label, firstsibling and root facts and
+  /// its links to its parent and previous sibling are final.
+  void NodeCreated(tree::NodeId n);
+  /// Queues n's close: leaf(n) and lastsibling(last child of n) are final.
+  void NodeClosed(tree::NodeId n);
+
+  /// Runs to fixpoint over the queued events. `control` (nullable) is
+  /// polled once per popped atom or event, and each pop is processed whole,
+  /// so a deadline or cancellation returns its typed status with the state
+  /// consistent: a later call resumes where this one stopped.
+  util::Status Propagate(const util::EvalControl* control = nullptr);
+
+  /// The members of unary IDB predicate `pred` derived so far, or nullptr if
+  /// `pred` is not one.
+  const NodeSet* Members(PredId pred) const;
+  bool NullaryTrue(PredId pred) const;
+  /// IDB atoms derived so far (unary, nullary and bridges).
+  int64_t num_derived() const;
+
+  /// Records every later derivation of unary IDB predicate `pred` in
+  /// derived().
+  void Watch(PredId pred);
+  /// The watched atoms derived since the last ClearDerived, in pop order.
+  const std::vector<std::pair<PredId, tree::NodeId>>& derived() const;
+  void ClearDerived();
+
+  /// Heap bytes of the replay's state: derived sets, queue, rule counters.
+  int64_t ApproxBytes() const;
+
+ private:
+  struct State;
+  std::unique_ptr<State> state_;
+};
 
 /// Evaluation engine selection for the facade below.
 enum class Engine {

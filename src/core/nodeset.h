@@ -48,6 +48,14 @@ class NodeSet {
     count_ = simd::Count(words_.data(), words_.size());
   }
 
+  /// Extends the domain to `domain_size` (>= the current one), keeping every
+  /// member: the sets of an evaluation over a growing tree.
+  void Grow(int32_t domain_size) {
+    MD_DCHECK(domain_size >= domain_size_);
+    domain_size_ = domain_size;
+    words_.resize((static_cast<size_t>(domain_size) + 63) / 64, 0);
+  }
+
   int32_t domain_size() const { return domain_size_; }
   bool empty() const { return count_ == 0; }
   int64_t count() const { return count_; }

@@ -6,7 +6,6 @@
 #include "src/analysis/canonical.h"
 #include "src/elog/to_datalog.h"
 #include "src/runtime/document_cache.h"
-#include "src/tmnf/pipeline.h"
 #include "src/util/check.h"
 
 namespace mdatalog::runtime {
@@ -22,28 +21,17 @@ uint64_t ProgramCache::Fingerprint(const wrapper::Wrapper& wrapper) {
 
 namespace {
 
-/// Lowers the wrapper's Elog rules straight into its ground plan. For a
-/// Δ-free wrapper it also runs the Corollary 6.4 pipeline to TMNF, which
-/// only the incremental stream evaluator needs; a TMNF failure just leaves
-/// the stream session on its batch fallback.
+/// Lowers the wrapper's Elog rules straight into its ground plan.
 util::Status CompileGroundPlan(CompiledWrapperProgram* out) {
-  const elog::ElogProgram& program = out->prepared.program.program();
-  MD_ASSIGN_OR_RETURN(core::Program lowered,
-                      elog::LowerToGroundProgram(program));
+  MD_ASSIGN_OR_RETURN(
+      core::Program lowered,
+      elog::LowerToGroundProgram(out->prepared.program.program()));
   MD_ASSIGN_OR_RETURN(out->ground_plan, core::GroundPlan::Compile(lowered));
   out->pattern_preds.reserve(out->prepared.extraction_patterns.size());
   for (const std::string& pattern : out->prepared.extraction_patterns) {
     out->pattern_preds.push_back(lowered.preds().Find("pat_" + pattern));
   }
   out->has_ground_plan = true;
-
-  if (program.UsesDeltaBuiltins()) return util::Status::OK();
-  auto datalog = elog::ElogToDatalog(program);
-  if (!datalog.ok()) return util::Status::OK();
-  auto tmnf = tmnf::ToTmnf(*datalog);
-  if (!tmnf.ok()) return util::Status::OK();
-  out->tmnf = std::move(*tmnf);
-  out->has_tmnf = true;
   return util::Status::OK();
 }
 

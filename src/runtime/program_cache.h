@@ -22,12 +22,11 @@
 ///  * the Elog validation (PreparedElogProgram);
 ///  * the ground plan: the Elog rules lowered straight into the Theorem 4.2
 ///    engine (elog::LowerToGroundProgram → GroundPlan), with the Elog⁻Δ
-///    builtins as residual checks — one plan for every wrapper, so
-///    per-document evaluation is a plan replay in O(|P|·|dom|) with
-///    per-worker arena reuse;
-///  * for Elog⁻ programs (no Δ builtins) also the Corollary 6.4 pipeline
-///    ElogToDatalog → TMNF (Theorem 5.2), which only the incremental stream
-///    evaluator runs.
+///    builtins as residual checks — one plan for every wrapper, batch and
+///    stream alike, so per-document evaluation is a plan replay in
+///    O(|P|·|dom|) with per-worker arena reuse, and a stream session replays
+///    the same plan incrementally (core::IncrementalReplay). No TMNF
+///    normalization runs at registration.
 
 namespace mdatalog::runtime {
 
@@ -39,14 +38,9 @@ struct CompiledWrapperProgram {
   /// The lowered Elog rules; every compiled wrapper has one.
   bool has_ground_plan = false;
   std::optional<core::GroundPlan> ground_plan;
-  /// The TMNF program of a Δ-free wrapper (the stream session's incremental
-  /// evaluator); absent for Elog⁻Δ.
-  bool has_tmnf = false;
-  core::Program tmnf;
   /// PredId of "pat_<pattern>" per extraction pattern (parallel to
-  /// prepared.extraction_patterns); -1 if the pattern is never derivable.
-  /// It indexes both the plan's EvalResult and `tmnf`: the lowered program
-  /// keeps ElogToDatalog's predicate table, which ToTmnf copies.
+  /// prepared.extraction_patterns) in the lowered program, so in the plan's
+  /// EvalResult and IncrementalReplay; -1 if the pattern is never derivable.
   std::vector<core::PredId> pattern_preds;
 
   /// The extraction patterns' matches in a replay of `ground_plan`.

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 
-#include "src/core/database.h"
 #include "src/elog/eval.h"
 #include "src/html/parser.h"
 #include "src/tree/serialize.h"
+#include "src/util/bits.h"
 #include "src/util/check.h"
 #include "src/wrapper/wrapper.h"
 
@@ -15,43 +15,26 @@ namespace {
 
 /// Document-order subtree text over a partially-built tree; must concatenate
 /// exactly like Tree::SubtreeText (preorder) so emitted texts match what the
-/// finished tree reports. Iterative: fuzzed inputs nest arbitrarily deep.
+/// finished tree reports. Walks the parent and sibling links without a stack:
+/// fuzzed inputs nest arbitrarily deep. `n` must have closed.
 std::string SubtreeTextOf(const tree::TreeBuilder& b, tree::NodeId n) {
   std::string out;
-  std::vector<tree::NodeId> stack = {n};
-  while (!stack.empty()) {
-    const tree::NodeId m = stack.back();
-    stack.pop_back();
+  for (tree::NodeId m = n;;) {
     out += b.text(m);
-    // Preorder via a LIFO stack: children push right-to-left.
-    std::vector<tree::NodeId> children;
-    for (tree::NodeId c = b.first_child(m); c != tree::kNoNode;
-         c = b.next_sibling(c)) {
-      children.push_back(c);
+    if (const tree::NodeId c = b.first_child(m); c != tree::kNoNode) {
+      m = c;
+      continue;
     }
-    stack.insert(stack.end(), children.rbegin(), children.rend());
+    for (;;) {
+      if (m == n) return out;
+      if (const tree::NodeId next = b.next_sibling(m); next != tree::kNoNode) {
+        m = next;
+        break;
+      }
+      m = b.parent(m);
+    }
   }
-  return out;
 }
-
-core::PredId EdbPred(const core::PredicateTable& preds,
-                     const std::vector<bool>& intensional,
-                     std::string_view name, int32_t arity) {
-  const core::PredId p = preds.Find(name);
-  if (p < 0 || preds.Arity(p) != arity || intensional[p]) return -1;
-  return p;
-}
-
-uint64_t DerivedKey(core::PredId pred, tree::NodeId node) {
-  return (static_cast<uint64_t>(static_cast<uint32_t>(pred)) << 32) |
-         static_cast<uint32_t>(node);
-}
-
-constexpr uint8_t kInStripped = 1;
-constexpr uint8_t kInKept = 2;
-constexpr uint8_t kEmitted = 4;
-
-constexpr core::PredId kUnresolved = -2;
 
 }  // namespace
 
@@ -76,69 +59,47 @@ StreamSession::StreamSession(
   } else if (telemetry_ != nullptr) {
     trace_ = telemetry_->StartTrace("stream");
   }
-  if (program_->has_tmnf) {
-    eval_stripped_ = IncrementalTmnfEval::Compile(program_->tmnf);
-  }
-  incremental_ = eval_stripped_ != nullptr;
-  if (incremental_) {
-    eval_kept_ = IncrementalTmnfEval::Compile(program_->tmnf);
-    MD_CHECK(eval_kept_ != nullptr);  // same program, same outcome
-
-    const core::PredicateTable& preds = program_->tmnf.preds();
-    const std::vector<bool> intensional = program_->tmnf.IntensionalMask();
-    root_pred_ = EdbPred(preds, intensional, "root", 1);
-    leaf_pred_ = EdbPred(preds, intensional, "leaf", 1);
-    lastsibling_pred_ = EdbPred(preds, intensional, "lastsibling", 1);
-    firstsibling_pred_ = EdbPred(preds, intensional, "firstsibling", 1);
-    firstchild_pred_ = EdbPred(preds, intensional, "firstchild", 2);
-    nextsibling_pred_ = EdbPred(preds, intensional, "nextsibling", 2);
-    child_pred_ = EdbPred(preds, intensional, "child", 2);
-    lastchild_pred_ = EdbPred(preds, intensional, "lastchild", 2);
-    for (core::PredId p = 0; p < preds.size(); ++p) {
-      if (intensional[p]) continue;
-      const std::string& name = preds.Name(p);
-      if (preds.Arity(p) == 1) {
-        const std::string label = core::LabelFromPredName(name);
-        if (!label.empty()) label_preds_.emplace(label, p);
-      } else if (preds.Arity(p) == 2) {
-        const int32_t k = core::ChildKIndex(name);
-        if (k >= 1) childk_preds_.emplace(k, p);
-      }
-    }
-    const auto& patterns = program_->prepared.extraction_patterns;
-    for (size_t i = 0; i < patterns.size(); ++i) {
-      const core::PredId p = program_->pattern_preds[i];
-      if (p < 0) continue;
-      if (pred_patterns_.find(p) == pred_patterns_.end()) {
-        pattern_pred_list_.push_back(p);
-      }
-      pred_patterns_[p].push_back(static_cast<int32_t>(i));
-    }
-    eval_stripped_->SetDeriveHook(pattern_pred_list_,
-                                  [this](core::PredId pred, int32_t node) {
-                                    derived_[DerivedKey(pred, node)] |=
-                                        kInStripped;
-                                    MaybeEmit(pred, node);
-                                  });
-    eval_kept_->SetDeriveHook(pattern_pred_list_,
-                              [this](core::PredId pred, int32_t node) {
-                                derived_[DerivedKey(pred, node)] |= kInKept;
-                                MaybeEmit(pred, node);
-                              });
-  }
   // The synthetic root the constructor starts with: whether it survives
   // into the output tree is settled at end of input. Until then the two
-  // evaluators disagree about it by design: the kept world knows everything
-  // about node 0 up front, the stripped world never hears of it (node 0
-  // enters its domain factless and linkless, so no derivation can ever
-  // touch it).
-  num_children_.push_back(0);
-  closed_.push_back(false);
-  if (incremental_) {
-    eval_stripped_->AddNode(0, -1);
-    eval_kept_->AddNode(0, -1);
-    AssertUnary(eval_kept_.get(), root_pred_, 0);
-    AssertUnary(eval_kept_.get(), LabelPred(0), 0);
+  // worlds disagree about it by design: the kept world sees it as the root,
+  // the stripped world never sees it at all.
+  closed_.push_back(0);
+  const core::GroundPlan& plan = *program_->ground_plan;
+  streaming_ = plan.streamable();
+  if (!streaming_) return;
+  stripped_world_ = std::make_unique<core::IncrementalReplay>(
+      plan, builder(), /*hide_root=*/true);
+  kept_world_ = std::make_unique<core::IncrementalReplay>(
+      plan, builder(), /*hide_root=*/false);
+  kept_world_->NodeCreated(0);
+  const auto& patterns = program_->prepared.extraction_patterns;
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    const core::PredId p = program_->pattern_preds[i];
+    if (p < 0) continue;  // never derivable: empty extent
+    auto it = std::find_if(pattern_preds_.begin(), pattern_preds_.end(),
+                           [p](const PatternPred& pp) { return pp.pred == p; });
+    if (it == pattern_preds_.end()) {
+      pattern_preds_.push_back({p, {}, {}, {}});
+      it = pattern_preds_.end() - 1;
+      stripped_world_->Watch(p);
+      kept_world_->Watch(p);
+    }
+    it->patterns.push_back(static_cast<int32_t>(i));
+  }
+  // FlushEligible's deterministic order: by node, then predicate.
+  std::sort(pattern_preds_.begin(), pattern_preds_.end(),
+            [](const PatternPred& a, const PatternPred& b) {
+              return a.pred < b.pred;
+            });
+  BindPatternSets();
+}
+
+void StreamSession::BindPatternSets() {
+  for (PatternPred& pp : pattern_preds_) {
+    for (size_t w = 0; w < pp.derived.size(); ++w) {
+      pp.derived[w] =
+          worlds()[w] != nullptr ? worlds()[w]->Members(pp.pred) : nullptr;
+    }
   }
 }
 
@@ -174,17 +135,18 @@ util::Status StreamSession::PropagateAll() {
   telemetry::TraceSpan span(cur_trace(), "stream.propagate");
   int64_t facts_before = 0;
   if (span) {
-    for (IncrementalTmnfEval* ev : {eval_stripped_.get(), eval_kept_.get()}) {
-      if (ev != nullptr) facts_before += ev->num_facts();
+    for (const core::IncrementalReplay* world : worlds()) {
+      if (world != nullptr) facts_before += world->num_derived();
     }
   }
-  for (IncrementalTmnfEval* ev : {eval_stripped_.get(), eval_kept_.get()}) {
-    if (ev != nullptr) MD_RETURN_NOT_OK(ev->Propagate(control()));
+  for (core::IncrementalReplay* world : worlds()) {
+    if (world != nullptr) MD_RETURN_NOT_OK(world->Propagate(control()));
   }
+  EmitDerived();
   if (span) {
     int64_t facts_after = 0;
-    for (IncrementalTmnfEval* ev : {eval_stripped_.get(), eval_kept_.get()}) {
-      if (ev != nullptr) facts_after += ev->num_facts();
+    for (const core::IncrementalReplay* world : worlds()) {
+      if (world != nullptr) facts_after += world->num_derived();
     }
     span.Value("delta", facts_after - facts_before);
   }
@@ -193,8 +155,8 @@ util::Status StreamSession::PropagateAll() {
 
 void StreamSession::UpdateEdbPeak() {
   int64_t bytes = 0;
-  for (IncrementalTmnfEval* ev : {eval_stripped_.get(), eval_kept_.get()}) {
-    if (ev != nullptr) bytes += ev->ApproxBytes();
+  for (const core::IncrementalReplay* world : worlds()) {
+    if (world != nullptr) bytes += world->ApproxBytes();
   }
   peak_edb_bytes_ = std::max(peak_edb_bytes_, bytes);
 }
@@ -212,7 +174,7 @@ void StreamSession::SettleSessionTrace() {
   telemetry::TraceContext* trace = cur_trace();
   if (trace == nullptr) return;
   trace->set_page_bytes(bytes_fed_);
-  trace->set_nodes(static_cast<int64_t>(num_children_.size()));
+  trace->set_nodes(static_cast<int64_t>(closed_.size()));
   const util::StatusCode code =
       status_.ok() ? util::StatusCode::kOk : status_.code();
   if (trace_ != nullptr && telemetry_ != nullptr) {
@@ -243,141 +205,109 @@ util::Status StreamSession::FeedImpl(std::string_view chunk) {
   util::Status s = scanner_.Feed(chunk, &constructor_, control());
   if (!s.ok()) return Terminal(std::move(s));
   span.Value("nodes", builder().size() - nodes_before);
-  s = PropagateAll();
-  if (!s.ok()) return Terminal(std::move(s));
-  UpdateEdbPeak();
+  if (streaming_) {
+    s = PropagateAll();
+    if (!s.ok()) return Terminal(std::move(s));
+    UpdateEdbPeak();
+  }
   return util::Status::OK();
 }
 
 void StreamSession::CreateNode(tree::NodeId n) {
-  const tree::NodeId parent = builder().parent(n);
-  num_children_.push_back(0);
-  closed_.push_back(false);
+  closed_.push_back(0);
   peak_live_nodes_ = std::max(peak_live_nodes_, ++live_nodes_);
-  const int32_t k = ++num_children_[parent];
-  const tree::NodeId prev = builder().prev_sibling(n);
-  if (!incremental_) return;
-
-  // A second top-level node refutes the stripped hypothesis before any fact
-  // about this node is asserted.
-  if (parent == 0 && k == 2 && !settled_) ResolveKept();
-
-  const core::PredId label_pred = LabelPred(n);
-  if (eval_stripped_ != nullptr) {
-    eval_stripped_->AddNode(n, prev);
-    AssertUnary(eval_stripped_.get(), label_pred, n);
-    if (parent == 0) {
-      // The first top-level node IS the root of the stripped tree (internal
-      // ids run one above the batch EDB's). No sibling/parent facts: the
-      // external root has none in TreeDatabase::Materialize.
-      AssertUnary(eval_stripped_.get(), root_pred_, n);
-    } else {
-      if (prev == tree::kNoNode) {
-        AssertBinary(eval_stripped_.get(), firstchild_pred_, parent, n);
-        AssertUnary(eval_stripped_.get(), firstsibling_pred_, n);
-      } else {
-        AssertBinary(eval_stripped_.get(), nextsibling_pred_, prev, n);
-      }
-      AssertBinary(eval_stripped_.get(), child_pred_, parent, n);
-      AssertChildK(eval_stripped_.get(), k, parent, n);
-    }
+  if (!streaming_) return;
+  // A second top-level node refutes the stripped hypothesis before that
+  // world could see it.
+  if (!settled_ && builder().parent(n) == 0 &&
+      builder().prev_sibling(n) != tree::kNoNode) {
+    ResolveKept();
   }
-  if (eval_kept_ != nullptr) {
-    // In the kept world node 0 is an ordinary node: top-level children link
-    // to it exactly like any other parent.
-    eval_kept_->AddNode(n, prev);
-    AssertUnary(eval_kept_.get(), label_pred, n);
-    if (prev == tree::kNoNode) {
-      AssertBinary(eval_kept_.get(), firstchild_pred_, parent, n);
-      AssertUnary(eval_kept_.get(), firstsibling_pred_, n);
-    } else {
-      AssertBinary(eval_kept_.get(), nextsibling_pred_, prev, n);
-    }
-    AssertBinary(eval_kept_.get(), child_pred_, parent, n);
-    AssertChildK(eval_kept_.get(), k, parent, n);
+  for (core::IncrementalReplay* world : worlds()) {
+    if (world != nullptr) world->NodeCreated(n);
   }
 }
 
 void StreamSession::CloseNode(tree::NodeId n) {
-  closed_[n] = true;
+  closed_[n] = 1;
   --live_nodes_;
-  if (!incremental_) return;
-  const tree::NodeId lc = builder().last_child(n);
-  for (IncrementalTmnfEval* ev : {eval_stripped_.get(), eval_kept_.get()}) {
-    if (ev == nullptr) continue;
-    if (lc == tree::kNoNode) {
-      AssertUnary(ev, leaf_pred_, n);
-    } else {
-      AssertUnary(ev, lastsibling_pred_, lc);
-      AssertBinary(ev, lastchild_pred_, n, lc);
-    }
+  if (!streaming_) return;
+  for (core::IncrementalReplay* world : worlds()) {
+    if (world != nullptr) world->NodeClosed(n);
   }
   // Anything already derived for this node was held back by the closed_
   // check; it is eligible now.
-  for (const core::PredId pred : pattern_pred_list_) MaybeEmit(pred, n);
+  for (size_t pi = 0; pi < pattern_preds_.size(); ++pi) MaybeEmit(pi, n);
 }
 
 void StreamSession::ResolveKept() {
   settled_ = true;
-  eval_stripped_.reset();
+  stripped_world_.reset();
+  BindPatternSets();
   // The emission criterion just relaxed from derived-in-both to
   // derived-in-kept: flush what the kept world had and the stripped world
   // was still missing.
   FlushEligible();
 }
 
-void StreamSession::MaybeEmit(core::PredId pred, tree::NodeId node) {
-  const auto it = derived_.find(DerivedKey(pred, node));
-  if (it == derived_.end()) return;
-  uint8_t& bits = it->second;
-  if (bits & kEmitted) return;
-  if (!closed_[node]) return;
+void StreamSession::MaybeEmit(size_t pi, tree::NodeId node) {
+  PatternPred& pp = pattern_preds_[pi];
+  if (closed_[node] == 0 || pp.emitted.Contains(node)) return;
   // Pre-resolution, a result must hold under both hypotheses to be sound;
   // afterwards the winner alone decides.
-  const uint8_t need = settled_    ? kInKept
-                       : stripped_ ? kInStripped
-                                   : (kInStripped | kInKept);
-  if ((bits & need) != need) return;
-  bits |= kEmitted;
-  for (const int32_t idx : pred_patterns_[pred]) EmitResult(idx, node);
+  for (const core::NodeSet* derived : pp.derived) {
+    if (derived != nullptr && !derived->Contains(node)) return;
+  }
+  if (node >= pp.emitted.domain_size()) pp.emitted.Grow(builder().size());
+  pp.emitted.Insert(node);
+  for (const int32_t idx : pp.patterns) EmitResult(idx, node);
 }
 
 void StreamSession::FlushEligible() {
-  std::vector<uint64_t> keys;
-  keys.reserve(derived_.size());
-  for (const auto& [key, bits] : derived_) {
-    if (!(bits & kEmitted)) keys.push_back(key);
+  // The candidates are the nodes some live world derived for some pattern,
+  // taken a word of each set at a time so the walk is by node.
+  size_t num_words = 0;
+  for (const PatternPred& pp : pattern_preds_) {
+    for (const core::NodeSet* derived : pp.derived) {
+      if (derived != nullptr) {
+        num_words = std::max(num_words, derived->num_words());
+      }
+    }
   }
-  // Deterministic emission order regardless of hash-map iteration: by node,
-  // then pattern pred.
-  std::sort(keys.begin(), keys.end(), [](uint64_t a, uint64_t b) {
-    const uint32_t na = static_cast<uint32_t>(a), nb = static_cast<uint32_t>(b);
-    return na != nb ? na < nb : a < b;
+  for (size_t w = 0; w < num_words; ++w) {
+    uint64_t candidates = 0;
+    for (const PatternPred& pp : pattern_preds_) {
+      for (const core::NodeSet* derived : pp.derived) {
+        if (derived != nullptr && w < derived->num_words()) {
+          candidates |= derived->words()[w];
+        }
+      }
+    }
+    for (; candidates != 0; candidates &= candidates - 1) {
+      const tree::NodeId n =
+          static_cast<tree::NodeId>(w * 64) + util::Ctz64(candidates);
+      for (size_t pi = 0; pi < pattern_preds_.size(); ++pi) MaybeEmit(pi, n);
+    }
+  }
+}
+
+void StreamSession::EmitDerived() {
+  fresh_.clear();
+  for (core::IncrementalReplay* world : worlds()) {
+    if (world == nullptr) continue;
+    fresh_.insert(fresh_.end(), world->derived().begin(),
+                  world->derived().end());
+    world->ClearDerived();
+  }
+  // Document order, then predicate order — FlushEligible's order — rather
+  // than the replay's pop order.
+  std::sort(fresh_.begin(), fresh_.end(), [](const auto& a, const auto& b) {
+    return a.second != b.second ? a.second < b.second : a.first < b.first;
   });
-  for (const uint64_t key : keys) {
-    MaybeEmit(static_cast<core::PredId>(key >> 32),
-              static_cast<tree::NodeId>(static_cast<uint32_t>(key)));
-  }
-}
-
-core::PredId StreamSession::LabelPred(tree::NodeId n) {
-  const tree::LabelId id = builder().label(n);
-  if (static_cast<size_t>(id) >= label_pred_of_id_.size()) {
-    label_pred_of_id_.resize(id + 1, kUnresolved);
-  }
-  core::PredId& pred = label_pred_of_id_[id];
-  if (pred == kUnresolved) {
-    const auto it = label_preds_.find(builder().label_name(n));
-    pred = it == label_preds_.end() ? -1 : it->second;
-  }
-  return pred;
-}
-
-void StreamSession::AssertChildK(IncrementalTmnfEval* ev, int32_t k,
-                                 tree::NodeId parent, tree::NodeId child) {
-  const auto it = childk_preds_.find(k);
-  if (it != childk_preds_.end()) {
-    ev->AddBinaryFact(it->second, parent, child);
+  for (const auto& [pred, node] : fresh_) {
+    for (size_t pi = 0; pi < pattern_preds_.size(); ++pi) {
+      if (pattern_preds_[pi].pred == pred) MaybeEmit(pi, node);
+    }
   }
 }
 
@@ -411,33 +341,46 @@ util::Result<std::string> StreamSession::FinishImpl() {
     return Terminal(util::Status::InvalidArgument("no content in HTML input"));
   }
 
-  IncrementalTmnfEval* winner = nullptr;
-  if (incremental_) {
+  elog::ElogResult matches;
+  const auto& patterns = program_->prepared.extraction_patterns;
+  if (streaming_) {
+    core::IncrementalReplay* winner = nullptr;
     if (!settled_) {
-      // Exactly one top-level node: the stripped hypothesis held. Its
-      // evaluator has been complete since the last fact (root(1) was
-      // asserted when node 1 was created).
+      // Exactly one top-level node: the stripped hypothesis held, and every
+      // fact of its world has been final since node 1 closed.
       stripped_ = true;
-      eval_kept_.reset();
-      winner = eval_stripped_.get();
+      kept_world_.reset();
+      BindPatternSets();
+      winner = stripped_world_.get();
     } else {
-      winner = eval_kept_.get();
-      const tree::NodeId lc = builder().last_child(0);
-      AssertUnary(winner, lastsibling_pred_, lc);
-      AssertBinary(winner, lastchild_pred_, 0, lc);
+      winner = kept_world_.get();
+      closed_[0] = 1;  // patterns may select the kept "#document" root
+      winner->NodeClosed(0);
     }
-    closed_[0] = true;  // patterns may select the kept "#document" root
     {
       telemetry::TraceSpan span(cur_trace(), "stream.propagate");
       s = winner->Propagate(control());
-      if (span) span.Value("facts", winner->num_facts());
+      if (span) span.Value("facts", winner->num_derived());
     }
     UpdateEdbPeak();
     if (!s.ok()) return Terminal(std::move(s));
+    EmitDerived();
     // The hypothesis resolution relaxed the emission criterion; everything
     // the winner derived on closed subtrees (i.e. everything) must be out
     // before Finish returns.
     FlushEligible();
+    const int32_t shift = stripped_ ? 1 : 0;
+    for (size_t i = 0; i < patterns.size(); ++i) {
+      const core::NodeSet* members =
+          winner->Members(program_->pattern_preds[i]);
+      if (members == nullptr) continue;  // never derivable: empty extent
+      std::vector<tree::NodeId>& extent = matches.matches[patterns[i]];
+      members->ForEach([&](tree::NodeId n) { extent.push_back(n - shift); });
+    }
+    // The worlds read the builder, which Build below consumes.
+    stripped_world_.reset();
+    kept_world_.reset();
+    BindPatternSets();
   } else {
     stripped_ = constructor_.single_rooted();
   }
@@ -449,18 +392,7 @@ util::Result<std::string> StreamSession::FinishImpl() {
   MD_CHECK(built.ok());  // content exists, checked above
   const tree::Tree out_tree = *std::move(built);
 
-  elog::ElogResult matches;
-  const auto& patterns = program_->prepared.extraction_patterns;
-  if (incremental_) {
-    const int32_t shift = stripped_ ? 1 : 0;
-    for (size_t i = 0; i < patterns.size(); ++i) {
-      const core::PredId pred = program_->pattern_preds[i];
-      if (pred < 0) continue;  // never derivable: empty extent
-      std::vector<tree::NodeId> extent = winner->Members(pred);
-      for (tree::NodeId& node : extent) node -= shift;
-      matches.matches[patterns[i]] = std::move(extent);
-    }
-  } else {
+  if (!streaming_) {
     // Fallback (Elog⁻Δ): the page streamed, the evaluation replays the
     // wrapper's ground plan over the built tree, as Wrap does.
     util::Result<core::EvalResult> result =

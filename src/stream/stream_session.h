@@ -1,17 +1,18 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "src/core/grounder.h"
+#include "src/core/nodeset.h"
 #include "src/html/parser.h"
 #include "src/html/tokenizer.h"
 #include "src/runtime/runtime.h"
-#include "src/stream/incremental_eval.h"
 #include "src/stream/stream_types.h"
 #include "src/telemetry/telemetry.h"
 #include "src/tree/tree.h"
@@ -21,40 +22,41 @@
 /// Streaming incremental extraction: one wrap request whose page arrives in
 /// chunks. Feed() pushes bytes through the same scanner and tree
 /// construction the batch parser uses (html::Scanner, html::TreeConstructor
-/// with this session's create/close hooks), asserts EDB facts the moment
-/// they become finally true, and runs semi-naive delta rounds over the
-/// compiled TMNF program — extraction results are emitted via
-/// StreamOptions::on_result as soon as they are both derived and final,
-/// typically long before end of input. Finish() settles
-/// the root, runs the last delta round and returns the output XML, byte-
-/// identical to what batch WrapperRuntime::Wrap produces on the concatenated
-/// bytes — for every input under every chunking (the invariant the
-/// differential harness in tests/stream_test.cc pins).
+/// with this session's create/close hooks) and replays the wrapper's ground
+/// plan — the one Wrap replays — incrementally over the growing tree
+/// (core::IncrementalReplay): each node's creation and close are queued as
+/// events that run the plan's EDB triggers, and Propagate pops them after
+/// every chunk. Extraction results are emitted via StreamOptions::on_result
+/// as soon as they are both derived and final, typically long before end of
+/// input. Finish() settles the root, runs the last propagation and returns
+/// the output XML, byte-identical to what batch WrapperRuntime::Wrap
+/// produces on the concatenated bytes — for every input under every
+/// chunking (the invariant the differential harness in tests/stream_test.cc
+/// pins).
 ///
-/// Fact finality is the load-bearing idea: label and structure links are
-/// asserted at node creation, leaf/lastsibling/lastchild when the element
-/// closes. The EDB is therefore insert-only, datalog is monotone, and every
-/// pre-EOF derivation is sound — see incremental_eval.h.
+/// Fact finality is the load-bearing idea: the replay reads the tree only
+/// through facts that can no longer change — label and links once a node
+/// exists, leaf once it closed, lastsibling once its parent closed. Datalog
+/// is monotone, so every pre-EOF derivation is sound — see grounder.h.
 ///
 /// The one fact that is NOT known before end of input is the root: the batch
 /// parser strips the synthetic "#document" node when it ends up with exactly
 /// one top-level child, so `root` is node 1 (internal) for ordinary
 /// single-rooted HTML and node 0 for multi-rooted fragments — and almost
 /// every derivation chain starts at `root`. Waiting for EOF would kill
-/// streaming. Instead the session runs the SAME insert-only evaluator under
-/// BOTH hypotheses: one asserts root(1) and no node-0 fact at all (the
-/// stripped world, where the asserted structure is the batch EDB shifted up
-/// by one and constant-free rules carry derivations across the isomorphism),
-/// the other asserts root(0), label_#document(0) and the node-0 links
-/// incrementally (the kept world). A result emits before EOF only when it is
-/// derived under BOTH hypotheses and its subtree is closed — sound whichever
-/// way the input ends. The hypothesis resolves the moment a second top-level
+/// streaming. Instead the session keeps two replay states over the one
+/// builder, one per hypothesis: the stripped world hides node 0 and takes
+/// node 1 as the root (the batch tree with every id one higher), the kept
+/// world is the builder as it stands. A result emits before EOF only when it
+/// is derived in BOTH worlds and its subtree is closed — sound whichever way
+/// the input ends. The hypothesis resolves the moment a second top-level
 /// node arrives (kept) or at Finish (stripped); the loser is discarded and
 /// the winner's remaining closed derivations flush.
 ///
-/// Programs without a TMNF program (Elog⁻Δ builtins) degrade gracefully:
-/// the session still parses incrementally but replays the wrapper's ground
-/// plan at Finish (streaming() == false); results then all emit at Finish.
+/// Plans that are not streamable (Elog⁻Δ builtins read tables of the
+/// finished tree) degrade gracefully: the session still parses incrementally
+/// but replays the plan over the built tree at Finish (streaming() ==
+/// false); results then all emit at Finish.
 
 namespace mdatalog::stream {
 
@@ -64,9 +66,9 @@ class StreamSession {
   /// `project_attr` mirrors WrapperHandle::project_attr (Remark 2.2
   /// attribute projection, applied to labels as nodes are created).
   /// `request` carries the deadline / cancel token; both the tokenizer and
-  /// the delta rounds poll it. `telemetry`, when non-null (the runtime
+  /// the propagation poll it. `telemetry`, when non-null (the runtime
   /// passes its own bundle), traces the session ("stream" kind: one
-  /// stream.feed span per chunk, stream.propagate per delta round batch,
+  /// stream.feed span per chunk, stream.propagate per propagation,
   /// stream.finish) and books the session's peak gauges at termination; it
   /// must outlive the session. request.trace overrides the sampling policy
   /// exactly as in Wrap.
@@ -94,10 +96,10 @@ class StreamSession {
   /// the full page. Calling Feed or Finish afterwards fails.
   util::Result<std::string> Finish();
 
-  /// True when the program compiled for incremental evaluation (results can
-  /// emit before Finish); false = parse-only streaming with batch evaluation
-  /// at Finish.
-  bool streaming() const { return incremental_; }
+  /// True when the plan replays incrementally (no Δ builtins: results can
+  /// emit before Finish); false = parse-only streaming with the plan
+  /// replayed at Finish.
+  bool streaming() const { return streaming_; }
   /// Whether the synthetic "#document" root was stripped from the output
   /// tree (final ids = internal ids - 1). Meaningful once the second
   /// top-level node arrives (false from then on) or after Finish.
@@ -111,8 +113,8 @@ class StreamSession {
   /// the part of the tree whose EDB facts are still pending — for
   /// well-formed input this tracks nesting depth, not page length.
   int64_t peak_live_nodes() const { return peak_live_nodes_; }
-  /// Peak ApproxBytes across the session's incremental evaluators (both
-  /// hypothesis worlds while both are live). 0 for non-incremental sessions.
+  /// Peak ApproxBytes of the session's replay states (both hypothesis
+  /// worlds while both are live). 0 for non-streaming sessions.
   int64_t peak_edb_bytes() const { return peak_edb_bytes_; }
 
  private:
@@ -150,34 +152,32 @@ class StreamSession {
   void CloseNode(tree::NodeId n);
   const tree::TreeBuilder& builder() const { return constructor_.builder(); }
   /// Second top-level node arrived: the root is definitely kept. Drops the
-  /// stripped-hypothesis evaluator and flushes everything the kept world has
-  /// already derived on closed subtrees.
+  /// stripped world and flushes everything the kept world has already
+  /// derived on closed subtrees.
   void ResolveKept();
-  /// Emits (pattern pred, node) if it is derivation-eligible under the
-  /// current hypothesis state, its subtree is closed, and it has not emitted
-  /// yet.
-  void MaybeEmit(core::PredId pred, tree::NodeId node);
-  /// Re-examines every recorded derivation — called when the hypothesis
-  /// resolves and the emission criterion relaxes.
+  /// Emits (pattern predicate `pi`, node) if it is derived in the worlds the
+  /// current hypothesis state requires, its subtree is closed, and it has
+  /// not emitted yet.
+  void MaybeEmit(size_t pi, tree::NodeId node);
+  /// Re-examines every node a live world derived a pattern for, in
+  /// ascending order — called when the hypothesis resolves and the emission
+  /// criterion relaxes.
   void FlushEligible();
+  /// MaybeEmit for every pattern atom the live worlds derived since the
+  /// last call, in document order.
+  void EmitDerived();
   void EmitResult(int32_t pattern_index, tree::NodeId node);
   util::Status PropagateAll();
+  /// Points every PatternPred::derived at the live worlds' sets.
+  void BindPatternSets();
+  /// The live worlds; null entries for the dropped ones.
+  std::array<core::IncrementalReplay*, 2> worlds() const {
+    return {stripped_world_.get(), kept_world_.get()};
+  }
 
   const util::EvalControl* control() const {
     return control_.unbounded() ? nullptr : &control_;
   }
-  static void AssertUnary(IncrementalTmnfEval* ev, core::PredId pred,
-                          tree::NodeId n) {
-    if (pred >= 0) ev->AddUnaryFact(pred, n);
-  }
-  static void AssertBinary(IncrementalTmnfEval* ev, core::PredId pred,
-                           tree::NodeId a, tree::NodeId b) {
-    if (pred >= 0) ev->AddBinaryFact(pred, a, b);
-  }
-  /// The label_<l> predicate of node n's label, or -1.
-  core::PredId LabelPred(tree::NodeId n);
-  void AssertChildK(IncrementalTmnfEval* ev, int32_t k, tree::NodeId parent,
-                    tree::NodeId child);
 
   const std::shared_ptr<const runtime::CompiledWrapperProgram> program_;
   const std::string project_attr_;
@@ -187,30 +187,24 @@ class StreamSession {
 
   html::Scanner scanner_;
   html::TreeConstructor<ConstructionHooks> constructor_;
-  std::vector<int32_t> num_children_;  // per node, grows with the tree
-  std::vector<bool> closed_;           // per node: subtree complete
+  std::vector<uint8_t> closed_;  // per node: subtree complete
 
-  /// The two hypothesis worlds, both engaged when the program's TMNF
-  /// compiled for incremental evaluation; the loser is reset at resolution.
-  std::unique_ptr<IncrementalTmnfEval> eval_stripped_;
-  std::unique_ptr<IncrementalTmnfEval> eval_kept_;
-  bool incremental_ = false;
-  // EDB predicate ids in program_->tmnf (-1 = the program never reads it).
-  core::PredId root_pred_ = -1, leaf_pred_ = -1;
-  core::PredId lastsibling_pred_ = -1, firstsibling_pred_ = -1;
-  core::PredId firstchild_pred_ = -1, nextsibling_pred_ = -1;
-  core::PredId child_pred_ = -1, lastchild_pred_ = -1;
-  std::unordered_map<std::string, core::PredId> label_preds_;
-  /// label_preds_ by the tree's label id, resolved on first sight
-  /// (kUnresolved until then).
-  std::vector<core::PredId> label_pred_of_id_;
-  std::unordered_map<int32_t, core::PredId> childk_preds_;
-  /// pattern pred → indices into prepared.extraction_patterns.
-  std::unordered_map<core::PredId, std::vector<int32_t>> pred_patterns_;
-  std::vector<core::PredId> pattern_pred_list_;
-  /// Per (pattern pred, node): bit 0 = derived in the stripped world, bit 1
-  /// = derived in the kept world, bit 2 = already emitted.
-  std::unordered_map<uint64_t, uint8_t> derived_;
+  /// The two hypothesis worlds, both engaged when the plan is streamable;
+  /// the loser is reset at resolution.
+  std::unique_ptr<core::IncrementalReplay> stripped_world_;
+  std::unique_ptr<core::IncrementalReplay> kept_world_;
+  bool streaming_ = false;
+  /// One entry per distinct pattern predicate, in ascending PredId order.
+  struct PatternPred {
+    core::PredId pred;
+    std::vector<int32_t> patterns;  // indices into extraction_patterns
+    /// Its derived sets in the stripped and the kept world (null once that
+    /// world is dropped): worlds() order.
+    std::array<const core::NodeSet*, 2> derived{};
+    core::NodeSet emitted;  // nodes already emitted, grown on demand
+  };
+  std::vector<PatternPred> pattern_preds_;
+  std::vector<std::pair<core::PredId, tree::NodeId>> fresh_;  // EmitDerived
 
   bool settled_ = false;   // true once a second top-level node exists (kept)
   bool stripped_ = false;  // decided at Finish when still unsettled

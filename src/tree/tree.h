@@ -254,6 +254,8 @@ class TreeBuilder {
     if (static_cast<size_t>(n) < tree_.texts_.size()) return tree_.texts_[n];
     return {};
   }
+  /// The labels interned so far (ids are final once assigned).
+  const util::Interner& labels() const { return tree_.labels_; }
 
   /// Finalizes the tree. The builder must not be reused afterwards.
   Tree Build();

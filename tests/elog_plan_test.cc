@@ -22,6 +22,7 @@
 #include "src/tree/tree.h"
 #include "src/util/rng.h"
 #include "src/wrapper/wrapper.h"
+#include "tests/engine_oracles.h"
 
 namespace mdatalog {
 namespace {
@@ -437,15 +438,16 @@ post(Y)    <- anynode(P), subelem(P, "li.span@post", Y).
     ASSERT_TRUE(handle.ok()) << handle.status().ToString();
     EXPECT_TRUE(handle->program->has_ground_plan)
         << elog::ToString(w.program);
-    // Only Δ-free wrappers carry the stream session's TMNF program.
-    EXPECT_EQ(handle->program->has_tmnf, !w.program.UsesDeltaBuiltins());
+    // Only Δ-free wrappers replay incrementally in a stream session.
+    EXPECT_EQ(handle->program->ground_plan->streamable(),
+              !w.program.UsesDeltaBuiltins());
   }
 }
 
 TEST(ElogPlanTest, PatternPredsIndexBothThePlanAndTmnf) {
   // The lowered program keeps ElogToDatalog's predicate table (ToTmnf
   // copies it), so one PredId per extraction pattern serves the plan's
-  // EvalResult and the stream session's TMNF program alike.
+  // EvalResult and the oracles' TMNF program alike.
   runtime::ProgramCache cache(16, /*canonical_keys=*/false);
   for (const auto& [name, w] : CorpusWrappers()) {
     if (w.program.UsesDeltaBuiltins()) continue;
@@ -458,11 +460,12 @@ TEST(ElogPlanTest, PatternPredsIndexBothThePlanAndTmnf) {
     }
     auto compiled = cache.GetOrCompile(w);
     ASSERT_TRUE(compiled.ok()) << name;
-    ASSERT_TRUE((*compiled)->has_tmnf) << name;
+    auto tmnf = oracle::TmnfOf(**compiled);
+    ASSERT_TRUE(tmnf.ok()) << name;
     const auto& patterns = w.extraction_patterns;
     for (size_t i = 0; i < patterns.size(); ++i) {
       EXPECT_EQ((*compiled)->pattern_preds[i],
-                (*compiled)->tmnf.preds().Find("pat_" + patterns[i]))
+                tmnf->preds().Find("pat_" + patterns[i]))
           << name << " " << patterns[i];
       EXPECT_EQ((*compiled)->pattern_preds[i],
                 lowered->preds().Find("pat_" + patterns[i]));

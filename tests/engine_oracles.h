@@ -12,7 +12,9 @@
 #include "src/core/database.h"
 #include "src/core/eval.h"
 #include "src/elog/eval.h"
+#include "src/elog/to_datalog.h"
 #include "src/runtime/program_cache.h"
+#include "src/tmnf/pipeline.h"
 #include "src/tree/serialize.h"
 #include "src/tree/tree.h"
 #include "src/util/result.h"
@@ -20,25 +22,33 @@
 
 namespace mdatalog::oracle {
 
+/// The wrapper's TMNF program: ElogToDatalog (Theorem 6.5), then ToTmnf
+/// (Theorem 5.2). The predicate table is ElogToDatalog's, which ToTmnf
+/// extends.
+inline util::Result<core::Program> TmnfOf(
+    const runtime::CompiledWrapperProgram& program) {
+  MD_ASSIGN_OR_RETURN(core::Program datalog,
+                      elog::ElogToDatalog(program.prepared.program.program()));
+  return tmnf::ToTmnf(datalog);
+}
+
 /// The XML that core::EvaluateSemiNaive over the program's TMNF translation
-/// extracts from `t`. `edb` is the relational view of `t` — a plain
-/// core::TreeDatabase, or one over a store's packed unary bit-arrays. Needs
-/// the Corollary 6.4 pipeline (program.has_tmnf).
+/// (the Corollary 6.4 pipeline ElogToDatalog → ToTmnf, built here: the
+/// runtime compiles no TMNF) extracts from `t`. `edb` is the relational view
+/// of `t` — a plain core::TreeDatabase, or one over a store's packed unary
+/// bit-arrays. Fails for Elog⁻Δ programs, which have no datalog translation.
 inline util::Result<std::string> SemiNaiveXml(
     const runtime::CompiledWrapperProgram& program, const core::EdbSource& edb,
     const tree::Tree& t) {
-  if (!program.has_tmnf) {
-    return util::Status::FailedPrecondition(
-        "no datalog translation for this program (Elog⁻Δ builtins?)");
-  }
+  MD_ASSIGN_OR_RETURN(core::Program tmnf, TmnfOf(program));
   MD_ASSIGN_OR_RETURN(core::EvalResult eval,
-                      core::EvaluateSemiNaive(program.tmnf, edb));
+                      core::EvaluateSemiNaive(tmnf, edb));
   const auto& patterns = program.prepared.extraction_patterns;
   elog::ElogResult matches;
-  for (size_t i = 0; i < patterns.size(); ++i) {
-    const core::PredId pred = program.pattern_preds[i];
+  for (const std::string& pattern : patterns) {
+    const core::PredId pred = tmnf.preds().Find("pat_" + pattern);
     if (pred < 0) continue;  // never derivable: empty extent
-    matches.matches[patterns[i]] = eval.Unary(pred);
+    matches.matches[pattern] = eval.Unary(pred);
   }
   return tree::ToXml(wrapper::BuildOutputTree(patterns, matches, t));
 }

@@ -321,8 +321,8 @@ TEST(ProgramCacheTest, CompilesOnceAndBuildsGroundPlan) {
   EXPECT_EQ(a->get(), b->get());
   EXPECT_EQ(cache.stats().hits, 1);
   EXPECT_EQ(cache.stats().misses, 1);
-  // Elog⁻ program: the Corollary 6.4 pipeline must have compiled, with one
-  // resolved tmnf predicate per extraction pattern.
+  // The ground plan must have compiled, with one resolved pattern
+  // predicate per extraction pattern.
   EXPECT_TRUE((*a)->has_ground_plan);
   EXPECT_EQ(cache.stats().ground_plans, 1);
   ASSERT_EQ((*a)->pattern_preds.size(), 2u);
@@ -348,9 +348,9 @@ TEST(ProgramCacheTest, DeltaBuiltinProgramGetsAGroundPlan) {
   auto compiled = cache.GetOrCompile(w);
   ASSERT_TRUE(compiled.ok());
   // The builtin is a residual check of the plan; only the stream session's
-  // TMNF program is Δ-free-only.
+  // incremental replay is Δ-free-only.
   EXPECT_TRUE((*compiled)->has_ground_plan);
-  EXPECT_FALSE((*compiled)->has_tmnf);
+  EXPECT_FALSE((*compiled)->ground_plan->streamable());
   EXPECT_EQ(cache.stats().ground_plans, 1);
 }
 

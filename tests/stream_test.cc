@@ -1,11 +1,11 @@
-// The streaming front: SAX-style incremental tokenization, chunked tree
-// growth and semi-naive delta rounds (src/stream/). The load-bearing
-// invariant — pinned here as a differential property test — is that for
-// every input under every chunking (whole page, one byte at a time, random
+// The streaming front: SAX-style incremental tokenization, chunked tree growth
+// and the incremental ground-plan replay (src/stream/). The load-bearing
+// invariant — pinned here as a differential property test — is that for every
+// input under every chunking (whole page, one byte at a time, random
 // boundaries, adversarial mid-tag / mid-attribute / mid-entity splits) the
 // streaming session's Finish() XML is byte-identical to batch
-// WrapperRuntime::Wrap on the concatenated bytes, under every engine mode,
-// and the results emitted before EOF are exactly the batch extents.
+// WrapperRuntime::Wrap on the concatenated bytes, under every engine mode, and
+// the results emitted before EOF are exactly the batch extents.
 
 #include <algorithm>
 #include <chrono>
@@ -601,10 +601,9 @@ TEST(StreamSessionTest, DeltaProgramFallsBackButStillStreamsTheParse) {
   runtime::WrapperRuntime rt;
   auto handle = rt.Register(DeltaWrapper(), "");
   ASSERT_TRUE(handle.ok());
-  // The batch side replays a ground plan; streaming needs the TMNF program,
-  // which Δ wrappers lack, so the evaluation waits for Finish.
+  // Batch and stream replay the same ground plan; its Δ builtin reads
+  // tables of the finished tree, so the evaluation waits for Finish.
   EXPECT_TRUE(handle->program->has_ground_plan);
-  EXPECT_FALSE(handle->program->has_tmnf);
 
   std::vector<stream::StreamResult> emitted;
   stream::StreamOptions options;
