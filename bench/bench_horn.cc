@@ -3,8 +3,8 @@
 
 #include <benchmark/benchmark.h>
 
-#include "src/core/horn.h"
 #include "src/util/rng.h"
+#include "tests/support/horn.h"
 
 namespace {
 

@@ -4,9 +4,9 @@
 
 #include <benchmark/benchmark.h>
 
-#include "src/core/program_generator.h"
 #include "src/tmnf/pipeline.h"
 #include "src/util/rng.h"
+#include "tests/support/program_generator.h"
 
 namespace {
 

@@ -35,15 +35,6 @@ void Relation::AddBinary(int32_t a, int32_t b) {
   bwd_fn_[b] = a;
 }
 
-void Relation::LoadUnaryBits(const uint64_t* words, int32_t domain_size) {
-  MD_DCHECK(arity_ == 1);
-  MD_DCHECK(domain_size == domain_size_);
-  unary_set_.AssignWords(words, domain_size);
-  unary_.clear();
-  unary_.reserve(static_cast<size_t>(unary_set_.count()));
-  unary_set_.ForEach([this](int32_t a) { unary_.push_back(a); });
-}
-
 bool Relation::ContainsUnary(int32_t a) const {
   MD_DCHECK(arity_ == 1);
   return unary_set_.Contains(a);
@@ -160,30 +151,9 @@ const Relation* TreeDatabase::Materialize(const std::string& name,
   Relation rel(arity, t.size());
 
   if (arity == 1) {
-    // Index into a FrozenUnaryEdb's set array (root/leaf/lastsibling/
-    // firstsibling, then the label sets); -1 for labels outside the tree's
-    // alphabet (those relations are empty either way).
-    int32_t frozen_index = -1;
     const std::string label = LabelFromPredName(name);
-    if (name == "root") {
-      frozen_index = 0;
-    } else if (name == "leaf") {
-      frozen_index = 1;
-    } else if (name == "lastsibling") {
-      frozen_index = 2;
-    } else if (name == "firstsibling") {
-      frozen_index = 3;
-    } else if (tree::LabelId id = t.FindLabel(label);
-               id != util::kInvalidSymbol) {
-      frozen_index = 4 + id;
-    }
-    if (frozen_ != nullptr && frozen_index >= 0 &&
-        frozen_index < 4 + frozen_->num_labels) {
-      // Frozen document: the membership bit-array was packed into the blob
-      // at corpus-build time — load it wholesale, no node scan.
-      rel.LoadUnaryBits(frozen_->set(frozen_index), t.size());
-    } else if (name == "root" || name == "leaf" || name == "lastsibling" ||
-               name == "firstsibling") {
+    if (name == "root" || name == "leaf" || name == "lastsibling" ||
+        name == "firstsibling") {
       for (NodeId n = 0; n < t.size(); ++n) {
         const bool in = name == "root"          ? t.IsRoot(n)
                         : name == "leaf"        ? t.IsLeaf(n)

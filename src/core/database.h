@@ -38,11 +38,6 @@ class Relation {
   bool ContainsUnary(int32_t a) const;
   bool ContainsBinary(int32_t a, int32_t b) const;
 
-  /// Bulk-loads a unary relation from a packed bit-array ((domain_size+63)/64
-  /// words, trailing bits zero) — the corpus-store path. Replaces any
-  /// existing members; the tuple vector is rebuilt in ascending order.
-  void LoadUnaryBits(const uint64_t* words, int32_t domain_size);
-
   /// All members of a unary relation.
   const std::vector<int32_t>& unary_tuples() const { return unary_; }
   /// Membership bitset of a unary relation (word-level access for the
@@ -157,31 +152,9 @@ class ExplicitDatabase : public EdbSource {
 /// are immutable once published. The lock is only taken on the Get path,
 /// which engines hit once per (program, atom) at plan-compile time, never
 /// per tuple.
-/// Borrowed view of the per-predicate unary bit-arrays a corpus-store blob
-/// carries, so the τ_ur unary relations of a frozen document load as one
-/// memcpy each instead of an O(n) node scan. Layout: `sets` is
-/// (4 + num_labels) consecutive bit-arrays of `words_per_set` uint64 words —
-/// root, leaf, lastsibling, firstsibling, then label_<l> for label ids
-/// 0..num_labels-1 in the tree's interner order. The referenced memory must
-/// outlive the TreeDatabase (the store's mapping does).
-struct FrozenUnaryEdb {
-  const uint64_t* sets = nullptr;
-  int32_t num_labels = 0;
-  int32_t words_per_set = 0;
-
-  const uint64_t* set(int32_t index) const {
-    return sets + static_cast<size_t>(index) * words_per_set;
-  }
-};
-
 class TreeDatabase : public EdbSource {
  public:
   explicit TreeDatabase(const tree::Tree& t) : tree_(t) {}
-  /// A database over a frozen tree whose unary EDB bit-arrays were packed
-  /// into the blob alongside it. `frozen` may be null (plain lazy scans) and
-  /// is borrowed: the caller keeps the underlying mapping alive.
-  TreeDatabase(const tree::Tree& t, const FrozenUnaryEdb* frozen)
-      : tree_(t), frozen_(frozen) {}
   // The database only references the tree; binding a temporary would dangle.
   explicit TreeDatabase(tree::Tree&&) = delete;
 
@@ -198,7 +171,6 @@ class TreeDatabase : public EdbSource {
   const Relation* Materialize(const std::string& name, int32_t arity) const;
 
   const tree::Tree& tree_;
-  const FrozenUnaryEdb* frozen_ = nullptr;  // borrowed, may be null
   mutable std::mutex mu_;
   mutable std::unordered_map<std::pair<std::string, int32_t>, Relation,
                              RelKeyHash>

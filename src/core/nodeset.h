@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "src/core/simd_kernels.h"
@@ -15,7 +14,7 @@
 /// Monadic datalog's intensional predicates are node *sets* (arity ≤ 1), so
 /// the engine stores every unary IDB relation and semi-naive delta as a
 /// NodeSet: one bit per domain element, packed into 64-bit words. Membership
-/// and insertion are O(1); union/intersection/difference run through the
+/// and insertion are O(1); intersection and difference run through the
 /// runtime-dispatched kernels of simd_kernels.h (AVX2 with a scalar
 /// fallback); iteration visits members in ascending order via
 /// count-trailing-zeros.
@@ -35,19 +34,6 @@ class NodeSet {
     words_.assign((static_cast<size_t>(domain_size) + 63) / 64, 0);
   }
 
-  /// Resizes to `domain_size` and loads the membership words from `words`
-  /// ((domain_size+63)/64 of them) — the bulk path for bit-arrays frozen
-  /// into a corpus-store blob. Trailing bits past domain_size must be zero.
-  void AssignWords(const uint64_t* words, int32_t domain_size) {
-    MD_DCHECK(domain_size >= 0);
-    domain_size_ = domain_size;
-    words_.resize((static_cast<size_t>(domain_size) + 63) / 64);
-    if (!words_.empty()) {
-      std::memcpy(words_.data(), words, words_.size() * sizeof(uint64_t));
-    }
-    count_ = simd::Count(words_.data(), words_.size());
-  }
-
   /// Extends the domain to `domain_size` (>= the current one), keeping every
   /// member: the sets of an evaluation over a growing tree.
   void Grow(int32_t domain_size) {
@@ -60,7 +46,7 @@ class NodeSet {
   bool empty() const { return count_ == 0; }
   int64_t count() const { return count_; }
 
-  /// Word-level read access (for freezing a set into a blob).
+  /// Word-level read access.
   const uint64_t* words() const { return words_.data(); }
   size_t num_words() const { return words_.size(); }
 
@@ -88,13 +74,6 @@ class NodeSet {
     count_ = 0;
   }
 
-  /// this ∪= other. Domains must match.
-  void UnionWith(const NodeSet& other) {
-    MD_DCHECK(domain_size_ == other.domain_size_);
-    count_ = simd::OrAssignCount(words_.data(), other.words_.data(),
-                                 words_.size());
-  }
-
   /// this ∩= other. Domains must match.
   void IntersectWith(const NodeSet& other) {
     MD_DCHECK(domain_size_ == other.domain_size_);
@@ -107,12 +86,6 @@ class NodeSet {
     MD_DCHECK(domain_size_ == other.domain_size_);
     count_ = simd::AndNotAssignCount(words_.data(), other.words_.data(),
                                      words_.size());
-  }
-
-  /// Smallest member, or -1 when empty.
-  int32_t FindFirst() const {
-    if (count_ == 0) return -1;
-    return static_cast<int32_t>(simd::FindFirst(words_.data(), words_.size()));
   }
 
   /// Calls fn(member) for every member, in ascending order.

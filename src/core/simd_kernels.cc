@@ -19,15 +19,6 @@ namespace {
 // Scalar kernels — the reference implementation and non-x86 fallback.
 // ---------------------------------------------------------------------------
 
-int64_t OrScalar(uint64_t* dst, const uint64_t* src, size_t n) {
-  int64_t count = 0;
-  for (size_t i = 0; i < n; ++i) {
-    dst[i] |= src[i];
-    count += util::Popcount64(dst[i]);
-  }
-  return count;
-}
-
 int64_t AndScalar(uint64_t* dst, const uint64_t* src, size_t n) {
   int64_t count = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -44,21 +35,6 @@ int64_t AndNotScalar(uint64_t* dst, const uint64_t* src, size_t n) {
     count += util::Popcount64(dst[i]);
   }
   return count;
-}
-
-int64_t CountScalar(const uint64_t* w, size_t n) {
-  int64_t count = 0;
-  for (size_t i = 0; i < n; ++i) count += util::Popcount64(w[i]);
-  return count;
-}
-
-int64_t FindFirstScalar(const uint64_t* w, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    if (w[i] != 0) {
-      return static_cast<int64_t>(i) * 64 + util::Ctz64(w[i]);
-    }
-  }
-  return -1;
 }
 
 #if MDATALOG_X86_64
@@ -87,29 +63,9 @@ __attribute__((target("avx2"))) inline int64_t HorizontalSum(__m256i acc) {
          _mm256_extract_epi64(acc, 2) + _mm256_extract_epi64(acc, 3);
 }
 
-// The three op-assign-and-count kernels are spelled out (no shared lambda
+// The two op-assign-and-count kernels are spelled out (no shared lambda
 // skeleton): GCC does not propagate the enclosing function's `target`
 // attribute into lambda bodies, so intrinsics inside one fail to inline.
-
-__attribute__((target("avx2"))) int64_t OrAvx2(uint64_t* dst,
-                                               const uint64_t* src, size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i d = _mm256_loadu_si256(reinterpret_cast<__m256i*>(dst + i));
-    const __m256i s =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    const __m256i r = _mm256_or_si256(d, s);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), r);
-    acc = _mm256_add_epi64(acc, Popcount256(r));
-  }
-  int64_t count = HorizontalSum(acc);
-  for (; i < n; ++i) {
-    dst[i] |= src[i];
-    count += util::Popcount64(dst[i]);
-  }
-  return count;
-}
 
 __attribute__((target("avx2"))) int64_t AndAvx2(uint64_t* dst,
                                                 const uint64_t* src,
@@ -154,36 +110,6 @@ __attribute__((target("avx2"))) int64_t AndNotAvx2(uint64_t* dst,
   return count;
 }
 
-__attribute__((target("avx2"))) int64_t CountAvx2(const uint64_t* w,
-                                                  size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc = _mm256_add_epi64(
-        acc, Popcount256(_mm256_loadu_si256(
-                 reinterpret_cast<const __m256i*>(w + i))));
-  }
-  int64_t count = HorizontalSum(acc);
-  for (; i < n; ++i) count += util::Popcount64(w[i]);
-  return count;
-}
-
-__attribute__((target("avx2"))) int64_t FindFirstAvx2(const uint64_t* w,
-                                                      size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i));
-    if (_mm256_testz_si256(v, v) == 0) break;  // some word in this block != 0
-  }
-  for (; i < n; ++i) {
-    if (w[i] != 0) {
-      return static_cast<int64_t>(i) * 64 + util::Ctz64(w[i]);
-    }
-  }
-  return -1;
-}
-
 #endif  // MDATALOG_X86_64
 
 // ---------------------------------------------------------------------------
@@ -191,21 +117,15 @@ __attribute__((target("avx2"))) int64_t FindFirstAvx2(const uint64_t* w,
 // ---------------------------------------------------------------------------
 
 struct Kernels {
-  int64_t (*or_assign)(uint64_t*, const uint64_t*, size_t);
   int64_t (*and_assign)(uint64_t*, const uint64_t*, size_t);
   int64_t (*andnot_assign)(uint64_t*, const uint64_t*, size_t);
-  int64_t (*count)(const uint64_t*, size_t);
-  int64_t (*find_first)(const uint64_t*, size_t);
   const char* name;
 };
 
-constexpr Kernels kScalarKernels = {OrScalar,        AndScalar,
-                                    AndNotScalar,    CountScalar,
-                                    FindFirstScalar, "scalar"};
+constexpr Kernels kScalarKernels = {AndScalar, AndNotScalar, "scalar"};
 
 #if MDATALOG_X86_64
-constexpr Kernels kAvx2Kernels = {OrAvx2,        AndAvx2,   AndNotAvx2,
-                                  CountAvx2, FindFirstAvx2, "avx2"};
+constexpr Kernels kAvx2Kernels = {AndAvx2, AndNotAvx2, "avx2"};
 #endif
 
 bool EnvForcesScalar() {
@@ -239,22 +159,12 @@ const Kernels& Active() {
 
 }  // namespace
 
-int64_t OrAssignCount(uint64_t* dst, const uint64_t* src, size_t n) {
-  return Active().or_assign(dst, src, n);
-}
-
 int64_t AndAssignCount(uint64_t* dst, const uint64_t* src, size_t n) {
   return Active().and_assign(dst, src, n);
 }
 
 int64_t AndNotAssignCount(uint64_t* dst, const uint64_t* src, size_t n) {
   return Active().andnot_assign(dst, src, n);
-}
-
-int64_t Count(const uint64_t* w, size_t n) { return Active().count(w, n); }
-
-int64_t FindFirst(const uint64_t* w, size_t n) {
-  return Active().find_first(w, n);
 }
 
 const char* ActiveKernelName() { return Active().name; }

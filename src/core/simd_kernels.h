@@ -8,10 +8,11 @@
 ///
 /// Monadic-datalog evaluation reduces to bitset algebra over the node domain
 /// (set-plans are intersections, semi-naive rounds subtract deltas from
-/// totals — Theorem 4.2's linear-time loop body), so these five operations
-/// are the inner core of every engine. Each has a portable scalar form and
-/// an AVX2 form (4 words per vector op; popcounts via the Muła vpshufb
-/// nibble-LUT reduction). The implementation is selected once per process:
+/// totals — Theorem 4.2's linear-time loop body), so these two operations
+/// are the inner loop of the semi-naive set plans (eval.cc). Each has a
+/// portable scalar form and an AVX2 form (4 words per vector op; popcounts
+/// via the Muła vpshufb nibble-LUT reduction). The implementation is selected
+/// once per process:
 ///
 ///   * AVX2 when the CPU reports it, unless forced off;
 ///   * scalar otherwise, or when MDATALOG_FORCE_SCALAR is set in the
@@ -28,16 +29,10 @@
 
 namespace mdatalog::core::simd {
 
-/// dst[i] |= src[i]; returns the total popcount of dst afterwards.
-int64_t OrAssignCount(uint64_t* dst, const uint64_t* src, size_t n);
 /// dst[i] &= src[i]; returns the total popcount of dst afterwards.
 int64_t AndAssignCount(uint64_t* dst, const uint64_t* src, size_t n);
 /// dst[i] &= ~src[i] (delta subtraction); returns the total popcount of dst.
 int64_t AndNotAssignCount(uint64_t* dst, const uint64_t* src, size_t n);
-/// Total popcount of w[0..n).
-int64_t Count(const uint64_t* w, size_t n);
-/// Index of the first set bit in w[0..n), or -1 when every word is zero.
-int64_t FindFirst(const uint64_t* w, size_t n);
 
 /// Name of the active implementation: "avx2" or "scalar".
 const char* ActiveKernelName();

@@ -23,7 +23,7 @@ std::shared_ptr<const CachedDocument> CachedDocument::FromFrozen(
       new CachedDocument(frozen.MakeTree(), std::move(store)));
 }
 
-uint64_t DocumentCache::KeyHash64(const Hash128& content_hash,
+uint64_t DocumentCache::KeyHash64(const util::Hash128& content_hash,
                                   const std::string& attr) {
   // Both 128-bit halves plus the projection attribute: entries that differ
   // only in projection must shard/sketch independently. Keyed SipHash, not a
@@ -47,12 +47,12 @@ DocumentCache::DocumentCache(const DocumentCacheOptions& options)
 
 util::Result<std::shared_ptr<const CachedDocument>> DocumentCache::GetOrParse(
     std::string_view html, const std::string& project_attr) {
-  return GetOrParse(html, project_attr, HashBytes128(html));
+  return GetOrParse(html, project_attr, util::HashBytes128(html));
 }
 
 util::Result<std::shared_ptr<const CachedDocument>> DocumentCache::GetOrParse(
     std::string_view html, const std::string& project_attr,
-    const Hash128& content_hash, telemetry::TraceSpan* span,
+    const util::Hash128& content_hash, telemetry::TraceSpan* span,
     TenantId tenant) {
   Key key{content_hash, project_attr};
   const uint64_t key_hash = KeyHash64(content_hash, project_attr);
@@ -94,7 +94,7 @@ util::Result<std::shared_ptr<const CachedDocument>> DocumentCache::GetOrParse(
 util::Result<std::shared_ptr<const CachedDocument>>
 DocumentCache::PrepareDocument(std::string_view html,
                                const std::string& project_attr,
-                               const Hash128& content_hash,
+                               const util::Hash128& content_hash,
                                bool* from_store) {
   *from_store = false;
   if (corpus_store_ != nullptr) {

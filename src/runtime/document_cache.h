@@ -31,13 +31,6 @@
 
 namespace mdatalog::runtime {
 
-/// The content-hash primitives moved to util/hash.h so the corpus store can
-/// key packed documents identically without depending on the runtime; these
-/// aliases keep existing runtime:: spellings working.
-using util::Hash128;
-using util::HashBytes;
-using util::HashBytes128;
-
 /// One fully prepared, immutable document. Shared (shared_ptr const) between
 /// every query that hits the same content: the tree is read-only, so
 /// concurrent evaluations are safe. It holds exactly one tree: no unprojected
@@ -149,7 +142,7 @@ class DocumentCache {
   /// `tenant` pays for the entry's bytes and is the fair-share principal.
   util::Result<std::shared_ptr<const CachedDocument>> GetOrParse(
       std::string_view html, const std::string& project_attr,
-      const Hash128& content_hash, telemetry::TraceSpan* span = nullptr,
+      const util::Hash128& content_hash, telemetry::TraceSpan* span = nullptr,
       TenantId tenant = kDefaultTenant);
 
   /// Aggregated over all shards.
@@ -163,7 +156,7 @@ class DocumentCache {
 
  private:
   struct Key {
-    Hash128 content_hash;
+    util::Hash128 content_hash;
     std::string attr;
     bool operator==(const Key&) const = default;
   };
@@ -175,7 +168,7 @@ class DocumentCache {
 
   /// Keyed SipHash over both content-hash halves plus the projection
   /// attribute: shard router, sketch key and bucket hash in one value.
-  static uint64_t KeyHash64(const Hash128& content_hash,
+  static uint64_t KeyHash64(const util::Hash128& content_hash,
                             const std::string& attr);
   static int64_t DocumentCost(const Key& key, const CachedDocument& doc);
 
@@ -187,7 +180,7 @@ class DocumentCache {
   /// on the same content hash is discarded and must not be counted).
   util::Result<std::shared_ptr<const CachedDocument>> PrepareDocument(
       std::string_view html, const std::string& project_attr,
-      const Hash128& content_hash, bool* from_store);
+      const util::Hash128& content_hash, bool* from_store);
 
   ShardedLfuCache<Key, CachedDocument, KeyHasher> cache_;
   std::shared_ptr<const store::CorpusStore> corpus_store_;  // may be null

@@ -5,8 +5,8 @@
 
 #include "src/analysis/canonical.h"
 #include "src/elog/to_datalog.h"
-#include "src/runtime/document_cache.h"
 #include "src/util/check.h"
+#include "src/util/hash.h"
 
 namespace mdatalog::runtime {
 
@@ -16,7 +16,7 @@ uint64_t ProgramCache::Fingerprint(const wrapper::Wrapper& wrapper) {
     key += '\x1f';  // unit separator: pattern lists must not concatenate
     key += p;
   }
-  return HashBytes(key);
+  return util::HashBytes(key);
 }
 
 namespace {

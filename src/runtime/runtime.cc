@@ -115,10 +115,10 @@ util::Result<std::string> WrapperRuntime::WrapImpl(
     TenantId tenant) {
   // One content hash per request, shared by the memo key and the document
   // cache key — the page bytes are scanned exactly once.
-  Hash128 content_hash;
+  util::Hash128 content_hash;
   {
     telemetry::TraceSpan span(trace, "hash");
-    content_hash = HashBytes128(html);
+    content_hash = util::HashBytes128(html);
   }
   const MemoKey key{handle.program->canonical_fingerprint, content_hash,
                     handle.project_attr};

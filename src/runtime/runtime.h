@@ -296,7 +296,7 @@ class WrapperRuntime {
  private:
   struct MemoKey {
     uint64_t program_fp;   // canonical fingerprint: equivalent wrappers share
-    Hash128 content_hash;  // 128-bit: the page bytes are untrusted input
+    util::Hash128 content_hash;  // 128-bit: the page bytes are untrusted input
     std::string attr;
     bool operator==(const MemoKey&) const = default;
   };

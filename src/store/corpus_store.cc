@@ -45,7 +45,6 @@ std::string PackDocument(const tree::Tree& t, const util::Hash128& hash,
   const int32_t n = t.size();
   MD_CHECK(n > 0);
   const int32_t num_labels = t.labels().size();
-  const uint32_t wps = (static_cast<uint32_t>(n) + 63) / 64;
 
   uint64_t label_bytes = 0;
   for (int32_t id = 0; id < num_labels; ++id) {
@@ -62,7 +61,6 @@ std::string PackDocument(const tree::Tree& t, const util::Hash128& hash,
   DocHeader h;
   h.num_nodes = static_cast<uint32_t>(n);
   h.num_labels = static_cast<uint32_t>(num_labels);
-  h.words_per_set = wps;
   h.hash_lo = hash.lo;
   h.hash_hi = hash.hi;
   h.off_nodes = static_cast<uint32_t>(AlignUp8(sizeof(DocHeader)));
@@ -78,10 +76,7 @@ std::string PackDocument(const tree::Tree& t, const util::Hash128& hash,
                 text_bytes;
     cursor = h.off_texts + texts_sec;
   }
-  h.off_edb = static_cast<uint32_t>(AlignUp8(cursor));
-  const uint64_t edb_sec =
-      uint64_t{4 + static_cast<uint32_t>(num_labels)} * wps * sizeof(uint64_t);
-  h.off_attr = static_cast<uint32_t>(AlignUp8(h.off_edb + edb_sec));
+  h.off_attr = static_cast<uint32_t>(AlignUp8(cursor));
   h.attr_len = static_cast<uint32_t>(project_attr.size());
   h.blob_size = static_cast<uint32_t>(h.off_attr + project_attr.size());
 
@@ -128,22 +123,6 @@ std::string PackDocument(const tree::Tree& t, const util::Hash128& hash,
       off += static_cast<uint32_t>(text.size());
     }
     offs[n] = off;
-  }
-
-  // edb: root / leaf / lastsibling / firstsibling / per-label bit-arrays.
-  {
-    uint64_t* sets = reinterpret_cast<uint64_t*>(base + h.off_edb);
-    const auto set_bit = [&](int32_t set_index, int32_t node) {
-      sets[static_cast<size_t>(set_index) * wps + (node >> 6)] |=
-          uint64_t{1} << (node & 63);
-    };
-    for (tree::NodeId node = 0; node < n; ++node) {
-      if (t.IsRoot(node)) set_bit(0, node);
-      if (t.IsLeaf(node)) set_bit(1, node);
-      if (t.IsLastSibling(node)) set_bit(2, node);
-      if (t.IsFirstSibling(node)) set_bit(3, node);
-      set_bit(4 + t.label(node), node);
-    }
   }
 
   std::memcpy(base + h.off_attr, project_attr.data(), project_attr.size());
@@ -401,7 +380,6 @@ util::Result<FrozenDocument> CorpusStore::Materialize(
   }
   const uint64_t n = h.num_nodes;
   const uint64_t labels = h.num_labels;
-  if (h.words_per_set != (n + 63) / 64) return corrupt("words per set");
 
   // Section bounds. Offsets must be 8-aligned — the views below are
   // reinterpret_casts into the mapping.
@@ -435,10 +413,6 @@ util::Result<FrozenDocument> CorpusStore::Materialize(
     text_base =
         reinterpret_cast<const char*>(text_offsets + h.num_nodes + 1);
   }
-  if (!section_ok(h.off_edb, (4 + labels) * h.words_per_set *
-                                 sizeof(uint64_t))) {
-    return corrupt("edb section");
-  }
   if (h.off_attr > h.blob_size || h.attr_len > h.blob_size - h.off_attr) {
     return corrupt("attr section");
   }
@@ -464,9 +438,6 @@ util::Result<FrozenDocument> CorpusStore::Materialize(
   doc.view.label = cols + 5 * n;
   doc.view.text_offsets = text_offsets;
   doc.view.text_base = text_base;
-  doc.edb.sets = reinterpret_cast<const uint64_t*>(base + h.off_edb);
-  doc.edb.num_labels = static_cast<int32_t>(h.num_labels);
-  doc.edb.words_per_set = static_cast<int32_t>(h.words_per_set);
   doc.label_offsets = label_offsets;
   doc.label_base =
       reinterpret_cast<const char*>(label_offsets + h.num_labels + 1);

@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/core/database.h"
 #include "src/store/format.h"
 #include "src/tree/tree.h"
 #include "src/util/hash.h"
@@ -20,11 +19,10 @@
 /// pages. Parsing HTML dominates document preparation cost, yet the parse
 /// result is a pure function of (page bytes, projection attribute) — so this
 /// subsystem snapshots the *prepared* form to disk once and maps it back
-/// read-only: the SoA tree columns (tree.h) land in the file byte-for-byte,
-/// and the unary EDB relations of the τ_ur schema are precomputed as dense
-/// bit-arrays. Re-opening a corpus costs one mmap; serving a document out of
-/// it costs a header validation plus a checksum pass — no parsing, no node
-/// scans, no per-node allocations. See format.h for the layout and README.md
+/// read-only: the SoA tree columns (tree.h) land in the file byte-for-byte.
+/// Re-opening a corpus costs one mmap; serving a document out of it costs a
+/// header validation plus a checksum pass — no parsing, no node scans, no
+/// per-node allocations. See format.h for the layout and README.md
 /// for the design rationale.
 ///
 /// Typical flow:
@@ -36,7 +34,7 @@
 ///   auto store = CorpusStore::Open("corpus.mdcs");   // serving process
 ///   auto doc = (*store)->Find(HashBytes128(page_bytes), "class");
 ///   tree::Tree t = doc->MakeTree();              // zero-copy columns
-///   core::TreeDatabase edb(t, &doc->edb);        // bit-array EDB loads
+///   auto out = wrapper::WrapTree(w, t);          // evaluate in place
 ///
 /// The runtime wires this under its DocumentCache as the second-level cache
 /// (miss → store lookup → only then parse), so warm processes serve entirely
@@ -54,9 +52,6 @@ struct FrozenDocument {
   std::string_view project_attr;
   /// Zero-copy node columns + texts.
   tree::Tree::FrozenView view;
-  /// Packed unary EDB bit-arrays (root/leaf/lastsibling/firstsibling +
-  /// per-label sets) for core::TreeDatabase's bulk-load path.
-  core::FrozenUnaryEdb edb;
   /// Interned alphabet: (num_labels+1) prefix offsets + concatenated bytes.
   const uint32_t* label_offsets = nullptr;
   const char* label_base = nullptr;

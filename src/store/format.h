@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string_view>
+#include <type_traits>
 
 /// \file format.h
 /// On-disk layout of a corpus store (see README.md in this directory).
@@ -15,7 +16,7 @@
 ///   ...
 ///   IndexEntry[doc_count]     (8-byte aligned, at FileHeader::index_offset)
 ///
-/// and each doc blob is a DocHeader followed by five sections, every one
+/// and each doc blob is a DocHeader followed by four sections, every one
 /// 8-byte aligned relative to the blob start (offsets are relative to the
 /// DocHeader so blobs are relocatable):
 ///
@@ -27,9 +28,6 @@
 ///   texts:  (num_nodes+1) uint32 prefix offsets + concatenated bytes —
 ///           per-node text payloads; the whole section is absent
 ///           (off_texts == 0) when no node carries text
-///   edb:    (4 + num_labels) × words_per_set uint64 — the unary EDB
-///           bit-arrays in core::FrozenUnaryEdb order (root, leaf,
-///           lastsibling, firstsibling, label_0 .. label_{L-1})
 ///   attr:   attr_len raw bytes — the attribute projection this document was
 ///           prepared under ("" = raw parse tree)
 ///
@@ -43,7 +41,7 @@ namespace mdatalog::store {
 
 inline constexpr uint32_t kFileMagic = 0x4D444353;  // "MDCS"
 inline constexpr uint32_t kDocMagic = 0x4D444F43;   // "MDOC"
-inline constexpr uint32_t kFormatVersion = 1;
+inline constexpr uint32_t kFormatVersion = 2;
 inline constexpr uint32_t kEndianTag = 0x01020304;
 
 struct FileHeader {
@@ -73,26 +71,27 @@ struct DocHeader {
   uint32_t magic = kDocMagic;
   uint32_t num_nodes = 0;
   uint32_t num_labels = 0;
-  uint32_t words_per_set = 0;     // (num_nodes + 63) / 64
+  uint32_t reserved = 0;          // keeps the uint64 fields 8-aligned
   uint64_t hash_lo = 0;           // content hash (== index entry)
   uint64_t hash_hi = 0;
   uint64_t payload_checksum = 0;  // Checksum64 over blob bytes after header
   uint32_t off_nodes = 0;         // section offsets, relative to DocHeader
   uint32_t off_labels = 0;
   uint32_t off_texts = 0;         // 0 = no text section
-  uint32_t off_edb = 0;
   uint32_t off_attr = 0;
   uint32_t attr_len = 0;
   uint32_t blob_size = 0;         // total blob bytes including the header
-  uint32_t reserved = 0;
 };
-static_assert(sizeof(DocHeader) == 72);
+static_assert(sizeof(DocHeader) == 64);
+// No implicit padding: every header byte is a field the writer sets, so the
+// packed bytes (and their checksum) are a function of the document alone.
+static_assert(std::has_unique_object_representations_v<DocHeader>);
 
 /// Guards the reader against a file written by a build whose struct layout
 /// (or format revision) differs: mixed into the file header at save time,
 /// checked at open. FNV-style fold of the struct sizes plus a salt bumped on
 /// any incompatible format change that keeps kFormatVersion.
-inline constexpr uint32_t kLayoutSalt = 2;  // v1 layout, rev 2
+inline constexpr uint32_t kLayoutSalt = 1;  // v2 layout, rev 1
 inline constexpr uint32_t kLayoutChecksum =
     (((kLayoutSalt * 16777619u ^ static_cast<uint32_t>(sizeof(FileHeader))) *
           16777619u ^

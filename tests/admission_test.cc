@@ -8,13 +8,13 @@
 #include <gtest/gtest.h>
 
 #include "src/runtime/admission.h"
-#include "src/runtime/document_cache.h"
+#include "src/util/hash.h"
 
 namespace {
 
 using namespace mdatalog;
 
-uint64_t KeyHash(const std::string& s) { return runtime::HashBytes(s); }
+uint64_t KeyHash(const std::string& s) { return util::HashBytes(s); }
 
 TEST(FrequencySketchTest, UnseenKeyEstimatesZero) {
   runtime::FrequencySketch sketch(1024);

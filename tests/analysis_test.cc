@@ -25,7 +25,6 @@
 #include "src/core/eval.h"
 #include "src/core/grounder.h"
 #include "src/core/parser.h"
-#include "src/core/reference_eval.h"
 #include "src/elog/ast.h"
 #include "src/elog/lint.h"
 #include "src/elog/to_datalog.h"
@@ -37,6 +36,7 @@
 #include "src/util/rng.h"
 #include "src/wrapper/wrapper.h"
 #include "tests/engine_oracles.h"
+#include "tests/support/reference_eval.h"
 
 namespace {
 

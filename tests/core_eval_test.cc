@@ -4,12 +4,12 @@
 #include "src/core/eval.h"
 #include "src/core/examples.h"
 #include "src/core/grounder.h"
-#include "src/core/horn.h"
 #include "src/core/parser.h"
-#include "src/core/program_generator.h"
-#include "src/core/reference_eval.h"
 #include "src/tree/generator.h"
 #include "src/util/rng.h"
+#include "tests/support/horn.h"
+#include "tests/support/program_generator.h"
+#include "tests/support/reference_eval.h"
 
 namespace mdatalog::core {
 namespace {

@@ -10,10 +10,10 @@
 #include "src/core/eval.h"
 #include "src/core/grounder.h"
 #include "src/core/parser.h"
-#include "src/core/program_generator.h"
-#include "src/core/reference_eval.h"
 #include "src/tree/generator.h"
 #include "src/util/rng.h"
+#include "tests/support/program_generator.h"
+#include "tests/support/reference_eval.h"
 
 namespace {
 

@@ -22,7 +22,6 @@
 #include "src/core/ast.h"
 #include "src/core/grounder.h"
 #include "src/core/parser.h"
-#include "src/core/program_generator.h"
 #include "src/elog/ast.h"
 #include "src/elog/to_datalog.h"
 #include "src/tree/generator.h"
@@ -30,6 +29,7 @@
 #include "src/util/deadline.h"
 #include "src/util/rng.h"
 #include "src/wrapper/wrapper.h"
+#include "tests/support/program_generator.h"
 
 namespace {
 

@@ -9,10 +9,9 @@
 #include "src/caterpillar/eval.h"
 #include "src/caterpillar/expr.h"
 #include "src/core/eval.h"
+#include "src/core/examples.h"
 #include "src/core/grounder.h"
 #include "src/core/parser.h"
-#include "src/core/examples.h"
-#include "src/core/program_generator.h"
 #include "src/core/validate.h"
 #include "src/elog/ast.h"
 #include "src/elog/eval.h"
@@ -23,6 +22,7 @@
 #include "src/tree/generator.h"
 #include "src/util/rng.h"
 #include "src/xpath/xpath.h"
+#include "tests/support/program_generator.h"
 
 namespace mdatalog {
 namespace {

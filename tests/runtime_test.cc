@@ -15,7 +15,6 @@
 
 #include "src/core/database.h"
 #include "src/core/grounder.h"
-#include "src/core/reference_eval.h"
 #include "src/elog/ast.h"
 #include "src/elog/to_datalog.h"
 #include "src/html/parser.h"
@@ -31,6 +30,7 @@
 #include "src/util/rng.h"
 #include "src/wrapper/wrapper.h"
 #include "tests/engine_oracles.h"
+#include "tests/support/reference_eval.h"
 
 namespace {
 

@@ -52,64 +52,21 @@ TEST(SimdKernelTest, AssignOpsMatchScalarOracle) {
       const std::vector<uint64_t> dst0 = RandomWords(rng, n, density);
       const std::vector<uint64_t> src = RandomWords(rng, n, 1.0 - density);
 
-      for (int op = 0; op < 3; ++op) {
+      for (int op = 0; op < 2; ++op) {
+        const auto kernel = op == 0 ? core::simd::AndAssignCount
+                                    : core::simd::AndNotAssignCount;
         std::vector<uint64_t> want = dst0, got = dst0;
-        int64_t want_count, got_count;
+        int64_t want_count;
         {
           ScalarGuard scalar;
-          want_count = op == 0 ? core::simd::OrAssignCount(want.data(),
-                                                           src.data(), n)
-                     : op == 1 ? core::simd::AndAssignCount(want.data(),
-                                                            src.data(), n)
-                               : core::simd::AndNotAssignCount(want.data(),
-                                                               src.data(), n);
+          want_count = kernel(want.data(), src.data(), n);
         }
-        got_count = op == 0 ? core::simd::OrAssignCount(got.data(), src.data(),
-                                                        n)
-                  : op == 1 ? core::simd::AndAssignCount(got.data(),
-                                                         src.data(), n)
-                            : core::simd::AndNotAssignCount(got.data(),
-                                                            src.data(), n);
+        const int64_t got_count = kernel(got.data(), src.data(), n);
         EXPECT_EQ(want, got) << "op " << op << " n " << n;
         EXPECT_EQ(want_count, got_count) << "op " << op << " n " << n;
       }
     }
   }
-}
-
-TEST(SimdKernelTest, CountAndFindFirstMatchScalarOracle) {
-  util::Rng rng(43);
-  for (size_t n : kLengths) {
-    for (double density : {0.0, 0.004, 0.3}) {
-      const std::vector<uint64_t> w = RandomWords(rng, n, density);
-      int64_t want_count, want_first;
-      {
-        ScalarGuard scalar;
-        want_count = core::simd::Count(w.data(), n);
-        want_first = core::simd::FindFirst(w.data(), n);
-      }
-      EXPECT_EQ(want_count, core::simd::Count(w.data(), n)) << n;
-      EXPECT_EQ(want_first, core::simd::FindFirst(w.data(), n)) << n;
-    }
-  }
-}
-
-TEST(SimdKernelTest, FindFirstLocatesSingleBitAnywhere) {
-  // One bit at every word/offset combination of a mid-size array.
-  const size_t n = 21;
-  for (size_t wi = 0; wi < n; ++wi) {
-    for (int b : {0, 1, 31, 63}) {
-      std::vector<uint64_t> w(n, 0);
-      w[wi] = uint64_t{1} << b;
-      const int64_t want = static_cast<int64_t>(wi) * 64 + b;
-      EXPECT_EQ(core::simd::FindFirst(w.data(), n), want);
-      ScalarGuard scalar;
-      EXPECT_EQ(core::simd::FindFirst(w.data(), n), want);
-    }
-  }
-  std::vector<uint64_t> zeros(n, 0);
-  EXPECT_EQ(core::simd::FindFirst(zeros.data(), n), -1);
-  EXPECT_EQ(core::simd::FindFirst(zeros.data(), 0), -1);
 }
 
 TEST(SimdKernelTest, ForceScalarFlipsDispatch) {
@@ -141,39 +98,22 @@ TEST(SimdKernelTest, NodeSetAlgebraMatchesPerElementDefinition) {
     const core::NodeSet a = RandomSet(rng, domain, 300);
     const core::NodeSet b = RandomSet(rng, domain, 300);
 
-    core::NodeSet un = a, in = a, diff = a;
-    un.UnionWith(b);
+    core::NodeSet in = a, diff = a;
     in.IntersectWith(b);
     diff.DifferenceWith(b);
 
-    int64_t un_count = 0, in_count = 0, diff_count = 0;
+    int64_t in_count = 0, diff_count = 0;
     for (int32_t i = 0; i < domain; ++i) {
       const bool ia = a.Contains(i), ib = b.Contains(i);
-      EXPECT_EQ(un.Contains(i), ia || ib);
       EXPECT_EQ(in.Contains(i), ia && ib);
       EXPECT_EQ(diff.Contains(i), ia && !ib);
-      un_count += (ia || ib);
       in_count += (ia && ib);
       diff_count += (ia && !ib);
     }
     // The fused popcounts must agree with the per-element truth.
-    EXPECT_EQ(un.count(), un_count);
     EXPECT_EQ(in.count(), in_count);
     EXPECT_EQ(diff.count(), diff_count);
-    EXPECT_EQ(diff.FindFirst(), diff.empty() ? -1 : diff.ToVector().front());
   }
-}
-
-TEST(SimdKernelTest, NodeSetAssignWordsLoadsBulkBitArrays) {
-  util::Rng rng(45);
-  const int32_t domain = 1000;
-  const core::NodeSet src = RandomSet(rng, domain, 412);
-
-  core::NodeSet dst;
-  dst.AssignWords(src.words(), domain);
-  EXPECT_EQ(dst, src);
-  EXPECT_EQ(dst.count(), src.count());
-  EXPECT_EQ(dst.ToVector(), src.ToVector());
 }
 
 }  // namespace

@@ -105,10 +105,11 @@ uint64_t Fnv64(std::string_view bytes) {
 }
 
 TEST(CorpusStoreTest, PackedBytesArePinned) {
-  // Single-document snapshot files, digested. The digests were recorded
-  // before the in-place scanner replaced the token-vector parser: packing
-  // the same pages must produce the same bytes (label order, no leftover
-  // "#document" symbol), so the format version stays.
+  // Single-document snapshot files, digested. The tree content (label
+  // order, no leftover "#document" symbol) is pinned since before the
+  // in-place scanner replaced the token-vector parser; the digests are of
+  // format version 2, whose files are the version 1 files with the unary-EDB
+  // section dropped and the doc header re-laid out.
   std::vector<std::pair<std::string, std::string>> pages;
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     util::Rng rng(seed);
@@ -145,17 +146,17 @@ TEST(CorpusStoreTest, PackedBytesArePinned) {
   for (const std::string& page : edge_cases) pages.emplace_back(page, "class");
   for (const std::string& page : edge_cases) pages.emplace_back(page, "");
   const std::vector<uint64_t> expected = {
-      0xff432774a215f13aull, 0xe5ca1b83e2e237afull, 0xe145a220626012c0ull,
-      0x1bc420ab4409078cull, 0xe924b157b00bd480ull, 0xb2c188fa9e5f31abull,
-      0xdc9dac9dddaec06dull, 0xb91dfa6d2006c85bull, 0xdc812bbf8f9d89f7ull,
-      0xda01cc7ce05f07cbull, 0x8c0629c8b03e845aull, 0x10f789296043a7b8ull,
-      0xbfda173ec04a9eddull, 0x7fb3f76bfc78ccd9ull, 0xe8c38128c1ef2532ull,
-      0x4b5706ad59f16569ull, 0x7e1dac6ab80a1c9bull, 0xea5eb37a22a53a38ull,
-      0x2caedd87e4d82faaull, 0xe8e8ce6414a54566ull, 0xfcd293aa637d8b12ull,
-      0x7fee5824288520caull, 0xa549c6878ac505c4ull, 0xf32778485368d704ull,
-      0x97c15b1dcd5303b6ull, 0xdc0ca0b8c5ae0b36ull, 0x1ed8687c2dc56756ull,
-      0xaafe6a34d6d2c71full, 0x4f7e6a286d4b0520ull, 0x52624f67c5c7b007ull,
-      0x5ce5cee2664e56b7ull, 0x9c61294a20c4ce8cull, 0x754e6b68ac006acdull,
+      0xab67582174e063d6ull, 0x8b7e4d231e73b135ull, 0x0fee0ddd187a06cdull,
+      0xb3f48f3e743ee6c0ull, 0xfc62bfb7d0d3eb6eull, 0x788a2756e96283a4ull,
+      0x2976762df3b2c6e5ull, 0x53e5da6882ef3af5ull, 0x59aeb435e396f333ull,
+      0x9306e9bcbe8b1087ull, 0x8272a755ae9fe49aull, 0x3430954f7305523bull,
+      0x04ef6ef8cdc82d92ull, 0x674bdae44845df35ull, 0xd0574ca8c2b5ea3dull,
+      0xa587ed7fadcd8f7full, 0xcd01a499346002d2ull, 0x419ee8fd45f1ce1bull,
+      0xc4af69e291157bcbull, 0x4843fde1318b582cull, 0x3c48ec692bec27caull,
+      0x50f619a71a5b103dull, 0x3085a45b6425c33aull, 0xff18fca888ca26f5ull,
+      0x64f9994f328dbdfbull, 0x3c49ce56fbbecc12ull, 0x0b97eef8fad050b7ull,
+      0xcd2ce018dc7786fdull, 0xfb5469f53f23ab41ull, 0x446277e0c60a8463ull,
+      0x3cbde6bae45b3809ull, 0x8dad544ac81d78dfull, 0xc1906a80c7aca6dcull,
   };
   ASSERT_EQ(pages.size(), expected.size());
   const std::string path = TempPath("pinned.mdcs");
@@ -208,37 +209,6 @@ TEST(CorpusStoreTest, RoundTripsTreesByteForByte) {
             util::StatusCode::kNotFound);
   EXPECT_EQ(store->Find(util::HashBytes128("<p>absent</p>"), "").status().code(),
             util::StatusCode::kNotFound);
-}
-
-TEST(CorpusStoreTest, FrozenEdbMatchesScannedEdb) {
-  const std::string path = TempPath("edb.mdcs");
-  auto store = BuildAndOpen(path, 1, "class");
-  const std::string page = CatalogPage(100, 8);
-  auto frozen = store->Find(util::HashBytes128(page), "class");
-  ASSERT_TRUE(frozen.ok());
-
-  const tree::Tree frozen_tree = frozen->MakeTree();
-  core::TreeDatabase from_bits(frozen_tree, &frozen->edb);
-
-  auto doc = html::ParseHtml(page);
-  ASSERT_TRUE(doc.ok());
-  const tree::Tree scanned_tree =
-      html::ProjectAttributeIntoLabels(*doc, "class");
-  core::TreeDatabase from_scan(scanned_tree);
-
-  std::vector<std::string> preds = {"root", "leaf", "lastsibling",
-                                    "firstsibling"};
-  for (int32_t id = 0; id < scanned_tree.labels().size(); ++id) {
-    preds.push_back(core::LabelPredName(scanned_tree.labels().Name(id)));
-  }
-  preds.push_back("label_no_such_label");
-  for (const std::string& pred : preds) {
-    const core::Relation* a = from_bits.Get(pred, 1);
-    const core::Relation* b = from_scan.Get(pred, 1);
-    ASSERT_TRUE(a != nullptr && b != nullptr) << pred;
-    EXPECT_EQ(a->unary_tuples(), b->unary_tuples()) << pred;
-    EXPECT_EQ(a->unary_set().count(), b->unary_set().count()) << pred;
-  }
 }
 
 TEST(CorpusStoreTest, DedupsAndReplacesByContentAndAttr) {
@@ -296,11 +266,16 @@ TEST(CorpusStoreTest, RejectsTruncationAsDataLoss) {
 TEST(CorpusStoreTest, RejectsWrongVersionAsFailedPrecondition) {
   const std::string path = TempPath("version.mdcs");
   BuildAndOpen(path, 1, "");
-  std::string bytes = ReadFile(path);
-  bytes[4] = 99;  // FileHeader::version
-  WriteFile(path, bytes);
-  EXPECT_EQ(store::CorpusStore::Open(path).status().code(),
-            util::StatusCode::kFailedPrecondition);
+  const std::string bytes = ReadFile(path);
+  // 1: a snapshot from before the unary-EDB section was dropped.
+  for (const char version : {1, 99}) {
+    std::string patched = bytes;
+    patched[4] = version;  // FileHeader::version
+    WriteFile(path, patched);
+    EXPECT_EQ(store::CorpusStore::Open(path).status().code(),
+              util::StatusCode::kFailedPrecondition)
+        << int{version};
+  }
 }
 
 TEST(CorpusStoreTest, RejectsFlippedPayloadByteAsDataLoss) {
@@ -371,9 +346,8 @@ TEST(CorpusStoreRuntimeTest, SnapshotServingIsByteIdenticalAcrossEngines) {
     EXPECT_EQ(plain.stats().document_cache.store_hits, 0);
   }
 
-  // The compiled semi-naive engine, from core, over each rehydrated tree:
-  // its unary EDB loads from the snapshot's packed bit-arrays, so this pins
-  // those bits against the parse-served wrapper output.
+  // The compiled semi-naive engine, from core, over each rehydrated tree,
+  // against the parse-served wrapper output.
   runtime::WrapperRuntime rt;
   auto handle = rt.Register(CatalogWrapper(), "class");
   ASSERT_TRUE(handle.ok());
@@ -382,7 +356,7 @@ TEST(CorpusStoreRuntimeTest, SnapshotServingIsByteIdenticalAcrossEngines) {
     auto frozen = (*store)->Find(util::HashBytes128(page), "class");
     ASSERT_TRUE(want.ok() && frozen.ok());
     const tree::Tree t = frozen->MakeTree();
-    const core::TreeDatabase db(t, &frozen->edb);
+    const core::TreeDatabase db(t);
     auto got = oracle::SemiNaiveXml(*handle->program, db, t);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(*want, *got);
@@ -453,7 +427,7 @@ TEST(CorpusStoreRuntimeTest, ConcurrentReadersShareOneMapping) {
               (*store)->Find(util::HashBytes128(pages[pi]), "class");
           if (!frozen.ok()) { ++failures[ti]; continue; }
           const tree::Tree t = frozen->MakeTree();
-          core::TreeDatabase edb(t, &frozen->edb);
+          core::TreeDatabase edb(t);
           (void)edb.Get("leaf", 1);
           auto out = wrapper::WrapTree(w, t);
           if (!out.ok() || tree::ToXml(*out) != expected[pi]) ++failures[ti];

@@ -1,4 +1,4 @@
-#include "src/core/horn.h"
+#include "tests/support/horn.h"
 
 #include "src/util/check.h"
 

@@ -1,4 +1,4 @@
-#include "src/core/program_generator.h"
+#include "tests/support/program_generator.h"
 
 #include "src/core/database.h"
 

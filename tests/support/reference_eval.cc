@@ -1,4 +1,4 @@
-#include "src/core/reference_eval.h"
+#include "tests/support/reference_eval.h"
 
 #include <algorithm>
 

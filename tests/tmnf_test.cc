@@ -3,13 +3,13 @@
 #include "src/core/examples.h"
 #include "src/core/grounder.h"
 #include "src/core/parser.h"
-#include "src/core/program_generator.h"
 #include "src/core/validate.h"
 #include "src/tmnf/acyclic.h"
 #include "src/tmnf/normal_form.h"
 #include "src/tmnf/pipeline.h"
 #include "src/tree/generator.h"
 #include "src/util/rng.h"
+#include "tests/support/program_generator.h"
 
 namespace mdatalog::tmnf {
 namespace {
