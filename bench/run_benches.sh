@@ -87,7 +87,7 @@ echo "wrote ${REPO_ROOT}/BENCH_store.json"
 echo "wrote ${REPO_ROOT}/BENCH_stream.json"
 
 # Static-analysis subsystem: lint/canonicalization/equivalence throughput
-# over the wrapper corpus, plus the canonical-key serving uplift A/B.
+# over the wrapper corpus, plus the canonical-key serving workload.
 "${BUILD_DIR}/bench_analysis" \
   --benchmark_filter="${FILTER}" \
   --benchmark_min_time=0.2 \

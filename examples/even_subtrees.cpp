@@ -53,8 +53,9 @@ int main() {
   if (!grounded.ok()) return 1;
   std::printf(
       "\nTheorem 4.2 engine on a %d-node tree: %lld rule instances fired, "
-      "%lld ground atoms, %zu selected nodes\n",
+      "%lld atoms derived, %zu selected nodes\n",
       big.size(), static_cast<long long>(stats.num_clauses),
-      static_cast<long long>(stats.num_atoms), grounded->Query().size());
+      static_cast<long long>(grounded->num_derived()),
+      grounded->Query().size());
   return 0;
 }

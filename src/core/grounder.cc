@@ -155,13 +155,15 @@ bool ClassifyBuiltin(std::string_view name, int32_t arity, BuiltinName* out) {
 int64_t FloorDiv100(int64_t a) { return a >= 0 ? a / 100 : -((-a + 99) / 100); }
 int64_t CeilDiv100(int64_t a) { return -FloorDiv100(-a); }
 
-/// The node events of an incremental replay that make structural EDB facts
-/// final (IncrementalReplay).
+/// The events of an incremental replay (IncrementalReplay): the node events
+/// that make structural EDB facts final, then the end of input, which makes
+/// the Δ builtin facts final.
 enum NodeEvent : int32_t {
   kCreated,       // label, firstsibling, root; child end of every edge
   kClosed,        // leaf
   kParentClosed,  // lastsibling
   kNumNodeEvents,
+  kEndOfInput = kNumNodeEvents,
 };
 
 }  // namespace
@@ -333,12 +335,16 @@ struct GroundPlan::Impl {
   // component's structural EDB atoms final. A creation trigger whose anchor
   // must be the root, or carry a label, runs only for such a node:
   // created_filter (parallel to edb_triggers[kCreated]) holds kAnyNode,
-  // kRootOnly or the label predicate.
+  // kRootOnly or the label predicate. A component that reads a Δ builtin
+  // has no EDB triggers: its rule is in end_rules, which the replay holds
+  // until the end of input and then sweeps like a rule whose last
+  // shared-body atom turned true.
   static constexpr PredId kAnyNode = -1;
   static constexpr PredId kRootOnly = -2;
   bool streamable = false;
   std::array<std::vector<Trigger>, kNumNodeEvents> edb_triggers;
   std::vector<PredId> created_filter;
+  std::vector<int32_t> end_rules;
 };
 
 GroundPlan::GroundPlan(std::unique_ptr<const Impl> impl)
@@ -683,18 +689,15 @@ util::Result<GroundPlan> GroundPlan::Compile(const Program& program) {
   impl->triggers.resize(impl->num_unary);
   impl->ground_uses.resize(impl->num_unary);
   impl->shared_uses.resize(impl->num_nullary);
-  impl->streamable = true;
   auto has_const = [](const Atom& a) {
     return std::any_of(a.args.begin(), a.args.end(),
                        [](const Term& t) { return !t.is_var(); });
   };
-  for (const Rule& rule : program.rules()) {
-    impl->streamable = impl->streamable && !has_const(rule.head);
-    for (const Atom& a : rule.body) {
-      impl->streamable = impl->streamable && !has_const(a) &&
-                         impl->builtin_index[a.pred] < 0;
-    }
-  }
+  impl->streamable = std::none_of(
+      program.rules().begin(), program.rules().end(), [&](const Rule& rule) {
+        return has_const(rule.head) ||
+               std::any_of(rule.body.begin(), rule.body.end(), has_const);
+      });
 
   // Per-rule compilation (proof steps 1–2 of Theorem 4.2, program side).
   for (const Rule& rule : program.rules()) {
@@ -774,7 +777,12 @@ util::Result<GroundPlan> GroundPlan::Compile(const Program& program) {
             {owner_index, CompileSchedule(*impl, rule, comp_atoms[c],
                                           comp_size[c], lit.second, lit)});
       }
-      if (impl->streamable) {
+      if (std::any_of(comp_atoms[c].begin(), comp_atoms[c].end(),
+                      [&](const Atom* a) {
+                        return impl->builtin_index[a->pred] >= 0;
+                      })) {
+        impl->end_rules.push_back(owner_index);
+      } else if (impl->streamable) {
         AddEdbTriggers(*impl, rule, comp_atoms[c], comp_size[c], owner_index);
       }
       if (c != head_comp) impl->rules.push_back(std::move(bridge));
@@ -812,6 +820,9 @@ class GrowingTreeView {
   }
   /// Node n (visible) closed: its children are all visible and final.
   void Close(tree::NodeId n) { closed_[n] = 1; }
+  /// The input ended: every node is closed (a plan that reads neither leaf
+  /// nor lastsibling in a streaming rule skips the close events).
+  void CloseAll() { closed_.assign(frontier_, 1); }
 
   /// The visible nodes are [0, size()); the events queued so far name nodes
   /// in [0, num_created()).
@@ -822,6 +833,7 @@ class GrowingTreeView {
     return b_.labels().Find(name);
   }
 
+  tree::NodeId root() const { return root_; }
   bool IsRoot(tree::NodeId n) const { return n == root_; }
   bool IsLeaf(tree::NodeId n) const {
     return n != hidden_ && closed_[n] != 0 &&
@@ -978,12 +990,7 @@ class GroundedEvaluator {
       }
     }
     result.num_iterations_ = 1;
-    if (stats != nullptr) {
-      stats->num_clauses = fired_;
-      stats->num_atoms = int64_t{plan_.num_unary} * n_ + plan_.num_nullary +
-                         plan_.num_bridges;
-      stats->num_literals = lookups_;
-    }
+    if (stats != nullptr) stats->num_clauses = fired_;
     return result;
   }
 
@@ -991,7 +998,8 @@ class GroundedEvaluator {
 
   /// Readies an empty replay. Only single-instance rules are seeded: the
   /// instances of a swept component are built by its EDB triggers as the
-  /// nodes they need arrive.
+  /// nodes they need arrive. A rule that reads a Δ builtin also waits for
+  /// the end of input, as for one more shared-body atom.
   void Start() {
     arena_.queue.clear();
     arena_.events.clear();
@@ -1002,6 +1010,7 @@ class GroundedEvaluator {
     flags_.assign(plan_.num_nullary + plan_.num_bridges, 0);
     n_ = 0;
     InitPending();
+    for (const int32_t r : plan_.end_rules) ++pending_[r];
     for (size_t r = 0; r < plan_.rules.size(); ++r) {
       if (pending_[r] == 0 && !plan_.rules[r].head_sweep.has_value()) {
         Activate(plan_.rules[r]);
@@ -1009,8 +1018,9 @@ class GroundedEvaluator {
     }
   }
 
-  /// Queues a node event. A close only makes leaf and lastsibling facts
-  /// final, so a plan that reads neither skips it.
+  /// Queues an event (node n's, or the end of input with n = kNoNode). A
+  /// close only makes leaf and lastsibling facts final, so a plan that reads
+  /// neither skips it.
   void QueueEvent(NodeEvent event, tree::NodeId n) {
     if (event == kClosed && plan_.edb_triggers[kClosed].empty() &&
         plan_.edb_triggers[kParentClosed].empty()) {
@@ -1085,6 +1095,14 @@ class GroundedEvaluator {
             sizeof(arena_.queue[0]) +
         arena_.cursors.capacity() * sizeof(GroundArena::Cursor) +
         pending_.capacity() * sizeof(int32_t) + flags_.capacity());
+    // The Δ builtin tables, filled at the end of input.
+    for (const std::vector<int32_t>& table : arena_.path_tables) {
+      bytes += static_cast<int64_t>(table.capacity() * sizeof(int32_t));
+    }
+    bytes += static_cast<int64_t>(
+        (arena_.rank.capacity() + arena_.child_pos.capacity() +
+         arena_.kid_start.capacity() + arena_.kids.capacity()) *
+        sizeof(int32_t));
     return bytes;
   }
 
@@ -1142,8 +1160,16 @@ class GroundedEvaluator {
   }
 
   /// A node event makes EDB facts final: reveal them, then run the
-  /// triggers anchored there.
+  /// triggers anchored there. The end of input makes the Δ builtin facts
+  /// final: it fills their tables over the finished tree and releases the
+  /// rules that read them.
   void OnNodeEvent(NodeEvent event, tree::NodeId n) {
+    if (event == kEndOfInput) {
+      tree_.CloseAll();
+      if (!plan_.builtins.empty()) FillBuiltinTables();
+      for (const int32_t r : plan_.end_rules) Release(r);
+      return;
+    }
     if (event == kCreated) {
       tree_.Reveal(n);
       n_ = tree_.size();
@@ -1180,6 +1206,11 @@ class GroundedEvaluator {
     abort_status_ = std::move(s);
     return false;
   }
+  /// Poll() inside one pop's work: only a batch replay abandons it midway.
+  bool PollInBatch() {
+    if constexpr (kBatch) return Poll();
+    return true;
+  }
 
   bool LabelMatches(tree::LabelId step, tree::NodeId n) const {
     return step == kAnyLabel || tree_.label(n) == step;
@@ -1188,7 +1219,7 @@ class GroundedEvaluator {
   /// The per-tree integers the Δ builtins read: preorder ranks, one table
   /// per distinct (kind, path) of the plan, and — for before — child
   /// positions and the children of every node in one array. Iterative, O(n)
-  /// per pass and per path step; false once the deadline poll fires.
+  /// per pass and per path step; false once a batch deadline poll fires.
   bool FillBuiltinTables() {
     const int32_t n = n_;
     std::vector<int32_t>& rank = arena_.rank;
@@ -1198,7 +1229,7 @@ class GroundedEvaluator {
       std::vector<int32_t>& pos = arena_.child_pos;
       start.assign(n + 1, 0);
       for (tree::NodeId c = 0; c < n; ++c) {
-        if (!Poll()) return false;
+        if (!PollInBatch()) return false;
         const tree::NodeId p = tree_.parent(c);
         if (p != tree::kNoNode) ++start[p + 1];
       }
@@ -1206,7 +1237,7 @@ class GroundedEvaluator {
       pos.assign(n, 0);
       kids.resize(start[n]);
       for (tree::NodeId p = 0; p < n; ++p) {
-        if (!Poll()) return false;
+        if (!PollInBatch()) return false;
         int32_t j = 0;
         for (tree::NodeId c = tree_.first_child(p); c != tree::kNoNode;
              c = tree_.next_sibling(c)) {
@@ -1218,7 +1249,7 @@ class GroundedEvaluator {
     rank.resize(n);
     int32_t next_rank = 0;
     for (tree::NodeId v = tree_.root();;) {
-      if (!Poll()) return false;
+      if (!PollInBatch()) return false;
       rank[v] = next_rank++;
       if (tree_.first_child(v) != tree::kNoNode) {
         v = tree_.first_child(v);
@@ -1250,7 +1281,7 @@ class GroundedEvaluator {
       for (size_t s = labels.size(); s-- > first;) {
         next.assign(n, none);
         for (tree::NodeId c = 0; c < n; ++c) {
-          if (!Poll()) return false;
+          if (!PollInBatch()) return false;
           const tree::NodeId p = tree_.parent(c);
           if (p == tree::kNoNode || out[c] == none ||
               !LabelMatches(labels[s], c)) {
@@ -1265,7 +1296,7 @@ class GroundedEvaluator {
         // out[c] ≠ none ⇔ the rest of π reaches below c. Turn it into the
         // running count of such children matching π's first step.
         for (tree::NodeId p = 0; p < n; ++p) {
-          if (!Poll()) return false;
+          if (!PollInBatch()) return false;
           int32_t hits = 0;
           for (int32_t j = start[p]; j < start[p + 1]; ++j) {
             const tree::NodeId c = kids[j];
@@ -1348,10 +1379,7 @@ class GroundedEvaluator {
       return CheckUnaryTreePred(tree_, plan_.unary_specs[op.index].kind,
                                 arena_.unary_labels[op.index], b[op.a]);
     }
-    if (op.kind == OpKind::kIdb) {
-      ++lookups_;
-      return sets_[op.index].Contains(b[op.a]);
-    }
+    if (op.kind == OpKind::kIdb) return sets_[op.index].Contains(b[op.a]);
     if (op.kind == OpKind::kCheck) {
       return (op.forward ? ApplyForward(tree_, op.rel, b[op.a])
                          : ApplyBackward(tree_, op.rel, b[op.a])) == b[op.b];
@@ -1397,9 +1425,9 @@ class GroundedEvaluator {
                                   static_cast<int32_t>(base + hi)});
         return true;
       }
-      case OpKind::kDomain:
-        b[op.a] = 0;
-        arena_.cursors.push_back({i, 0, n_ - 1});
+      case OpKind::kDomain:  // [root, n): excludes a hidden node 0
+        b[op.a] = tree_.root();
+        arena_.cursors.push_back({i, b[op.a], n_ - 1});
         return true;
       case OpKind::kBuiltin:
         return BuiltinHolds(plan_.builtins[op.index], b[op.a], b[op.b],
@@ -1457,10 +1485,7 @@ class GroundedEvaluator {
       while (i < num_ops && Step(sc, i)) ++i;
       if (i == num_ops && !on_match()) return;
       for (;;) {
-        if (cursors.empty()) return;
-        if constexpr (kBatch) {
-          if (!Poll()) return;
-        }
+        if (cursors.empty() || !PollInBatch()) return;
         if (Advance(sc, cursors.back())) {
           i = cursors.back().op + 1;
           break;
@@ -1520,10 +1545,8 @@ class GroundedEvaluator {
     }
     const bool bridge = rp.head_var < 0;
     bool found = false;
-    for (tree::NodeId node = 0; node < n_ && !found; ++node) {
-      if constexpr (kBatch) {
-        if (!Poll()) return;
-      }
+    for (tree::NodeId node = tree_.root(); node < n_ && !found; ++node) {
+      if (!PollInBatch()) return;
       ForEachMatch(*rp.head_sweep, node, [&] {
         Derive(rp.head_slot, HeadNode(rp));
         found = bridge;
@@ -1546,7 +1569,6 @@ class GroundedEvaluator {
   std::vector<int32_t> pending_;  // per rule: shared-body atoms not yet true
   tree::NodeId* binding_ = nullptr;  // arena_.binding, sized per plan
   int64_t fired_ = 0;
-  int64_t lookups_ = 0;
   // Incremental replay only.
   int32_t labels_seen_ = 0;  // the labels resolved against so far
   size_t next_event_ = 0;    // arena_.events[next_event_] is the next to run
@@ -1593,6 +1615,10 @@ void IncrementalReplay::NodeCreated(tree::NodeId n) {
 
 void IncrementalReplay::NodeClosed(tree::NodeId n) {
   state_->eval.QueueEvent(kClosed, n);
+}
+
+void IncrementalReplay::EndOfInput() {
+  state_->eval.QueueEvent(kEndOfInput, tree::kNoNode);
 }
 
 util::Status IncrementalReplay::Propagate(const util::EvalControl* control) {

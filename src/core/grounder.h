@@ -55,7 +55,10 @@
 /// the child end of firstchild, nextsibling, child, child_k), its close
 /// (leaf) or its parent's close (lastsibling). The last body atom of every
 /// rule instance to become true, derived atom or final EDB fact, thus runs
-/// a schedule that builds the instance.
+/// a schedule that builds the instance. The Δ builtins are facts about the
+/// finished tree, so "the input is complete" is one more fact: a rule whose
+/// component reads a builtin waits for it like for a shared-body atom, and
+/// at the end of input the replay fills the builtin tables and sweeps it.
 
 namespace mdatalog::core {
 
@@ -64,10 +67,6 @@ struct GroundStats {
   /// Ground rule instances whose body held (fired), bridge and
   /// propositional instances included; each fires at most once.
   int64_t num_clauses = 0;
-  /// Size of the ground atom space: |unary IDB|·|dom| + nullary + bridges.
-  int64_t num_atoms = 0;
-  /// IDB body-literal lookups made while testing instances.
-  int64_t num_literals = 0;
 };
 
 /// True iff every rule of `program` can be grounded by this evaluator:
@@ -167,9 +166,10 @@ class GroundPlan {
   GroundPlan& operator=(GroundPlan&&) noexcept;
   ~GroundPlan();
 
-  /// True iff IncrementalReplay can run the plan: no Δ builtin (they read
-  /// tables of the finished tree) and no node constant (the stripped world
-  /// numbers nodes one above the finished tree).
+  /// True iff IncrementalReplay can run the plan: no node constant (the
+  /// stripped world numbers nodes one above the finished tree). The Elog
+  /// lowering never emits one, so every wrapper's plan streams; its Δ
+  /// builtins wait for the end of input.
   bool streamable() const;
 
   struct Impl;
@@ -199,11 +199,13 @@ util::Result<EvalResult> EvaluateGrounded(
 
 /// A replay of a streamable GroundPlan over the tree a TreeBuilder is growing
 /// in document order, with the same LTUR worklist as EvaluateGrounded. The
-/// caller reports each node's creation and close, in the order they happen;
-/// both are queued in the replay's arena, and Propagate processes them in
-/// that order between derived atoms. After the last close (node 0's
-/// included) the derived sets equal EvaluateGrounded's on the finished tree,
-/// and every atom derived before is among them.
+/// caller reports each node's creation and close, in the order they happen,
+/// then the end of input; all are queued in the replay's arena, and
+/// Propagate processes them in that order between derived atoms. After the
+/// end of input the derived sets equal EvaluateGrounded's on the finished
+/// tree, and every atom derived before is among them. A plan without Δ
+/// builtins reaches them at the last close (node 0's included); a rule that
+/// reads a builtin derives nothing before the end of input.
 ///
 /// The replay sees the tree as of the events it has processed, and only its
 /// final facts: a node once its creation is processed, leaf(n) once n's
@@ -227,6 +229,10 @@ class IncrementalReplay {
   void NodeCreated(tree::NodeId n);
   /// Queues n's close: leaf(n) and lastsibling(last child of n) are final.
   void NodeClosed(tree::NodeId n);
+  /// Queues the end of input, once, after the last close: the tree is
+  /// finished, so the Δ builtin facts are final. Its processing fills the
+  /// builtin tables and sweeps the rules that read them, whole.
+  void EndOfInput();
 
   /// Runs to fixpoint over the queued events. `control` (nullable) is
   /// polled once per popped atom or event, and each pop is processed whole,
@@ -248,7 +254,8 @@ class IncrementalReplay {
   const std::vector<std::pair<PredId, tree::NodeId>>& derived() const;
   void ClearDerived();
 
-  /// Heap bytes of the replay's state: derived sets, queue, rule counters.
+  /// Heap bytes of the replay's state: derived sets, queue, rule counters
+  /// and the Δ builtin tables.
   int64_t ApproxBytes() const;
 
  private:

@@ -27,9 +27,13 @@ util::Status CompileGroundPlan(CompiledWrapperProgram* out) {
       core::Program lowered,
       elog::LowerToGroundProgram(out->prepared.program.program()));
   MD_ASSIGN_OR_RETURN(out->ground_plan, core::GroundPlan::Compile(lowered));
+  // A pattern no rule defines (or whose rules were all dropped) is never
+  // derivable; it may still name a predicate the plan holds no set for.
+  const std::vector<bool> intensional = lowered.IntensionalMask();
   out->pattern_preds.reserve(out->prepared.extraction_patterns.size());
   for (const std::string& pattern : out->prepared.extraction_patterns) {
-    out->pattern_preds.push_back(lowered.preds().Find("pat_" + pattern));
+    const core::PredId p = lowered.preds().Find("pat_" + pattern);
+    out->pattern_preds.push_back(p >= 0 && intensional[p] ? p : -1);
   }
   out->has_ground_plan = true;
   return util::Status::OK();
@@ -53,8 +57,8 @@ core::GroundArena& ThreadArena() {
   return arena;
 }
 
-ProgramCache::ProgramCache(int32_t capacity, bool canonical_keys)
-    : capacity_(std::max(capacity, 1)), canonical_keys_(canonical_keys) {}
+ProgramCache::ProgramCache(int32_t capacity)
+    : capacity_(std::max(capacity, 1)) {}
 
 util::Result<std::shared_ptr<const CompiledWrapperProgram>>
 ProgramCache::GetOrCompile(const wrapper::Wrapper& wrapper) {
@@ -70,21 +74,19 @@ ProgramCache::GetOrCompile(const wrapper::Wrapper& wrapper) {
   // Syntactic miss: fall back to the canonical key, so a reformulated
   // revision of a cached wrapper reuses its compiled plan.
   uint64_t canonical_fp = fp;
-  if (canonical_keys_) {
-    auto key = analysis::CanonicalWrapperKey(wrapper.program,
-                                             wrapper.extraction_patterns);
-    if (key.ok()) canonical_fp = key->fingerprint;
-    auto cit = canonical_index_.find(canonical_fp);
-    if (cit != canonical_index_.end()) {
-      ++stats_.hits;
-      ++stats_.canonical_key_hits;
-      if (cit->second->syntactic_fps.size() < kMaxAliases) {
-        cit->second->syntactic_fps.push_back(fp);
-        index_.emplace(fp, cit->second);
-      }
-      lru_.splice(lru_.begin(), lru_, cit->second);
-      return cit->second->program;
+  auto key = analysis::CanonicalWrapperKey(wrapper.program,
+                                           wrapper.extraction_patterns);
+  if (key.ok()) canonical_fp = key->fingerprint;
+  auto cit = canonical_index_.find(canonical_fp);
+  if (cit != canonical_index_.end()) {
+    ++stats_.hits;
+    ++stats_.canonical_key_hits;
+    if (cit->second->syntactic_fps.size() < kMaxAliases) {
+      cit->second->syntactic_fps.push_back(fp);
+      index_.emplace(fp, cit->second);
     }
+    lru_.splice(lru_.begin(), lru_, cit->second);
+    return cit->second->program;
   }
   ++stats_.misses;
 

@@ -86,9 +86,7 @@ struct ProgramCacheStats {
 /// than it saves.
 class ProgramCache {
  public:
-  /// `canonical_keys` = false keys strictly on the syntactic fingerprint
-  /// (the pre-canonicalization behavior, kept for A/B benchmarking).
-  explicit ProgramCache(int32_t capacity, bool canonical_keys = true);
+  explicit ProgramCache(int32_t capacity);
 
   util::Result<std::shared_ptr<const CompiledWrapperProgram>> GetOrCompile(
       const wrapper::Wrapper& wrapper);
@@ -112,7 +110,6 @@ class ProgramCache {
   };
 
   const int32_t capacity_;
-  const bool canonical_keys_;
   mutable std::mutex mu_;
   std::list<Entry> lru_;  // front = most recently used
   std::unordered_map<uint64_t, std::list<Entry>::iterator> index_;

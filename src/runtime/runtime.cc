@@ -16,8 +16,7 @@ WrapperRuntime::WrapperRuntime(const RuntimeOptions& options)
     : options_(options),
       telemetry_(options.telemetry),
       tenants_(&telemetry_.registry(), options.qos),
-      programs_(options.program_cache_capacity,
-                options.canonical_program_keys),
+      programs_(options.program_cache_capacity),
       documents_([&] {
         DocumentCacheOptions doc_options;
         doc_options.cache = options.document_cache;

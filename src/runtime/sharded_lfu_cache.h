@@ -76,12 +76,9 @@ struct CacheOptions {
   /// Tenant fair-share eviction protection (needs a TenantRegistry attached
   /// to take effect). false = tenants share the budget unprotected.
   bool fair_share = true;
-  /// Counters per shard sketch; 0 = auto — ~16× the resident entry count
-  /// the shard budget implies at `sketch_entry_bytes` per entry, clamped to
-  /// [1024, 1M].
-  int32_t sketch_counters = 0;
-  /// Expected bytes per entry, used only by the sketch auto-sizing above
-  /// (documents run ~64KB, memo entries ~4KB).
+  /// Expected bytes per entry (documents run ~64KB, memo entries ~4KB). It
+  /// sizes each shard's sketch: ~16× the resident entry count the shard
+  /// budget implies, clamped to [1024, 1M] counters.
   int64_t sketch_entry_bytes = 64 << 10;
 };
 
@@ -135,13 +132,9 @@ class ShardedLfuCache {
     for (int32_t i = 0; i < n; ++i) {
       auto shard = std::make_unique<Shard>();
       if (options.tinylfu_admission && byte_budget_ > 0) {
-        int32_t counters = options.sketch_counters;
-        if (counters <= 0) {
-          const int64_t entry = std::max<int64_t>(options.sketch_entry_bytes, 1);
-          counters = static_cast<int32_t>(std::clamp<int64_t>(
-              shard_byte_budget_ / entry * 16, 1024, 1 << 20));
-        }
-        shard->lfu.emplace(counters);
+        const int64_t entry = std::max<int64_t>(options.sketch_entry_bytes, 1);
+        shard->lfu.emplace(static_cast<int32_t>(std::clamp<int64_t>(
+            shard_byte_budget_ / entry * 16, 1024, 1 << 20)));
       }
       shards_.push_back(std::move(shard));
     }

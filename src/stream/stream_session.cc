@@ -65,8 +65,6 @@ StreamSession::StreamSession(
   // the stripped world never sees it at all.
   closed_.push_back(0);
   const core::GroundPlan& plan = *program_->ground_plan;
-  streaming_ = plan.streamable();
-  if (!streaming_) return;
   stripped_world_ = std::make_unique<core::IncrementalReplay>(
       plan, builder(), /*hide_root=*/true);
   kept_world_ = std::make_unique<core::IncrementalReplay>(
@@ -205,18 +203,15 @@ util::Status StreamSession::FeedImpl(std::string_view chunk) {
   util::Status s = scanner_.Feed(chunk, &constructor_, control());
   if (!s.ok()) return Terminal(std::move(s));
   span.Value("nodes", builder().size() - nodes_before);
-  if (streaming_) {
-    s = PropagateAll();
-    if (!s.ok()) return Terminal(std::move(s));
-    UpdateEdbPeak();
-  }
+  s = PropagateAll();
+  if (!s.ok()) return Terminal(std::move(s));
+  UpdateEdbPeak();
   return util::Status::OK();
 }
 
 void StreamSession::CreateNode(tree::NodeId n) {
   closed_.push_back(0);
   peak_live_nodes_ = std::max(peak_live_nodes_, ++live_nodes_);
-  if (!streaming_) return;
   // A second top-level node refutes the stripped hypothesis before that
   // world could see it.
   if (!settled_ && builder().parent(n) == 0 &&
@@ -231,7 +226,6 @@ void StreamSession::CreateNode(tree::NodeId n) {
 void StreamSession::CloseNode(tree::NodeId n) {
   closed_[n] = 1;
   --live_nodes_;
-  if (!streaming_) return;
   for (core::IncrementalReplay* world : worlds()) {
     if (world != nullptr) world->NodeClosed(n);
   }
@@ -341,49 +335,46 @@ util::Result<std::string> StreamSession::FinishImpl() {
     return Terminal(util::Status::InvalidArgument("no content in HTML input"));
   }
 
-  elog::ElogResult matches;
-  const auto& patterns = program_->prepared.extraction_patterns;
-  if (streaming_) {
-    core::IncrementalReplay* winner = nullptr;
-    if (!settled_) {
-      // Exactly one top-level node: the stripped hypothesis held, and every
-      // fact of its world has been final since node 1 closed.
-      stripped_ = true;
-      kept_world_.reset();
-      BindPatternSets();
-      winner = stripped_world_.get();
-    } else {
-      winner = kept_world_.get();
-      closed_[0] = 1;  // patterns may select the kept "#document" root
-      winner->NodeClosed(0);
-    }
-    {
-      telemetry::TraceSpan span(cur_trace(), "stream.propagate");
-      s = winner->Propagate(control());
-      if (span) span.Value("facts", winner->num_derived());
-    }
-    UpdateEdbPeak();
-    if (!s.ok()) return Terminal(std::move(s));
-    EmitDerived();
-    // The hypothesis resolution relaxed the emission criterion; everything
-    // the winner derived on closed subtrees (i.e. everything) must be out
-    // before Finish returns.
-    FlushEligible();
-    const int32_t shift = stripped_ ? 1 : 0;
-    for (size_t i = 0; i < patterns.size(); ++i) {
-      const core::NodeSet* members =
-          winner->Members(program_->pattern_preds[i]);
-      if (members == nullptr) continue;  // never derivable: empty extent
-      std::vector<tree::NodeId>& extent = matches.matches[patterns[i]];
-      members->ForEach([&](tree::NodeId n) { extent.push_back(n - shift); });
-    }
-    // The worlds read the builder, which Build below consumes.
-    stripped_world_.reset();
+  core::IncrementalReplay* winner = nullptr;
+  if (!settled_) {
+    // Exactly one top-level node: the stripped hypothesis held, and every
+    // structural fact of its world has been final since node 1 closed.
+    stripped_ = true;
     kept_world_.reset();
     BindPatternSets();
+    winner = stripped_world_.get();
   } else {
-    stripped_ = constructor_.single_rooted();
+    winner = kept_world_.get();
+    closed_[0] = 1;  // patterns may select the kept "#document" root
+    winner->NodeClosed(0);
   }
+  // The tree is finished: the Δ builtin facts are final too.
+  winner->EndOfInput();
+  {
+    telemetry::TraceSpan span(cur_trace(), "stream.propagate");
+    s = winner->Propagate(control());
+    if (span) span.Value("facts", winner->num_derived());
+  }
+  UpdateEdbPeak();
+  if (!s.ok()) return Terminal(std::move(s));
+  EmitDerived();
+  // The hypothesis resolution relaxed the emission criterion; everything
+  // the winner derived on closed subtrees (i.e. everything) must be out
+  // before Finish returns.
+  FlushEligible();
+  elog::ElogResult matches;
+  const auto& patterns = program_->prepared.extraction_patterns;
+  const int32_t shift = stripped_ ? 1 : 0;
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    const core::NodeSet* members = winner->Members(program_->pattern_preds[i]);
+    if (members == nullptr) continue;  // never derivable: empty extent
+    std::vector<tree::NodeId>& extent = matches.matches[patterns[i]];
+    members->ForEach([&](tree::NodeId n) { extent.push_back(n - shift); });
+  }
+  // The worlds read the builder, which Build below consumes.
+  stripped_world_.reset();
+  kept_world_.reset();
+  BindPatternSets();
 
   // The batch parser's tree: the synthetic root is dropped exactly when a
   // single top-level node exists, i.e. when the stripped hypothesis won.
@@ -391,31 +382,6 @@ util::Result<std::string> StreamSession::FinishImpl() {
   util::Result<tree::Tree> built = constructor_.Build();
   MD_CHECK(built.ok());  // content exists, checked above
   const tree::Tree out_tree = *std::move(built);
-
-  if (!streaming_) {
-    // Fallback (Elog⁻Δ): the page streamed, the evaluation replays the
-    // wrapper's ground plan over the built tree, as Wrap does.
-    util::Result<core::EvalResult> result =
-        core::EvaluateGrounded(*program_->ground_plan, out_tree,
-                               &runtime::ThreadArena(), nullptr, control());
-    if (!result.ok()) return Terminal(result.status());
-    matches = program_->Matches(*result);
-    if (options_.on_result) {
-      const int32_t shift = stripped_ ? 1 : 0;
-      for (const std::string& pattern : patterns) {
-        const auto it = matches.matches.find(pattern);
-        if (it == matches.matches.end()) continue;
-        for (const tree::NodeId node : it->second) {
-          StreamResult r;
-          r.pattern = pattern;
-          r.label = out_tree.label_name(node);
-          r.text = out_tree.SubtreeText(node);
-          r.node = node + shift;  // same internal-id convention as streaming
-          options_.on_result(r);
-        }
-      }
-    }
-  }
 
   std::string xml =
       tree::ToXml(wrapper::BuildOutputTree(patterns, matches, out_tree));

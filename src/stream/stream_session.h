@@ -53,10 +53,10 @@
 /// node arrives (kept) or at Finish (stripped); the loser is discarded and
 /// the winner's remaining closed derivations flush.
 ///
-/// Plans that are not streamable (Elog⁻Δ builtins read tables of the
-/// finished tree) degrade gracefully: the session still parses incrementally
-/// but replays the plan over the built tree at Finish (streaming() ==
-/// false); results then all emit at Finish.
+/// Every wrapper streams this way, Elog⁻Δ included. A Δ builtin is a fact
+/// about the finished tree, so Finish hands the winner the end of input as
+/// one more final fact: the rules that read a builtin derive then, and
+/// their results emit at Finish, while the wrapper's Δ-free rules stream.
 
 namespace mdatalog::stream {
 
@@ -96,10 +96,6 @@ class StreamSession {
   /// the full page. Calling Feed or Finish afterwards fails.
   util::Result<std::string> Finish();
 
-  /// True when the plan replays incrementally (no Δ builtins: results can
-  /// emit before Finish); false = parse-only streaming with the plan
-  /// replayed at Finish.
-  bool streaming() const { return streaming_; }
   /// Whether the synthetic "#document" root was stripped from the output
   /// tree (final ids = internal ids - 1). Meaningful once the second
   /// top-level node arrives (false from then on) or after Finish.
@@ -114,7 +110,7 @@ class StreamSession {
   /// well-formed input this tracks nesting depth, not page length.
   int64_t peak_live_nodes() const { return peak_live_nodes_; }
   /// Peak ApproxBytes of the session's replay states (both hypothesis
-  /// worlds while both are live). 0 for non-streaming sessions.
+  /// worlds while both are live; the Δ builtin tables from Finish on).
   int64_t peak_edb_bytes() const { return peak_edb_bytes_; }
 
  private:
@@ -189,11 +185,9 @@ class StreamSession {
   html::TreeConstructor<ConstructionHooks> constructor_;
   std::vector<uint8_t> closed_;  // per node: subtree complete
 
-  /// The two hypothesis worlds, both engaged when the plan is streamable;
-  /// the loser is reset at resolution.
+  /// The two hypothesis worlds; the loser is reset at resolution.
   std::unique_ptr<core::IncrementalReplay> stripped_world_;
   std::unique_ptr<core::IncrementalReplay> kept_world_;
-  bool streaming_ = false;
   /// One entry per distinct pattern predicate, in ascending PredId order.
   struct PatternPred {
     core::PredId pred;

@@ -1,28 +1,35 @@
 // The ground plan of an Elog wrapper (elog::LowerToGroundProgram →
 // core::GroundPlan) against the native Elog evaluator, the reference:
 // byte-identical output XML on random Elog⁻Δ programs over random trees, on
-// every checked-in wrapper, and on 100,000-node deep and wide trees.
+// every checked-in wrapper, and on 100,000-node deep and wide trees. The
+// same plan replayed by a stream session (Δ builtins at the end of input)
+// against batch Wrap: the same XML and extents under every chunking.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/grounder.h"
 #include "src/elog/ast.h"
 #include "src/elog/eval.h"
 #include "src/elog/to_datalog.h"
+#include "src/html/parser.h"
 #include "src/runtime/runtime.h"
+#include "src/stream/stream_session.h"
 #include "src/tree/generator.h"
 #include "src/tree/serialize.h"
 #include "src/tree/tree.h"
 #include "src/util/rng.h"
 #include "src/wrapper/wrapper.h"
 #include "tests/engine_oracles.h"
+#include "tests/support/elog_generator.h"
 
 namespace mdatalog {
 namespace {
@@ -31,6 +38,7 @@ using elog::ElogCondition;
 using elog::ElogPath;
 using elog::ElogProgram;
 using elog::ElogRule;
+using elog::RandomDeltaProgram;
 using K = ElogCondition::Kind;
 
 std::string NativeXml(const ElogProgram& program,
@@ -62,141 +70,6 @@ std::string PlanXml(const ElogProgram& program,
     if (pred >= 0) matches.matches[p] = eval->Unary(pred);
   }
   return tree::ToXml(wrapper::BuildOutputTree(patterns, matches, t));
-}
-
-ElogPath RandomPath(util::Rng& rng, int32_t min_steps) {
-  static const std::vector<std::string> kSteps = {"a", "b", "c", "_"};
-  ElogPath path;
-  const int64_t n = rng.Range(min_steps, 2);
-  for (int64_t i = 0; i < n; ++i) {
-    path.steps.push_back(kSteps[rng.Below(kSteps.size())]);
-  }
-  return path;
-}
-
-/// A random Elog⁻Δ program over labels {a, b, c}. Conditions come in an
-/// order the native evaluator accepts: each one reads only variables an
-/// earlier atom binds, and a pattern reference may bind a fresh variable
-/// (enumerating the pattern's extent) that a later condition — contains,
-/// nextsibling, notafter, notbefore or before — then joins to the rule.
-ElogProgram RandomDeltaProgram(util::Rng& rng) {
-  ElogProgram program;
-  std::vector<std::string> defined;
-  const int64_t num_rules = rng.Range(2, 6);
-  for (int64_t r = 0; r < num_rules; ++r) {
-    ElogRule rule;
-    rule.head_pattern = "p" + std::to_string(rng.Below(4));
-    if (defined.empty() || rng.Below(3) == 0) {
-      rule.parent_pattern = "root";
-    } else {
-      rule.parent_pattern = defined[rng.Below(defined.size())];
-    }
-    rule.parent_var = "X0";
-    if (rng.Below(5) == 0) {
-      rule.head_var = "X0";
-    } else {
-      rule.head_var = "X1";
-      rule.subelem = RandomPath(rng, 1);
-    }
-    std::vector<std::string> bound = {"X0", rule.head_var};
-    int32_t fresh = 0;
-    auto new_var = [&] { return "Y" + std::to_string(fresh++); };
-    auto any_bound = [&] { return bound[rng.Below(bound.size())]; };
-    auto add = [&rule](K kind, std::string v1, std::string v2 = "",
-                       std::string v3 = "") {
-      ElogCondition c;
-      c.kind = kind;
-      c.var1 = std::move(v1);
-      c.var2 = std::move(v2);
-      c.var3 = std::move(v3);
-      rule.conditions.push_back(std::move(c));
-      return &rule.conditions.back();
-    };
-    auto refs = defined;
-    refs.push_back("root");
-    refs.push_back(rule.head_pattern);
-    const int64_t num_conditions = rng.Range(0, 3);
-    for (int64_t i = 0; i < num_conditions; ++i) {
-      switch (rng.Below(9)) {
-        case 0: add(K::kLeaf, any_bound()); break;
-        case 1: add(K::kFirstSibling, any_bound()); break;
-        case 2: add(K::kLastSibling, any_bound()); break;
-        case 3: {
-          const std::string b = any_bound();
-          const std::string n = rng.Below(4) == 0 ? any_bound() : new_var();
-          if (rng.Below(2) == 0) {
-            add(K::kNextSibling, b, n);
-          } else {
-            add(K::kNextSibling, n, b);
-          }
-          bound.push_back(n);
-          break;
-        }
-        case 4: {
-          const std::string n = rng.Below(4) == 0 ? any_bound() : new_var();
-          add(K::kContains, any_bound(), n)->path = RandomPath(rng, 1);
-          bound.push_back(n);
-          break;
-        }
-        case 5: {
-          const std::string pattern = refs[rng.Below(refs.size())];
-          if (rng.Below(2) == 0) {
-            add(K::kPatternRef, any_bound())->pattern = pattern;
-            break;
-          }
-          // An unbound reference: the extent is enumerated, then joined.
-          const std::string z = new_var();
-          add(K::kPatternRef, z)->pattern = pattern;
-          const std::string b = any_bound();
-          switch (rng.Below(4)) {
-            case 0: add(K::kContains, b, z)->path = RandomPath(rng, 1); break;
-            case 1: add(K::kNextSibling, b, z); break;
-            case 2: add(K::kNotAfter, b, z)->path = RandomPath(rng, 0); break;
-            default: add(K::kNotBefore, b, z)->path = RandomPath(rng, 0); break;
-          }
-          bound.push_back(z);
-          break;
-        }
-        case 6:
-        case 7: {
-          const K kind = rng.Below(2) == 0 ? K::kNotAfter : K::kNotBefore;
-          const std::string x0 = any_bound();
-          add(kind, x0, any_bound())->path = RandomPath(rng, 0);
-          break;
-        }
-        default: {
-          // before(x0, π, x, y, α, β), narrow or wide, y fresh or bound.
-          static const std::pair<int32_t, int32_t> kWindows[] = {
-              {50, 50}, {0, 0}, {10, 40}, {0, 100}, {-100, 100}, {-50, 0}};
-          const auto [alpha, beta] = kWindows[rng.Below(6)];
-          // Mostly x0 = the parent and x = the head below it, so x has a
-          // position among x0's children and the window is not empty.
-          const bool below = rng.Below(4) != 0;
-          const std::string x0 = below ? "X0" : any_bound();
-          const std::string x = below ? rule.head_var : any_bound();
-          const bool fresh_y = rng.Below(4) != 0;
-          const std::string y = fresh_y ? new_var() : any_bound();
-          ElogCondition* c = add(K::kBefore, x0, x, y);
-          c->path = RandomPath(rng, rng.Below(8) == 0 ? 0 : 1);
-          c->alpha_pct = alpha;
-          c->beta_pct = beta;
-          bound.push_back(y);
-          // Half the fresh ys are used later: the window is enumerated.
-          if (fresh_y && rng.Below(2) == 0) {
-            if (rng.Below(2) == 0) {
-              add(K::kLeaf, y);
-            } else {
-              add(K::kPatternRef, y)->pattern = refs[rng.Below(refs.size())];
-            }
-          }
-          break;
-        }
-      }
-    }
-    defined.push_back(rule.head_pattern);
-    program.AddRule(std::move(rule));
-  }
-  return program;
 }
 
 TEST(ElogPlanTest, RandomDeltaProgramsMatchNativeOnRandomTrees) {
@@ -384,21 +257,26 @@ TEST(ElogPlanTest, NewsWrapperMatchesNativeOnNestedArticles) {
   EXPECT_EQ(grounded.stats().native_evals, 0);
 }
 
+/// 100,000 nested divs with one article at the bottom: anynode climbs the
+/// whole chain (the native evaluator re-applies it once per level, for
+/// minutes), the output is one story.
+std::string DeepNewsPage() {
+  constexpr int kDepth = 100000;
+  std::string page;
+  for (int i = 0; i < kDepth; ++i) page += "<div class=x>";
+  page += "<div class=\"article\"><h2><a>bottom</a></h2></div>";
+  for (int i = 0; i < kDepth; ++i) page += "</div>";
+  return page;
+}
+
 TEST(ElogPlanTest, DeepNewsPageServesUnderOneSecond) {
-  // 100,000 nested divs with one article at the bottom: anynode climbs the
-  // whole chain (the native evaluator re-applies it once per level, for
-  // minutes), the output is one story.
   auto w = wrapper::ParseWrapperText(kNewsWrapper);
   ASSERT_TRUE(w.ok());
   runtime::WrapperRuntime rt;
   auto handle = rt.Register(*w, "class");
   ASSERT_TRUE(handle.ok());
   EXPECT_TRUE(handle->program->has_ground_plan);
-  constexpr int kDepth = 100000;
-  std::string page;
-  for (int i = 0; i < kDepth; ++i) page += "<div class=x>";
-  page += "<div class=\"article\"><h2><a>bottom</a></h2></div>";
-  for (int i = 0; i < kDepth; ++i) page += "</div>";
+  const std::string page = DeepNewsPage();
   const auto start = std::chrono::steady_clock::now();
   auto xml = rt.Wrap(*handle, page);
   const auto elapsed = std::chrono::steady_clock::now() - start;
@@ -438,9 +316,8 @@ post(Y)    <- anynode(P), subelem(P, "li.span@post", Y).
     ASSERT_TRUE(handle.ok()) << handle.status().ToString();
     EXPECT_TRUE(handle->program->has_ground_plan)
         << elog::ToString(w.program);
-    // Only Δ-free wrappers replay incrementally in a stream session.
-    EXPECT_EQ(handle->program->ground_plan->streamable(),
-              !w.program.UsesDeltaBuiltins());
+    // Every wrapper replays incrementally in a stream session, Δ included.
+    EXPECT_TRUE(handle->program->ground_plan->streamable());
   }
 }
 
@@ -448,9 +325,10 @@ TEST(ElogPlanTest, PatternPredsIndexBothThePlanAndTmnf) {
   // The lowered program keeps ElogToDatalog's predicate table (ToTmnf
   // copies it), so one PredId per extraction pattern serves the plan's
   // EvalResult and the oracles' TMNF program alike.
-  runtime::ProgramCache cache(16, /*canonical_keys=*/false);
   for (const auto& [name, w] : CorpusWrappers()) {
     if (w.program.UsesDeltaBuiltins()) continue;
+    // One cache per wrapper: equivalent revisions must not share an entry.
+    runtime::ProgramCache cache(16);
     auto datalog = elog::ElogToDatalog(w.program);
     auto lowered = elog::LowerToGroundProgram(w.program);
     ASSERT_TRUE(datalog.ok() && lowered.ok()) << name;
@@ -494,6 +372,252 @@ TEST(ElogPlanTest, BranchesSplitIntoTheirOwnPredicates) {
     }
   }
   EXPECT_EQ(lowered->rules().size(), 4u);  // item, pair, two branches
+}
+
+// ---------------------------------------------------------------------------
+// Stream sessions replay the same plan, the Δ builtins at the end of input
+// ---------------------------------------------------------------------------
+
+/// `t` as HTML: one element per node, named by its label.
+std::string TreeHtml(const tree::Tree& t) {
+  std::string html;
+  tree::WalkSubtree(
+      t, t.root(),
+      [&](tree::NodeId n) { html += "<" + t.label_name(n) + ">"; },
+      [&](tree::NodeId n) { html += "</" + t.label_name(n) + ">"; });
+  return html;
+}
+
+/// The patterns nothing derives before the end of input: each of their
+/// rules reads a Δ builtin or another such pattern.
+std::set<std::string> EndOfInputPatterns(const ElogProgram& program) {
+  std::set<std::string> early = {"root"};
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (const ElogRule& r : program.rules()) {
+      bool streams = early.count(r.parent_pattern) > 0;
+      for (const ElogCondition& c : r.conditions) {
+        streams = streams && c.kind != K::kBefore &&
+                  c.kind != K::kNotAfter && c.kind != K::kNotBefore &&
+                  (c.kind != K::kPatternRef || early.count(c.pattern) > 0);
+      }
+      if (streams && early.insert(r.head_pattern).second) changed = true;
+    }
+  }
+  std::set<std::string> late;
+  for (const std::string& p : program.Patterns()) {
+    if (early.count(p) == 0) late.insert(p);
+  }
+  return late;
+}
+
+using Extents = std::set<std::pair<std::string, tree::NodeId>>;
+
+/// One stream session over a page: its Finish XML, and the (pattern, node)
+/// pairs it emitted, in batch ids — all, and those emitted before Finish.
+struct Streamed {
+  std::string xml;
+  Extents all;
+  Extents before_finish;
+};
+
+Streamed StreamPage(runtime::WrapperRuntime& rt,
+                    const runtime::WrapperHandle& handle,
+                    const std::string& page, size_t chunk) {
+  Streamed out;
+  struct Emitted {
+    std::string pattern;
+    tree::NodeId node;  // internal id
+    bool before_finish;
+  };
+  std::vector<Emitted> emitted;
+  bool finishing = false;
+  stream::StreamOptions options;
+  options.on_result = [&](const stream::StreamResult& r) {
+    emitted.push_back({r.pattern, r.node, !finishing});
+  };
+  auto session = rt.SubmitStream({.wrapper = handle}, std::move(options));
+  EXPECT_TRUE(session.ok());
+  if (!session.ok()) return out;
+  for (size_t i = 0; i < page.size(); i += chunk) {
+    EXPECT_TRUE((*session)->Feed(std::string_view(page).substr(i, chunk)).ok());
+  }
+  finishing = true;
+  auto xml = (*session)->Finish();
+  EXPECT_TRUE(xml.ok()) << xml.status().ToString();
+  if (!xml.ok()) return out;
+  out.xml = *xml;
+  const tree::NodeId shift = (*session)->stripped() ? 1 : 0;
+  for (const Emitted& e : emitted) {
+    EXPECT_TRUE(out.all.emplace(e.pattern, e.node - shift).second)
+        << "emitted twice: " << e.pattern << " " << e.node;
+    if (e.before_finish) out.before_finish.emplace(e.pattern, e.node - shift);
+  }
+  return out;
+}
+
+/// The batch extents: the wrapper's ground plan over the batch-parsed page.
+Extents BatchExtents(const runtime::WrapperHandle& handle,
+                     const std::string& page) {
+  Extents out;
+  auto t = html::ParseTree(page, handle.project_attr);
+  EXPECT_TRUE(t.ok());
+  if (!t.ok()) return out;
+  auto eval = core::EvaluateGrounded(*handle.program->ground_plan, *t);
+  EXPECT_TRUE(eval.ok()) << eval.status().ToString();
+  if (!eval.ok()) return out;
+  for (const auto& [pattern, nodes] : handle.program->Matches(*eval).matches) {
+    for (const tree::NodeId n : nodes) out.emplace(pattern, n);
+  }
+  return out;
+}
+
+/// Streams every page at chunk sizes 1, 97, 4096 and the whole page: the
+/// Finish XML is Wrap's, the emitted pairs are the batch extents, and no
+/// EndOfInputPatterns pattern emits before Finish. Returns what did.
+Extents CheckStreamsLikeWrap(const wrapper::Wrapper& w,
+                             const std::string& attr,
+                             const std::vector<std::string>& pages,
+                             const std::string& context) {
+  runtime::WrapperRuntime rt;
+  auto handle = rt.Register(w, attr);
+  EXPECT_TRUE(handle.ok()) << context << handle.status().ToString();
+  if (!handle.ok()) return {};
+  const std::set<std::string> late = EndOfInputPatterns(w.program);
+  Extents early;
+  for (const std::string& page : pages) {
+    auto want = rt.Wrap(*handle, page);
+    EXPECT_TRUE(want.ok()) << context << want.status().ToString();
+    if (!want.ok()) continue;
+    const Extents extents = BatchExtents(*handle, page);
+    for (const size_t chunk : {size_t{1}, size_t{97}, size_t{4096},
+                               page.size()}) {
+      const std::string ctx =
+          context + "\nchunk " + std::to_string(chunk) + ": " + page;
+      const Streamed got = StreamPage(rt, *handle, page, chunk);
+      EXPECT_EQ(got.xml, *want) << ctx;
+      EXPECT_EQ(got.all, extents) << ctx;
+      for (const auto& [pattern, node] : got.before_finish) {
+        EXPECT_EQ(late.count(pattern), 0u)
+            << ctx << ": " << pattern << "(" << node << ") before Finish";
+      }
+      early.insert(got.before_finish.begin(), got.before_finish.end());
+      if (::testing::Test::HasFailure()) return early;
+    }
+  }
+  return early;
+}
+
+bool HasPattern(const Extents& extents, const std::string& pattern) {
+  return std::any_of(extents.begin(), extents.end(),
+                     [&](const auto& e) { return e.first == pattern; });
+}
+
+TEST(ElogPlanTest, DeltaWrappersStreamLikeWrap) {
+  // The news wrapper: story and headline are Δ-free and stream, lead
+  // (notafter) waits for the end of input.
+  auto news = wrapper::ParseWrapperText(kNewsWrapper);
+  ASSERT_TRUE(news.ok());
+  std::string flat = "<html><body>";
+  for (int i = 0; i < 40; ++i) {
+    flat += "<div class=\"article\"><h2><a>headline " + std::to_string(i) +
+            "</a></h2><p>text</p></div>";
+  }
+  flat += "<div class=\"article\"><div class=\"article\"><h2><a>inner</a>"
+          "</h2></div></div></body></html>";
+  const Extents early = CheckStreamsLikeWrap(
+      *news, "class",
+      {flat, NestedArticles(1), NestedArticles(7), NestedArticles(30),
+       NestedArticles(2) + NestedArticles(1)},
+      "news");
+  EXPECT_TRUE(HasPattern(early, "story"));
+  EXPECT_TRUE(HasPattern(early, "headline"));
+  EXPECT_FALSE(HasPattern(early, "lead"));
+
+  // aⁿbⁿ (before): children words under one root, and two roots.
+  const auto corpus = CorpusWrappers();
+  const auto anbn = std::find_if(corpus.begin(), corpus.end(), [](auto& e) {
+    return e.first == "anbn_delta.elog";
+  });
+  ASSERT_NE(anbn, corpus.end());
+  std::vector<std::string> words;
+  for (int32_t a = 0; a <= 5; ++a) {
+    for (int32_t b = 0; b <= 5; ++b) {
+      std::string word = "<r>";
+      for (int32_t i = 0; i < a; ++i) word += "<a>x</a>";
+      for (int32_t i = 0; i < b; ++i) word += "<b>y</b>";
+      words.push_back(word + "</r>");
+    }
+  }
+  words.push_back(words[7] + words[14]);
+  CheckStreamsLikeWrap(anbn->second, "", words, "anbn_delta");
+
+  // Z is bound by builtins alone (which the native evaluator rejects), so it
+  // ranges over the whole domain. The stripped world hides node 0 above the
+  // root; were it in the domain, it would pass notbefore(Z, ε, R) like the
+  // root but have no a-children.
+  wrapper::Wrapper hidden_root;
+  auto program = elog::ParseElog(
+      "p(X) <- root(R), subelem(R, \"_\", X), notbefore(Z, \"\", R),\n"
+      "        notafter(Z, \"a\", X).\n");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  hidden_root.program = *program;
+  hidden_root.extraction_patterns = {"p"};
+  CheckStreamsLikeWrap(hidden_root, "",
+                       {"<r><b>1</b><a>2</a><c>3</c></r>",
+                        "<r><b>1</b><a>2</a><c>3</c></r><r><c>4</c></r>"},
+                       "hidden root");
+
+  // Random Elog⁻Δ programs over random trees, single- and multi-rooted.
+  util::Rng rng(19);
+  int32_t checked = 0;
+  for (int32_t i = 0; i < 80 && !HasFailure(); ++i) {
+    ElogProgram program = RandomDeltaProgram(rng);
+    if (!elog::ValidateElog(program).ok()) continue;
+    wrapper::Wrapper w;
+    w.program = program;
+    w.extraction_patterns = program.Patterns();
+    std::vector<std::string> pages;
+    for (int32_t k = 0; k < 3; ++k) {
+      pages.push_back(TreeHtml(tree::RandomTree(
+          rng, static_cast<int32_t>(rng.Range(1, 40)), {"a", "b", "c"},
+          /*depth_bias=*/k % 2 == 1)));
+    }
+    pages.push_back(pages[0] + pages[1]);
+    CheckStreamsLikeWrap(w, "", pages, elog::ToString(program));
+    ++checked;
+  }
+  EXPECT_GT(checked, 50);
+}
+
+TEST(ElogPlanTest, DeepNewsPageStreamsUnderOneSecond) {
+  // The deep page through a stream session in 4 KB chunks: anynode streams
+  // down the chain, lead (notafter) derives at the end of input. The time
+  // bound is for optimized builds; a sanitizer build runs it near the bound.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  constexpr bool kTimed = false;
+#else
+  constexpr bool kTimed = true;
+#endif
+  auto w = wrapper::ParseWrapperText(kNewsWrapper);
+  ASSERT_TRUE(w.ok());
+  runtime::WrapperRuntime rt;
+  auto handle = rt.Register(*w, "class");
+  ASSERT_TRUE(handle.ok());
+  const std::string page = DeepNewsPage();
+  auto want = rt.Wrap(*handle, page);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  const auto start = std::chrono::steady_clock::now();
+  auto session = rt.SubmitStream({.wrapper = *handle}, {});
+  ASSERT_TRUE(session.ok());
+  for (size_t i = 0; i < page.size(); i += 4096) {
+    ASSERT_TRUE((*session)->Feed(std::string_view(page).substr(i, 4096)).ok());
+  }
+  auto xml = (*session)->Finish();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(xml.ok()) << xml.status().ToString();
+  if (kTimed) EXPECT_LT(elapsed, std::chrono::seconds(1));
+  EXPECT_EQ(*xml, *want);
 }
 
 }  // namespace

@@ -7,6 +7,9 @@
 // Two properties: after the last event the derived sets equal batch
 // evaluation on the built tree, and every atom derived at an intermediate
 // point is in that final result (the replay only ever reads final facts).
+// For Elog⁻Δ programs the last event is the end of input: after the last
+// close the sets equal batch evaluation with the rules that read a Δ
+// builtin disabled, so none of those fired early.
 
 #include <algorithm>
 #include <chrono>
@@ -29,6 +32,7 @@
 #include "src/util/deadline.h"
 #include "src/util/rng.h"
 #include "src/wrapper/wrapper.h"
+#include "tests/support/elog_generator.h"
 #include "tests/support/program_generator.h"
 
 namespace {
@@ -101,9 +105,38 @@ void ExpectAgrees(const Program& program, const IncrementalReplay& world,
   }
 }
 
+/// Whether `rule` of `program` reads a Δ builtin (an extensional predicate
+/// named by core::DeltaBuiltinPredName).
+bool ReadsDelta(const Program& program, const core::Rule& rule) {
+  return std::any_of(rule.body.begin(), rule.body.end(),
+                     [&](const core::Atom& a) {
+                       return program.preds().Name(a.pred).starts_with(
+                           "delta:");
+                     });
+}
+
+/// `program` with every rule that reads a Δ builtin disabled — its body
+/// also needs a nullary atom nothing derives — and the predicate ids kept:
+/// what a replay derives before the end of input.
+Program WithoutDeltaRules(const Program& program) {
+  Program out = program;
+  const core::PredId never = out.preds().MustIntern("never", 0);
+  for (core::Rule& rule : out.mutable_rules()) {
+    if (ReadsDelta(program, rule)) {
+      rule.body.push_back(core::MakeAtom(never, {}));
+    }
+  }
+  core::Rule loop;
+  loop.head = core::MakeAtom(never, {});
+  loop.body = {core::MakeAtom(never, {})};
+  out.AddRule(std::move(loop));
+  return out;
+}
+
 /// Feeds `t` under both hypotheses, propagating after an event with
 /// probability 1/`every` and checking soundness at up to `max_checks` of
-/// those points, then checks the final sets.
+/// those points, then checks the sets after the last close and after the
+/// end of input.
 void CheckReplay(const Program& program, const GroundPlan& plan,
                  const tree::Tree& t, util::Rng& rng, uint64_t every,
                  int32_t max_checks, const std::string& context) {
@@ -111,6 +144,13 @@ void CheckReplay(const Program& program, const GroundPlan& plan,
   ASSERT_TRUE(batch.ok()) << context;
   auto docked = core::EvaluateGrounded(plan, UnderDocumentRoot(t));
   ASSERT_TRUE(docked.ok()) << context;
+  // Before the end of input: the same without the Δ rules.
+  auto pre_plan = GroundPlan::Compile(WithoutDeltaRules(program));
+  ASSERT_TRUE(pre_plan.ok()) << context;
+  auto pre_batch = core::EvaluateGrounded(*pre_plan, t);
+  ASSERT_TRUE(pre_batch.ok()) << context;
+  auto pre_docked = core::EvaluateGrounded(*pre_plan, UnderDocumentRoot(t));
+  ASSERT_TRUE(pre_docked.ok()) << context;
   const std::vector<Event> events = PreorderEvents(t);
 
   for (const bool under_document : {false, true}) {
@@ -127,15 +167,19 @@ void CheckReplay(const Program& program, const GroundPlan& plan,
       stripped.emplace(plan, b, /*hide_root=*/true);
       kept.NodeCreated(0);
     }
-    // (world, expected result, id shift)
+    // (world, expected result, expected before the end of input, id shift)
     struct World {
       IncrementalReplay* replay;
       const core::EvalResult* want;
+      const core::EvalResult* pre;
       int32_t shift;
     };
     std::vector<World> worlds = {
-        {&kept, under_document ? &*docked : &*batch, 0}};
-    if (stripped.has_value()) worlds.push_back({&*stripped, &*batch, 1});
+        {&kept, under_document ? &*docked : &*batch,
+         under_document ? &*pre_docked : &*pre_batch, 0}};
+    if (stripped.has_value()) {
+      worlds.push_back({&*stripped, &*batch, &*pre_batch, 1});
+    }
     const std::string ctx =
         context + (under_document ? " [under #document]" : " [bare]");
 
@@ -158,7 +202,7 @@ void CheckReplay(const Program& program, const GroundPlan& plan,
       for (World& w : worlds) {
         ASSERT_TRUE(w.replay->Propagate().ok()) << ctx;
         if (checks < max_checks) {
-          ExpectAgrees(program, *w.replay, *w.want, w.shift, false, ctx);
+          ExpectAgrees(program, *w.replay, *w.pre, w.shift, false, ctx);
         }
       }
       ++checks;
@@ -167,21 +211,26 @@ void CheckReplay(const Program& program, const GroundPlan& plan,
     if (under_document) kept.NodeClosed(0);
     for (World& w : worlds) {
       ASSERT_TRUE(w.replay->Propagate().ok()) << ctx;
+      ExpectAgrees(program, *w.replay, *w.pre, w.shift, true,
+                   ctx + " [last close]");
+      w.replay->EndOfInput();
+      ASSERT_TRUE(w.replay->Propagate().ok()) << ctx;
       ExpectAgrees(program, *w.replay, *w.want, w.shift, true, ctx);
     }
     if (::testing::Test::HasFailure()) return;
   }
 }
 
-/// The Δ-free wrappers of the checked-in corpus, lowered to the program their
-/// ground plan compiles from, with every label their paths name.
+/// The wrappers of the checked-in corpus, Elog⁻Δ included, lowered to the
+/// program their ground plan compiles from, with every label their paths
+/// name.
 struct CorpusProgram {
   std::string name;
   Program program;
   std::vector<std::string> labels;
 };
 
-std::vector<CorpusProgram> DeltaFreeCorpus() {
+std::vector<CorpusProgram> Corpus() {
   std::vector<CorpusProgram> out;
   for (const auto& entry :
        std::filesystem::directory_iterator(MDATALOG_WRAPPER_CORPUS_DIR)) {
@@ -191,7 +240,7 @@ std::vector<CorpusProgram> DeltaFreeCorpus() {
     text << in.rdbuf();
     auto w = wrapper::ParseWrapperText(text.str());
     EXPECT_TRUE(w.ok()) << entry.path();
-    if (!w.ok() || w->program.UsesDeltaBuiltins()) continue;
+    if (!w.ok()) continue;
     auto lowered = elog::LowerToGroundProgram(w->program);
     EXPECT_TRUE(lowered.ok()) << entry.path();
     if (!lowered.ok()) continue;
@@ -258,7 +307,7 @@ TEST(IncrementalReplayTest, RandomProgramsOnRandomTreesMatchBatch) {
 
 TEST(IncrementalReplayTest, StructuralProgramsAndCorpusWrappersMatchBatch) {
   util::Rng rng(5);
-  std::vector<CorpusProgram> programs = DeltaFreeCorpus();
+  std::vector<CorpusProgram> programs = Corpus();
   ASSERT_GE(programs.size(), 5u);
   for (Program& p : StructuralPrograms()) {
     programs.push_back({core::ToString(p), std::move(p), {"a", "b", "c"}});
@@ -292,7 +341,7 @@ TEST(IncrementalReplayTest, HundredThousandDeepChainAndWideFanOut) {
   const std::vector<std::pair<std::string, tree::Tree>> trees = {
       {" chain", chain.Build()}, {" fan-out", fan.Build()}};
   util::Rng rng(11);
-  std::vector<CorpusProgram> programs = DeltaFreeCorpus();
+  std::vector<CorpusProgram> programs = Corpus();
   for (Program& p : StructuralPrograms()) {
     programs.push_back({core::ToString(p), std::move(p), {}});
   }
@@ -351,6 +400,77 @@ TEST(IncrementalReplayTest, ExpiredDeadlineInsidePropagateResumes) {
   }
   ASSERT_TRUE(world.Propagate().ok());
   ExpectAgrees(program, world, *batch, 0, true, "resumed");
+}
+
+/// Random Elog⁻Δ programs (most read a builtin), lowered to the program
+/// their ground plan compiles from.
+TEST(IncrementalReplayTest, RandomDeltaProgramsMatchBatchAtEndOfInput) {
+  util::Rng rng(20261018);
+  int32_t delta = 0;
+  for (int trial = 0; trial < 250; ++trial) {
+    const elog::ElogProgram elog_program = elog::RandomDeltaProgram(rng);
+    if (!elog::ValidateElog(elog_program).ok()) continue;
+    auto p = elog::LowerToGroundProgram(elog_program);
+    ASSERT_TRUE(p.ok()) << elog::ToString(elog_program);
+    auto plan = GroundPlan::Compile(*p);
+    ASSERT_TRUE(plan.ok()) << core::ToString(*p);
+    ASSERT_TRUE(plan->streamable()) << core::ToString(*p);
+    delta += elog_program.UsesDeltaBuiltins() ? 1 : 0;
+    const tree::Tree t =
+        tree::RandomTree(rng, 1 + static_cast<int32_t>(rng.Below(60)),
+                         {"a", "b", "c"}, trial % 2 == 0);
+    CheckReplay(*p, *plan, t, rng, 1 + rng.Below(6), 1 << 20,
+                core::ToString(*p) + tree::ToDebugString(t));
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(delta, 120);
+}
+
+TEST(IncrementalReplayTest, ExpiredDeadlineAtEndOfInputResumes) {
+  // Every node event has run; the expired control stops the replay inside
+  // the propagation the end of input starts (thousands of lead atoms), and
+  // the replay resumes from there to exactly the batch result.
+  auto elog_program = elog::ParseElog(R"(
+    anynode(X) <- root(X).
+    anynode(X) <- anynode(P), subelem(P, "_", X).
+    lead(X) <- anynode(P), subelem(P, "a", X), notafter(P, "a", X).
+    tail(X) <- lead(P), subelem(P, "_", X), notbefore(P, "_", X).
+  )");
+  ASSERT_TRUE(elog_program.ok());
+  auto program = elog::LowerToGroundProgram(*elog_program);
+  ASSERT_TRUE(program.ok());
+  auto plan = GroundPlan::Compile(*program);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_TRUE(plan->streamable());
+  util::Rng rng(4);
+  const tree::Tree t = tree::RandomTree(rng, 50000, {"a", "b"});
+  auto batch = core::EvaluateGrounded(*plan, t);
+  ASSERT_TRUE(batch.ok());
+
+  tree::TreeBuilder b;
+  IncrementalReplay world(*plan, b, /*hide_root=*/false);
+  for (const Event& e : PreorderEvents(t)) {
+    if (e.close) {
+      world.NodeClosed(e.node);
+      continue;
+    }
+    const NodeId p = t.parent(e.node);
+    ASSERT_EQ(p == tree::kNoNode ? b.Root(t.label_name(e.node))
+                                 : b.Child(p, t.label_name(e.node)),
+              e.node);
+    world.NodeCreated(e.node);
+  }
+  ASSERT_TRUE(world.Propagate().ok());
+  const int64_t before_end = world.num_derived();
+  world.EndOfInput();
+  const util::EvalControl expired(
+      util::Deadline::After(std::chrono::milliseconds(0)), nullptr);
+  EXPECT_EQ(world.Propagate(&expired).code(),
+            util::StatusCode::kDeadlineExceeded);
+  EXPECT_GT(world.num_derived(), before_end);
+  EXPECT_LT(world.num_derived(), batch->num_derived());
+  ASSERT_TRUE(world.Propagate().ok());
+  ExpectAgrees(*program, world, *batch, 0, true, "resumed");
 }
 
 }  // namespace

@@ -347,10 +347,10 @@ TEST(ProgramCacheTest, DeltaBuiltinProgramGetsAGroundPlan) {
   runtime::ProgramCache cache(4);
   auto compiled = cache.GetOrCompile(w);
   ASSERT_TRUE(compiled.ok());
-  // The builtin is a residual check of the plan; only the stream session's
-  // incremental replay is Δ-free-only.
+  // The builtin is a residual check of the plan, and the stream session's
+  // incremental replay runs it too, at the end of input.
   EXPECT_TRUE((*compiled)->has_ground_plan);
-  EXPECT_FALSE((*compiled)->ground_plan->streamable());
+  EXPECT_TRUE((*compiled)->ground_plan->streamable());
   EXPECT_EQ(cache.stats().ground_plans, 1);
 }
 
@@ -426,19 +426,6 @@ TEST(ProgramCacheTest, CanonicalKeySharesReformulatedWrapper) {
   EXPECT_EQ(cache.stats().canonical_key_hits, 1);
   // Both formulations memo-key on one canonical fingerprint.
   EXPECT_EQ((*a)->canonical_fingerprint, (*b)->canonical_fingerprint);
-}
-
-TEST(ProgramCacheTest, CanonicalKeysOffKeepsFormulationsSeparate) {
-  runtime::ProgramCache cache(8, /*canonical_keys=*/false);
-  auto a = cache.GetOrCompile(CatalogWrapper());
-  auto b = cache.GetOrCompile(ReformulatedCatalogWrapper());
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_NE(a->get(), b->get());
-  EXPECT_EQ(cache.stats().misses, 2);
-  EXPECT_EQ(cache.stats().canonical_key_hits, 0);
-  // Syntactic keys double as canonical ones, so the memo keys differ too.
-  EXPECT_NE((*a)->canonical_fingerprint, (*b)->canonical_fingerprint);
 }
 
 TEST(ProgramCacheTest, CanonicalEntryEvictsAllAliases) {
@@ -622,22 +609,6 @@ TEST(WrapperRuntimeTest, EquivalentWrapperRevisionsShareMemoizedResults) {
   EXPECT_EQ(stats.program_cache.canonical_key_hits, 1);
   EXPECT_EQ(stats.memo_hits, 1);      // the revision was served from memo
   EXPECT_EQ(stats.pages_wrapped, 1);  // never re-evaluated
-
-  // A/B control: with canonical keys off, the revision compiles and
-  // evaluates separately (the pre-canonicalization behavior).
-  runtime::RuntimeOptions opts;
-  opts.canonical_program_keys = false;
-  runtime::WrapperRuntime rt_ab(opts);
-  auto g1 = rt_ab.Register(CatalogWrapper(), "class");
-  auto g2 = rt_ab.Register(ReformulatedCatalogWrapper(), "class");
-  ASSERT_TRUE(g1.ok());
-  ASSERT_TRUE(g2.ok());
-  ASSERT_TRUE(rt_ab.Wrap(*g1, page).ok());
-  ASSERT_TRUE(rt_ab.Wrap(*g2, page).ok());
-  auto ab = rt_ab.stats();
-  EXPECT_EQ(ab.program_cache.canonical_key_hits, 0);
-  EXPECT_EQ(ab.memo_hits, 0);
-  EXPECT_EQ(ab.pages_wrapped, 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -87,15 +87,19 @@ wrapper::Wrapper GenericWrapper() {
   return w;
 }
 
-/// Elog⁻Δ (notafter has no datalog translation): forces the session's
-/// batch-evaluation fallback while parsing still streams.
+/// Elog⁻Δ (notafter has no datalog translation): a0 derives at the end of
+/// input, the Δ-free anya streams.
 wrapper::Wrapper DeltaWrapper() {
-  auto program = elog::ParseElog(
-      "a0(X) <- root(R), subelem(R, \"a\", X), notafter(R, \"a\", X).\n");
+  auto program = elog::ParseElog(R"(
+    anynode(X) <- root(X).
+    anynode(X) <- anynode(P), subelem(P, "_", X).
+    anya(X) <- anynode(P), subelem(P, "a", X).
+    a0(X) <- root(R), subelem(R, "a", X), notafter(R, "a", X).
+  )");
   EXPECT_TRUE(program.ok());
   wrapper::Wrapper w;
   w.program = *program;
-  w.extraction_patterns = {"a0"};
+  w.extraction_patterns = {"a0", "anya"};
   return w;
 }
 
@@ -402,7 +406,6 @@ TEST(StreamSessionTest, EmitsResultsBeforeEndOfInput) {
   };
   auto session = rt.SubmitStream({.wrapper = *handle}, std::move(options));
   ASSERT_TRUE(session.ok());
-  EXPECT_TRUE((*session)->streaming());
 
   // Everything but the tail: dozens of item rows have closed by now, and
   // their extraction must not wait for EOF.
@@ -595,33 +598,48 @@ TEST(StreamSessionTest, PeakMemoryObservability) {
   EXPECT_NE(prom.find("mdatalog_stream_peak_edb_bytes"), std::string::npos);
 }
 
-TEST(StreamSessionTest, DeltaProgramFallsBackButStillStreamsTheParse) {
-  const std::string page =
-      "<doc><a>first</a><b>noise</b><a>second</a><a>third</a></doc>";
+TEST(StreamSessionTest, DeltaWrapperStreamsItsDeltaFreePatterns) {
+  std::string page = "<doc>";
+  for (int i = 0; i < 300; ++i) {
+    page += "<a>item " + std::to_string(i) + "</a><b>noise</b>";
+  }
+  page += "</doc>";
   runtime::WrapperRuntime rt;
   auto handle = rt.Register(DeltaWrapper(), "");
   ASSERT_TRUE(handle.ok());
-  // Batch and stream replay the same ground plan; its Δ builtin reads
-  // tables of the finished tree, so the evaluation waits for Finish.
-  EXPECT_TRUE(handle->program->has_ground_plan);
+  // Batch and stream replay the same ground plan; its Δ builtin is a fact
+  // of the finished tree, so the stream replay holds a0 until Finish.
+  EXPECT_TRUE(handle->program->ground_plan->streamable());
+  auto want = rt.Wrap(*handle, page);
+  ASSERT_TRUE(want.ok());
+  const auto extents = BatchExtents(DeltaWrapper(), "", page);
+  for (const size_t chunk :
+       {size_t{1}, size_t{97}, size_t{4096}, page.size()}) {
+    const std::string context = "chunk " + std::to_string(chunk);
+    CheckOneChunking(rt, *handle, FixedChunks(page, chunk), *want, extents,
+                     context);
 
-  std::vector<stream::StreamResult> emitted;
-  stream::StreamOptions options;
-  options.on_result = [&emitted](const stream::StreamResult& r) {
-    emitted.push_back(r);
-  };
-  auto session = rt.SubmitStream({.wrapper = *handle}, std::move(options));
-  ASSERT_TRUE(session.ok());
-  EXPECT_FALSE((*session)->streaming());
-
-  for (const std::string& chunk : FixedChunks(page, 5)) {
-    ASSERT_TRUE((*session)->Feed(chunk).ok());
+    std::vector<std::string> before_finish;
+    stream::StreamOptions options;
+    options.on_result = [&before_finish](const stream::StreamResult& r) {
+      before_finish.push_back(r.pattern);
+    };
+    auto session = rt.SubmitStream({.wrapper = *handle}, std::move(options));
+    ASSERT_TRUE(session.ok());
+    for (const std::string& c : FixedChunks(page, chunk)) {
+      ASSERT_TRUE((*session)->Feed(c).ok());
+    }
+    // Each <a> closed under <doc> before the input ended: anya emitted it
+    // in both root worlds. a0 waits for the end of input.
+    EXPECT_EQ(std::count(before_finish.begin(), before_finish.end(), "anya"),
+              300)
+        << context;
+    EXPECT_EQ(std::count(before_finish.begin(), before_finish.end(), "a0"), 0)
+        << context;
+    auto xml = (*session)->Finish();
+    ASSERT_TRUE(xml.ok());
+    EXPECT_EQ(*xml, *want) << context;
   }
-  EXPECT_TRUE(emitted.empty());  // fallback: results only at Finish
-  auto xml = (*session)->Finish();
-  ASSERT_TRUE(xml.ok());
-  EXPECT_EQ(*xml, *rt.Wrap(*handle, page));
-  EXPECT_FALSE(emitted.empty());
 }
 
 // ---------------------------------------------------------------------------
