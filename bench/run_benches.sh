@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Runs the benchmark suites and writes BENCH_eval.json, BENCH_runtime.json,
-# BENCH_admission.json, BENCH_store.json, BENCH_stream.json,
-# BENCH_analysis.json, BENCH_telemetry.json and BENCH_qos.json at the repo
-# root (google-benchmark's --benchmark_format=json), so the perf trajectory
-# is tracked across PRs.
+# Runs every benchmark suite in bench/ and writes BENCH_eval.json,
+# BENCH_paper.json, BENCH_runtime.json, BENCH_admission.json,
+# BENCH_store.json, BENCH_stream.json, BENCH_analysis.json,
+# BENCH_telemetry.json and BENCH_qos.json at the repo root
+# (google-benchmark's --benchmark_format=json), so the perf trajectory is
+# tracked across changes.
 #
 # Usage: bench/run_benches.sh [build_dir] [benchmark_filter]
 #   build_dir         defaults to ./build (configured+built already, or this
@@ -21,9 +22,9 @@ FILTER="${2:-.}"
 if [[ ! -f "${BUILD_DIR}/CMakeCache.txt" ]]; then
   cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" -DCMAKE_BUILD_TYPE=Release
 fi
-cmake --build "${BUILD_DIR}" --target bench_eval_linear bench_runtime \
-  bench_admission bench_store bench_stream bench_analysis bench_telemetry \
-  bench_qos -j"$(nproc)"
+cmake --build "${BUILD_DIR}" --target bench_eval_linear bench_paper \
+  bench_runtime bench_admission bench_store bench_stream bench_analysis \
+  bench_telemetry bench_qos -j"$(nproc)"
 
 # Core engines, five repetitions each: check_bench_regression.py
 # --linearity reads the medians (Theorem 4.2: ns/node and ns/rule stay flat).
@@ -35,6 +36,20 @@ cmake --build "${BUILD_DIR}" --target bench_eval_linear bench_runtime \
   --benchmark_out_format=json
 
 echo "wrote ${REPO_ROOT}/BENCH_eval.json"
+
+# The paper's other complexity claims (MSO, query automata, TMNF,
+# caterpillars, containment, Elog⁻/Elog⁻Δ, Core XPath), one series family
+# per result; the table is in bench_paper.cc. Five repetitions, so the
+# linearity ratios read medians.
+"${BUILD_DIR}/bench_paper" \
+  --benchmark_filter="${FILTER}" \
+  --benchmark_min_time=0.1 \
+  --benchmark_repetitions=5 \
+  --benchmark_format=json \
+  --benchmark_out="${REPO_ROOT}/BENCH_paper.json" \
+  --benchmark_out_format=json
+
+echo "wrote ${REPO_ROOT}/BENCH_paper.json"
 
 # Serving-runtime throughput (cold vs warm cache, 1 vs N threads). A fixed
 # min_time keeps the 1k-page corpus series comparable across PRs.

@@ -20,8 +20,8 @@
 ///
 /// The direct runner implements the cut/configuration semantics literally
 /// and counts transitions; Example 4.21 exhibits runs with
-/// Θ(((n+1)/2)^(α+1)) steps, which bench_qa_ranked measures against the
-/// linear-time datalog simulation of Theorem 4.11.
+/// Θ(((n+1)/2)^(α+1)) steps, which bench_paper's E6 series measure against
+/// the linear-time datalog simulation of Theorem 4.11.
 
 namespace mdatalog::qa {
 

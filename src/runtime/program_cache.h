@@ -50,8 +50,8 @@ struct CompiledWrapperProgram {
   uint64_t fingerprint = 0;
   /// Canonical-key fingerprint (analysis::CanonicalWrapperKey): equal for
   /// every formulation of the same wrapper, so it is the right key for
-  /// result memo entries. Equals `fingerprint` when canonical keying is
-  /// disabled.
+  /// result memo entries. Equals `fingerprint` when CanonicalWrapperKey
+  /// fails on the wrapper.
   uint64_t canonical_fingerprint = 0;
 };
 

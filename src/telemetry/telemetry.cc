@@ -56,16 +56,12 @@ void Telemetry::FinishTrace(std::unique_ptr<TraceContext> trace,
 
   if (finished.duration_ns >= options_.slow_request_ns) {
     registry_.GetCounter("trace.slow_requests")->Add(1);
-    const uint64_t draw = slow_draw_.fetch_add(1, std::memory_order_relaxed);
-    if (options_.slow_log_sample_every <= 1 ||
-        draw % static_cast<uint64_t>(options_.slow_log_sample_every) == 0) {
-      std::string entry = FormatBreakdown(finished);
-      std::lock_guard<std::mutex> lock(slow_mu_);
-      slow_log_.push_back(std::move(entry));
-      while (slow_log_.size() >
-             static_cast<size_t>(std::max(1, options_.slow_log_capacity))) {
-        slow_log_.pop_front();
-      }
+    std::string entry = FormatBreakdown(finished);
+    std::lock_guard<std::mutex> lock(slow_mu_);
+    slow_log_.push_back(std::move(entry));
+    while (slow_log_.size() >
+           static_cast<size_t>(std::max(1, options_.slow_log_capacity))) {
+      slow_log_.pop_front();
     }
   }
 

@@ -14,7 +14,7 @@
 /// \file telemetry.h
 /// The per-runtime telemetry bundle: one metrics registry, the
 /// trace-sampling policy, a bounded ring buffer of recently completed
-/// traces, and the sampled slow-request log.
+/// traces, and the slow-request log.
 ///
 /// Life of a traced request:
 ///   1. the runtime asks StartTrace("wrap") — null when telemetry is
@@ -26,9 +26,9 @@
 ///      per-stage latency histograms ("stage.<name>.ns") and the
 ///      per-kind request histogram ("request.<kind>.ns"), pushes the
 ///      trace into the ring buffer, and — when the request exceeded the
-///      slow threshold and won its own 1-in-N draw — formats a breakdown
-///      into the slow-request log. None of this touches the request's
-///      critical path beyond the fold itself (~µs).
+///      slow threshold — formats a breakdown into the slow-request log.
+///      None of this touches the request's critical path beyond the fold
+///      itself (~µs).
 ///
 /// Counters are NOT gated by `enabled`: the runtime's serving counters
 /// (pages_wrapped, deadline_exceeded, …) record through the registry
@@ -48,10 +48,8 @@ struct TelemetryOptions {
   /// Completed traces retained for export (the nodes-vs-wall-time scatter
   /// and the per-request breakdowns read these).
   int32_t trace_ring_capacity = 256;
-  /// A request slower than this is eligible for the slow-request log.
+  /// A traced request slower than this goes into the slow-request log.
   int64_t slow_request_ns = 50'000'000;  // 50ms
-  /// Log one eligible slow request in N (1 = all of them).
-  int32_t slow_log_sample_every = 1;
   /// Formatted slow-request breakdowns retained.
   int32_t slow_log_capacity = 64;
 };
@@ -86,21 +84,20 @@ class Telemetry {
   std::unique_ptr<TraceContext> StartTrace(const char* kind);
 
   /// Closes the trace, records `status` on it, folds spans into the stage
-  /// histograms, retains it in the ring buffer and (if slow + sampled)
-  /// the slow-request log. Null-safe.
+  /// histograms, retains it in the ring buffer and (if slow) the
+  /// slow-request log. Null-safe.
   void FinishTrace(std::unique_ptr<TraceContext> trace,
                    util::StatusCode status);
 
   /// Snapshot of the completed-trace ring, oldest first.
   std::vector<FinishedTrace> RecentTraces() const;
-  /// Formatted breakdowns of sampled slow requests, oldest first.
+  /// Formatted breakdowns of traced slow requests, oldest first.
   std::vector<std::string> SlowRequestLog() const;
 
  private:
   const TelemetryOptions options_;
   MetricsRegistry registry_;
   std::atomic<uint64_t> trace_draw_{0};
-  std::atomic<uint64_t> slow_draw_{0};
 
   mutable std::mutex ring_mu_;
   std::deque<FinishedTrace> ring_;

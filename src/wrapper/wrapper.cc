@@ -108,15 +108,6 @@ util::Result<Tree> WrapTree(const Wrapper& wrapper, const Tree& t,
   return BuildOutputTree(wrapper.extraction_patterns, result, t);
 }
 
-util::Result<Tree> WrapTree(const PreparedWrapper& wrapper, const Tree& t,
-                            const util::EvalControl* control) {
-  MD_ASSIGN_OR_RETURN(
-      elog::ElogResult result,
-      elog::EvaluateElog(wrapper.program, t, elog::kDefaultMaxDerivations,
-                         control));
-  return BuildOutputTree(wrapper.extraction_patterns, result, t);
-}
-
 util::Result<std::string> WrapHtmlToXml(const Wrapper& wrapper,
                                         std::string_view html) {
   MD_ASSIGN_OR_RETURN(Tree t, html::ParseTree(html));

@@ -63,16 +63,13 @@ tree::Tree BuildOutputTree(const std::vector<std::string>& extraction_patterns,
                            const elog::ElogResult& matches,
                            const tree::Tree& t);
 
-/// Runs the wrapper (native Elog evaluation) and builds the output tree.
+/// Runs the wrapper through the native Elog evaluator (elog/eval.h) and
+/// builds the output tree. The serving runtime does not call this: it
+/// replays the wrapper's ground plan and feeds the extents to
+/// BuildOutputTree.
 /// `control` (nullable) carries the per-request deadline / cancel token into
 /// the evaluation; the wrap unwinds with kDeadlineExceeded / kCancelled.
 util::Result<tree::Tree> WrapTree(const Wrapper& wrapper, const tree::Tree& t,
-                                  const util::EvalControl* control = nullptr);
-
-/// Same, for a prepared wrapper over a pre-parsed tree: no re-validation, no
-/// re-parse — the entry point the serving runtime's caches feed.
-util::Result<tree::Tree> WrapTree(const PreparedWrapper& wrapper,
-                                  const tree::Tree& t,
                                   const util::EvalControl* control = nullptr);
 
 /// Convenience: parse HTML, wrap, serialize the result as XML.

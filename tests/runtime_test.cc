@@ -40,7 +40,7 @@ using namespace mdatalog;
 // Fixtures
 // ---------------------------------------------------------------------------
 
-/// The bench_wrapper catalog wrapper: class-projected labels, Elog⁻ only
+/// bench_runtime's catalog wrapper: class-projected labels, Elog⁻ only
 /// (so the Corollary 6.4 grounded pipeline compiles).
 wrapper::Wrapper CatalogWrapper() {
   auto program = elog::ParseElog(R"(
