@@ -1,5 +1,4 @@
-// The corpus store and the SIMD NodeSet kernels — the two halves of the
-// "parse once, serve forever" PR. Series:
+// The corpus store: "parse once, serve forever". Series:
 //
 //   BM_PreparePage_ColdParse     — document preparation by parsing (the old
 //                                  cold path): parse + project + EDB object.
@@ -9,13 +8,8 @@
 //   BM_ServeFirstTouch_Parse     — fresh runtime serves N distinct pages
 //   BM_ServeFirstTouch_Store       once each (first-touch latency, end to
 //                                  end through Wrap), parse vs snapshot.
-//   BM_NodeSetSetPlan_Scalar/D   — an EvalSetPlan-shaped kernel workload
-//   BM_NodeSetSetPlan_Simd/D       (copy + 3 intersections + 1 delta
-//                                  subtraction) over a D-node domain, scalar
-//                                  vs runtime-dispatched kernels.
-//                                  Acceptance: Simd ≥ 2× Scalar at D=131072.
 //
-// Counters report pages/sec (preparation/serving) and ops/sec (kernels).
+// Counters report pages/sec.
 
 #include <benchmark/benchmark.h>
 
@@ -24,8 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/nodeset.h"
-#include "src/core/simd_kernels.h"
 #include "src/elog/ast.h"
 #include "src/html/synthetic.h"
 #include "src/runtime/document_cache.h"
@@ -171,56 +163,6 @@ void BM_ServeFirstTouch_Store(benchmark::State& state) {
   ServeFirstTouch(state, /*with_store=*/true);
 }
 BENCHMARK(BM_ServeFirstTouch_Store);
-
-// ---------------------------------------------------------------------------
-// SIMD kernels: an EvalSetPlan-shaped workload, scalar vs dispatched
-// ---------------------------------------------------------------------------
-
-core::NodeSet RandomSet(uint64_t seed, int32_t domain) {
-  util::Rng rng(seed);
-  core::NodeSet s(domain);
-  for (int32_t i = 0; i < domain; ++i) {
-    if (rng.Chance(1, 3)) s.Insert(i);
-  }
-  return s;
-}
-
-/// scratch = src; scratch ∩= a; scratch ∩= b; scratch ∩= c; scratch −= seen
-/// — the shape of one compiled set-plan step (eval.cc EvalSetPlan).
-void SetPlanWorkload(benchmark::State& state, bool force_scalar) {
-  const int32_t domain = static_cast<int32_t>(state.range(0));
-  const core::NodeSet src = RandomSet(1, domain);
-  const core::NodeSet a = RandomSet(2, domain);
-  const core::NodeSet b = RandomSet(3, domain);
-  const core::NodeSet c = RandomSet(4, domain);
-  const core::NodeSet seen = RandomSet(5, domain);
-
-  core::simd::ForceScalar(force_scalar);
-  core::NodeSet scratch(domain);
-  for (auto _ : state) {
-    scratch = src;
-    scratch.IntersectWith(a);
-    scratch.IntersectWith(b);
-    scratch.IntersectWith(c);
-    scratch.DifferenceWith(seen);
-    benchmark::DoNotOptimize(scratch.count());
-  }
-  core::simd::ForceScalar(false);
-  state.counters["setplans_per_sec"] =
-      benchmark::Counter(static_cast<double>(state.iterations()),
-                         benchmark::Counter::kIsRate);
-  state.SetLabel(force_scalar ? "scalar" : core::simd::ActiveKernelName());
-}
-
-void BM_NodeSetSetPlan_Scalar(benchmark::State& state) {
-  SetPlanWorkload(state, /*force_scalar=*/true);
-}
-BENCHMARK(BM_NodeSetSetPlan_Scalar)->Arg(4096)->Arg(131072)->Arg(1 << 20);
-
-void BM_NodeSetSetPlan_Simd(benchmark::State& state) {
-  SetPlanWorkload(state, /*force_scalar=*/false);
-}
-BENCHMARK(BM_NodeSetSetPlan_Simd)->Arg(4096)->Arg(131072)->Arg(1 << 20);
 
 }  // namespace
 

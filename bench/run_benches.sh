@@ -73,9 +73,8 @@ echo "wrote ${REPO_ROOT}/BENCH_runtime.json"
 
 echo "wrote ${REPO_ROOT}/BENCH_admission.json"
 
-# Corpus-store snapshots + SIMD NodeSet kernels: cold parse vs mmap-warm
-# rehydration, first-touch serving with/without a store, and the
-# scalar-vs-dispatched set-plan kernel series.
+# Corpus-store snapshots: cold parse vs mmap-warm rehydration, and
+# first-touch serving with/without a store.
 "${BUILD_DIR}/bench_store" \
   --benchmark_filter="${FILTER}" \
   --benchmark_min_time=0.2 \

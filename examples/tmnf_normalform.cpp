@@ -47,7 +47,7 @@ int main() {
   util::Rng rng(1);
   for (int trial = 0; trial < 5; ++trial) {
     tree::Tree t = tree::RandomTree(rng, 30, {"a", "b"});
-    auto lhs = core::EvaluateOnTree(*program, t, core::Engine::kSemiNaive);
+    auto lhs = core::EvaluateOnTree(*program, t, core::Engine::kAuto);
     auto rhs = core::EvaluateOnTree(*tmnf_program, t,
                                     core::Engine::kGrounded);
     if (!lhs.ok() || !rhs.ok() || lhs->Query() != rhs->Query()) {

@@ -6,8 +6,7 @@
 
 #include "src/analysis/sat_solver.h"
 #include "src/analysis/tmnf_view.h"
-#include "src/core/database.h"
-#include "src/core/eval.h"
+#include "src/core/grounder.h"
 #include "src/telemetry/trace.h"
 #include "src/util/check.h"
 
@@ -378,9 +377,10 @@ tree::Tree DecodeTree(const Encoder& enc, const std::vector<TemplateNode>& tmpl,
 
 util::Status VerifyWitness(const core::Program& p, const core::Program& q,
                            const tree::Tree& t, tree::NodeId v) {
-  core::TreeDatabase db(t);
-  MD_ASSIGN_OR_RETURN(core::EvalResult pr, core::EvaluateSemiNaive(p, db));
-  MD_ASSIGN_OR_RETURN(core::EvalResult qr, core::EvaluateSemiNaive(q, db));
+  // Grounded for every program over τ_ur; naive for one that names an
+  // extensional predicate outside it (empty on every tree).
+  MD_ASSIGN_OR_RETURN(core::EvalResult pr, core::EvaluateOnTree(p, t));
+  MD_ASSIGN_OR_RETURN(core::EvalResult qr, core::EvaluateOnTree(q, t));
   if (!pr.ContainsUnary(p.query_pred(), v)) {
     return util::Status::Internal(
         "containment encoder bug: witness not derived by P on the decoded "

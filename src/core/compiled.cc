@@ -6,7 +6,11 @@
 
 namespace mdatalog::core {
 
-std::vector<int32_t> PlanJoinOrder(const Rule& rule, int32_t delta_pos) {
+namespace {
+
+/// The greedy join order: repeatedly pick the atom with the most bound
+/// variables, preferring fully bound atoms, then smaller arity.
+std::vector<int32_t> PlanJoinOrder(const Rule& rule) {
   int32_t n = static_cast<int32_t>(rule.body.size());
   std::vector<int32_t> order;
   order.reserve(n);
@@ -17,11 +21,6 @@ std::vector<int32_t> PlanJoinOrder(const Rule& rule, int32_t delta_pos) {
       if (t.is_var()) bound[t.value] = true;
     }
   };
-  if (delta_pos >= 0) {
-    order.push_back(delta_pos);
-    used[delta_pos] = true;
-    bind_atom_vars(rule.body[delta_pos]);
-  }
   while (static_cast<int32_t>(order.size()) < n) {
     int32_t best = -1;
     int64_t best_score = INT64_MIN;
@@ -52,10 +51,10 @@ std::vector<int32_t> PlanJoinOrder(const Rule& rule, int32_t delta_pos) {
   return order;
 }
 
+}  // namespace
+
 CompiledProgram::CompiledProgram(const Program& program, const EdbSource& edb)
-    : intensional_(program.IntensionalMask()),
-      num_preds_(program.preds().size()),
-      domain_size_(edb.DomainSize()) {
+    : intensional_(program.IntensionalMask()) {
   rules_.reserve(program.rules().size());
   for (const Rule& rule : program.rules()) {
     CompiledRule cr;
@@ -68,24 +67,16 @@ CompiledProgram::CompiledProgram(const Program& program, const EdbSource& edb)
     if (cr.head.arity >= 2) {
       cr.head.a1 = {rule.head.args[1].is_var(), rule.head.args[1].value};
     }
-    cr.base = CompilePlan(program, edb, rule, /*delta_pos=*/-1);
-    for (size_t pos = 0; pos < rule.body.size(); ++pos) {
-      if (!intensional_[rule.body[pos].pred]) continue;
-      DeltaPlan dp;
-      dp.pos = static_cast<int32_t>(pos);
-      dp.pred = rule.body[pos].pred;
-      dp.plan = CompilePlan(program, edb, rule, dp.pos);
-      cr.delta_plans.push_back(std::move(dp));
-    }
+    cr.plan = CompilePlan(program, edb, rule);
     rules_.push_back(std::move(cr));
   }
 }
 
 RulePlan CompiledProgram::CompilePlan(const Program& program,
-                                      const EdbSource& edb, const Rule& rule,
-                                      int32_t delta_pos) const {
+                                      const EdbSource& edb,
+                                      const Rule& rule) const {
   RulePlan plan;
-  std::vector<int32_t> order = PlanJoinOrder(rule, delta_pos);
+  std::vector<int32_t> order = PlanJoinOrder(rule);
   std::vector<bool> bound(std::max(rule.num_vars(), 1), false);
   plan.steps.reserve(order.size());
 
@@ -94,7 +85,6 @@ RulePlan CompiledProgram::CompilePlan(const Program& program,
     PlanStep step;
     step.pred = atom.pred;
     step.idb = intensional_[atom.pred];
-    step.delta = (pos == delta_pos);
     if (!step.idb) {
       step.edb = edb.Get(program.preds().Name(atom.pred),
                          static_cast<int32_t>(atom.args.size()));
@@ -150,22 +140,6 @@ RulePlan CompiledProgram::CompilePlan(const Program& program,
       if (t.is_var()) bound[t.value] = true;
     }
     plan.steps.push_back(step);
-  }
-
-  // Set-plan eligibility: unary head over a variable, and every body atom a
-  // unary atom over that same variable.
-  if (rule.head.args.size() == 1 && rule.head.args[0].is_var() &&
-      !plan.steps.empty()) {
-    const VarId hv = rule.head.args[0].value;
-    plan.set_unary = true;
-    for (const PlanStep& s : plan.steps) {
-      if ((s.kind != PlanStep::Kind::kUnaryScan &&
-           s.kind != PlanStep::Kind::kUnaryCheck) ||
-          !s.a0.is_var || s.a0.v != hv) {
-        plan.set_unary = false;
-        break;
-      }
-    }
   }
   return plan;
 }

@@ -7,7 +7,7 @@
 #include "src/core/database.h"
 
 /// \file compiled.h
-/// Rule compilation for the fixpoint engines.
+/// Rule compilation for the naive fixpoint engine (eval.h).
 ///
 /// The seed engine re-planned every rule on every enumeration and resolved
 /// every body atom through the string-keyed EdbSource::Get — per join step.
@@ -17,10 +17,8 @@
 ///    (TreeDatabase materializes it on first touch and we keep the pointer);
 ///  * every IDB body atom is resolved to its PredId, which indexes the
 ///    engine's dense relation stores;
-///  * for every (rule, delta_pos) pair — delta_pos = -1 for naive / round-0
-///    enumeration, one entry per intensional body atom for the semi-naive
-///    delta rounds — the greedy join order is computed once and flattened
-///    into a vector of typed PlanSteps. Because the order is static, the
+///  * every rule's greedy join order is computed once and flattened into a
+///    vector of typed PlanSteps. Because the order is static, the
 ///    bound/free status of every argument is known at compile time, so the
 ///    runtime executes a branch-light switch per step with no re-planning,
 ///    no "is this variable bound yet" probing, and no binding resets.
@@ -39,8 +37,7 @@ struct StepArg {
 
 /// One flattened join step. `pred` indexes the engine's IDB stores when
 /// `idb` is set; otherwise `edb` points at the resolved extensional
-/// relation. `delta` redirects the read to the engine's delta store (set on
-/// at most one step per plan).
+/// relation.
 struct PlanStep {
   enum class Kind : uint8_t {
     kNullaryCheck,       ///< relation must be nullary-true
@@ -55,7 +52,6 @@ struct PlanStep {
   };
   Kind kind;
   bool idb = false;
-  bool delta = false;
   /// Both args are one variable, both free (R(x,x) first occurrence): scan
   /// pairs, keep the diagonal, bind a0 only. Only set on kBinaryScanAll.
   bool same_var = false;
@@ -71,32 +67,16 @@ struct CompiledHead {
   StepArg a0, a1;
 };
 
-/// A flattened join plan for one (rule, delta_pos) pair.
+/// A flattened join plan for one rule.
 struct RulePlan {
   bool dead = false;  ///< an EDB body atom has an empty extension
-  /// Word-parallel fast path: every body atom is unary over the head's one
-  /// variable (p(x) ← q1(x), …, qk(x)), so the rule's new facts are the
-  /// bitset intersection of the sources minus the head's relation — no
-  /// per-binding enumeration at all.
-  bool set_unary = false;
   std::vector<PlanStep> steps;
-};
-
-/// A delta plan: the semi-naive re-enumeration of a rule with the atom at
-/// body position `pos` (predicate `pred`) ranging over the delta store.
-struct DeltaPlan {
-  int32_t pos = -1;
-  PredId pred = -1;
-  RulePlan plan;
 };
 
 struct CompiledRule {
   CompiledHead head;
   int32_t num_vars = 0;
-  RulePlan base;  ///< delta_pos = -1 (naive iterations, semi-naive round 0)
-  /// One plan per intensional body atom, in body-position order (the
-  /// semi-naive delta-rule order of the seed engine).
-  std::vector<DeltaPlan> delta_plans;
+  RulePlan plan;
 };
 
 class CompiledProgram {
@@ -107,23 +87,13 @@ class CompiledProgram {
 
   const std::vector<CompiledRule>& rules() const { return rules_; }
   const std::vector<bool>& intensional() const { return intensional_; }
-  int32_t num_preds() const { return num_preds_; }
-  int32_t domain_size() const { return domain_size_; }
 
  private:
   RulePlan CompilePlan(const Program& program, const EdbSource& edb,
-                       const Rule& rule, int32_t delta_pos) const;
+                       const Rule& rule) const;
 
   std::vector<CompiledRule> rules_;
   std::vector<bool> intensional_;
-  int32_t num_preds_ = 0;
-  int32_t domain_size_ = 0;
 };
-
-/// The greedy join-order heuristic shared by all plans: start from the delta
-/// atom (if any), then repeatedly pick the atom with the most bound
-/// variables, preferring fully bound atoms, then smaller arity. Exposed for
-/// tests.
-std::vector<int32_t> PlanJoinOrder(const Rule& rule, int32_t delta_pos);
 
 }  // namespace mdatalog::core

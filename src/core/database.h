@@ -40,9 +40,6 @@ class Relation {
 
   /// All members of a unary relation.
   const std::vector<int32_t>& unary_tuples() const { return unary_; }
-  /// Membership bitset of a unary relation (word-level access for the
-  /// engine's set-plan fast path). Domain-sized once any member was added.
-  const NodeSet& unary_set() const { return unary_set_; }
   /// All pairs of a binary relation.
   const std::vector<std::pair<int32_t, int32_t>>& binary_tuples() const {
     return pairs_;

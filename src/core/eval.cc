@@ -43,10 +43,10 @@ std::vector<int32_t> EvalResult::Query() const {
   return Unary(query_pred_);
 }
 
-/// Shared machinery for the naive and semi-naive engines, running over a
-/// CompiledProgram with dense, PredId-indexed stores:
+/// The naive engine, running over a CompiledProgram with dense,
+/// PredId-indexed stores:
 ///   arity 0: one flag per predicate;
-///   arity 1: a NodeSet bitset per predicate (total and delta);
+///   arity 1: a NodeSet bitset per predicate;
 ///   arity 2: a Relation per intensional predicate (rare — the non-monadic
 ///            baselines of Section 3.2).
 class FixpointEngine {
@@ -71,15 +71,7 @@ class FixpointEngine {
       const auto& rules = compiled_->rules();
       for (size_t ri = 0; ri < rules.size(); ++ri) {
         const CompiledRule& cr = rules[ri];
-        if (cr.base.dead) continue;
-        if (cr.base.set_unary) {
-          EvalSetPlan(cr.base, cr.head.pred);
-          scratch_.ForEach([&](int32_t a) {
-            additions.push_back({cr.head.pred, a, -1, 1});
-            by_rule.push_back(static_cast<int32_t>(ri));
-          });
-          continue;
-        }
+        if (cr.plan.dead) continue;
         binding.assign(std::max(cr.num_vars, 1), -1);
         auto emit = [&](const std::vector<int32_t>& b) {
           FlatAtom head = InstantiateHead(cr.head, b);
@@ -88,7 +80,7 @@ class FixpointEngine {
             by_rule.push_back(static_cast<int32_t>(ri));
           }
         };
-        Exec(cr.base, 0, binding, emit);
+        Exec(cr.plan, 0, binding, emit);
       }
       if (aborted_) return abort_status_;
       // Deduplicate within the stage (several rules may derive one atom; the
@@ -113,78 +105,6 @@ class FixpointEngine {
           result_.num_derived_ > options_.max_derived) {
         return util::Status::ResourceExhausted("max_derived exceeded");
       }
-    }
-    return Finish();
-  }
-
-  util::Result<EvalResult> RunSemiNaive() {
-    MD_RETURN_NOT_OK(Setup());
-    MD_RETURN_NOT_OK(ControlCheck());  // fast-fail before round 0
-    // Round 0: full evaluation seeds the deltas. Candidates are buffered and
-    // inserted only after each rule's enumeration completes — inserting
-    // during enumeration would mutate relations the join is iterating.
-    std::vector<FlatAtom> delta;
-    std::vector<FlatAtom> buffer;
-    std::vector<int32_t> binding;
-    auto flush_buffer = [&](std::vector<FlatAtom>* sink) {
-      for (const FlatAtom& g : buffer) {
-        if (!Holds(g)) {
-          Insert(g);
-          sink->push_back(g);
-        }
-      }
-      buffer.clear();
-    };
-    auto emit = [&](const CompiledRule& cr) {
-      return [&, head = &cr.head](const std::vector<int32_t>& b) {
-        FlatAtom g = InstantiateHead(*head, b);
-        if (InDomain(g) && !Holds(g)) buffer.push_back(g);
-      };
-    };
-    for (const CompiledRule& cr : compiled_->rules()) {
-      if (!cr.base.dead) {
-        if (cr.base.set_unary) {
-          EvalSetPlan(cr.base, cr.head.pred);
-          scratch_.ForEach(
-              [&](int32_t a) { buffer.push_back({cr.head.pred, a, -1, 1}); });
-        } else {
-          binding.assign(std::max(cr.num_vars, 1), -1);
-          Exec(cr.base, 0, binding, emit(cr));
-        }
-      }
-      if (aborted_) return abort_status_;
-      flush_buffer(&delta);
-    }
-    result_.num_derived_ += static_cast<int64_t>(delta.size());
-    ++result_.num_iterations_;
-    std::vector<FlatAtom> next_delta;
-    while (!delta.empty()) {
-      MD_RETURN_NOT_OK(ControlCheck());
-      LoadDelta(delta);
-      next_delta.clear();
-      for (const CompiledRule& cr : compiled_->rules()) {
-        for (const DeltaPlan& dp : cr.delta_plans) {
-          if (dp.plan.dead) continue;
-          if (!delta_present_[dp.pred]) continue;
-          if (dp.plan.set_unary) {
-            EvalSetPlan(dp.plan, cr.head.pred);
-            scratch_.ForEach(
-                [&](int32_t a) { buffer.push_back({cr.head.pred, a, -1, 1}); });
-          } else {
-            binding.assign(std::max(cr.num_vars, 1), -1);
-            Exec(dp.plan, 0, binding, emit(cr));
-          }
-          if (aborted_) return abort_status_;
-          flush_buffer(&next_delta);
-        }
-      }
-      result_.num_derived_ += static_cast<int64_t>(next_delta.size());
-      ++result_.num_iterations_;
-      if (options_.max_derived >= 0 &&
-          result_.num_derived_ > options_.max_derived) {
-        return util::Status::ResourceExhausted("max_derived exceeded");
-      }
-      delta.swap(next_delta);
     }
     return Finish();
   }
@@ -238,22 +158,16 @@ class FixpointEngine {
 
     const int32_t np = preds.size();
     nullary_.assign(np, 0);
-    delta_nullary_.assign(np, 0);
-    delta_present_.assign(np, 0);
     unary_.resize(np);
-    delta_unary_.resize(np);
     binary_.resize(np);
-    delta_binary_.resize(np);
     for (PredId p = 0; p < np; ++p) {
       if (!intensional[p]) continue;
       switch (preds.Arity(p)) {
         case 1:
           unary_[p].Reset(domain_size_);
-          delta_unary_[p].Reset(domain_size_);
           break;
         case 2:
           binary_[p].emplace(2, std::max(domain_size_, 1));
-          delta_binary_[p].emplace(2, std::max(domain_size_, 1));
           break;
         default:
           break;
@@ -315,31 +229,6 @@ class FixpointEngine {
     }
   }
 
-  /// Rebuilds the delta stores from the atoms of the previous round,
-  /// clearing only the predicates the previous load touched.
-  void LoadDelta(const std::vector<FlatAtom>& delta) {
-    for (PredId p : delta_touched_) {
-      delta_present_[p] = 0;
-      switch (program_.preds().Arity(p)) {
-        case 0: delta_nullary_[p] = 0; break;
-        case 1: delta_unary_[p].Clear(); break;
-        default: delta_binary_[p].emplace(2, std::max(domain_size_, 1));
-      }
-    }
-    delta_touched_.clear();
-    for (const FlatAtom& g : delta) {
-      if (!delta_present_[g.pred]) {
-        delta_present_[g.pred] = 1;
-        delta_touched_.push_back(g.pred);
-      }
-      switch (g.arity) {
-        case 0: delta_nullary_[g.pred] = 1; break;
-        case 1: delta_unary_[g.pred].Insert(g.a); break;
-        default: delta_binary_[g.pred]->AddBinary(g.a, g.b);
-      }
-    }
-  }
-
   static FlatAtom InstantiateHead(const CompiledHead& h,
                                   const std::vector<int32_t>& binding) {
     FlatAtom g{h.pred, -1, -1, h.arity};
@@ -358,31 +247,11 @@ class FixpointEngine {
 
   const Relation* BinaryRel(const PlanStep& s) const {
     if (!s.idb) return s.edb;
-    const auto& store = s.delta ? delta_binary_ : binary_;
-    return store[s.pred].has_value() ? &*store[s.pred] : nullptr;
+    return binary_[s.pred].has_value() ? &*binary_[s.pred] : nullptr;
   }
 
   static int32_t Val(const StepArg& a, const std::vector<int32_t>& binding) {
     return a.is_var ? binding[a.v] : a.v;
-  }
-
-  /// Word-parallel evaluation of a set-plan (p(x) ← q1(x), …, qk(x)):
-  /// leaves scratch_ = (∩ sources) − head's total relation — exactly the
-  /// candidates the enumerating path would emit, in ascending order.
-  void EvalSetPlan(const RulePlan& plan, PredId head_pred) {
-    bool first = true;
-    for (const PlanStep& s : plan.steps) {
-      const NodeSet& src = s.idb ? (s.delta ? delta_unary_ : unary_)[s.pred]
-                                 : s.edb->unary_set();
-      if (first) {
-        scratch_ = src;
-        first = false;
-      } else {
-        scratch_.IntersectWith(src);
-      }
-      if (scratch_.empty()) return;
-    }
-    scratch_.DifferenceWith(unary_[head_pred]);
   }
 
   /// Executes the plan from `depth` on. Bound/free argument status is baked
@@ -400,23 +269,21 @@ class FixpointEngine {
     switch (s.kind) {
       case PlanStep::Kind::kNullaryCheck: {
         const bool holds =
-            s.idb ? (s.delta ? delta_nullary_ : nullary_)[s.pred] != 0
-                  : s.edb->nullary_true();
+            s.idb ? nullary_[s.pred] != 0 : s.edb->nullary_true();
         if (holds) Exec(plan, depth + 1, binding, emit);
         return;
       }
       case PlanStep::Kind::kUnaryCheck: {
         const int32_t v = Val(s.a0, binding);
         const bool holds =
-            s.idb ? (s.delta ? delta_unary_ : unary_)[s.pred].Contains(v)
-                  : s.edb->ContainsUnary(v);
+            s.idb ? unary_[s.pred].Contains(v) : s.edb->ContainsUnary(v);
         if (holds) Exec(plan, depth + 1, binding, emit);
         return;
       }
       case PlanStep::Kind::kUnaryScan: {
         const int32_t var = s.a0.v;
         if (s.idb) {
-          (s.delta ? delta_unary_ : unary_)[s.pred].ForEach([&](int32_t m) {
+          unary_[s.pred].ForEach([&](int32_t m) {
             binding[var] = m;
             Exec(plan, depth + 1, binding, emit);
           });
@@ -503,13 +370,10 @@ class FixpointEngine {
   int32_t domain_size_;
   std::optional<CompiledProgram> compiled_;
 
-  // Dense PredId-indexed stores (total and delta).
-  std::vector<uint8_t> nullary_, delta_nullary_;
-  std::vector<NodeSet> unary_, delta_unary_;
-  std::vector<std::optional<Relation>> binary_, delta_binary_;
-  std::vector<uint8_t> delta_present_;
-  std::vector<PredId> delta_touched_;
-  NodeSet scratch_;  // set-plan workspace
+  // Dense PredId-indexed stores.
+  std::vector<uint8_t> nullary_;
+  std::vector<NodeSet> unary_;
+  std::vector<std::optional<Relation>> binary_;
 
   EvalResult result_;
 };
@@ -519,13 +383,6 @@ util::Result<EvalResult> EvaluateNaive(const Program& program,
                                        const EvalOptions& options) {
   FixpointEngine engine(program, edb, options);
   return engine.RunNaive();
-}
-
-util::Result<EvalResult> EvaluateSemiNaive(const Program& program,
-                                           const EdbSource& edb,
-                                           const EvalOptions& options) {
-  FixpointEngine engine(program, edb, options);
-  return engine.RunSemiNaive();
 }
 
 }  // namespace mdatalog::core

@@ -13,22 +13,20 @@
 /// \file eval.h
 /// Fixpoint evaluation of datalog programs via the immediate consequence
 /// operator T_P (Definition 3.1): the naive engine computes the sequence
-/// T⁰_P, T¹_P, … exactly as defined (and can record it, used to reproduce the
-/// Example 3.2 trace); the semi-naive engine computes the same fixpoint with
-/// delta relations. Both work over arbitrary finite structures (EdbSource)
-/// and support intensional predicates of arity 0, 1 and 2 (arity 2 covers the
-/// non-monadic baselines of Section 3.2).
+/// T⁰_P, T¹_P, … exactly as defined and can record it (the Example 3.2
+/// trace). It works over arbitrary finite structures (EdbSource) and
+/// supports intensional predicates of arity 0, 1 and 2 (arity 2 covers the
+/// non-monadic baselines of Section 3.2). Monadic programs over trees run on
+/// the grounded engine (grounder.h); EvalResult is both engines' result.
 ///
-/// Both engines run over a CompiledProgram (compiled.h): join orders are
-/// planned once per (rule, delta position), extensional atoms are resolved to
-/// concrete relations once, and unary intensional relations are dense
-/// bitsets (NodeSet) — the Theorem 4.2 O(|P|·|dom|) hot path without
-/// per-tuple string lookups or re-planning.
+/// The engine runs over a CompiledProgram (compiled.h): join orders are
+/// planned once per rule, extensional atoms are resolved to concrete
+/// relations once, and unary intensional relations are dense bitsets
+/// (NodeSet).
 ///
 /// Derived atoms live in the domain: a head whose constant falls outside
-/// {0..DomainSize()-1} is not derivable (the seed engine's behavior for such
-/// programs was out-of-bounds UB; all engines, including the reference
-/// oracle, now agree on this rule).
+/// {0..DomainSize()-1} is not derivable (all engines, including the reference
+/// oracle, agree on this rule).
 
 namespace mdatalog::core {
 
@@ -104,7 +102,7 @@ class EvalResult {
 };
 
 struct EvalOptions {
-  /// Record T_P stages (naive engine only; forces naive iteration order).
+  /// Record T_P stages.
   bool trace = false;
   /// Abort with ResourceExhausted after this many derived atoms (guard for
   /// property tests over random programs). -1 = unlimited.
@@ -119,11 +117,5 @@ struct EvalOptions {
 util::Result<EvalResult> EvaluateNaive(const Program& program,
                                        const EdbSource& edb,
                                        const EvalOptions& options = {});
-
-/// Semi-naive evaluation with delta relations; same fixpoint, fewer
-/// rederivations. Does not record stages.
-util::Result<EvalResult> EvaluateSemiNaive(const Program& program,
-                                           const EdbSource& edb,
-                                           const EvalOptions& options = {});
 
 }  // namespace mdatalog::core

@@ -180,6 +180,12 @@ bool GroundableOverTree(const Program& program) {
   if (!CheckSafety(program).ok()) return false;
   if (!CheckMonadic(program).ok()) return false;
   std::vector<bool> intensional = program.IntensionalMask();
+  // lastchild lowers to child ∧ lastsibling, so those names must be free for
+  // their tree meaning.
+  auto tree_pred = [&](std::string_view name, int32_t arity) {
+    const PredId p = program.preds().Find(name);
+    return p < 0 || (program.preds().Arity(p) == arity && !intensional[p]);
+  };
   for (const Rule& r : program.rules()) {
     for (const Atom& a : r.body) {
       if (intensional[a.pred]) continue;
@@ -200,7 +206,13 @@ bool GroundableOverTree(const Program& program) {
         }
       } else if (arity == 2) {
         RelKind kind;
-        if (!ClassifyBinary(name, &kind)) return false;
+        if (name == "lastchild") {
+          if (!tree_pred("child", 2) || !tree_pred("lastsibling", 1)) {
+            return false;
+          }
+        } else if (!ClassifyBinary(name, &kind)) {
+          return false;
+        }
       } else {
         return false;
       }
@@ -599,16 +611,48 @@ void AddEdbTriggers(GroundPlan::Impl& plan, const Rule& rule,
   }
 }
 
+/// Theorem 5.2's first step (Lemma 5.6, as in tmnf/pipeline.cc): every
+/// extensional lastchild(x, y) becomes child(x, y) ∧ lastsibling(y). The
+/// plan then grounds it with child's upward step, and the incremental replay
+/// sees it final at y's parent's close, like lastsibling. nullopt when the
+/// program has no such atom.
+std::optional<Program> LowerLastChild(const Program& program) {
+  const PredId lastchild = program.preds().Find("lastchild");
+  if (lastchild < 0 || program.preds().Arity(lastchild) != 2 ||
+      program.IntensionalMask()[lastchild]) {
+    return std::nullopt;
+  }
+  Program out = program;
+  const PredId child = out.preds().MustIntern("child", 2);
+  const PredId lastsibling = out.preds().MustIntern("lastsibling", 1);
+  for (Rule& rule : out.mutable_rules()) {
+    std::vector<Atom> body;
+    body.reserve(rule.body.size());
+    for (Atom& a : rule.body) {
+      if (a.pred != lastchild) {
+        body.push_back(std::move(a));
+        continue;
+      }
+      body.push_back(MakeAtom(child, a.args));
+      body.push_back(MakeAtom(lastsibling, {a.args[1]}));
+    }
+    rule.body = std::move(body);
+  }
+  return out;
+}
+
 }  // namespace
 
 bool GroundPlan::streamable() const { return impl_->streamable; }
 
-util::Result<GroundPlan> GroundPlan::Compile(const Program& program) {
-  if (!GroundableOverTree(program)) {
+util::Result<GroundPlan> GroundPlan::Compile(const Program& source) {
+  if (!GroundableOverTree(source)) {
     return util::Status::FailedPrecondition(
-        "program not groundable over the functional tree schema; normalize "
-        "with the TMNF pipeline or use the semi-naive engine");
+        "program not groundable over the tree schema; evaluate it with the "
+        "naive engine");
   }
+  const std::optional<Program> lowered = LowerLastChild(source);
+  const Program& program = lowered.has_value() ? *lowered : source;
   auto impl = std::make_unique<Impl>();
   const PredicateTable& preds = program.preds();
   impl->num_preds = preds.size();
@@ -1664,21 +1708,19 @@ util::Result<EvalResult> EvaluateGrounded(const Program& program,
 }
 
 util::Result<EvalResult> EvaluateOnTree(const Program& program,
-                                        const tree::Tree& t, Engine engine,
-                                        const EvalOptions& options) {
+                                        const tree::Tree& t, Engine engine) {
   switch (engine) {
     case Engine::kGrounded:
       return EvaluateGrounded(program, t);
     case Engine::kAuto:
-      if (GroundableOverTree(program)) return EvaluateGrounded(program, t);
+      // Compile fails only when the program is not groundable.
+      if (auto plan = GroundPlan::Compile(program); plan.ok()) {
+        return EvaluateGrounded(*plan, t);
+      }
       [[fallthrough]];
-    case Engine::kSemiNaive: {
-      TreeDatabase db(t);
-      return EvaluateSemiNaive(program, db, options);
-    }
     case Engine::kNaive: {
       TreeDatabase db(t);
-      return EvaluateNaive(program, db, options);
+      return EvaluateNaive(program, db);
     }
   }
   return util::Status::Internal("unknown engine");

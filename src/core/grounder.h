@@ -44,8 +44,10 @@
 /// O(|P| · |dom|) bound: Theorem 6.6 takes it beyond MSO, not beyond linear
 /// time. The Elog lowering (elog/to_datalog.h) emits exactly these shapes.
 ///
-/// Programs using lastchild / nextsibling_tc must first be normalized (TMNF
-/// pipeline, Theorem 5.2) or be evaluated with the semi-naive engine.
+/// lastchild(x, y) is lowered to child(x, y) ∧ lastsibling(y) at compile
+/// time (Theorem 5.2's first step, Lemma 5.6). Programs using nextsibling_tc
+/// must first be normalized (TMNF pipeline, Theorem 5.2) or be evaluated with
+/// the naive engine.
 ///
 /// The same plan also runs incrementally, over a tree that grows in document
 /// order (IncrementalReplay, the engine of the streaming front). Besides its
@@ -72,7 +74,9 @@ struct GroundStats {
 /// True iff every rule of `program` can be grounded by this evaluator:
 /// monadic and safe, with extensional atoms from the tree schema — root,
 /// leaf, firstsibling, lastsibling, label_a, firstchild, nextsibling,
-/// child_k, child — or the Δ builtins below (variable arguments only).
+/// child_k, child, lastchild — or the Δ builtins below (variable arguments
+/// only). lastchild needs child and lastsibling free for their tree meaning
+/// (not intensional), because the plan lowers it to those two.
 ///
 /// `child` is admitted in any shape. Evaluation is O(|P| · |dom|) when no
 /// variable of a rule has `child` successors in two branches that the rule
@@ -265,17 +269,19 @@ class IncrementalReplay {
 
 /// Evaluation engine selection for the facade below.
 enum class Engine {
-  kAuto,       ///< grounded if eligible, else semi-naive
-  kGrounded,   ///< Theorem 4.2 (fails if not groundable)
-  kSemiNaive,  ///< delta-based fixpoint over TreeDatabase
-  kNaive,      ///< literal T_P iteration (supports tracing)
+  /// Grounded whenever GroundableOverTree holds; otherwise naive — for
+  /// nextsibling_tc (TMNF intermediates) and the non-monadic baselines of
+  /// Section 3.2.
+  kAuto,
+  kGrounded,  ///< Theorem 4.2 (fails if not groundable)
+  kNaive,     ///< literal T_P iteration over TreeDatabase
 };
 
-/// Facade: evaluates a monadic datalog program on a tree with the chosen
-/// engine.
+/// Facade: evaluates a datalog program on a tree with the chosen engine.
+/// For a deadline, a derivation budget or a T_P trace, call
+/// EvaluateGrounded(plan, t, …, control) or EvaluateNaive directly.
 util::Result<EvalResult> EvaluateOnTree(const Program& program,
                                         const tree::Tree& t,
-                                        Engine engine = Engine::kAuto,
-                                        const EvalOptions& options = {});
+                                        Engine engine = Engine::kAuto);
 
 }  // namespace mdatalog::core

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/core/simd_kernels.h"
 #include "src/util/bits.h"
 #include "src/util/check.h"
 
@@ -12,11 +11,9 @@
 /// Dense bitset over the evaluation domain {0..domain_size-1}.
 ///
 /// Monadic datalog's intensional predicates are node *sets* (arity ≤ 1), so
-/// the engine stores every unary IDB relation and semi-naive delta as a
-/// NodeSet: one bit per domain element, packed into 64-bit words. Membership
-/// and insertion are O(1); intersection and difference run through the
-/// runtime-dispatched kernels of simd_kernels.h (AVX2 with a scalar
-/// fallback); iteration visits members in ascending order via
+/// the engines store every unary IDB relation as a NodeSet: one bit per
+/// domain element, packed into 64-bit words. Membership and insertion are
+/// O(1); iteration visits members in ascending order via
 /// count-trailing-zeros.
 
 namespace mdatalog::core {
@@ -72,20 +69,6 @@ class NodeSet {
     if (count_ == 0) return;
     std::fill(words_.begin(), words_.end(), 0);
     count_ = 0;
-  }
-
-  /// this ∩= other. Domains must match.
-  void IntersectWith(const NodeSet& other) {
-    MD_DCHECK(domain_size_ == other.domain_size_);
-    count_ = simd::AndAssignCount(words_.data(), other.words_.data(),
-                                  words_.size());
-  }
-
-  /// this −= other. Domains must match.
-  void DifferenceWith(const NodeSet& other) {
-    MD_DCHECK(domain_size_ == other.domain_size_);
-    count_ = simd::AndNotAssignCount(words_.data(), other.words_.data(),
-                                     words_.size());
   }
 
   /// Calls fn(member) for every member, in ascending order.

@@ -287,9 +287,8 @@ TEST(ContainmentTest, AgreesWithBruteForceOnRandomPrograms) {
     // labels (two mentioned + one fresh — exactly the encoder's alphabet).
     bool counterexample = false;
     for (const tree::Tree& t : trees) {
-      core::TreeDatabase db(t);
-      auto pe = core::EvaluateSemiNaive(p, db);
-      auto qe = core::EvaluateSemiNaive(q, db);
+      auto pe = core::EvaluateOnTree(p, t);
+      auto qe = core::EvaluateOnTree(q, t);
       ASSERT_TRUE(pe.ok() && qe.ok());
       for (int32_t v : pe->Query()) {
         if (!qe->ContainsUnary(q.query_pred(), v)) {
@@ -391,16 +390,12 @@ TEST(MinimizeTest, DifferentialOnRandomTreesAllEngines) {
       core::TreeDatabase db(t);
       auto naive0 = core::EvaluateNaive(p, db);
       auto naive1 = core::EvaluateNaive(m->program, db);
-      auto semi0 = core::EvaluateSemiNaive(p, db);
-      auto semi1 = core::EvaluateSemiNaive(m->program, db);
       auto ref0 = core::EvaluateNaiveReference(p, db);
       auto ref1 = core::EvaluateNaiveReference(m->program, db);
-      ASSERT_TRUE(naive0.ok() && naive1.ok() && semi0.ok() && semi1.ok() &&
-                  ref0.ok() && ref1.ok());
+      ASSERT_TRUE(naive0.ok() && naive1.ok() && ref0.ok() && ref1.ok());
       EXPECT_EQ(naive0->Query(), naive1->Query())
           << core::ToString(p) << "-- minimized:\n"
           << core::ToString(m->program);
-      EXPECT_EQ(semi0->Query(), semi1->Query());
       EXPECT_EQ(ref0->Query(), ref1->Query());
       if (core::GroundableOverTree(p) &&
           core::GroundableOverTree(m->program)) {
@@ -573,8 +568,7 @@ wrapper::Wrapper MinimizedWrapper(const wrapper::Wrapper& w) {
 
 /// The differential property harness: for every Elog⁻ corpus wrapper, the
 /// minimized wrapper's output is byte-identical to the original's on random
-/// pages, under both runtime engine modes and the compiled semi-naive
-/// engine.
+/// pages, under both runtime engine modes and the reference oracle.
 TEST(WrapperCorpusTest, MinimizeIsExtractionPreservingAcrossEngines) {
   const std::vector<std::string> corpus = {
       "catalog_clean.elog",  "catalog_redundant.elog",
@@ -617,7 +611,7 @@ TEST(WrapperCorpusTest, MinimizeIsExtractionPreservingAcrossEngines) {
           }
         }
       }
-      // The compiled semi-naive engine, from core, over the same tree.
+      // The reference oracle over the same tree.
       runtime::WrapperRuntime rt;
       auto t = html::ParseTree(page, "class");
       ASSERT_TRUE(t.ok());
@@ -625,9 +619,9 @@ TEST(WrapperCorpusTest, MinimizeIsExtractionPreservingAcrossEngines) {
       for (const wrapper::Wrapper* w : {&original, &minimized}) {
         auto handle = rt.Register(*w, "class");
         ASSERT_TRUE(handle.ok()) << name;
-        auto got = oracle::SemiNaiveXml(*handle->program, db, *t);
+        auto got = oracle::ReferenceXml(*handle->program, db, *t);
         ASSERT_TRUE(got.ok()) << name << ": " << got.status().ToString();
-        ASSERT_EQ(*got, reference) << name << " diverged (semi-naive)";
+        ASSERT_EQ(*got, reference) << name << " diverged (reference)";
       }
     }
   }

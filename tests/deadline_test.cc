@@ -1,6 +1,6 @@
 // Per-request deadlines and cooperative cancellation (util/deadline.h),
 // threaded from WrapperRuntime through elog/eval, wrapper/wrapper, the
-// semi-naive rounds of core/eval.cc, and the node sweeps and atom
+// naive rounds of core/eval.cc, and the node sweeps and atom
 // propagation of the grounded evaluator (core/grounder.cc). The contract
 // under test: a bounded request unwinds with a *typed* kDeadlineExceeded /
 // kCancelled status — it never hangs a worker, never returns a partial result
@@ -53,8 +53,8 @@ wrapper::Wrapper BoardWrapper() {
   return w;
 }
 
-/// The Corollary 6.4 pipeline of BoardWrapper: the TMNF program the grounded
-/// and semi-naive engines run in the serving runtime.
+/// The Corollary 6.4 pipeline of BoardWrapper: a TMNF program for the
+/// engine-level checks.
 core::Program BoardTmnf() {
   auto datalog = elog::ElogToDatalog(BoardWrapper().program);
   EXPECT_TRUE(datalog.ok());
@@ -134,7 +134,7 @@ TEST(EvalTickerTest, StridedTickFiresWithinOneStride) {
 // Engine-level checks: every fixpoint loop unwinds with the typed status.
 // ---------------------------------------------------------------------------
 
-TEST(EngineDeadlineTest, SemiNaiveRoundsHonorTheDeadline) {
+TEST(EngineDeadlineTest, NaiveRoundsHonorTheDeadline) {
   core::Program tmnf = BoardTmnf();
   util::Rng rng(7);
   tree::Tree t = tree::RandomTree(rng, 200, {"ul", "li", "a", "b"});
@@ -142,7 +142,7 @@ TEST(EngineDeadlineTest, SemiNaiveRoundsHonorTheDeadline) {
   util::EvalControl expired(ExpiredDeadline(), nullptr);
   core::EvalOptions options;
   options.control = &expired;
-  auto result = core::EvaluateSemiNaive(tmnf, db, options);
+  auto result = core::EvaluateNaive(tmnf, db, options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), util::StatusCode::kDeadlineExceeded);
 }

@@ -1,16 +1,15 @@
 #pragma once
 
-// Engines the serving runtime does not select, rendered as wrapper output so
-// tests can compare them with the runtime byte for byte. The runtime serves
-// every wrapper through its ground plan; the compiled semi-naive engine
-// stays in core and is checked from here. Header-only:
-// every tests/*.cc file builds into its own test binary.
+// The reference oracle, rendered as wrapper output so tests can compare it
+// with the runtime byte for byte. The runtime serves every wrapper through
+// its ground plan; this path shares none of it (ElogToDatalog → ToTmnf →
+// the naive reference engine). Header-only: every tests/*.cc file builds
+// into its own test binary.
 
 #include <cstddef>
 #include <string>
 
 #include "src/core/database.h"
-#include "src/core/eval.h"
 #include "src/elog/eval.h"
 #include "src/elog/to_datalog.h"
 #include "src/runtime/program_cache.h"
@@ -19,6 +18,7 @@
 #include "src/tree/tree.h"
 #include "src/util/result.h"
 #include "src/wrapper/wrapper.h"
+#include "tests/support/reference_eval.h"
 
 namespace mdatalog::oracle {
 
@@ -32,17 +32,17 @@ inline util::Result<core::Program> TmnfOf(
   return tmnf::ToTmnf(datalog);
 }
 
-/// The XML that core::EvaluateSemiNaive over the program's TMNF translation
-/// (the Corollary 6.4 pipeline ElogToDatalog → ToTmnf, built here: the
-/// runtime compiles no TMNF) extracts from `t`. `edb` is the relational view
-/// of `t` — a plain core::TreeDatabase, or one over a store's packed unary
-/// bit-arrays. Fails for Elog⁻Δ programs, which have no datalog translation.
-inline util::Result<std::string> SemiNaiveXml(
+/// The XML that core::EvaluateNaiveReference over the program's TMNF
+/// translation (the Corollary 6.4 pipeline ElogToDatalog → ToTmnf, built
+/// here: the runtime compiles no TMNF) extracts from `t`. `edb` is the
+/// relational view of `t`. Fails for Elog⁻Δ programs, which have no datalog
+/// translation.
+inline util::Result<std::string> ReferenceXml(
     const runtime::CompiledWrapperProgram& program, const core::EdbSource& edb,
     const tree::Tree& t) {
   MD_ASSIGN_OR_RETURN(core::Program tmnf, TmnfOf(program));
-  MD_ASSIGN_OR_RETURN(core::EvalResult eval,
-                      core::EvaluateSemiNaive(tmnf, edb));
+  MD_ASSIGN_OR_RETURN(core::ReferenceResult eval,
+                      core::EvaluateNaiveReference(tmnf, edb));
   const auto& patterns = program.prepared.extraction_patterns;
   elog::ElogResult matches;
   for (const std::string& pattern : patterns) {

@@ -27,6 +27,8 @@
 #include "src/core/parser.h"
 #include "src/elog/ast.h"
 #include "src/elog/to_datalog.h"
+#include "src/qa/unranked.h"
+#include "src/qa/unranked_to_datalog.h"
 #include "src/tree/generator.h"
 #include "src/tree/tree.h"
 #include "src/util/deadline.h"
@@ -260,7 +262,9 @@ std::vector<CorpusProgram> Corpus() {
 }
 
 /// Hand-written programs over the relations the generator does not emit:
-/// child (both directions), child<k> and lastsibling next to leaf.
+/// child (both directions), child<k> and lastsibling next to leaf; and the
+/// Theorem 4.14 translation of a query automaton, whose lastchild atoms the
+/// plan lowers to child ∧ lastsibling.
 std::vector<Program> StructuralPrograms() {
   std::vector<Program> out;
   for (const char* text : {
@@ -276,6 +280,9 @@ std::vector<Program> StructuralPrograms() {
     EXPECT_TRUE(p.ok()) << text;
     if (p.ok()) out.push_back(*p);
   }
+  auto even_a = qa::UnrankedQAToDatalog(qa::EvenASQAu({"a", "b", "c"}));
+  EXPECT_TRUE(even_a.ok());
+  if (even_a.ok()) out.push_back(*even_a);
   return out;
 }
 
@@ -289,6 +296,8 @@ TEST(IncrementalReplayTest, RandomProgramsOnRandomTreesMatchBatch) {
     opts.labels = {"a", "b", "c"};
     // Bridges and nullary predicates; plans with constants do not stream.
     opts.allow_nonlocal = trial % 2 == 1;
+    // child and lastchild, on a quarter of the trials.
+    opts.allow_extended = trial % 4 == 0;
     const Program p = core::RandomMonadicProgram(rng, opts);
     ASSERT_TRUE(core::GroundableOverTree(p)) << core::ToString(p);
     auto plan = GroundPlan::Compile(p);

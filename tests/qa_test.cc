@@ -325,9 +325,14 @@ void ExpectSqauTranslationMatchesRunner(const UnrankedQA& qa, const Tree& t) {
   ASSERT_TRUE(program.ok()) << program.status().ToString();
   auto run = RunUnrankedQA(qa, t);
   ASSERT_TRUE(run.ok());
-  auto eval = core::EvaluateOnTree(*program, t);  // semi-naive (ext. schema)
+  // Grounded: the translation's lastchild atoms lower to child ∧ lastsibling.
+  EXPECT_TRUE(core::GroundableOverTree(*program));
+  auto eval = core::EvaluateOnTree(*program, t);
   ASSERT_TRUE(eval.ok()) << eval.status().ToString();
   EXPECT_EQ(eval->Query(), run->selected) << tree::ToDebugString(t);
+  auto naive = core::EvaluateOnTree(*program, t, core::Engine::kNaive);
+  ASSERT_TRUE(naive.ok()) << naive.status().ToString();
+  EXPECT_EQ(naive->Query(), run->selected) << tree::ToDebugString(t);
   bool accept_derived =
       !eval->Unary(program->preds().Find("accept")).empty();
   EXPECT_EQ(accept_derived, run->accepted) << tree::ToDebugString(t);

@@ -8,6 +8,7 @@
 
 #include "src/caterpillar/eval.h"
 #include "src/caterpillar/expr.h"
+#include "src/core/database.h"
 #include "src/core/eval.h"
 #include "src/core/examples.h"
 #include "src/core/grounder.h"
@@ -23,6 +24,7 @@
 #include "src/util/rng.h"
 #include "src/xpath/xpath.h"
 #include "tests/support/program_generator.h"
+#include "tests/support/reference_eval.h"
 
 namespace mdatalog {
 namespace {
@@ -110,11 +112,15 @@ TEST(RobustnessTest, EngineSweepNeverDiverges) {
     core::Program p = core::RandomMonadicProgram(rng, opts);
     tree::Tree t = tree::RandomTree(
         rng, 1 + static_cast<int32_t>(rng.Below(30)), {"a", "b"});
-    auto semi = core::EvaluateOnTree(p, t, core::Engine::kSemiNaive);
+    auto automatic = core::EvaluateOnTree(p, t, core::Engine::kAuto);
     auto naive = core::EvaluateOnTree(p, t, core::Engine::kNaive);
-    ASSERT_TRUE(semi.ok());
+    const core::TreeDatabase db(t);
+    auto ref = core::EvaluateNaiveReference(p, db);
+    ASSERT_TRUE(automatic.ok());
     ASSERT_TRUE(naive.ok());
-    EXPECT_EQ(semi->Unary(p.query_pred()), naive->Unary(p.query_pred()));
+    ASSERT_TRUE(ref.ok());
+    EXPECT_EQ(automatic->Unary(p.query_pred()), naive->Unary(p.query_pred()));
+    EXPECT_EQ(ref->Unary(p.query_pred()), naive->Unary(p.query_pred()));
     // The TMNF pipeline must accept everything the generator emits.
     auto tmnf = tmnf::ToTmnf(p);
     ASSERT_TRUE(tmnf.ok()) << tmnf.status().ToString() << core::ToString(p);

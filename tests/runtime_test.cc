@@ -540,11 +540,11 @@ TEST(WrapperRuntimeTest, EnginesProduceIdenticalOutput) {
       ASSERT_TRUE(a.ok());
       ASSERT_TRUE(b.ok());
       EXPECT_EQ(*a, *b);
-      // The compiled semi-naive engine, from core, over the same tree.
+      // The reference oracle over the same tree.
       auto doc = runtime::CachedDocument::Parse(page, "class");
       ASSERT_TRUE(doc.ok());
       const core::TreeDatabase db((*doc)->tree());
-      auto c = oracle::SemiNaiveXml(*hg->program, db, (*doc)->tree());
+      auto c = oracle::ReferenceXml(*hg->program, db, (*doc)->tree());
       ASSERT_TRUE(c.ok()) << c.status().ToString();
       EXPECT_EQ(*a, *c);
     }

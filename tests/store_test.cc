@@ -346,8 +346,8 @@ TEST(CorpusStoreRuntimeTest, SnapshotServingIsByteIdenticalAcrossEngines) {
     EXPECT_EQ(plain.stats().document_cache.store_hits, 0);
   }
 
-  // The compiled semi-naive engine, from core, over each rehydrated tree,
-  // against the parse-served wrapper output.
+  // The reference oracle over each rehydrated tree, against the
+  // parse-served wrapper output.
   runtime::WrapperRuntime rt;
   auto handle = rt.Register(CatalogWrapper(), "class");
   ASSERT_TRUE(handle.ok());
@@ -357,7 +357,7 @@ TEST(CorpusStoreRuntimeTest, SnapshotServingIsByteIdenticalAcrossEngines) {
     ASSERT_TRUE(want.ok() && frozen.ok());
     const tree::Tree t = frozen->MakeTree();
     const core::TreeDatabase db(t);
-    auto got = oracle::SemiNaiveXml(*handle->program, db, t);
+    auto got = oracle::ReferenceXml(*handle->program, db, t);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(*want, *got);
   }

@@ -369,14 +369,14 @@ TEST(StreamDifferentialTest, StreamingIsByteIdenticalToBatchEverywhere) {
     auto handle = rt.Register(c.wrapper, c.attr);
     ASSERT_TRUE(handle.ok()) << context;
     if (handle->program->has_ground_plan) {
-      // kAuto above was the ground-plan replay; add the compiled semi-naive
-      // engine, from core, over the batch tree.
+      // kAuto above was the ground-plan replay; add the reference oracle
+      // over the batch tree.
       auto t = html::ParseTree(c.page, c.attr);
       ASSERT_TRUE(t.ok()) << context;
       const core::TreeDatabase db(*t);
-      auto seminaive = oracle::SemiNaiveXml(*handle->program, db, *t);
-      ASSERT_TRUE(seminaive.ok()) << context;
-      EXPECT_EQ(*auto_xml, *seminaive) << context;
+      auto reference = oracle::ReferenceXml(*handle->program, db, *t);
+      ASSERT_TRUE(reference.ok()) << context;
+      EXPECT_EQ(*auto_xml, *reference) << context;
     }
 
     const auto extents = BatchExtents(c.wrapper, c.attr, c.page);

@@ -5,7 +5,7 @@
 
 /// \file program_generator.h
 /// Random monadic datalog programs over the tree schemata — fuel for the
-/// cross-engine equivalence property tests (naive == semi-naive == grounded)
+/// cross-engine equivalence property tests (naive == reference == grounded)
 /// and the TMNF round-trip tests.
 
 namespace mdatalog::core {
@@ -16,8 +16,8 @@ struct ProgramGenOptions {
   int32_t max_body_atoms = 4;
   /// Labels the label_<l> atoms may mention.
   std::vector<std::string> labels = {"a", "b"};
-  /// Admit child / lastchild (extended signature; such programs are not
-  /// groundable and exercise the semi-naive path and the TMNF chase).
+  /// Admit child / lastchild (extended signature: the grounded engine's
+  /// child enumeration and lastchild lowering, and the TMNF chase).
   bool allow_extended = false;
   /// Also emit what the Theorem 4.2 grounder must split off or share across
   /// instances: variable components without the head variable (bridges),

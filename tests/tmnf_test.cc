@@ -175,9 +175,9 @@ TEST(ChaseUnrankedTest, SemanticsPreserved) {
     for (int trial = 0; trial < 10; ++trial) {
       Tree t = tree::RandomTree(rng, 1 + static_cast<int32_t>(rng.Below(25)),
                                 {"a", "b"});
-      auto lhs = core::EvaluateOnTree(original, t, core::Engine::kSemiNaive);
-      auto rhs =
-          core::EvaluateOnTree(chased_prog, t, core::Engine::kSemiNaive);
+      auto lhs = core::EvaluateOnTree(original, t, core::Engine::kAuto);
+      // The chase introduces nextsibling_tc, which only naive evaluates.
+      auto rhs = core::EvaluateOnTree(chased_prog, t, core::Engine::kNaive);
       ASSERT_TRUE(lhs.ok());
       ASSERT_TRUE(rhs.ok());
       core::PredId q = original.preds().Find("q");
@@ -239,7 +239,7 @@ void ExpectTmnfEquivalent(const Program& input, util::Rng& rng,
   for (int trial = 0; trial < trials; ++trial) {
     Tree t = tree::RandomTree(
         rng, 1 + static_cast<int32_t>(rng.Below(max_nodes)), {"a", "b", "c"});
-    auto lhs = core::EvaluateOnTree(input, t, core::Engine::kSemiNaive);
+    auto lhs = core::EvaluateOnTree(input, t, core::Engine::kAuto);
     auto rhs = core::EvaluateOnTree(*tmnf, t, core::Engine::kGrounded);
     ASSERT_TRUE(lhs.ok());
     ASSERT_TRUE(rhs.ok()) << rhs.status().ToString();
@@ -364,8 +364,8 @@ TEST(TmnfPipelineRankedTest, RoundTripOnBoundedArityTrees) {
     for (int trial = 0; trial < 6; ++trial) {
       Tree t = tree::RandomBoundedArityTree(
           rng, 1 + static_cast<int32_t>(rng.Below(25)), {"a", "b", "c"}, 2);
-      auto lhs = core::EvaluateOnTree(input, t, core::Engine::kSemiNaive);
-      auto rhs = core::EvaluateOnTree(*tmnf, t, core::Engine::kSemiNaive);
+      auto lhs = core::EvaluateOnTree(input, t, core::Engine::kAuto);
+      auto rhs = core::EvaluateOnTree(*tmnf, t, core::Engine::kAuto);
       ASSERT_TRUE(lhs.ok());
       ASSERT_TRUE(rhs.ok());
       core::PredId q = input.preds().Find("q");
