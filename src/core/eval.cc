@@ -32,6 +32,11 @@ std::vector<int32_t> EvalResult::Unary(PredId p) const {
   return f->unary.ToVector();
 }
 
+const NodeSet* EvalResult::UnarySet(PredId p) const {
+  const PredFacts* f = FactsOf(p);
+  return f != nullptr && f->arity == 1 ? &f->unary : nullptr;
+}
+
 std::vector<std::pair<int32_t, int32_t>> EvalResult::Binary(PredId p) const {
   const PredFacts* f = FactsOf(p);
   if (f == nullptr || f->arity != 2) return {};

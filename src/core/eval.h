@@ -61,6 +61,9 @@ class EvalResult {
 
   /// Members of a unary IDB predicate, sorted ascending.
   std::vector<int32_t> Unary(PredId p) const;
+  /// The same members in place, or nullptr when `p` derived nothing or is
+  /// not unary. Valid while this result lives.
+  const NodeSet* UnarySet(PredId p) const;
   /// Pairs of a binary IDB predicate, sorted lexicographically.
   std::vector<std::pair<int32_t, int32_t>> Binary(PredId p) const;
 

@@ -41,17 +41,6 @@ util::Status CompileGroundPlan(CompiledWrapperProgram* out) {
 
 }  // namespace
 
-elog::ElogResult CompiledWrapperProgram::Matches(
-    const core::EvalResult& eval) const {
-  elog::ElogResult matches;
-  for (size_t i = 0; i < prepared.extraction_patterns.size(); ++i) {
-    if (pattern_preds[i] < 0) continue;  // never derivable: empty extent
-    matches.matches[prepared.extraction_patterns[i]] =
-        eval.Unary(pattern_preds[i]);
-  }
-  return matches;
-}
-
 core::GroundArena& ThreadArena() {
   thread_local core::GroundArena arena;
   return arena;

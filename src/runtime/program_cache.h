@@ -43,9 +43,6 @@ struct CompiledWrapperProgram {
   /// EvalResult and IncrementalReplay; -1 if the pattern is never derivable.
   std::vector<core::PredId> pattern_preds;
 
-  /// The extraction patterns' matches in a replay of `ground_plan`.
-  elog::ElogResult Matches(const core::EvalResult& eval) const;
-
   /// Fingerprint of the wrapper text + pattern list, as registered.
   uint64_t fingerprint = 0;
   /// Canonical-key fingerprint (analysis::CanonicalWrapperKey): equal for

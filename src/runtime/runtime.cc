@@ -121,12 +121,13 @@ util::Result<std::string> WrapperRuntime::WrapImpl(
   }
   const MemoKey key{handle.program->canonical_fingerprint, content_hash,
                     handle.project_attr};
-  const uint64_t memo_hash = MemoKeyHash64(key);
+  uint64_t memo_hash = 0;
   {
     telemetry::TraceSpan span(trace, "memo.lookup");
     // enabled() guard: a disabled memo books nothing (tag "off"), exactly
     // like the pre-template memo.
     if (memo_.enabled()) {
+      memo_hash = MemoKeyHash64(key);
       if (auto memoized = memo_.Lookup(key, memo_hash, tenant)) {
         span.Tag("hit");
         tenants_.counters(tenant)->memo_hits->Add(1);
@@ -155,11 +156,10 @@ util::Result<std::string> WrapperRuntime::WrapImpl(
     return xml.status();
   }
   tenants_.counters(tenant)->pages_wrapped->Add(1);
+  if (!memo_.enabled()) return xml;
+  telemetry::TraceSpan span(trace, "memo.insert");
   auto shared = std::make_shared<const std::string>(*std::move(xml));
-  if (memo_.enabled()) {
-    telemetry::TraceSpan span(trace, "memo.insert");
-    memo_.Insert(key, memo_hash, shared, tenant);
-  }
+  memo_.Insert(key, memo_hash, shared, tenant);
   return *shared;
 }
 
@@ -173,7 +173,8 @@ util::Result<std::string> WrapperRuntime::Evaluate(
   MD_DCHECK(!grounded || program.has_ground_plan);
   telemetry::TraceContext* trace = telemetry::CurrentTrace();
 
-  elog::ElogResult matches;
+  const auto& patterns = program.prepared.extraction_patterns;
+  std::string xml;
   if (grounded) {
     core::EvalResult eval;
     {
@@ -191,20 +192,25 @@ util::Result<std::string> WrapperRuntime::Evaluate(
         span.Value("derived", eval.num_derived());
       }
     }
-    matches = program.Matches(eval);
-  } else {
-    telemetry::TraceSpan span(trace, "eval.native");
-    MD_ASSIGN_OR_RETURN(
-        matches, elog::EvaluateElog(program.prepared.program, doc.tree(),
-                                    elog::kDefaultMaxDerivations, control));
-  }
-
-  std::string xml;
-  {
     telemetry::TraceSpan span(trace, "output.build");
-    tree::Tree out = wrapper::BuildOutputTree(
-        program.prepared.extraction_patterns, matches, doc.tree());
-    xml = tree::ToXml(out);
+    std::vector<const core::NodeSet*> sets;
+    sets.reserve(patterns.size());
+    for (const core::PredId pred : program.pattern_preds) {
+      sets.push_back(eval.UnarySet(pred));
+    }
+    wrapper::WriteXml(patterns, sets, doc.tree(), &xml);
+    // The extents die inside the span: their teardown is output work.
+    const core::EvalResult done = std::move(eval);
+  } else {
+    elog::ElogResult matches;
+    {
+      telemetry::TraceSpan span(trace, "eval.native");
+      MD_ASSIGN_OR_RETURN(
+          matches, elog::EvaluateElog(program.prepared.program, doc.tree(),
+                                      elog::kDefaultMaxDerivations, control));
+    }
+    telemetry::TraceSpan span(trace, "output.build");
+    xml = tree::ToXml(wrapper::BuildOutputTree(patterns, matches, doc.tree()));
   }
 
   pages_wrapped_->Add(1);

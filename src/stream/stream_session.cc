@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "src/elog/eval.h"
 #include "src/html/parser.h"
-#include "src/tree/serialize.h"
 #include "src/util/bits.h"
 #include "src/util/check.h"
 #include "src/wrapper/wrapper.h"
@@ -362,29 +360,27 @@ util::Result<std::string> StreamSession::FinishImpl() {
   // the winner derived on closed subtrees (i.e. everything) must be out
   // before Finish returns.
   FlushEligible();
-  elog::ElogResult matches;
-  const auto& patterns = program_->prepared.extraction_patterns;
-  const int32_t shift = stripped_ ? 1 : 0;
-  for (size_t i = 0; i < patterns.size(); ++i) {
-    const core::NodeSet* members = winner->Members(program_->pattern_preds[i]);
-    if (members == nullptr) continue;  // never derivable: empty extent
-    std::vector<tree::NodeId>& extent = matches.matches[patterns[i]];
-    members->ForEach([&](tree::NodeId n) { extent.push_back(n - shift); });
-  }
-  // The worlds read the builder, which Build below consumes.
-  stripped_world_.reset();
-  kept_world_.reset();
-  BindPatternSets();
-
   // The batch parser's tree: the synthetic root is dropped exactly when a
   // single top-level node exists, i.e. when the stripped hypothesis won.
+  // The winner's sets stay readable after Build consumes the builder; they
+  // count that root, so a member m names node m - shift of the tree.
   MD_DCHECK(stripped_ == constructor_.single_rooted());
   util::Result<tree::Tree> built = constructor_.Build();
   MD_CHECK(built.ok());  // content exists, checked above
-  const tree::Tree out_tree = *std::move(built);
-
-  std::string xml =
-      tree::ToXml(wrapper::BuildOutputTree(patterns, matches, out_tree));
+  std::string xml;
+  {
+    telemetry::TraceSpan span(cur_trace(), "output.build");
+    std::vector<const core::NodeSet*> sets;
+    sets.reserve(program_->pattern_preds.size());
+    for (const core::PredId pred : program_->pattern_preds) {
+      sets.push_back(winner->Members(pred));
+    }
+    wrapper::WriteXml(program_->prepared.extraction_patterns, sets, *built,
+                      &xml, /*shift=*/stripped_ ? 1 : 0);
+  }
+  stripped_world_.reset();
+  kept_world_.reset();
+  BindPatternSets();
   Terminal(util::Status::OK());
   return xml;
 }

@@ -2,19 +2,22 @@
 
 namespace mdatalog::tree {
 
-std::string XmlEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out += c;
+void AppendXmlEscaped(std::string* out, std::string_view s) {
+  size_t run = 0;  // start of the pending unescaped run
+  for (size_t i = 0; i < s.size(); ++i) {
+    std::string_view entity;
+    switch (s[i]) {
+      case '&': entity = "&amp;"; break;
+      case '<': entity = "&lt;"; break;
+      case '>': entity = "&gt;"; break;
+      case '"': entity = "&quot;"; break;
+      default: continue;
     }
+    out->append(s, run, i - run);
+    out->append(entity);
+    run = i + 1;
   }
-  return out;
+  out->append(s, run);
 }
 
 std::string ToXml(const Tree& t, int32_t indent) {
@@ -30,7 +33,7 @@ std::string ToXml(const Tree& t, int32_t indent) {
         out += '<';
         out += t.label_name(n);
         out += '>';
-        if (t.HasText(n)) out += XmlEscape(t.text(n));
+        AppendXmlEscaped(&out, t.text(n));
         if (!t.IsLeaf(n) && indent >= 0) out += '\n';
         ++depth;
       },

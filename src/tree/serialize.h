@@ -15,7 +15,8 @@ namespace mdatalog::tree {
 /// escaped and emitted before the children. `indent` < 0 means single-line.
 std::string ToXml(const Tree& t, int32_t indent = 2);
 
-/// Escapes &, <, >, " for XML output.
-std::string XmlEscape(std::string_view s);
+/// Appends `s` to `*out` with &, <, >, " escaped for XML. Runs without a
+/// special character are copied whole.
+void AppendXmlEscaped(std::string* out, std::string_view s);
 
 }  // namespace mdatalog::tree

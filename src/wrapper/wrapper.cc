@@ -1,5 +1,6 @@
 #include "src/wrapper/wrapper.h"
 
+#include <bit>
 #include <utility>
 
 #include "src/html/parser.h"
@@ -52,6 +53,129 @@ util::Result<PreparedWrapper> PreparedWrapper::Prepare(const Wrapper& w) {
   MD_ASSIGN_OR_RETURN(elog::PreparedElogProgram prepared,
                       elog::PreparedElogProgram::Prepare(w.program));
   return PreparedWrapper{std::move(prepared), w.extraction_patterns};
+}
+
+void WriteXml(const std::vector<std::string>& extraction_patterns,
+              std::span<const core::NodeSet* const> sets, const Tree& t,
+              std::string* out, int32_t shift) {
+  MD_CHECK(sets.size() == extraction_patterns.size());
+  const NodeId num_nodes = t.size();
+  const Tree::Columns col = t.columns();
+  const size_t words = (extraction_patterns.size() + 63) / 64;
+  // Bit i % 64 of row n's word i / 64: pattern i selects node n.
+  std::vector<uint64_t> mask(static_cast<size_t>(num_nodes) * words, 0);
+  const auto row = [&](NodeId n) {
+    return mask.data() + static_cast<size_t>(n) * words;
+  };
+  // kBelow: some proper descendant is selected. An output node is a leaf iff
+  // it is the innermost pattern on its input node and nothing below is
+  // selected; leaves carry the input subtree's text.
+  constexpr uint8_t kSelected = 1, kBelow = 2;
+  std::vector<uint8_t> marks(static_cast<size_t>(num_nodes), 0);
+  for (size_t pi = 0; pi < sets.size(); ++pi) {
+    if (sets[pi] == nullptr) continue;
+    const uint64_t bit = uint64_t{1} << (pi % 64);
+    sets[pi]->ForEach([&](int32_t member) {
+      const NodeId n = member - shift;
+      if (n < 0 || n >= num_nodes) return;
+      row(n)[pi / 64] |= bit;
+      marks[n] = kSelected;
+    });
+  }
+  size_t selected = 0;
+  for (NodeId n = num_nodes - 1; n > 0; --n) {
+    if (marks[n] == 0) continue;
+    MD_DCHECK(col.parent[n] < n);
+    marks[col.parent[n]] |= kBelow;
+    selected += marks[n] & kSelected;
+  }
+
+  size_t depth = 1;  // open output elements, "result" included
+  const auto open = [&](const std::string& name) {
+    out->append(depth * 2, ' ');
+    out->push_back('<');
+    out->append(name);
+    out->push_back('>');
+  };
+  const auto close = [&](const std::string& name) {
+    out->append("</", 2);
+    out->append(name);
+    out->append(">\n", 2);
+  };
+  // The last pattern selecting `n`, whose element is innermost.
+  const auto innermost = [&](NodeId n) {
+    const uint64_t* r = row(n);
+    size_t w = words - 1;
+    while (r[w] == 0) --w;
+    return w * 64 + static_cast<size_t>(63 - std::countl_zero(r[w]));
+  };
+  // The first marked node among `n` and its following siblings.
+  const auto next_marked = [&](NodeId n) {
+    while (n != kNoNode && marks[n] == 0) n = col.next_sibling[n];
+    return n;
+  };
+
+  // About one indented line per selected node; texts may still grow it.
+  out->reserve(out->size() + 32 + 48 * selected);
+  out->append("<result>");
+  if (marks[0] == 0) {
+    out->append("</result>\n");
+    return;
+  }
+  out->push_back('\n');
+  for (NodeId m = 0;;) {
+    if (marks[m] & kSelected) {
+      const size_t inner = innermost(m);
+      const uint64_t* r = row(m);
+      for (size_t w = 0; w < words; ++w) {
+        for (uint64_t bits = r[w]; bits != 0; bits &= bits - 1) {
+          const size_t pi =
+              w * 64 + static_cast<size_t>(std::countr_zero(bits));
+          open(extraction_patterns[pi]);
+          if (pi == inner && !(marks[m] & kBelow)) {
+            tree::WalkSubtree(
+                t, m, [&](NodeId d) { tree::AppendXmlEscaped(out, t.text(d)); },
+                [](NodeId) {});
+            close(extraction_patterns[pi]);
+          } else {
+            out->push_back('\n');
+            ++depth;
+          }
+        }
+      }
+    }
+    if (marks[m] & kBelow) {
+      m = next_marked(col.first_child[m]);
+      continue;
+    }
+    for (;;) {
+      if (marks[m] & kSelected) {
+        // Close in reverse pattern order; a leaf closed itself above.
+        const size_t inner = innermost(m);
+        const uint64_t* r = row(m);
+        for (size_t w = words; w-- > 0;) {
+          for (uint64_t bits = r[w]; bits != 0;) {
+            const int b = 63 - std::countl_zero(bits);
+            bits &= ~(uint64_t{1} << b);
+            const size_t pi = w * 64 + static_cast<size_t>(b);
+            if (pi == inner && !(marks[m] & kBelow)) continue;
+            --depth;
+            out->append(depth * 2, ' ');
+            close(extraction_patterns[pi]);
+          }
+        }
+      }
+      if (m == 0) {
+        out->append("</result>\n");
+        return;
+      }
+      if (const NodeId s = next_marked(col.next_sibling[m]); s != kNoNode) {
+        m = s;
+        break;
+      }
+      m = col.parent[m];
+    }
+  }
 }
 
 Tree BuildOutputTree(const std::vector<std::string>& extraction_patterns,

@@ -1,9 +1,11 @@
 #pragma once
 
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "src/core/nodeset.h"
 #include "src/elog/ast.h"
 #include "src/elog/eval.h"
 #include "src/tree/tree.h"
@@ -48,25 +50,40 @@ struct PreparedWrapper {
   static util::Result<PreparedWrapper> Prepare(const Wrapper& wrapper);
 };
 
-/// Builds the output tree from already-computed pattern extents: a synthetic
-/// root "result" whose descendants are the selected nodes, parented at their
-/// nearest selected proper ancestor (or the root), labeled by their pattern
-/// name. A node matched by several extraction patterns appears once per
-/// pattern (in pattern order). Nodes selected by no pattern vanish. The text
-/// payload of an output leaf is the full subtree text of its input node
-/// (what a user would want of, e.g., a price cell).
+/// Writes the wrapper output for already-computed pattern extents as XML,
+/// appending to `*out`: a synthetic root "result" whose descendants are the
+/// selected nodes, parented at their nearest selected proper ancestor (or the
+/// root), labeled by their pattern name. A node matched by several extraction
+/// patterns appears once per pattern (in pattern order). Nodes selected by no
+/// pattern vanish. The text payload of an output leaf is the full subtree
+/// text of its input node (what a user would want of, e.g., a price cell).
 ///
-/// Exposed separately from WrapTree so callers that obtained the extents
-/// through another evaluation path (the serving runtime's grounded-datalog
-/// engine, Corollary 6.4) reuse the identical output construction.
+/// `sets[i]` is the extent of `extraction_patterns[i]` (nullptr: empty); its
+/// member m names node m - `shift` of `t` (the streaming front's sets count a
+/// synthetic root that the finished tree drops). One reverse pass over node
+/// ids marks the ancestors of selected nodes — every built and every frozen
+/// tree numbers a parent before its children — and one iterative preorder
+/// walk writes the elements, skipping unselected subtrees. The scratch (a
+/// ⌈P/64⌉-word pattern mask and one byte per node) is freed on return.
+///
+/// The serving runtime and the streaming front both write their results
+/// through this; the output is byte-identical to
+/// tree::ToXml(BuildOutputTree(...)).
+void WriteXml(const std::vector<std::string>& extraction_patterns,
+              std::span<const core::NodeSet* const> sets, const tree::Tree& t,
+              std::string* out, int32_t shift = 0);
+
+/// The reference renderer: the output of WriteXml as a tree (serialize it
+/// with tree::ToXml), from extents held in an elog::ElogResult. Serves the
+/// native evaluator's paths (WrapTree, the runtime's forced kNativeElog
+/// mode) and the test oracles.
 tree::Tree BuildOutputTree(const std::vector<std::string>& extraction_patterns,
                            const elog::ElogResult& matches,
                            const tree::Tree& t);
 
 /// Runs the wrapper through the native Elog evaluator (elog/eval.h) and
 /// builds the output tree. The serving runtime does not call this: it
-/// replays the wrapper's ground plan and feeds the extents to
-/// BuildOutputTree.
+/// replays the wrapper's ground plan and feeds the extents to WriteXml.
 /// `control` (nullable) carries the per-request deadline / cancel token into
 /// the evaluation; the wrap unwinds with kDeadlineExceeded / kCancelled.
 util::Result<tree::Tree> WrapTree(const Wrapper& wrapper, const tree::Tree& t,

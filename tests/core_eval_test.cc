@@ -332,7 +332,7 @@ TEST(EngineEquivalenceTest, RandomProgramsOnRandomTrees) {
   }
 }
 
-TEST(EngineEquivalenceTest, ExtendedSignatureProgramsSemiVsNaive) {
+TEST(EngineEquivalenceTest, ExtendedSignatureProgramsAllEnginesAgree) {
   util::Rng rng(99);
   for (int trial = 0; trial < 25; ++trial) {
     ProgramGenOptions opts;
@@ -745,11 +745,11 @@ void ExpectGroundedMatchesDirect(const Tree& t) {
   }
 }
 
-TEST(GroundedTest, DeepChainMatchesSemiNaive) {
+TEST(GroundedTest, DeepChainMatchesDirectComputation) {
   ExpectGroundedMatchesDirect(tree::ChainTree(100000, "a"));
 }
 
-TEST(GroundedTest, WideFanOutMatchesSemiNaive) {
+TEST(GroundedTest, WideFanOutMatchesDirectComputation) {
   std::vector<std::string> children(100000, "a");
   for (size_t i = 0; i < children.size(); i += 3) children[i] = "b";
   ExpectGroundedMatchesDirect(tree::ChildrenWord("a", children));

@@ -474,8 +474,11 @@ Extents BatchExtents(const runtime::WrapperHandle& handle,
   auto eval = core::EvaluateGrounded(*handle.program->ground_plan, *t);
   EXPECT_TRUE(eval.ok()) << eval.status().ToString();
   if (!eval.ok()) return out;
-  for (const auto& [pattern, nodes] : handle.program->Matches(*eval).matches) {
-    for (const tree::NodeId n : nodes) out.emplace(pattern, n);
+  const auto& patterns = handle.program->prepared.extraction_patterns;
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    for (const tree::NodeId n : eval->Unary(handle.program->pattern_preds[i])) {
+      out.emplace(patterns[i], n);
+    }
   }
   return out;
 }
