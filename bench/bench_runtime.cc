@@ -2,13 +2,16 @@
 // synthetic corpus (125 distinct pages, each re-requested 8× — the
 // re-crawl repetition a wrapper deployment sees). Series:
 //
-//   BM_ServeCorpusColdDirect     — the pre-runtime path: WrapHtmlToXml per
-//                                  page, one thread, no caches (baseline).
+//   BM_ServeCorpusColdDirect     — the direct API: html::ParseTree +
+//                                  wrapper::WrapTree per page (the plan
+//                                  compiled per call), one thread, no
+//                                  caches (baseline).
 //   BM_ServeCorpusRuntime/T/M    — WrapperRuntime with warm caches at T
 //                                  threads; M=1 result memo on, M=0 off.
 //
 // Counters report pages/sec; the acceptance bar is warm-batch ≥ 3× cold
-// single-thread at 4 threads with byte-identical output (asserted here).
+// single-thread at 4 threads, with output byte-identical to the native Elog
+// evaluator's (oracle::NativeXml, asserted in the warm-up).
 
 #include <benchmark/benchmark.h>
 
@@ -19,10 +22,10 @@
 #include "src/html/parser.h"
 #include "src/html/synthetic.h"
 #include "src/runtime/runtime.h"
-#include "src/tree/serialize.h"
 #include "src/util/check.h"
 #include "src/util/rng.h"
 #include "src/wrapper/wrapper.h"
+#include "tests/engine_oracles.h"
 
 namespace {
 
@@ -80,21 +83,19 @@ const std::vector<std::string>& Corpus() {
   return *corpus;
 }
 
-/// Cold baseline: parse + project + validate + evaluate per page, one
-/// thread — exactly what every WrapHtmlToXml call did before the runtime.
+/// Cold baseline: parse with projection + compile + evaluate + write per
+/// page, one thread, no caches — the direct API with no runtime around it.
 void BM_ServeCorpusColdDirect(benchmark::State& state) {
   wrapper::Wrapper w = CatalogWrapper();
   const auto& corpus = Corpus();
   int64_t pages = 0;
   for (auto _ : state) {
     for (const std::string& page : corpus) {
-      auto doc = html::ParseHtml(page);
-      MD_CHECK(doc.ok());
-      tree::Tree t = html::ProjectAttributeIntoLabels(*doc, "class");
-      auto out = wrapper::WrapTree(w, t);
-      MD_CHECK(out.ok());
-      std::string xml = tree::ToXml(*out);
-      benchmark::DoNotOptimize(xml);
+      auto t = html::ParseTree(page, "class");
+      MD_CHECK(t.ok());
+      auto xml = wrapper::WrapTree(w, *t);
+      MD_CHECK(xml.ok());
+      benchmark::DoNotOptimize(*xml);
       ++pages;
     }
   }
@@ -118,18 +119,17 @@ void BM_ServeCorpusRuntime(benchmark::State& state) {
   const auto& corpus = Corpus();
 
   // Warm-up pass (outside timing): fills the document cache / memo, and
-  // asserts the runtime output is byte-identical to the direct sequential
-  // path — the bench must not get fast by getting wrong.
+  // asserts the runtime output is byte-identical to the native evaluator's
+  // — the bench must not get fast by getting wrong.
   {
     auto warm = rt.SubmitBatch(ViewBatch(*handle, corpus));
     for (size_t i = 0; i < corpus.size(); ++i) {
       MD_CHECK(warm[i].ok());
       if (i < kDistinctPages) {
-        auto doc = html::ParseHtml(corpus[i]);
-        MD_CHECK(doc.ok());
-        tree::Tree t = html::ProjectAttributeIntoLabels(*doc, "class");
-        auto out = wrapper::WrapTree(CatalogWrapper(), t);
-        MD_CHECK(*warm[i] == tree::ToXml(*out));
+        auto t = html::ParseTree(corpus[i], "class");
+        MD_CHECK(t.ok());
+        auto want = oracle::NativeXml(CatalogWrapper(), *t);
+        MD_CHECK(want.ok() && *warm[i] == *want);
       }
     }
   }

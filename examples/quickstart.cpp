@@ -29,14 +29,14 @@ int main() {
     </body></html>)";
 
   // 2. Pre-parse into a document tree (the prerequisite of tree-based
-  //    wrapping, Section 1).
-  auto doc = html::ParseHtml(page);
+  //    wrapping, Section 1), folding the class attribute into the labels
+  //    (Remark 2.2): <ul class=items> becomes a node labeled "ul@items".
+  auto doc = html::ParseTree(page, "class");
   if (!doc.ok()) {
     std::printf("parse failed: %s\n", doc.status().ToString().c_str());
     return 1;
   }
-  std::printf("document tree: %s\n\n",
-              tree::ToDebugString(doc->tree()).c_str());
+  std::printf("document tree: %s\n\n", tree::ToDebugString(*doc).c_str());
 
   // 3. The Figure 1 view: every unranked tree *is* a binary tree through
   //    firstchild/nextsibling.
@@ -48,7 +48,7 @@ int main() {
 
   // 4. A two-pattern Elog⁻ wrapper: auction entries and their prices.
   auto program = elog::ParseElog(R"(
-    entry(X) <- root(R), subelem(R, "body.ul.li", X).
+    entry(X) <- root(R), subelem(R, "body.ul@items.li", X).
     price(Y) <- entry(X), subelem(X, "b", Y).
   )");
   if (!program.ok()) {
@@ -60,7 +60,7 @@ int main() {
   wrapper::Wrapper w;
   w.program = *program;
   w.extraction_patterns = {"entry", "price"};
-  auto xml = wrapper::WrapHtmlToXml(w, page);
+  auto xml = wrapper::WrapTree(w, *doc);
   if (!xml.ok()) {
     std::printf("wrap failed: %s\n", xml.status().ToString().c_str());
     return 1;

@@ -40,18 +40,11 @@ namespace {
 /// Evaluation state: pattern extents as bitsets.
 class ElogEvaluator {
  public:
-  /// `patterns` (optional) is the precomputed program.Patterns() list — a
-  /// prepared program supplies it so repeated evaluation skips the per-page
-  /// rule walk along with the validation.
   ElogEvaluator(const ElogProgram& program, const Tree& t, int64_t budget,
-                bool validate = true,
-                const std::vector<std::string>* patterns = nullptr,
-                const util::EvalControl* control = nullptr)
+                const util::EvalControl* control)
       : program_(program),
         t_(t),
         budget_(budget),
-        validate_(validate),
-        patterns_(patterns),
         control_(control),
         ticker_(control),
         ranks_(t.PreorderRanks()) {
@@ -59,13 +52,8 @@ class ElogEvaluator {
   }
 
   util::Result<ElogResult> Run() {
-    if (validate_) MD_RETURN_NOT_OK(ValidateElog(program_));
-    const std::vector<std::string> own_patterns =
-        patterns_ == nullptr ? program_.Patterns() : std::vector<std::string>();
-    for (const std::string& p :
-         patterns_ != nullptr ? *patterns_ : own_patterns) {
-      extents_[p];  // create
-    }
+    MD_RETURN_NOT_OK(ValidateElog(program_));
+    for (const std::string& p : program_.Patterns()) extents_[p];  // create
     bool changed = true;
     while (changed) {
       if (control_ != nullptr) MD_RETURN_NOT_OK(control_->Check());
@@ -280,9 +268,7 @@ class ElogEvaluator {
   const ElogProgram& program_;
   const Tree& t_;
   int64_t budget_;
-  bool validate_;
-  const std::vector<std::string>* patterns_;  // nullable
-  const util::EvalControl* control_;          // nullable
+  const util::EvalControl* control_;  // nullable
   util::EvalTicker ticker_;
   std::vector<int32_t> ranks_;
   std::map<std::string, std::set<NodeId>> extents_;
@@ -293,26 +279,7 @@ class ElogEvaluator {
 util::Result<ElogResult> EvaluateElog(const ElogProgram& program,
                                       const Tree& t, int64_t max_derivations,
                                       const util::EvalControl* control) {
-  return ElogEvaluator(program, t, max_derivations, /*validate=*/true,
-                       /*patterns=*/nullptr, control)
-      .Run();
-}
-
-util::Result<PreparedElogProgram> PreparedElogProgram::Prepare(
-    ElogProgram program) {
-  MD_RETURN_NOT_OK(ValidateElog(program));
-  PreparedElogProgram prepared;
-  prepared.patterns_ = program.Patterns();
-  prepared.program_ = std::move(program);
-  return prepared;
-}
-
-util::Result<ElogResult> EvaluateElog(const PreparedElogProgram& prepared,
-                                      const Tree& t, int64_t max_derivations,
-                                      const util::EvalControl* control) {
-  return ElogEvaluator(prepared.program(), t, max_derivations,
-                       /*validate=*/false, &prepared.patterns(), control)
-      .Run();
+  return ElogEvaluator(program, t, max_derivations, control).Run();
 }
 
 }  // namespace mdatalog::elog

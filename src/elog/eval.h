@@ -18,10 +18,12 @@
 /// builtins (before%, notafter, notbefore) are interpreted natively against
 /// document order and child positions (Theorem 6.6: Elog⁻Δ exceeds MSO).
 ///
-/// This is the reference evaluator, independent of the datalog engines: the
-/// serving runtime replays each wrapper's ground plan
-/// (to_datalog.h: LowerToGroundProgram) and reaches this code only in its
-/// forced kNativeElog reference mode; tests compare the two.
+/// This is the reference evaluator, independent of the datalog engines.
+/// Every wrapper entry point in the library — the serving runtime, the
+/// stream, wrapper::WrapTree / WrapHtmlToXml and the visual session —
+/// replays the wrapper's ground plan (to_datalog.h: CompileGroundPlan). Its
+/// callers are the runtime's forced kNativeElog reference mode, the serving
+/// benchmark's reference pass, and the tests that compare it with the plan.
 
 namespace mdatalog::elog {
 
@@ -48,34 +50,6 @@ inline constexpr int64_t kDefaultMaxDerivations = 1 << 22;
 /// status (kDeadlineExceeded / kCancelled) instead of finishing the page.
 util::Result<ElogResult> EvaluateElog(
     const ElogProgram& program, const tree::Tree& t,
-    int64_t max_derivations = kDefaultMaxDerivations,
-    const util::EvalControl* control = nullptr);
-
-/// An Elog program validated once, for repeated evaluation over many
-/// documents: the structural checks of ValidateElog (and the pattern-list
-/// computation) run at Prepare, not per page. Immutable afterwards — safe to
-/// share across evaluation threads.
-class PreparedElogProgram {
- public:
-  /// An empty prepared program (no rules, no patterns) — the state before
-  /// Prepare assigns a real one; kept public so owning structs are
-  /// default-constructible.
-  PreparedElogProgram() = default;
-
-  static util::Result<PreparedElogProgram> Prepare(ElogProgram program);
-
-  const ElogProgram& program() const { return program_; }
-  /// Pattern predicates in first-definition order.
-  const std::vector<std::string>& patterns() const { return patterns_; }
-
- private:
-  ElogProgram program_;
-  std::vector<std::string> patterns_;
-};
-
-/// Evaluates a prepared program, skipping re-validation.
-util::Result<ElogResult> EvaluateElog(
-    const PreparedElogProgram& prepared, const tree::Tree& t,
     int64_t max_derivations = kDefaultMaxDerivations,
     const util::EvalControl* control = nullptr);
 

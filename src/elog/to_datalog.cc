@@ -31,7 +31,8 @@ class VarMap {
   }
   VarId Fresh() {
     VarId id = static_cast<VarId>(names_.size());
-    names_.push_back("z" + std::to_string(id));
+    names_.push_back("z");
+    names_.back() += std::to_string(id);
     return id;
   }
   std::vector<std::string> names() { return names_; }
@@ -370,6 +371,23 @@ util::Result<core::Program> LowerToGroundProgram(const ElogProgram& program) {
   }
   lowered.mutable_rules() = std::move(rules);
   return lowered;
+}
+
+util::Result<ElogGroundPlan> CompileGroundPlan(
+    const ElogProgram& program, std::span<const std::string> patterns) {
+  MD_ASSIGN_OR_RETURN(core::Program lowered, LowerToGroundProgram(program));
+  MD_ASSIGN_OR_RETURN(core::GroundPlan plan,
+                      core::GroundPlan::Compile(lowered));
+  // A pattern no rule defines (or whose rules were all dropped) is never
+  // derivable; it may still name a predicate the plan holds no set for.
+  const std::vector<bool> intensional = lowered.IntensionalMask();
+  std::vector<core::PredId> pattern_preds;
+  pattern_preds.reserve(patterns.size());
+  for (const std::string& pattern : patterns) {
+    const core::PredId p = lowered.preds().Find("pat_" + pattern);
+    pattern_preds.push_back(p >= 0 && intensional[p] ? p : -1);
+  }
+  return ElogGroundPlan{std::move(plan), std::move(pattern_preds)};
 }
 
 }  // namespace mdatalog::elog

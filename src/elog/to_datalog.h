@@ -1,6 +1,11 @@
 #pragma once
 
+#include <span>
+#include <string>
+#include <vector>
+
 #include "src/core/ast.h"
+#include "src/core/grounder.h"
 #include "src/elog/ast.h"
 #include "src/util/result.h"
 
@@ -38,5 +43,22 @@ util::Result<core::Program> ElogToDatalog(const ElogProgram& program,
 /// evaluator (eval.h) rejects a condition that reads a variable no earlier
 /// condition binds, the lowered rule still has its conjunctive meaning.
 util::Result<core::Program> LowerToGroundProgram(const ElogProgram& program);
+
+/// A wrapper program ready for plan replay: its lowered rules compiled once.
+/// Immutable; safe to share between concurrent evaluations.
+struct ElogGroundPlan {
+  core::GroundPlan plan;
+  /// PredId of "pat_<pattern>" per requested pattern (in request order) in
+  /// the plan's EvalResult and IncrementalReplay; -1 if the pattern is never
+  /// derivable (no rule defines it, or all its rules were dropped).
+  std::vector<core::PredId> pattern_preds;
+};
+
+/// The one compile step behind every wrapper entry point (the runtime's
+/// program cache, wrapper::WrapTree, the visual session): validates and
+/// lowers `program` (LowerToGroundProgram), compiles the plan, and resolves
+/// each of `patterns`.
+util::Result<ElogGroundPlan> CompileGroundPlan(
+    const ElogProgram& program, std::span<const std::string> patterns);
 
 }  // namespace mdatalog::elog

@@ -1,6 +1,10 @@
 #include "src/elog/visual.h"
 
 #include <algorithm>
+#include <span>
+
+#include "src/core/grounder.h"
+#include "src/elog/to_datalog.h"
 
 namespace mdatalog::elog {
 
@@ -16,8 +20,14 @@ util::Result<std::vector<tree::NodeId>> VisualSession::MatchesOf(
   if (pattern == "root") {
     return std::vector<tree::NodeId>{example_.root()};
   }
-  MD_ASSIGN_OR_RETURN(ElogResult result, EvaluateElog(program_, example_));
-  return result.Of(pattern);
+  // The session program changes with every click, so each query compiles it
+  // afresh; the plan replays in O(|P|·|dom|) on the example document.
+  MD_ASSIGN_OR_RETURN(ElogGroundPlan compiled,
+                      CompileGroundPlan(program_, std::span(&pattern, 1)));
+  if (compiled.pattern_preds[0] < 0) return std::vector<tree::NodeId>{};
+  MD_ASSIGN_OR_RETURN(core::EvalResult eval,
+                      core::EvaluateGrounded(compiled.plan, example_));
+  return eval.Unary(compiled.pattern_preds[0]);
 }
 
 util::Result<ElogPath> VisualSession::InferPath(tree::NodeId ancestor,
@@ -46,13 +56,12 @@ util::Result<int32_t> VisualSession::SelectNode(
         "the chosen node is not an instance of the parent pattern");
   }
   MD_ASSIGN_OR_RETURN(ElogPath path, InferPath(parent_instance, target));
-  ElogRule rule;
-  rule.head_pattern = new_pattern;
-  rule.head_var = "X";
-  rule.parent_pattern = parent_pattern;
-  rule.parent_var = "X0";
-  rule.subelem = std::move(path);
-  program_.AddRule(std::move(rule));
+  program_.AddRule(ElogRule{.head_pattern = new_pattern,
+                            .head_var = "X",
+                            .parent_pattern = parent_pattern,
+                            .parent_var = "X0",
+                            .subelem = std::move(path),
+                            .conditions = {}});
   return static_cast<int32_t>(program_.rules().size()) - 1;
 }
 
@@ -67,7 +76,9 @@ util::Status VisualSession::GeneralizeStep(int32_t rule_index,
       step_index >= static_cast<int32_t>(rule.subelem.steps.size())) {
     return util::Status::InvalidArgument("step index out of range");
   }
-  rule.subelem.steps[step_index] = "_";
+  // Assigned from a std::string: GCC 12 at -O3 reports a false -Wrestrict
+  // for a literal assignment here.
+  rule.subelem.steps[step_index] = std::string("_");
   return util::Status::OK();
 }
 

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "src/elog/ast.h"
-#include "src/elog/eval.h"
 #include "src/tree/tree.h"
 #include "src/util/result.h"
 
@@ -33,7 +32,8 @@ class VisualSession {
   std::vector<std::string> Patterns() const;
 
   /// Instances of `pattern` on the example document under the program built
-  /// so far — what the GUI would highlight.
+  /// so far — what the GUI would highlight. Replays the program's ground plan
+  /// (elog::CompileGroundPlan), the engine that serves the finished wrapper.
   util::Result<std::vector<tree::NodeId>> MatchesOf(
       const std::string& pattern) const;
 

@@ -19,28 +19,6 @@ uint64_t ProgramCache::Fingerprint(const wrapper::Wrapper& wrapper) {
   return util::HashBytes(key);
 }
 
-namespace {
-
-/// Lowers the wrapper's Elog rules straight into its ground plan.
-util::Status CompileGroundPlan(CompiledWrapperProgram* out) {
-  MD_ASSIGN_OR_RETURN(
-      core::Program lowered,
-      elog::LowerToGroundProgram(out->prepared.program.program()));
-  MD_ASSIGN_OR_RETURN(out->ground_plan, core::GroundPlan::Compile(lowered));
-  // A pattern no rule defines (or whose rules were all dropped) is never
-  // derivable; it may still name a predicate the plan holds no set for.
-  const std::vector<bool> intensional = lowered.IntensionalMask();
-  out->pattern_preds.reserve(out->prepared.extraction_patterns.size());
-  for (const std::string& pattern : out->prepared.extraction_patterns) {
-    const core::PredId p = lowered.preds().Find("pat_" + pattern);
-    out->pattern_preds.push_back(p >= 0 && intensional[p] ? p : -1);
-  }
-  out->has_ground_plan = true;
-  return util::Status::OK();
-}
-
-}  // namespace
-
 core::GroundArena& ThreadArena() {
   thread_local core::GroundArena arena;
   return arena;
@@ -79,12 +57,16 @@ ProgramCache::GetOrCompile(const wrapper::Wrapper& wrapper) {
   }
   ++stats_.misses;
 
+  MD_ASSIGN_OR_RETURN(
+      elog::ElogGroundPlan plan,
+      elog::CompileGroundPlan(wrapper.program, wrapper.extraction_patterns));
   auto compiled = std::make_shared<CompiledWrapperProgram>();
-  MD_ASSIGN_OR_RETURN(compiled->prepared,
-                      wrapper::PreparedWrapper::Prepare(wrapper));
+  compiled->prepared = wrapper;
+  compiled->has_ground_plan = true;
+  compiled->ground_plan = std::move(plan.plan);
+  compiled->pattern_preds = std::move(plan.pattern_preds);
   compiled->fingerprint = fp;
   compiled->canonical_fingerprint = canonical_fp;
-  MD_RETURN_NOT_OK(CompileGroundPlan(compiled.get()));
   ++stats_.ground_plans;
 
   lru_.push_front(Entry{canonical_fp, {fp}, compiled});

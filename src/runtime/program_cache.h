@@ -16,31 +16,28 @@
 
 /// \file program_cache.h
 /// The compiled-program side of the serving runtime. A wrapper program is
-/// fixed while documents stream past, so everything derived from the program
-/// alone is compiled exactly once and shared:
-///
-///  * the Elog validation (PreparedElogProgram);
-///  * the ground plan: the Elog rules lowered straight into the Theorem 4.2
-///    engine (elog::LowerToGroundProgram → GroundPlan), with the Elog⁻Δ
-///    builtins as residual checks — one plan for every wrapper, batch and
-///    stream alike, so per-document evaluation is a plan replay in
-///    O(|P|·|dom|) with per-worker arena reuse, and a stream session replays
-///    the same plan incrementally (core::IncrementalReplay). No TMNF
-///    normalization runs at registration.
+/// fixed while documents stream past, so its ground plan is compiled exactly
+/// once and shared: the Elog rules validated and lowered straight into the
+/// Theorem 4.2 engine (elog::CompileGroundPlan, the compile step every
+/// wrapper entry point shares), with the Elog⁻Δ builtins as residual checks
+/// — one plan for every wrapper, batch and stream alike, so per-document
+/// evaluation is a plan replay in O(|P|·|dom|) with per-worker arena reuse,
+/// and a stream session replays the same plan incrementally
+/// (core::IncrementalReplay). No TMNF normalization runs at registration.
 
 namespace mdatalog::runtime {
 
 /// A wrapper compiled for serving. Immutable after construction; shared
 /// (shared_ptr const) between all threads and all documents.
 struct CompiledWrapperProgram {
-  wrapper::PreparedWrapper prepared;
+  /// The wrapper as registered.
+  wrapper::Wrapper prepared;
 
   /// The lowered Elog rules; every compiled wrapper has one.
   bool has_ground_plan = false;
   std::optional<core::GroundPlan> ground_plan;
-  /// PredId of "pat_<pattern>" per extraction pattern (parallel to
-  /// prepared.extraction_patterns) in the lowered program, so in the plan's
-  /// EvalResult and IncrementalReplay; -1 if the pattern is never derivable.
+  /// elog::ElogGroundPlan::pattern_preds, parallel to
+  /// prepared.extraction_patterns; -1 if the pattern is never derivable.
   std::vector<core::PredId> pattern_preds;
 
   /// Fingerprint of the wrapper text + pattern list, as registered.

@@ -34,7 +34,7 @@
 ///   auto store = CorpusStore::Open("corpus.mdcs");   // serving process
 ///   auto doc = (*store)->Find(HashBytes128(page_bytes), "class");
 ///   tree::Tree t = doc->MakeTree();              // zero-copy columns
-///   auto out = wrapper::WrapTree(w, t);          // evaluate in place
+///   auto xml = wrapper::WrapTree(w, t);          // plan replay in place
 ///
 /// The runtime wires this under its DocumentCache as the second-level cache
 /// (miss → store lookup → only then parse), so warm processes serve entirely

@@ -3,6 +3,8 @@
 #include <bit>
 #include <utility>
 
+#include "src/core/grounder.h"
+#include "src/elog/to_datalog.h"
 #include "src/html/parser.h"
 #include "src/tree/serialize.h"
 #include "src/util/check.h"
@@ -47,12 +49,6 @@ util::Result<Wrapper> ParseWrapperText(std::string_view text) {
     w.extraction_patterns = w.program.Patterns();
   }
   return w;
-}
-
-util::Result<PreparedWrapper> PreparedWrapper::Prepare(const Wrapper& w) {
-  MD_ASSIGN_OR_RETURN(elog::PreparedElogProgram prepared,
-                      elog::PreparedElogProgram::Prepare(w.program));
-  return PreparedWrapper{std::move(prepared), w.extraction_patterns};
 }
 
 void WriteXml(const std::vector<std::string>& extraction_patterns,
@@ -223,20 +219,28 @@ Tree BuildOutputTree(const std::vector<std::string>& extraction_patterns,
   return builder.Build();
 }
 
-util::Result<Tree> WrapTree(const Wrapper& wrapper, const Tree& t,
-                            const util::EvalControl* control) {
+util::Result<std::string> WrapTree(const Wrapper& wrapper, const Tree& t,
+                                   const util::EvalControl* control) {
   MD_ASSIGN_OR_RETURN(
-      elog::ElogResult result,
-      elog::EvaluateElog(wrapper.program, t, elog::kDefaultMaxDerivations,
-                         control));
-  return BuildOutputTree(wrapper.extraction_patterns, result, t);
+      elog::ElogGroundPlan compiled,
+      elog::CompileGroundPlan(wrapper.program, wrapper.extraction_patterns));
+  MD_ASSIGN_OR_RETURN(
+      core::EvalResult eval,
+      core::EvaluateGrounded(compiled.plan, t, nullptr, nullptr, control));
+  std::vector<const core::NodeSet*> sets;
+  sets.reserve(compiled.pattern_preds.size());
+  for (const core::PredId pred : compiled.pattern_preds) {
+    sets.push_back(eval.UnarySet(pred));
+  }
+  std::string xml;
+  WriteXml(wrapper.extraction_patterns, sets, t, &xml);
+  return xml;
 }
 
 util::Result<std::string> WrapHtmlToXml(const Wrapper& wrapper,
                                         std::string_view html) {
   MD_ASSIGN_OR_RETURN(Tree t, html::ParseTree(html));
-  MD_ASSIGN_OR_RETURN(Tree out, WrapTree(wrapper, t));
-  return tree::ToXml(out);
+  return WrapTree(wrapper, t);
 }
 
 }  // namespace mdatalog::wrapper

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -40,16 +39,6 @@ struct Wrapper {
 /// comment, so the file also parses with bare ParseElog.
 util::Result<Wrapper> ParseWrapperText(std::string_view text);
 
-/// A wrapper whose program was validated once (elog::PreparedElogProgram) so
-/// repeated evaluation over a document stream pays no per-page validation.
-/// Immutable after Prepare — safe to share across serving threads.
-struct PreparedWrapper {
-  elog::PreparedElogProgram program;
-  std::vector<std::string> extraction_patterns;
-
-  static util::Result<PreparedWrapper> Prepare(const Wrapper& wrapper);
-};
-
 /// Writes the wrapper output for already-computed pattern extents as XML,
 /// appending to `*out`: a synthetic root "result" whose descendants are the
 /// selected nodes, parented at their nearest selected proper ancestor (or the
@@ -66,30 +55,35 @@ struct PreparedWrapper {
 /// walk writes the elements, skipping unselected subtrees. The scratch (a
 /// ⌈P/64⌉-word pattern mask and one byte per node) is freed on return.
 ///
-/// The serving runtime and the streaming front both write their results
-/// through this; the output is byte-identical to
+/// Every wrapper entry point (WrapTree, the serving runtime, the streaming
+/// front) writes its result through this; the output is byte-identical to
 /// tree::ToXml(BuildOutputTree(...)).
 void WriteXml(const std::vector<std::string>& extraction_patterns,
               std::span<const core::NodeSet* const> sets, const tree::Tree& t,
               std::string* out, int32_t shift = 0);
 
 /// The reference renderer: the output of WriteXml as a tree (serialize it
-/// with tree::ToXml), from extents held in an elog::ElogResult. Serves the
-/// native evaluator's paths (WrapTree, the runtime's forced kNativeElog
-/// mode) and the test oracles.
+/// with tree::ToXml), from extents held in an elog::ElogResult. Serves only
+/// the native evaluator's reference paths (the runtime's forced kNativeElog
+/// mode) and the test oracles; no wrapper entry point renders through it.
 tree::Tree BuildOutputTree(const std::vector<std::string>& extraction_patterns,
                            const elog::ElogResult& matches,
                            const tree::Tree& t);
 
-/// Runs the wrapper through the native Elog evaluator (elog/eval.h) and
-/// builds the output tree. The serving runtime does not call this: it
-/// replays the wrapper's ground plan and feeds the extents to WriteXml.
+/// Wraps an already-parsed tree and returns the output XML: compiles the
+/// wrapper's ground plan (elog::CompileGroundPlan, the runtime's compile
+/// step), replays it once in O(|P|·|dom|) and writes the extents with
+/// WriteXml — the same bytes WrapperRuntime::Wrap serves for the wrapper.
+/// Like Wrap, it accepts a condition that reads a variable no earlier
+/// condition binds (the rule keeps its conjunctive meaning, Definition 6.2).
+/// The plan is compiled per call; a wrapper that serves many documents
+/// belongs in a runtime::WrapperRuntime, which compiles it once.
 /// `control` (nullable) carries the per-request deadline / cancel token into
 /// the evaluation; the wrap unwinds with kDeadlineExceeded / kCancelled.
-util::Result<tree::Tree> WrapTree(const Wrapper& wrapper, const tree::Tree& t,
-                                  const util::EvalControl* control = nullptr);
+util::Result<std::string> WrapTree(const Wrapper& wrapper, const tree::Tree& t,
+                                   const util::EvalControl* control = nullptr);
 
-/// Convenience: parse HTML, wrap, serialize the result as XML.
+/// Convenience: parse HTML (no attribute projection), then WrapTree.
 util::Result<std::string> WrapHtmlToXml(const Wrapper& wrapper,
                                         std::string_view html);
 

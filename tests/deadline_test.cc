@@ -31,6 +31,7 @@
 #include "src/util/deadline.h"
 #include "src/util/rng.h"
 #include "src/wrapper/wrapper.h"
+#include "tests/engine_oracles.h"
 
 namespace {
 
@@ -286,7 +287,7 @@ TEST(EngineDeadlineTest, NativeElogHonorsTheControl) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), util::StatusCode::kDeadlineExceeded);
 
-  // And through the wrapper layer.
+  // And through the wrapper layer, which replays the ground plan.
   auto wrapped = wrapper::WrapTree(w, doc->tree(), &expired);
   ASSERT_FALSE(wrapped.ok());
   EXPECT_EQ(wrapped.status().code(), util::StatusCode::kDeadlineExceeded);
@@ -319,11 +320,11 @@ TEST(RuntimeDeadlineTest, AdversarialPageReturnsDeadlineExceededUnder1ms) {
   // same page without a deadline evaluates fully and correctly.
   auto unbounded = rt.Wrap(*handle, adversarial);
   ASSERT_TRUE(unbounded.ok()) << unbounded.status().ToString();
-  auto doc = html::ParseHtml(adversarial);
-  ASSERT_TRUE(doc.ok());
-  auto reference = wrapper::WrapTree(BoardWrapper(), doc->tree());
+  auto t = html::ParseTree(adversarial);
+  ASSERT_TRUE(t.ok());
+  auto reference = oracle::NativeXml(BoardWrapper(), *t);
   ASSERT_TRUE(reference.ok());
-  EXPECT_EQ(*unbounded, tree::ToXml(*reference));
+  EXPECT_EQ(*unbounded, *reference);
 }
 
 TEST(RuntimeDeadlineTest, ExpiredRequestFastFailsBeforeAnyWork) {
@@ -356,11 +357,11 @@ TEST(RuntimeDeadlineTest, MixedBoundedAndUnboundedTrafficAt8Threads) {
   for (uint64_t seed = 1; seed <= 16; ++seed) {
     util::Rng rng(seed);
     pages.push_back(html::NestedBoardPage(rng, 3, 3));
-    auto doc = html::ParseHtml(pages.back());
-    ASSERT_TRUE(doc.ok());
-    auto ref = wrapper::WrapTree(BoardWrapper(), doc->tree());
+    auto t = html::ParseTree(pages.back());
+    ASSERT_TRUE(t.ok());
+    auto ref = oracle::NativeXml(BoardWrapper(), *t);
     ASSERT_TRUE(ref.ok());
-    expected.push_back(tree::ToXml(*ref));
+    expected.push_back(*ref);
   }
 
   runtime::RequestOptions expired_request;

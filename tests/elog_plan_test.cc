@@ -1,9 +1,11 @@
-// The ground plan of an Elog wrapper (elog::LowerToGroundProgram →
-// core::GroundPlan) against the native Elog evaluator, the reference:
-// byte-identical output XML on random Elog⁻Δ programs over random trees, on
-// every checked-in wrapper, and on 100,000-node deep and wide trees. The
-// same plan replayed by a stream session (Δ builtins at the end of input)
-// against batch Wrap: the same XML and extents under every chunking.
+// The ground plan of an Elog wrapper (elog::CompileGroundPlan) against the
+// native Elog evaluator, the reference (oracle::NativeXml): byte-identical
+// output XML on random Elog⁻Δ programs over random trees, on every
+// checked-in wrapper, and on 100,000-node deep and wide trees — through the
+// plan alone, the direct API (wrapper::WrapTree / WrapHtmlToXml) and the
+// serving runtime's Wrap. The same plan replayed by a stream session (Δ
+// builtins at the end of input) against batch Wrap: the same XML and
+// extents under every chunking.
 
 #include <gtest/gtest.h>
 
@@ -22,10 +24,12 @@
 #include "src/elog/to_datalog.h"
 #include "src/html/parser.h"
 #include "src/runtime/runtime.h"
+#include "src/store/corpus_store.h"
 #include "src/stream/stream_session.h"
 #include "src/tree/generator.h"
 #include "src/tree/serialize.h"
 #include "src/tree/tree.h"
+#include "src/util/hash.h"
 #include "src/util/rng.h"
 #include "src/wrapper/wrapper.h"
 #include "tests/engine_oracles.h"
@@ -41,35 +45,77 @@ using elog::ElogRule;
 using elog::RandomDeltaProgram;
 using K = ElogCondition::Kind;
 
-std::string NativeXml(const ElogProgram& program,
-                      const std::vector<std::string>& patterns,
-                      const tree::Tree& t) {
-  auto matches = elog::EvaluateElog(program, t);
-  EXPECT_TRUE(matches.ok()) << matches.status().ToString() << "\n"
-                            << elog::ToString(program);
-  if (!matches.ok()) return "";
-  return tree::ToXml(wrapper::BuildOutputTree(patterns, *matches, t));
+/// The XML of a wrap that must succeed; "" after a failed expectation.
+std::string MustXml(const util::Result<std::string>& xml) {
+  EXPECT_TRUE(xml.ok()) << xml.status().ToString();
+  return xml.ok() ? *xml : "";
 }
 
-std::string PlanXml(const ElogProgram& program,
-                    const std::vector<std::string>& patterns,
-                    const tree::Tree& t, core::GroundArena* arena) {
-  auto lowered = elog::LowerToGroundProgram(program);
-  EXPECT_TRUE(lowered.ok()) << lowered.status().ToString();
-  if (!lowered.ok()) return "";
-  auto plan = core::GroundPlan::Compile(*lowered);
-  EXPECT_TRUE(plan.ok()) << plan.status().ToString() << "\n"
-                         << core::ToString(*lowered);
-  if (!plan.ok()) return "";
-  auto eval = core::EvaluateGrounded(*plan, t, arena);
+/// The plan's extents, through the reference renderer (BuildOutputTree) and
+/// a reused arena.
+std::string PlanXml(const wrapper::Wrapper& w, const tree::Tree& t,
+                    core::GroundArena* arena) {
+  auto compiled = elog::CompileGroundPlan(w.program, w.extraction_patterns);
+  EXPECT_TRUE(compiled.ok()) << compiled.status().ToString() << "\n"
+                             << elog::ToString(w.program);
+  if (!compiled.ok()) return "";
+  auto eval = core::EvaluateGrounded(compiled->plan, t, arena);
   EXPECT_TRUE(eval.ok()) << eval.status().ToString();
   if (!eval.ok()) return "";
   elog::ElogResult matches;
-  for (const std::string& p : patterns) {
-    const core::PredId pred = lowered->preds().Find("pat_" + p);
-    if (pred >= 0) matches.matches[p] = eval->Unary(pred);
+  for (size_t i = 0; i < w.extraction_patterns.size(); ++i) {
+    const core::PredId pred = compiled->pattern_preds[i];
+    if (pred >= 0) {
+      matches.matches[w.extraction_patterns[i]] = eval->Unary(pred);
+    }
   }
-  return tree::ToXml(wrapper::BuildOutputTree(patterns, matches, t));
+  return tree::ToXml(
+      wrapper::BuildOutputTree(w.extraction_patterns, matches, t));
+}
+
+/// `trees` served by WrapperRuntime::Wrap. Each is packed into a corpus
+/// store under the content hash of the page "tree <i>", so the request
+/// rehydrates exactly that tree instead of parsing HTML.
+std::vector<std::string> ServedXml(const wrapper::Wrapper& w,
+                                   const std::vector<tree::Tree>& trees) {
+  const std::string path =
+      ::testing::TempDir() + "/" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".mdcs";
+  std::vector<std::string> pages;
+  store::CorpusStore::Builder builder;
+  for (size_t i = 0; i < trees.size(); ++i) {
+    pages.push_back("tree " + std::to_string(i));
+    EXPECT_TRUE(
+        builder.AddTree(trees[i], util::HashBytes128(pages.back()), "").ok());
+  }
+  EXPECT_TRUE(builder.Save(path).ok());
+  auto store = store::CorpusStore::Open(path);
+  EXPECT_TRUE(store.ok()) << store.status().ToString();
+  if (!store.ok()) return std::vector<std::string>(trees.size());
+  runtime::RuntimeOptions options;
+  options.num_threads = 1;
+  options.corpus_store = *store;
+  runtime::WrapperRuntime rt(options);
+  auto handle = rt.Register(w);
+  EXPECT_TRUE(handle.ok()) << handle.status().ToString();
+  std::vector<std::string> out;
+  for (const std::string& page : pages) {
+    out.push_back(handle.ok() ? MustXml(rt.Wrap(*handle, page)) : "");
+  }
+  EXPECT_EQ(rt.stats().document_cache.store_hits,
+            static_cast<int64_t>(trees.size()));
+  return out;
+}
+
+/// `t` as HTML: one element per node, named by its label.
+std::string TreeHtml(const tree::Tree& t) {
+  std::string html;
+  tree::WalkSubtree(
+      t, t.root(),
+      [&](tree::NodeId n) { html += "<" + t.label_name(n) + ">"; },
+      [&](tree::NodeId n) { html += "</" + t.label_name(n) + ">"; });
+  return html;
 }
 
 TEST(ElogPlanTest, RandomDeltaProgramsMatchNativeOnRandomTrees) {
@@ -80,15 +126,27 @@ TEST(ElogPlanTest, RandomDeltaProgramsMatchNativeOnRandomTrees) {
     ElogProgram program = RandomDeltaProgram(rng);
     if (!elog::ValidateElog(program).ok()) continue;
     delta += program.UsesDeltaBuiltins() ? 1 : 0;
-    const std::vector<std::string> patterns = program.Patterns();
+    const wrapper::Wrapper w{program, program.Patterns()};
+    std::vector<tree::Tree> trees;
     for (int32_t k = 0; k < 4; ++k) {
-      const tree::Tree t = tree::RandomTree(
+      trees.push_back(tree::RandomTree(
           rng, static_cast<int32_t>(rng.Range(1, 40)), {"a", "b", "c"},
-          /*depth_bias=*/k % 2 == 1);
-      const std::string want = NativeXml(program, patterns, t);
-      ASSERT_EQ(PlanXml(program, patterns, t, &arena), want)
-          << elog::ToString(program) << "\n"
-          << tree::ToDebugString(t);
+          /*depth_bias=*/k % 2 == 1));
+    }
+    const std::vector<std::string> served = ServedXml(w, trees);
+    for (size_t k = 0; k < trees.size(); ++k) {
+      const tree::Tree& t = trees[k];
+      const std::string context =
+          elog::ToString(program) + "\n" + tree::ToDebugString(t);
+      const std::string want = MustXml(oracle::NativeXml(w, t));
+      ASSERT_EQ(PlanXml(w, t, &arena), want) << context;
+      ASSERT_EQ(MustXml(wrapper::WrapTree(w, t)), want) << context;
+      ASSERT_EQ(served[k], want) << context;
+      // Labels a, b, c have no HTML semantics: the page parses back to t.
+      const std::string page = TreeHtml(t);
+      auto parsed = html::ParseTree(page);
+      ASSERT_TRUE(parsed.ok() && tree::TreesEqual(*parsed, t)) << page;
+      ASSERT_EQ(MustXml(wrapper::WrapHtmlToXml(w, page)), want) << context;
       ++checked;
       nonempty += want.find("<p") != std::string::npos ? 1 : 0;
     }
@@ -145,8 +203,7 @@ TEST(ElogPlanTest, CorpusWrappersMatchNativeOnRandomTrees) {
     for (int32_t k = 0; k < 60; ++k) {
       const tree::Tree t = tree::RandomTree(
           rng, static_cast<int32_t>(rng.Range(1, 200)), labels, k % 2 == 1);
-      ASSERT_EQ(PlanXml(w.program, w.extraction_patterns, t, &arena),
-                NativeXml(w.program, w.extraction_patterns, t))
+      ASSERT_EQ(PlanXml(w, t, &arena), MustXml(oracle::NativeXml(w, t)))
           << name << "\n" << tree::ToDebugString(t);
     }
   }
@@ -166,9 +223,8 @@ TEST(ElogPlanTest, AnbnMatchesNativeOnChildrenWords) {
       std::vector<std::string> word(a, "a");
       word.insert(word.end(), b, "b");
       const tree::Tree t = tree::ChildrenWord("r", word);
-      const std::string want = NativeXml(w.program, w.extraction_patterns, t);
-      ASSERT_EQ(PlanXml(w.program, w.extraction_patterns, t, &arena), want)
-          << "a^" << a << " b^" << b;
+      const std::string want = MustXml(oracle::NativeXml(w, t));
+      ASSERT_EQ(PlanXml(w, t, &arena), want) << "a^" << a << " b^" << b;
       accepted += want.find("<anbn") != std::string::npos ? 1 : 0;
     }
   }
@@ -208,11 +264,18 @@ TEST(ElogPlanTest, CorpusWrappersMatchNativeOnDeepAndWideTrees) {
   core::GroundArena arena;
   for (const auto& [name, w] : CorpusWrappers()) {
     const std::vector<std::string> labels = WrapperLabels(w.program);
-    for (const tree::Tree& t :
-         {DeepChain(rng, kNodes, labels), WideFanOut(rng, kNodes, labels)}) {
-      ASSERT_EQ(PlanXml(w.program, w.extraction_patterns, t, &arena),
-                NativeXml(w.program, w.extraction_patterns, t))
-          << name << " on " << (t.Height() > 1 ? "the chain" : "the fan-out");
+    std::vector<tree::Tree> trees;
+    trees.push_back(DeepChain(rng, kNodes, labels));
+    trees.push_back(WideFanOut(rng, kNodes, labels));
+    const std::vector<std::string> served = ServedXml(w, trees);
+    for (size_t k = 0; k < trees.size(); ++k) {
+      const tree::Tree& t = trees[k];
+      const std::string context =
+          name + (k == 0 ? " on the chain" : " on the fan-out");
+      const std::string want = MustXml(oracle::NativeXml(w, t));
+      ASSERT_EQ(PlanXml(w, t, &arena), want) << context;
+      ASSERT_EQ(MustXml(wrapper::WrapTree(w, t)), want) << context;
+      ASSERT_EQ(served[k], want) << context;
     }
   }
 }
@@ -294,6 +357,22 @@ TEST(ElogPlanTest, DeepNewsPageServesUnderOneSecond) {
             "<result>\n  <story>\n    <lead>\n      <headline>bottom</headline>"
             "\n    </lead>\n  </story>\n</result>\n");
   EXPECT_EQ(rt.stats().native_evals, 0);
+}
+
+TEST(ElogPlanTest, DeepNewsPageWrapsDirectlyUnderOneSecond) {
+  // The direct API compiles and replays the same plan as Wrap.
+  auto w = wrapper::ParseWrapperText(kNewsWrapper);
+  ASSERT_TRUE(w.ok());
+  auto t = html::ParseTree(DeepNewsPage(), "class");
+  ASSERT_TRUE(t.ok());
+  const auto start = std::chrono::steady_clock::now();
+  auto xml = wrapper::WrapTree(*w, *t);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(xml.ok()) << xml.status().ToString();
+  if (kTimed) EXPECT_LT(elapsed, std::chrono::seconds(1));
+  EXPECT_EQ(*xml,
+            "<result>\n  <story>\n    <lead>\n      <headline>bottom</headline>"
+            "\n    </lead>\n  </story>\n</result>\n");
 }
 
 TEST(ElogPlanTest, EveryCorpusAndPerfbenchWrapperGetsAGroundPlan) {
@@ -385,16 +464,6 @@ TEST(ElogPlanTest, BranchesSplitIntoTheirOwnPredicates) {
 // ---------------------------------------------------------------------------
 // Stream sessions replay the same plan, the Δ builtins at the end of input
 // ---------------------------------------------------------------------------
-
-/// `t` as HTML: one element per node, named by its label.
-std::string TreeHtml(const tree::Tree& t) {
-  std::string html;
-  tree::WalkSubtree(
-      t, t.root(),
-      [&](tree::NodeId n) { html += "<" + t.label_name(n) + ">"; },
-      [&](tree::NodeId n) { html += "</" + t.label_name(n) + ">"; });
-  return html;
-}
 
 /// The patterns nothing derives before the end of input: each of their
 /// rules reads a Δ builtin or another such pattern.

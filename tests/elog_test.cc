@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <regex>
+
 #include "src/core/grounder.h"
 #include "src/core/examples.h"
 #include "src/core/parser.h"
@@ -402,6 +404,20 @@ TEST(AnBnTest, BeyondMsoWitness) {
 // Visual wrapper specification (Section 6.2)
 // ---------------------------------------------------------------------------
 
+/// What the session highlights for each pattern — the ground plan's extents
+/// — is what the native evaluator computes for the session program.
+void ExpectMatchesNative(const VisualSession& session, const Tree& t) {
+  auto native = EvaluateElog(session.program(), t);
+  ASSERT_TRUE(native.ok()) << native.status().ToString();
+  for (const std::string& pattern : session.Patterns()) {
+    auto matches = session.MatchesOf(pattern);
+    ASSERT_TRUE(matches.ok()) << matches.status().ToString();
+    EXPECT_EQ(*matches, pattern == "root" ? std::vector<NodeId>{t.root()}
+                                          : native->Of(pattern))
+        << pattern << " under\n" << ToString(session.program());
+  }
+}
+
 TEST(VisualTest, BuildCatalogWrapperByClicks) {
   util::Rng rng(1);
   html::CatalogOptions opts;
@@ -423,6 +439,7 @@ TEST(VisualTest, BuildCatalogWrapperByClicks) {
   ASSERT_NE(item_row, tree::kNoNode);
   auto rule = session.SelectNode("item", "root", t.root(), item_row);
   ASSERT_TRUE(rule.ok()) << rule.status().ToString();
+  ExpectMatchesNative(session, t);
 
   // The inferred rule generalizes to all 5 item rows immediately (fixed
   // path, same location).
@@ -441,9 +458,28 @@ TEST(VisualTest, BuildCatalogWrapperByClicks) {
   auto price_rule = session.SelectNode("price", "item", first_item,
                                        price_cell);
   ASSERT_TRUE(price_rule.ok());
+  ExpectMatchesNative(session, t);
   auto prices = session.MatchesOf("price");
   ASSERT_TRUE(prices.ok());
   EXPECT_EQ(prices->size(), 5u);
+
+  // Refine the item rule with an Elog⁻Δ condition: notafter keeps the item
+  // row that comes after no other — the first one — and its price with it.
+  const ElogRule& item_rule = session.program().rules()[*rule];
+  ElogCondition last;
+  last.kind = ElogCondition::Kind::kNotAfter;
+  last.var1 = item_rule.parent_var;
+  last.var2 = item_rule.head_var;
+  last.path = item_rule.subelem;
+  ASSERT_TRUE(session.AddCondition(*rule, last).ok());
+  ExpectMatchesNative(session, t);
+  items = session.MatchesOf("item");
+  ASSERT_TRUE(items.ok());
+  ASSERT_EQ(items->size(), 1u);
+  EXPECT_EQ(items->front(), first_item);
+  prices = session.MatchesOf("price");
+  ASSERT_TRUE(prices.ok());
+  EXPECT_EQ(prices->size(), 1u);
 }
 
 TEST(VisualTest, GeneralizationSurvivesLayoutChange) {
@@ -465,12 +501,14 @@ TEST(VisualTest, GeneralizationSurvivesLayoutChange) {
   ASSERT_NE(item_row, tree::kNoNode);
   auto rule = session.SelectNode("item", "root", t.root(), item_row);
   ASSERT_TRUE(rule.ok());
+  ExpectMatchesNative(session, t);
   // Generalize every structural step except the final "tr@item" to "_": the
   // wrapper no longer depends on the page skeleton.
   const ElogRule& r = session.program().rules()[*rule];
   for (int32_t i = 0;
        i + 1 < static_cast<int32_t>(r.subelem.steps.size()); ++i) {
     ASSERT_TRUE(session.GeneralizeStep(*rule, i).ok());
+    ExpectMatchesNative(session, t);
   }
 
   // Same wrapper on the *alternative layout* page (extra wrapper div):
@@ -505,7 +543,7 @@ TEST(VisualTest, SelectNodeValidatesInputs) {
 }
 
 // ---------------------------------------------------------------------------
-// Wrapper output trees
+// Wrapper output
 // ---------------------------------------------------------------------------
 
 TEST(WrapperTest, OutputTreePreservesHierarchyAndOrder) {
@@ -526,21 +564,18 @@ TEST(WrapperTest, OutputTreePreservesHierarchyAndOrder) {
       "price(Y) <- item(X), subelem(X, \"td@price\", Y).\n");
   w.extraction_patterns = {"item", "name", "price"};
 
-  auto out = wrapper::WrapTree(w, t);
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_EQ(out->label_name(out->root()), "result");
-  std::vector<NodeId> items = out->Children(out->root());
-  ASSERT_EQ(items.size(), 3u);
-  for (NodeId item : items) {
-    EXPECT_EQ(out->label_name(item), "item");
-    std::vector<NodeId> fields = out->Children(item);
-    ASSERT_EQ(fields.size(), 2u);
-    EXPECT_EQ(out->label_name(fields[0]), "name");
-    EXPECT_EQ(out->label_name(fields[1]), "price");
-    // Price leaves carry the cell text.
-    EXPECT_FALSE(out->text(fields[1]).empty());
-    EXPECT_EQ(out->text(fields[1])[0], '$');
-  }
+  auto xml = wrapper::WrapTree(w, t);
+  ASSERT_TRUE(xml.ok()) << xml.status().ToString();
+  // Three items under the result, each with its name and price in document
+  // order; the price leaves carry the cell text.
+  EXPECT_TRUE(std::regex_match(
+      *xml, std::regex("<result>\n"
+                       "(  <item>\n"
+                       "    <name>[^<]+</name>\n"
+                       "    <price>\\$[^<]+</price>\n"
+                       "  </item>\n){3}"
+                       "</result>\n")))
+      << *xml;
 }
 
 TEST(WrapperTest, EndToEndHtmlToXml) {
@@ -562,10 +597,10 @@ TEST(WrapperTest, NodeWithMultiplePatternsNests) {
       "x(X) <- root(R), subelem(R, \"a\", X).\n"
       "y(X) <- x(X), leaf(X).\n");
   w.extraction_patterns = {"x", "y"};
-  auto out = wrapper::WrapTree(w, t);
-  ASSERT_TRUE(out.ok());
+  auto xml = wrapper::WrapTree(w, t);
+  ASSERT_TRUE(xml.ok());
   // result > x > y (same input node, nested by pattern order).
-  EXPECT_EQ(tree::ToDebugString(*out), "result(x(y))");
+  EXPECT_EQ(*xml, "<result>\n  <x>\n    <y></y>\n  </x>\n</result>\n");
 }
 
 }  // namespace

@@ -1,15 +1,19 @@
 #pragma once
 
-// The reference oracle, rendered as wrapper output so tests can compare it
-// with the runtime byte for byte. The runtime serves every wrapper through
-// its ground plan; this path shares none of it (ElogToDatalog → ToTmnf →
-// the naive reference engine). Header-only: every tests/*.cc file builds
-// into its own test binary.
+// The reference oracles, rendered as wrapper output so tests can compare them
+// with the library byte for byte. Every wrapper entry point (the runtime,
+// the stream, wrapper::WrapTree) serves through the ground plan; these paths
+// share none of it: NativeXml runs the native Elog evaluator, ReferenceXml
+// the Corollary 6.4 pipeline (ElogToDatalog → ToTmnf → the naive reference
+// engine). Both render with BuildOutputTree, not the served WriteXml.
+// Header-only: every tests/*.cc file builds into its own test binary.
 
 #include <cstddef>
 #include <string>
+#include <vector>
 
 #include "src/core/database.h"
+#include "src/elog/ast.h"
 #include "src/elog/eval.h"
 #include "src/elog/to_datalog.h"
 #include "src/runtime/program_cache.h"
@@ -22,13 +26,23 @@
 
 namespace mdatalog::oracle {
 
+/// The XML the native Elog evaluator (elog/eval.h, Elog⁻ and Elog⁻Δ alike)
+/// extracts from `t`: the reference for every plan-served wrapper output.
+inline util::Result<std::string> NativeXml(const wrapper::Wrapper& w,
+                                           const tree::Tree& t) {
+  MD_ASSIGN_OR_RETURN(elog::ElogResult matches,
+                      elog::EvaluateElog(w.program, t));
+  return tree::ToXml(
+      wrapper::BuildOutputTree(w.extraction_patterns, matches, t));
+}
+
 /// The wrapper's TMNF program: ElogToDatalog (Theorem 6.5), then ToTmnf
 /// (Theorem 5.2). The predicate table is ElogToDatalog's, which ToTmnf
 /// extends.
 inline util::Result<core::Program> TmnfOf(
     const runtime::CompiledWrapperProgram& program) {
   MD_ASSIGN_OR_RETURN(core::Program datalog,
-                      elog::ElogToDatalog(program.prepared.program.program()));
+                      elog::ElogToDatalog(program.prepared.program));
   return tmnf::ToTmnf(datalog);
 }
 

@@ -98,20 +98,16 @@ std::string BoardPage(uint64_t seed, int32_t depth, int32_t fanout) {
   return html::NestedBoardPage(rng, depth, fanout);
 }
 
-/// The cache-free, single-threaded reference the runtime must reproduce.
+/// The cache-free, single-threaded reference the runtime must reproduce: the
+/// native Elog evaluator over the page parsed with `attr` projected.
 std::string SequentialXml(const wrapper::Wrapper& w, const std::string& html,
                           const std::string& attr) {
-  auto doc = html::ParseHtml(html);
-  EXPECT_TRUE(doc.ok());
-  if (attr.empty()) {
-    auto out = wrapper::WrapTree(w, doc->tree());
-    EXPECT_TRUE(out.ok());
-    return tree::ToXml(*out);
-  }
-  tree::Tree t = html::ProjectAttributeIntoLabels(*doc, attr);
-  auto out = wrapper::WrapTree(w, t);
-  EXPECT_TRUE(out.ok());
-  return tree::ToXml(*out);
+  auto t = html::ParseTree(html, attr);
+  EXPECT_TRUE(t.ok());
+  if (!t.ok()) return "";
+  auto xml = oracle::NativeXml(w, *t);
+  EXPECT_TRUE(xml.ok()) << xml.status().ToString();
+  return xml.ok() ? *xml : "";
 }
 
 // ---------------------------------------------------------------------------

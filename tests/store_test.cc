@@ -408,12 +408,11 @@ TEST(CorpusStoreRuntimeTest, ConcurrentReadersShareOneMapping) {
   const wrapper::Wrapper w = CatalogWrapper();
   std::vector<std::string> expected;
   for (const auto& page : pages) {
-    auto doc = html::ParseHtml(page);
-    ASSERT_TRUE(doc.ok());
-    auto out =
-        wrapper::WrapTree(w, html::ProjectAttributeIntoLabels(*doc, "class"));
+    auto t = html::ParseTree(page, "class");
+    ASSERT_TRUE(t.ok());
+    auto out = oracle::NativeXml(w, *t);
     ASSERT_TRUE(out.ok());
-    expected.push_back(tree::ToXml(*out));
+    expected.push_back(*out);
   }
 
   constexpr int32_t kThreads = 8;
@@ -430,7 +429,7 @@ TEST(CorpusStoreRuntimeTest, ConcurrentReadersShareOneMapping) {
           core::TreeDatabase edb(t);
           (void)edb.Get("leaf", 1);
           auto out = wrapper::WrapTree(w, t);
-          if (!out.ok() || tree::ToXml(*out) != expected[pi]) ++failures[ti];
+          if (!out.ok() || *out != expected[pi]) ++failures[ti];
         }
       }
     });
