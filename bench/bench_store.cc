@@ -3,13 +3,16 @@
 //   BM_PreparePage_ColdParse     — document preparation by parsing (the old
 //                                  cold path): parse + project + EDB object.
 //   BM_PreparePage_MmapWarm      — the same preparation out of an open
-//                                  corpus store: Find + rehydrate, no parse.
-//                                  Acceptance: ≥ 5× ColdParse per page.
+//                                  corpus store: Find (which hashes the page
+//                                  under the snapshot's key) + rehydrate, no
+//                                  parse. Acceptance: ≥ 5× ColdParse per page.
 //   BM_ServeFirstTouch_Parse     — fresh runtime serves N distinct pages
 //   BM_ServeFirstTouch_Store       once each (first-touch latency, end to
 //                                  end through Wrap), parse vs snapshot.
+//   BM_HashBytes128/<bytes>      — the keyed page hash every request pays,
+//                                  in bytes/s (64 B to 256 KiB).
 //
-// Counters report pages/sec.
+// Other counters report pages/sec.
 
 #include <benchmark/benchmark.h>
 
@@ -103,15 +106,9 @@ BENCHMARK(BM_PreparePage_ColdParse);
 void BM_PreparePage_MmapWarm(benchmark::State& state) {
   const auto& pages = Pages();
   auto store = Store();
-  // Hash once per page up front: the serving runtime hashes the request
-  // bytes anyway for its memo key, so lookup cost shouldn't re-charge it.
-  std::vector<util::Hash128> hashes;
-  for (const std::string& page : pages) {
-    hashes.push_back(util::HashBytes128(page));
-  }
   size_t i = 0;
   for (auto _ : state) {
-    auto frozen = store->Find(hashes[i % hashes.size()], kAttr);
+    auto frozen = store->Find(pages[i % pages.size()], kAttr);
     MD_CHECK(frozen.ok());
     auto doc = runtime::CachedDocument::FromFrozen(*frozen, store);
     benchmark::DoNotOptimize(doc->tree().size());
@@ -163,6 +160,26 @@ void BM_ServeFirstTouch_Store(benchmark::State& state) {
   ServeFirstTouch(state, /*with_store=*/true);
 }
 BENCHMARK(BM_ServeFirstTouch_Store);
+
+// ---------------------------------------------------------------------------
+// The page hash
+// ---------------------------------------------------------------------------
+
+void BM_HashBytes128(benchmark::State& state) {
+  const size_t len = static_cast<size_t>(state.range(0));
+  std::string bytes;
+  for (size_t i = 0; bytes.size() < len; ++i) {
+    bytes += Pages()[i % Pages().size()];
+  }
+  bytes.resize(len);
+  for (auto _ : state) {
+    const util::Hash128 h = util::HashBytes128(bytes);
+    benchmark::DoNotOptimize(h);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(len));
+}
+BENCHMARK(BM_HashBytes128)->Arg(64)->Arg(1024)->Arg(32768)->Arg(262144);
 
 }  // namespace
 

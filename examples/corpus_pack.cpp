@@ -3,14 +3,16 @@
 //   corpus_pack pack <out.mdcs> [--attr=A] <page.html> [page2.html ...]
 //       Parse each HTML file (projecting attribute A into the labels when
 //       given, e.g. --attr=class) and snapshot the prepared documents.
-//   corpus_pack demo <out.mdcs> [num_pages]
+//   corpus_pack demo <out.mdcs> [num_pages] [--pages=DIR]
 //       Pack a synthetic product-catalog corpus (class-projected) — a
-//       self-contained way to try the store without input files.
+//       self-contained way to try the store without input files. With
+//       --pages, also write each page as DIR/page<i>.html, for verify.
 //   corpus_pack info <store.mdcs>
 //       Open (mmap) a store and print its header, per-document stats.
 //   corpus_pack verify <store.mdcs> <page.html> [--attr=A]
 //       End-to-end check: the snapshot of the page must rehydrate to a tree
-//       identical to freshly parsing it.
+//       identical to freshly parsing it. Exits 1 when the store does not
+//       hold the page or the trees differ.
 
 #include <cstdio>
 #include <cstring>
@@ -22,7 +24,6 @@
 #include "src/html/synthetic.h"
 #include "src/store/corpus_store.h"
 #include "src/tree/tree.h"
-#include "src/util/hash.h"
 #include "src/util/rng.h"
 
 namespace {
@@ -32,7 +33,8 @@ using namespace mdatalog;
 int Usage() {
   std::fprintf(stderr,
                "usage: corpus_pack pack <out.mdcs> [--attr=A] <page.html>...\n"
-               "       corpus_pack demo <out.mdcs> [num_pages]\n"
+               "       corpus_pack demo <out.mdcs> [num_pages] "
+               "[--pages=DIR]\n"
                "       corpus_pack info <store.mdcs>\n"
                "       corpus_pack verify <store.mdcs> <page.html> "
                "[--attr=A]\n");
@@ -75,18 +77,29 @@ int Pack(const std::string& out_path, const std::string& attr,
   return 0;
 }
 
-int Demo(const std::string& out_path, int32_t num_pages) {
+int Demo(const std::string& out_path, int32_t num_pages,
+         const std::string& pages_dir) {
   store::CorpusStore::Builder builder;
   for (int32_t i = 0; i < num_pages; ++i) {
     util::Rng rng(1000 + i);
     html::CatalogOptions opts;
     opts.num_items = 10 + i % 20;
     opts.with_ads = (i % 3 == 0);
-    util::Status st =
-        builder.AddHtml(html::ProductCatalogPage(rng, opts), "class");
+    const std::string page = html::ProductCatalogPage(rng, opts);
+    util::Status st = builder.AddHtml(page, "class");
     if (!st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;
+    }
+    if (!pages_dir.empty()) {
+      const std::string path =
+          pages_dir + "/page" + std::to_string(i) + ".html";
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << page;
+      if (!out.flush()) {
+        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+        return 1;
+      }
     }
   }
   util::Status st = builder.Save(out_path);
@@ -141,7 +154,7 @@ int Verify(const std::string& store_path, const std::string& page_path,
     std::fprintf(stderr, "%s\n", store.status().ToString().c_str());
     return 1;
   }
-  auto frozen = (*store)->Find(util::HashBytes128(html), attr);
+  auto frozen = (*store)->Find(html, attr);
   if (!frozen.ok()) {
     std::fprintf(stderr, "%s\n", frozen.status().ToString().c_str());
     return 1;
@@ -167,10 +180,13 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
 
   std::string attr;
+  std::string pages_dir;
   std::vector<std::string> rest;
   for (int i = 2; i < argc; ++i) {
     if (std::strncmp(argv[i], "--attr=", 7) == 0) {
       attr = argv[i] + 7;
+    } else if (std::strncmp(argv[i], "--pages=", 8) == 0) {
+      pages_dir = argv[i] + 8;
     } else {
       rest.emplace_back(argv[i]);
     }
@@ -181,7 +197,7 @@ int main(int argc, char** argv) {
   }
   if (cmd == "demo" && !rest.empty()) {
     const int32_t n = rest.size() > 1 ? std::atoi(rest[1].c_str()) : 25;
-    return Demo(rest[0], n);
+    return Demo(rest[0], n, pages_dir);
   }
   if (cmd == "info" && rest.size() == 1) return Info(rest[0]);
   if (cmd == "verify" && rest.size() == 2) return Verify(rest[0], rest[1], attr);

@@ -27,8 +27,8 @@ uint64_t DocumentCache::KeyHash64(const util::Hash128& content_hash,
                                   const std::string& attr) {
   // Both 128-bit halves plus the projection attribute: entries that differ
   // only in projection must shard/sketch independently. Keyed SipHash, not a
-  // public mix of the stable content hash — shard routing and sketch rows
-  // must not be precomputable by a tenant that controls the page bytes.
+  // public mix of the content hash — shard routing and sketch rows must not
+  // be precomputable by a tenant that controls the page bytes.
   util::SipHasher h;
   h.Update64(content_hash.lo);
   h.Update64(content_hash.hi);
@@ -73,7 +73,7 @@ util::Result<std::shared_ptr<const CachedDocument>> DocumentCache::GetOrParse(
   bool from_store = false;
   MD_ASSIGN_OR_RETURN(
       std::shared_ptr<const CachedDocument> doc,
-      PrepareDocument(html, project_attr, content_hash, &from_store));
+      PrepareDocument(html, project_attr, &from_store));
   if (span != nullptr) span->Tag(from_store ? "store" : "parse");
   if (!cache_.enabled()) {
     if (from_store) store_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -94,13 +94,12 @@ util::Result<std::shared_ptr<const CachedDocument>> DocumentCache::GetOrParse(
 util::Result<std::shared_ptr<const CachedDocument>>
 DocumentCache::PrepareDocument(std::string_view html,
                                const std::string& project_attr,
-                               const util::Hash128& content_hash,
                                bool* from_store) {
   *from_store = false;
   if (corpus_store_ != nullptr) {
     telemetry::TraceSpan span(telemetry::CurrentTrace(), "store.rehydrate");
     util::Result<store::FrozenDocument> frozen =
-        corpus_store_->Find(content_hash, project_attr);
+        corpus_store_->Find(html, project_attr);
     if (frozen.ok()) {
       *from_store = true;
       return CachedDocument::FromFrozen(*frozen, corpus_store_);

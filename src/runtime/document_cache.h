@@ -112,11 +112,11 @@ struct DocumentCacheStats {
 /// projections see different trees and must not share an entry — plus the
 /// corpus-store second level.
 ///
-/// The cache key hash is keyed SipHash (per-process random key), so an
-/// untrusted tenant cannot precompute pages that collide into one shard or
-/// alias another tenant's sketch counters. The unkeyed Hash128 content hash
-/// (stable, persisted by the corpus store) identifies the page; SipHash only
-/// decides in-memory placement.
+/// The page is identified by its content hash, HashBytes128 under the
+/// per-process random key, so an untrusted tenant cannot search offline for
+/// two pages that share an entry. The cache key hash is keyed SipHash over
+/// that hash and the attribute, so a tenant cannot precompute pages that
+/// collide into one shard or alias another tenant's sketch counters either.
 ///
 /// Thread safety: all public methods are safe to call concurrently.
 class DocumentCache {
@@ -135,10 +135,11 @@ class DocumentCache {
 
   /// Same, with the content hash precomputed by the caller (the runtime
   /// already hashed the page for its memo key — don't re-scan the bytes).
-  /// `content_hash` must equal HashBytes128(html). `span`, when non-null, is
-  /// the caller's open trace span for this lookup: it is tagged with the
-  /// outcome ("hit", "store", "parse", or "uncached") and carries
-  /// admitted=0 when admission denies the prepared document a slot.
+  /// `content_hash` must equal HashBytes128(html) under the process key.
+  /// `span`, when non-null, is the caller's open trace span for this lookup:
+  /// it is tagged with the outcome ("hit", "store", "parse", or "uncached")
+  /// and carries admitted=0 when admission denies the prepared document a
+  /// slot.
   /// `tenant` pays for the entry's bytes and is the fair-share principal.
   util::Result<std::shared_ptr<const CachedDocument>> GetOrParse(
       std::string_view html, const std::string& project_attr,
@@ -173,14 +174,15 @@ class DocumentCache {
   static int64_t DocumentCost(const Key& key, const CachedDocument& doc);
 
   /// Prepares a document for `html` without parsing if the corpus store has
-  /// it; falls back to CachedDocument::Parse. Called outside shard locks.
+  /// it (the store hashes `html` again, under the snapshot's key); falls back
+  /// to CachedDocument::Parse. Called outside shard locks.
   /// Sets `*from_store` when the document was rehydrated from the corpus
   /// store; the caller books the store_hits stat only if that copy is the one
   /// it actually serves (a preparation that loses the concurrent insert race
   /// on the same content hash is discarded and must not be counted).
   util::Result<std::shared_ptr<const CachedDocument>> PrepareDocument(
       std::string_view html, const std::string& project_attr,
-      const util::Hash128& content_hash, bool* from_store);
+      bool* from_store);
 
   ShardedLfuCache<Key, CachedDocument, KeyHasher> cache_;
   std::shared_ptr<const store::CorpusStore> corpus_store_;  // may be null

@@ -140,15 +140,16 @@ std::string PackDocument(const tree::Tree& t, const util::Hash128& hash,
 util::Status CorpusStore::Builder::AddHtml(std::string_view html,
                                            const std::string& project_attr) {
   MD_ASSIGN_OR_RETURN(tree::Tree t, html::ParseTree(html, project_attr));
-  return AddTree(t, util::HashBytes128(html), project_attr);
+  return AddTree(t, html, project_attr);
 }
 
 util::Status CorpusStore::Builder::AddTree(const tree::Tree& t,
-                                           const util::Hash128& content_hash,
+                                           std::string_view page_bytes,
                                            const std::string& project_attr) {
   if (t.size() <= 0) {
     return util::Status::InvalidArgument("cannot pack an empty tree");
   }
+  const util::Hash128 content_hash = util::HashBytes128(page_bytes, hash_key_);
   const uint64_t attr_hash =
       project_attr.empty() ? 0 : util::HashBytes(project_attr);
   PackedDoc packed{content_hash, attr_hash, project_attr,
@@ -173,6 +174,8 @@ util::Status CorpusStore::Builder::Save(const std::string& path) const {
   FileHeader fh;
   fh.layout_checksum = kLayoutChecksum;
   fh.doc_count = docs_.size();
+  fh.hash_key_k0 = hash_key_.k0;
+  fh.hash_key_k1 = hash_key_.k1;
 
   std::vector<IndexEntry> index(docs_.size());
   uint64_t cursor = AlignUp8(sizeof(FileHeader));
@@ -311,6 +314,7 @@ util::Result<std::shared_ptr<const CorpusStore>> CorpusStore::Open(
       index_bytes > store->size_ - fh.index_offset) {
     return util::Status::DataLoss("corpus store index out of bounds: " + path);
   }
+  store->hash_key_ = {fh.hash_key_k0, fh.hash_key_k1};
   if (fh.doc_count > 0) {
     if (Checksum64(store->data_ + fh.index_offset, index_bytes) !=
         fh.index_checksum) {
@@ -336,7 +340,8 @@ util::Result<std::shared_ptr<const CorpusStore>> CorpusStore::Open(
 }
 
 util::Result<FrozenDocument> CorpusStore::Find(
-    const util::Hash128& content_hash, std::string_view project_attr) const {
+    std::string_view page_bytes, std::string_view project_attr) const {
+  const util::Hash128 content_hash = util::HashBytes128(page_bytes, hash_key_);
   const uint64_t attr_hash =
       project_attr.empty() ? 0 : util::HashBytes(project_attr);
   const auto it = by_key_.find(DocKey64(content_hash, attr_hash));

@@ -32,7 +32,7 @@
 ///   b.Save("corpus.mdcs");
 ///   ...
 ///   auto store = CorpusStore::Open("corpus.mdcs");   // serving process
-///   auto doc = (*store)->Find(HashBytes128(page_bytes), "class");
+///   auto doc = (*store)->Find(page_bytes, "class");
 ///   tree::Tree t = doc->MakeTree();              // zero-copy columns
 ///   auto xml = wrapper::WrapTree(w, t);          // plan replay in place
 ///
@@ -47,6 +47,7 @@ namespace mdatalog::store {
 /// runtime's CachedDocument keeps a shared_ptr to the store for exactly this
 /// reason).
 struct FrozenDocument {
+  /// HashBytes128 of the page bytes under the snapshot's key.
   util::Hash128 content_hash;
   /// Attribute projection the document was prepared under ("" = raw tree).
   std::string_view project_attr;
@@ -68,7 +69,10 @@ struct FrozenDocument {
 };
 
 /// An immutable, content-addressed collection of prepared documents, backed
-/// by one mmap'd file.
+/// by one mmap'd file. Documents are addressed by util::HashBytes128 of the
+/// page bytes under the snapshot's own key (drawn by the Builder, stored in
+/// the file header); the store hashes the bytes itself, so no caller can
+/// look up with a hash made under another key.
 ///
 /// Thread safety: Open() returns a fully-validated immutable object; Find()
 /// and Get() are const and touch only the read-only mapping, so any number
@@ -78,15 +82,22 @@ class CorpusStore {
   /// Accumulates documents in memory, then writes one store file.
   class Builder {
    public:
+    /// A builder whose snapshot hashes pages under a fresh random key.
+    Builder() : Builder(util::RandomSipHashKey()) {}
+    /// A builder under an explicit key, so a snapshot can be reproduced
+    /// byte for byte.
+    explicit Builder(const util::SipHashKey& hash_key) : hash_key_(hash_key) {}
+
     /// Parses `html` exactly as the serving runtime would (including the
     /// optional attribute projection, Remark 2.2) and packs the result,
-    /// keyed by HashBytes128(html). Re-adding the same (content, attr)
+    /// keyed by the hash of `html`. Re-adding the same (content, attr)
     /// replaces the earlier copy.
     util::Status AddHtml(std::string_view html,
                          const std::string& project_attr);
-    /// Packs an already-built tree under an explicit content hash — for
+    /// Packs an already-built tree, keyed by the hash of `page_bytes` — for
     /// corpora whose documents do not come from the bundled HTML parser.
-    util::Status AddTree(const tree::Tree& t, const util::Hash128& content_hash,
+    /// Find(page_bytes, project_attr) serves it.
+    util::Status AddTree(const tree::Tree& t, std::string_view page_bytes,
                          const std::string& project_attr);
 
     int64_t num_documents() const {
@@ -106,6 +117,7 @@ class CorpusStore {
       std::string attr;  // exact bytes, for dedup beyond the 64-bit hash
       std::string blob;
     };
+    util::SipHashKey hash_key_;
     std::vector<PackedDoc> docs_;
     std::unordered_map<uint64_t, std::vector<size_t>> by_key_;  // dedup
     int64_t packed_bytes_ = 0;
@@ -129,10 +141,11 @@ class CorpusStore {
   int64_t mapped_bytes() const { return static_cast<int64_t>(size_); }
   const std::string& path() const { return path_; }
 
-  /// Document by (content hash, projection attribute). NotFound when the
-  /// corpus has no such document; DataLoss when it does but the blob fails
-  /// validation (bit rot — the caller should fall back to parsing).
-  util::Result<FrozenDocument> Find(const util::Hash128& content_hash,
+  /// Document by (page bytes, projection attribute); hashes `page_bytes`
+  /// under the snapshot's key. NotFound when the corpus has no such
+  /// document; DataLoss when it does but the blob fails validation (bit rot
+  /// — the caller should fall back to parsing).
+  util::Result<FrozenDocument> Find(std::string_view page_bytes,
                                     std::string_view project_attr) const;
   /// i-th document, in file order (0 <= i < size()).
   util::Result<FrozenDocument> Get(int64_t i) const;
@@ -147,6 +160,7 @@ class CorpusStore {
   size_t size_ = 0;
   bool mmapped_ = false;
   std::vector<unsigned char> fallback_;  // used when mmap is unavailable
+  util::SipHashKey hash_key_;            // from the file header
   std::vector<IndexEntry> index_;
   std::unordered_map<uint64_t, std::vector<size_t>> by_key_;
 };

@@ -1,16 +1,17 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <string_view>
 #include <type_traits>
+
+#include "src/util/hash.h"
 
 /// \file format.h
 /// On-disk layout of a corpus store (see README.md in this directory).
 ///
 /// A store file is:
 ///
-///   FileHeader
+///   FileHeader                (incl. the snapshot's page-hash key)
 ///   doc blob 0                (8-byte aligned)
 ///   doc blob 1
 ///   ...
@@ -41,7 +42,7 @@ namespace mdatalog::store {
 
 inline constexpr uint32_t kFileMagic = 0x4D444353;  // "MDCS"
 inline constexpr uint32_t kDocMagic = 0x4D444F43;   // "MDOC"
-inline constexpr uint32_t kFormatVersion = 2;
+inline constexpr uint32_t kFormatVersion = 3;
 inline constexpr uint32_t kEndianTag = 0x01020304;
 
 struct FileHeader {
@@ -53,13 +54,17 @@ struct FileHeader {
   uint64_t index_offset = 0;     // absolute file offset of IndexEntry[0]
   uint64_t index_checksum = 0;   // Checksum64 over the index bytes
   uint64_t file_size = 0;        // total bytes; rejects silent truncation
+  /// The snapshot's page-hash key: every content hash in the file is
+  /// util::HashBytes128(page bytes, {hash_key_k0, hash_key_k1}).
+  uint64_t hash_key_k0 = 0;
+  uint64_t hash_key_k1 = 0;
 };
-static_assert(sizeof(FileHeader) == 48);
+static_assert(sizeof(FileHeader) == 64);
 
 /// One packed document. Lookup key is (content hash, attr hash); the attr
 /// bytes inside the blob break ties on the (64-bit) attr-hash collision.
 struct IndexEntry {
-  uint64_t hash_lo = 0;
+  uint64_t hash_lo = 0;  // content hash under the file header's key
   uint64_t hash_hi = 0;
   uint64_t attr_hash = 0;  // util::HashBytes(project_attr); 0 when empty
   uint64_t offset = 0;     // absolute file offset of the DocHeader
@@ -91,7 +96,7 @@ static_assert(std::has_unique_object_representations_v<DocHeader>);
 /// (or format revision) differs: mixed into the file header at save time,
 /// checked at open. FNV-style fold of the struct sizes plus a salt bumped on
 /// any incompatible format change that keeps kFormatVersion.
-inline constexpr uint32_t kLayoutSalt = 1;  // v2 layout, rev 1
+inline constexpr uint32_t kLayoutSalt = 1;  // v3 layout, rev 1
 inline constexpr uint32_t kLayoutChecksum =
     (((kLayoutSalt * 16777619u ^ static_cast<uint32_t>(sizeof(FileHeader))) *
           16777619u ^
@@ -100,16 +105,15 @@ inline constexpr uint32_t kLayoutChecksum =
      static_cast<uint32_t>(sizeof(DocHeader))) *
     16777619u;
 
-/// FNV-1a over arbitrary bytes — the payload/index checksums. (Integrity
-/// against storage rot and truncation, not an authenticity mechanism.)
+/// The payload/index checksums: util::HashBytes128 under a fixed, public
+/// key. They guard integrity against storage rot and truncation, not
+/// authenticity: with the key public, anyone can forge a matching checksum.
+inline constexpr util::SipHashKey kChecksumKey{0x4d4443532d636b31ULL,
+                                               0x6d646174616c6f67ULL};
 inline uint64_t Checksum64(const void* data, size_t n) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  uint64_t h = 1469598103934665603ULL;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
+  return util::HashBytes128(
+             std::string_view(static_cast<const char*>(data), n), kChecksumKey)
+      .lo;
 }
 
 /// Rounds a size/offset up to the section alignment (8 bytes — the widest

@@ -1,28 +1,32 @@
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <random>
 #include <string_view>
 
+#include "src/util/bits.h"
+
 /// \file hash.h
 /// Content hashing shared by the serving caches (src/runtime/) and the
-/// corpus store (src/store/). Moved out of the runtime so the store — which
-/// the runtime sits on top of — can key packed documents by the same content
-/// hash the document cache uses, without a dependency cycle.
+/// corpus store (src/store/). Three families, each for one kind of input:
 ///
-/// Two families live here with different stability contracts:
-///  * HashBytes / HashBytes128 — unkeyed, stable across processes and runs.
-///    The corpus store persists HashBytes128 values into packed snapshots,
-///    so these must never change silently.
-///  * SipHash-2-4 (SipHasher / SipHash) — keyed, randomized per process.
-///    The in-memory caches use it for shard routing, sketch keys and bucket
-///    placement: once tenants are mutually untrusted, a 64-bit unkeyed hash
-///    is an attack surface (precomputed collisions skew one shard, alias the
-///    frequency sketch, or degenerate a hash bucket into a list). A secret
-///    key removes the offline-search option without a measurable cost on the
-///    serving path (~1 byte/cycle on short keys).
+///  * HashBytes128 — the page hash. Pages are untrusted, and a collision
+///    between two pages makes the result memo and the document cache serve
+///    one page's answer for another's, so it is keyed: the serving caches
+///    hash under the per-process random key, and a corpus snapshot under
+///    its own key, stored in its header. It is a word-at-a-time multiply
+///    hash that runs at memory speed; the key makes collisions unsearchable
+///    offline, but it is not a PRF, and under a public key (the store's
+///    checksums) collisions are easy to construct.
+///  * HashBytes — unkeyed FNV-1a, stable across runs. Only for trusted
+///    input: program text fingerprints and projection attribute names.
+///  * SipHash-2-4 (SipHasher / SipHash) — keyed, for small structured cache
+///    keys: shard routing, sketch keys and bucket placement, where an
+///    unkeyed 64-bit hash would let a tenant skew one shard, alias the
+///    frequency sketch or degenerate a bucket into a list.
 
 namespace mdatalog::util {
 
@@ -37,62 +41,108 @@ inline uint64_t HashBytes(std::string_view bytes) {
   return h;
 }
 
-/// 128-bit content hash: an FNV-1a stream plus a structurally different
-/// multiply-xorshift stream, one scan. Document/memo/store keys use this
-/// because the HTML is untrusted — a key collision would silently serve one
-/// page's extraction results for another, and 64 bits of a non-cryptographic
-/// hash is constructible. Not cryptographic either (see the note at the
-/// definition); swap in a keyed hash if adversarial collision search is in
-/// the threat model.
+/// 128-bit key for SipHash and HashBytes128. Equal keys produce equal
+/// hashes; the process key below is random, so hash values under it are NOT
+/// stable across runs — never persist them.
+struct SipHashKey {
+  uint64_t k0 = 0;
+  uint64_t k1 = 0;
+};
+
+/// A fresh key from std::random_device.
+inline SipHashKey RandomSipHashKey() {
+  std::random_device rd;
+  auto r64 = [&rd] {
+    return (static_cast<uint64_t>(rd()) << 32) ^ static_cast<uint64_t>(rd());
+  };
+  return SipHashKey{r64(), r64()};
+}
+
+/// The process-wide random key the in-memory caches hash with. One key per
+/// process: cache keys never cross process boundaries (a corpus snapshot
+/// carries its own key), and a shared key lets every cache reuse one secret.
+inline const SipHashKey& ProcessSipHashKey() {
+  static const SipHashKey key = RandomSipHashKey();
+  return key;
+}
+
+/// A 128-bit digest (HashBytes128).
 struct Hash128 {
   uint64_t lo = 0;
   uint64_t hi = 0;
   bool operator==(const Hash128&) const = default;
 };
 
-inline Hash128 HashBytes128(std::string_view bytes) {
-  // Two structurally different accumulators over one scan: `lo` is standard
-  // FNV-1a; `hi` is a multiply-xorshift (splitmix-style) stream, so a
-  // differential that collides the FNV polynomial does not transfer to the
-  // second state. Not cryptographic — a determined attacker with offline
-  // search could still target the pair — but the serving caches fail
-  // *wrong-answer-silently* on collision, so the bar sits deliberately far
-  // above a single 64-bit FNV. Swap in a keyed hash (SipHash) here if the
-  // deployment threat model includes adversarial collision search.
-  Hash128 h;
-  h.lo = 1469598103934665603ULL;
-  h.hi = 0x9e3779b97f4a7c15ULL;
-  for (unsigned char c : bytes) {
-    h.lo = (h.lo ^ c) * 1099511628211ULL;
-    uint64_t x = h.hi + 0x9e3779b97f4a7c15ULL + c;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    h.hi = x ^ (x >> 27);
+namespace hash_internal {
+
+inline uint64_t Load64Le(const unsigned char* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
   }
-  h.hi ^= static_cast<uint64_t>(bytes.size());  // length guard
-  return h;
+  return v;
 }
 
-/// 128-bit key for SipHash. Equal keys produce equal hashes; the process key
-/// below is random, so hash values are NOT stable across runs — never
-/// persist them.
-struct SipHashKey {
-  uint64_t k0 = 0;
-  uint64_t k1 = 0;
-};
+/// The 128-bit product of a and b, its halves xor-folded to 64 bits.
+inline uint64_t FoldedMultiply(uint64_t a, uint64_t b) {
+  const unsigned __int128 p = static_cast<unsigned __int128>(a) * b;
+  return static_cast<uint64_t>(p) ^ static_cast<uint64_t>(p >> 64);
+}
 
-/// The process-wide random SipHash key the in-memory caches hash with. One
-/// key per process: cache keys never cross process boundaries (the corpus
-/// store keys on the unkeyed Hash128 precisely so its snapshots stay
-/// portable), and a shared key lets every cache reuse one secret.
-inline const SipHashKey& ProcessSipHashKey() {
-  static const SipHashKey key = [] {
-    std::random_device rd;
-    auto r64 = [&rd] {
-      return (static_cast<uint64_t>(rd()) << 32) ^ static_cast<uint64_t>(rd());
-    };
-    return SipHashKey{r64(), r64()};
-  }();
-  return key;
+inline constexpr uint64_t kStripeBytes = 64;
+inline constexpr uint64_t kLaneMul = 0x9e3779b97f4a7c15ULL;  // odd
+
+/// One 64-byte stripe: lane i takes the words a, b at 16i and 16i + 8 and
+/// becomes acc * kLaneMul + a + b + fold((a ^ s[2i]) * (b ^ s[2i+1])). The
+/// odd multiplier makes lane order matter and keeps the update a bijection
+/// of the lane's prior state; the raw a + b keeps a word in play when the
+/// product is zero (a == s[2i] or b == s[2i+1]).
+inline void Stripe(uint64_t acc[4], const unsigned char* p,
+                   const uint64_t s[8]) {
+  for (int i = 0; i < 4; ++i) {
+    const uint64_t a = Load64Le(p + 16 * i);
+    const uint64_t b = Load64Le(p + 16 * i + 8);
+    acc[i] = acc[i] * kLaneMul + a + b +
+             FoldedMultiply(a ^ s[2 * i], b ^ s[2 * i + 1]);
+  }
+}
+
+}  // namespace hash_internal
+
+/// Keyed 128-bit page hash (see the file comment). Bytes go through four
+/// independent 64-bit lanes in 64-byte stripes. The tail is zero-padded to
+/// one more stripe, so the length, mixed into both output words, is what
+/// tells apart inputs that differ only by trailing zero bytes. Lane 0's
+/// multiplicands are word0 ^ key.k0 and word1 ^ key.k1 (tests/hash_test.cc
+/// builds a zero product from that).
+inline Hash128 HashBytes128(std::string_view bytes,
+                            const SipHashKey& key = ProcessSipHashKey()) {
+  using namespace hash_internal;
+  uint64_t s[8] = {key.k0, key.k1};
+  for (int i = 2; i < 8; ++i) s[i] = Mix64(s[i - 2] + kLaneMul * i);
+  uint64_t acc[4] = {s[7], s[6], s[5], s[4]};
+
+  const unsigned char* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  const uint64_t n = bytes.size();
+  uint64_t left = n;
+  for (; left >= kStripeBytes; p += kStripeBytes, left -= kStripeBytes) {
+    Stripe(acc, p, s);
+  }
+  if (left > 0) {
+    unsigned char tail[kStripeBytes] = {};
+    std::memcpy(tail, p, left);
+    Stripe(acc, tail, s);
+  }
+
+  Hash128 h;
+  h.lo = Mix64(n * 0xc2b2ae3d27d4eb4fULL +
+               FoldedMultiply(acc[0] ^ s[2], acc[1] ^ s[3]) +
+               FoldedMultiply(acc[2] ^ s[4], acc[3] ^ s[5]));
+  h.hi = Mix64(~n * 0x165667b19e3779f9ULL +
+               FoldedMultiply(acc[0] ^ s[6], acc[2] ^ s[1]) +
+               FoldedMultiply(acc[1] ^ s[7], acc[3] ^ s[0]));
+  return h;
 }
 
 /// Incremental SipHash-2-4 (Aumasson & Bernstein). Feed any mix of raw byte
@@ -117,12 +167,12 @@ class SipHasher {
         --len;
       }
       if (buffered_ == 8) {
-        Compress(Load64(buf_));
+        Compress(hash_internal::Load64Le(buf_));
         buffered_ = 0;
       }
     }
     while (len >= 8) {
-      Compress(Load64(p));
+      Compress(hash_internal::Load64Le(p));
       p += 8;
       len -= 8;
     }
@@ -158,11 +208,6 @@ class SipHasher {
 
  private:
   static uint64_t Rotl(uint64_t x, int b) { return (x << b) | (x >> (64 - b)); }
-  static uint64_t Load64(const unsigned char* p) {
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-    return v;
-  }
 
   void Round() {
     v0_ += v1_;

@@ -29,7 +29,6 @@
 #include "src/tree/generator.h"
 #include "src/tree/serialize.h"
 #include "src/tree/tree.h"
-#include "src/util/hash.h"
 #include "src/util/rng.h"
 #include "src/wrapper/wrapper.h"
 #include "tests/engine_oracles.h"
@@ -74,8 +73,8 @@ std::string PlanXml(const wrapper::Wrapper& w, const tree::Tree& t,
 }
 
 /// `trees` served by WrapperRuntime::Wrap. Each is packed into a corpus
-/// store under the content hash of the page "tree <i>", so the request
-/// rehydrates exactly that tree instead of parsing HTML.
+/// store under the page bytes "tree <i>", so the request rehydrates exactly
+/// that tree instead of parsing HTML.
 std::vector<std::string> ServedXml(const wrapper::Wrapper& w,
                                    const std::vector<tree::Tree>& trees) {
   const std::string path =
@@ -86,8 +85,7 @@ std::vector<std::string> ServedXml(const wrapper::Wrapper& w,
   store::CorpusStore::Builder builder;
   for (size_t i = 0; i < trees.size(); ++i) {
     pages.push_back("tree " + std::to_string(i));
-    EXPECT_TRUE(
-        builder.AddTree(trees[i], util::HashBytes128(pages.back()), "").ok());
+    EXPECT_TRUE(builder.AddTree(trees[i], pages.back(), "").ok());
   }
   EXPECT_TRUE(builder.Save(path).ok());
   auto store = store::CorpusStore::Open(path);

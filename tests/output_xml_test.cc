@@ -188,7 +188,8 @@ TEST(OutputXmlTest, StoreRehydratedTreesMatchTheReferenceRenderer) {
   store::CorpusStore::Builder builder;
   for (uint64_t i = 0; i < 20; ++i) {
     trees.push_back(RandomTextTree(rng, 1 + rng.Below(80)));
-    ASSERT_TRUE(builder.AddTree(trees.back(), {i + 1, 0}, "").ok());
+    ASSERT_TRUE(
+        builder.AddTree(trees.back(), "tree " + std::to_string(i), "").ok());
   }
   const std::string path = testing::TempDir() + "/output_xml.mdcs";
   ASSERT_TRUE(builder.Save(path).ok());

@@ -105,11 +105,13 @@ uint64_t Fnv64(std::string_view bytes) {
 }
 
 TEST(CorpusStoreTest, PackedBytesArePinned) {
-  // Single-document snapshot files, digested. The tree content (label
-  // order, no leftover "#document" symbol) is pinned since before the
-  // in-place scanner replaced the token-vector parser; the digests are of
-  // format version 2, whose files are the version 1 files with the unary-EDB
-  // section dropped and the doc header re-laid out.
+  // Single-document snapshot files under a fixed builder key, digested. The
+  // tree content (label order, no leftover "#document" symbol) is pinned
+  // since before the in-place scanner replaced the token-vector parser; the
+  // digests are of format version 3, whose files are the version 2 files
+  // with the hash key added to the file header, the content hashes taken
+  // under that key and the checksums under the new hash.
+  const util::SipHashKey kPinKey{0x0123456789abcdefULL, 0xfedcba9876543210ULL};
   std::vector<std::pair<std::string, std::string>> pages;
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     util::Rng rng(seed);
@@ -146,22 +148,22 @@ TEST(CorpusStoreTest, PackedBytesArePinned) {
   for (const std::string& page : edge_cases) pages.emplace_back(page, "class");
   for (const std::string& page : edge_cases) pages.emplace_back(page, "");
   const std::vector<uint64_t> expected = {
-      0xab67582174e063d6ull, 0x8b7e4d231e73b135ull, 0x0fee0ddd187a06cdull,
-      0xb3f48f3e743ee6c0ull, 0xfc62bfb7d0d3eb6eull, 0x788a2756e96283a4ull,
-      0x2976762df3b2c6e5ull, 0x53e5da6882ef3af5ull, 0x59aeb435e396f333ull,
-      0x9306e9bcbe8b1087ull, 0x8272a755ae9fe49aull, 0x3430954f7305523bull,
-      0x04ef6ef8cdc82d92ull, 0x674bdae44845df35ull, 0xd0574ca8c2b5ea3dull,
-      0xa587ed7fadcd8f7full, 0xcd01a499346002d2ull, 0x419ee8fd45f1ce1bull,
-      0xc4af69e291157bcbull, 0x4843fde1318b582cull, 0x3c48ec692bec27caull,
-      0x50f619a71a5b103dull, 0x3085a45b6425c33aull, 0xff18fca888ca26f5ull,
-      0x64f9994f328dbdfbull, 0x3c49ce56fbbecc12ull, 0x0b97eef8fad050b7ull,
-      0xcd2ce018dc7786fdull, 0xfb5469f53f23ab41ull, 0x446277e0c60a8463ull,
-      0x3cbde6bae45b3809ull, 0x8dad544ac81d78dfull, 0xc1906a80c7aca6dcull,
+      0x1dfdad71f9a52e2eull, 0xb50c1bc92c8d3811ull, 0xb322904edc73c2aaull,
+      0x90ec8e8534e11ff2ull, 0xc04acccfe0737ce3ull, 0xdb2f70ea6dc386eeull,
+      0xd90a66dfe7302e66ull, 0x253da549f7bde873ull, 0xa24f052712f00201ull,
+      0xdcb195340c73be87ull, 0xbe8f7170e5903ccaull, 0x98db8f91d242d227ull,
+      0x1ed09ebebb5f0e44ull, 0x9f04989ca69a4327ull, 0xbf636b1622bd8936ull,
+      0x930313a228c7e0c6ull, 0xb2990f9700f6cfd8ull, 0xdf51574445beff8dull,
+      0x7f2db7c7164ab2a5ull, 0x9b26d89a7e6d631aull, 0xbe8d9e594232f913ull,
+      0xf291c0c25a465bfaull, 0xaa9691e21970bca5ull, 0x187f54ac07aafea5ull,
+      0xbe598be263b003ecull, 0xa221334443528343ull, 0xdca6e6e51b21f381ull,
+      0x96e8bbf9917c86fbull, 0x790cbce92f46c50eull, 0xee1b0c116065b099ull,
+      0xb61c4ada4ddcde6eull, 0xfe727795d9de0f2full, 0x63538d75c0da3fe7ull,
   };
   ASSERT_EQ(pages.size(), expected.size());
   const std::string path = TempPath("pinned.mdcs");
   for (size_t i = 0; i < pages.size(); ++i) {
-    store::CorpusStore::Builder b;
+    store::CorpusStore::Builder b(kPinKey);
     ASSERT_TRUE(b.AddHtml(pages[i].first, pages[i].second).ok()) << i;
     ASSERT_TRUE(b.Save(path).ok()) << i;
     EXPECT_EQ(Fnv64(ReadFile(path)), expected[i]) << "page " << i;
@@ -180,7 +182,7 @@ TEST(CorpusStoreTest, RoundTripsTreesByteForByte) {
 
   for (int32_t i = 0; i < 4; ++i) {
     const std::string page = CatalogPage(100 + i, 8 + i % 5);
-    auto frozen = store->Find(util::HashBytes128(page), "class");
+    auto frozen = store->Find(page, "class");
     ASSERT_TRUE(frozen.ok()) << frozen.status().ToString();
     EXPECT_EQ(frozen->project_attr, "class");
 
@@ -198,17 +200,79 @@ TEST(CorpusStoreTest, RoundTripsTreesByteForByte) {
 
   // The raw (unprojected) board page lives under attr "".
   const std::string board = BoardPage(7, 3, 3);
-  auto frozen = store->Find(util::HashBytes128(board), "");
+  auto frozen = store->Find(board, "");
   ASSERT_TRUE(frozen.ok());
   auto doc = html::ParseHtml(board);
   ASSERT_TRUE(doc.ok());
   EXPECT_TRUE(tree::TreesEqual(doc->tree(), frozen->MakeTree()));
 
   // Same bytes, different projection: not the same document.
-  EXPECT_EQ(store->Find(util::HashBytes128(board), "class").status().code(),
+  EXPECT_EQ(store->Find(board, "class").status().code(),
             util::StatusCode::kNotFound);
-  EXPECT_EQ(store->Find(util::HashBytes128("<p>absent</p>"), "").status().code(),
+  EXPECT_EQ(store->Find("<p>absent</p>", "").status().code(),
             util::StatusCode::kNotFound);
+}
+
+TEST(CorpusStoreTest, SnapshotsUnderDifferentKeysServeIdenticalTrees) {
+  const util::SipHashKey keys[] = {{1, 2}, {0x9e3779b97f4a7c15ULL, 3}};
+  std::vector<std::string> pages;
+  for (int32_t i = 0; i < 4; ++i) pages.push_back(CatalogPage(300 + i, 6 + i));
+  pages.push_back(BoardPage(8, 3, 2));
+  std::vector<std::shared_ptr<const store::CorpusStore>> stores;
+  std::vector<std::string> files;
+  for (size_t k = 0; k < std::size(keys); ++k) {
+    store::CorpusStore::Builder b(keys[k]);
+    for (const std::string& page : pages) {
+      ASSERT_TRUE(b.AddHtml(page, "class").ok());
+    }
+    const std::string path = TempPath(k == 0 ? "key_a.mdcs" : "key_b.mdcs");
+    ASSERT_TRUE(b.Save(path).ok());
+    files.push_back(ReadFile(path));
+    auto store = store::CorpusStore::Open(path);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    stores.push_back(*store);
+  }
+  EXPECT_EQ(files[0].size(), files[1].size());
+  EXPECT_NE(files[0], files[1]);  // the key and every content hash differ
+  for (const std::string& page : pages) {
+    auto a = stores[0]->Find(page, "class");
+    auto b = stores[1]->Find(page, "class");
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_NE(a->content_hash, b->content_hash);
+    const tree::Tree ta = a->MakeTree();
+    const tree::Tree tb = b->MakeTree();
+    EXPECT_TRUE(tree::TreesEqual(ta, tb));
+    EXPECT_EQ(tree::ToXml(ta), tree::ToXml(tb));
+  }
+}
+
+TEST(CorpusStoreTest, PageWhoseBytesAreAbsentIsNotFound) {
+  // Find hashes the bytes it is given, so a page is served only for exactly
+  // the bytes it was packed under — not for a one-byte edit, an extension
+  // by zero bytes, or other bytes that parse to the same tree.
+  const std::string page = CatalogPage(42, 6);
+  const std::string path = TempPath("absent.mdcs");
+  store::CorpusStore::Builder b;
+  ASSERT_TRUE(b.AddHtml(page, "class").ok());
+  auto tree = html::ParseTree(page, "class");
+  ASSERT_TRUE(tree.ok());
+  ASSERT_TRUE(b.AddTree(*tree, "an opaque document id", "class").ok());
+  ASSERT_TRUE(b.Save(path).ok());
+  auto store = store::CorpusStore::Open(path);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+
+  EXPECT_TRUE((*store)->Find(page, "class").ok());
+  EXPECT_TRUE((*store)->Find("an opaque document id", "class").ok());
+  std::string edited = page;
+  edited[edited.size() / 2] ^= 1;
+  for (const std::string& absent :
+       {edited, page + std::string(1, '\0'), page + " ",
+        page.substr(0, page.size() - 1), std::string("an opaque document"),
+        std::string()}) {
+    EXPECT_EQ((*store)->Find(absent, "class").status().code(),
+              util::StatusCode::kNotFound)
+        << absent.size();
+  }
 }
 
 TEST(CorpusStoreTest, DedupsAndReplacesByContentAndAttr) {
@@ -233,7 +297,7 @@ TEST(CorpusStoreTest, EmptyStoreRoundTrips) {
   auto store = store::CorpusStore::Open(path);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   EXPECT_EQ((*store)->size(), 0);
-  EXPECT_EQ((*store)->Find({1, 2}, "").status().code(),
+  EXPECT_EQ((*store)->Find("<p>x</p>", "").status().code(),
             util::StatusCode::kNotFound);
 }
 
@@ -267,8 +331,9 @@ TEST(CorpusStoreTest, RejectsWrongVersionAsFailedPrecondition) {
   const std::string path = TempPath("version.mdcs");
   BuildAndOpen(path, 1, "");
   const std::string bytes = ReadFile(path);
-  // 1: a snapshot from before the unary-EDB section was dropped.
-  for (const char version : {1, 99}) {
+  // 1: a snapshot from before the unary-EDB section was dropped; 2: one
+  // whose content hashes and checksums are the unkeyed byte-at-a-time hash.
+  for (const char version : {1, 2, 99}) {
     std::string patched = bytes;
     patched[4] = version;  // FileHeader::version
     WriteFile(path, patched);
@@ -353,7 +418,7 @@ TEST(CorpusStoreRuntimeTest, SnapshotServingIsByteIdenticalAcrossEngines) {
   ASSERT_TRUE(handle.ok());
   for (const std::string& page : pages) {
     auto want = rt.Wrap(*handle, page);
-    auto frozen = (*store)->Find(util::HashBytes128(page), "class");
+    auto frozen = (*store)->Find(page, "class");
     ASSERT_TRUE(want.ok() && frozen.ok());
     const tree::Tree t = frozen->MakeTree();
     const core::TreeDatabase db(t);
@@ -422,8 +487,7 @@ TEST(CorpusStoreRuntimeTest, ConcurrentReadersShareOneMapping) {
     threads.emplace_back([&, ti] {
       for (int32_t round = 0; round < 3; ++round) {
         for (size_t pi = 0; pi < pages.size(); ++pi) {
-          auto frozen =
-              (*store)->Find(util::HashBytes128(pages[pi]), "class");
+          auto frozen = (*store)->Find(pages[pi], "class");
           if (!frozen.ok()) { ++failures[ti]; continue; }
           const tree::Tree t = frozen->MakeTree();
           core::TreeDatabase edb(t);
