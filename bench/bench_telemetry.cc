@@ -80,7 +80,6 @@ void BM_WrapTelemetry(benchmark::State& state) {
   opts.result_memo.byte_budget = 0;  // every request runs the full pipeline
   opts.document_cache.byte_budget = 256 << 20;
   opts.telemetry.enabled = enabled;
-  opts.telemetry.trace_sample_every = 1;  // trace every request
   runtime::WrapperRuntime rt(opts);
   auto handle = rt.Register(CatalogWrapper(), "class");
   MD_CHECK(handle.ok());

@@ -76,7 +76,6 @@ int main(int argc, char** argv) {
   runtime::RuntimeOptions opts;
   opts.num_threads = 1;
   opts.result_memo.byte_budget = 0;  // every request runs (and traces) the pipeline
-  opts.telemetry.trace_sample_every = 1;
   opts.telemetry.trace_ring_capacity = requests;  // retain every trace
   runtime::WrapperRuntime rt(opts);
   auto handle = rt.Register(w, "class");

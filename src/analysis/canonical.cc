@@ -4,7 +4,6 @@
 #include <numeric>
 #include <unordered_map>
 
-#include "src/analysis/minimize.h"
 #include "src/elog/to_datalog.h"
 #include "src/util/hash.h"
 
@@ -106,8 +105,7 @@ std::string CanonicalProgramText(const Program& program) {
 
 util::Result<WrapperKey> CanonicalWrapperKey(
     const elog::ElogProgram& program,
-    const std::vector<std::string>& extraction_patterns,
-    const CanonicalKeyOptions& options) {
+    const std::vector<std::string>& extraction_patterns) {
   WrapperKey key;
   auto finish = [&](std::string text) {
     key.text = std::move(text);
@@ -127,24 +125,22 @@ util::Result<WrapperKey> CanonicalWrapperKey(
     return finish(elog::ToString(program));
   }
 
-  MD_ASSIGN_OR_RETURN(Program datalog, elog::ElogToDatalog(program));
+  MD_ASSIGN_OR_RETURN(MinimizeResult minimized,
+                      MinimizeWrapper(program, extraction_patterns));
   key.canonicalized = true;
-  if (!options.minimize) {
-    return finish(CanonicalProgramText(datalog));
-  }
+  return finish(CanonicalProgramText(minimized.program));
+}
 
-  MinimizeOptions mopts;
+util::Result<MinimizeResult> MinimizeWrapper(
+    const elog::ElogProgram& program,
+    const std::vector<std::string>& extraction_patterns) {
+  MD_ASSIGN_OR_RETURN(Program datalog, elog::ElogToDatalog(program));
+  MinimizeOptions options;
   for (const std::string& p : extraction_patterns) {
     PredId id = datalog.preds().Find(p == "root" ? p : "pat_" + p);
-    if (id >= 0) mopts.roots.push_back(id);
+    if (id >= 0) options.roots.push_back(id);
   }
-  if (mopts.roots.empty()) {
-    // No extraction pattern maps to a predicate: nothing is observable, so
-    // reachability would delete everything. Keep every head a root instead.
-    mopts.remove_unreachable = false;
-  }
-  MD_ASSIGN_OR_RETURN(MinimizeResult minimized, Minimize(datalog, mopts));
-  return finish(CanonicalProgramText(minimized.program));
+  return Minimize(datalog, options);
 }
 
 }  // namespace mdatalog::analysis

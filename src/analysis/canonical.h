@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "src/analysis/minimize.h"
 #include "src/core/ast.h"
 #include "src/elog/ast.h"
 #include "src/util/result.h"
@@ -42,11 +43,6 @@ std::string CanonicalRuleString(const core::Program& program,
 /// Minimize() when reduction is wanted.
 std::string CanonicalProgramText(const core::Program& program);
 
-struct CanonicalKeyOptions {
-  /// Run Minimize (sound reductions only) before canonical rendering.
-  bool minimize = true;
-};
-
 struct WrapperKey {
   /// The canonical text: program section + '\x1f' + extraction patterns
   /// (verbatim, in order — pattern order shapes the output tree).
@@ -62,7 +58,17 @@ struct WrapperKey {
 /// only on programs the Elog⁻ translation itself rejects as malformed.
 util::Result<WrapperKey> CanonicalWrapperKey(
     const elog::ElogProgram& program,
-    const std::vector<std::string>& extraction_patterns,
-    const CanonicalKeyOptions& options = {});
+    const std::vector<std::string>& extraction_patterns);
+
+/// The wrapper's datalog translation (elog::ElogToDatalog: one rule per
+/// source rule, in order, so fates index source rules) minimized with the
+/// extraction patterns' predicates as roots. When no pattern resolves to a
+/// predicate nothing is named observable, and every head counts as a root
+/// rather than the whole wrapper being declared dead (the translation sets
+/// no query predicate, so Minimize skips reachability). Fails on Δ
+/// programs, which have no translation (Theorem 6.6).
+util::Result<MinimizeResult> MinimizeWrapper(
+    const elog::ElogProgram& program,
+    const std::vector<std::string>& extraction_patterns);
 
 }  // namespace mdatalog::analysis

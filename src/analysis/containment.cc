@@ -470,9 +470,7 @@ util::Result<ContainmentResult> Contains(const core::Program& p,
       }
     }
     MD_CHECK(v != tree::kNoNode);
-    if (options.verify_witness) {
-      MD_RETURN_NOT_OK(VerifyWitness(p, q, witness, v));
-    }
+    MD_RETURN_NOT_OK(VerifyWitness(p, q, witness, v));
     result.verdict = Verdict::kNotContained;
     result.witness_tree = std::move(witness);
     result.witness_node = v;

@@ -42,7 +42,8 @@
 ///
 /// A SAT model is *decoded into a real tree and re-checked with the
 /// production evaluator* before kNotContained is returned — a verdict never
-/// rests on the encoding alone.
+/// rests on the encoding alone. A witness the evaluator disagrees with is an
+/// Internal error (an encoder bug, not a user error).
 ///
 /// Contract (see src/analysis/README.md): kNotContained is a proof (witness
 /// included); kContained proves absence of counterexamples only within the
@@ -59,10 +60,6 @@ struct ContainmentOptions {
   /// Total SAT conflict budget across all depth layers; exhausting it yields
   /// kUnknown. < 0 = unbounded.
   int64_t max_conflicts = 1 << 20;
-  /// Re-evaluate the decoded witness with the real engine before returning
-  /// kNotContained (Internal error on mismatch — an encoder bug, not a user
-  /// error). Costs one small-tree evaluation; keep on.
-  bool verify_witness = true;
 };
 
 enum class Verdict {

@@ -255,24 +255,6 @@ util::Status VerifyEquivalentOnRoots(const Program& original,
 
 }  // namespace
 
-const char* RuleFateName(RuleFate fate) {
-  switch (fate) {
-    case RuleFate::kKept:
-      return "kept";
-    case RuleFate::kUnsatBody:
-      return "unsat-body";
-    case RuleFate::kUnderivableBody:
-      return "underivable-body";
-    case RuleFate::kUnreachable:
-      return "unreachable";
-    case RuleFate::kDuplicate:
-      return "duplicate";
-    case RuleFate::kSubsumed:
-      return "subsumed";
-  }
-  return "unknown";
-}
-
 bool Subsumes(const Rule& subsumer, const Rule& subsumee) {
   if (subsumer.head.pred != subsumee.head.pred) return false;
   return SubsumptionMatcher(subsumer, subsumee).Match();
@@ -339,7 +321,7 @@ util::Result<MinimizeResult> Minimize(const Program& program,
     }
 
     // 3. Heads that no root predicate depends on.
-    if (options.remove_unreachable && !roots.empty()) {
+    if (!roots.empty()) {
       current = BuildProgram(program, rules, alive);
       std::vector<bool> reachable = core::ReachablePreds(current, roots);
       for (size_t i = 0; i < n; ++i) {
@@ -351,14 +333,12 @@ util::Result<MinimizeResult> Minimize(const Program& program,
     }
 
     // 4. Redundant literals within each surviving rule.
-    if (options.condense_literals) {
-      for (size_t i = 0; i < n; ++i) {
-        if (!alive[i]) continue;
-        int32_t removed = CondenseRule(&rules[i]);
-        if (removed > 0) {
-          literals_removed[i] += removed;
-          changed = true;
-        }
+    for (size_t i = 0; i < n; ++i) {
+      if (!alive[i]) continue;
+      int32_t removed = CondenseRule(&rules[i]);
+      if (removed > 0) {
+        literals_removed[i] += removed;
+        changed = true;
       }
     }
 
@@ -376,16 +356,14 @@ util::Result<MinimizeResult> Minimize(const Program& program,
 
     // 6. θ-subsumed rules. Earlier rules win ties, so two rules that
     // subsume each other (renamings) keep exactly one.
-    if (options.remove_subsumed) {
-      for (size_t i = 0; i < n; ++i) {
-        if (!alive[i]) continue;
-        for (size_t j = 0; j < n; ++j) {
-          if (i == j || !alive[j]) continue;
-          if (rules[i].head.pred != rules[j].head.pred) continue;
-          if (Subsumes(rules[i], rules[j])) {
-            kill(j, RuleFate::kSubsumed);
-            changed = true;
-          }
+    for (size_t i = 0; i < n; ++i) {
+      if (!alive[i]) continue;
+      for (size_t j = 0; j < n; ++j) {
+        if (i == j || !alive[j]) continue;
+        if (rules[i].head.pred != rules[j].head.pred) continue;
+        if (Subsumes(rules[i], rules[j])) {
+          kill(j, RuleFate::kSubsumed);
+          changed = true;
         }
       }
     }

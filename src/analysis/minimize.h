@@ -56,18 +56,11 @@ enum class RuleFate : uint8_t {
   kSubsumed,
 };
 
-/// Human-readable fate name ("kept", "unsat-body", ...).
-const char* RuleFateName(RuleFate fate);
-
 struct MinimizeOptions {
   /// Output predicates whose extents must be preserved. Empty = the
   /// program's query predicate; if that is unset too, reachability pruning
   /// is skipped (every head counts as a root).
   std::vector<core::PredId> roots;
-
-  bool remove_unreachable = true;
-  bool remove_subsumed = true;
-  bool condense_literals = true;
 
   /// Re-prove input ≡ output with bounded SAT containment on every root.
   /// A refutation means a minimizer bug and yields an Internal error.

@@ -76,7 +76,6 @@ class SatSolver {
   static int32_t Index(Lit l) {
     return 2 * (std::abs(l) - 1) + (l < 0 ? 1 : 0);
   }
-  static Lit Negate(Lit l) { return -l; }
 
   enum : int8_t { kFalse = 0, kTrue = 1, kUndef = -1 };
   int8_t ValueOf(Lit l) const {

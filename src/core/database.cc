@@ -95,12 +95,13 @@ std::string LabelFromPredName(const std::string& name) {
 
 int32_t ChildKIndex(const std::string& name) {
   if (name.rfind("child", 0) != 0 || name.size() <= 5) return -1;
-  int32_t k = 0;
+  int64_t k = 0;
   for (size_t i = 5; i < name.size(); ++i) {
     if (name[i] < '0' || name[i] > '9') return -1;
     k = k * 10 + (name[i] - '0');
+    if (k > INT32_MAX) return -1;  // no such child position, not a wrap
   }
-  return k >= 1 ? k : -1;
+  return k >= 1 ? static_cast<int32_t>(k) : -1;
 }
 
 bool TreeDatabase::IsTreePredicate(const std::string& name, int32_t arity) {

@@ -178,7 +178,7 @@ class TreeDatabase : public EdbSource {
 std::string LabelPredName(const std::string& label);
 /// If `name` is a label predicate, returns the label; otherwise "".
 std::string LabelFromPredName(const std::string& name);
-/// If `name` is child<k> (k >= 1), returns k; otherwise -1.
+/// If `name` is child<k> (1 <= k <= INT32_MAX), returns k; otherwise -1.
 int32_t ChildKIndex(const std::string& name);
 
 }  // namespace mdatalog::core

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "src/elog/to_datalog.h"
+#include "src/analysis/canonical.h"
 #include "src/util/check.h"
 
 namespace mdatalog::elog {
@@ -92,8 +92,7 @@ std::string LintReport::ToText() const {
 
 util::Result<LintReport> LintWrapper(
     const ElogProgram& program,
-    const std::vector<std::string>& extraction_patterns,
-    const LintOptions& options) {
+    const std::vector<std::string>& extraction_patterns) {
   MD_RETURN_NOT_OK(ValidateElog(program));
 
   LintReport report;
@@ -110,7 +109,7 @@ util::Result<LintReport> LintWrapper(
                                  "extraction pattern has no defining rule"});
     }
   }
-  if (options.check_unused_patterns && !extraction_patterns.empty()) {
+  if (!extraction_patterns.empty()) {
     std::unordered_set<std::string> used(extraction_patterns.begin(),
                                          extraction_patterns.end());
     for (const ElogRule& r : program.rules()) {
@@ -135,20 +134,9 @@ util::Result<LintReport> LintWrapper(
     return report;
   }
 
-  MD_ASSIGN_OR_RETURN(core::Program datalog, ElogToDatalog(program));
-  analysis::MinimizeOptions mopts = options.minimize;
-  mopts.roots.clear();
-  for (const std::string& p : extraction_patterns) {
-    core::PredId id = datalog.preds().Find(p == "root" ? p : "pat_" + p);
-    if (id >= 0) mopts.roots.push_back(id);
-  }
-  if (mopts.roots.empty()) {
-    // Nothing observable named (or none resolved): treat every pattern as
-    // observable rather than declaring the whole wrapper dead.
-    mopts.remove_unreachable = false;
-  }
-  MD_ASSIGN_OR_RETURN(analysis::MinimizeResult minimized,
-                      analysis::Minimize(datalog, mopts));
+  MD_ASSIGN_OR_RETURN(
+      analysis::MinimizeResult minimized,
+      analysis::MinimizeWrapper(program, extraction_patterns));
 
   // ElogToDatalog is 1 rule : 1 rule, in order — fates index source rules.
   MD_CHECK(minimized.fates.size() == program.rules().size());

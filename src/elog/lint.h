@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "src/analysis/minimize.h"
 #include "src/elog/ast.h"
 #include "src/util/result.h"
 
@@ -43,14 +42,6 @@ struct LintFinding {
 /// Stable kebab-case kind name ("unsat-body", "dead-rule", ...).
 const char* LintFindingKindName(LintFinding::Kind kind);
 
-struct LintOptions {
-  /// Flag patterns that are neither extracted nor referenced by any rule.
-  bool check_unused_patterns = true;
-  /// Passed through to analysis::Minimize (roots are overwritten from the
-  /// extraction patterns).
-  analysis::MinimizeOptions minimize;
-};
-
 struct LintReport {
   std::vector<LintFinding> findings;
   int32_t rules_analyzed = 0;
@@ -70,7 +61,6 @@ struct LintReport {
 /// lint reports *useless* rules, not *broken* programs.
 util::Result<LintReport> LintWrapper(
     const ElogProgram& program,
-    const std::vector<std::string>& extraction_patterns,
-    const LintOptions& options = {});
+    const std::vector<std::string>& extraction_patterns);
 
 }  // namespace mdatalog::elog

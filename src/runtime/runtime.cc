@@ -15,8 +15,8 @@ namespace mdatalog::runtime {
 WrapperRuntime::WrapperRuntime(const RuntimeOptions& options)
     : options_(options),
       telemetry_(options.telemetry),
-      tenants_(&telemetry_.registry(), options.qos),
-      programs_(options.program_cache_capacity),
+      tenants_(&telemetry_.registry()),
+      programs_(kProgramCacheCapacity),
       documents_([&] {
         DocumentCacheOptions doc_options;
         doc_options.cache = options.document_cache;
@@ -73,16 +73,13 @@ util::Result<std::string> WrapperRuntime::Wrap(const WrapperHandle& handle,
       return s;
     }
   }
-  // A caller-owned trace wins (the caller keeps it, bypassing sampling and
-  // the ring); otherwise the telemetry policy decides and the runtime
-  // retains the finished trace. The TraceScope makes the trace visible to
-  // every layer below (store rehydration, HTML parse, the engines)
-  // via CurrentTrace() without threading a pointer through signatures.
-  std::unique_ptr<telemetry::TraceContext> owned =
-      request.trace != nullptr ? nullptr : telemetry_.StartTrace("wrap");
-  telemetry::TraceContext* trace =
-      request.trace != nullptr ? request.trace : owned.get();
-  const telemetry::TraceScope scope(trace);
+  // The runtime retains the finished trace (null when telemetry is off).
+  // The TraceScope makes it visible to every layer below (store
+  // rehydration, HTML parse, the engines) via CurrentTrace() without
+  // threading a pointer through signatures.
+  std::unique_ptr<telemetry::TraceContext> trace =
+      telemetry_.StartTrace("wrap");
+  const telemetry::TraceScope scope(trace.get());
   if (trace != nullptr) {
     trace->set_page_bytes(static_cast<int64_t>(html.size()));
   }
@@ -92,19 +89,13 @@ util::Result<std::string> WrapperRuntime::Wrap(const WrapperHandle& handle,
   const bool metered = tenants_.metered(request.tenant);
   const int64_t eval_start = metered ? telemetry::MonotonicNowNs() : 0;
   util::Result<std::string> xml =
-      WrapImpl(handle, html, control, trace, request.tenant);
+      WrapImpl(handle, html, control, trace.get(), request.tenant);
   if (metered) {
     tenants_.ChargeCpu(request.tenant,
                        telemetry::MonotonicNowNs() - eval_start);
   }
-  const util::StatusCode code =
-      xml.ok() ? util::StatusCode::kOk : xml.status().code();
-  if (owned != nullptr) {
-    telemetry_.FinishTrace(std::move(owned), code);
-  } else if (trace != nullptr) {
-    trace->set_status(code);
-    trace->Close();
-  }
+  telemetry_.FinishTrace(
+      std::move(trace), xml.ok() ? util::StatusCode::kOk : xml.status().code());
   return xml;
 }
 
@@ -273,22 +264,10 @@ WrapperRuntime::SubmitStream(const Request& request,
 
 std::future<util::Result<std::string>> WrapperRuntime::Submit(
     Request request) {
-  // The trace-lifetime contract (RequestOptions::trace) is enforced from
-  // here: the count rises before the caller regains control and falls inside
-  // the task, strictly before the future becomes ready — so a caller who
-  // joins the future may destroy the trace immediately after.
-  if (request.options.trace != nullptr) {
-    request.options.trace->AddInflightRequest();
-  }
   auto task = std::make_shared<
       std::packaged_task<util::Result<std::string>()>>(
       [this, request = std::move(request)] {
-        util::Result<std::string> result =
-            Wrap(request.wrapper, request.page.bytes(), request.options);
-        if (request.options.trace != nullptr) {
-          request.options.trace->ReleaseInflightRequest();
-        }
-        return result;
+        return Wrap(request.wrapper, request.page.bytes(), request.options);
       });
   std::future<util::Result<std::string>> future = task->get_future();
   pool_.Submit([task = std::move(task)] { (*task)(); });

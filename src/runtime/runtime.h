@@ -56,6 +56,12 @@ class StreamSession;  // stream_session.h includes runtime.h, not vice versa
 
 namespace mdatalog::runtime {
 
+/// Compiled programs the runtime keeps. The program cache and the result
+/// memo key on the canonical wrapper key (analysis::CanonicalWrapperKey) as
+/// well as the wrapper text: reformulated-but-equivalent wrapper revisions
+/// share one compiled plan and one set of memoized results.
+inline constexpr int32_t kProgramCacheCapacity = 64;
+
 struct RuntimeOptions {
   /// Workers in the batch executor. 1 = synchronous single-thread.
   int32_t num_threads = 1;
@@ -68,22 +74,14 @@ struct RuntimeOptions {
   /// assumes ~4KB entries.
   CacheOptions result_memo{.byte_budget = 16 << 20,
                            .sketch_entry_bytes = 4 << 10};
-  /// Max number of compiled programs kept. The program cache and the result
-  /// memo key on the canonical wrapper key (analysis::CanonicalWrapperKey)
-  /// as well as the wrapper text: reformulated-but-equivalent wrapper
-  /// revisions share one compiled plan and one set of memoized results.
-  int32_t program_cache_capacity = 64;
   /// Optional open corpus store (store::CorpusStore::Open), served as the
   /// document cache's second level: in-memory miss → mmap'd snapshot →
   /// only then an HTML parse. Documents must have been packed with the same
   /// projection attribute the wrapper registers with. May be null.
   std::shared_ptr<const store::CorpusStore> corpus_store = nullptr;
   /// Tenants registered at construction, in id order starting at 1 (id 0 is
-  /// the always-present unmetered default tenant). More may be added later
-  /// via RegisterTenant().
+  /// the always-present unmetered default tenant).
   std::vector<TenantQuota> tenants;
-  /// Priority-class deadline caps for over-quota tenants.
-  QosOptions qos;
 
   enum class EngineMode {
     /// Ground-plan replay, for every wrapper (Elog⁻ and Elog⁻Δ).
@@ -114,15 +112,6 @@ struct RequestOptions {
   /// holds the shared_ptr in the request closure, so the token outlives the
   /// evaluation. Cancelled requests return kCancelled.
   std::shared_ptr<util::CancelToken> cancel;
-  /// Caller-owned trace for this request. When set, the runtime records the
-  /// request's span tree into it (bypassing the sampling policy and the
-  /// trace ring — the caller keeps the trace) instead of starting its own.
-  /// Must outlive the request; for Submit/SubmitBatch that means until the
-  /// future resolves, for SubmitStream until the session is destroyed.
-  /// Enforced in debug builds: the runtime counts async requests into
-  /// TraceContext::inflight_requests() and the trace's destructor asserts
-  /// the count is zero. Null = the runtime's own sampling policy decides.
-  telemetry::TraceContext* trace = nullptr;
   /// Who this request runs as — pays for its cache bytes, is charged its
   /// CPU, and gets its QoS class. Unknown ids serve as the default tenant.
   TenantId tenant = kDefaultTenant;
@@ -226,12 +215,6 @@ class WrapperRuntime {
   /// wrapper (Remark 2.2), e.g. "class" for "tr@item"-style patterns.
   util::Result<WrapperHandle> Register(const wrapper::Wrapper& wrapper,
                                        const std::string& project_attr = "");
-
-  /// Registers a tenant while serving; returns its id. Tenants listed in
-  /// RuntimeOptions::tenants are registered at construction (ids 1, 2, …).
-  TenantId RegisterTenant(const TenantQuota& quota) {
-    return tenants_.Register(quota);
-  }
 
   /// Wraps one page synchronously on the calling thread, through the caches
   /// and the tenant's QoS gate. Returns the output XML, or

@@ -7,6 +7,14 @@ namespace mdatalog::runtime {
 
 namespace {
 
+// Priority-class deadline caps applied to over-quota requests; 0 = the
+// class never degrades. The caps deliberately leave high priority untouched:
+// a paying interactive tenant that bursts past its quota keeps its latency
+// contract, while batch (low) traffic over quota is squeezed hardest.
+constexpr int64_t kHighDegradeMs = 0;
+constexpr int64_t kNormalDegradeMs = 25;
+constexpr int64_t kLowDegradeMs = 5;
+
 int64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -15,9 +23,8 @@ int64_t NowNs() {
 
 }  // namespace
 
-TenantRegistry::TenantRegistry(telemetry::MetricsRegistry* registry,
-                               const QosOptions& qos)
-    : registry_(registry), qos_(qos) {
+TenantRegistry::TenantRegistry(telemetry::MetricsRegistry* registry)
+    : registry_(registry) {
   if (registry_ == nullptr) {
     owned_registry_ = std::make_unique<telemetry::MetricsRegistry>();
     registry_ = owned_registry_.get();
@@ -88,13 +95,13 @@ RequestAdmission TenantRegistry::Admit(TenantId tenant,
   int64_t cap_ms = 0;
   switch (t->quota.priority) {
     case Priority::kHigh:
-      cap_ms = qos_.high_degrade_ms;
+      cap_ms = kHighDegradeMs;
       break;
     case Priority::kNormal:
-      cap_ms = qos_.normal_degrade_ms;
+      cap_ms = kNormalDegradeMs;
       break;
     case Priority::kLow:
-      cap_ms = qos_.low_degrade_ms;
+      cap_ms = kLowDegradeMs;
       break;
   }
   if (cap_ms <= 0) return adm;  // this class never degrades

@@ -45,8 +45,9 @@ namespace mdatalog::runtime {
 using TenantId = int32_t;
 inline constexpr TenantId kDefaultTenant = 0;
 
-/// Request priority classes, mapped to deadline-degradation caps in
-/// QosOptions when the tenant is over its CPU quota.
+/// Request priority classes, mapped to deadline-degradation caps (tenant.cc)
+/// when the tenant is over its CPU quota: high never degrades, normal is
+/// capped at 25 ms and low at 5 ms.
 enum class Priority { kHigh = 0, kNormal = 1, kLow = 2 };
 
 struct TenantQuota {
@@ -65,17 +66,6 @@ struct TenantQuota {
   /// balance goes negative. 0 = one second's worth (cpu_ns_per_sec).
   int64_t cpu_burst_ns = 0;
   Priority priority = Priority::kNormal;
-};
-
-/// Priority-class deadline caps applied to over-quota requests; 0 = this
-/// class never degrades. The caps deliberately leave high priority
-/// untouched: a paying interactive tenant that bursts past its quota keeps
-/// its latency contract, while batch (low) traffic over quota is squeezed
-/// hardest.
-struct QosOptions {
-  int64_t high_degrade_ms = 0;
-  int64_t normal_degrade_ms = 25;
-  int64_t low_degrade_ms = 5;
 };
 
 /// Per-tenant counter handles, resolved once at Register() time from the
@@ -106,8 +96,7 @@ class TenantRegistry {
   /// `registry` hosts the per-tenant counters (pass the runtime's metrics
   /// registry so they export with everything else); null = the registry
   /// owns a private one (standalone/tests).
-  explicit TenantRegistry(telemetry::MetricsRegistry* registry = nullptr,
-                          const QosOptions& qos = {});
+  explicit TenantRegistry(telemetry::MetricsRegistry* registry = nullptr);
 
   TenantRegistry(const TenantRegistry&) = delete;
   TenantRegistry& operator=(const TenantRegistry&) = delete;
@@ -142,8 +131,6 @@ class TenantRegistry {
   /// negative = over quota).
   int64_t cpu_balance_ns(TenantId tenant) const;
 
-  const QosOptions& qos() const { return qos_; }
-
  private:
   struct Tenant {
     TenantQuota quota;
@@ -158,7 +145,6 @@ class TenantRegistry {
 
   telemetry::MetricsRegistry* registry_;
   std::unique_ptr<telemetry::MetricsRegistry> owned_registry_;
-  const QosOptions qos_;
 
   mutable std::shared_mutex mu_;  // guards the vector, not the tenants
   std::vector<std::unique_ptr<Tenant>> tenants_;

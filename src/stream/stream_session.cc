@@ -46,17 +46,9 @@ StreamSession::StreamSession(
       request_(std::move(request)),
       control_(request_.deadline, request_.cancel.get()),
       constructor_(project_attr_, ConstructionHooks{this}),
-      telemetry_(telemetry),
-      external_trace_(request_.trace) {
-  MD_CHECK(program_ != nullptr);
-  if (external_trace_ != nullptr) {
-    // The session records into the caller's trace for its whole lifetime;
-    // hold it inflight so destroying the trace first trips the debug assert
-    // instead of a use-after-free.
-    external_trace_->AddInflightRequest();
-  } else if (telemetry_ != nullptr) {
-    trace_ = telemetry_->StartTrace("stream");
-  }
+      telemetry_(telemetry) {
+  MD_CHECK(program_ != nullptr && telemetry_ != nullptr);
+  trace_ = telemetry_->StartTrace("stream");
   // The synthetic root the constructor starts with: whether it survives
   // into the output tree is settled at end of input. Until then the two
   // worlds disagree about it by design: the kept world sees it as the root,
@@ -99,12 +91,6 @@ void StreamSession::BindPatternSets() {
   }
 }
 
-StreamSession::~StreamSession() {
-  if (external_trace_ != nullptr) {
-    external_trace_->ReleaseInflightRequest();
-  }
-}
-
 util::Status StreamSession::Terminal(util::Status status) {
   if (!status.ok() && status_.ok()) status_ = status;
   if (!terminal_) {
@@ -128,7 +114,7 @@ util::Status StreamSession::CheckLive() {
 }
 
 util::Status StreamSession::PropagateAll() {
-  telemetry::TraceSpan span(cur_trace(), "stream.propagate");
+  telemetry::TraceSpan span(trace_.get(), "stream.propagate");
   int64_t facts_before = 0;
   if (span) {
     for (const core::IncrementalReplay* world : worlds()) {
@@ -159,32 +145,22 @@ void StreamSession::UpdateEdbPeak() {
 
 void StreamSession::SettleSessionTrace() {
   if (!terminal_) return;
-  if (telemetry_ != nullptr) {
-    // The peaks survive the session as registry gauges (process-wide highs)
-    // even when this particular request was not traced.
-    telemetry_->registry().GetGauge("stream.peak_live_nodes")
-        ->SetMax(peak_live_nodes_);
-    telemetry_->registry().GetGauge("stream.peak_edb_bytes")
-        ->SetMax(peak_edb_bytes_);
-  }
-  telemetry::TraceContext* trace = cur_trace();
-  if (trace == nullptr) return;
-  trace->set_page_bytes(bytes_fed_);
-  trace->set_nodes(static_cast<int64_t>(closed_.size()));
+  // The peaks survive the session as registry gauges (process-wide highs)
+  // even when this particular request was not traced.
+  telemetry_->registry().GetGauge("stream.peak_live_nodes")
+      ->SetMax(peak_live_nodes_);
+  telemetry_->registry().GetGauge("stream.peak_edb_bytes")
+      ->SetMax(peak_edb_bytes_);
+  if (trace_ == nullptr) return;
+  trace_->set_page_bytes(bytes_fed_);
+  trace_->set_nodes(static_cast<int64_t>(closed_.size()));
   const util::StatusCode code =
       status_.ok() ? util::StatusCode::kOk : status_.code();
-  if (trace_ != nullptr && telemetry_ != nullptr) {
-    telemetry_->FinishTrace(std::move(trace_), code);
-  } else {
-    // Caller-owned (or orphaned) trace: close it, the caller keeps it.
-    trace->set_status(code);
-    trace->Close();
-    trace_.reset();
-  }
+  telemetry_->FinishTrace(std::move(trace_), code);
 }
 
 util::Status StreamSession::Feed(std::string_view chunk) {
-  const telemetry::TraceScope scope(cur_trace());
+  const telemetry::TraceScope scope(trace_.get());
   util::Status s = FeedImpl(chunk);
   // Settled only after every span above has unwound: finishing the trace
   // moves its span log, and a live TraceSpan still points into it.
@@ -195,7 +171,7 @@ util::Status StreamSession::Feed(std::string_view chunk) {
 util::Status StreamSession::FeedImpl(std::string_view chunk) {
   MD_RETURN_NOT_OK(CheckLive());
   bytes_fed_ += static_cast<int64_t>(chunk.size());
-  telemetry::TraceSpan span(cur_trace(), "stream.feed");
+  telemetry::TraceSpan span(trace_.get(), "stream.feed");
   span.Value("bytes", static_cast<int64_t>(chunk.size()));
   const int32_t nodes_before = builder().size();
   util::Status s = scanner_.Feed(chunk, &constructor_, control());
@@ -314,7 +290,7 @@ void StreamSession::EmitResult(int32_t pattern_index, tree::NodeId node) {
 }
 
 util::Result<std::string> StreamSession::Finish() {
-  const telemetry::TraceScope scope(cur_trace());
+  const telemetry::TraceScope scope(trace_.get());
   util::Result<std::string> result = FinishImpl();
   SettleSessionTrace();
   return result;
@@ -323,7 +299,7 @@ util::Result<std::string> StreamSession::Finish() {
 util::Result<std::string> StreamSession::FinishImpl() {
   MD_RETURN_NOT_OK(CheckLive());
   finished_ = true;
-  telemetry::TraceSpan finish_span(cur_trace(), "stream.finish");
+  telemetry::TraceSpan finish_span(trace_.get(), "stream.finish");
 
   util::Status s = scanner_.Finish(&constructor_, control());
   if (!s.ok()) return Terminal(std::move(s));
@@ -349,7 +325,7 @@ util::Result<std::string> StreamSession::FinishImpl() {
   // The tree is finished: the Δ builtin facts are final too.
   winner->EndOfInput();
   {
-    telemetry::TraceSpan span(cur_trace(), "stream.propagate");
+    telemetry::TraceSpan span(trace_.get(), "stream.propagate");
     s = winner->Propagate(control());
     if (span) span.Value("facts", winner->num_derived());
   }
@@ -369,7 +345,7 @@ util::Result<std::string> StreamSession::FinishImpl() {
   MD_CHECK(built.ok());  // content exists, checked above
   std::string xml;
   {
-    telemetry::TraceSpan span(cur_trace(), "output.build");
+    telemetry::TraceSpan span(trace_.get(), "output.build");
     std::vector<const core::NodeSet*> sets;
     sets.reserve(program_->pattern_preds.size());
     for (const core::PredId pred : program_->pattern_preds) {

@@ -66,24 +66,17 @@ class StreamSession {
   /// `project_attr` mirrors WrapperHandle::project_attr (Remark 2.2
   /// attribute projection, applied to labels as nodes are created).
   /// `request` carries the deadline / cancel token; both the tokenizer and
-  /// the propagation poll it. `telemetry`, when non-null (the runtime
-  /// passes its own bundle), traces the session ("stream" kind: one
-  /// stream.feed span per chunk, stream.propagate per propagation,
-  /// stream.finish) and books the session's peak gauges at termination; it
-  /// must outlive the session. request.trace overrides the sampling policy
-  /// exactly as in Wrap.
+  /// the propagation poll it. `telemetry` (the runtime's own bundle) traces
+  /// the session ("stream" kind: one stream.feed span per chunk,
+  /// stream.propagate per propagation, stream.finish) and books the
+  /// session's peak gauges at termination; it must outlive the session.
   StreamSession(std::shared_ptr<const runtime::CompiledWrapperProgram> program,
                 std::string project_attr, StreamOptions options,
-                runtime::RequestOptions request = {},
-                telemetry::Telemetry* telemetry = nullptr);
+                runtime::RequestOptions request,
+                telemetry::Telemetry* telemetry);
 
   StreamSession(const StreamSession&) = delete;
   StreamSession& operator=(const StreamSession&) = delete;
-
-  /// Releases the session's hold on a caller-owned trace
-  /// (TraceContext::inflight_requests — the trace must outlive the session,
-  /// asserted by the trace's destructor in debug builds).
-  ~StreamSession();
 
   /// Consumes the next chunk of the page. Chunk boundaries are arbitrary —
   /// mid-tag, mid-attribute, mid-entity, one byte at a time — and never
@@ -124,14 +117,9 @@ class StreamSession {
   /// not be finished while a stack span still points into it).
   util::Status FeedImpl(std::string_view chunk);
   util::Result<std::string> FinishImpl();
-  /// After Terminal fired: books the peak gauges and finishes (owned) or
-  /// closes (caller-owned) the session trace. Idempotent.
+  /// After Terminal fired: books the peak gauges and hands the session trace
+  /// to the telemetry bundle. Idempotent.
   void SettleSessionTrace();
-  /// The session's trace: the caller-owned one from RequestOptions::trace,
-  /// or the sampled one the session started. May be null.
-  telemetry::TraceContext* cur_trace() const {
-    return external_trace_ != nullptr ? external_trace_ : trace_.get();
-  }
   void UpdateEdbPeak();
 
   /// Tree-construction hooks: node `n` was just created (its label already
@@ -206,9 +194,8 @@ class StreamSession {
   bool terminal_ = false;  // on_finish fired
   util::Status status_;    // first error, latched
 
-  telemetry::Telemetry* const telemetry_;            // may be null
-  telemetry::TraceContext* const external_trace_;    // caller-owned, may be null
-  std::unique_ptr<telemetry::TraceContext> trace_;   // owned, may be null
+  telemetry::Telemetry* const telemetry_;
+  std::unique_ptr<telemetry::TraceContext> trace_;  // null when not traced
   int64_t bytes_fed_ = 0;
   int64_t live_nodes_ = 0;
   int64_t peak_live_nodes_ = 0;

@@ -11,19 +11,12 @@ Telemetry::Telemetry(const TelemetryOptions& options) : options_(options) {}
 
 std::unique_ptr<TraceContext> Telemetry::StartTrace(const char* kind) {
   if (!options_.enabled) return nullptr;
-  if (options_.trace_sample_every > 1) {
-    const uint64_t draw = trace_draw_.fetch_add(1, std::memory_order_relaxed);
-    if (draw % static_cast<uint64_t>(options_.trace_sample_every) != 0) {
-      return nullptr;
-    }
-  }
   return std::make_unique<TraceContext>(kind);
 }
 
 void Telemetry::FinishTrace(std::unique_ptr<TraceContext> trace,
                             util::StatusCode status) {
   if (trace == nullptr) return;
-  trace->set_status(status);
   trace->Close();
 
   // Fold every span into its per-stage latency histogram, and the whole
@@ -59,10 +52,7 @@ void Telemetry::FinishTrace(std::unique_ptr<TraceContext> trace,
     std::string entry = FormatBreakdown(finished);
     std::lock_guard<std::mutex> lock(slow_mu_);
     slow_log_.push_back(std::move(entry));
-    while (slow_log_.size() >
-           static_cast<size_t>(std::max(1, options_.slow_log_capacity))) {
-      slow_log_.pop_front();
-    }
+    if (slow_log_.size() > kSlowLogCapacity) slow_log_.pop_front();
   }
 
   std::lock_guard<std::mutex> lock(ring_mu_);

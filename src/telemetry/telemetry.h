@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -10,16 +9,16 @@
 
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/trace.h"
+#include "src/util/status.h"
 
 /// \file telemetry.h
-/// The per-runtime telemetry bundle: one metrics registry, the
-/// trace-sampling policy, a bounded ring buffer of recently completed
-/// traces, and the slow-request log.
+/// The per-runtime telemetry bundle: one metrics registry, a bounded ring
+/// buffer of recently completed traces, and the slow-request log.
 ///
 /// Life of a traced request:
 ///   1. the runtime asks StartTrace("wrap") — null when telemetry is
-///      disabled or the request lost the 1-in-N sampling draw, in which
-///      case every downstream TraceSpan is a no-op branch;
+///      disabled, in which case every downstream TraceSpan is a no-op
+///      branch;
 ///   2. the executing thread installs the trace (TraceScope) and the
 ///      pipeline's instrumentation points record spans against it;
 ///   3. FinishTrace() closes the trace, folds every span into the
@@ -42,16 +41,11 @@ namespace mdatalog::telemetry {
 struct TelemetryOptions {
   /// Master switch for tracing + histograms. Counters always record.
   bool enabled = true;
-  /// Trace one request in N (1 = every request). Sampled requests pay two
-  /// clock reads per span; unsampled requests pay one branch per span.
-  int32_t trace_sample_every = 1;
   /// Completed traces retained for export (the nodes-vs-wall-time scatter
   /// and the per-request breakdowns read these).
   int32_t trace_ring_capacity = 256;
   /// A traced request slower than this goes into the slow-request log.
   int64_t slow_request_ns = 50'000'000;  // 50ms
-  /// Formatted slow-request breakdowns retained.
-  int32_t slow_log_capacity = 64;
 };
 
 /// A completed request trace, as retained by the ring buffer.
@@ -68,6 +62,9 @@ struct FinishedTrace {
 
 class Telemetry {
  public:
+  /// Formatted slow-request breakdowns retained.
+  static constexpr size_t kSlowLogCapacity = 64;
+
   explicit Telemetry(const TelemetryOptions& options = {});
 
   Telemetry(const Telemetry&) = delete;
@@ -78,14 +75,14 @@ class Telemetry {
   MetricsRegistry& registry() { return registry_; }
   const MetricsRegistry& registry() const { return registry_; }
 
-  /// A fresh trace for one request, or nullptr (disabled / lost the
-  /// sampling draw). The caller threads it to the executing thread, wraps
-  /// the work in a TraceScope, and hands it back via FinishTrace.
+  /// A fresh trace for one request, or nullptr when tracing is disabled.
+  /// The caller threads it to the executing thread, wraps the work in a
+  /// TraceScope, and hands it back via FinishTrace.
   std::unique_ptr<TraceContext> StartTrace(const char* kind);
 
-  /// Closes the trace, records `status` on it, folds spans into the stage
-  /// histograms, retains it in the ring buffer and (if slow) the
-  /// slow-request log. Null-safe.
+  /// Closes the trace, folds spans into the stage histograms, retains it
+  /// with `status` in the ring buffer and (if slow) the slow-request log.
+  /// Null-safe.
   void FinishTrace(std::unique_ptr<TraceContext> trace,
                    util::StatusCode status);
 
@@ -97,7 +94,6 @@ class Telemetry {
  private:
   const TelemetryOptions options_;
   MetricsRegistry registry_;
-  std::atomic<uint64_t> trace_draw_{0};
 
   mutable std::mutex ring_mu_;
   std::deque<FinishedTrace> ring_;

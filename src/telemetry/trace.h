@@ -1,27 +1,21 @@
 #pragma once
 
 #include <array>
-#include <atomic>
-#include <cassert>
 #include <chrono>
 #include <cstdint>
 #include <vector>
 
-#include "src/util/status.h"
-
 /// \file trace.h
 /// Request-scoped trace spans for the serving pipeline.
 ///
-/// A TraceContext is created per request (by the runtime's Telemetry bundle,
-/// or by a caller who wants the breakdown directly via
-/// RequestOptions::trace) and travels with the request: the executing thread
-/// installs it as the thread-current trace (TraceScope), and every
-/// instrumented layer — HTML parse, EDB materialization, cache lookups,
-/// plan replay, fixpoint rounds, SAT solve, stream Feed/Propagate/Finish —
-/// opens a TraceSpan against CurrentTrace(). Spans nest (parent/depth follow
-/// the open-span stack), carry nanosecond monotonic timestamps, an optional
-/// outcome tag and up to three named integer values (round counts, delta
-/// sizes, SAT conflicts, …).
+/// A TraceContext is created per request by the runtime's Telemetry bundle
+/// and travels with the request: the executing thread installs it as the
+/// thread-current trace (TraceScope), and every instrumented layer — HTML
+/// parse, EDB materialization, cache lookups, plan replay, fixpoint rounds,
+/// SAT solve, stream Feed/Propagate/Finish — opens a TraceSpan against
+/// CurrentTrace(). Spans nest (parent/depth follow the open-span stack),
+/// carry nanosecond monotonic timestamps, an optional outcome tag and up to
+/// three named integer values (round counts, delta sizes, SAT conflicts, …).
 ///
 /// Cost contract:
 ///  * untraced fast path: a TraceSpan over a null context is one branch — no
@@ -81,32 +75,6 @@ class TraceContext {
   TraceContext(const TraceContext&) = delete;
   TraceContext& operator=(const TraceContext&) = delete;
 
-  /// Debug-build enforcement of the RequestOptions::trace lifetime contract:
-  /// a caller-owned trace must outlive every async request that records into
-  /// it. The runtime increments before enqueueing such a request and
-  /// decrements before the request's future resolves (stream sessions hold a
-  /// reference for their whole lifetime), so destroying a trace while the
-  /// count is nonzero is always a caller bug — about to become a use-after-
-  /// free on a worker thread.
-  ~TraceContext() {
-    assert(inflight_requests() == 0 &&
-           "TraceContext destroyed while an async request still references "
-           "it (RequestOptions::trace must outlive the future / session)");
-  }
-
-  void AddInflightRequest() {
-    inflight_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void ReleaseInflightRequest() {
-    inflight_.fetch_sub(1, std::memory_order_release);
-  }
-  /// Async requests currently referencing this trace. Maintained in every
-  /// build (one relaxed atomic per async request); only the destructor
-  /// assertion compiles out under NDEBUG.
-  int32_t inflight_requests() const {
-    return inflight_.load(std::memory_order_acquire);
-  }
-
   /// Opens a span; returns its index, or -1 when the span cap is hit (the
   /// matching EndSpan(-1) is a no-op).
   int32_t BeginSpan(const char* name);
@@ -133,9 +101,6 @@ class TraceContext {
   int64_t page_bytes() const { return page_bytes_; }
   int64_t nodes() const { return nodes_; }
 
-  void set_status(util::StatusCode code) { status_ = code; }
-  util::StatusCode status() const { return status_; }
-
  private:
   friend class TraceSpan;
 
@@ -145,10 +110,8 @@ class TraceContext {
   int64_t page_bytes_ = 0;
   int64_t nodes_ = 0;
   int64_t dropped_spans_ = 0;
-  util::StatusCode status_ = util::StatusCode::kOk;
   std::vector<SpanRecord> spans_;
   std::vector<int32_t> open_;  // stack of open span indexes
-  std::atomic<int32_t> inflight_{0};
 };
 
 /// The trace of the request this thread is currently executing, or nullptr.

@@ -112,9 +112,6 @@ class Tree {
   const std::string& label_name(NodeId n) const {
     return labels_.Name(label(n));
   }
-  bool HasLabel(NodeId n, std::string_view name) const {
-    return labels_.Find(name) == label(n);
-  }
 
   NodeId parent(NodeId n) const {
     MD_DCHECK(InRange(n));

@@ -65,7 +65,8 @@ void WriteXml(const std::vector<std::string>& extraction_patterns,
 /// The reference renderer: the output of WriteXml as a tree (serialize it
 /// with tree::ToXml), from extents held in an elog::ElogResult. Serves only
 /// the native evaluator's reference paths (the runtime's forced kNativeElog
-/// mode) and the test oracles; no wrapper entry point renders through it.
+/// mode, perfbench's traced replay, which checks every reply against it)
+/// and the test oracles; no wrapper entry point renders through it.
 tree::Tree BuildOutputTree(const std::vector<std::string>& extraction_patterns,
                            const elog::ElogResult& matches,
                            const tree::Tree& t);

@@ -392,6 +392,20 @@ TEST(GroundedTest, RejectsExtendedSignature) {
             (std::vector<int32_t>{2}));
 }
 
+TEST(GroundedTest, ChildKIndexRejectsPositionsPastInt32) {
+  EXPECT_EQ(ChildKIndex("child1"), 1);
+  EXPECT_EQ(ChildKIndex("child2147483647"), 2147483647);
+  EXPECT_EQ(ChildKIndex("child2147483648"), -1);
+  // 2^32 + 1: a wrapping parse would read it as child1.
+  EXPECT_EQ(ChildKIndex("child4294967297"), -1);
+  EXPECT_EQ(ChildKIndex("child99999999999999999999"), -1);
+  EXPECT_EQ(ChildKIndex("child0"), -1);
+  EXPECT_EQ(ChildKIndex("child"), -1);
+  auto p = ParseProgram("q(X) :- child4294967297(X, Y).");
+  ASSERT_TRUE(p.ok());
+  EXPECT_FALSE(GroundableOverTree(*p));
+}
+
 TEST(GroundedTest, AdmitsChildUpwardAndDownward) {
   // child is functional upward and enumerated downward: q needs some leaf
   // child (downward from X), r the parent of a leaf labeled e (upward).

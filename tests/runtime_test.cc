@@ -607,6 +607,25 @@ TEST(WrapperRuntimeTest, EquivalentWrapperRevisionsShareMemoizedResults) {
   EXPECT_EQ(stats.pages_wrapped, 1);  // never re-evaluated
 }
 
+TEST(WrapperRuntimeTest, ProgramCacheHoldsSixtyFourPrograms) {
+  runtime::WrapperRuntime rt;
+  for (int i = 0; i <= runtime::kProgramCacheCapacity; ++i) {
+    // A distinct label per wrapper, so no two share a canonical key.
+    auto program = elog::ParseElog("item(X) <- root(R), subelem(R, \"tag" +
+                                   std::to_string(i) + "\", X).");
+    ASSERT_TRUE(program.ok());
+    wrapper::Wrapper w;
+    w.program = *program;
+    w.extraction_patterns = {"item"};
+    ASSERT_TRUE(rt.Register(w).ok());
+  }
+  const runtime::ProgramCacheStats stats = rt.stats().program_cache;
+  EXPECT_EQ(runtime::kProgramCacheCapacity, 64);
+  EXPECT_EQ(stats.misses, 65);
+  EXPECT_EQ(stats.entries, 64);
+  EXPECT_EQ(stats.evictions, 1);
+}
+
 // ---------------------------------------------------------------------------
 // Concurrency: many threads × one shared document, many documents × one
 // shared program — results byte-identical to the sequential reference.
