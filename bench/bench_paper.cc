@@ -120,7 +120,7 @@ void BM_MsoQuery_Datalog(benchmark::State& state) {
   tree::Tree t = tree::RandomTree(rng, static_cast<int32_t>(state.range(0)),
                                   {"a", "b"});
   for (auto _ : state) {
-    auto sel = core::EvaluateOnTree(*program, t, core::Engine::kGrounded);
+    auto sel = core::EvaluateGrounded(*program, t);
     benchmark::DoNotOptimize(sel);
   }
   state.SetComplexityN(t.size());
@@ -156,7 +156,7 @@ void BM_BlowupQA_DatalogTranslation(benchmark::State& state) {
   tree::Tree t =
       tree::CompleteBinaryTree(static_cast<int32_t>(state.range(0)), "a");
   for (auto _ : state) {
-    auto r = core::EvaluateOnTree(*program, t, core::Engine::kGrounded);
+    auto r = core::EvaluateGrounded(*program, t);
     benchmark::DoNotOptimize(r);
   }
   state.SetComplexityN(t.size());
@@ -184,7 +184,7 @@ void BM_EvenAQA_DatalogTranslation(benchmark::State& state) {
   tree::Tree t =
       tree::CompleteBinaryTree(static_cast<int32_t>(state.range(0)), "a");
   for (auto _ : state) {
-    auto r = core::EvaluateOnTree(*program, t, core::Engine::kGrounded);
+    auto r = core::EvaluateGrounded(*program, t);
     benchmark::DoNotOptimize(r);
   }
   state.SetComplexityN(t.size());
@@ -350,7 +350,7 @@ void BM_DocumentOrder_Datalog(benchmark::State& state) {
   tree::Tree t = tree::RandomTree(rng, static_cast<int32_t>(state.range(0)),
                                   {"a", "b"});
   for (auto _ : state) {
-    auto sel = core::EvaluateOnTree(program, t, core::Engine::kGrounded);
+    auto sel = core::EvaluateGrounded(program, t);
     benchmark::DoNotOptimize(sel);
   }
   state.SetComplexityN(t.size());
@@ -500,7 +500,7 @@ void BM_XPath_ViaDatalog(benchmark::State& state) {
   auto program = xpath::XPathToDatalog(*path);
   tree::Tree t = XPathTree(state.range(0));
   for (auto _ : state) {
-    auto r = core::EvaluateOnTree(*program, t, core::Engine::kGrounded);
+    auto r = core::EvaluateGrounded(*program, t);
     benchmark::DoNotOptimize(r);
   }
   state.SetComplexityN(t.size());

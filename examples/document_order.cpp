@@ -44,7 +44,7 @@ int main() {
   program.set_query_pred(*result_pred);
   std::printf("\nLemma 5.9 program for p.child (p = a-labeled nodes):\n%s\n",
               core::ToString(program).c_str());
-  auto eval = core::EvaluateOnTree(program, t, core::Engine::kGrounded);
+  auto eval = core::EvaluateGrounded(program, t);
   if (!eval.ok()) return 1;
   std::printf("p.child on the Figure 1 tree = { ");
   for (int32_t n : eval->Query()) std::printf("n%d ", n + 1);

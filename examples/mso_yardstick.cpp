@@ -45,7 +45,7 @@ int main() {
   auto cls = mso::ClassOfNodes(t, opts.alphabet);
   auto by_reference = mso::EvalUnaryQueryReference(t, *formula, "x");
   auto by_automaton = mso::BtaUnaryQuery(*bta, t, *cls);
-  auto by_datalog = core::EvaluateOnTree(*program, t, core::Engine::kGrounded);
+  auto by_datalog = core::EvaluateGrounded(*program, t);
   if (!by_reference.ok() || !by_automaton.ok() || !by_datalog.ok()) return 1;
 
   auto show = [](const char* label, const std::vector<int32_t>& nodes) {

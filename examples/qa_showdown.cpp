@@ -50,7 +50,7 @@ int main() {
     auto direct = qa::RunRankedQA(blowup, t);
     auto t1 = Clock::now();
     auto translated =
-        core::EvaluateOnTree(*program, t, core::Engine::kGrounded);
+        core::EvaluateGrounded(*program, t);
     auto t2 = Clock::now();
     if (!direct.ok() || !translated.ok()) return 1;
     auto us = [](auto d) {

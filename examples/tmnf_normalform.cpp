@@ -47,9 +47,8 @@ int main() {
   util::Rng rng(1);
   for (int trial = 0; trial < 5; ++trial) {
     tree::Tree t = tree::RandomTree(rng, 30, {"a", "b"});
-    auto lhs = core::EvaluateOnTree(*program, t, core::Engine::kAuto);
-    auto rhs = core::EvaluateOnTree(*tmnf_program, t,
-                                    core::Engine::kGrounded);
+    auto lhs = core::EvaluateOnTree(*program, t);
+    auto rhs = core::EvaluateGrounded(*tmnf_program, t);
     if (!lhs.ok() || !rhs.ok() || lhs->Query() != rhs->Query()) {
       std::printf("MISMATCH on trial %d\n", trial);
       return 1;

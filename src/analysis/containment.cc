@@ -377,8 +377,8 @@ tree::Tree DecodeTree(const Encoder& enc, const std::vector<TemplateNode>& tmpl,
 
 util::Status VerifyWitness(const core::Program& p, const core::Program& q,
                            const tree::Tree& t, tree::NodeId v) {
-  // Grounded for every program over τ_ur; naive for one that names an
-  // extensional predicate outside it (empty on every tree).
+  // EvaluateOnTree drops the rules that read an extensional predicate
+  // outside τ_ur (empty on every tree) and grounds the rest.
   MD_ASSIGN_OR_RETURN(core::EvalResult pr, core::EvaluateOnTree(p, t));
   MD_ASSIGN_OR_RETURN(core::EvalResult qr, core::EvaluateOnTree(q, t));
   if (!pr.ContainsUnary(p.query_pred(), v)) {

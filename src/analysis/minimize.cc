@@ -5,8 +5,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "src/core/database.h"
-#include "src/tmnf/pipeline.h"
+#include "src/core/tree_schema.h"
 #include "src/util/check.h"
 
 namespace mdatalog::analysis {
@@ -52,8 +51,7 @@ bool BodyUnsatOnTrees(const Program& program, const Rule& rule,
   for (const Atom& a : rule.body) {
     if (intensional[a.pred]) continue;
     const std::string& name = preds.Name(a.pred);
-    if (!core::TreeDatabase::IsTreePredicate(
-            name, static_cast<int32_t>(a.args.size()))) {
+    if (!core::IsTreePredicate(name, static_cast<int32_t>(a.args.size()))) {
       continue;
     }
     if (a.args.size() == 1 && a.args[0].is_var()) {
@@ -228,31 +226,6 @@ int32_t CondenseRule(Rule* rule) {
   return removed;
 }
 
-util::Status VerifyEquivalentOnRoots(const Program& original,
-                                     const Program& minimized,
-                                     const std::vector<PredId>& roots,
-                                     const ContainmentOptions& copts,
-                                     Verdict* combined) {
-  *combined = Verdict::kContained;
-  for (PredId root : roots) {
-    Program a = original;
-    Program b = minimized;
-    a.set_query_pred(root);
-    b.set_query_pred(root);
-    MD_ASSIGN_OR_RETURN(Program ta, tmnf::ToTmnf(a));
-    MD_ASSIGN_OR_RETURN(Program tb, tmnf::ToTmnf(b));
-    MD_ASSIGN_OR_RETURN(EquivalenceResult eq, Equivalent(ta, tb, copts));
-    if (eq.verdict == Verdict::kNotContained) {
-      return util::Status::Internal(
-          "minimizer bug: bounded containment refuted equivalence on root "
-          "predicate '" +
-          original.preds().Name(root) + "'");
-    }
-    if (eq.verdict == Verdict::kUnknown) *combined = Verdict::kUnknown;
-  }
-  return util::Status::OK();
-}
-
 }  // namespace
 
 bool Subsumes(const Rule& subsumer, const Rule& subsumee) {
@@ -373,16 +346,6 @@ util::Result<MinimizeResult> Minimize(const Program& program,
   result.program = BuildProgram(program, rules, alive);
   result.fates = std::move(fates);
   result.literals_removed = std::move(literals_removed);
-
-  if (options.verify) {
-    if (roots.empty()) {
-      return util::Status::InvalidArgument(
-          "Minimize verification needs a query predicate or explicit roots");
-    }
-    MD_RETURN_NOT_OK(VerifyEquivalentOnRoots(program, result.program, roots,
-                                             options.verify_options,
-                                             &result.verified));
-  }
   return result;
 }
 

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/analysis/containment.h"
 #include "src/core/ast.h"
 #include "src/util/result.h"
 
@@ -37,11 +36,6 @@
 ///
 /// Passes iterate to a fixpoint — removing a predicate's last rule can make
 /// further bodies underivable.
-///
-/// Optionally (options.verify), the result is re-checked against the input
-/// with the bounded SAT equivalence of containment.h on every root — a
-/// belt-and-braces guard whose failure is reported as an Internal error
-/// (encoder or minimizer bug), never silently.
 
 namespace mdatalog::analysis {
 
@@ -61,11 +55,6 @@ struct MinimizeOptions {
   /// program's query predicate; if that is unset too, reachability pruning
   /// is skipped (every head counts as a root).
   std::vector<core::PredId> roots;
-
-  /// Re-prove input ≡ output with bounded SAT containment on every root.
-  /// A refutation means a minimizer bug and yields an Internal error.
-  bool verify = false;
-  ContainmentOptions verify_options;
 };
 
 struct MinimizeResult {
@@ -76,11 +65,6 @@ struct MinimizeResult {
   /// Per original rule index: number of redundant body literals dropped
   /// (nonzero only for kKept rules).
   std::vector<int32_t> literals_removed;
-
-  /// options.verify only: the combined bounded-equivalence verdict
-  /// (kContained = proven equivalent within bounds, kUnknown = budget ran
-  /// out; kNotContained never escapes — it becomes an Internal error).
-  Verdict verified = Verdict::kUnknown;
 
   int32_t rules_removed() const {
     int32_t n = 0;

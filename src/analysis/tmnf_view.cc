@@ -2,7 +2,7 @@
 
 #include <unordered_map>
 
-#include "src/core/database.h"
+#include "src/core/tree_schema.h"
 
 namespace mdatalog::analysis {
 
@@ -83,7 +83,7 @@ util::Result<TmnfView> TmnfView::Parse(const Program& program) {
     } else {
       std::string label = core::LabelFromPredName(name);
       if (label.empty()) {
-        if (core::TreeDatabase::IsTreePredicate(name, 1)) {
+        if (core::IsTreePredicate(name, 1)) {
           return util::Status::InvalidArgument(
               "predicate '" + name + "' is outside the τ_ur unary schema "
               "(root/leaf/lastsibling/firstsibling/label_*) supported by the "
@@ -195,8 +195,7 @@ util::Result<TmnfView> TmnfView::Parse(const Program& program) {
   // have a real (non-IDB) extent; reject that rather than silently treating
   // it as empty.
   const PredId q = program.query_pred();
-  if (!intensional[q] &&
-      core::TreeDatabase::IsTreePredicate(preds.Name(q), preds.Arity(q))) {
+  if (!intensional[q] && core::IsTreePredicate(preds.Name(q), preds.Arity(q))) {
     return util::Status::InvalidArgument(
         "query predicate '" + preds.Name(q) + "' is a τ_ur schema predicate");
   }

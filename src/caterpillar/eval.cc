@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <set>
 
-#include "src/core/database.h"
+#include "src/core/tree_schema.h"
 
 namespace mdatalog::caterpillar {
 

@@ -1,7 +1,7 @@
 #include "src/caterpillar/to_datalog.h"
 
 #include "src/caterpillar/nfa.h"
-#include "src/core/database.h"
+#include "src/core/tree_schema.h"
 
 namespace mdatalog::caterpillar {
 

@@ -1,6 +1,6 @@
 #include "src/core/examples.h"
 
-#include "src/core/database.h"
+#include "src/core/tree_schema.h"
 #include "src/util/check.h"
 
 namespace mdatalog::core {

@@ -8,7 +8,7 @@
 #include <type_traits>
 #include <utility>
 
-#include "src/core/database.h"
+#include "src/core/tree_schema.h"
 #include "src/core/validate.h"
 
 namespace mdatalog::core {
@@ -174,6 +174,11 @@ std::string DeltaBuiltinPredName(DeltaBuiltin kind, std::string_view path,
          std::to_string(static_cast<int32_t>(kind)) + ":" +
          std::to_string(alpha_pct) + ":" + std::to_string(beta_pct) + ":" +
          std::string(path);
+}
+
+bool IsDeltaBuiltinPredicate(std::string_view name, int32_t arity) {
+  BuiltinName builtin;
+  return ClassifyBuiltin(name, arity, &builtin);
 }
 
 bool GroundableOverTree(const Program& program) {
@@ -648,8 +653,8 @@ bool GroundPlan::streamable() const { return impl_->streamable; }
 util::Result<GroundPlan> GroundPlan::Compile(const Program& source) {
   if (!GroundableOverTree(source)) {
     return util::Status::FailedPrecondition(
-        "program not groundable over the tree schema; evaluate it with the "
-        "naive engine");
+        "program not groundable over the tree schema (GroundableOverTree: "
+        "monadic, safe, no nextsibling_tc)");
   }
   const std::optional<Program> lowered = LowerLastChild(source);
   const Program& program = lowered.has_value() ? *lowered : source;
@@ -1708,22 +1713,10 @@ util::Result<EvalResult> EvaluateGrounded(const Program& program,
 }
 
 util::Result<EvalResult> EvaluateOnTree(const Program& program,
-                                        const tree::Tree& t, Engine engine) {
-  switch (engine) {
-    case Engine::kGrounded:
-      return EvaluateGrounded(program, t);
-    case Engine::kAuto:
-      // Compile fails only when the program is not groundable.
-      if (auto plan = GroundPlan::Compile(program); plan.ok()) {
-        return EvaluateGrounded(*plan, t);
-      }
-      [[fallthrough]];
-    case Engine::kNaive: {
-      TreeDatabase db(t);
-      return EvaluateNaive(program, db);
-    }
-  }
-  return util::Status::Internal("unknown engine");
+                                        const tree::Tree& t) {
+  Program live = program;
+  PruneUnderivableRules(&live);
+  return EvaluateGrounded(live, t);
 }
 
 }  // namespace mdatalog::core

@@ -46,8 +46,7 @@
 ///
 /// lastchild(x, y) is lowered to child(x, y) ∧ lastsibling(y) at compile
 /// time (Theorem 5.2's first step, Lemma 5.6). Programs using nextsibling_tc
-/// must first be normalized (TMNF pipeline, Theorem 5.2) or be evaluated with
-/// the naive engine.
+/// do not ground; the TMNF pipeline (Theorem 5.2) normalizes them away.
 ///
 /// The same plan also runs incrementally, over a tree that grows in document
 /// order (IncrementalReplay, the engine of the streaming front). Besides its
@@ -111,6 +110,9 @@ enum class DeltaBuiltin : uint8_t {
 /// parameters; its arity is 3 for kBeforeWindow and 2 otherwise.
 std::string DeltaBuiltinPredName(DeltaBuiltin kind, std::string_view path,
                                  int32_t alpha_pct = 0, int32_t beta_pct = 100);
+
+/// True iff `name`/`arity` is a DeltaBuiltinPredName of a well-formed builtin.
+bool IsDeltaBuiltinPredicate(std::string_view name, int32_t arity);
 
 /// Evaluates `program` over `t` per Theorem 4.2. Fails with
 /// FailedPrecondition if !GroundableOverTree(program).
@@ -267,21 +269,16 @@ class IncrementalReplay {
   std::unique_ptr<State> state_;
 };
 
-/// Evaluation engine selection for the facade below.
-enum class Engine {
-  /// Grounded whenever GroundableOverTree holds; otherwise naive — for
-  /// nextsibling_tc (TMNF intermediates) and the non-monadic baselines of
-  /// Section 3.2.
-  kAuto,
-  kGrounded,  ///< Theorem 4.2 (fails if not groundable)
-  kNaive,     ///< literal T_P iteration over TreeDatabase
-};
-
-/// Facade: evaluates a datalog program on a tree with the chosen engine.
-/// For a deadline, a derivation budget or a T_P trace, call
-/// EvaluateGrounded(plan, t, …, control) or EvaluateNaive directly.
+/// Facade: evaluates a datalog program on a tree per Theorem 4.2. Rules that
+/// can never fire are dropped first (core::PruneUnderivableRules): those
+/// reading an extensional predicate outside the tree schema and the Δ
+/// builtins, or an intensional predicate left without rules. Such a
+/// predicate stays empty, even when its name is a tree predicate's. Fails
+/// with FailedPrecondition if what remains is not GroundableOverTree
+/// (nextsibling_tc, a binary intensional predicate, lastchild next to an
+/// intensional child). For a deadline or a reused arena, compile a
+/// GroundPlan and call EvaluateGrounded.
 util::Result<EvalResult> EvaluateOnTree(const Program& program,
-                                        const tree::Tree& t,
-                                        Engine engine = Engine::kAuto);
+                                        const tree::Tree& t);
 
 }  // namespace mdatalog::core

@@ -4,7 +4,8 @@
 #include <functional>
 #include <set>
 
-#include "src/core/database.h"
+#include "src/core/grounder.h"
+#include "src/core/tree_schema.h"
 
 namespace mdatalog::core {
 
@@ -47,7 +48,7 @@ util::Status CheckTreeSignature(const Program& program, bool allow_extended) {
       if (intensional[a.pred]) continue;
       const std::string& name = program.preds().Name(a.pred);
       int32_t arity = program.preds().Arity(a.pred);
-      if (!TreeDatabase::IsTreePredicate(name, arity)) {
+      if (!IsTreePredicate(name, arity)) {
         return util::Status::InvalidArgument(
             "extensional predicate '" + name + "'/" + std::to_string(arity) +
             " is not a tree-schema predicate");
@@ -132,6 +133,17 @@ bool IsConnectedRule(const Program& program, const Rule& rule) {
 }
 
 void PruneUnderivableRules(Program* program) {
+  // A predicate that heads a rule of the input is intensional: once its
+  // rules are gone it is empty, not the tree relation of the same name.
+  const std::vector<bool> intensional = program->IntensionalMask();
+  std::vector<bool> holds_without_rules(program->preds().size());
+  for (PredId p = 0; p < program->preds().size(); ++p) {
+    const std::string& name = program->preds().Name(p);
+    const int32_t arity = program->preds().Arity(p);
+    holds_without_rules[p] =
+        !intensional[p] &&
+        (IsTreePredicate(name, arity) || IsDeltaBuiltinPredicate(name, arity));
+  }
   bool changed = true;
   while (changed) {
     changed = false;
@@ -139,17 +151,10 @@ void PruneUnderivableRules(Program* program) {
     for (const Rule& r : program->rules()) has_rule[r.head.pred] = true;
     std::vector<Rule> kept;
     for (Rule& r : program->mutable_rules()) {
-      bool fireable = true;
-      for (const Atom& a : r.body) {
-        if (has_rule[a.pred]) continue;
-        if (TreeDatabase::IsTreePredicate(
-                program->preds().Name(a.pred),
-                static_cast<int32_t>(a.args.size()))) {
-          continue;
-        }
-        fireable = false;
-        break;
-      }
+      const bool fireable =
+          std::all_of(r.body.begin(), r.body.end(), [&](const Atom& a) {
+            return has_rule[a.pred] || holds_without_rules[a.pred];
+          });
       if (fireable) {
         kept.push_back(std::move(r));
       } else {

@@ -21,7 +21,7 @@ util::Status CheckSafety(const Program& program);
 util::Status CheckMonadic(const Program& program);
 
 /// Checks that all extensional predicates used by the program are predicates
-/// of the tree schemata served by TreeDatabase (τ_rk/τ_ur and extensions).
+/// of the tree schemata (τ_rk/τ_ur and extensions, tree_schema.h).
 /// `allow_extended` additionally admits child/lastchild/nextsibling_tc.
 util::Status CheckTreeSignature(const Program& program,
                                 bool allow_extended = true);
@@ -48,11 +48,14 @@ std::vector<int32_t> RuleVarComponents(const Program& program,
 bool IsDatalogLit(const Program& program);
 
 /// Removes rules that can never fire because their body references a
-/// predicate that is neither a tree-schema predicate nor the head of any
-/// rule (such predicates have empty extensions under the fixpoint
-/// semantics). Iterates to a fixpoint — removing rules may empty further
-/// predicates. Machine-generated programs (automata translations, TMNF)
-/// use this to stay within the tree signature.
+/// predicate with an empty extension under the fixpoint semantics: an
+/// extensional predicate that is neither a tree-schema predicate nor a Δ
+/// builtin (grounder.h), or an intensional predicate with no surviving rule.
+/// A predicate that heads a rule of the input counts as intensional even
+/// after it lost its last rule, whatever its name. Iterates to a fixpoint —
+/// removing rules may empty further predicates. The automata translations
+/// use this to stay within the tree signature, and EvaluateOnTree runs it
+/// before grounding.
 void PruneUnderivableRules(Program* program);
 
 }  // namespace mdatalog::core

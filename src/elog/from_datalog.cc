@@ -2,7 +2,7 @@
 
 #include <set>
 
-#include "src/core/database.h"
+#include "src/core/tree_schema.h"
 #include "src/tmnf/normal_form.h"
 #include "src/tmnf/pipeline.h"
 #include "src/util/check.h"

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <map>
 
-#include "src/core/database.h"
 #include "src/core/grounder.h"
+#include "src/core/tree_schema.h"
 
 namespace mdatalog::elog {
 

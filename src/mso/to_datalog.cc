@@ -1,6 +1,6 @@
 #include "src/mso/to_datalog.h"
 
-#include "src/core/database.h"
+#include "src/core/tree_schema.h"
 #include "src/core/validate.h"
 
 namespace mdatalog::mso {

@@ -2,7 +2,7 @@
 
 #include <set>
 
-#include "src/core/database.h"
+#include "src/core/tree_schema.h"
 #include "src/core/validate.h"
 
 namespace mdatalog::qa {

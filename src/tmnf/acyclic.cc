@@ -4,7 +4,7 @@
 #include <map>
 #include <set>
 
-#include "src/core/database.h"
+#include "src/core/tree_schema.h"
 #include "src/util/check.h"
 
 namespace mdatalog::tmnf {

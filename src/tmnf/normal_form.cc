@@ -1,6 +1,6 @@
 #include "src/tmnf/normal_form.h"
 
-#include "src/core/database.h"
+#include "src/core/tree_schema.h"
 
 namespace mdatalog::tmnf {
 

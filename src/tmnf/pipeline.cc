@@ -4,7 +4,7 @@
 #include <set>
 
 #include "src/caterpillar/to_datalog.h"
-#include "src/core/database.h"
+#include "src/core/tree_schema.h"
 #include "src/core/validate.h"
 #include "src/tmnf/acyclic.h"
 #include "src/tmnf/normal_form.h"
@@ -121,8 +121,8 @@ class TmnfPipeline {
                 (name == "root" || name == "leaf" || name == "lastsibling" ||
                  !core::LabelFromPredName(name).empty()));
         } else {
-          ok = core::TreeDatabase::IsTreePredicate(name, arity) &&
-               name != "nextsibling_tc" && core::ChildKIndex(name) < 1;
+          ok = core::IsTreePredicate(name, arity) && name != "nextsibling_tc" &&
+               core::ChildKIndex(name) < 1;
         }
         if (!ok) {
           return util::Status::InvalidArgument(
@@ -251,8 +251,7 @@ class TmnfPipeline {
                name != "leaf" && name != "lastsibling" &&
                core::LabelFromPredName(name).empty();
       }
-      return !core::TreeDatabase::IsTreePredicate(
-          name, out_.preds().Arity(p));
+      return !core::IsTreePredicate(name, out_.preds().Arity(p));
     };
     bool changed = true;
     while (changed) {

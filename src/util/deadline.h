@@ -11,9 +11,9 @@
 /// Per-request deadlines and cooperative cancellation for the serving path.
 ///
 /// A production wrapper deployment cannot let one pathological page occupy a
-/// pool worker forever: every fixpoint loop in the library (the naive T_P
-/// rounds, the grounded engine's node sweep and atom propagation, the native
-/// Elog pattern fixpoint) periodically polls an EvalControl and
+/// pool worker forever: every fixpoint loop in the library (the grounded
+/// engine's node sweep and atom propagation, the native Elog pattern
+/// fixpoint) periodically polls an EvalControl and
 /// unwinds with a typed kDeadlineExceeded / kCancelled status. The polling
 /// is strided (EvalTicker) so the hot loops pay one decrement per item and
 /// touch the clock only every few thousand items.

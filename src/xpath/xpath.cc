@@ -6,8 +6,8 @@
 
 #include "src/caterpillar/expr.h"
 #include "src/caterpillar/to_datalog.h"
-#include "src/core/database.h"
 #include "src/core/grounder.h"
+#include "src/core/tree_schema.h"
 #include "src/util/check.h"
 
 namespace mdatalog::xpath {

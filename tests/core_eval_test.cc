@@ -4,13 +4,13 @@
 #include <string>
 #include <vector>
 
-#include "src/core/database.h"
-#include "src/core/eval.h"
 #include "src/core/examples.h"
 #include "src/core/grounder.h"
 #include "src/core/parser.h"
+#include "src/core/tree_schema.h"
 #include "src/tree/generator.h"
 #include "src/util/rng.h"
+#include "tests/support/edb.h"
 #include "tests/support/horn.h"
 #include "tests/support/program_generator.h"
 #include "tests/support/reference_eval.h"
@@ -34,7 +34,7 @@ Tree SmallTree() {
 }
 
 // ---------------------------------------------------------------------------
-// TreeDatabase: the τ_ur relational view
+// TreeDatabase: the τ_ur relational view the reference oracle reads
 // ---------------------------------------------------------------------------
 
 TEST(TreeDatabaseTest, UnaryRelations) {
@@ -163,15 +163,12 @@ TEST(Example32Test, FixpointTraceMatchesPaper) {
   Tree t = tree::PaperExample32Tree();
   Program p = EvenAProgram();
   TreeDatabase db(t);
-  EvalOptions opts;
-  opts.trace = true;
-  auto result = EvaluateNaive(p, db, opts);
+  auto result = EvaluateNaiveReference(p, db);
   ASSERT_TRUE(result.ok());
 
-  auto pred = [&](const std::string& name) { return p.preds().Find(name); };
   auto atoms_of_stage = [&](size_t i) {
     std::vector<std::pair<std::string, int32_t>> out;
-    for (const GroundAtom& g : result->stages()[i].new_atoms) {
+    for (const ReferenceAtom& g : result->stages()[i]) {
       out.emplace_back(p.preds().Name(g.pred), g.args[0]);
     }
     std::sort(out.begin(), out.end());
@@ -199,19 +196,15 @@ TEST(Example32Test, FixpointTraceMatchesPaper) {
   EXPECT_EQ(result->Query(), (std::vector<int32_t>{0}));
   // 7 productive iterations + 1 fixpoint check.
   EXPECT_EQ(result->num_iterations(), 8);
-  (void)pred;
 }
 
 TEST(Example32Test, AllEnginesAgree) {
   Tree t = tree::PaperExample32Tree();
   Program p = EvenAProgram();
-  auto naive = EvaluateOnTree(p, t, Engine::kNaive);
-  auto automatic = EvaluateOnTree(p, t, Engine::kAuto);
-  auto grounded = EvaluateOnTree(p, t, Engine::kGrounded);
-  ASSERT_TRUE(naive.ok());
+  auto automatic = EvaluateOnTree(p, t);
+  auto grounded = EvaluateGrounded(p, t);
   ASSERT_TRUE(automatic.ok());
   ASSERT_TRUE(grounded.ok());
-  EXPECT_EQ(naive->Query(), (std::vector<int32_t>{0}));
   EXPECT_EQ(automatic->Query(), (std::vector<int32_t>{0}));
   EXPECT_EQ(grounded->Query(), (std::vector<int32_t>{0}));
 }
@@ -284,36 +277,24 @@ TEST(ExampleProgramsTest, DomProgramSelectsAllNodes) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine cross-validation (naive == reference == grounded)
+// Engine cross-validation (grounded == reference)
 // ---------------------------------------------------------------------------
 
 void ExpectSameResults(const Program& p, const Tree& t) {
   TreeDatabase db(t);
-  auto naive = EvaluateNaive(p, db);
   auto ref = EvaluateNaiveReference(p, db);
-  ASSERT_TRUE(naive.ok());
   ASSERT_TRUE(ref.ok());
+  if (!GroundableOverTree(p)) return;
+  auto grounded = EvaluateGrounded(p, t);
+  ASSERT_TRUE(grounded.ok());
   std::vector<bool> intensional = p.IntensionalMask();
   for (PredId q = 0; q < p.preds().size(); ++q) {
     if (!intensional[q]) continue;
     if (p.preds().Arity(q) == 1) {
-      EXPECT_EQ(naive->Unary(q), ref->Unary(q))
+      EXPECT_EQ(ref->Unary(q), grounded->Unary(q))
           << "pred " << p.preds().Name(q) << "\n" << ToString(p);
     } else if (p.preds().Arity(q) == 0) {
-      EXPECT_EQ(naive->NullaryTrue(q), ref->NullaryTrue(q));
-    }
-  }
-  if (GroundableOverTree(p)) {
-    auto grounded = EvaluateGrounded(p, t);
-    ASSERT_TRUE(grounded.ok());
-    for (PredId q = 0; q < p.preds().size(); ++q) {
-      if (!intensional[q]) continue;
-      if (p.preds().Arity(q) == 1) {
-        EXPECT_EQ(naive->Unary(q), grounded->Unary(q))
-            << "pred " << p.preds().Name(q) << "\n" << ToString(p);
-      } else if (p.preds().Arity(q) == 0) {
-        EXPECT_EQ(naive->NullaryTrue(q), grounded->NullaryTrue(q));
-      }
+      EXPECT_EQ(ref->NullaryTrue(q), grounded->NullaryTrue(q));
     }
   }
 }
@@ -372,12 +353,14 @@ TEST(GroundedTest, RejectsExtendedSignature) {
   ASSERT_TRUE(grounded.ok());
   EXPECT_EQ(grounded->Unary(p->preds().Find("q")),
             (std::vector<int32_t>{0, 2}));
-  // nextsibling_tc does not; the facade answers it through naive.
+  // nextsibling_tc does not; the oracle answers it.
+  const Tree t = SmallTree();
+  const TreeDatabase db(t);
   auto tc = ParseProgram("q(X) :- nextsibling_tc(X, Y), label_f(Y).");
   ASSERT_TRUE(tc.ok());
   EXPECT_FALSE(GroundableOverTree(*tc));
-  EXPECT_FALSE(EvaluateGrounded(*tc, SmallTree()).ok());
-  auto r = EvaluateOnTree(*tc, SmallTree(), Engine::kAuto);
+  EXPECT_FALSE(EvaluateGrounded(*tc, t).ok());
+  auto r = EvaluateNaiveReference(*tc, db);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->Unary(tc->preds().Find("q")), (std::vector<int32_t>{1, 2, 5}));
   // Nor does lastchild where the program defines child itself: the lowering
@@ -386,10 +369,76 @@ TEST(GroundedTest, RejectsExtendedSignature) {
       "q(X) :- lastchild(X, Y), child(Y).\nchild(X) :- label_e(X).");
   ASSERT_TRUE(own_child.ok());
   EXPECT_FALSE(GroundableOverTree(*own_child));
-  auto naive = EvaluateOnTree(*own_child, SmallTree(), Engine::kAuto);
-  ASSERT_TRUE(naive.ok());
-  EXPECT_EQ(naive->Unary(own_child->preds().Find("q")),
+  auto ref = EvaluateNaiveReference(*own_child, db);
+  ASSERT_TRUE(ref.ok());
+  EXPECT_EQ(ref->Unary(own_child->preds().Find("q")),
             (std::vector<int32_t>{2}));
+}
+
+// EvaluateOnTree drops the rules that read a predicate with no extension
+// before it grounds, so it answers what the oracle answers for programs that
+// name predicates outside the tree schema; what still does not ground is a
+// typed FailedPrecondition.
+TEST(EvaluateOnTreeTest, PrunesDeadRulesLikeTheOracle) {
+  const Tree t = SmallTree();
+  const TreeDatabase db(t);
+  const char* kPrunable[] = {
+      // A rule-less p1/1, read directly and through q.
+      "q(X) :- label_c(X).\n"
+      "q(X) :- p1(X), leaf(X).\n"
+      "r(X) :- q(X), p1(X).\n"
+      "s(X) :- q(X), firstchild(X, Y).",
+      // A nullary extensional flag.
+      "q(X) :- flag, leaf(X).\n"
+      "s(X) :- root(X).",
+      // root at the wrong arity.
+      "q(X) :- root(X, Y).\n"
+      "s(X) :- leaf(X).",
+      // child_k past INT32_MAX (no wrap to child1).
+      "q(X) :- child4294967297(X, Y).\n"
+      "s(X) :- lastsibling(X).",
+      // An intensional leaf left without rules stays empty.
+      "leaf(X) :- p1(X).\n"
+      "q(X) :- leaf(X).\n"
+      "s(X) :- label_b(X).",
+  };
+  for (const char* text : kPrunable) {
+    auto p = ParseProgramWithQuery(text, "q");
+    ASSERT_TRUE(p.ok()) << text;
+    auto grounded = EvaluateOnTree(*p, t);
+    ASSERT_TRUE(grounded.ok()) << text << "\n" << grounded.status().ToString();
+    auto ref = EvaluateNaiveReference(*p, db);
+    ASSERT_TRUE(ref.ok()) << text;
+    const std::vector<bool> intensional = p->IntensionalMask();
+    for (PredId q = 0; q < p->preds().size(); ++q) {
+      if (!intensional[q]) continue;
+      EXPECT_EQ(grounded->Unary(q), ref->Unary(q))
+          << p->preds().Name(q) << " in\n" << text;
+      EXPECT_EQ(grounded->NullaryTrue(q), ref->NullaryTrue(q))
+          << p->preds().Name(q) << " in\n" << text;
+    }
+  }
+  auto own_leaf = ParseProgramWithQuery(kPrunable[4], "q");
+  ASSERT_TRUE(own_leaf.ok());
+  auto selected = EvaluateOnTree(*own_leaf, t);
+  ASSERT_TRUE(selected.ok());
+  EXPECT_TRUE(selected->Query().empty());
+  EXPECT_TRUE(selected->Unary(own_leaf->preds().Find("leaf")).empty());
+
+  const char* kUngroundable[] = {
+      "q(X) :- nextsibling_tc(X, Y), label_f(Y).",
+      "tc(X, Y) :- nextsibling(X, Y).\n"
+      "q(X) :- tc(X, Y).",
+      "q(X) :- lastchild(X, Y), child(Y).\n"
+      "child(X) :- label_e(X).",
+  };
+  for (const char* text : kUngroundable) {
+    auto p = ParseProgramWithQuery(text, "q");
+    ASSERT_TRUE(p.ok()) << text;
+    EXPECT_EQ(EvaluateOnTree(*p, t).status().code(),
+              util::StatusCode::kFailedPrecondition)
+        << text;
+  }
 }
 
 TEST(GroundedTest, ChildKIndexRejectsPositionsPastInt32) {
@@ -489,7 +538,7 @@ TEST(GroundedTest, WorkIsLinearInTreeAndProgram) {
     auto grounded = EvaluateGrounded(even_a, t, &stats);
     ASSERT_TRUE(grounded.ok());
     TreeDatabase db(t);
-    auto reference = EvaluateNaive(even_a, db);
+    auto reference = EvaluateNaiveReference(even_a, db);
     ASSERT_TRUE(reference.ok());
     EXPECT_EQ(grounded->num_derived(), reference->num_derived()) << t.size();
     EXPECT_LE(stats.num_clauses, even_a_rules * t.size()) << t.size();
@@ -505,7 +554,7 @@ TEST(GroundedTest, WorkIsLinearInTreeAndProgram) {
     GroundStats stats;
     auto grounded = EvaluateGrounded(chain, t, &stats);
     ASSERT_TRUE(grounded.ok());
-    auto reference = EvaluateNaive(chain, db);
+    auto reference = EvaluateNaiveReference(chain, db);
     ASSERT_TRUE(reference.ok());
     EXPECT_EQ(grounded->num_derived(), reference->num_derived()) << m;
     EXPECT_LE(stats.num_clauses, rules * t.size()) << m;
@@ -777,17 +826,6 @@ TEST(GroundedTest, SelfLoopBinaryAtomIsUnsatisfiable) {
   EXPECT_TRUE(r->Query().empty());
 }
 
-TEST(EvalOptionsTest, MaxDerivedGuard) {
-  Program p = DomProgram();
-  Tree t = tree::ChainTree(50, "a");
-  TreeDatabase db(t);
-  EvalOptions opts;
-  opts.max_derived = 10;
-  auto r = EvaluateNaive(p, db, opts);
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), util::StatusCode::kResourceExhausted);
-}
-
 TEST(EvalTest, BinaryIdbSupportedByFixpointEngines) {
   // Non-monadic baseline: transitive closure of nextsibling.
   auto p = ParseProgram(
@@ -796,7 +834,7 @@ TEST(EvalTest, BinaryIdbSupportedByFixpointEngines) {
   ASSERT_TRUE(p.ok());
   Tree t = SmallTree();  // TreeDatabase references the tree; keep it alive.
   TreeDatabase db(t);
-  auto r = EvaluateNaive(*p, db);
+  auto r = EvaluateNaiveReference(*p, db);
   ASSERT_TRUE(r.ok());
   using P = std::vector<std::pair<int32_t, int32_t>>;
   EXPECT_EQ(r->Binary(p->preds().Find("tc")),
@@ -815,7 +853,7 @@ TEST(EvalTest, ExplicitDatabaseEvaluation) {
   db.AddFact("edge", 0, 1);
   db.AddFact("edge", 1, 2);
   db.AddFact("edge", 3, 4);
-  auto r = EvaluateNaive(*p, db);
+  auto r = EvaluateNaiveReference(*p, db);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->Query(), (std::vector<int32_t>{0, 1, 2}));
 }

@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/database.h"
 #include "src/core/eval.h"
 #include "src/core/examples.h"
 #include "src/core/grounder.h"
@@ -134,34 +133,6 @@ TEST(EvalTickerTest, StridedTickFiresWithinOneStride) {
 // ---------------------------------------------------------------------------
 // Engine-level checks: every fixpoint loop unwinds with the typed status.
 // ---------------------------------------------------------------------------
-
-TEST(EngineDeadlineTest, NaiveRoundsHonorTheDeadline) {
-  core::Program tmnf = BoardTmnf();
-  util::Rng rng(7);
-  tree::Tree t = tree::RandomTree(rng, 200, {"ul", "li", "a", "b"});
-  core::TreeDatabase db(t);
-  util::EvalControl expired(ExpiredDeadline(), nullptr);
-  core::EvalOptions options;
-  options.control = &expired;
-  auto result = core::EvaluateNaive(tmnf, db, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::StatusCode::kDeadlineExceeded);
-}
-
-TEST(EngineDeadlineTest, NaiveEngineHonorsCancellation) {
-  core::Program tmnf = BoardTmnf();
-  util::Rng rng(8);
-  tree::Tree t = tree::RandomTree(rng, 100, {"ul", "li"});
-  core::TreeDatabase db(t);
-  util::CancelToken token;
-  token.Cancel();
-  util::EvalControl control(util::Deadline::Infinite(), &token);
-  core::EvalOptions options;
-  options.control = &control;
-  auto result = core::EvaluateNaive(tmnf, db, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::StatusCode::kCancelled);
-}
 
 TEST(EngineDeadlineTest, GroundedReplayHonorsTheControl) {
   core::Program tmnf = BoardTmnf();

@@ -247,7 +247,7 @@ TEST(ElogToDatalogTest, Corollary64GroundableAfterTmnf) {
   b.Child(list, "item");
   b.Child(list, "item");
   Tree t = b.Build();
-  auto eval = core::EvaluateOnTree(*tmnf, t, core::Engine::kGrounded);
+  auto eval = core::EvaluateGrounded(*tmnf, t);
   ASSERT_TRUE(eval.ok());
   EXPECT_EQ(eval->Query(), (std::vector<int32_t>{3}));
 }

@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/database.h"
 #include "src/elog/ast.h"
 #include "src/elog/eval.h"
 #include "src/elog/to_datalog.h"
@@ -22,6 +21,7 @@
 #include "src/tree/tree.h"
 #include "src/util/result.h"
 #include "src/wrapper/wrapper.h"
+#include "tests/support/edb.h"
 #include "tests/support/reference_eval.h"
 
 namespace mdatalog::oracle {

@@ -25,6 +25,7 @@
 #include "src/core/ast.h"
 #include "src/core/grounder.h"
 #include "src/core/parser.h"
+#include "src/core/tree_schema.h"
 #include "src/elog/ast.h"
 #include "src/elog/to_datalog.h"
 #include "src/qa/unranked.h"

@@ -311,7 +311,7 @@ void ExpectDatalogMatchesAutomaton(const std::string& text, uint64_t seed) {
     ASSERT_TRUE(cls.ok());
     auto automaton = BtaUnaryQuery(*bta, t, *cls);
     ASSERT_TRUE(automaton.ok());
-    auto datalog = core::EvaluateOnTree(*program, t, core::Engine::kGrounded);
+    auto datalog = core::EvaluateGrounded(*program, t);
     ASSERT_TRUE(datalog.ok());
     EXPECT_EQ(datalog->Query(), *automaton)
         << text << " on " << tree::ToDebugString(t);

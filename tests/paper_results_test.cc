@@ -220,8 +220,8 @@ TEST(IntegrationTest, TmnfOfMsoProgramStaysEquivalent) {
   for (int trial = 0; trial < 6; ++trial) {
     Tree t = tree::RandomTree(rng, 1 + static_cast<int32_t>(rng.Below(30)),
                               {"a", "b"});
-    auto lhs = core::EvaluateOnTree(*datalog, t, core::Engine::kGrounded);
-    auto rhs = core::EvaluateOnTree(*tmnf, t, core::Engine::kGrounded);
+    auto lhs = core::EvaluateGrounded(*datalog, t);
+    auto rhs = core::EvaluateGrounded(*tmnf, t);
     ASSERT_TRUE(lhs.ok());
     ASSERT_TRUE(rhs.ok());
     EXPECT_EQ(lhs->Query(), rhs->Query()) << tree::ToDebugString(t);

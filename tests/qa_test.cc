@@ -11,6 +11,8 @@
 #include "src/tmnf/pipeline.h"
 #include "src/tree/generator.h"
 #include "src/util/rng.h"
+#include "tests/support/edb.h"
+#include "tests/support/reference_eval.h"
 
 namespace mdatalog::qa {
 namespace {
@@ -153,7 +155,7 @@ TEST(RankedTranslationTest, EvenAEquivalentToRunner) {
         rng, static_cast<int32_t>(rng.Below(15)), {"a", "b"});
     auto run = RunRankedQA(qa, t);
     ASSERT_TRUE(run.ok());
-    auto eval = core::EvaluateOnTree(*program, t, core::Engine::kGrounded);
+    auto eval = core::EvaluateGrounded(*program, t);
     ASSERT_TRUE(eval.ok());
     EXPECT_EQ(eval->Query(), run->selected) << tree::ToDebugString(t);
   }
@@ -169,7 +171,7 @@ TEST(RankedTranslationTest, BlowupAutomatonMatchesRunner) {
     Tree t = tree::CompleteBinaryTree(depth, "a");
     auto run = RunRankedQA(qa, t);
     ASSERT_TRUE(run.ok());
-    auto eval = core::EvaluateOnTree(*program, t, core::Engine::kGrounded);
+    auto eval = core::EvaluateGrounded(*program, t);
     ASSERT_TRUE(eval.ok());
     EXPECT_EQ(eval->Query(), run->selected) << "depth " << depth;
   }
@@ -203,7 +205,7 @@ TEST(RankedTranslationTest, RejectsOnNonAcceptedTrees) {
   auto program = RankedQAToDatalog(qa);
   ASSERT_TRUE(program.ok());
   Tree t = tree::ChainTree(3, "a");
-  auto eval = core::EvaluateOnTree(*program, t, core::Engine::kGrounded);
+  auto eval = core::EvaluateGrounded(*program, t);
   ASSERT_TRUE(eval.ok());
   EXPECT_TRUE(eval->Query().empty());
   EXPECT_TRUE(eval->Unary(program->preds().Find("accept")).empty());
@@ -330,9 +332,10 @@ void ExpectSqauTranslationMatchesRunner(const UnrankedQA& qa, const Tree& t) {
   auto eval = core::EvaluateOnTree(*program, t);
   ASSERT_TRUE(eval.ok()) << eval.status().ToString();
   EXPECT_EQ(eval->Query(), run->selected) << tree::ToDebugString(t);
-  auto naive = core::EvaluateOnTree(*program, t, core::Engine::kNaive);
-  ASSERT_TRUE(naive.ok()) << naive.status().ToString();
-  EXPECT_EQ(naive->Query(), run->selected) << tree::ToDebugString(t);
+  const core::TreeDatabase db(t);
+  auto ref = core::EvaluateNaiveReference(*program, db);
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  EXPECT_EQ(ref->Query(), run->selected) << tree::ToDebugString(t);
   bool accept_derived =
       !eval->Unary(program->preds().Find("accept")).empty();
   EXPECT_EQ(accept_derived, run->accepted) << tree::ToDebugString(t);
@@ -400,7 +403,7 @@ TEST(UnrankedTranslationTest, ComposesWithTmnfPipeline) {
   ASSERT_TRUE(tmnf.ok()) << tmnf.status().ToString();
   EXPECT_TRUE(core::GroundableOverTree(*tmnf));
   Tree t = tree::ChildrenWord("a", {"a", "a", "a", "a", "a"});
-  auto eval = core::EvaluateOnTree(*tmnf, t, core::Engine::kGrounded);
+  auto eval = core::EvaluateGrounded(*tmnf, t);
   ASSERT_TRUE(eval.ok());
   EXPECT_EQ(eval->Query(), (std::vector<int32_t>{1, 3, 5}));
 }

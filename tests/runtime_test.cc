@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/database.h"
 #include "src/core/grounder.h"
 #include "src/elog/ast.h"
 #include "src/elog/to_datalog.h"
@@ -30,6 +29,7 @@
 #include "src/util/rng.h"
 #include "src/wrapper/wrapper.h"
 #include "tests/engine_oracles.h"
+#include "tests/support/edb.h"
 #include "tests/support/reference_eval.h"
 
 namespace {

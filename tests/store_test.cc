@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/database.h"
 #include "src/elog/ast.h"
 #include "src/html/parser.h"
 #include "src/html/synthetic.h"
@@ -28,6 +27,7 @@
 #include "src/util/status.h"
 #include "src/wrapper/wrapper.h"
 #include "tests/engine_oracles.h"
+#include "tests/support/edb.h"
 
 namespace {
 

@@ -19,7 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/database.h"
 #include "src/elog/ast.h"
 #include "src/elog/eval.h"
 #include "src/html/parser.h"
@@ -33,6 +32,7 @@
 #include "src/util/rng.h"
 #include "src/wrapper/wrapper.h"
 #include "tests/engine_oracles.h"
+#include "tests/support/edb.h"
 
 namespace {
 

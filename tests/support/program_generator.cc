@@ -1,6 +1,6 @@
 #include "tests/support/program_generator.h"
 
-#include "src/core/database.h"
+#include "src/core/tree_schema.h"
 
 namespace mdatalog::core {
 

@@ -39,8 +39,8 @@ std::vector<int32_t> ReferenceResult::Query() const {
   return Unary(query_pred_);
 }
 
-/// The seed FixpointEngine's naive loop: per-enumeration planning, map-backed
-/// stores, string-keyed EDB resolution per join step.
+/// The naive loop: per-enumeration planning, map-backed stores, string-keyed
+/// EDB resolution per join step.
 class ReferenceEngine {
  public:
   ReferenceEngine(const Program& program, const EdbSource& edb)
@@ -52,37 +52,34 @@ class ReferenceEngine {
   util::Result<ReferenceResult> RunNaive() {
     MD_RETURN_NOT_OK(Setup());
     while (true) {
-      std::vector<GroundAtomRef> additions;
+      std::vector<ReferenceAtom> additions;
       for (size_t ri = 0; ri < program_.rules().size(); ++ri) {
         const Rule& rule = program_.rules()[ri];
         EnumerateRule(rule,
                       [&](const Rule& r, const std::vector<int32_t>& binding) {
-                        GroundAtomRef head = Instantiate(r.head, binding);
+                        ReferenceAtom head = Instantiate(r.head, binding);
                         if (InDomain(head) && !Holds(head)) {
                           additions.push_back(std::move(head));
                         }
                       });
       }
-      int64_t added = 0;
-      for (const GroundAtomRef& g : additions) {
+      std::vector<ReferenceAtom> stage;
+      for (ReferenceAtom& g : additions) {
         if (!Holds(g)) {
           Insert(g);
-          ++added;
+          stage.push_back(std::move(g));
         }
       }
       ++result_.num_iterations_;
-      if (added == 0) break;
-      result_.num_derived_ += added;
+      if (stage.empty()) break;
+      result_.num_derived_ += static_cast<int64_t>(stage.size());
+      std::sort(stage.begin(), stage.end());
+      result_.stages_.push_back(std::move(stage));
     }
     return Finish();
   }
 
  private:
-  struct GroundAtomRef {
-    PredId pred;
-    std::vector<int32_t> args;
-  };
-
   util::Status Setup() {
     MD_RETURN_NOT_OK(CheckSafety(program_));
     for (PredId p = 0; p < program_.preds().size(); ++p) {
@@ -100,9 +97,9 @@ class ReferenceEngine {
     return std::move(result_);
   }
 
-  GroundAtomRef Instantiate(const Atom& atom,
+  ReferenceAtom Instantiate(const Atom& atom,
                             const std::vector<int32_t>& binding) const {
-    GroundAtomRef g;
+    ReferenceAtom g;
     g.pred = atom.pred;
     g.args.reserve(atom.args.size());
     for (const Term& t : atom.args) {
@@ -112,16 +109,16 @@ class ReferenceEngine {
   }
 
   /// Heads with out-of-domain constants are not derivable — the same rule
-  /// the production engine applies (eval.cc), so the oracle stays aligned
+  /// the grounded engine applies (eval.h), so the oracle stays aligned
   /// and no store is ever indexed out of bounds.
-  bool InDomain(const GroundAtomRef& g) const {
+  bool InDomain(const ReferenceAtom& g) const {
     for (int32_t a : g.args) {
       if (a < 0 || a >= domain_size_) return false;
     }
     return true;
   }
 
-  bool Holds(const GroundAtomRef& g) const {
+  bool Holds(const ReferenceAtom& g) const {
     auto it = idb_.find(g.pred);
     if (it == idb_.end()) return false;
     const Relation& rel = it->second;
@@ -132,7 +129,7 @@ class ReferenceEngine {
     }
   }
 
-  void Insert(const GroundAtomRef& g) {
+  void Insert(const ReferenceAtom& g) {
     auto [it, _] = idb_.try_emplace(
         g.pred, Relation(static_cast<int32_t>(g.args.size()),
                          std::max(domain_size_, 1)));

@@ -5,26 +5,37 @@
 #include <vector>
 
 #include "src/core/ast.h"
-#include "src/core/database.h"
 #include "src/util/result.h"
+#include "tests/support/edb.h"
 
 /// \file reference_eval.h
-/// The test-only oracle: the pre-compilation naive fixpoint engine, preserved
-/// from before the vectorized rewrite (NodeSet relations + CompiledProgram
-/// plans, eval.h).
+/// The test-only oracle: the naive fixpoint of Definition 3.1, iterating
+/// T_P literally and recording each stage (the Example 3.2 trace).
 ///
 /// It re-plans every rule on every enumeration, resolves every body atom
-/// through the string-keyed EdbSource::Get per join step, and stores IDB
-/// relations in std::map — nothing it shares with the production engines
-/// but the EdbSource interface. That independence is its one job: the
-/// cross-engine equivalence tests check every engine against it, and a bug
-/// would have to be written twice, in two very different implementations,
-/// to go unnoticed. Only tests call it.
+/// through the string-keyed EdbSource::Get per join step (edb.h), and stores
+/// IDB relations in std::map — nothing it shares with the grounded engine
+/// (grounder.h), which reads the tree directly. That independence is its one
+/// job: the cross-engine equivalence tests check every engine against it,
+/// and a bug would have to be written twice, in two very different
+/// implementations, to go unnoticed. It also covers what the engine does not
+/// ground: arbitrary finite structures, binary intensional predicates and
+/// nextsibling_tc (the TMNF chase intermediates). Only tests call it.
 ///
 /// Not for production use — O(|P|·|dom|) per T_P round with a much larger
 /// constant.
 
 namespace mdatalog::core {
+
+/// A derived ground atom.
+struct ReferenceAtom {
+  PredId pred;
+  std::vector<int32_t> args;
+  bool operator==(const ReferenceAtom&) const = default;
+  bool operator<(const ReferenceAtom& o) const {
+    return pred != o.pred ? pred < o.pred : args < o.args;
+  }
+};
 
 /// Fixpoint of the reference engine, restricted to intensional predicates.
 class ReferenceResult {
@@ -39,6 +50,11 @@ class ReferenceResult {
   /// Query result, sorted. Program must have a query predicate.
   std::vector<int32_t> Query() const;
 
+  /// The T_P stages: stages()[i] holds the atoms in T^{i+1}_P \ T^i_P,
+  /// sorted by (predicate, arguments).
+  const std::vector<std::vector<ReferenceAtom>>& stages() const {
+    return stages_;
+  }
   int64_t num_iterations() const { return num_iterations_; }
   int64_t num_derived() const { return num_derived_; }
 
@@ -46,6 +62,7 @@ class ReferenceResult {
   friend class ReferenceEngine;
   std::map<PredId, Relation> idb_;
   PredId query_pred_ = -1;
+  std::vector<std::vector<ReferenceAtom>> stages_;
   int64_t num_iterations_ = 0;
   int64_t num_derived_ = 0;
 };

@@ -284,8 +284,7 @@ TEST(RuntimeTelemetryTest, TracedWrapRecordsPipelineStages) {
   EXPECT_TRUE(has_span("memo.lookup"));
   EXPECT_TRUE(has_span("doc.fetch"));
   EXPECT_TRUE(has_span("html.parse"));
-  EXPECT_TRUE(has_span("edb.materialize") || has_span("eval.grounded") ||
-              has_span("eval.native"));
+  EXPECT_TRUE(has_span("eval.grounded") || has_span("eval.native"));
   EXPECT_TRUE(has_span("output.build"));
   // Nested spans sit inside their parents.
   for (const telemetry::SpanRecord& s : t.spans) {

@@ -9,7 +9,9 @@
 #include "src/tmnf/pipeline.h"
 #include "src/tree/generator.h"
 #include "src/util/rng.h"
+#include "tests/support/edb.h"
 #include "tests/support/program_generator.h"
+#include "tests/support/reference_eval.h"
 
 namespace mdatalog::tmnf {
 namespace {
@@ -175,9 +177,11 @@ TEST(ChaseUnrankedTest, SemanticsPreserved) {
     for (int trial = 0; trial < 10; ++trial) {
       Tree t = tree::RandomTree(rng, 1 + static_cast<int32_t>(rng.Below(25)),
                                 {"a", "b"});
-      auto lhs = core::EvaluateOnTree(original, t, core::Engine::kAuto);
-      // The chase introduces nextsibling_tc, which only naive evaluates.
-      auto rhs = core::EvaluateOnTree(chased_prog, t, core::Engine::kNaive);
+      auto lhs = core::EvaluateOnTree(original, t);
+      // The chase introduces nextsibling_tc, which does not ground: the
+      // reference oracle evaluates it.
+      const core::TreeDatabase db(t);
+      auto rhs = core::EvaluateNaiveReference(chased_prog, db);
       ASSERT_TRUE(lhs.ok());
       ASSERT_TRUE(rhs.ok());
       core::PredId q = original.preds().Find("q");
@@ -239,8 +243,8 @@ void ExpectTmnfEquivalent(const Program& input, util::Rng& rng,
   for (int trial = 0; trial < trials; ++trial) {
     Tree t = tree::RandomTree(
         rng, 1 + static_cast<int32_t>(rng.Below(max_nodes)), {"a", "b", "c"});
-    auto lhs = core::EvaluateOnTree(input, t, core::Engine::kAuto);
-    auto rhs = core::EvaluateOnTree(*tmnf, t, core::Engine::kGrounded);
+    auto lhs = core::EvaluateOnTree(input, t);
+    auto rhs = core::EvaluateGrounded(*tmnf, t);
     ASSERT_TRUE(lhs.ok());
     ASSERT_TRUE(rhs.ok()) << rhs.status().ToString();
     for (core::PredId q = 0; q < input.preds().size(); ++q) {
@@ -364,8 +368,8 @@ TEST(TmnfPipelineRankedTest, RoundTripOnBoundedArityTrees) {
     for (int trial = 0; trial < 6; ++trial) {
       Tree t = tree::RandomBoundedArityTree(
           rng, 1 + static_cast<int32_t>(rng.Below(25)), {"a", "b", "c"}, 2);
-      auto lhs = core::EvaluateOnTree(input, t, core::Engine::kAuto);
-      auto rhs = core::EvaluateOnTree(*tmnf, t, core::Engine::kAuto);
+      auto lhs = core::EvaluateOnTree(input, t);
+      auto rhs = core::EvaluateOnTree(*tmnf, t);
       ASSERT_TRUE(lhs.ok());
       ASSERT_TRUE(rhs.ok());
       core::PredId q = input.preds().Find("q");
