@@ -65,17 +65,6 @@ struct MinimizeResult {
   /// Per original rule index: number of redundant body literals dropped
   /// (nonzero only for kKept rules).
   std::vector<int32_t> literals_removed;
-
-  int32_t rules_removed() const {
-    int32_t n = 0;
-    for (RuleFate f : fates) n += f != RuleFate::kKept ? 1 : 0;
-    return n;
-  }
-  int32_t total_literals_removed() const {
-    int32_t n = 0;
-    for (int32_t k : literals_removed) n += k;
-    return n;
-  }
 };
 
 /// Minimizes `program`. The result's predicate table is a copy of the

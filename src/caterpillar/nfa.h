@@ -28,11 +28,6 @@ struct CatNfa {
   int32_t accept = 0;
 
   int32_t NumStates() const { return static_cast<int32_t>(states.size()); }
-  int64_t NumEdges() const {
-    int64_t n = 0;
-    for (const auto& s : states) n += static_cast<int64_t>(s.size());
-    return n;
-  }
 };
 
 /// Compiles `e` to an ε-NFA in time O(|E|). Inversions are pushed down first

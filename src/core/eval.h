@@ -36,7 +36,6 @@ class EvalResult {
   /// Program must have a query predicate.
   std::vector<int32_t> Query() const;
 
-  int64_t num_iterations() const { return num_iterations_; }
   int64_t num_derived() const { return num_derived_; }
 
  private:
@@ -59,7 +58,6 @@ class EvalResult {
 
   std::vector<PredFacts> facts_;  // indexed by PredId (dense)
   PredId query_pred_ = -1;
-  int64_t num_iterations_ = 0;
   int64_t num_derived_ = 0;
 };
 

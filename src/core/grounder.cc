@@ -1038,7 +1038,6 @@ class GroundedEvaluator {
         ++result.num_derived_;
       }
     }
-    result.num_iterations_ = 1;
     if (stats != nullptr) stats->num_clauses = fired_;
     return result;
   }

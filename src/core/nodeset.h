@@ -1,6 +1,5 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -62,13 +61,6 @@ class NodeSet {
     w |= m;
     ++count_;
     return true;
-  }
-
-  /// Removes all members; keeps the domain size.
-  void Clear() {
-    if (count_ == 0) return;
-    std::fill(words_.begin(), words_.end(), 0);
-    count_ = 0;
   }
 
   /// Calls fn(member) for every member, in ascending order.

@@ -341,19 +341,6 @@ util::Status Scanner::Finish(TokenSink* sink,
   return util::Status::OK();
 }
 
-util::Status StreamTokenizer::Feed(std::string_view chunk,
-                                   std::vector<Token>* out,
-                                   const util::EvalControl* control) {
-  TokenCollector collector(out);
-  return scanner_.Feed(chunk, &collector, control);
-}
-
-util::Status StreamTokenizer::Finish(std::vector<Token>* out,
-                                     const util::EvalControl* control) {
-  TokenCollector collector(out);
-  return scanner_.Finish(&collector, control);
-}
-
 void AppendDecodedEntities(std::string_view text, std::string* out) {
   for (size_t i = 0; i < text.size();) {
     if (text[i] != '&') {
@@ -409,11 +396,12 @@ std::string DecodeEntities(std::string_view text) {
 }
 
 std::vector<Token> Tokenize(std::string_view html) {
-  StreamTokenizer tokenizer;
+  Scanner scanner;
   std::vector<Token> out;
+  TokenCollector collector(&out);
   // Without an EvalControl the scanner cannot fail.
-  util::Status st = tokenizer.Feed(html, &out);
-  if (st.ok()) st = tokenizer.Finish(&out);
+  util::Status st = scanner.Feed(html, &collector);
+  if (st.ok()) st = scanner.Finish(&collector);
   (void)st;
   return out;
 }

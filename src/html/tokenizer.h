@@ -27,8 +27,8 @@
 /// once; the streaming front feeds chunks. Both run the same code, so the
 /// token stream cannot depend on chunking.
 ///
-/// StreamTokenizer and Tokenize() are owning-token helpers over the same
-/// scanner, for tests and per-layer benchmarks.
+/// Tokenize() is an owning-token helper over the same scanner, for tests and
+/// per-layer benchmarks.
 
 namespace mdatalog::html {
 
@@ -79,10 +79,6 @@ class Scanner {
                       const util::EvalControl* control = nullptr);
 
   bool finished() const { return finished_; }
-
-  /// Bytes currently held back waiting for more input: the unconsumed part
-  /// of a split construct plus any unflushed text run.
-  size_t buffered_bytes() const { return held_.size() + text_.size(); }
 
  private:
   enum class Markup {
@@ -161,22 +157,6 @@ struct Token {
   std::string data;               ///< tag name (lowercased) or text payload
   std::vector<Attribute> attrs;   ///< kStartTag only
   bool self_closing = false;      ///< kStartTag only
-};
-
-/// The Scanner with owning tokens appended to a vector: same Feed/Finish
-/// contract, same token stream.
-class StreamTokenizer {
- public:
-  util::Status Feed(std::string_view chunk, std::vector<Token>* out,
-                    const util::EvalControl* control = nullptr);
-  util::Status Finish(std::vector<Token>* out,
-                      const util::EvalControl* control = nullptr);
-
-  bool finished() const { return scanner_.finished(); }
-  size_t buffered_bytes() const { return scanner_.buffered_bytes(); }
-
- private:
-  Scanner scanner_;
 };
 
 /// Tokenizes HTML in one call into owning tokens. Never fails on malformed

@@ -179,7 +179,6 @@ util::Result<std::string> WrapperRuntime::Evaluate(
                                        span ? &gstats : nullptr, control));
       if (span) {
         span.Value("clauses", gstats.num_clauses);
-        span.Value("rounds", eval.num_iterations());
         span.Value("derived", eval.num_derived());
       }
     }

@@ -255,7 +255,6 @@ class WrapperRuntime {
   /// One tenant's QoS counters and cache slices. Unknown ids read as the
   /// default tenant.
   TenantStatsSnapshot tenant_stats(TenantId tenant) const;
-  const TenantRegistry& tenant_registry() const { return tenants_; }
 
   int32_t num_threads() const { return pool_.num_threads(); }
 

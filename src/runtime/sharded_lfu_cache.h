@@ -145,7 +145,6 @@ class ShardedLfuCache {
 
   bool enabled() const { return byte_budget_ > 0; }
   int32_t num_shards() const { return static_cast<int32_t>(shards_.size()); }
-  int64_t shard_byte_budget() const { return shard_byte_budget_; }
 
   /// Returns the cached value or null. A hit records the access in the
   /// shard's sketch and bumps the entry to MRU. A disabled cache

@@ -1,8 +1,10 @@
 #include "src/store/corpus_store.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <utility>
+#include <vector>
 
 #include "src/html/parser.h"
 #include "src/util/bits.h"
@@ -27,6 +29,62 @@ T ReadPod(const unsigned char* p) {
   T out;
   std::memcpy(&out, p, sizeof(T));
   return out;
+}
+
+/// True iff the prefix offsets offs[0..count] never decrease. With
+/// offs[count] inside its section, so is every entry.
+bool NonDecreasing(const uint32_t* offs, uint64_t count) {
+  for (uint64_t i = 0; i < count; ++i) {
+    if (offs[i] > offs[i + 1]) return false;
+  }
+  return true;
+}
+
+/// True iff the columns are the ones TreeBuilder writes: node 0 is the root,
+/// every other node's parent has a smaller id, the four link columns are
+/// the ones the parent column implies with each node's children in id
+/// order, and every label id is below `num_labels`. Such columns have no
+/// cycle, so every walk over them ends.
+bool IsBuiltTree(const tree::Tree::FrozenView& v, int32_t num_labels) {
+  const int32_t n = v.num_nodes;
+  if (v.parent[0] != tree::kNoNode || v.prev_sibling[0] != tree::kNoNode ||
+      v.next_sibling[0] != tree::kNoNode) {
+    return false;
+  }
+  std::vector<int32_t> last(n, tree::kNoNode);  // last child seen so far
+  for (int32_t i = 0; i < n; ++i) {
+    if (v.label[i] < 0 || v.label[i] >= num_labels) return false;
+    if (i == 0) continue;
+    const int32_t p = v.parent[i];
+    if (p < 0 || p >= i) return false;
+    const int32_t prev = last[p];
+    if (v.prev_sibling[i] != prev ||
+        (prev == tree::kNoNode ? v.first_child[p] : v.next_sibling[prev]) !=
+            i) {
+      return false;
+    }
+    last[p] = i;
+  }
+  for (int32_t i = 0; i < n; ++i) {
+    const int32_t lc = last[i];
+    if (v.last_child[i] != lc ||
+        (lc == tree::kNoNode ? v.first_child[i] : v.next_sibling[lc]) !=
+            tree::kNoNode) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// True iff no two labels share a name: MakeTree interns them in id order.
+bool LabelsAreDistinct(const FrozenDocument& doc) {
+  std::vector<std::string_view> names;
+  names.reserve(doc.num_labels);
+  for (int32_t id = 0; id < doc.num_labels; ++id) {
+    names.push_back(doc.label(id));
+  }
+  std::sort(names.begin(), names.end());
+  return std::adjacent_find(names.begin(), names.end()) == names.end();
 }
 
 }  // namespace
@@ -401,7 +459,8 @@ util::Result<FrozenDocument> CorpusStore::Materialize(
   const uint32_t* label_offsets =
       reinterpret_cast<const uint32_t*>(base + h.off_labels);
   if (!section_ok(h.off_labels, (labels + 1) * sizeof(uint32_t) +
-                                    uint64_t{label_offsets[labels]})) {
+                                    uint64_t{label_offsets[labels]}) ||
+      !NonDecreasing(label_offsets, labels)) {
     return corrupt("label bytes");
   }
   const uint32_t* text_offsets = nullptr;
@@ -412,7 +471,8 @@ util::Result<FrozenDocument> CorpusStore::Materialize(
     }
     text_offsets = reinterpret_cast<const uint32_t*>(base + h.off_texts);
     if (!section_ok(h.off_texts, (n + 1) * sizeof(uint32_t) +
-                                     uint64_t{text_offsets[n]})) {
+                                     uint64_t{text_offsets[n]}) ||
+        !NonDecreasing(text_offsets, n)) {
       return corrupt("text bytes");
     }
     text_base =
@@ -447,6 +507,10 @@ util::Result<FrozenDocument> CorpusStore::Materialize(
   doc.label_base =
       reinterpret_cast<const char*>(label_offsets + h.num_labels + 1);
   doc.num_labels = static_cast<int32_t>(h.num_labels);
+  // The checksum key is public, so a forged blob can carry a matching
+  // checksum: the columns themselves must make a tree.
+  if (!IsBuiltTree(doc.view, doc.num_labels)) return corrupt("tree columns");
+  if (!LabelsAreDistinct(doc)) return corrupt("duplicate label");
   return doc;
 }
 

@@ -9,33 +9,6 @@
 
 namespace mdatalog::stream {
 
-namespace {
-
-/// Document-order subtree text over a partially-built tree; must concatenate
-/// exactly like Tree::SubtreeText (preorder) so emitted texts match what the
-/// finished tree reports. Walks the parent and sibling links without a stack:
-/// fuzzed inputs nest arbitrarily deep. `n` must have closed.
-std::string SubtreeTextOf(const tree::TreeBuilder& b, tree::NodeId n) {
-  std::string out;
-  for (tree::NodeId m = n;;) {
-    out += b.text(m);
-    if (const tree::NodeId c = b.first_child(m); c != tree::kNoNode) {
-      m = c;
-      continue;
-    }
-    for (;;) {
-      if (m == n) return out;
-      if (const tree::NodeId next = b.next_sibling(m); next != tree::kNoNode) {
-        m = next;
-        break;
-      }
-      m = b.parent(m);
-    }
-  }
-}
-
-}  // namespace
-
 StreamSession::StreamSession(
     std::shared_ptr<const runtime::CompiledWrapperProgram> program,
     std::string project_attr, StreamOptions options,
@@ -284,7 +257,12 @@ void StreamSession::EmitResult(int32_t pattern_index, tree::NodeId node) {
   StreamResult result;
   result.pattern = program_->prepared.extraction_patterns[pattern_index];
   result.label = builder().label_name(node);
-  result.text = SubtreeTextOf(builder(), node);
+  // The closed subtree's text, concatenated like Tree::SubtreeText so it
+  // matches what the finished tree reports.
+  tree::WalkSubtree(
+      builder(), node,
+      [&](tree::NodeId m) { result.text += builder().text(m); },
+      [](tree::NodeId) {});
   result.node = node;
   options_.on_result(result);
 }

@@ -93,9 +93,6 @@ class StreamSession {
   /// tree (final ids = internal ids - 1). Meaningful once the second
   /// top-level node arrives (false from then on) or after Finish.
   bool stripped() const { return stripped_; }
-  /// Bytes held back by the scanner waiting for a construct to complete
-  /// (bounded by the longest tag/comment/script body, not the page).
-  size_t buffered_bytes() const { return scanner_.buffered_bytes(); }
 
   /// Bounded-memory observability: the largest number of simultaneously
   /// open (subtree-incomplete) nodes the session has held. Open nodes are

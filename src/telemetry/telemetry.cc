@@ -47,7 +47,7 @@ void Telemetry::FinishTrace(std::unique_ptr<TraceContext> trace,
   finished.status = status;
   finished.spans = std::move(trace->mutable_spans());
 
-  if (finished.duration_ns >= options_.slow_request_ns) {
+  if (finished.duration_ns >= kSlowRequestNs) {
     registry_.GetCounter("trace.slow_requests")->Add(1);
     std::string entry = FormatBreakdown(finished);
     std::lock_guard<std::mutex> lock(slow_mu_);

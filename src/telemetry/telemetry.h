@@ -44,8 +44,6 @@ struct TelemetryOptions {
   /// Completed traces retained for export (the nodes-vs-wall-time scatter
   /// and the per-request breakdowns read these).
   int32_t trace_ring_capacity = 256;
-  /// A traced request slower than this goes into the slow-request log.
-  int64_t slow_request_ns = 50'000'000;  // 50ms
 };
 
 /// A completed request trace, as retained by the ring buffer.
@@ -64,6 +62,8 @@ class Telemetry {
  public:
   /// Formatted slow-request breakdowns retained.
   static constexpr size_t kSlowLogCapacity = 64;
+  /// A traced request at least this slow goes into the slow-request log.
+  static constexpr int64_t kSlowRequestNs = 50'000'000;  // 50ms
 
   explicit Telemetry(const TelemetryOptions& options = {});
 

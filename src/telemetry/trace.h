@@ -11,11 +11,11 @@
 /// A TraceContext is created per request by the runtime's Telemetry bundle
 /// and travels with the request: the executing thread installs it as the
 /// thread-current trace (TraceScope), and every instrumented layer — HTML
-/// parse, EDB materialization, cache lookups, plan replay, fixpoint rounds,
-/// SAT solve, stream Feed/Propagate/Finish — opens a TraceSpan against
-/// CurrentTrace(). Spans nest (parent/depth follow the open-span stack),
-/// carry nanosecond monotonic timestamps, an optional outcome tag and up to
-/// three named integer values (round counts, delta sizes, SAT conflicts, …).
+/// parse, cache lookups, plan replay, SAT solve, stream
+/// Feed/Propagate/Finish — opens a TraceSpan against CurrentTrace(). Spans
+/// nest (parent/depth follow the open-span stack), carry nanosecond
+/// monotonic timestamps, an optional outcome tag and up to three named
+/// integer values (fired clauses, derived atoms, SAT conflicts, …).
 ///
 /// Cost contract:
 ///  * untraced fast path: a TraceSpan over a null context is one branch — no

@@ -64,7 +64,10 @@ class TmnfPipeline {
     for (const Rule& rule : acyclic_rules) MD_RETURN_NOT_OK(Decompose(rule));
     if (used_fsib_) EmitFsibDefinition();
 
-    PruneEmptyPredicates();
+    // Dropping unsatisfiable rules can leave a predicate without rules, and
+    // so every rule that reads it unfireable.
+    core::PruneUnderivableRules(&out_, ranked_ ? core::TreeSchema::kRanked
+                                               : core::TreeSchema::kUnranked);
     MD_RETURN_NOT_OK(CheckTmnf(out_, {.ranked = ranked_}));
     if (stats_ != nullptr) {
       stats_->output_rules = static_cast<int32_t>(out_.rules().size());
@@ -116,10 +119,7 @@ class TmnfPipeline {
         int32_t arity = static_cast<int32_t>(a.args.size());
         bool ok;
         if (ranked_) {
-          ok = (arity == 2 && core::ChildKIndex(name) >= 1) ||
-               (arity == 1 &&
-                (name == "root" || name == "leaf" || name == "lastsibling" ||
-                 !core::LabelFromPredName(name).empty()));
+          ok = core::IsRankedTreePredicate(name, arity);
         } else {
           ok = core::IsTreePredicate(name, arity) && name != "nextsibling_tc" &&
                core::ChildKIndex(name) < 1;
@@ -234,47 +234,6 @@ class TmnfPipeline {
     }
     return caterpillar::Concat({caterpillar::Star(caterpillar::Union(up)),
                                 caterpillar::Star(caterpillar::Union(down))});
-  }
-
-  /// Dropping unsatisfiable rules (chase) can leave an intensional predicate
-  /// with no defining rules; its extension is empty under the fixpoint
-  /// semantics, so rules whose bodies mention it can never fire. Removing
-  /// those rules may empty further predicates — iterate to a fixpoint.
-  void PruneEmptyPredicates() {
-    // Non-schema unary predicates: input-intensional names and generated
-    // "__" predicates. Schema (EDB) predicates are never empty by fiat.
-    auto is_idb_like = [&](PredId p) {
-      const std::string& name = out_.preds().Name(p);
-      if (name.rfind("__", 0) == 0) return true;
-      if (ranked_) {
-        return core::ChildKIndex(name) < 1 && name != "root" &&
-               name != "leaf" && name != "lastsibling" &&
-               core::LabelFromPredName(name).empty();
-      }
-      return !core::IsTreePredicate(name, out_.preds().Arity(p));
-    };
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      std::vector<bool> has_rule(out_.preds().size(), false);
-      for (const Rule& r : out_.rules()) has_rule[r.head.pred] = true;
-      std::vector<Rule> kept;
-      for (Rule& r : out_.mutable_rules()) {
-        bool fireable = true;
-        for (const Atom& a : r.body) {
-          if (is_idb_like(a.pred) && !has_rule[a.pred]) {
-            fireable = false;
-            break;
-          }
-        }
-        if (fireable) {
-          kept.push_back(std::move(r));
-        } else {
-          changed = true;
-        }
-      }
-      out_.mutable_rules() = std::move(kept);
-    }
   }
 
   bool IsCaterpillarAtom(const Atom& a) const {

@@ -5,30 +5,6 @@
 
 namespace mdatalog::tree {
 
-Tree& Tree::operator=(const Tree& other) {
-  if (this == &other) return *this;
-  size_ = other.size_;
-  frozen_ = other.frozen_;
-  parent_ = other.parent_;
-  first_child_ = other.first_child_;
-  last_child_ = other.last_child_;
-  prev_sibling_ = other.prev_sibling_;
-  next_sibling_ = other.next_sibling_;
-  label_ = other.label_;
-  text_offsets_ = other.text_offsets_;
-  text_base_ = other.text_base_;
-  own_parent_ = other.own_parent_;
-  own_first_child_ = other.own_first_child_;
-  own_last_child_ = other.own_last_child_;
-  own_prev_sibling_ = other.own_prev_sibling_;
-  own_next_sibling_ = other.own_next_sibling_;
-  own_label_ = other.own_label_;
-  texts_ = other.texts_;
-  labels_ = other.labels_;
-  Rebind();
-  return *this;
-}
-
 Tree& Tree::operator=(Tree&& other) noexcept {
   if (this == &other) return *this;
   size_ = other.size_;
@@ -106,12 +82,6 @@ NodeId Tree::ChildK(NodeId n, int32_t k) const {
   return c;
 }
 
-int32_t Tree::Depth(NodeId n) const {
-  int32_t d = 0;
-  for (NodeId p = parent(n); p != kNoNode; p = parent(p)) ++d;
-  return d;
-}
-
 bool Tree::IsAncestor(NodeId anc, NodeId n) const {
   for (NodeId p = parent(n); p != kNoNode; p = parent(p)) {
     if (p == anc) return true;
@@ -134,22 +104,6 @@ std::vector<int32_t> Tree::PreorderRanks() const {
     rank[order[i]] = static_cast<int32_t>(i);
   }
   return rank;
-}
-
-int32_t Tree::MaxArity() const {
-  int32_t best = 0;
-  for (NodeId n = 0; n < size(); ++n) {
-    best = std::max(best, NumChildren(n));
-  }
-  return best;
-}
-
-int32_t Tree::Height() const {
-  int32_t best = 0;
-  for (NodeId n = 0; n < size(); ++n) {
-    if (IsLeaf(n)) best = std::max(best, Depth(n));
-  }
-  return best;
 }
 
 std::string Tree::SubtreeText(NodeId n) const {

@@ -42,9 +42,9 @@ inline constexpr NodeId kNoNode = -1;
 class Tree {
  public:
   Tree() = default;
-  Tree(const Tree& other) { *this = other; }
+  Tree(const Tree&) = delete;
+  Tree& operator=(const Tree&) = delete;
   Tree(Tree&& other) noexcept { *this = std::move(other); }
-  Tree& operator=(const Tree& other);
   Tree& operator=(Tree&& other) noexcept;
 
   /// Borrowed column views over a frozen tree blob. All arrays have
@@ -141,8 +141,6 @@ class Tree {
   int32_t NumChildren(NodeId n) const;
   /// k-th child (1-based, as in the paper's child_k), or kNoNode.
   NodeId ChildK(NodeId n, int32_t k) const;
-  /// Depth of n (root has depth 0).
-  int32_t Depth(NodeId n) const;
   /// True iff `anc` is a proper ancestor of `n`.
   bool IsAncestor(NodeId anc, NodeId n) const;
 
@@ -150,10 +148,6 @@ class Tree {
   std::vector<NodeId> Preorder() const;
   /// rank[n] = position of node n in document order.
   std::vector<int32_t> PreorderRanks() const;
-  /// Maximum number of children over all nodes.
-  int32_t MaxArity() const;
-  /// Height (leaves-only tree has height 0).
-  int32_t Height() const;
 
   // --- payload / alphabet --------------------------------------------------
 
@@ -191,9 +185,8 @@ class Tree {
     return n >= 0 && n < size_;
   }
   /// Points the column views at the owned vectors (no-op for frozen trees,
-  /// whose views reference external memory). Must be called after any
-  /// member-wise copy/move — vector buffers move with their vector, but a
-  /// copy reallocates.
+  /// whose views reference external memory). Called after a move and when
+  /// the builder finalizes the tree.
   void Rebind();
 
   int32_t size_ = 0;
@@ -232,7 +225,6 @@ class TreeBuilder {
   void SetText(NodeId n, std::string_view text);
 
   int32_t size() const { return static_cast<int32_t>(tree_.own_label_.size()); }
-  bool has_root() const { return !tree_.own_label_.empty(); }
 
   // Read access to the partially-built tree. The streaming front (src/stream/)
   // emits results for nodes whose subtrees have closed while later siblings
@@ -276,9 +268,11 @@ class TreeBuilder {
 /// Visits the subtree of `t` rooted at `n` in document order without
 /// recursion or an explicit stack (it climbs the parent column): enter(m) on
 /// the way down, leave(m) once m's whole subtree has been visited. Depth is
-/// unbounded — HTML pages can nest arbitrarily deep.
-template <typename Enter, typename Leave>
-void WalkSubtree(const Tree& t, NodeId n, Enter&& enter, Leave&& leave) {
+/// unbounded — HTML pages can nest arbitrarily deep. `t` is a Tree or a
+/// TreeBuilder (whose closed subtrees the streaming front reads); only
+/// first_child, next_sibling and parent are used.
+template <typename TreeT, typename Enter, typename Leave>
+void WalkSubtree(const TreeT& t, NodeId n, Enter&& enter, Leave&& leave) {
   NodeId m = n;
   for (;;) {
     enter(m);

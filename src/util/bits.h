@@ -9,12 +9,6 @@
 
 namespace mdatalog::util {
 
-/// Number of set bits in one 64-bit word (single popcnt instruction where
-/// available).
-inline int32_t Popcount64(uint64_t w) {
-  return static_cast<int32_t>(__builtin_popcountll(w));
-}
-
 /// Index of the lowest set bit of `w`. w must be nonzero.
 inline int32_t Ctz64(uint64_t w) { return std::countr_zero(w); }
 

@@ -348,8 +348,9 @@ TEST(IncrementalReplayTest, HundredThousandDeepChainAndWideFanOut) {
     last = chain.Child(last, i % 2 == 0 ? "a" : "b");
     fan.Child(0, i % 3 == 0 ? "a" : "b");
   }
-  const std::vector<std::pair<std::string, tree::Tree>> trees = {
-      {" chain", chain.Build()}, {" fan-out", fan.Build()}};
+  std::vector<std::pair<std::string, tree::Tree>> trees;
+  trees.emplace_back(" chain", chain.Build());
+  trees.emplace_back(" fan-out", fan.Build());
   util::Rng rng(11);
   std::vector<CorpusProgram> programs = Corpus();
   for (Program& p : StructuralPrograms()) {

@@ -4,7 +4,9 @@
 // XML a parse-every-time runtime produces — under every engine mode.
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -360,6 +362,120 @@ TEST(CorpusStoreTest, RejectsFlippedPayloadByteAsDataLoss) {
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   // ...but serving the damaged document reports DataLoss, never bad data.
   EXPECT_EQ((*store)->Get(0).status().code(), util::StatusCode::kDataLoss);
+}
+
+// The payload checksum's key is public, so anyone can edit a blob and
+// recompute its checksum. Such a forged snapshot must still be refused with
+// kDataLoss, never abort or read out of bounds.
+
+/// Overwrites entry `node` of node column `column` (Tree::Columns order:
+/// parent, first_child, last_child, prev_sibling, next_sibling, label).
+void SetColumn(const store::DocHeader& h, unsigned char* blob, int32_t column,
+               int32_t node, int32_t value) {
+  std::memcpy(blob + h.off_nodes +
+                  (size_t{static_cast<uint32_t>(column)} * h.num_nodes +
+                   static_cast<uint32_t>(node)) *
+                      sizeof(int32_t),
+              &value, sizeof(value));
+}
+
+uint32_t GetOffset(const unsigned char* section, uint32_t i) {
+  uint32_t v;
+  std::memcpy(&v, section + i * sizeof(uint32_t), sizeof(v));
+  return v;
+}
+
+void SetOffset(unsigned char* section, uint32_t i, uint32_t v) {
+  std::memcpy(section + i * sizeof(uint32_t), &v, sizeof(v));
+}
+
+using Forge = std::function<void(const store::DocHeader&, unsigned char*)>;
+
+/// Saves `page` as the only document of a snapshot at `path`, lets `forge`
+/// edit its blob, and recomputes the payload checksum over the edit.
+void WriteForgedSnapshot(const std::string& path, const std::string& page,
+                         const Forge& forge) {
+  store::CorpusStore::Builder b;
+  ASSERT_TRUE(b.AddHtml(page, "class").ok());
+  ASSERT_TRUE(b.Save(path).ok());
+  std::string bytes = ReadFile(path);
+  // The only blob sits right after the file header.
+  unsigned char* blob = reinterpret_cast<unsigned char*>(bytes.data()) +
+                        sizeof(store::FileHeader);
+  store::DocHeader h;
+  std::memcpy(&h, blob, sizeof(h));
+  forge(h, blob);
+  h.payload_checksum = store::Checksum64(blob + sizeof(h),
+                                         h.blob_size - sizeof(h));
+  std::memcpy(blob, &h, sizeof(h));
+  WriteFile(path, bytes);
+}
+
+TEST(CorpusStoreTest, ForgedColumnsAreDataLoss) {
+  const std::string page = CatalogPage(100, 8);
+  const std::string path = TempPath("forged.mdcs");
+
+  // Re-checksumming an untouched blob keeps it servable.
+  WriteForgedSnapshot(path, page,
+                      [](const store::DocHeader&, unsigned char*) {});
+  {
+    auto store = store::CorpusStore::Open(path);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->Get(0).ok());
+    ASSERT_TRUE((*store)->Find(page, "class").ok());
+  }
+
+  const std::pair<const char*, Forge> forgeries[] = {
+      {"root label id 2^28",
+       [](const store::DocHeader& h, unsigned char* blob) {
+         SetColumn(h, blob, 5, 0, 1 << 28);
+       }},
+      {"first_child[0] = 2^28",
+       [](const store::DocHeader& h, unsigned char* blob) {
+         SetColumn(h, blob, 1, 0, 1 << 28);
+       }},
+      {"text offset past the text bytes",
+       [](const store::DocHeader& h, unsigned char* blob) {
+         ASSERT_NE(h.off_texts, 0u);
+         unsigned char* texts = blob + h.off_texts;
+         SetOffset(texts, 1, GetOffset(texts, h.num_nodes) + 4096);
+       }},
+      {"parent after its child",
+       [](const store::DocHeader& h, unsigned char* blob) {
+         SetColumn(h, blob, 0, 1, static_cast<int32_t>(h.num_nodes) - 1);
+       }},
+      {"sibling cycle",
+       [](const store::DocHeader& h, unsigned char* blob) {
+         SetColumn(h, blob, 4, 1, 1);
+       }},
+      {"two labels with one name",
+       [](const store::DocHeader& h, unsigned char* blob) {
+         unsigned char* offs = blob + h.off_labels;
+         unsigned char* bytes = offs + (h.num_labels + 1) * sizeof(uint32_t);
+         const auto size = [&](uint32_t id) {
+           return GetOffset(offs, id + 1) - GetOffset(offs, id);
+         };
+         for (uint32_t i = 0; i < h.num_labels; ++i) {
+           for (uint32_t j = i + 1; j < h.num_labels; ++j) {
+             if (size(i) != size(j)) continue;
+             std::memcpy(bytes + GetOffset(offs, j),
+                         bytes + GetOffset(offs, i), size(i));
+             return;
+           }
+         }
+         FAIL() << "no two labels of equal length";
+       }},
+  };
+  for (const auto& [name, forge] : forgeries) {
+    WriteForgedSnapshot(path, page, forge);
+    auto store = store::CorpusStore::Open(path);
+    ASSERT_TRUE(store.ok()) << name << ": " << store.status().ToString();
+    EXPECT_EQ((*store)->Get(0).status().code(), util::StatusCode::kDataLoss)
+        << name;
+    EXPECT_EQ((*store)->Find(page, "class").status().code(),
+              util::StatusCode::kDataLoss)
+        << name;
+  }
 }
 
 TEST(CorpusStoreTest, MissingFileIsInvalidArgument) {

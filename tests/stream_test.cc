@@ -212,6 +212,48 @@ std::string TokenSig(const std::vector<html::Token>& tokens) {
   return sig;
 }
 
+/// Builds TokenSig's signature straight from the scanner's borrowed tokens.
+class SigSink final : public html::TokenSink {
+ public:
+  void StartTag(const html::TagView& tag) override {
+    Head(html::Token::Type::kStartTag, tag.name);
+    for (const html::AttrView& a : tag.attrs) {
+      sig += '[';
+      sig += a.name;
+      sig += '=';
+      sig += a.value;
+      sig += ']';
+    }
+    if (tag.self_closing) sig += "/";
+    sig += '\n';
+  }
+  void EndTag(std::string_view name) override {
+    Line(html::Token::Type::kEndTag, name);
+  }
+  void Text(std::string_view text) override {
+    Line(html::Token::Type::kText, text);
+  }
+  void Comment(std::string_view body) override {
+    Line(html::Token::Type::kComment, body);
+  }
+  void Doctype(std::string_view body) override {
+    Line(html::Token::Type::kDoctype, body);
+  }
+
+  std::string sig;
+
+ private:
+  void Head(html::Token::Type type, std::string_view data) {
+    sig += std::to_string(static_cast<int>(type));
+    sig += '|';
+    sig += data;
+  }
+  void Line(html::Token::Type type, std::string_view data) {
+    Head(type, data);
+    sig += '\n';
+  }
+};
+
 std::string StrCat(const std::vector<std::string>& chunks) {
   std::string out;
   for (const std::string& c : chunks) out += c;
@@ -239,10 +281,10 @@ std::set<std::pair<std::string, tree::NodeId>> BatchExtents(
   std::set<std::pair<std::string, tree::NodeId>> out;
   auto doc = html::ParseHtml(page);
   if (!doc.ok()) return out;
-  tree::Tree projected = attr.empty()
-                             ? doc->tree()
-                             : html::ProjectAttributeIntoLabels(*doc, attr);
-  auto result = elog::EvaluateElog(w.program, projected);
+  tree::Tree projected;
+  if (!attr.empty()) projected = html::ProjectAttributeIntoLabels(*doc, attr);
+  auto result =
+      elog::EvaluateElog(w.program, attr.empty() ? doc->tree() : projected);
   EXPECT_TRUE(result.ok());
   for (const std::string& pattern : w.extraction_patterns) {
     const auto it = result->matches.find(pattern);
@@ -281,10 +323,13 @@ void CheckOneChunking(runtime::WrapperRuntime& rt,
   const tree::NodeId shift = (*session)->stripped() ? 1 : 0;
   auto doc = html::ParseHtml(StrCat(chunks));
   ASSERT_TRUE(doc.ok()) << context;
-  tree::Tree projected =
-      handle.project_attr.empty()
-          ? doc->tree()
-          : html::ProjectAttributeIntoLabels(*doc, handle.project_attr);
+  tree::Tree projected_storage;
+  if (!handle.project_attr.empty()) {
+    projected_storage =
+        html::ProjectAttributeIntoLabels(*doc, handle.project_attr);
+  }
+  const tree::Tree& projected =
+      handle.project_attr.empty() ? doc->tree() : projected_storage;
   std::set<std::pair<std::string, tree::NodeId>> got;
   for (const stream::StreamResult& r : emitted) {
     const tree::NodeId external = r.node - shift;
@@ -311,14 +356,14 @@ TEST(StreamTokenizerTest, ChunkingNeverChangesTheTokenStream) {
     const std::string expected = TokenSig(html::Tokenize(page));
     const bool small = page.size() <= 4096;
     for (const auto& chunks : Chunkings(page, 1000 + pi, small)) {
-      html::StreamTokenizer tok;
-      std::vector<html::Token> tokens;
+      html::Scanner scanner;
+      SigSink sink;
       for (const std::string& chunk : chunks) {
-        ASSERT_TRUE(tok.Feed(chunk, &tokens).ok());
+        ASSERT_TRUE(scanner.Feed(chunk, &sink).ok());
       }
-      ASSERT_TRUE(tok.Finish(&tokens).ok());
-      EXPECT_TRUE(tok.finished());
-      EXPECT_EQ(TokenSig(tokens), expected)
+      ASSERT_TRUE(scanner.Finish(&sink).ok());
+      EXPECT_TRUE(scanner.finished());
+      EXPECT_EQ(sink.sig, expected)
           << "page " << pi << " under " << chunks.size() << " chunks";
     }
   }
@@ -449,9 +494,9 @@ TEST(StreamDeadlineTest, ExpiredControlFiresInsideTokenization) {
   const std::string page = MultiMegabytePage();
   const util::EvalControl control(
       util::Deadline::After(std::chrono::milliseconds(0)), nullptr);
-  html::StreamTokenizer tok;
-  std::vector<html::Token> tokens;
-  util::Status s = tok.Feed(page, &tokens, &control);
+  html::Scanner scanner;
+  SigSink sink;
+  util::Status s = scanner.Feed(page, &sink, &control);
   EXPECT_EQ(s.code(), util::StatusCode::kDeadlineExceeded);
 }
 

@@ -3,6 +3,7 @@
 #include "src/core/examples.h"
 #include "src/core/grounder.h"
 #include "src/core/parser.h"
+#include "src/core/tree_schema.h"
 #include "src/core/validate.h"
 #include "src/tmnf/acyclic.h"
 #include "src/tmnf/normal_form.h"
@@ -309,6 +310,110 @@ TEST(TmnfPipelineTest, UnsatRulesAreDropped) {
   auto r = core::EvaluateOnTree(*tmnf, t);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->Unary(p.preds().Find("q")), (std::vector<int32_t>{0}));
+}
+
+/// Every body atom of `tmnf` names either a predicate that heads a rule of
+/// `tmnf` or a tree-schema predicate (τ_rk when `ranked`): no rule reads an
+/// empty predicate. Also fails when a rule reads a `reads_none` predicate.
+void ExpectNoRuleReadsAnEmptyPredicate(const Program& tmnf, bool ranked,
+                                       const std::string& reads_none) {
+  std::vector<bool> has_rule(tmnf.preds().size(), false);
+  for (const core::Rule& r : tmnf.rules()) has_rule[r.head.pred] = true;
+  for (const core::Rule& r : tmnf.rules()) {
+    for (const core::Atom& a : r.body) {
+      const std::string& name = tmnf.preds().Name(a.pred);
+      EXPECT_NE(name, reads_none) << core::ToString(tmnf);
+      if (has_rule[a.pred]) continue;
+      const int32_t arity = tmnf.preds().Arity(a.pred);
+      const bool schema =
+          ranked ? (arity == 2 && core::ChildKIndex(name) >= 1) ||
+                       (arity == 1 && (name == "root" || name == "leaf" ||
+                                       name == "lastsibling" ||
+                                       !core::LabelFromPredName(name).empty()))
+                 : core::IsTreePredicate(name, arity);
+      EXPECT_TRUE(schema) << name << " is read but has no rule\n"
+                          << core::ToString(tmnf);
+    }
+  }
+}
+
+/// True iff some rule of `program` reads the predicate `name`.
+bool SomeRuleReads(const Program& program, const std::string& name) {
+  for (const core::Rule& r : program.rules()) {
+    for (const core::Atom& a : r.body) {
+      if (program.preds().Name(a.pred) == name) return true;
+    }
+  }
+  return false;
+}
+
+TEST(TmnfPipelineTest, RulesOverEmptiedPredicatesArePruned) {
+  // p's only rule is unsatisfiable, so the chase leaves p without rules. The
+  // second q rule reads p at Y next to a label test, which decomposition
+  // turns into a generated `__` conjunction over p: both it and the q rule
+  // reading it must go. The schema atoms of the other rules stay.
+  Program input = MustParse(
+      "p(X) :- child(X, X).\n"
+      "q(X) :- firstchild(X, Y), label_a(Y).\n"
+      "q(X) :- firstchild(X, Y), p(Y), label_b(Y).\n"
+      "r(X) :- nextsibling(X, Y), q(Y).\n");
+  TmnfStats stats;
+  auto tmnf = ToTmnf(input, &stats);
+  ASSERT_TRUE(tmnf.ok()) << tmnf.status().ToString();
+  EXPECT_EQ(stats.rules_dropped_unsat, 1);
+  ExpectNoRuleReadsAnEmptyPredicate(*tmnf, /*ranked=*/false, "p");
+  EXPECT_TRUE(SomeRuleReads(*tmnf, "firstchild")) << core::ToString(*tmnf);
+  EXPECT_TRUE(SomeRuleReads(*tmnf, "nextsibling")) << core::ToString(*tmnf);
+  EXPECT_TRUE(SomeRuleReads(*tmnf, "label_a")) << core::ToString(*tmnf);
+  EXPECT_FALSE(SomeRuleReads(*tmnf, "label_b")) << core::ToString(*tmnf);
+
+  util::Rng rng(2718);
+  for (int trial = 0; trial < 10; ++trial) {
+    Tree t = tree::RandomTree(rng, 1 + static_cast<int32_t>(rng.Below(25)),
+                              {"a", "b"});
+    const core::TreeDatabase db(t);
+    auto oracle = core::EvaluateNaiveReference(input, db);
+    auto got = core::EvaluateGrounded(*tmnf, t);
+    ASSERT_TRUE(oracle.ok());
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    for (const char* name : {"p", "q", "r"}) {
+      const core::PredId pred = input.preds().Find(name);
+      EXPECT_EQ(got->Unary(pred), oracle->Unary(pred)) << name;
+    }
+  }
+}
+
+TEST(TmnfPipelineRankedTest, RulesOverEmptiedPredicatesArePruned) {
+  // Y cannot be both the 1st and the 2nd child, so p is left without rules;
+  // the rules over child2 and label_a stay.
+  Program input = MustParse(
+      "p(X) :- child1(X, Y), child2(Z, Y).\n"
+      "q(X) :- child2(X, Y), label_a(Y).\n"
+      "q(X) :- child2(X, Y), p(Y), label_b(Y).\n"
+      "r(X) :- child1(Y, X), q(Y).\n");
+  TmnfStats stats;
+  auto tmnf = ToTmnfRanked(input, &stats);
+  ASSERT_TRUE(tmnf.ok()) << tmnf.status().ToString();
+  EXPECT_EQ(stats.rules_dropped_unsat, 1);
+  ExpectNoRuleReadsAnEmptyPredicate(*tmnf, /*ranked=*/true, "p");
+  EXPECT_TRUE(SomeRuleReads(*tmnf, "child2")) << core::ToString(*tmnf);
+  EXPECT_TRUE(SomeRuleReads(*tmnf, "label_a")) << core::ToString(*tmnf);
+  EXPECT_FALSE(SomeRuleReads(*tmnf, "label_b")) << core::ToString(*tmnf);
+
+  util::Rng rng(3141);
+  for (int trial = 0; trial < 10; ++trial) {
+    Tree t = tree::RandomBoundedArityTree(
+        rng, 1 + static_cast<int32_t>(rng.Below(25)), {"a", "b"}, 2);
+    const core::TreeDatabase db(t);
+    auto oracle = core::EvaluateNaiveReference(input, db);
+    auto got = core::EvaluateOnTree(*tmnf, t);
+    ASSERT_TRUE(oracle.ok());
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    for (const char* name : {"p", "q", "r"}) {
+      const core::PredId pred = input.preds().Find(name);
+      EXPECT_EQ(got->Unary(pred), oracle->Unary(pred)) << name;
+    }
+  }
 }
 
 TEST(TmnfPipelineTest, OutputSizeIsLinear) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/tree/binary.h"
 #include "src/tree/generator.h"
 #include "src/tree/ranked.h"
@@ -20,6 +22,29 @@ Tree SmallTree() {
   b.Child(c, "e");
   b.Child(r, "f");
   return b.Build();
+}
+
+/// Number of edges from `n` up to the root.
+int32_t Depth(const Tree& t, NodeId n) {
+  int32_t d = 0;
+  for (NodeId p = t.parent(n); p != kNoNode; p = t.parent(p)) ++d;
+  return d;
+}
+
+/// Longest root-to-leaf path, in edges.
+int32_t Height(const Tree& t) {
+  int32_t best = 0;
+  for (NodeId n = 0; n < t.size(); ++n) best = std::max(best, Depth(t, n));
+  return best;
+}
+
+/// Largest number of children of any node.
+int32_t MaxArity(const Tree& t) {
+  int32_t best = 0;
+  for (NodeId n = 0; n < t.size(); ++n) {
+    best = std::max(best, t.NumChildren(n));
+  }
+  return best;
 }
 
 TEST(TreeTest, BuilderLinksSiblingsAndParents) {
@@ -71,10 +96,10 @@ TEST(TreeTest, ChildKIsOneBased) {
 
 TEST(TreeTest, DepthHeightArity) {
   Tree t = SmallTree();
-  EXPECT_EQ(t.Depth(0), 0);
-  EXPECT_EQ(t.Depth(3), 2);
-  EXPECT_EQ(t.Height(), 2);
-  EXPECT_EQ(t.MaxArity(), 3);
+  EXPECT_EQ(Depth(t, 0), 0);
+  EXPECT_EQ(Depth(t, 3), 2);
+  EXPECT_EQ(Height(t), 2);
+  EXPECT_EQ(MaxArity(t), 3);
   EXPECT_EQ(t.NumChildren(2), 2);
 }
 
@@ -258,16 +283,16 @@ TEST(GeneratorTest, CompleteBinaryTreeSize) {
   for (int32_t d = 0; d <= 6; ++d) {
     Tree t = CompleteBinaryTree(d, "a");
     EXPECT_EQ(t.size(), (1 << (d + 1)) - 1);
-    EXPECT_EQ(t.Height(), d);
-    EXPECT_LE(t.MaxArity(), 2);
+    EXPECT_EQ(Height(t), d);
+    EXPECT_LE(MaxArity(t), 2);
   }
 }
 
 TEST(GeneratorTest, ChainTree) {
   Tree t = ChainTree(5, "a");
   EXPECT_EQ(t.size(), 5);
-  EXPECT_EQ(t.Height(), 4);
-  EXPECT_EQ(t.MaxArity(), 1);
+  EXPECT_EQ(Height(t), 4);
+  EXPECT_EQ(MaxArity(t), 1);
 }
 
 TEST(GeneratorTest, ChildrenWord) {
@@ -291,7 +316,7 @@ TEST(GeneratorTest, RandomBoundedArity) {
   util::Rng rng(5);
   Tree t = RandomBoundedArityTree(rng, 300, {"a"}, 2);
   EXPECT_EQ(t.size(), 300);
-  EXPECT_LE(t.MaxArity(), 2);
+  EXPECT_LE(MaxArity(t), 2);
 }
 
 TEST(GeneratorTest, PaperTrees) {
