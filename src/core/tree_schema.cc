@@ -17,14 +17,6 @@ bool IsTreePredicate(const std::string& name, int32_t arity) {
   return false;
 }
 
-bool IsRankedTreePredicate(const std::string& name, int32_t arity) {
-  if (arity == 1) {
-    return name == "root" || name == "leaf" || name == "lastsibling" ||
-           !LabelFromPredName(name).empty();
-  }
-  return arity == 2 && ChildKIndex(name) >= 1;
-}
-
 std::string LabelPredName(const std::string& label) { return "label_" + label; }
 
 std::string LabelFromPredName(const std::string& name) {

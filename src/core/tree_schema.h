@@ -21,9 +21,6 @@ namespace mdatalog::core {
 
 /// True iff `name`/`arity` is one of the tree-schema predicates above.
 bool IsTreePredicate(const std::string& name, int32_t arity);
-/// True iff `name`/`arity` is in τ_rk: root, leaf, lastsibling, label_<l>
-/// (arity 1) or child<k> (arity 2).
-bool IsRankedTreePredicate(const std::string& name, int32_t arity);
 
 /// Name of the label predicate for label `l` ("label_" + l).
 std::string LabelPredName(const std::string& label);

@@ -132,7 +132,7 @@ bool IsConnectedRule(const Program& program, const Rule& rule) {
   return *std::max_element(comp.begin(), comp.end()) == 0;
 }
 
-void PruneUnderivableRules(Program* program, TreeSchema schema) {
+void PruneUnderivableRules(Program* program) {
   // A predicate that heads a rule of the input is intensional: once its
   // rules are gone it is empty, not the tree relation of the same name.
   const std::vector<bool> intensional = program->IntensionalMask();
@@ -140,11 +140,9 @@ void PruneUnderivableRules(Program* program, TreeSchema schema) {
   for (PredId p = 0; p < program->preds().size(); ++p) {
     const std::string& name = program->preds().Name(p);
     const int32_t arity = program->preds().Arity(p);
-    const bool in_schema = schema == TreeSchema::kRanked
-                               ? IsRankedTreePredicate(name, arity)
-                               : IsTreePredicate(name, arity);
     holds_without_rules[p] =
-        !intensional[p] && (in_schema || IsDeltaBuiltinPredicate(name, arity));
+        !intensional[p] &&
+        (IsTreePredicate(name, arity) || IsDeltaBuiltinPredicate(name, arity));
   }
   bool changed = true;
   while (changed) {

@@ -47,21 +47,16 @@ std::vector<int32_t> RuleVarComponents(const Program& program,
 /// monadic atoms only, or contains a guard.
 bool IsDatalogLit(const Program& program);
 
-/// The tree schema a program reads: τ_ur with the Section 5/6 extensions
-/// (IsTreePredicate) or τ_rk (IsRankedTreePredicate).
-enum class TreeSchema { kUnranked, kRanked };
-
 /// Removes rules that can never fire because their body references a
 /// predicate with an empty extension under the fixpoint semantics: an
-/// extensional predicate that is neither in `schema` nor a Δ builtin
-/// (grounder.h), or an intensional predicate with no surviving rule.
+/// extensional predicate that is neither a tree-schema predicate nor a Δ
+/// builtin (grounder.h), or an intensional predicate with no surviving rule.
 /// A predicate that heads a rule of the input counts as intensional even
 /// after it lost its last rule, whatever its name. Iterates to a fixpoint —
 /// removing rules may empty further predicates. The automata translations
 /// use this to stay within the tree signature, the TMNF pipeline to drop
 /// what the chase left unfireable, and EvaluateOnTree runs it before
 /// grounding.
-void PruneUnderivableRules(Program* program,
-                           TreeSchema schema = TreeSchema::kUnranked);
+void PruneUnderivableRules(Program* program);
 
 }  // namespace mdatalog::core

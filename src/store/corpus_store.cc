@@ -380,6 +380,7 @@ util::Result<std::shared_ptr<const CorpusStore>> CorpusStore::Open(
                                     path);
     }
     store->index_.resize(fh.doc_count);
+    store->columns_ok_ = std::vector<std::atomic<bool>>(fh.doc_count);
     std::memcpy(store->index_.data(), store->data_ + fh.index_offset,
                 index_bytes);
     for (size_t i = 0; i < store->index_.size(); ++i) {
@@ -410,7 +411,7 @@ util::Result<FrozenDocument> CorpusStore::Find(
           e.attr_hash != attr_hash) {
         continue;  // 64-bit map-key collision
       }
-      MD_ASSIGN_OR_RETURN(FrozenDocument doc, Materialize(e));
+      MD_ASSIGN_OR_RETURN(FrozenDocument doc, Materialize(i));
       // The index only carries a 64-bit attr hash; the blob has the bytes.
       if (doc.project_attr == project_attr) return doc;
     }
@@ -423,11 +424,11 @@ util::Result<FrozenDocument> CorpusStore::Get(int64_t i) const {
     return util::Status::InvalidArgument("corpus store index out of range: " +
                                          std::to_string(i));
   }
-  return Materialize(index_[static_cast<size_t>(i)]);
+  return Materialize(static_cast<size_t>(i));
 }
 
-util::Result<FrozenDocument> CorpusStore::Materialize(
-    const IndexEntry& e) const {
+util::Result<FrozenDocument> CorpusStore::Materialize(size_t i) const {
+  const IndexEntry& e = index_[i];
   // Open() bounds-checked e.offset/e.size against the file; everything below
   // re-derives section bounds from the (untrusted) doc header.
   const unsigned char* base = data_ + e.offset;
@@ -508,9 +509,13 @@ util::Result<FrozenDocument> CorpusStore::Materialize(
       reinterpret_cast<const char*>(label_offsets + h.num_labels + 1);
   doc.num_labels = static_cast<int32_t>(h.num_labels);
   // The checksum key is public, so a forged blob can carry a matching
-  // checksum: the columns themselves must make a tree.
-  if (!IsBuiltTree(doc.view, doc.num_labels)) return corrupt("tree columns");
-  if (!LabelsAreDistinct(doc)) return corrupt("duplicate label");
+  // checksum: the columns themselves must make a tree. The flag only skips
+  // a repeat of checks over the same immutable bytes, so relaxed suffices.
+  if (!columns_ok_[i].load(std::memory_order_relaxed)) {
+    if (!IsBuiltTree(doc.view, doc.num_labels)) return corrupt("tree columns");
+    if (!LabelsAreDistinct(doc)) return corrupt("duplicate label");
+    columns_ok_[i].store(true, std::memory_order_relaxed);
+  }
   return doc;
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -74,9 +75,10 @@ struct FrozenDocument {
 /// the file header); the store hashes the bytes itself, so no caller can
 /// look up with a hash made under another key.
 ///
-/// Thread safety: Open() returns a fully-validated immutable object; Find()
-/// and Get() are const and touch only the read-only mapping, so any number
-/// of threads may serve from one store concurrently.
+/// Thread safety: Open() returns a validated immutable object; Find() and
+/// Get() are const, read only the read-only mapping and set per-document
+/// atomic flags, so any number of threads may serve from one store
+/// concurrently.
 class CorpusStore {
  public:
   /// Accumulates documents in memory, then writes one store file.
@@ -152,8 +154,8 @@ class CorpusStore {
 
  private:
   CorpusStore() = default;
-  /// Validates the blob behind `e` and builds the in-place view.
-  util::Result<FrozenDocument> Materialize(const IndexEntry& e) const;
+  /// Validates the blob behind index entry `i` and builds the in-place view.
+  util::Result<FrozenDocument> Materialize(size_t i) const;
 
   std::string path_;
   const unsigned char* data_ = nullptr;
@@ -162,6 +164,9 @@ class CorpusStore {
   std::vector<unsigned char> fallback_;  // used when mmap is unavailable
   util::SipHashKey hash_key_;            // from the file header
   std::vector<IndexEntry> index_;
+  /// columns_ok_[i]: entry i's tree columns and label names passed
+  /// Materialize's checks. The mapping is read-only, so they pass for good.
+  mutable std::vector<std::atomic<bool>> columns_ok_;
   std::unordered_map<uint64_t, std::vector<size_t>> by_key_;
 };
 

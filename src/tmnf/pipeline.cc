@@ -65,9 +65,10 @@ class TmnfPipeline {
     if (used_fsib_) EmitFsibDefinition();
 
     // Dropping unsatisfiable rules can leave a predicate without rules, and
-    // so every rule that reads it unfireable.
-    core::PruneUnderivableRules(&out_, ranked_ ? core::TreeSchema::kRanked
-                                               : core::TreeSchema::kUnranked);
+    // so every rule that reads it unfireable. Validate keeps tree-schema
+    // names out of the heads, so no emptied predicate passes for the tree
+    // relation of the same name.
+    core::PruneUnderivableRules(&out_);
     MD_RETURN_NOT_OK(CheckTmnf(out_, {.ranked = ranked_}));
     if (stats_ != nullptr) {
       stats_->output_rules = static_cast<int32_t>(out_.rules().size());
@@ -97,9 +98,14 @@ class TmnfPipeline {
               "constants are not supported by the TMNF pipeline");
         }
       }
-      if (out_.preds().Name(r.head.pred).rfind("__", 0) == 0) {
+      const std::string& head = out_.preds().Name(r.head.pred);
+      if (head.rfind("__", 0) == 0) {
         return util::Status::InvalidArgument(
             "predicate names starting with __ are reserved by the pipeline");
+      }
+      if (core::IsTreePredicate(head, 1)) {
+        return util::Status::InvalidArgument(
+            "rule head '" + head + "' names a tree-schema predicate");
       }
       for (const Atom& a : r.body) {
         for (const Term& t : a.args) {
@@ -119,7 +125,10 @@ class TmnfPipeline {
         int32_t arity = static_cast<int32_t>(a.args.size());
         bool ok;
         if (ranked_) {
-          ok = core::IsRankedTreePredicate(name, arity);
+          ok = (arity == 2 && core::ChildKIndex(name) >= 1) ||
+               (arity == 1 &&
+                (name == "root" || name == "leaf" || name == "lastsibling" ||
+                 !core::LabelFromPredName(name).empty()));
         } else {
           ok = core::IsTreePredicate(name, arity) && name != "nextsibling_tc" &&
                core::ChildKIndex(name) < 1;

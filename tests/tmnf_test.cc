@@ -367,6 +367,14 @@ TEST(TmnfPipelineTest, RulesOverEmptiedPredicatesArePruned) {
   EXPECT_TRUE(SomeRuleReads(*tmnf, "label_a")) << core::ToString(*tmnf);
   EXPECT_FALSE(SomeRuleReads(*tmnf, "label_b")) << core::ToString(*tmnf);
 
+  // A rule-emptied predicate named like a tree relation would pass for that
+  // relation after the chase (q would select every leaf; the input selects
+  // nothing), so heads must not name tree-schema predicates.
+  auto shadowed = ToTmnf(MustParse("leaf(X) :- child(X, X).\n"
+                                   "q(X) :- leaf(X).\n"));
+  EXPECT_EQ(shadowed.status().code(), util::StatusCode::kInvalidArgument)
+      << shadowed.status().ToString();
+
   util::Rng rng(2718);
   for (int trial = 0; trial < 10; ++trial) {
     Tree t = tree::RandomTree(rng, 1 + static_cast<int32_t>(rng.Below(25)),
@@ -399,6 +407,13 @@ TEST(TmnfPipelineRankedTest, RulesOverEmptiedPredicatesArePruned) {
   EXPECT_TRUE(SomeRuleReads(*tmnf, "child2")) << core::ToString(*tmnf);
   EXPECT_TRUE(SomeRuleReads(*tmnf, "label_a")) << core::ToString(*tmnf);
   EXPECT_FALSE(SomeRuleReads(*tmnf, "label_b")) << core::ToString(*tmnf);
+
+  // firstsibling is outside τ_rk but a τ_ur relation; as a head it is
+  // rejected in ranked mode too.
+  auto shadowed = ToTmnfRanked(MustParse("firstsibling(X) :- child1(X, X).\n"
+                                         "q(X) :- firstsibling(X).\n"));
+  EXPECT_EQ(shadowed.status().code(), util::StatusCode::kInvalidArgument)
+      << shadowed.status().ToString();
 
   util::Rng rng(3141);
   for (int trial = 0; trial < 10; ++trial) {
