@@ -150,12 +150,6 @@ util::Result<std::vector<NodeId>> EvalImage(
   return EvalImage(t, CompileToNfa(e), sources);
 }
 
-util::Result<bool> EvalPair(const Tree& t, const ExprPtr& e, NodeId x,
-                            NodeId y) {
-  MD_ASSIGN_OR_RETURN(std::vector<NodeId> image, EvalImage(t, e, {x}));
-  return std::binary_search(image.begin(), image.end(), y);
-}
-
 namespace {
 
 using PairSet = std::set<std::pair<NodeId, NodeId>>;

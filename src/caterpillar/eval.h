@@ -33,10 +33,6 @@ util::Result<std::vector<tree::NodeId>> EvalImage(
     const tree::Tree& t, const ExprPtr& e,
     const std::vector<tree::NodeId>& sources);
 
-/// Membership test ⟨x,y⟩ ∈ [[E]].
-util::Result<bool> EvalPair(const tree::Tree& t, const ExprPtr& e,
-                            tree::NodeId x, tree::NodeId y);
-
 /// The full relation [[E]] by the direct denotational semantics. O(|E|·n³)
 /// worst case — test-only. Pairs returned sorted.
 util::Result<std::vector<std::pair<tree::NodeId, tree::NodeId>>>

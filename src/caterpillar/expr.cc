@@ -1,8 +1,9 @@
 #include "src/caterpillar/expr.h"
 
-#include <cctype>
+#include <algorithm>
 
 #include "src/util/check.h"
+#include "src/util/text_cursor.h"
 
 namespace mdatalog::caterpillar {
 
@@ -51,16 +52,12 @@ namespace {
 
 class ExprParser {
  public:
-  explicit ExprParser(std::string_view text) : text_(text) {}
+  explicit ExprParser(std::string_view text) : cur_(text) {}
 
   util::Result<ExprPtr> Parse() {
-    auto e = ParseUnion();
-    if (!e.ok()) return e;
-    Skip();
-    if (pos_ != text_.size()) {
-      return util::Status::InvalidArgument(
-          "trailing input in caterpillar expression at position " +
-          std::to_string(pos_));
+    MD_ASSIGN_OR_RETURN(ExprPtr e, ParseUnion());
+    if (!cur_.AtEnd()) {
+      return cur_.Error("trailing input in caterpillar expression");
     }
     return e;
   }
@@ -68,113 +65,69 @@ class ExprParser {
  private:
   util::Result<ExprPtr> ParseUnion() {
     std::vector<ExprPtr> parts;
-    auto first = ParseConcat();
-    if (!first.ok()) return first;
-    parts.push_back(*first);
-    Skip();
-    while (Consume("|")) {
-      auto next = ParseConcat();
-      if (!next.ok()) return next;
-      parts.push_back(*next);
-      Skip();
-    }
+    do {
+      MD_ASSIGN_OR_RETURN(ExprPtr e, ParseConcat());
+      parts.push_back(std::move(e));
+    } while (cur_.Consume("|"));
     return Union(std::move(parts));
   }
 
   util::Result<ExprPtr> ParseConcat() {
     std::vector<ExprPtr> parts;
-    auto first = ParsePostfix();
-    if (!first.ok()) return first;
-    parts.push_back(*first);
-    Skip();
-    while (Consume(".")) {
-      auto next = ParsePostfix();
-      if (!next.ok()) return next;
-      parts.push_back(*next);
-      Skip();
-    }
+    do {
+      MD_ASSIGN_OR_RETURN(ExprPtr e, ParsePostfix());
+      parts.push_back(std::move(e));
+    } while (cur_.Consume("."));
     return Concat(std::move(parts));
   }
 
+  /// Each postfix operator wraps a finished operand one AST level deeper,
+  /// so the operators count against the nesting bound on top of the
+  /// deepest chain of operators inside the operand.
   util::Result<ExprPtr> ParsePostfix() {
-    auto base = ParsePrimary();
-    if (!base.ok()) return base;
-    ExprPtr e = *base;
+    const int32_t outer = wraps_;
+    wraps_ = 0;
+    MD_ASSIGN_OR_RETURN(ExprPtr e, ParsePrimary());
+    int32_t wraps = wraps_;
     while (true) {
-      Skip();
-      if (Consume("*")) {
+      if (cur_.Consume("*")) {
         e = Star(e);
-      } else if (Consume("+")) {
+      } else if (cur_.Consume("+")) {
         e = Plus(e);
-      } else if (Consume("^-1")) {
+      } else if (cur_.Consume("^-1")) {
         e = Inverse(e);
       } else {
         break;
       }
+      MD_RETURN_NOT_OK(cur_.CheckNesting(++wraps));
     }
+    wraps_ = std::max(outer, wraps);
     return e;
   }
 
   util::Result<ExprPtr> ParsePrimary() {
-    Skip();
-    if (Consume("(")) {
-      auto e = ParseUnion();
-      if (!e.ok()) return e;
-      Skip();
-      if (!Consume(")")) {
-        return util::Status::InvalidArgument("expected ')'");
-      }
+    if (cur_.Consume("(")) {
+      MD_RETURN_NOT_OK(cur_.Enter());
+      MD_ASSIGN_OR_RETURN(ExprPtr e, ParseUnion());
+      cur_.Leave();
+      MD_RETURN_NOT_OK(cur_.Expect(")"));
       return e;
     }
-    if (Consume("[")) {
-      std::string name;
-      MD_RETURN_NOT_OK(ParseIdent(&name));
-      Skip();
-      if (!Consume("]")) {
-        return util::Status::InvalidArgument("expected ']'");
-      }
+    std::string name;
+    if (cur_.Consume("[")) {
+      MD_RETURN_NOT_OK(cur_.Identifier(&name));
+      MD_RETURN_NOT_OK(cur_.Expect("]"));
       return Test(name);
     }
-    std::string name;
-    MD_RETURN_NOT_OK(ParseIdent(&name));
+    MD_RETURN_NOT_OK(cur_.Identifier(&name));
     if (name == "eps") return Epsilon();
     return Rel(name);
   }
 
-  util::Status ParseIdent(std::string* out) {
-    Skip();
-    size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '_')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      return util::Status::InvalidArgument(
-          "expected identifier at position " + std::to_string(start));
-    }
-    *out = std::string(text_.substr(start, pos_ - start));
-    return util::Status::OK();
-  }
-
-  bool Consume(std::string_view lit) {
-    Skip();
-    if (text_.substr(pos_, lit.size()) == lit) {
-      pos_ += lit.size();
-      return true;
-    }
-    return false;
-  }
-
-  void Skip() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
+  util::TextCursor cur_;
+  /// The most postfix operators nested on one path of the subexpressions
+  /// finished since the innermost open ParsePostfix began.
+  int32_t wraps_ = 0;
 };
 
 }  // namespace

@@ -57,6 +57,10 @@ ExprPtr Plus(ExprPtr e);
 /// parentheses group. Example (document order, Example 2.5):
 ///
 ///   child+ | (child^-1)*.nextsibling+.child*
+///
+/// Parentheses nest at most 256 deep, and so do postfix operators applied
+/// one over another (util::TextCursor::kMaxNesting); deeper input, like any
+/// syntax error, is kInvalidArgument "... at line L, column C".
 util::Result<ExprPtr> ParseExpr(std::string_view text);
 
 /// Renders an expression in the parser's syntax.

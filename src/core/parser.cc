@@ -1,7 +1,8 @@
 #include "src/core/parser.h"
 
-#include <cctype>
 #include <map>
+
+#include "src/util/text_cursor.h"
 
 namespace mdatalog::core {
 
@@ -10,15 +11,11 @@ namespace {
 /// Hand-written recursive-descent parser; no exceptions, explicit Status.
 class Parser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  explicit Parser(std::string_view text) : cur_(text, /*line_comments=*/true) {}
 
   util::Result<Program> Parse() {
     Program program;
-    SkipWhitespaceAndComments();
-    while (pos_ < text_.size()) {
-      MD_RETURN_NOT_OK(ParseRule(&program));
-      SkipWhitespaceAndComments();
-    }
+    while (!cur_.AtEnd()) MD_RETURN_NOT_OK(ParseRule(&program));
     return program;
   }
 
@@ -29,20 +26,15 @@ class Parser {
     Atom head;
     MD_RETURN_NOT_OK(ParseAtom(program, &vars, &var_names, &head));
     std::vector<Atom> body;
-    SkipWhitespaceAndComments();
-    if (ConsumeLiteral(":-") || ConsumeLiteral("<-")) {
-      while (true) {
-        SkipWhitespaceAndComments();
+    if (cur_.Consume(":-") || cur_.Consume("<-")) {
+      do {
         Atom atom;
         MD_RETURN_NOT_OK(ParseAtom(program, &vars, &var_names, &atom));
         body.push_back(std::move(atom));
-        SkipWhitespaceAndComments();
-        if (ConsumeLiteral(",")) continue;
-        break;
-      }
+      } while (cur_.Consume(","));
     }
-    if (!ConsumeLiteral(".")) {
-      return ErrorHere("expected '.' at end of rule");
+    if (!cur_.Consume(".")) {
+      return cur_.Error("expected '.' at end of rule");
     }
     Rule rule;
     rule.head = std::move(head);
@@ -54,23 +46,29 @@ class Parser {
 
   util::Status ParseAtom(Program* program, std::map<std::string, VarId>* vars,
                          std::vector<std::string>* var_names, Atom* out) {
-    SkipWhitespaceAndComments();
+    // A digit starts a constant, never a name.
+    if (util::TextCursor::IsDigit(cur_.PeekChar())) {
+      return cur_.Error("expected identifier");
+    }
     std::string name;
-    MD_RETURN_NOT_OK(ParseIdentifier(&name));
+    MD_RETURN_NOT_OK(cur_.Identifier(&name));
     std::vector<Term> args;
-    SkipWhitespaceAndComments();
-    if (ConsumeLiteral("(")) {
+    if (cur_.Consume("(")) {
       while (true) {
-        SkipWhitespaceAndComments();
-        if (pos_ < text_.size() &&
-            (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-             text_[pos_] == '-')) {
+        const char c = cur_.PeekChar();
+        if (util::TextCursor::IsDigit(c) || c == '-') {
+          const bool negative = cur_.Consume("-");
+          // The sign is part of the number: no space after it.
+          if (negative && !cur_.rest().empty() &&
+              !util::TextCursor::IsDigit(cur_.rest()[0])) {
+            return cur_.Error("expected integer");
+          }
           int32_t value = 0;
-          MD_RETURN_NOT_OK(ParseInteger(&value));
-          args.push_back(Term::Const(value));
+          MD_RETURN_NOT_OK(cur_.Int32(&value));
+          args.push_back(Term::Const(negative ? -value : value));
         } else {
           std::string var;
-          MD_RETURN_NOT_OK(ParseIdentifier(&var));
+          MD_RETURN_NOT_OK(cur_.Identifier(&var));
           auto it = vars->find(var);
           VarId id;
           if (it == vars->end()) {
@@ -82,10 +80,9 @@ class Parser {
           }
           args.push_back(Term::Var(id));
         }
-        SkipWhitespaceAndComments();
-        if (ConsumeLiteral(",")) continue;
-        if (ConsumeLiteral(")")) break;
-        return ErrorHere("expected ',' or ')' in argument list");
+        if (cur_.Consume(",")) continue;
+        if (cur_.Consume(")")) break;
+        return cur_.Error("expected ',' or ')' in argument list");
       }
     }
     auto pred = program->preds().Intern(name, static_cast<int32_t>(args.size()));
@@ -95,83 +92,7 @@ class Parser {
     return util::Status::OK();
   }
 
-  util::Status ParseIdentifier(std::string* out) {
-    if (pos_ >= text_.size() ||
-        !(std::isalpha(static_cast<unsigned char>(text_[pos_])) ||
-          text_[pos_] == '_')) {
-      return ErrorHere("expected identifier");
-    }
-    size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '_')) {
-      ++pos_;
-    }
-    *out = std::string(text_.substr(start, pos_ - start));
-    return util::Status::OK();
-  }
-
-  util::Status ParseInteger(int32_t* out) {
-    bool negative = false;
-    if (pos_ < text_.size() && text_[pos_] == '-') {
-      negative = true;
-      ++pos_;
-    }
-    if (pos_ >= text_.size() ||
-        !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      return ErrorHere("expected integer");
-    }
-    int64_t value = 0;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      value = value * 10 + (text_[pos_] - '0');
-      if (value > INT32_MAX) return ErrorHere("integer constant too large");
-      ++pos_;
-    }
-    *out = static_cast<int32_t>(negative ? -value : value);
-    return util::Status::OK();
-  }
-
-  bool ConsumeLiteral(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) == lit) {
-      pos_ += lit.size();
-      return true;
-    }
-    return false;
-  }
-
-  void SkipWhitespaceAndComments() {
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '%' ||
-                 (c == '/' && pos_ + 1 < text_.size() &&
-                  text_[pos_ + 1] == '/')) {
-        while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
-      } else {
-        break;
-      }
-    }
-  }
-
-  util::Status ErrorHere(const std::string& msg) {
-    int32_t line = 1, col = 1;
-    for (size_t i = 0; i < pos_ && i < text_.size(); ++i) {
-      if (text_[i] == '\n') {
-        ++line;
-        col = 1;
-      } else {
-        ++col;
-      }
-    }
-    return util::Status::InvalidArgument(msg + " at line " +
-                                         std::to_string(line) + ", column " +
-                                         std::to_string(col));
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
+  util::TextCursor cur_;
 };
 
 }  // namespace

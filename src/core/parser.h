@@ -15,9 +15,11 @@
 ///
 /// Lexical rules: identifiers are [A-Za-z_][A-Za-z0-9_]*; atom arguments that
 /// are identifiers denote variables (scoped per rule), integer arguments
-/// denote constants (tree-node ids). `:-` and `<-` both separate head and
-/// body; rules end with `.`; `%` and `//` start comments. A rule without a
-/// body ("p(3).") is a fact and must be ground.
+/// denote constants (tree-node ids: decimal, a '-' directly before the
+/// digits, |n| <= INT32_MAX). `:-` and `<-` both separate head and body;
+/// rules end with `.`; `%` and `//` start comments. A rule without a body
+/// ("p(3).") is a fact and must be ground. Syntax errors are
+/// kInvalidArgument "... at line L, column C" (util/text_cursor.h).
 
 namespace mdatalog::core {
 

@@ -41,41 +41,6 @@ util::Status CheckMonadic(const Program& program) {
   return util::Status::OK();
 }
 
-util::Status CheckTreeSignature(const Program& program, bool allow_extended) {
-  std::vector<bool> intensional = program.IntensionalMask();
-  for (const Rule& r : program.rules()) {
-    for (const Atom& a : r.body) {
-      if (intensional[a.pred]) continue;
-      const std::string& name = program.preds().Name(a.pred);
-      int32_t arity = program.preds().Arity(a.pred);
-      if (!IsTreePredicate(name, arity)) {
-        return util::Status::InvalidArgument(
-            "extensional predicate '" + name + "'/" + std::to_string(arity) +
-            " is not a tree-schema predicate");
-      }
-      if (!allow_extended &&
-          (name == "child" || name == "lastchild" ||
-           name == "nextsibling_tc")) {
-        return util::Status::InvalidArgument(
-            "extensional predicate '" + name +
-            "' requires the extended signature");
-      }
-    }
-  }
-  return util::Status::OK();
-}
-
-std::vector<std::string> ExtensionalPredNames(const Program& program) {
-  std::vector<bool> intensional = program.IntensionalMask();
-  std::set<std::string> names;
-  for (const Rule& r : program.rules()) {
-    for (const Atom& a : r.body) {
-      if (!intensional[a.pred]) names.insert(program.preds().Name(a.pred));
-    }
-  }
-  return std::vector<std::string>(names.begin(), names.end());
-}
-
 int32_t FindGuard(const Rule& rule) {
   std::set<VarId> all_vars;
   for (const Atom& a : rule.body) {
@@ -124,12 +89,6 @@ std::vector<int32_t> RuleVarComponents(const Program& program,
     comp[i] = comp[root];
   }
   return comp;
-}
-
-bool IsConnectedRule(const Program& program, const Rule& rule) {
-  if (rule.num_vars() <= 1) return true;
-  std::vector<int32_t> comp = RuleVarComponents(program, rule);
-  return *std::max_element(comp.begin(), comp.end()) == 0;
 }
 
 void PruneUnderivableRules(Program* program) {

@@ -20,23 +20,9 @@ util::Status CheckSafety(const Program& program);
 /// own constructions introduce them (proof of Theorem 4.2).
 util::Status CheckMonadic(const Program& program);
 
-/// Checks that all extensional predicates used by the program are predicates
-/// of the tree schemata (τ_rk/τ_ur and extensions, tree_schema.h).
-/// `allow_extended` additionally admits child/lastchild/nextsibling_tc.
-util::Status CheckTreeSignature(const Program& program,
-                                bool allow_extended = true);
-
-/// Names of extensional predicates used by the program (for diagnostics).
-std::vector<std::string> ExtensionalPredNames(const Program& program);
-
 /// A body atom containing all variables of the rule (Section 3.1). Returns
 /// the guard's index in the body, or -1.
 int32_t FindGuard(const Rule& rule);
-
-/// Rule connectedness in the sense of the proof of Theorem 4.2: the graph on
-/// Vars(r) joining the variables of every body atom with two or more (binary
-/// tree atoms R(x,y); the ternary before window of Elog⁻Δ) is connected.
-bool IsConnectedRule(const Program& program, const Rule& rule);
 
 /// Variable connected components of a rule under the Theorem 4.2 graph.
 /// Returns comp[v] in 0..k-1 for each VarId v.

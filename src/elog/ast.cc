@@ -1,10 +1,10 @@
 #include "src/elog/ast.h"
 
-#include <cctype>
 #include <map>
 #include <set>
 
 #include "src/util/check.h"
+#include "src/util/text_cursor.h"
 
 namespace mdatalog::elog {
 
@@ -171,15 +171,12 @@ namespace {
 
 class ElogParser {
  public:
-  explicit ElogParser(std::string_view text) : text_(text) {}
+  explicit ElogParser(std::string_view text)
+      : cur_(text, /*line_comments=*/true) {}
 
   util::Result<ElogProgram> Parse() {
     ElogProgram program;
-    Skip();
-    while (pos_ < text_.size()) {
-      MD_RETURN_NOT_OK(ParseRule(&program));
-      Skip();
-    }
+    while (!cur_.AtEnd()) MD_RETURN_NOT_OK(ParseRule(&program));
     MD_RETURN_NOT_OK(ValidateElog(program));
     return program;
   }
@@ -187,37 +184,37 @@ class ElogParser {
  private:
   util::Status ParseRule(ElogProgram* program) {
     ElogRule rule;
-    MD_RETURN_NOT_OK(ParseIdent(&rule.head_pattern));
-    MD_RETURN_NOT_OK(Expect("("));
-    MD_RETURN_NOT_OK(ParseIdent(&rule.head_var));
-    MD_RETURN_NOT_OK(Expect(")"));
-    if (!Consume("<-") && !Consume(":-")) {
-      return Error("expected '<-'");
+    MD_RETURN_NOT_OK(cur_.Identifier(&rule.head_pattern));
+    MD_RETURN_NOT_OK(cur_.Expect("("));
+    MD_RETURN_NOT_OK(cur_.Identifier(&rule.head_var));
+    MD_RETURN_NOT_OK(cur_.Expect(")"));
+    if (!cur_.Consume("<-") && !cur_.Consume(":-")) {
+      return cur_.Error("expected '<-'");
     }
     // Parent pattern atom.
-    MD_RETURN_NOT_OK(ParseIdent(&rule.parent_pattern));
-    MD_RETURN_NOT_OK(Expect("("));
-    MD_RETURN_NOT_OK(ParseIdent(&rule.parent_var));
-    MD_RETURN_NOT_OK(Expect(")"));
+    MD_RETURN_NOT_OK(cur_.Identifier(&rule.parent_pattern));
+    MD_RETURN_NOT_OK(cur_.Expect("("));
+    MD_RETURN_NOT_OK(cur_.Identifier(&rule.parent_var));
+    MD_RETURN_NOT_OK(cur_.Expect(")"));
 
     bool saw_subelem = false;
-    while (Consume(",")) {
+    while (cur_.Consume(",")) {
       std::string word;
-      MD_RETURN_NOT_OK(ParseIdent(&word));
-      MD_RETURN_NOT_OK(Expect("("));
+      MD_RETURN_NOT_OK(cur_.Identifier(&word));
+      MD_RETURN_NOT_OK(cur_.Expect("("));
       if (word == "subelem") {
-        if (saw_subelem) return Error("duplicate subelem atom");
+        if (saw_subelem) return cur_.Error("duplicate subelem atom");
         saw_subelem = true;
         std::string src, path_text, dst;
-        MD_RETURN_NOT_OK(ParseIdent(&src));
-        MD_RETURN_NOT_OK(Expect(","));
-        MD_RETURN_NOT_OK(ParseQuoted(&path_text));
-        MD_RETURN_NOT_OK(Expect(","));
-        MD_RETURN_NOT_OK(ParseIdent(&dst));
-        MD_RETURN_NOT_OK(Expect(")"));
+        MD_RETURN_NOT_OK(cur_.Identifier(&src));
+        MD_RETURN_NOT_OK(cur_.Expect(","));
+        MD_RETURN_NOT_OK(cur_.Quoted("path", &path_text));
+        MD_RETURN_NOT_OK(cur_.Expect(","));
+        MD_RETURN_NOT_OK(cur_.Identifier(&dst));
+        MD_RETURN_NOT_OK(cur_.Expect(")"));
         if (src != rule.parent_var || dst != rule.head_var) {
-          return Error("subelem must go from the parent variable to the "
-                       "head variable");
+          return cur_.Error(
+              "subelem must go from the parent variable to the head variable");
         }
         MD_ASSIGN_OR_RETURN(rule.subelem, ElogPath::Parse(path_text));
         continue;
@@ -228,128 +225,54 @@ class ElogParser {
         c.kind = word == "leaf" ? K::kLeaf
                  : word == "firstsibling" ? K::kFirstSibling
                                           : K::kLastSibling;
-        MD_RETURN_NOT_OK(ParseIdent(&c.var1));
+        MD_RETURN_NOT_OK(cur_.Identifier(&c.var1));
       } else if (word == "nextsibling") {
         c.kind = K::kNextSibling;
-        MD_RETURN_NOT_OK(ParseIdent(&c.var1));
-        MD_RETURN_NOT_OK(Expect(","));
-        MD_RETURN_NOT_OK(ParseIdent(&c.var2));
+        MD_RETURN_NOT_OK(cur_.Identifier(&c.var1));
+        MD_RETURN_NOT_OK(cur_.Expect(","));
+        MD_RETURN_NOT_OK(cur_.Identifier(&c.var2));
       } else if (word == "contains" || word == "notafter" ||
                  word == "notbefore") {
         c.kind = word == "contains" ? K::kContains
                  : word == "notafter" ? K::kNotAfter
                                       : K::kNotBefore;
         std::string path_text;
-        MD_RETURN_NOT_OK(ParseIdent(&c.var1));
-        MD_RETURN_NOT_OK(Expect(","));
-        MD_RETURN_NOT_OK(ParseQuoted(&path_text));
-        MD_RETURN_NOT_OK(Expect(","));
-        MD_RETURN_NOT_OK(ParseIdent(&c.var2));
+        MD_RETURN_NOT_OK(cur_.Identifier(&c.var1));
+        MD_RETURN_NOT_OK(cur_.Expect(","));
+        MD_RETURN_NOT_OK(cur_.Quoted("path", &path_text));
+        MD_RETURN_NOT_OK(cur_.Expect(","));
+        MD_RETURN_NOT_OK(cur_.Identifier(&c.var2));
         MD_ASSIGN_OR_RETURN(c.path, ElogPath::Parse(path_text));
       } else if (word == "before") {
         c.kind = K::kBefore;
         std::string path_text;
-        MD_RETURN_NOT_OK(ParseIdent(&c.var1));
-        MD_RETURN_NOT_OK(Expect(","));
-        MD_RETURN_NOT_OK(ParseQuoted(&path_text));
-        MD_RETURN_NOT_OK(Expect(","));
-        MD_RETURN_NOT_OK(ParseIdent(&c.var2));
-        MD_RETURN_NOT_OK(Expect(","));
-        MD_RETURN_NOT_OK(ParseIdent(&c.var3));
-        MD_RETURN_NOT_OK(Expect(","));
-        MD_RETURN_NOT_OK(ParseInt(&c.alpha_pct));
-        MD_RETURN_NOT_OK(Expect(","));
-        MD_RETURN_NOT_OK(ParseInt(&c.beta_pct));
+        MD_RETURN_NOT_OK(cur_.Identifier(&c.var1));
+        MD_RETURN_NOT_OK(cur_.Expect(","));
+        MD_RETURN_NOT_OK(cur_.Quoted("path", &path_text));
+        MD_RETURN_NOT_OK(cur_.Expect(","));
+        MD_RETURN_NOT_OK(cur_.Identifier(&c.var2));
+        MD_RETURN_NOT_OK(cur_.Expect(","));
+        MD_RETURN_NOT_OK(cur_.Identifier(&c.var3));
+        MD_RETURN_NOT_OK(cur_.Expect(","));
+        MD_RETURN_NOT_OK(cur_.Int32(&c.alpha_pct));
+        MD_RETURN_NOT_OK(cur_.Expect(","));
+        MD_RETURN_NOT_OK(cur_.Int32(&c.beta_pct));
         MD_ASSIGN_OR_RETURN(c.path, ElogPath::Parse(path_text));
       } else {
         // Pattern reference.
         c.kind = K::kPatternRef;
         c.pattern = word;
-        MD_RETURN_NOT_OK(ParseIdent(&c.var1));
+        MD_RETURN_NOT_OK(cur_.Identifier(&c.var1));
       }
-      MD_RETURN_NOT_OK(Expect(")"));
+      MD_RETURN_NOT_OK(cur_.Expect(")"));
       rule.conditions.push_back(std::move(c));
     }
-    MD_RETURN_NOT_OK(Expect("."));
+    MD_RETURN_NOT_OK(cur_.Expect("."));
     program->AddRule(std::move(rule));
     return util::Status::OK();
   }
 
-  util::Status ParseIdent(std::string* out) {
-    Skip();
-    size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '_')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Error("expected identifier");
-    *out = std::string(text_.substr(start, pos_ - start));
-    return util::Status::OK();
-  }
-
-  util::Status ParseQuoted(std::string* out) {
-    Skip();
-    if (pos_ >= text_.size() || text_[pos_] != '"') {
-      return Error("expected quoted path");
-    }
-    ++pos_;
-    size_t start = pos_;
-    while (pos_ < text_.size() && text_[pos_] != '"') ++pos_;
-    if (pos_ >= text_.size()) return Error("unterminated quoted path");
-    *out = std::string(text_.substr(start, pos_ - start));
-    ++pos_;
-    return util::Status::OK();
-  }
-
-  util::Status ParseInt(int32_t* out) {
-    Skip();
-    size_t start = pos_;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-    if (pos_ == start) return Error("expected integer");
-    *out = std::stoi(std::string(text_.substr(start, pos_ - start)));
-    return util::Status::OK();
-  }
-
-  util::Status Expect(std::string_view lit) {
-    if (!Consume(lit)) {
-      return Error("expected '" + std::string(lit) + "'");
-    }
-    return util::Status::OK();
-  }
-
-  bool Consume(std::string_view lit) {
-    Skip();
-    if (text_.substr(pos_, lit.size()) == lit) {
-      pos_ += lit.size();
-      return true;
-    }
-    return false;
-  }
-
-  void Skip() {
-    while (pos_ < text_.size()) {
-      char ch = text_[pos_];
-      if (std::isspace(static_cast<unsigned char>(ch))) {
-        ++pos_;
-      } else if (ch == '%') {
-        while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
-      } else {
-        break;
-      }
-    }
-  }
-
-  util::Status Error(const std::string& msg) {
-    return util::Status::InvalidArgument(msg + " at position " +
-                                         std::to_string(pos_));
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
+  util::TextCursor cur_;
 };
 
 }  // namespace

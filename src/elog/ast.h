@@ -101,7 +101,13 @@ std::string ToString(const ElogProgram& program);
 ///   price(Y) <- item(X), subelem(X, "td", Y), lastsibling(Y).
 ///   cheap(X) <- item(X), leaf(X).                      % specialization
 ///   anbn(X)  <- root(X), contains(X, "a", Y), a0(Y),
-///               before(X, "b", Y, Z, 50, 50), b0(Z).
+///               before(X, "b", Y, Z, 50, 50), b0(Z).  // the aⁿbⁿ wrapper
+///
+/// Names are [A-Za-z0-9_]+; `<-` or `:-` separates head and body; `%` and
+/// `//` start comments to the end of the line. The before window's α and β
+/// are unsigned decimals no larger than INT32_MAX. Syntax errors are
+/// kInvalidArgument "... at line L, column C" (util/text_cursor.h); the
+/// parsed program is also checked by ValidateElog.
 util::Result<ElogProgram> ParseElog(std::string_view text);
 
 }  // namespace mdatalog::elog

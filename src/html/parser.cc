@@ -72,23 +72,6 @@ std::string Document::GetAttr(tree::NodeId n, const std::string& name) const {
   return "";
 }
 
-bool Document::HasAttr(tree::NodeId n, const std::string& name) const {
-  if (static_cast<size_t>(n) >= attrs_.size()) return false;
-  for (const auto& [k, v] : attrs_[n]) {
-    if (k == name) return true;
-  }
-  return false;
-}
-
-std::vector<tree::NodeId> Document::NodesWithAttr(
-    const std::string& name, const std::string& value) const {
-  std::vector<tree::NodeId> out;
-  for (tree::NodeId n = 0; n < tree_.size(); ++n) {
-    if (GetAttr(n, name) == value) out.push_back(n);
-  }
-  return out;
-}
-
 util::Result<Document> ParseHtml(std::string_view html) {
   std::vector<std::vector<std::pair<std::string, std::string>>> attrs;
   TreeConstructor<AttributeRecorder> constructor({}, {&attrs});

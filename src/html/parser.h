@@ -177,11 +177,6 @@ class Document {
 
   /// Value of attribute `name` on `n`, or "" if absent.
   std::string GetAttr(tree::NodeId n, const std::string& name) const;
-  bool HasAttr(tree::NodeId n, const std::string& name) const;
-
-  /// All nodes whose attribute `name` equals `value`.
-  std::vector<tree::NodeId> NodesWithAttr(const std::string& name,
-                                          const std::string& value) const;
 
  private:
   tree::Tree tree_;

@@ -4,6 +4,7 @@
 #include <functional>
 
 #include "src/util/check.h"
+#include "src/util/text_cursor.h"
 
 namespace mdatalog::mso {
 
@@ -90,113 +91,107 @@ namespace {
 
 class FormulaParser {
  public:
-  explicit FormulaParser(std::string_view text) : text_(text) {}
+  explicit FormulaParser(std::string_view text) : cur_(text) {}
 
   util::Result<FormulaPtr> Parse() {
-    auto f = ParseImplies();
-    if (!f.ok()) return f;
-    Skip();
-    if (pos_ != text_.size()) {
-      return util::Status::InvalidArgument(
-          "trailing input in MSO formula at position " + std::to_string(pos_));
-    }
+    MD_ASSIGN_OR_RETURN(FormulaPtr f, ParseImplies());
+    if (!cur_.AtEnd()) return cur_.Error("trailing input in MSO formula");
     return f;
   }
 
  private:
+  /// a -> b -> c is a -> (b -> c). The chain is read by a loop and folded
+  /// from the right; each arrow nests the AST one level deeper, so it counts
+  /// against the nesting bound.
   util::Result<FormulaPtr> ParseImplies() {
-    auto lhs = ParseOr();
-    if (!lhs.ok()) return lhs;
-    Skip();
-    if (Consume("->")) {
-      auto rhs = ParseImplies();  // right associative
-      if (!rhs.ok()) return rhs;
-      return Implies(*lhs, *rhs);
+    std::vector<FormulaPtr> chain;
+    while (true) {
+      MD_ASSIGN_OR_RETURN(FormulaPtr f, ParseOr());
+      chain.push_back(std::move(f));
+      if (!cur_.Consume("->")) break;
+      MD_RETURN_NOT_OK(cur_.Enter());
     }
-    return lhs;
+    FormulaPtr f = chain.back();
+    for (size_t i = chain.size() - 1; i-- > 0;) {
+      f = Implies(chain[i], f);
+      cur_.Leave();
+    }
+    return f;
   }
 
   util::Result<FormulaPtr> ParseOr() {
-    auto lhs = ParseAnd();
-    if (!lhs.ok()) return lhs;
-    std::vector<FormulaPtr> parts = {*lhs};
-    Skip();
-    while (ConsumeNotArrow("|")) {
-      auto next = ParseAnd();
-      if (!next.ok()) return next;
-      parts.push_back(*next);
-      Skip();
-    }
+    std::vector<FormulaPtr> parts;
+    do {
+      MD_ASSIGN_OR_RETURN(FormulaPtr f, ParseAnd());
+      parts.push_back(std::move(f));
+    } while (cur_.Consume("|"));
     return Or(std::move(parts));
   }
 
   util::Result<FormulaPtr> ParseAnd() {
-    auto lhs = ParseUnary();
-    if (!lhs.ok()) return lhs;
-    std::vector<FormulaPtr> parts = {*lhs};
-    Skip();
-    while (Consume("&")) {
-      auto next = ParseUnary();
-      if (!next.ok()) return next;
-      parts.push_back(*next);
-      Skip();
-    }
+    std::vector<FormulaPtr> parts;
+    do {
+      MD_ASSIGN_OR_RETURN(FormulaPtr f, ParseUnary());
+      parts.push_back(std::move(f));
+    } while (cur_.Consume("&"));
     return And(std::move(parts));
   }
 
+  /// A parenthesized formula or a quantifier body: one nesting level.
+  util::Result<FormulaPtr> ParseNested() {
+    MD_RETURN_NOT_OK(cur_.Enter());
+    MD_ASSIGN_OR_RETURN(FormulaPtr f, ParseImplies());
+    cur_.Leave();
+    return f;
+  }
+
   util::Result<FormulaPtr> ParseUnary() {
-    Skip();
-    if (Consume("~")) {
-      auto body = ParseUnary();
-      if (!body.ok()) return body;
-      return Not(*body);
+    if (cur_.Consume("~")) {
+      MD_RETURN_NOT_OK(cur_.Enter());
+      MD_ASSIGN_OR_RETURN(FormulaPtr body, ParseUnary());
+      cur_.Leave();
+      return Not(body);
     }
-    if (Consume("(")) {
-      auto inner = ParseImplies();
-      if (!inner.ok()) return inner;
-      Skip();
-      if (!Consume(")")) return util::Status::InvalidArgument("expected ')'");
+    if (cur_.Consume("(")) {
+      MD_ASSIGN_OR_RETURN(FormulaPtr inner, ParseNested());
+      MD_RETURN_NOT_OK(cur_.Expect(")"));
       return inner;
     }
     // Quantifiers and atoms both start with an identifier.
     std::string word;
-    MD_RETURN_NOT_OK(ParseIdent(&word));
+    MD_RETURN_NOT_OK(cur_.Identifier(&word));
     if (word == "exists" || word == "forall") {
       std::string var;
-      MD_RETURN_NOT_OK(ParseIdent(&var));
-      Skip();
-      if (!Consume(".")) {
-        return util::Status::InvalidArgument("expected '.' after quantifier");
+      MD_RETURN_NOT_OK(cur_.Identifier(&var));
+      if (!cur_.Consume(".")) {
+        return cur_.Error("expected '.' after quantifier");
       }
-      auto body = ParseImplies();
-      if (!body.ok()) return body;
+      MD_ASSIGN_OR_RETURN(FormulaPtr body, ParseNested());
       bool so = IsSoName(var);
       if (word == "exists") {
-        return so ? ExistsSo(var, *body) : ExistsFo(var, *body);
+        return so ? ExistsSo(var, body) : ExistsFo(var, body);
       }
-      return so ? ForallSo(var, *body) : ForallFo(var, *body);
+      return so ? ForallSo(var, body) : ForallFo(var, body);
     }
     // Atom: pred(args) or variable equality "x = y".
-    Skip();
-    if (Consume("(")) {
+    if (cur_.Consume("(")) {
       std::vector<std::string> args;
       while (true) {
         std::string arg;
-        MD_RETURN_NOT_OK(ParseIdent(&arg));
+        MD_RETURN_NOT_OK(cur_.Identifier(&arg));
         args.push_back(arg);
-        Skip();
-        if (Consume(",")) continue;
-        if (Consume(")")) break;
-        return util::Status::InvalidArgument("expected ',' or ')'");
+        if (cur_.Consume(",")) continue;
+        if (cur_.Consume(")")) break;
+        return cur_.Error("expected ',' or ')'");
       }
       return MakeAtom(word, args);
     }
-    if (Consume("=")) {
+    if (cur_.Consume("=")) {
       std::string rhs;
-      MD_RETURN_NOT_OK(ParseIdent(&rhs));
+      MD_RETURN_NOT_OK(cur_.Identifier(&rhs));
       return Eq(word, rhs);
     }
-    return util::Status::InvalidArgument("expected atom at '" + word + "'");
+    return cur_.Error("expected atom at '" + word + "'");
   }
 
   util::Result<FormulaPtr> MakeAtom(const std::string& pred,
@@ -204,8 +199,7 @@ class FormulaParser {
     auto need = [&](size_t n) {
       return args.size() == n
                  ? util::Status::OK()
-                 : util::Status::InvalidArgument("atom '" + pred +
-                                                 "' has wrong arity");
+                 : cur_.Error("atom '" + pred + "' has wrong arity");
     };
     if (pred == "root") {
       MD_RETURN_NOT_OK(need(1));
@@ -230,8 +224,7 @@ class FormulaParser {
     if (pred == "in") {
       MD_RETURN_NOT_OK(need(2));
       if (!IsSoName(args[1])) {
-        return util::Status::InvalidArgument(
-            "second argument of in(·,·) must be a set variable");
+        return cur_.Error("second argument of in(·,·) must be a set variable");
       }
       return In(args[0], args[1]);
     }
@@ -239,46 +232,10 @@ class FormulaParser {
       MD_RETURN_NOT_OK(need(1));
       return Label(pred.substr(6), args[0]);
     }
-    return util::Status::InvalidArgument("unknown predicate '" + pred + "'");
+    return cur_.Error("unknown predicate '" + pred + "'");
   }
 
-  util::Status ParseIdent(std::string* out) {
-    Skip();
-    size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '_')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      return util::Status::InvalidArgument("expected identifier at position " +
-                                           std::to_string(start));
-    }
-    *out = std::string(text_.substr(start, pos_ - start));
-    return util::Status::OK();
-  }
-
-  bool Consume(std::string_view lit) {
-    Skip();
-    if (text_.substr(pos_, lit.size()) == lit) {
-      pos_ += lit.size();
-      return true;
-    }
-    return false;
-  }
-
-  /// Consume `lit` only if it is not the prefix of "->" (for "|" vs "->").
-  bool ConsumeNotArrow(std::string_view lit) { return Consume(lit); }
-
-  void Skip() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
+  util::TextCursor cur_;
 };
 
 }  // namespace
@@ -286,6 +243,20 @@ class FormulaParser {
 util::Result<FormulaPtr> ParseFormula(std::string_view text) {
   return FormulaParser(text).Parse();
 }
+
+namespace {
+
+/// A quantifier body extends as far right as possible, so a quantified
+/// operand left of a connective keeps its own parentheses.
+std::string OperandToString(const FormulaPtr& f) {
+  const bool quantifier = f->kind == Formula::Kind::kExistsFo ||
+                          f->kind == Formula::Kind::kForallFo ||
+                          f->kind == Formula::Kind::kExistsSo ||
+                          f->kind == Formula::Kind::kForallSo;
+  return quantifier ? "(" + ToString(f) + ")" : ToString(f);
+}
+
+}  // namespace
 
 std::string ToString(const FormulaPtr& f) {
   switch (f->kind) {
@@ -313,12 +284,13 @@ std::string ToString(const FormulaPtr& f) {
       std::string out = "(";
       for (size_t i = 0; i < f->children.size(); ++i) {
         if (i > 0) out += op;
-        out += ToString(f->children[i]);
+        out += i + 1 < f->children.size() ? OperandToString(f->children[i])
+                                          : ToString(f->children[i]);
       }
       return out + ")";
     }
     case Formula::Kind::kImplies:
-      return "(" + ToString(f->children[0]) + " -> " +
+      return "(" + OperandToString(f->children[0]) + " -> " +
              ToString(f->children[1]) + ")";
     case Formula::Kind::kExistsFo:
     case Formula::Kind::kExistsSo:

@@ -81,6 +81,13 @@ FormulaPtr ForallSo(const std::string& big_x, FormulaPtr body);
 /// Precedence: ~ binds tightest, then &, then |, then ->; quantifier bodies
 /// extend as far right as possible. First-order variables are lowercase,
 /// set variables start with an uppercase letter.
+///
+/// `(`, `~`, quantifier bodies and the arrows of one `->` chain (which nests
+/// to the right) together nest at most 256 deep
+/// (util::TextCursor::kMaxNesting); deeper input, like any syntax error, is
+/// kInvalidArgument "... at line L, column C". ToString parenthesizes every
+/// ~ and -> operand, which can take two levels per connective, so its text
+/// parses again whenever the formula nests at most 128 deep.
 util::Result<FormulaPtr> ParseFormula(std::string_view text);
 
 std::string ToString(const FormulaPtr& f);

@@ -90,39 +90,6 @@ Tree CompleteBinaryTree(int32_t depth, const std::string& label) {
   return b.Build();
 }
 
-Tree RandomFullBinaryTree(util::Rng& rng, int32_t num_internal,
-                          const std::vector<std::string>& labels) {
-  MD_CHECK(num_internal >= 0);
-  // Grow a parent table by repeatedly splitting a random leaf.
-  int32_t num_nodes = 2 * num_internal + 1;
-  std::vector<int32_t> parent(num_nodes, -1);
-  std::vector<std::vector<int32_t>> kids(num_nodes);
-  std::vector<int32_t> leaves = {0};
-  int32_t next = 1;
-  for (int32_t s = 0; s < num_internal; ++s) {
-    size_t slot = rng.Below(leaves.size());
-    int32_t node = leaves[slot];
-    leaves[slot] = leaves.back();
-    leaves.pop_back();
-    for (int32_t c = 0; c < 2; ++c) {
-      parent[next] = node;
-      kids[node].push_back(next);
-      leaves.push_back(next);
-      ++next;
-    }
-  }
-  TreeBuilder b;
-  b.Root(PickLabel(rng, labels));
-  std::function<void(int32_t, NodeId)> attach = [&](int32_t src, NodeId dst) {
-    for (int32_t k : kids[src]) {
-      NodeId built = b.Child(dst, PickLabel(rng, labels));
-      attach(k, built);
-    }
-  };
-  attach(0, 0);
-  return b.Build();
-}
-
 Tree ChainTree(int32_t num_nodes, const std::string& label) {
   MD_CHECK(num_nodes >= 1);
   TreeBuilder b;

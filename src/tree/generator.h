@@ -28,12 +28,6 @@ Tree RandomBoundedArityTree(util::Rng& rng, int32_t num_nodes,
 /// node labeled `label`. Size = 2^(depth+1) − 1. Workload of Example 4.21.
 Tree CompleteBinaryTree(int32_t depth, const std::string& label);
 
-/// Random *full* binary tree (every node has 0 or 2 children) with
-/// `num_internal` internal nodes, i.e. 2·num_internal + 1 nodes. The shape
-/// required by the binary query automata of Examples 4.9/4.21.
-Tree RandomFullBinaryTree(util::Rng& rng, int32_t num_internal,
-                          const std::vector<std::string>& labels);
-
 /// Unary chain of n nodes.
 Tree ChainTree(int32_t num_nodes, const std::string& label);
 

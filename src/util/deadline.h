@@ -37,7 +37,6 @@ class Deadline {
  public:
   Deadline() = default;
 
-  static Deadline Infinite() { return Deadline(); }
   static Deadline At(std::chrono::steady_clock::time_point t) {
     Deadline d;
     d.has_deadline_ = true;

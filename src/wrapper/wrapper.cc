@@ -44,7 +44,6 @@ util::Result<Wrapper> ParseWrapperText(std::string_view text) {
     }
   }
   MD_ASSIGN_OR_RETURN(w.program, elog::ParseElog(text));
-  MD_RETURN_NOT_OK(elog::ValidateElog(w.program));
   if (w.extraction_patterns.empty()) {
     w.extraction_patterns = w.program.Patterns();
   }

@@ -9,6 +9,7 @@
 #include "src/core/grounder.h"
 #include "src/core/tree_schema.h"
 #include "src/util/check.h"
+#include "src/util/text_cursor.h"
 
 namespace mdatalog::xpath {
 
@@ -41,102 +42,63 @@ ExprP MakeExpr(Expr::Kind kind, Path path, std::vector<ExprP> children) {
 
 class XPathParser {
  public:
-  explicit XPathParser(std::string_view text) : text_(text) {}
+  explicit XPathParser(std::string_view text) : cur_(text) {}
 
   util::Result<Path> Parse() {
     MD_ASSIGN_OR_RETURN(Path path, ParsePath());
-    Skip();
-    if (pos_ != text_.size()) {
-      return util::Status::InvalidArgument("trailing input at position " +
-                                           std::to_string(pos_));
-    }
+    if (!cur_.AtEnd()) return cur_.Error("trailing input");
     return path;
   }
 
  private:
   util::Result<Path> ParsePath() {
     Path path;
-    Skip();
-    bool leading_descendant = false;
-    if (Peek("//")) {
-      pos_ += 2;
-      path.absolute = true;
-      leading_descendant = true;
-    } else if (Peek("/")) {
-      ++pos_;
-      path.absolute = true;
-    }
-    while (true) {
+    bool leading_descendant = cur_.Consume("//");
+    path.absolute = leading_descendant || cur_.Consume("/");
+    do {
       MD_ASSIGN_OR_RETURN(Step step, ParseStep());
-      if (leading_descendant) {
-        step.axis = Axis::kDescendant;
-        leading_descendant = false;
-      }
+      if (leading_descendant) step.axis = Axis::kDescendant;
       path.steps.push_back(std::move(step));
-      Skip();
-      if (Peek("//")) {
-        pos_ += 2;
-        leading_descendant = true;
-        continue;
-      }
-      if (Peek("/")) {
-        ++pos_;
-        continue;
-      }
-      break;
-    }
+      leading_descendant = cur_.Consume("//");
+    } while (leading_descendant || cur_.Consume("/"));
     return path;
   }
 
   util::Result<Step> ParseStep() {
     Step step;
-    Skip();
-    size_t save = pos_;
     std::string word;
     if (ParseName(&word)) {
-      Skip();
-      if (Peek("::")) {
-        pos_ += 2;
+      if (cur_.Consume("::")) {
         MD_ASSIGN_OR_RETURN(step.axis, AxisFromName(word));
-        Skip();
-        if (Peek("*")) {
-          ++pos_;
-        } else if (!ParseName(&step.label)) {
-          return util::Status::InvalidArgument("expected node test after '" +
-                                               word + "::'");
+        if (!cur_.Consume("*") && !ParseName(&step.label)) {
+          return cur_.Error("expected node test after '" + word + "::'");
         }
       } else {
-        step.axis = Axis::kChild;  // shorthand
-        step.label = word;
+        step.label = word;  // child axis shorthand
       }
-    } else if (Peek("*")) {
-      ++pos_;
-      step.axis = Axis::kChild;
-    } else {
-      pos_ = save;
-      return util::Status::InvalidArgument("expected step at position " +
-                                           std::to_string(pos_));
+    } else if (!cur_.Consume("*")) {
+      return cur_.Error("expected step");
     }
-    // Predicates.
-    Skip();
-    while (Peek("[")) {
-      ++pos_;
-      MD_ASSIGN_OR_RETURN(ExprP e, ParseExpr());
-      Skip();
-      if (!Peek("]")) return util::Status::InvalidArgument("expected ']'");
-      ++pos_;
+    while (cur_.Consume("[")) {
+      MD_ASSIGN_OR_RETURN(ExprP e, ParseNested());
+      MD_RETURN_NOT_OK(cur_.Expect("]"));
       step.predicates.push_back(std::move(e));
-      Skip();
     }
     return step;
   }
 
-  util::Result<ExprP> ParseExpr() { return ParseOr(); }
+  /// The expression inside `[`, `(` or `not(`: one nesting level deeper.
+  util::Result<ExprP> ParseNested() {
+    MD_RETURN_NOT_OK(cur_.Enter());
+    MD_ASSIGN_OR_RETURN(ExprP e, ParseOr());
+    cur_.Leave();
+    return e;
+  }
 
   util::Result<ExprP> ParseOr() {
     MD_ASSIGN_OR_RETURN(ExprP lhs, ParseAnd());
     std::vector<ExprP> parts = {lhs};
-    while (ConsumeWord("or")) {
+    while (cur_.ConsumeWord("or")) {
       MD_ASSIGN_OR_RETURN(ExprP next, ParseAnd());
       parts.push_back(next);
     }
@@ -147,7 +109,7 @@ class XPathParser {
   util::Result<ExprP> ParseAnd() {
     MD_ASSIGN_OR_RETURN(ExprP lhs, ParsePrimary());
     std::vector<ExprP> parts = {lhs};
-    while (ConsumeWord("and")) {
+    while (cur_.ConsumeWord("and")) {
       MD_ASSIGN_OR_RETURN(ExprP next, ParsePrimary());
       parts.push_back(next);
     }
@@ -156,23 +118,15 @@ class XPathParser {
   }
 
   util::Result<ExprP> ParsePrimary() {
-    Skip();
-    if (ConsumeWord("not")) {
-      Skip();
-      if (!Peek("(")) return util::Status::InvalidArgument("expected '('");
-      ++pos_;
-      MD_ASSIGN_OR_RETURN(ExprP inner, ParseExpr());
-      Skip();
-      if (!Peek(")")) return util::Status::InvalidArgument("expected ')'");
-      ++pos_;
+    if (cur_.ConsumeWord("not")) {
+      MD_RETURN_NOT_OK(cur_.Expect("("));
+      MD_ASSIGN_OR_RETURN(ExprP inner, ParseNested());
+      MD_RETURN_NOT_OK(cur_.Expect(")"));
       return MakeExpr(Expr::Kind::kNot, {}, {inner});
     }
-    if (Peek("(")) {
-      ++pos_;
-      MD_ASSIGN_OR_RETURN(ExprP inner, ParseExpr());
-      Skip();
-      if (!Peek(")")) return util::Status::InvalidArgument("expected ')'");
-      ++pos_;
+    if (cur_.Consume("(")) {
+      MD_ASSIGN_OR_RETURN(ExprP inner, ParseNested());
+      MD_RETURN_NOT_OK(cur_.Expect(")"));
       return inner;
     }
     MD_ASSIGN_OR_RETURN(Path path, ParsePath());
@@ -189,7 +143,7 @@ class XPathParser {
     if (name == "ancestor-or-self") return Axis::kAncestorOrSelf;
     if (name == "following-sibling") return Axis::kFollowingSibling;
     if (name == "preceding-sibling") return Axis::kPrecedingSibling;
-    return util::Status::InvalidArgument("unknown axis '" + name + "'");
+    return cur_.Error("unknown axis '" + name + "'");
   }
 
   /// Names may contain letters, digits, _, -, #, @ (our HTML labels include
@@ -197,52 +151,23 @@ class XPathParser {
   /// when followed by a letter (so "a-b" is a name but "a - b" is not; axis
   /// names like following-sibling work).
   bool ParseName(std::string* out) {
-    Skip();
-    size_t start = pos_;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
-          c == '#' || c == '@') {
-        ++pos_;
-      } else if (c == '-' && pos_ + 1 < text_.size() &&
-                 std::isalpha(static_cast<unsigned char>(text_[pos_ + 1]))) {
-        ++pos_;
-      } else {
-        break;
-      }
+    cur_.Skip();
+    const std::string_view rest = cur_.rest();
+    size_t n = 0;
+    while (n < rest.size() &&
+           (util::TextCursor::IsIdentifierChar(rest[n]) || rest[n] == '#' ||
+            rest[n] == '@' ||
+            (rest[n] == '-' && n + 1 < rest.size() &&
+             std::isalpha(static_cast<unsigned char>(rest[n + 1]))))) {
+      ++n;
     }
-    if (pos_ == start) return false;
-    *out = std::string(text_.substr(start, pos_ - start));
+    if (n == 0) return false;
+    out->assign(rest.substr(0, n));
+    cur_.Advance(n);
     return true;
   }
 
-  bool Peek(std::string_view lit) {
-    Skip();
-    return text_.substr(pos_, lit.size()) == lit;
-  }
-
-  bool ConsumeWord(std::string_view word) {
-    Skip();
-    if (text_.substr(pos_, word.size()) != word) return false;
-    size_t after = pos_ + word.size();
-    if (after < text_.size() &&
-        (std::isalnum(static_cast<unsigned char>(text_[after])) ||
-         text_[after] == '_')) {
-      return false;  // prefix of a longer name
-    }
-    pos_ = after;
-    return true;
-  }
-
-  void Skip() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
+  util::TextCursor cur_;
 };
 
 std::string ExprToString(const ExprP& e);
@@ -264,7 +189,11 @@ std::string ExprToString(const ExprP& e) {
       std::string out;
       for (size_t i = 0; i < e->children.size(); ++i) {
         if (i > 0) out += op;
-        out += ExprToString(e->children[i]);
+        // `and` binds tighter than `or`.
+        const ExprP& c = e->children[i];
+        const bool paren =
+            e->kind == Expr::Kind::kAnd && c->kind == Expr::Kind::kOr;
+        out += paren ? "(" + ExprToString(c) + ")" : ExprToString(c);
       }
       return out;
     }

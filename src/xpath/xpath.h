@@ -33,6 +33,10 @@
 /// Examples: "/html/body//tr[td]/td[not(b)]",
 /// "//li[following-sibling::li]".
 ///
+/// `[`, `(` and `not(` nest at most 256 deep (util::TextCursor::kMaxNesting);
+/// deeper input, like any syntax error, is kInvalidArgument "... at line L,
+/// column C".
+///
 /// Queries compile to monadic datalog over τ_ur (axes become caterpillar
 /// expressions, Lemma 5.9) and evaluate with the Theorem 4.2 grounded engine
 /// in O(|P|·|dom|); a direct set-based evaluator provides the reference

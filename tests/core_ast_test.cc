@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "src/core/ast.h"
 #include "src/core/parser.h"
+#include "src/core/tree_schema.h"
 #include "src/core/validate.h"
 
 namespace mdatalog::core {
@@ -171,14 +175,29 @@ TEST(ValidateTest, MonadicCheck) {
   EXPECT_TRUE(CheckMonadic(*ok).ok());
 }
 
+/// The extensional predicates a program's rule bodies use, by name.
+std::vector<std::string> ExtensionalPredNames(const Program& program) {
+  const std::vector<bool> intensional = program.IntensionalMask();
+  std::set<std::string> names;
+  for (const Rule& r : program.rules()) {
+    for (const Atom& a : r.body) {
+      if (!intensional[a.pred]) names.insert(program.preds().Name(a.pred));
+    }
+  }
+  return std::vector<std::string>(names.begin(), names.end());
+}
+
 TEST(ValidateTest, TreeSignature) {
   auto p = ParseProgram("q(X) :- child(X, Y), label_td(Y).");
   ASSERT_TRUE(p.ok());
-  EXPECT_TRUE(CheckTreeSignature(*p, /*allow_extended=*/true).ok());
-  EXPECT_FALSE(CheckTreeSignature(*p, /*allow_extended=*/false).ok());
+  EXPECT_EQ(ExtensionalPredNames(*p),
+            (std::vector<std::string>{"child", "label_td"}));
+  EXPECT_TRUE(IsTreePredicate("child", 2));
+  EXPECT_TRUE(IsTreePredicate("label_td", 1));
   auto bad = ParseProgram("q(X) :- edge(X, Y).");
   ASSERT_TRUE(bad.ok());
-  EXPECT_FALSE(CheckTreeSignature(*bad).ok());
+  EXPECT_EQ(ExtensionalPredNames(*bad), (std::vector<std::string>{"edge"}));
+  EXPECT_FALSE(IsTreePredicate("edge", 2));
 }
 
 TEST(ValidateTest, ExtensionalPredNames) {
@@ -203,10 +222,16 @@ TEST(ValidateTest, ConnectednessTheorem42Graph) {
       "b(X) :- leaf(X), root(Y).\n"
       "c(X) :- firstchild(X, Y), leaf(Y).\n");
   ASSERT_TRUE(p.ok());
-  EXPECT_TRUE(IsConnectedRule(*p, p->rules()[0]));
+  // A rule is connected iff every variable is in component 0.
+  const auto connected = [&](const Rule& r) {
+    const std::vector<int32_t> comp = RuleVarComponents(*p, r);
+    return std::all_of(comp.begin(), comp.end(),
+                       [](int32_t c) { return c == 0; });
+  };
+  EXPECT_TRUE(connected(p->rules()[0]));
   // X and Y are connected by no binary atom -> disconnected.
-  EXPECT_FALSE(IsConnectedRule(*p, p->rules()[1]));
-  EXPECT_TRUE(IsConnectedRule(*p, p->rules()[2]));
+  EXPECT_FALSE(connected(p->rules()[1]));
+  EXPECT_TRUE(connected(p->rules()[2]));
 }
 
 TEST(ValidateTest, RuleVarComponents) {

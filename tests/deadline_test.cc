@@ -71,7 +71,7 @@ TEST(DeadlineTest, DefaultIsInfinite) {
   util::Deadline d;
   EXPECT_FALSE(d.has_deadline());
   EXPECT_FALSE(d.expired());
-  EXPECT_FALSE(util::Deadline::Infinite().expired());
+  EXPECT_FALSE(util::Deadline().expired());
 }
 
 TEST(DeadlineTest, PastDeadlineIsExpired) {
@@ -97,7 +97,7 @@ TEST(EvalControlTest, ChecksReportTypedStatuses) {
   EXPECT_EQ(expired.Check().code(), util::StatusCode::kDeadlineExceeded);
 
   util::CancelToken token;
-  util::EvalControl cancellable(util::Deadline::Infinite(), &token);
+  util::EvalControl cancellable(util::Deadline(), &token);
   EXPECT_TRUE(cancellable.Check().ok());
   token.Cancel();
   // Cancellation wins over the (infinite) deadline.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 
 #include "src/core/examples.h"
 #include "src/core/grounder.h"
@@ -17,7 +18,38 @@
 namespace mdatalog::qa {
 namespace {
 
+using tree::NodeId;
 using tree::Tree;
+
+/// A random full binary tree (every node has 0 or 2 children) with
+/// `num_internal` internal nodes: split a random leaf `num_internal` times,
+/// then label the nodes in preorder. The binary query automata of Examples
+/// 4.9/4.21 need this shape.
+Tree RandomFullBinaryTree(util::Rng& rng, int32_t num_internal,
+                          const std::vector<std::string>& labels) {
+  std::vector<std::vector<int32_t>> kids(1);
+  std::vector<int32_t> leaves = {0};
+  for (int32_t s = 0; s < num_internal; ++s) {
+    const size_t slot = rng.Below(leaves.size());
+    const int32_t node = leaves[slot];
+    leaves[slot] = leaves.back();
+    leaves.pop_back();
+    for (int32_t c = 0; c < 2; ++c) {
+      const int32_t kid = static_cast<int32_t>(kids.size());
+      kids[node].push_back(kid);
+      leaves.push_back(kid);
+      kids.emplace_back();
+    }
+  }
+  const auto pick = [&] { return labels[rng.Below(labels.size())]; };
+  tree::TreeBuilder b;
+  b.Root(pick());
+  std::function<void(int32_t, NodeId)> attach = [&](int32_t src, NodeId dst) {
+    for (int32_t k : kids[src]) attach(k, b.Child(dst, pick()));
+  };
+  attach(0, 0);
+  return b.Build();
+}
 
 // ---------------------------------------------------------------------------
 // Ranked query automata (Definition 4.8, Example 4.9)
@@ -50,7 +82,7 @@ TEST(RankedQaTest, EvenAMatchesDatalogReference) {
   core::Program reference = core::EvenAProgram({"b"});
   util::Rng rng(2024);
   for (int trial = 0; trial < 20; ++trial) {
-    Tree t = tree::RandomFullBinaryTree(
+    Tree t = RandomFullBinaryTree(
         rng, static_cast<int32_t>(rng.Below(20)), {"a", "b"});
     auto run = RunRankedQA(qa, t);
     ASSERT_TRUE(run.ok());
@@ -151,7 +183,7 @@ TEST(RankedTranslationTest, EvenAEquivalentToRunner) {
   EXPECT_TRUE(core::GroundableOverTree(*program));
   util::Rng rng(31337);
   for (int trial = 0; trial < 20; ++trial) {
-    Tree t = tree::RandomFullBinaryTree(
+    Tree t = RandomFullBinaryTree(
         rng, static_cast<int32_t>(rng.Below(15)), {"a", "b"});
     auto run = RunRankedQA(qa, t);
     ASSERT_TRUE(run.ok());

@@ -130,7 +130,7 @@ TEST(TenantRegistryTest, DefaultTenantIsAlwaysPresentAndUnmetered) {
   EXPECT_EQ(tr.name(runtime::kDefaultTenant), "default");
   EXPECT_FALSE(tr.metered(runtime::kDefaultTenant));
   EXPECT_DOUBLE_EQ(tr.ShareOf(runtime::kDefaultTenant), 1.0);
-  auto adm = tr.Admit(runtime::kDefaultTenant, util::Deadline::Infinite());
+  auto adm = tr.Admit(runtime::kDefaultTenant, util::Deadline());
   EXPECT_FALSE(adm.degraded);
   EXPECT_FALSE(adm.deadline.has_deadline());
   // Unknown ids serve as the default tenant rather than crashing.
@@ -166,13 +166,13 @@ TEST(TenantRegistryTest, TokenBucketStartsFullAndOverdraftDegrades) {
   EXPECT_LE(tr.cpu_balance_ns(t), 1 << 20);
   EXPECT_GE(tr.cpu_balance_ns(t), (1 << 20) - 8);
   // Within budget: no degradation.
-  auto adm = tr.Admit(t, util::Deadline::Infinite());
+  auto adm = tr.Admit(t, util::Deadline());
   EXPECT_FALSE(adm.degraded);
   // Overdraft: the balance goes negative (charging is not clamped) …
   tr.ChargeCpu(t, 1 << 21);
   EXPECT_LT(tr.cpu_balance_ns(t), 0);
   // … and the next admission degrades the deadline instead of rejecting.
-  adm = tr.Admit(t, util::Deadline::Infinite());
+  adm = tr.Admit(t, util::Deadline());
   EXPECT_TRUE(adm.degraded);
   EXPECT_TRUE(adm.deadline.has_deadline());
 }
@@ -192,15 +192,15 @@ TEST(TenantRegistryTest, PriorityClassesDegradeDifferently) {
   const auto normal = metered("normal", runtime::Priority::kNormal);
 
   // High priority never degrades: over quota keeps its latency contract.
-  auto adm_high = tr.Admit(high, util::Deadline::Infinite());
+  auto adm_high = tr.Admit(high, util::Deadline());
   EXPECT_FALSE(adm_high.degraded);
   EXPECT_FALSE(adm_high.deadline.has_deadline());
 
   // Low degrades harder than normal (5ms vs 25ms caps). Admitting low first
   // makes the comparison robust: normal's cap is anchored at a later "now",
   // so normal's deadline is strictly after low's.
-  auto adm_low = tr.Admit(low, util::Deadline::Infinite());
-  auto adm_normal = tr.Admit(normal, util::Deadline::Infinite());
+  auto adm_low = tr.Admit(low, util::Deadline());
+  auto adm_normal = tr.Admit(normal, util::Deadline());
   ASSERT_TRUE(adm_low.degraded);
   ASSERT_TRUE(adm_normal.degraded);
   ASSERT_TRUE(adm_low.deadline.has_deadline());
@@ -226,8 +226,8 @@ TEST(TenantRegistryTest, CountersAccumulateInTheSharedRegistry) {
   telemetry::MetricsRegistry metrics;
   runtime::TenantRegistry tr(&metrics);
   const auto t = tr.Register({.name = "alpha"});
-  tr.Admit(t, util::Deadline::Infinite());
-  tr.Admit(t, util::Deadline::Infinite());
+  tr.Admit(t, util::Deadline());
+  tr.Admit(t, util::Deadline());
   tr.ChargeCpu(t, 500);
   EXPECT_EQ(tr.counters(t)->requests->Value(), 2);
   EXPECT_EQ(tr.counters(t)->cpu_ns->Value(), 500);
@@ -476,7 +476,7 @@ TEST(QosStressTest, ConcurrentAccountingStaysConsistent) {
     threads.emplace_back([&, t] {
       const auto tenant = (t % 2 == 0) ? a : b;
       for (int i = 0; i < kIters; ++i) {
-        tr.Admit(tenant, util::Deadline::Infinite());
+        tr.Admit(tenant, util::Deadline());
         tr.ChargeCpu(tenant, kChargeNs);
         const uint64_t key = static_cast<uint64_t>(t) * 100000 + i;
         cache.Insert(key, MixHash(key), Blob(64), tenant);

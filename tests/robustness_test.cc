@@ -2,6 +2,7 @@
 // malformed input into a clean Status — never crash, never silently accept.
 // Plus resource-limit behavior (budgets return ResourceExhausted, not hangs).
 
+#include <algorithm>
 #include <string_view>
 
 #include <gtest/gtest.h>
@@ -16,11 +17,13 @@
 #include "src/elog/ast.h"
 #include "src/elog/eval.h"
 #include "src/html/parser.h"
+#include "src/html/tokenizer.h"
 #include "src/mso/compile.h"
 #include "src/mso/formula.h"
 #include "src/tmnf/pipeline.h"
 #include "src/tree/generator.h"
 #include "src/util/rng.h"
+#include "src/wrapper/wrapper.h"
 #include "src/xpath/xpath.h"
 #include "tests/support/edb.h"
 #include "tests/support/program_generator.h"
@@ -59,6 +62,78 @@ TEST(RobustnessTest, ParsersSurviveGarbage) {
   SUCCEED();
 }
 
+/// `open`×n, then `inner`, then `close`×n.
+std::string Nest(std::string_view open, std::string_view inner,
+                 std::string_view close, int32_t n) {
+  std::string out;
+  for (int32_t i = 0; i < n; ++i) out += open;
+  out += inner;
+  for (int32_t i = 0; i < n; ++i) out += close;
+  return out;
+}
+
+TEST(RobustnessTest, DeepNestingIsATypedError) {
+  constexpr int32_t kDeep = 100000;
+  const auto code = [](const auto& result) { return result.status().code(); };
+  constexpr util::StatusCode kInvalid = util::StatusCode::kInvalidArgument;
+  EXPECT_EQ(code(xpath::ParseXPath(Nest("a[", "b", "]", kDeep))), kInvalid);
+  EXPECT_EQ(code(xpath::ParseXPath("a[" + Nest("not(", "b", ")", kDeep) + "]")),
+            kInvalid);
+  EXPECT_EQ(code(mso::ParseFormula(Nest("(", "root(x)", ")", kDeep))),
+            kInvalid);
+  EXPECT_EQ(code(caterpillar::ParseExpr(Nest("(", "child", ")", kDeep))),
+            kInvalid);
+  // Chains that the parsers read with loops but that nest the AST: a
+  // postfix operator wraps its operand, and `->` folds to the right.
+  EXPECT_EQ(code(caterpillar::ParseExpr("child" + std::string(kDeep, '*'))),
+            kInvalid);
+  EXPECT_EQ(code(mso::ParseFormula(Nest("root(x) -> ", "leaf(x)", "", kDeep))),
+            kInvalid);
+  EXPECT_EQ(code(mso::ParseFormula(Nest("~", "leaf(x)", "", kDeep))), kInvalid);
+}
+
+TEST(RobustnessTest, NestingOf200ParsesAndRoundTrips) {
+  constexpr int32_t kNest = 200;
+  for (const std::string& text : {Nest("a[", "b", "]", kNest),
+                                  "a[" + Nest("not(", "b", ")", kNest) + "]"}) {
+    auto path = xpath::ParseXPath(text);
+    ASSERT_TRUE(path.ok()) << path.status().message();
+    auto again = xpath::ParseXPath(xpath::ToString(*path));
+    ASSERT_TRUE(again.ok()) << again.status().message();
+    EXPECT_EQ(xpath::ToString(*again), xpath::ToString(*path));
+  }
+  auto formula = mso::ParseFormula(Nest("(", "root(x) & leaf(x)", ")", kNest));
+  ASSERT_TRUE(formula.ok()) << formula.status().message();
+  auto formula_again = mso::ParseFormula(mso::ToString(*formula));
+  ASSERT_TRUE(formula_again.ok()) << formula_again.status().message();
+  EXPECT_EQ(mso::ToString(*formula_again), mso::ToString(*formula));
+  auto expr = caterpillar::ParseExpr(Nest("(", "child", ")*", kNest));
+  ASSERT_TRUE(expr.ok()) << expr.status().message();
+  auto expr_again = caterpillar::ParseExpr(caterpillar::ToString(*expr));
+  ASSERT_TRUE(expr_again.ok()) << expr_again.status().message();
+  EXPECT_EQ(caterpillar::ToString(*expr_again), caterpillar::ToString(*expr));
+}
+
+TEST(RobustnessTest, OversizedIntegersAreTypedErrors) {
+  constexpr util::StatusCode kInvalid = util::StatusCode::kInvalidArgument;
+  EXPECT_EQ(wrapper::ParseWrapperText(
+                "a(x) <- root(x0), subelem(x0, \"a\", x), b(y),\n"
+                "        before(x0, \"a\", x, y, 99999999999, 100).")
+                .status()
+                .code(),
+            kInvalid);
+  EXPECT_EQ(core::ParseProgram("q(X) :- leaf(X), p(99999999999).")
+                .status()
+                .code(),
+            kInvalid);
+  EXPECT_EQ(core::ParseProgram("q(X) :- leaf(X), p(-99999999999).")
+                .status()
+                .code(),
+            kInvalid);
+  // INT32_MAX itself is a constant.
+  EXPECT_TRUE(core::ParseProgram("q(X) :- leaf(X), p(2147483647).").ok());
+}
+
 TEST(RobustnessTest, HtmlParserSurvivesGarbage) {
   util::Rng rng(77);
   for (int trial = 0; trial < 300; ++trial) {
@@ -87,7 +162,14 @@ TEST(RobustnessTest, HtmlPathologies) {
   ASSERT_TRUE(attrs.ok());
   EXPECT_EQ(attrs->GetAttr(0, "x"), "1");
   EXPECT_EQ(attrs->GetAttr(0, "y"), "2");
-  EXPECT_TRUE(attrs->HasAttr(0, "z"));
+  // The bare z is an attribute with an empty value.
+  const std::vector<html::Token> tokens = html::Tokenize(
+      "<a x=1 === y='2' \"stray\" z>t</a>");
+  ASSERT_FALSE(tokens.empty());
+  EXPECT_TRUE(std::any_of(tokens[0].attrs.begin(), tokens[0].attrs.end(),
+                          [](const html::Attribute& a) {
+                            return a.name == "z" && a.value.empty();
+                          }));
   // The same attributes through construction-time projection; the bare z
   // has an empty value, which never projects.
   const std::string page = "<a x=1 === y='2' \"stray\" z>t</a>";
