@@ -173,24 +173,25 @@ class Encoder {
   MaybeLit EdbTruth(const EdbRef& ref, int32_t n) const {
     const TemplateNode& node = tmpl_[n];
     switch (ref.kind) {
-      case EdbRef::Kind::kRoot:
+      case core::TreePred::Kind::kRoot:
         return MaybeLit::Const(n == 0);
-      case EdbRef::Kind::kLeaf:
+      case core::TreePred::Kind::kLeaf:
         return node.first_child < 0 ? MaybeLit::Const(true)
                                     : MaybeLit::Of(-e_[node.first_child]);
-      case EdbRef::Kind::kLastSibling:
+      case core::TreePred::Kind::kLastSibling:
         // The root is not a last sibling (Section 2).
         if (n == 0) return MaybeLit::Const(false);
         return node.next_sibling < 0 ? MaybeLit::Const(true)
                                      : MaybeLit::Of(-e_[node.next_sibling]);
-      case EdbRef::Kind::kFirstSibling:
+      case core::TreePred::Kind::kFirstSibling:
         // Not the root; otherwise a template constant — children pack left,
         // so slot 0 never has a previous sibling and later slots always do.
         return MaybeLit::Const(n != 0 && node.child_index == 0);
-      case EdbRef::Kind::kLabel:
+      case core::TreePred::Kind::kLabel:
         return MaybeLit::Of(lab(n, ref.label));
+      default:
+        return MaybeLit::Const(false);  // EdbRef kinds are unary
     }
-    return MaybeLit::Const(false);
   }
 
   MaybeLit OperandTruthQ(const OperandRef& op, int32_t n) const {

@@ -18,19 +18,6 @@ using core::Program;
 using core::Rule;
 using core::Term;
 
-/// Binary tree predicates whose second argument necessarily has a parent
-/// (it is some node's child): child, firstchild, lastchild, child<k>.
-bool IsParentChildPred(const std::string& name) {
-  if (name == "child" || name == "firstchild" || name == "lastchild") {
-    return true;
-  }
-  if (name.rfind("child", 0) != 0 || name.size() <= 5) return false;
-  for (size_t i = 5; i < name.size(); ++i) {
-    if (name[i] < '0' || name[i] > '9') return false;
-  }
-  return true;
-}
-
 /// Tree-axiom unsatisfiability of a rule body (Section 2 semantics: the
 /// root is neither a first nor a last sibling and has no parent; a leaf has
 /// no children; a last sibling has no next sibling; every node carries
@@ -51,32 +38,38 @@ bool BodyUnsatOnTrees(const Program& program, const Rule& rule,
   for (const Atom& a : rule.body) {
     if (intensional[a.pred]) continue;
     const std::string& name = preds.Name(a.pred);
-    if (!core::IsTreePredicate(name, static_cast<int32_t>(a.args.size()))) {
-      continue;
-    }
-    if (a.args.size() == 1 && a.args[0].is_var()) {
+    const std::optional<core::TreePred> tp = core::ClassifyTreePredicate(
+        name, static_cast<int32_t>(a.args.size()));
+    if (!tp.has_value()) continue;
+    using K = core::TreePred::Kind;
+    if (tp->unary()) {
+      if (!a.args[0].is_var()) continue;
       VarFacts& f = facts[a.args[0].value];
-      if (name == "root") {
-        f.is_root = true;
-      } else if (name == "leaf") {
-        f.is_leaf = true;
-      } else if (name == "lastsibling") {
-        f.is_lastsibling = true;
-      } else if (name == "firstsibling") {
-        f.is_firstsibling = true;
-      } else {
-        std::string label = core::LabelFromPredName(name);
-        if (!label.empty()) f.labels.insert(std::move(label));
+      switch (tp->kind) {
+        case K::kRoot: f.is_root = true; break;
+        case K::kLeaf: f.is_leaf = true; break;
+        case K::kLastSibling: f.is_lastsibling = true; break;
+        case K::kFirstSibling: f.is_firstsibling = true; break;
+        case K::kLabel: f.labels.insert(core::LabelFromPredName(name)); break;
+        default: break;
       }
-    } else if (a.args.size() == 2 && a.args[0].is_var() &&
-               a.args[1].is_var()) {
-      // nextsibling_tc is reflexive and constrains nothing on its own.
-      if (IsParentChildPred(name)) {
-        facts[a.args[0].value].has_child = true;
-        facts[a.args[1].value].has_parent = true;
-      } else if (name == "nextsibling") {
-        facts[a.args[0].value].has_next = true;
-        facts[a.args[1].value].has_prev = true;
+    } else if (a.args[0].is_var() && a.args[1].is_var()) {
+      // The second argument of child, firstchild, lastchild and child<k>
+      // is some node's child. nextsibling_tc is reflexive and constrains
+      // nothing on its own.
+      switch (tp->kind) {
+        case K::kChild:
+        case K::kFirstChild:
+        case K::kLastChild:
+        case K::kChildK:
+          facts[a.args[0].value].has_child = true;
+          facts[a.args[1].value].has_parent = true;
+          break;
+        case K::kNextSibling:
+          facts[a.args[0].value].has_next = true;
+          facts[a.args[1].value].has_prev = true;
+          break;
+        default: break;
       }
     }
   }

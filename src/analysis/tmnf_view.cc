@@ -31,7 +31,7 @@ void TmnfView::RelabelInto(std::vector<std::string>* alphabet) {
     }
   }
   auto fix = [&](OperandRef& op) {
-    if (op.is_edb && op.edb.kind == EdbRef::Kind::kLabel) {
+    if (op.is_edb && op.edb.kind == core::TreePred::Kind::kLabel) {
       op.edb.label = remap[op.edb.label];
     }
   };
@@ -71,31 +71,19 @@ util::Result<TmnfView> TmnfView::Parse(const Program& program) {
       return op;
     }
     const std::string& name = preds.Name(p);
+    const std::optional<core::TreePred> tp =
+        core::ClassifyTreePredicate(name, 1);
+    if (!tp.has_value()) {
+      // A non-schema predicate with no rules: provably empty — model it as
+      // an IDB predicate with no supporting rules.
+      op.is_edb = false;
+      op.idb = idb_of(p);
+      return op;
+    }
     op.is_edb = true;
-    if (name == "root") {
-      op.edb.kind = EdbRef::Kind::kRoot;
-    } else if (name == "leaf") {
-      op.edb.kind = EdbRef::Kind::kLeaf;
-    } else if (name == "lastsibling") {
-      op.edb.kind = EdbRef::Kind::kLastSibling;
-    } else if (name == "firstsibling") {
-      op.edb.kind = EdbRef::Kind::kFirstSibling;
-    } else {
+    op.edb.kind = tp->kind;
+    if (tp->kind == core::TreePred::Kind::kLabel) {
       std::string label = core::LabelFromPredName(name);
-      if (label.empty()) {
-        if (core::IsTreePredicate(name, 1)) {
-          return util::Status::InvalidArgument(
-              "predicate '" + name + "' is outside the τ_ur unary schema "
-              "(root/leaf/lastsibling/firstsibling/label_*) supported by the "
-              "encoder");
-        }
-        // A non-schema predicate with no rules: provably empty — model it
-        // as an IDB predicate with no supporting rules.
-        op.is_edb = false;
-        op.idb = idb_of(p);
-        return op;
-      }
-      op.edb.kind = EdbRef::Kind::kLabel;
       auto it = label_index.find(label);
       if (it == label_index.end()) {
         it = label_index
@@ -159,22 +147,24 @@ util::Result<TmnfView> TmnfView::Parse(const Program& program) {
     } else if (binary.size() == 1 && unary.size() == 1) {
       // Form (2): p(x) ← p0(x0), B(x0, x) with B = R or R⁻¹.
       const Atom* b = binary[0];
-      const std::string& bname = preds.Name(b->pred);
-      if (intensional[b->pred] ||
-          (bname != "firstchild" && bname != "nextsibling")) {
+      using K = core::TreePred::Kind;
+      const std::optional<core::TreePred> rel =
+          core::ClassifyTreePredicate(preds.Name(b->pred), 2);
+      if (intensional[b->pred] || !rel.has_value() ||
+          (rel->kind != K::kFirstChild && rel->kind != K::kNextSibling)) {
         return fail("binary atom is not firstchild/nextsibling");
       }
+      const bool firstchild = rel->kind == K::kFirstChild;
       const int32_t a0 = b->args[0].value, a1 = b->args[1].value;
       const int32_t body_var = unary[0]->args[0].value;
       int32_t support_var;
       if (a1 == head_var && a0 != head_var) {
         support_var = a0;  // B(x0, x)
-        rv.dir = bname == "firstchild" ? StepDir::kFromParent
-                                       : StepDir::kFromPrevSibling;
+        rv.dir = firstchild ? StepDir::kFromParent : StepDir::kFromPrevSibling;
       } else if (a0 == head_var && a1 != head_var) {
         support_var = a1;  // B(x, x0): the inverse orientation
-        rv.dir = bname == "firstchild" ? StepDir::kFromFirstChild
-                                       : StepDir::kFromNextSibling;
+        rv.dir =
+            firstchild ? StepDir::kFromFirstChild : StepDir::kFromNextSibling;
       } else {
         return fail("binary atom does not link head to a fresh variable");
       }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/core/ast.h"
+#include "src/core/tree_schema.h"
 #include "src/util/result.h"
 
 /// \file tmnf_view.h
@@ -24,12 +25,10 @@
 
 namespace mdatalog::analysis {
 
-/// The τ_ur unary EDB symbols a TMNF body may test. Labels carry the label
-/// index into TmnfView::labels.
+/// The τ_ur unary EDB symbols a TMNF body may test (a unary
+/// core::TreePred::Kind). Labels carry the label index into TmnfView::labels.
 struct EdbRef {
-  enum class Kind : uint8_t { kRoot, kLeaf, kLastSibling, kFirstSibling,
-                              kLabel };
-  Kind kind = Kind::kRoot;
+  core::TreePred::Kind kind = core::TreePred::Kind::kRoot;
   int32_t label = -1;  ///< index into TmnfView::labels when kind == kLabel
 };
 

@@ -13,88 +13,49 @@ using tree::Tree;
 
 namespace {
 
-util::Status UnknownRel(const std::string& name) {
-  return util::Status::InvalidArgument("unknown binary relation '" + name +
-                                       "' in caterpillar expression");
+/// One atom of an expression (a kRel or kTest NFA edge or expression node),
+/// classified once against the tree before any node is visited.
+struct Move {
+  core::TreePred pred;      ///< unary for a test
+  bool inverted = false;    ///< steps only
+  tree::LabelId label = 0;  ///< label tests: the label's id in the tree
+};
+
+util::Result<Move> ClassifyMove(const Tree& t, bool is_test,
+                                const std::string& name, bool inverted) {
+  const std::optional<core::TreePred> pred =
+      core::ClassifyTreePredicate(name, is_test ? 1 : 2);
+  if (!pred.has_value() ||
+      pred->kind == core::TreePred::Kind::kNextSiblingTc) {
+    return util::Status::InvalidArgument(
+        std::string(is_test ? "unknown unary predicate '"
+                            : "unknown binary relation '") +
+        name + "' in caterpillar expression");
+  }
+  Move m{*pred, inverted};
+  if (pred->kind == core::TreePred::Kind::kLabel) {
+    m.label = t.FindLabel(core::LabelFromPredName(name));
+  }
+  return m;
 }
 
-util::Status UnknownTest(const std::string& name) {
-  return util::Status::InvalidArgument("unknown unary predicate '" + name +
-                                       "' in caterpillar expression");
-}
-
-bool IsKnownRel(const std::string& name) {
-  return name == "firstchild" || name == "nextsibling" || name == "child" ||
-         name == "lastchild" || core::ChildKIndex(name) >= 1;
-}
-
-util::Result<bool> CheckTest(const Tree& t, const std::string& name,
-                             NodeId n) {
-  if (name == "root") return t.IsRoot(n);
-  if (name == "leaf") return t.IsLeaf(n);
-  if (name == "lastsibling") return t.IsLastSibling(n);
-  if (name == "firstsibling") return t.IsFirstSibling(n);
-  std::string label = core::LabelFromPredName(name);
-  if (!label.empty()) return t.label_name(n) == label;
-  return UnknownTest(name);
-}
-
-/// Applies one kRel move from node n, invoking `emit` per successor node.
+/// Applies one move from node n, invoking `emit` per successor node: n
+/// itself when a test holds, else every node a step reaches.
 template <typename Emit>
-util::Status ApplyRel(const Tree& t, const std::string& name, bool inverted,
-                      NodeId n, Emit emit) {
-  if (name == "firstchild") {
-    if (!inverted) {
-      if (t.first_child(n) != kNoNode) emit(t.first_child(n));
-    } else if (t.IsFirstSibling(n)) {
-      emit(t.parent(n));
+void ApplyMove(const Tree& t, const Move& m, NodeId n, Emit emit) {
+  if (m.pred.unary()) {
+    if (core::HoldsUnary(t, m.pred.kind, m.label, n)) emit(n);
+    return;
+  }
+  if (m.pred.kind == core::TreePred::Kind::kChild && !m.inverted) {
+    for (NodeId c = t.first_child(n); c != kNoNode; c = t.next_sibling(c)) {
+      emit(c);
     }
-    return util::Status::OK();
+    return;
   }
-  if (name == "nextsibling") {
-    NodeId m = inverted ? t.prev_sibling(n) : t.next_sibling(n);
-    if (m != kNoNode) emit(m);
-    return util::Status::OK();
-  }
-  if (name == "child") {
-    if (!inverted) {
-      for (NodeId c = t.first_child(n); c != kNoNode; c = t.next_sibling(c)) {
-        emit(c);
-      }
-    } else if (t.parent(n) != kNoNode) {
-      emit(t.parent(n));
-    }
-    return util::Status::OK();
-  }
-  if (name == "lastchild") {
-    if (!inverted) {
-      if (t.last_child(n) != kNoNode) emit(t.last_child(n));
-    } else if (t.IsLastSibling(n)) {
-      emit(t.parent(n));
-    }
-    return util::Status::OK();
-  }
-  int32_t k = core::ChildKIndex(name);
-  if (k >= 1) {
-    if (!inverted) {
-      NodeId c = t.ChildK(n, k);
-      if (c != kNoNode) emit(c);
-    } else {
-      // n must be exactly the k-th child.
-      NodeId c = n;
-      int32_t steps = 1;
-      while (steps < k && c != kNoNode) {
-        c = t.prev_sibling(c);
-        ++steps;
-      }
-      if (c != kNoNode && t.prev_sibling(c) == kNoNode &&
-          t.parent(n) != kNoNode && steps == k) {
-        emit(t.parent(n));
-      }
-    }
-    return util::Status::OK();
-  }
-  return UnknownRel(name);
+  const NodeId next = m.inverted ? core::StepBackward(t, m.pred, n)
+                                 : core::StepForward(t, m.pred, n);
+  if (next != kNoNode) emit(next);
 }
 
 }  // namespace
@@ -103,6 +64,19 @@ util::Result<std::vector<NodeId>> EvalImage(
     const Tree& t, const CatNfa& nfa, const std::vector<NodeId>& sources) {
   const int64_t n = t.size();
   const int64_t num_states = nfa.NumStates();
+  // Per state, per edge: the classified move (unused for ε edges).
+  std::vector<std::vector<Move>> moves(nfa.states.size());
+  for (size_t s = 0; s < nfa.states.size(); ++s) {
+    for (const NfaEdge& edge : nfa.states[s]) {
+      Move m;
+      if (edge.type != NfaEdge::Type::kEps) {
+        const bool is_test = edge.type == NfaEdge::Type::kTest;
+        MD_ASSIGN_OR_RETURN(m,
+                            ClassifyMove(t, is_test, edge.name, edge.inverted));
+      }
+      moves[s].push_back(m);
+    }
+  }
   std::vector<bool> visited(static_cast<size_t>(n * num_states), false);
   std::vector<std::pair<int32_t, NodeId>> worklist;
   auto push = [&](int32_t state, NodeId node) {
@@ -117,23 +91,14 @@ util::Result<std::vector<NodeId>> EvalImage(
   while (!worklist.empty()) {
     auto [state, node] = worklist.back();
     worklist.pop_back();
-    for (const NfaEdge& edge : nfa.states[state]) {
-      switch (edge.type) {
-        case NfaEdge::Type::kEps:
-          push(edge.target, node);
-          break;
-        case NfaEdge::Type::kTest: {
-          auto ok = CheckTest(t, edge.name, node);
-          if (!ok.ok()) return ok.status();
-          if (*ok) push(edge.target, node);
-          break;
-        }
-        case NfaEdge::Type::kRel: {
-          util::Status st = ApplyRel(t, edge.name, edge.inverted, node,
-                                     [&](NodeId m) { push(edge.target, m); });
-          if (!st.ok()) return st;
-          break;
-        }
+    const std::vector<NfaEdge>& edges = nfa.states[state];
+    for (size_t i = 0; i < edges.size(); ++i) {
+      const int32_t target = edges[i].target;
+      if (edges[i].type == NfaEdge::Type::kEps) {
+        push(target, node);
+      } else {
+        ApplyMove(t, moves[state][i], node,
+                  [&](NodeId m) { push(target, m); });
       }
     }
   }
@@ -161,22 +126,14 @@ util::Result<PairSet> Denote(const Tree& t, const ExprPtr& e) {
       for (NodeId n = 0; n < t.size(); ++n) out.emplace(n, n);
       return out;
     }
-    case Expr::Kind::kTest: {
-      PairSet out;
-      for (NodeId n = 0; n < t.size(); ++n) {
-        MD_ASSIGN_OR_RETURN(bool ok, CheckTest(t, e->name, n));
-        if (ok) out.emplace(n, n);
-      }
-      return out;
-    }
+    case Expr::Kind::kTest:
     case Expr::Kind::kRel: {
-      if (!IsKnownRel(e->name)) return UnknownRel(e->name);
+      MD_ASSIGN_OR_RETURN(const Move m,
+                          ClassifyMove(t, e->kind == Expr::Kind::kTest,
+                                       e->name, e->inverted));
       PairSet out;
       for (NodeId n = 0; n < t.size(); ++n) {
-        util::Status st =
-            ApplyRel(t, e->name, e->inverted, n,
-                     [&](NodeId m) { out.emplace(n, m); });
-        if (!st.ok()) return st;
+        ApplyMove(t, m, n, [&](NodeId y) { out.emplace(n, y); });
       }
       return out;
     }
@@ -203,26 +160,34 @@ util::Result<PairSet> Denote(const Tree& t, const ExprPtr& e) {
       }
       return out;
     }
-    case Expr::Kind::kStar: {
+    case Expr::Kind::kStar:
+    case Expr::Kind::kPlus: {
       MD_ASSIGN_OR_RETURN(PairSet base, Denote(t, e->children[0]));
-      // Reflexive closure + per-node BFS for transitivity.
+      // Per-node DFS for transitivity; E* adds the reflexive pairs, E+ only
+      // the pairs reached by at least one step.
       std::vector<std::vector<NodeId>> succ(t.size());
       for (const auto& [x, y] : base) succ[x].push_back(y);
+      const bool reflexive = e->kind == Expr::Kind::kStar;
       PairSet out;
       for (NodeId src = 0; src < t.size(); ++src) {
         std::vector<bool> seen(t.size(), false);
-        std::vector<NodeId> stack = {src};
-        seen[src] = true;
+        std::vector<NodeId> stack;
+        auto visit = [&](NodeId v) {
+          if (!seen[v]) {
+            seen[v] = true;
+            stack.push_back(v);
+          }
+        };
+        if (reflexive) {
+          visit(src);
+        } else {
+          for (NodeId v : succ[src]) visit(v);
+        }
         while (!stack.empty()) {
-          NodeId u = stack.back();
+          const NodeId u = stack.back();
           stack.pop_back();
           out.emplace(src, u);
-          for (NodeId v : succ[u]) {
-            if (!seen[v]) {
-              seen[v] = true;
-              stack.push_back(v);
-            }
-          }
+          for (NodeId v : succ[u]) visit(v);
         }
       }
       return out;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/core/tree_schema.h"
 #include "src/util/check.h"
 #include "src/util/text_cursor.h"
 
@@ -44,7 +45,9 @@ ExprPtr Star(ExprPtr e) {
 ExprPtr Inverse(ExprPtr e) {
   return MakeNode(Expr::Kind::kInverse, "", false, {std::move(e)});
 }
-ExprPtr Plus(ExprPtr e) { return Concat({e, Star(e)}); }
+ExprPtr Plus(ExprPtr e) {
+  return MakeNode(Expr::Kind::kPlus, "", false, {std::move(e)});
+}
 
 // --- parser -----------------------------------------------------------------
 
@@ -162,11 +165,13 @@ std::string ToString(const ExprPtr& e) {
       }
       return out;
     }
-    case Expr::Kind::kStar: {
+    case Expr::Kind::kStar:
+    case Expr::Kind::kPlus: {
       const ExprPtr& c = e->children[0];
       bool paren = c->kind == Expr::Kind::kConcat ||
                    c->kind == Expr::Kind::kUnion;
-      return (paren ? "(" + ToString(c) + ")" : ToString(c)) + "*";
+      return (paren ? "(" + ToString(c) + ")" : ToString(c)) +
+             (e->kind == Expr::Kind::kStar ? "*" : "+");
     }
     case Expr::Kind::kInverse: {
       const ExprPtr& c = e->children[0];
@@ -216,6 +221,9 @@ ExprPtr PushDown(const ExprPtr& e, bool invert) {
     case Expr::Kind::kStar:
       // (E*)^-1 = (E^-1)*
       return Star(PushDown(e->children[0], invert));
+    case Expr::Kind::kPlus:
+      // (E+)^-1 = (E^-1)+
+      return Plus(PushDown(e->children[0], invert));
     case Expr::Kind::kInverse:
       return PushDown(e->children[0], !invert);
   }
@@ -233,17 +241,21 @@ ExprPtr ExpandDerivedRels(const ExprPtr& e) {
     case Expr::Kind::kTest:
       return e;
     case Expr::Kind::kRel: {
-      if (e->name == "child") {
+      const std::optional<core::TreePred> rel =
+          core::ClassifyTreePredicate(e->name, 2);
+      if (!rel.has_value()) return e;
+      std::vector<ExprPtr> parts;
+      if (rel->kind == core::TreePred::Kind::kChild) {
         // child = firstchild.nextsibling* (Example 2.5)
-        ExprPtr expansion = Concat({Rel("firstchild"), Star(Rel("nextsibling"))});
-        return e->inverted ? Inverse(expansion) : expansion;
+        parts = {Rel("firstchild"), Star(Rel("nextsibling"))};
+      } else if (rel->kind == core::TreePred::Kind::kLastChild) {
+        parts = {Rel("firstchild"), Star(Rel("nextsibling")),
+                 Test("lastsibling")};
+      } else {
+        return e;
       }
-      if (e->name == "lastchild") {
-        ExprPtr expansion = Concat({Rel("firstchild"), Star(Rel("nextsibling")),
-                                    Test("lastsibling")});
-        return e->inverted ? Inverse(expansion) : expansion;
-      }
-      return e;
+      ExprPtr expansion = Concat(std::move(parts));
+      return e->inverted ? Inverse(expansion) : expansion;
     }
     default: {
       std::vector<ExprPtr> children;

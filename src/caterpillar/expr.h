@@ -31,6 +31,7 @@ struct Expr {
     kConcat,   ///< E1.E2 … (n-ary)
     kUnion,    ///< E1 | E2 … (n-ary)
     kStar,     ///< E* (reflexive-transitive closure)
+    kPlus,     ///< E+ (transitive closure: E.E*)
     kInverse,  ///< E^-1
   };
 
@@ -47,7 +48,7 @@ ExprPtr Concat(std::vector<ExprPtr> parts);
 ExprPtr Union(std::vector<ExprPtr> parts);
 ExprPtr Star(ExprPtr e);
 ExprPtr Inverse(ExprPtr e);
-/// E+ = E.E* (the paper's shortcut).
+/// E+ = E.E* (the paper's shortcut), one node over E.
 ExprPtr Plus(ExprPtr e);
 
 /// Parses the textual syntax. Binary relations are bare identifiers

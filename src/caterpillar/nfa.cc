@@ -71,6 +71,12 @@ class ThompsonBuilder {
         AddEdge(ca, {NfaEdge::Type::kEps, a, "", false});
         return {s, a};
       }
+      case Expr::Kind::kPlus: {
+        // E, then back to E's start: at least one pass, no bypass.
+        auto [cs, ca] = Fragment(e->children[0]);
+        AddEdge(ca, {NfaEdge::Type::kEps, cs, "", false});
+        return {cs, ca};
+      }
       case Expr::Kind::kInverse:
         MD_CHECK(false);  // removed by PushDownInverses
     }

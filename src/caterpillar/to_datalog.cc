@@ -51,11 +51,9 @@ util::Result<core::PredId> AppendCaterpillarRules(
           break;
         }
         case NfaEdge::Type::kRel: {
-          bool admissible =
-              options.ranked
-                  ? core::ChildKIndex(edge.name) >= 1
-                  : (edge.name == "firstchild" || edge.name == "nextsibling");
-          if (!admissible) {
+          const std::optional<core::TreePred> tp =
+              core::ClassifyTreePredicate(edge.name, 2);
+          if (!tp.has_value() || !core::InTmnfSchema(*tp, options.ranked)) {
             return util::Status::InvalidArgument(
                 "caterpillar-to-datalog supports only τ_ur relations after "
                 "expansion; got '" +

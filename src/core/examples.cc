@@ -78,37 +78,6 @@ Program HasAncestorProgram(const std::string& label) {
   return p;
 }
 
-Program EvenDepthLeafProgram() {
-  Program p;
-  PredicateTable& preds = p.preds();
-  PredId even = preds.MustIntern("even", 1);
-  PredId odd = preds.MustIntern("odd", 1);
-  PredId evenleaf = preds.MustIntern("evenleaf", 1);
-  PredId root = preds.MustIntern("root", 1);
-  PredId leaf = preds.MustIntern("leaf", 1);
-  PredId firstchild = preds.MustIntern("firstchild", 2);
-  PredId nextsibling = preds.MustIntern("nextsibling", 2);
-  Term x = Term::Var(0), y = Term::Var(1);
-  p.AddRule(MakeRule(MakeAtom(even, {x}), {MakeAtom(root, {x})}, {"x"}));
-  // Depth changes through firstchild, is preserved through nextsibling.
-  p.AddRule(MakeRule(MakeAtom(odd, {y}),
-                     {MakeAtom(even, {x}), MakeAtom(firstchild, {x, y})},
-                     {"x", "y"}));
-  p.AddRule(MakeRule(MakeAtom(even, {y}),
-                     {MakeAtom(odd, {x}), MakeAtom(firstchild, {x, y})},
-                     {"x", "y"}));
-  p.AddRule(MakeRule(MakeAtom(even, {y}),
-                     {MakeAtom(even, {x}), MakeAtom(nextsibling, {x, y})},
-                     {"x", "y"}));
-  p.AddRule(MakeRule(MakeAtom(odd, {y}),
-                     {MakeAtom(odd, {x}), MakeAtom(nextsibling, {x, y})},
-                     {"x", "y"}));
-  p.AddRule(MakeRule(MakeAtom(evenleaf, {x}),
-                     {MakeAtom(even, {x}), MakeAtom(leaf, {x})}, {"x"}));
-  p.set_query_pred(evenleaf);
-  return p;
-}
-
 Program ChainProgram(int32_t m) {
   MD_CHECK(m >= 1);
   Program p;
@@ -123,25 +92,6 @@ Program ChainProgram(int32_t m) {
     prev = next;
   }
   p.set_query_pred(prev);
-  return p;
-}
-
-Program DomProgram() {
-  Program p;
-  PredicateTable& preds = p.preds();
-  PredId dom = preds.MustIntern("dom", 1);
-  PredId root = preds.MustIntern("root", 1);
-  PredId firstchild = preds.MustIntern("firstchild", 2);
-  PredId nextsibling = preds.MustIntern("nextsibling", 2);
-  Term x = Term::Var(0), y = Term::Var(1);
-  p.AddRule(MakeRule(MakeAtom(dom, {x}), {MakeAtom(root, {x})}, {"x"}));
-  p.AddRule(MakeRule(MakeAtom(dom, {y}),
-                     {MakeAtom(dom, {x}), MakeAtom(firstchild, {x, y})},
-                     {"x", "y"}));
-  p.AddRule(MakeRule(MakeAtom(dom, {y}),
-                     {MakeAtom(dom, {x}), MakeAtom(nextsibling, {x, y})},
-                     {"x", "y"}));
-  p.set_query_pred(dom);
   return p;
 }
 

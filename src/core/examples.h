@@ -21,17 +21,8 @@ Program EvenAProgram(const std::vector<std::string>& other_labels = {});
 /// propagation through the firstchild/nextsibling encoding).
 Program HasAncestorProgram(const std::string& label);
 
-/// Selects all leaves at even depth (root depth = 0). Uses the parity of the
-/// child relation through firstchild/nextsibling; query predicate "evenleaf".
-Program EvenDepthLeafProgram();
-
 /// A program-size scaling family for Theorem 4.2 benchmarks: a chain
 /// p0(x) ← root(x); p_{i+1}(x) ← p_i(x) for i < m. Query predicate p_m.
 Program ChainProgram(int32_t m);
-
-/// Selects every node (the "dom" pattern of Theorem 6.5's proof):
-///   dom(x) ← root(x).   dom(y) ← dom(x), firstchild(x,y).
-///   dom(y) ← dom(x), nextsibling(x,y).
-Program DomProgram();
 
 }  // namespace mdatalog::core

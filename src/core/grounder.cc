@@ -15,99 +15,6 @@ namespace mdatalog::core {
 
 namespace {
 
-/// Binary tree relations admissible for grounding: firstchild, nextsibling
-/// and child_k are functional in both directions (Proposition 4.1); child is
-/// functional upward and enumerated downward.
-enum class TreeRel { kFirstChild, kNextSibling, kChildK, kChild };
-
-struct RelKind {
-  TreeRel rel = TreeRel::kFirstChild;
-  int32_t k = 0;  // for kChildK
-};
-
-bool ClassifyBinary(const std::string& name, RelKind* out) {
-  if (name == "firstchild") {
-    *out = {TreeRel::kFirstChild, 0};
-    return true;
-  }
-  if (name == "nextsibling") {
-    *out = {TreeRel::kNextSibling, 0};
-    return true;
-  }
-  if (name == "child") {
-    *out = {TreeRel::kChild, 0};
-    return true;
-  }
-  int32_t k = ChildKIndex(name);
-  if (k >= 1) {
-    *out = {TreeRel::kChildK, k};
-    return true;
-  }
-  return false;
-}
-
-/// y = f_R(x), or kNoNode. Never called for child, which is not functional
-/// downward (schedules enumerate it instead). TreeT is tree::Tree or the
-/// growing-tree view of an incremental replay.
-template <typename TreeT>
-tree::NodeId ApplyForward(const TreeT& t, const RelKind& r, tree::NodeId x) {
-  switch (r.rel) {
-    case TreeRel::kFirstChild: return t.first_child(x);
-    case TreeRel::kNextSibling: return t.next_sibling(x);
-    case TreeRel::kChildK: return t.ChildK(x, r.k);
-    case TreeRel::kChild: break;
-  }
-  return tree::kNoNode;
-}
-
-/// x = f_R^{-1}(y), or kNoNode.
-template <typename TreeT>
-tree::NodeId ApplyBackward(const TreeT& t, const RelKind& r, tree::NodeId y) {
-  switch (r.rel) {
-    case TreeRel::kFirstChild:
-      return (t.prev_sibling(y) == tree::kNoNode) ? t.parent(y) : tree::kNoNode;
-    case TreeRel::kNextSibling:
-      return t.prev_sibling(y);
-    case TreeRel::kChildK: {
-      // y must be exactly the k-th child of its parent.
-      tree::NodeId c = y;
-      for (int32_t steps = 1; steps < r.k; ++steps) {
-        c = t.prev_sibling(c);
-        if (c == tree::kNoNode) return tree::kNoNode;
-      }
-      if (t.prev_sibling(c) != tree::kNoNode) return tree::kNoNode;
-      return t.parent(y);
-    }
-    case TreeRel::kChild:
-      return t.parent(y);
-  }
-  return tree::kNoNode;
-}
-
-/// Unary tree predicates, pre-classified at plan-compile time. Label ids are
-/// interned per tree, so the plan keeps the label *name* and each evaluation
-/// resolves it once against its tree's alphabet (GroundArena::unary_labels).
-enum class UnaryKind : uint8_t {
-  kRoot,
-  kLeaf,
-  kLastSibling,
-  kFirstSibling,
-  kLabel,
-};
-
-template <typename TreeT>
-bool CheckUnaryTreePred(const TreeT& t, UnaryKind kind, tree::LabelId label,
-                        tree::NodeId n) {
-  switch (kind) {
-    case UnaryKind::kRoot: return t.IsRoot(n);
-    case UnaryKind::kLeaf: return t.IsLeaf(n);
-    case UnaryKind::kLastSibling: return t.IsLastSibling(n);
-    case UnaryKind::kFirstSibling: return t.IsFirstSibling(n);
-    case UnaryKind::kLabel: return t.label(n) == label;
-  }
-  return false;
-}
-
 // --- Δ builtins -------------------------------------------------------------
 
 struct BuiltinName {
@@ -203,22 +110,12 @@ bool GroundableOverTree(const Program& program) {
         }
         continue;
       }
-      if (arity == 0) return false;  // no nullary EDB in the tree schema
-      if (arity == 1) {
-        if (name != "root" && name != "leaf" && name != "lastsibling" &&
-            name != "firstsibling" && LabelFromPredName(name).empty()) {
-          return false;
-        }
-      } else if (arity == 2) {
-        RelKind kind;
-        if (name == "lastchild") {
-          if (!tree_pred("child", 2) || !tree_pred("lastsibling", 1)) {
-            return false;
-          }
-        } else if (!ClassifyBinary(name, &kind)) {
-          return false;
-        }
-      } else {
+      const std::optional<TreePred> tp = ClassifyTreePredicate(name, arity);
+      if (!tp.has_value() || tp->kind == TreePred::Kind::kNextSiblingTc) {
+        return false;
+      }
+      if (tp->kind == TreePred::Kind::kLastChild &&
+          (!tree_pred("child", 2) || !tree_pred("lastsibling", 1))) {
         return false;
       }
     }
@@ -247,13 +144,12 @@ struct GroundPlan::Impl {
   int32_t num_bridges = 0;
   int32_t max_vars = 1;
 
-  // Extensional classification (per EDB PredId of the given arity).
-  struct UnaryPlanSpec {
-    UnaryKind kind = UnaryKind::kRoot;
-    std::string label;  // for kLabel
-  };
-  std::vector<UnaryPlanSpec> unary_specs;
-  std::vector<RelKind> binary_specs;
+  // Extensional classification (per EDB PredId): the tree predicate, and
+  // for a label predicate its label *name* — label ids are interned per
+  // tree, so each evaluation resolves it once against its tree's alphabet
+  // (GroundArena::unary_labels).
+  std::vector<TreePred> tree_preds;
+  std::vector<std::string> labels;
 
   // Δ builtins. Each reads at most one per-tree table, filled per distinct
   // (kind, path) by one bottom-up pass of |path| sweeps over the tree.
@@ -296,7 +192,7 @@ struct GroundPlan::Impl {
     OpKind kind;
     VarId a = -1, b = -1, c = -1;
     int32_t index = -1;
-    RelKind rel{};
+    TreePred rel{};
     bool forward = true;
   };
 
@@ -394,7 +290,7 @@ GroundPlan::Impl::Schedule CompileSchedule(
 
   struct Edge {  // a binary tree atom x → y between two variables
     VarId x, y;
-    RelKind rel;
+    TreePred rel;
     bool done = false;
   };
   struct Window {  // a before window (x0, x, c)
@@ -432,7 +328,7 @@ GroundPlan::Impl::Schedule CompileSchedule(
       pending.push_back({OpKind::kUnary, a->args[0].value, -1, -1, a->pred});
     } else if (a->args[0].is_var() && a->args[1].is_var()) {
       edges.push_back(
-          {a->args[0].value, a->args[1].value, plan.binary_specs[a->pred]});
+          {a->args[0].value, a->args[1].value, plan.tree_preds[a->pred]});
     } else {
       const VarId v = a->args[0].is_var() ? a->args[0].value : a->args[1].value;
       pending.push_back({OpKind::kResidual, v, -1, -1,
@@ -462,7 +358,7 @@ GroundPlan::Impl::Schedule CompileSchedule(
       if (e.done || !assigned[e.x] || !assigned[e.y]) continue;
       e.done = true;
       // Check through a functional direction: child only upward.
-      if (e.rel.rel == TreeRel::kChild) {
+      if (e.rel.kind == TreePred::Kind::kChild) {
         out.ops.push_back({OpKind::kCheck, e.y, e.x, -1, -1, e.rel, false});
       } else {
         out.ops.push_back({OpKind::kCheck, e.x, e.y, -1, -1, e.rel, true});
@@ -490,7 +386,7 @@ GroundPlan::Impl::Schedule CompileSchedule(
       }
     }
   };
-  const RelKind kChildRel{TreeRel::kChild, 0};
+  const TreePred kChildRel{TreePred::Kind::kChild};
 
   bind(anchor);
   while (num_assigned < num_vars) {
@@ -499,7 +395,7 @@ GroundPlan::Impl::Schedule CompileSchedule(
     //    window's child c up to its x0.
     for (Edge& e : edges) {
       if (e.done || assigned[e.x] == assigned[e.y]) continue;
-      if (assigned[e.x] && e.rel.rel == TreeRel::kChild) continue;
+      if (assigned[e.x] && e.rel.kind == TreePred::Kind::kChild) continue;
       const bool forward = assigned[e.x];
       const VarId from = forward ? e.x : e.y, to = forward ? e.y : e.x;
       out.ops.push_back({OpKind::kAssign, from, to, -1, -1, e.rel, forward});
@@ -529,7 +425,7 @@ GroundPlan::Impl::Schedule CompileSchedule(
         progressed = true;
       } else if (assigned[w.c] && !assigned[w.x]) {
         for (Edge& e : edges) {
-          if (e.done || e.rel.rel != TreeRel::kChild || e.x != w.x0 ||
+          if (e.done || e.rel.kind != TreePred::Kind::kChild || e.x != w.x0 ||
               e.y != w.x) {
             continue;
           }
@@ -547,7 +443,7 @@ GroundPlan::Impl::Schedule CompileSchedule(
     // 3. A child edge downward: enumerate the children.
     for (Edge& e : edges) {
       if (progressed) break;
-      if (e.done || e.rel.rel != TreeRel::kChild || !assigned[e.x] ||
+      if (e.done || e.rel.kind != TreePred::Kind::kChild || !assigned[e.x] ||
           assigned[e.y]) {
         continue;
       }
@@ -587,9 +483,9 @@ void AddEdbTriggers(GroundPlan::Impl& plan, const Rule& rule,
     const VarId v = a->args.back().value;  // a binary fact's child end
     NodeEvent event = kCreated;
     if (a->args.size() == 1) {
-      const UnaryKind kind = plan.unary_specs[a->pred].kind;
-      if (kind == UnaryKind::kLeaf) event = kClosed;
-      if (kind == UnaryKind::kLastSibling) event = kParentClosed;
+      const TreePred::Kind kind = plan.tree_preds[a->pred].kind;
+      if (kind == TreePred::Kind::kLeaf) event = kClosed;
+      if (kind == TreePred::Kind::kLastSibling) event = kParentClosed;
     }
     if (std::find(anchors.begin(), anchors.end(), std::make_pair(event, v)) ==
         anchors.end()) {
@@ -606,9 +502,10 @@ void AddEdbTriggers(GroundPlan::Impl& plan, const Rule& rule,
           a->args[0].value != v) {
         continue;
       }
-      const UnaryKind kind = plan.unary_specs[a->pred].kind;
-      if (kind == UnaryKind::kRoot) filter = GroundPlan::Impl::kRootOnly;
-      if (kind == UnaryKind::kLabel && filter == GroundPlan::Impl::kAnyNode) {
+      const TreePred::Kind kind = plan.tree_preds[a->pred].kind;
+      if (kind == TreePred::Kind::kRoot) filter = GroundPlan::Impl::kRootOnly;
+      if (kind == TreePred::Kind::kLabel &&
+          filter == GroundPlan::Impl::kAnyNode) {
         filter = a->pred;
       }
     }
@@ -664,8 +561,8 @@ util::Result<GroundPlan> GroundPlan::Compile(const Program& source) {
   impl->query_pred = program.query_pred();
   impl->intensional = program.IntensionalMask();
   impl->pred_arity.resize(preds.size());
-  impl->unary_specs.resize(preds.size());
-  impl->binary_specs.resize(preds.size());
+  impl->tree_preds.resize(preds.size());
+  impl->labels.resize(preds.size());
   impl->unary_index.assign(preds.size(), -1);
   impl->nullary_slot.assign(preds.size(), -1);
   impl->builtin_index.assign(preds.size(), -1);
@@ -714,25 +611,12 @@ util::Result<GroundPlan> GroundPlan::Compile(const Program& source) {
                                  builtin.kind == DeltaBuiltin::kBeforeAny;
       impl->builtin_index[p] = static_cast<int32_t>(impl->builtins.size());
       impl->builtins.push_back(b);
-    } else if (preds.Arity(p) == 1) {
-      Impl::UnaryPlanSpec& spec = impl->unary_specs[p];
-      if (name == "root") {
-        spec.kind = UnaryKind::kRoot;
-      } else if (name == "leaf") {
-        spec.kind = UnaryKind::kLeaf;
-      } else if (name == "lastsibling") {
-        spec.kind = UnaryKind::kLastSibling;
-      } else if (name == "firstsibling") {
-        spec.kind = UnaryKind::kFirstSibling;
-      } else {
-        std::string label = LabelFromPredName(name);
-        if (!label.empty()) {
-          spec.kind = UnaryKind::kLabel;
-          spec.label = std::move(label);
-        }
+    } else if (const std::optional<TreePred> tp =
+                   ClassifyTreePredicate(name, preds.Arity(p))) {
+      impl->tree_preds[p] = *tp;
+      if (tp->kind == TreePred::Kind::kLabel) {
+        impl->labels[p] = LabelFromPredName(name);
       }
-    } else if (preds.Arity(p) == 2) {
-      ClassifyBinary(name, &impl->binary_specs[p]);
     }
   }
   impl->triggers.resize(impl->num_unary);
@@ -1165,9 +1049,9 @@ class GroundedEvaluator {
     for (PredId p = 0; p < plan_.num_preds; ++p) {
       if (!plan_.intensional[p] && plan_.pred_arity[p] == 1 &&
           plan_.builtin_index[p] < 0 &&
-          plan_.unary_specs[p].kind == UnaryKind::kLabel &&
+          plan_.tree_preds[p].kind == TreePred::Kind::kLabel &&
           arena_.unary_labels[p] == util::kInvalidSymbol) {
-        arena_.unary_labels[p] = tree_.FindLabel(plan_.unary_specs[p].label);
+        arena_.unary_labels[p] = tree_.FindLabel(plan_.labels[p]);
       }
     }
   }
@@ -1418,19 +1302,19 @@ class GroundedEvaluator {
     tree::NodeId* const b = binding_;
     if (op.kind == OpKind::kAssign) {
       const tree::NodeId t = op.forward
-                                 ? ApplyForward(tree_, op.rel, b[op.a])
-                                 : ApplyBackward(tree_, op.rel, b[op.a]);
+                                 ? StepForward(tree_, op.rel, b[op.a])
+                                 : StepBackward(tree_, op.rel, b[op.a]);
       b[op.b] = t;
       return t != tree::kNoNode;
     }
     if (op.kind == OpKind::kUnary) {
-      return CheckUnaryTreePred(tree_, plan_.unary_specs[op.index].kind,
-                                arena_.unary_labels[op.index], b[op.a]);
+      return HoldsUnary(tree_, plan_.tree_preds[op.index].kind,
+                        arena_.unary_labels[op.index], b[op.a]);
     }
     if (op.kind == OpKind::kIdb) return sets_[op.index].Contains(b[op.a]);
     if (op.kind == OpKind::kCheck) {
-      return (op.forward ? ApplyForward(tree_, op.rel, b[op.a])
-                         : ApplyBackward(tree_, op.rel, b[op.a])) == b[op.b];
+      return (op.forward ? StepForward(tree_, op.rel, b[op.a])
+                         : StepBackward(tree_, op.rel, b[op.a])) == b[op.b];
     }
     return RareStep(sc, i);
   }
@@ -1552,14 +1436,14 @@ class GroundedEvaluator {
     if (a.args.size() == 1) {
       const int32_t v = value_of(a.args[0]);
       return InDomain(v) &&
-             CheckUnaryTreePred(tree_, plan_.unary_specs[a.pred].kind,
-                                arena_.unary_labels[a.pred], v);
+             HoldsUnary(tree_, plan_.tree_preds[a.pred].kind,
+                        arena_.unary_labels[a.pred], v);
     }
     MD_CHECK(a.args.size() == 2);
     const int32_t x = value_of(a.args[0]);
     const int32_t y = value_of(a.args[1]);
     return InDomain(x) && InDomain(y) &&
-           ApplyBackward(tree_, plan_.binary_specs[a.pred], y) == x;
+           StepBackward(tree_, plan_.tree_preds[a.pred], y) == x;
   }
 
   /// The head atom of `rp`'s instance under the current binding.

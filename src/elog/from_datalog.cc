@@ -15,12 +15,16 @@ using core::Atom;
 using core::PredId;
 using core::Rule;
 
-/// Kinds of unary predicates a TMNF body can mention.
-enum class UnaryKind { kPattern, kRoot, kLeaf, kLastSibling, kLabel };
-
+/// A unary predicate a TMNF body can mention: a pattern (intensional) or a
+/// tree predicate (root, leaf, lastsibling, label_<l>).
 struct UnaryInfo {
-  UnaryKind kind;
+  bool is_pattern = false;
+  core::TreePred::Kind kind = core::TreePred::Kind::kRoot;  ///< !is_pattern
   std::string name;  ///< pattern name or label
+
+  bool IsRoot() const {
+    return !is_pattern && kind == core::TreePred::Kind::kRoot;
+  }
 };
 
 class ElogTranslator {
@@ -48,13 +52,11 @@ class ElogTranslator {
 
   UnaryInfo ClassifyUnary(PredId pred) const {
     const std::string& name = tmnf_.preds().Name(pred);
-    if (intensional_[pred]) return {UnaryKind::kPattern, name};
-    if (name == "root") return {UnaryKind::kRoot, name};
-    if (name == "leaf") return {UnaryKind::kLeaf, name};
-    if (name == "lastsibling") return {UnaryKind::kLastSibling, name};
-    std::string label = core::LabelFromPredName(name);
-    MD_CHECK(!label.empty());
-    return {UnaryKind::kLabel, label};
+    if (intensional_[pred]) return {true, core::TreePred::Kind::kRoot, name};
+    const std::optional<core::TreePred> tp =
+        core::ClassifyTreePredicate(name, 1);
+    MD_CHECK(tp.has_value());
+    return {false, tp->kind, core::LabelFromPredName(name)};
   }
 
   void EmitDomPattern() {
@@ -119,27 +121,28 @@ class ElogTranslator {
   /// Condition (or pattern reference) testing `info` on variable `var`.
   ElogCondition UnaryConditionOn(const UnaryInfo& info,
                                  const std::string& var) {
+    if (info.is_pattern) return PatternRef(info.name, var);
     switch (info.kind) {
-      case UnaryKind::kPattern:
-        return PatternRef(info.name, var);
-      case UnaryKind::kLabel:
+      case core::TreePred::Kind::kLabel:
         used_labels_.insert(info.name);
         return PatternRef(LabelPattern(info.name), var);
-      case UnaryKind::kRoot:
+      case core::TreePred::Kind::kRoot:
         used_root_pattern_ = true;
         return PatternRef(RootPattern(), var);
-      case UnaryKind::kLeaf: {
+      case core::TreePred::Kind::kLeaf: {
         ElogCondition c;
         c.kind = ElogCondition::Kind::kLeaf;
         c.var1 = var;
         return c;
       }
-      case UnaryKind::kLastSibling: {
+      case core::TreePred::Kind::kLastSibling: {
         ElogCondition c;
         c.kind = ElogCondition::Kind::kLastSibling;
         c.var1 = var;
         return c;
       }
+      default:
+        break;  // CheckTmnf admits no other unary predicate
     }
     MD_CHECK(false);
     return {};
@@ -150,14 +153,14 @@ class ElogTranslator {
     if (rule.body.size() == 1) {
       // Form (1): p(x) ← p0(x).
       UnaryInfo info = ClassifyUnary(rule.body[0].pred);
-      if (info.kind == UnaryKind::kRoot) {
+      if (info.IsRoot()) {
         ElogRule r;
         r.head_pattern = head;
         r.head_var = "X";
         r.parent_pattern = "root";
         r.parent_var = "X";
         out_.AddRule(r);
-      } else if (info.kind == UnaryKind::kPattern) {
+      } else if (info.is_pattern) {
         ElogRule r;  // specialization with p0 as the parent pattern
         r.head_pattern = head;
         r.head_var = "X";
@@ -179,7 +182,7 @@ class ElogTranslator {
       bool root_test = false;
       for (const Atom* atom : {&a, &b}) {
         UnaryInfo info = ClassifyUnary(atom->pred);
-        if (info.kind == UnaryKind::kRoot) {
+        if (info.IsRoot()) {
           root_test = true;
           continue;
         }
@@ -204,10 +207,12 @@ class ElogTranslator {
     const Atom& binary = a.args.size() == 2 ? a : b;
     core::VarId head_v = rule.head.args[0].value;
     bool forward = binary.args[1].value == head_v;  // B = R
-    const std::string& rel = tmnf_.preds().Name(binary.pred);
+    const std::optional<core::TreePred> rel =
+        core::ClassifyTreePredicate(tmnf_.preds().Name(binary.pred), 2);
+    MD_CHECK(rel.has_value());
     UnaryInfo p0 = ClassifyUnary(unary.pred);
 
-    if (rel == "nextsibling") {
+    if (rel->kind == core::TreePred::Kind::kNextSibling) {
       // p(x) ← dom(x), nextsibling(x0, x) [or mirrored], p0(x0).
       ElogCondition ns;
       ns.kind = ElogCondition::Kind::kNextSibling;
@@ -221,7 +226,7 @@ class ElogTranslator {
       DomRule(head, {std::move(ns), UnaryConditionOn(p0, "X0")});
       return util::Status::OK();
     }
-    MD_CHECK(rel == "firstchild");
+    MD_CHECK(rel->kind == core::TreePred::Kind::kFirstChild);
     if (forward) {
       // p(X) ← p0'(X0), subelem__(X0, X), firstsibling(X) — the proof's
       // upward-compatible form with p0 referenced at the parent.

@@ -1,7 +1,5 @@
 #include "src/html/synthetic.h"
 
-#include <functional>
-
 #include "src/util/check.h"
 
 namespace mdatalog::html {
@@ -80,29 +78,6 @@ std::string NewsIndexPage(util::Rng& rng, int32_t num_articles) {
   }
   out += "</div><div class=footer>All the news that fits.</div>"
          "</body></html>";
-  return out;
-}
-
-std::string NestedBoardPage(util::Rng& rng, int32_t depth, int32_t fanout) {
-  MD_CHECK(depth >= 0 && fanout >= 1);
-  std::string out =
-      "<html><body><h1>Forum</h1><ul class=thread>";
-  int32_t counter = 0;
-  std::function<void(int32_t)> emit = [&](int32_t d) {
-    int32_t replies = 1 + static_cast<int32_t>(rng.Below(fanout));
-    for (int32_t i = 0; i < replies; ++i) {
-      out += "<li><span class=post>post " + std::to_string(++counter) +
-             "</span>";
-      if (d > 0) {
-        out += "<ul class=replies>";
-        emit(d - 1);
-        out += "</ul>";
-      }
-      out += "</li>";
-    }
-  };
-  emit(depth);
-  out += "</ul></body></html>";
   return out;
 }
 

@@ -34,7 +34,4 @@ std::string ProductCatalogPage(util::Rng& rng, const CatalogOptions& options);
 /// summary paragraph and date span.
 std::string NewsIndexPage(util::Rng& rng, int32_t num_articles);
 
-/// A discussion board with nested <ul>/<li> threads up to `depth`.
-std::string NestedBoardPage(util::Rng& rng, int32_t depth, int32_t fanout);
-
 }  // namespace mdatalog::html

@@ -6,18 +6,6 @@ namespace mdatalog::tmnf {
 
 namespace {
 
-bool IsSchemaBinary(const std::string& name, bool ranked) {
-  if (ranked) return core::ChildKIndex(name) >= 1;
-  return name == "firstchild" || name == "nextsibling";
-}
-
-/// Unary predicates admissible in TMNF bodies: intensional or τ_ur/τ_rk
-/// unary (root, leaf, lastsibling, label_<l>).
-bool IsSchemaUnary(const std::string& name) {
-  return name == "root" || name == "leaf" || name == "lastsibling" ||
-         !core::LabelFromPredName(name).empty();
-}
-
 util::Status Offend(const core::Program& p, const core::Rule& r,
                     const std::string& why) {
   return util::Status::InvalidArgument("not TMNF (" + why +
@@ -29,10 +17,17 @@ util::Status Offend(const core::Program& p, const core::Rule& r,
 util::Status CheckTmnf(const core::Program& program,
                        const TmnfCheckOptions& options) {
   std::vector<bool> intensional = program.IntensionalMask();
+  auto in_schema = [&](const core::Atom& a) {
+    if (intensional[a.pred]) return false;
+    const std::optional<core::TreePred> tp = core::ClassifyTreePredicate(
+        program.preds().Name(a.pred), static_cast<int32_t>(a.args.size()));
+    return tp.has_value() && core::InTmnfSchema(*tp, options.ranked);
+  };
+  // Unary predicates admissible in TMNF bodies: intensional or in the
+  // schema.
   auto unary_ok = [&](const core::Atom& a) {
     if (a.args.size() != 1 || !a.args[0].is_var()) return false;
-    if (intensional[a.pred]) return true;
-    return IsSchemaUnary(program.preds().Name(a.pred));
+    return intensional[a.pred] || in_schema(a);
   };
 
   for (const core::Rule& r : program.rules()) {
@@ -74,8 +69,7 @@ util::Status CheckTmnf(const core::Program& program,
     if (!unary_ok(*unary)) {
       return Offend(program, r, "form (2) unary predicate not admissible");
     }
-    if (intensional[binary->pred] ||
-        !IsSchemaBinary(program.preds().Name(binary->pred), options.ranked)) {
+    if (!in_schema(*binary)) {
       return Offend(program, r, "form (2) binary predicate not in the schema");
     }
     if (!binary->args[0].is_var() || !binary->args[1].is_var()) {

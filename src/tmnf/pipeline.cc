@@ -123,16 +123,15 @@ class TmnfPipeline {
         }
         const std::string& name = out_.preds().Name(a.pred);
         int32_t arity = static_cast<int32_t>(a.args.size());
-        bool ok;
-        if (ranked_) {
-          ok = (arity == 2 && core::ChildKIndex(name) >= 1) ||
-               (arity == 1 &&
-                (name == "root" || name == "leaf" || name == "lastsibling" ||
-                 !core::LabelFromPredName(name).empty()));
-        } else {
-          ok = core::IsTreePredicate(name, arity) && name != "nextsibling_tc" &&
-               core::ChildKIndex(name) < 1;
-        }
+        // Ranked input is over τ_rk; unranked input over τ_ur and its
+        // extensions but the chase's own nextsibling_tc.
+        using K = core::TreePred::Kind;
+        const std::optional<core::TreePred> tp =
+            core::ClassifyTreePredicate(name, arity);
+        const bool ok =
+            tp.has_value() &&
+            (ranked_ ? core::InTmnfSchema(*tp, /*ranked=*/true)
+                     : tp->kind != K::kNextSiblingTc && tp->kind != K::kChildK);
         if (!ok) {
           return util::Status::InvalidArgument(
               "predicate '" + name + "'/" + std::to_string(arity) +
@@ -247,7 +246,10 @@ class TmnfPipeline {
 
   bool IsCaterpillarAtom(const Atom& a) const {
     const std::string& name = out_.preds().Name(a.pred);
-    return name == "nextsibling_tc" || name == "__any";
+    const std::optional<core::TreePred> tp = core::ClassifyTreePredicate(
+        name, static_cast<int32_t>(a.args.size()));
+    return name == "__any" ||
+           (tp.has_value() && tp->kind == core::TreePred::Kind::kNextSiblingTc);
   }
 
   /// Step 4 (Lemmas 5.7/5.8/5.9): decomposes one acyclic connected rule into

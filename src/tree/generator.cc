@@ -44,37 +44,6 @@ Tree RandomTree(util::Rng& rng, int32_t num_nodes,
   return b.Build();
 }
 
-Tree RandomBoundedArityTree(util::Rng& rng, int32_t num_nodes,
-                            const std::vector<std::string>& labels,
-                            int32_t max_arity) {
-  MD_CHECK(num_nodes >= 1 && max_arity >= 1);
-  std::vector<int32_t> parent(num_nodes, -1);
-  std::vector<int32_t> arity(num_nodes, 0);
-  std::vector<int32_t> open = {0};  // nodes with spare capacity
-  for (int32_t i = 1; i < num_nodes; ++i) {
-    size_t slot = rng.Below(open.size());
-    int32_t p = open[slot];
-    parent[i] = p;
-    if (++arity[p] >= max_arity) {
-      open[slot] = open.back();
-      open.pop_back();
-    }
-    open.push_back(i);
-  }
-  std::vector<std::vector<int32_t>> kids(num_nodes);
-  for (int32_t i = 1; i < num_nodes; ++i) kids[parent[i]].push_back(i);
-  TreeBuilder b;
-  b.Root(PickLabel(rng, labels));
-  std::function<void(int32_t, NodeId)> attach = [&](int32_t src, NodeId dst) {
-    for (int32_t k : kids[src]) {
-      NodeId built = b.Child(dst, PickLabel(rng, labels));
-      attach(k, built);
-    }
-  };
-  attach(0, 0);
-  return b.Build();
-}
-
 Tree CompleteBinaryTree(int32_t depth, const std::string& label) {
   MD_CHECK(depth >= 0);
   TreeBuilder b;
@@ -87,14 +56,6 @@ Tree CompleteBinaryTree(int32_t depth, const std::string& label) {
     grow(right, d - 1);
   };
   grow(root, depth);
-  return b.Build();
-}
-
-Tree ChainTree(int32_t num_nodes, const std::string& label) {
-  MD_CHECK(num_nodes >= 1);
-  TreeBuilder b;
-  NodeId cur = b.Root(label);
-  for (int32_t i = 1; i < num_nodes; ++i) cur = b.Child(cur, label);
   return b.Build();
 }
 

@@ -19,17 +19,9 @@ Tree RandomTree(util::Rng& rng, int32_t num_nodes,
                 const std::vector<std::string>& labels,
                 bool depth_bias = false);
 
-/// Random tree whose arity never exceeds `max_arity` (for ranked-tree tests).
-Tree RandomBoundedArityTree(util::Rng& rng, int32_t num_nodes,
-                            const std::vector<std::string>& labels,
-                            int32_t max_arity);
-
 /// Complete binary tree of the given depth (depth 0 = single node); every
 /// node labeled `label`. Size = 2^(depth+1) − 1. Workload of Example 4.21.
 Tree CompleteBinaryTree(int32_t depth, const std::string& label);
-
-/// Unary chain of n nodes.
-Tree ChainTree(int32_t num_nodes, const std::string& label);
 
 /// Root labeled `root_label` with children labeled per `child_labels`
 /// (workload of Theorem 6.6: children words a^n b^m).

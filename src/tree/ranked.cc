@@ -2,34 +2,6 @@
 
 namespace mdatalog::tree {
 
-void RankedAlphabet::Declare(const std::string& name, int32_t rank) {
-  MD_CHECK(rank >= 0);
-  ranks_[name] = rank;
-  max_rank_ = std::max(max_rank_, rank);
-}
-
-int32_t RankedAlphabet::RankOf(const std::string& name) const {
-  auto it = ranks_.find(name);
-  return it == ranks_.end() ? -1 : it->second;
-}
-
-util::Status RankedAlphabet::Validate(const Tree& t) const {
-  for (NodeId n = 0; n < t.size(); ++n) {
-    int32_t rank = RankOf(t.label_name(n));
-    if (rank < 0) {
-      return util::Status::InvalidArgument("undeclared symbol '" +
-                                           t.label_name(n) + "'");
-    }
-    if (t.NumChildren(n) != rank) {
-      return util::Status::InvalidArgument(
-          "node " + std::to_string(n) + " labeled '" + t.label_name(n) +
-          "' has " + std::to_string(t.NumChildren(n)) +
-          " children, expected " + std::to_string(rank));
-    }
-  }
-  return util::Status::OK();
-}
-
 util::Status ValidateMaxArity(const Tree& t, int32_t max_rank) {
   for (NodeId n = 0; n < t.size(); ++n) {
     if (t.NumChildren(n) > max_rank) {

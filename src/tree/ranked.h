@@ -1,41 +1,14 @@
 #pragma once
 
-#include <map>
-#include <string>
-#include <vector>
-
 #include "src/tree/tree.h"
 #include "src/util/status.h"
 
 /// \file ranked.h
-/// Ranked alphabets and ranked-tree validation (Section 2).
-///
-/// A ranked alphabet partitions Σ into Σ_0 … Σ_K; a node labeled a ∈ Σ_k must
-/// have exactly k children. The query-automata module and the ranked TMNF
-/// chase work on plain Trees through the child_k accessors; RankedAlphabet
-/// provides optional strict validation and the schema constant K.
+/// Ranked-tree validation (Section 2). The query-automata module and the
+/// ranked TMNF chase work on plain Trees through the child_k accessors; a
+/// tree is ranked with constant K when no node has more than K children.
 
 namespace mdatalog::tree {
-
-/// Σ with an arity per symbol.
-class RankedAlphabet {
- public:
-  /// Declares symbol `name` with rank `rank` (>= 0).
-  void Declare(const std::string& name, int32_t rank);
-
-  /// Rank of `name`, or -1 if undeclared.
-  int32_t RankOf(const std::string& name) const;
-
-  /// The maximum rank K.
-  int32_t MaxRank() const { return max_rank_; }
-
-  /// Checks that every node of `t` has exactly RankOf(label) children.
-  util::Status Validate(const Tree& t) const;
-
- private:
-  std::map<std::string, int32_t> ranks_;
-  int32_t max_rank_ = 0;
-};
 
 /// Checks the weaker schema constraint used by the query-automata module:
 /// every node has at most `max_rank` children (the paper's Examples 4.9/4.21

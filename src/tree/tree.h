@@ -24,7 +24,7 @@
 ///   τ_ur = ⟨dom, root, leaf, (label_a), firstchild, nextsibling, lastsibling⟩
 /// plus the derived relations child, lastchild and firstsibling used in
 /// Section 5/6. The pair (firstchild, nextsibling) *is* the binary encoding of
-/// Figure 1; see binary.h for the explicit encode/decode round trip.
+/// Figure 1; see binary.h for the explicit encoding.
 
 namespace mdatalog::tree {
 

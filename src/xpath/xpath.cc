@@ -207,12 +207,11 @@ using NodeSet = std::set<tree::NodeId>;
 
 NodeSet AxisImage(const tree::Tree& t, Axis axis, const NodeSet& from) {
   NodeSet out;
-  auto add_descendants = [&](tree::NodeId n, auto&& self) -> void {
-    for (tree::NodeId c = t.first_child(n); c != tree::kNoNode;
-         c = t.next_sibling(c)) {
-      out.insert(c);
-      self(c, self);
-    }
+  // Iterative: a chain of any depth must not exhaust the stack.
+  auto add_descendants = [&](tree::NodeId n) {
+    tree::WalkSubtree(
+        t, n, [&](tree::NodeId m) { if (m != n) out.insert(m); },
+        [](tree::NodeId) {});
   };
   for (tree::NodeId n : from) {
     switch (axis) {
@@ -226,11 +225,11 @@ NodeSet AxisImage(const tree::Tree& t, Axis axis, const NodeSet& from) {
         }
         break;
       case Axis::kDescendant:
-        add_descendants(n, add_descendants);
+        add_descendants(n);
         break;
       case Axis::kDescendantOrSelf:
         out.insert(n);
-        add_descendants(n, add_descendants);
+        add_descendants(n);
         break;
       case Axis::kParent:
         if (t.parent(n) != tree::kNoNode) out.insert(t.parent(n));

@@ -93,7 +93,11 @@ util::Result<std::vector<tree::NodeId>> EvalXPathReference(
 /// with the Theorem 4.2 engine in O(|P|·|dom|).
 util::Result<core::Program> XPathToDatalog(const Path& path);
 
-/// Convenience: parse + compile + evaluate (grounded engine).
+/// Convenience: parse + compile + evaluate (grounded engine). A query with
+/// not(·) is evaluated by EvalXPathReference instead (negation is not
+/// monadic datalog). That evaluator walks a downward axis once per context
+/// node, so a predicate like //a[not(descendant::b)] costs O(|dom|·depth)
+/// — quadratic on a chain; it never recurses, so depth costs no stack.
 util::Result<std::vector<tree::NodeId>> EvalXPath(const tree::Tree& t,
                                                   std::string_view query);
 

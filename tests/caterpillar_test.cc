@@ -79,11 +79,44 @@ TEST(CaterpillarParseTest, RoundTrip) {
 }
 
 TEST(CaterpillarExprTest, SizeAndFactories) {
-  ExprPtr e = Plus(Rel("child"));  // child.child*
-  EXPECT_EQ(e->kind, Expr::Kind::kConcat);
-  EXPECT_EQ(ExprSize(e), 4);
-  // Union(1) + [child.child*](4) + [(child^-1)*.ns+.child*](10).
-  EXPECT_EQ(ExprSize(DocumentOrderExpr()), 15);
+  ExprPtr e = Plus(Rel("child"));  // one node over child
+  EXPECT_EQ(e->kind, Expr::Kind::kPlus);
+  EXPECT_EQ(ExprSize(e), 2);
+  EXPECT_EQ(ToString(e), "child+");
+  // Union(1) + [child+](2) + [(child^-1)*.ns+.child*](8).
+  EXPECT_EQ(ExprSize(DocumentOrderExpr()), 11);
+}
+
+// Stacked + must not double the expression: E+ is one node, not E.E*.
+TEST(CaterpillarExprTest, StackedPlusStaysLinear) {
+  std::string text = "child";
+  for (int i = 0; i < 40; ++i) text += "+";
+  auto e = ParseExpr(text);
+  ASSERT_TRUE(e.ok()) << e.status().ToString();
+  EXPECT_LE(ExprSize(*e), 41);
+  EXPECT_EQ(ToString(*e), text);
+  auto again = ParseExpr(ToString(*e));
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(ToString(*again), text);
+  EXPECT_LE(CompileToNfa(*e).NumStates(), 2 * 41);
+
+  // (E+)+ = E+ on Figure 1, from every source, by both evaluators.
+  Tree t = tree::PaperFigure1Tree();
+  const ExprPtr once = Plus(Rel("child"));
+  for (NodeId src = 0; src < t.size(); ++src) {
+    auto got = EvalImage(t, *e, {src});
+    auto want = EvalImage(t, once, {src});
+    ASSERT_TRUE(got.ok() && want.ok());
+    EXPECT_EQ(*got, *want) << "source " << src;
+  }
+  auto ref = EvalRelationReference(t, once);
+  ASSERT_TRUE(ref.ok());
+  // child+ is the proper-descendant relation: no reflexive pairs.
+  for (const auto& [x, y] : *ref) {
+    EXPECT_NE(x, y);
+    EXPECT_TRUE(t.IsAncestor(x, y));
+  }
+  EXPECT_EQ(ref->size(), 7u);  // n1 has five descendants, n3 two
 }
 
 // ---------------------------------------------------------------------------

@@ -4,9 +4,12 @@
 #include <set>
 
 #include "src/core/ast.h"
+#include "src/core/grounder.h"
 #include "src/core/parser.h"
 #include "src/core/tree_schema.h"
 #include "src/core/validate.h"
+#include "src/tree/generator.h"
+#include "tests/support/edb.h"
 
 namespace mdatalog::core {
 namespace {
@@ -259,6 +262,113 @@ TEST(ValidateTest, DatalogLit) {
       ParseProgram("q(X) :- firstchild(X, Y), nextsibling(Y, Z).");
   ASSERT_TRUE(notlit.ok());
   EXPECT_FALSE(IsDatalogLit(*notlit));
+}
+
+// Every tree-schema name/arity maps to one kind (and k for child_k); every
+// near miss is rejected; and each kind's meaning on Figure 1 agrees with the
+// oracle's own relational view of the tree (tests/support/edb.h).
+TEST(TreeSchemaTest, ClassifiesEveryTreePredicate) {
+  using K = TreePred::Kind;
+  struct Case {
+    const char* name;
+    int32_t arity;
+    K kind;
+    int32_t k;
+  };
+  const std::vector<Case> cases = {
+      {"root", 1, K::kRoot, 0},
+      {"leaf", 1, K::kLeaf, 0},
+      {"firstsibling", 1, K::kFirstSibling, 0},
+      {"lastsibling", 1, K::kLastSibling, 0},
+      {"label_a", 1, K::kLabel, 0},
+      {"label_b", 1, K::kLabel, 0},  // not in the tree: the empty relation
+      {"firstchild", 2, K::kFirstChild, 0},
+      {"nextsibling", 2, K::kNextSibling, 0},
+      {"child", 2, K::kChild, 0},
+      {"child1", 2, K::kChildK, 1},
+      {"child2", 2, K::kChildK, 2},
+      {"child3", 2, K::kChildK, 3},
+      {"child4", 2, K::kChildK, 4},
+      {"child2147483647", 2, K::kChildK, 2147483647},
+      {"lastchild", 2, K::kLastChild, 0},
+      {"nextsibling_tc", 2, K::kNextSiblingTc, 0},
+  };
+  for (const Case& c : cases) {
+    const std::optional<TreePred> got = ClassifyTreePredicate(c.name, c.arity);
+    ASSERT_TRUE(got.has_value()) << c.name;
+    EXPECT_EQ(*got, (TreePred{c.kind, c.k})) << c.name;
+    EXPECT_EQ(got->unary(), c.arity == 1) << c.name;
+    EXPECT_TRUE(IsTreePredicate(c.name, c.arity)) << c.name;
+  }
+  const std::vector<std::pair<std::string, int32_t>> rejects = {
+      {"child0", 2},
+      {"child4294967297", 2},
+      {"child01x", 2},
+      {"label_", 1},
+      {"root", 2},
+      {"firstchild", 1},
+      {"nextsibling_tc", 1},
+      {"leaf", 0},
+      {"label_a", 2},
+      {"Root", 1},
+      {DeltaBuiltinPredName(DeltaBuiltin::kNotAfter, "a", 0, 100), 2},
+  };
+  for (const auto& [name, arity] : rejects) {
+    EXPECT_FALSE(ClassifyTreePredicate(name, arity).has_value())
+        << name << "/" << arity;
+    EXPECT_FALSE(IsTreePredicate(name, arity)) << name << "/" << arity;
+  }
+
+  // The TMNF schema: τ_ur's binary relations unranked, child_k ranked.
+  for (const Case& c : cases) {
+    const TreePred p{c.kind, c.k};
+    const bool shared = c.kind == K::kRoot || c.kind == K::kLeaf ||
+                        c.kind == K::kLastSibling || c.kind == K::kLabel;
+    EXPECT_EQ(InTmnfSchema(p, false),
+              shared || c.kind == K::kFirstChild || c.kind == K::kNextSibling)
+        << c.name;
+    EXPECT_EQ(InTmnfSchema(p, true), shared || c.kind == K::kChildK) << c.name;
+  }
+
+  const tree::Tree t = tree::PaperFigure1Tree();
+  const TreeDatabase db(t);
+  for (const Case& c : cases) {
+    const TreePred pred{c.kind, c.k};
+    const Relation* rel = db.Get(c.name, c.arity);
+    if (c.arity == 1) {
+      const tree::LabelId label = t.FindLabel(LabelFromPredName(c.name));
+      for (tree::NodeId n = 0; n < t.size(); ++n) {
+        EXPECT_EQ(HoldsUnary(t, c.kind, label, n),
+                  rel != nullptr && rel->ContainsUnary(n))
+            << c.name << " at n" << n + 1;
+      }
+      continue;
+    }
+    // The unique partner of a node in each direction, or kNoNode.
+    auto partner = [&](tree::NodeId n, bool forward) {
+      tree::NodeId found = tree::kNoNode;
+      for (tree::NodeId m = 0; m < t.size(); ++m) {
+        if (rel == nullptr || !(forward ? rel->ContainsBinary(n, m)
+                                        : rel->ContainsBinary(m, n))) {
+          continue;
+        }
+        if (found != tree::kNoNode) return tree::kNoNode - 1;  // not functional
+        found = m;
+      }
+      return found;
+    };
+    const bool functional_forward = c.kind != K::kChild &&
+                                    c.kind != K::kNextSiblingTc;
+    const bool functional_backward = c.kind != K::kNextSiblingTc;
+    for (tree::NodeId n = 0; n < t.size(); ++n) {
+      EXPECT_EQ(StepForward(t, pred, n),
+                functional_forward ? partner(n, true) : tree::kNoNode)
+          << c.name << " forward from n" << n + 1;
+      EXPECT_EQ(StepBackward(t, pred, n),
+                functional_backward ? partner(n, false) : tree::kNoNode)
+          << c.name << " backward from n" << n + 1;
+    }
+  }
 }
 
 }  // namespace

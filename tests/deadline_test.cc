@@ -31,6 +31,8 @@
 #include "src/util/rng.h"
 #include "src/wrapper/wrapper.h"
 #include "tests/engine_oracles.h"
+#include "tests/support/fixtures.h"
+#include "tests/support/trees.h"
 
 namespace {
 

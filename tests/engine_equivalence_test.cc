@@ -13,6 +13,7 @@
 #include "src/util/rng.h"
 #include "tests/support/program_generator.h"
 #include "tests/support/reference_eval.h"
+#include "tests/support/trees.h"
 
 namespace {
 

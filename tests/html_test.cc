@@ -9,6 +9,7 @@
 #include "src/html/tokenizer.h"
 #include "src/tree/serialize.h"
 #include "src/util/rng.h"
+#include "tests/support/fixtures.h"
 
 namespace mdatalog::html {
 namespace {

@@ -17,6 +17,7 @@
 #include "src/elog/ast.h"
 #include "src/mso/formula.h"
 #include "src/xpath/xpath.h"
+#include "tests/support/fixtures.h"
 
 namespace mdatalog {
 namespace {

@@ -14,6 +14,7 @@
 #include "src/util/rng.h"
 #include "tests/support/edb.h"
 #include "tests/support/reference_eval.h"
+#include "tests/support/trees.h"
 
 namespace mdatalog::qa {
 namespace {

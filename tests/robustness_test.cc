@@ -28,6 +28,7 @@
 #include "tests/support/edb.h"
 #include "tests/support/program_generator.h"
 #include "tests/support/reference_eval.h"
+#include "tests/support/trees.h"
 
 namespace mdatalog {
 namespace {
@@ -278,6 +279,15 @@ TEST(RobustnessTest, DeepChainTreeEverywhere) {
                                     {t.root()});
   ASSERT_TRUE(ord.ok());
   EXPECT_EQ(ord->size(), 799u);  // everything after the root
+}
+
+// not(·) sends a query to the set-based reference evaluator, whose
+// descendant axis must walk without recursion.
+TEST(RobustnessTest, XPathNegationOnMillionNodeChain) {
+  tree::Tree t = tree::ChainTree(1000000, "a");
+  auto xp = xpath::EvalXPath(t, "/a/descendant::a[not(b)]");
+  ASSERT_TRUE(xp.ok()) << xp.status().ToString();
+  EXPECT_EQ(xp->size(), 999999u);
 }
 
 }  // namespace

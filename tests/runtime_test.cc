@@ -30,6 +30,7 @@
 #include "src/wrapper/wrapper.h"
 #include "tests/engine_oracles.h"
 #include "tests/support/edb.h"
+#include "tests/support/fixtures.h"
 #include "tests/support/reference_eval.h"
 
 namespace {

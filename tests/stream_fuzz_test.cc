@@ -18,6 +18,7 @@
 #include "src/util/rng.h"
 #include "src/util/status.h"
 #include "src/wrapper/wrapper.h"
+#include "tests/support/fixtures.h"
 
 namespace {
 

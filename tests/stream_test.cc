@@ -33,6 +33,7 @@
 #include "src/wrapper/wrapper.h"
 #include "tests/engine_oracles.h"
 #include "tests/support/edb.h"
+#include "tests/support/fixtures.h"
 
 namespace {
 

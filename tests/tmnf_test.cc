@@ -11,8 +11,10 @@
 #include "src/tree/generator.h"
 #include "src/util/rng.h"
 #include "tests/support/edb.h"
+#include "tests/support/fixtures.h"
 #include "tests/support/program_generator.h"
 #include "tests/support/reference_eval.h"
+#include "tests/support/trees.h"
 
 namespace mdatalog::tmnf {
 namespace {

@@ -8,6 +8,7 @@
 #include "src/tree/serialize.h"
 #include "src/tree/tree.h"
 #include "src/util/rng.h"
+#include "tests/support/trees.h"
 
 namespace mdatalog::tree {
 namespace {
