@@ -3,16 +3,15 @@
 #include <unordered_map>
 
 #include "src/core/tree_schema.h"
+#include "src/tmnf/normal_form.h"
 
 namespace mdatalog::analysis {
 
 namespace {
 
-using core::Atom;
 using core::PredId;
 using core::Program;
 using core::Rule;
-using core::Term;
 
 }  // namespace
 
@@ -62,28 +61,19 @@ util::Result<TmnfView> TmnfView::Parse(const Program& program) {
     return id;
   };
 
-  // Resolves a unary body predicate into an EDB symbol or IDB index.
-  auto resolve_unary = [&](PredId p) -> util::Result<OperandRef> {
-    OperandRef op;
-    if (intensional[p]) {
-      op.is_edb = false;
-      op.idb = idb_of(p);
-      return op;
+  // An operand is an EDB test when it names a unary tree predicate, else an
+  // IDB index: intensional, or a non-schema predicate with no rules, which
+  // is provably empty — modeled as an IDB predicate with no rules.
+  auto resolve = [&](const tmnf::TmnfOperand& op) {
+    OperandRef ref;
+    if (!op.tree.has_value()) {
+      ref.idb = idb_of(op.pred);
+      return ref;
     }
-    const std::string& name = preds.Name(p);
-    const std::optional<core::TreePred> tp =
-        core::ClassifyTreePredicate(name, 1);
-    if (!tp.has_value()) {
-      // A non-schema predicate with no rules: provably empty — model it as
-      // an IDB predicate with no supporting rules.
-      op.is_edb = false;
-      op.idb = idb_of(p);
-      return op;
-    }
-    op.is_edb = true;
-    op.edb.kind = tp->kind;
-    if (tp->kind == core::TreePred::Kind::kLabel) {
-      std::string label = core::LabelFromPredName(name);
+    ref.is_edb = true;
+    ref.edb.kind = op.tree->kind;
+    if (op.tree->kind == core::TreePred::Kind::kLabel) {
+      std::string label = core::LabelFromPredName(preds.Name(op.pred));
       auto it = label_index.find(label);
       if (it == label_index.end()) {
         it = label_index
@@ -91,90 +81,36 @@ util::Result<TmnfView> TmnfView::Parse(const Program& program) {
                  .first;
         view.labels.push_back(label);
       }
-      op.edb.label = it->second;
+      ref.edb.label = it->second;
     }
-    return op;
+    return ref;
   };
 
   const auto& rules = program.rules();
   for (size_t ri = 0; ri < rules.size(); ++ri) {
     const Rule& r = rules[ri];
-    auto fail = [&](const std::string& why) {
+    util::Result<tmnf::TmnfRule> read =
+        tmnf::ReadTmnfRule(program, intensional, r, /*ranked=*/false);
+    if (!read.ok()) {
       return util::Status::InvalidArgument(
-          "rule " + std::to_string(ri) + " is not TMNF over τ_ur (" + why +
-          "): " + core::ToString(program, r));
-    };
-    if (r.head.args.size() != 1 || !r.head.args[0].is_var()) {
-      return fail("head is not a unary variable atom");
+          "rule " + std::to_string(ri) + " is not TMNF over τ_ur (" +
+          read.status().message() + "): " + core::ToString(program, r));
     }
-    const int32_t head_var = r.head.args[0].value;
     TmnfRuleView rv;
+    rv.kind = read->form;
     rv.head = idb_of(r.head.pred);
     rv.rule_index = static_cast<int32_t>(ri);
-
-    // Split body into unary atoms and binary (structural) atoms.
-    std::vector<const Atom*> unary, binary;
-    for (const Atom& a : r.body) {
-      for (const Term& t : a.args) {
-        if (!t.is_var()) return fail("constants are not supported");
-      }
-      if (a.args.size() == 1) {
-        unary.push_back(&a);
-      } else if (a.args.size() == 2) {
-        binary.push_back(&a);
-      } else {
-        return fail("body atom of arity " + std::to_string(a.args.size()));
-      }
-    }
-
-    if (binary.empty()) {
-      // Form (1) or (3): all unary atoms sit on the head variable.
-      for (const Atom* a : unary) {
-        if (a->args[0].value != head_var) {
-          return fail("unary body atom off the head variable");
-        }
-      }
-      if (unary.size() == 1) {
-        rv.kind = TmnfRuleView::Kind::kCopy;
-        MD_ASSIGN_OR_RETURN(rv.op0, resolve_unary(unary[0]->pred));
-      } else if (unary.size() == 2) {
-        rv.kind = TmnfRuleView::Kind::kAnd;
-        MD_ASSIGN_OR_RETURN(rv.op0, resolve_unary(unary[0]->pred));
-        MD_ASSIGN_OR_RETURN(rv.op1, resolve_unary(unary[1]->pred));
-      } else {
-        return fail("expected 1 or 2 unary body atoms");
-      }
-    } else if (binary.size() == 1 && unary.size() == 1) {
-      // Form (2): p(x) ← p0(x0), B(x0, x) with B = R or R⁻¹.
-      const Atom* b = binary[0];
-      using K = core::TreePred::Kind;
-      const std::optional<core::TreePred> rel =
-          core::ClassifyTreePredicate(preds.Name(b->pred), 2);
-      if (intensional[b->pred] || !rel.has_value() ||
-          (rel->kind != K::kFirstChild && rel->kind != K::kNextSibling)) {
-        return fail("binary atom is not firstchild/nextsibling");
-      }
-      const bool firstchild = rel->kind == K::kFirstChild;
-      const int32_t a0 = b->args[0].value, a1 = b->args[1].value;
-      const int32_t body_var = unary[0]->args[0].value;
-      int32_t support_var;
-      if (a1 == head_var && a0 != head_var) {
-        support_var = a0;  // B(x0, x)
-        rv.dir = firstchild ? StepDir::kFromParent : StepDir::kFromPrevSibling;
-      } else if (a0 == head_var && a1 != head_var) {
-        support_var = a1;  // B(x, x0): the inverse orientation
+    rv.op0 = resolve(read->op0);
+    if (read->form == TmnfRuleView::Kind::kAnd) rv.op1 = resolve(read->op1);
+    if (read->form == TmnfRuleView::Kind::kStep) {
+      const bool firstchild =
+          read->rel.kind == core::TreePred::Kind::kFirstChild;
+      if (read->inverse) {  // B(x, x0)
         rv.dir =
             firstchild ? StepDir::kFromFirstChild : StepDir::kFromNextSibling;
-      } else {
-        return fail("binary atom does not link head to a fresh variable");
+      } else {  // B(x0, x)
+        rv.dir = firstchild ? StepDir::kFromParent : StepDir::kFromPrevSibling;
       }
-      if (body_var != support_var) {
-        return fail("unary body atom off the step's source variable");
-      }
-      rv.kind = TmnfRuleView::Kind::kStep;
-      MD_ASSIGN_OR_RETURN(rv.op0, resolve_unary(unary[0]->pred));
-    } else {
-      return fail("unsupported body shape");
     }
     view.rules.push_back(rv);
   }

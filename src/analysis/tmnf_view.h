@@ -6,6 +6,7 @@
 
 #include "src/core/ast.h"
 #include "src/core/tree_schema.h"
+#include "src/tmnf/normal_form.h"
 #include "src/util/result.h"
 
 /// \file tmnf_view.h
@@ -13,10 +14,10 @@
 /// tree schema τ_ur (Definition 5.1) — the input representation of the
 /// SAT-backed containment encoder (containment.h).
 ///
-/// TMNF rules have exactly three shapes; the view classifies each rule and
-/// resolves every predicate occurrence into either a τ_ur EDB symbol or a
-/// dense local IDB index, so the encoder never touches strings or the
-/// PredicateTable on its hot path:
+/// TMNF rules have exactly three shapes; the view reads each rule through
+/// tmnf::ReadTmnfRule and resolves every predicate occurrence into either a
+/// τ_ur EDB symbol or a dense local IDB index, so the encoder never touches
+/// strings or the PredicateTable on its hot path:
 ///
 ///   kCopy:  p(x) ← p0(x).                (p0 unary EDB or IDB)
 ///   kStep:  p(x) ← p0(x0), B(x0, x).     (B ∈ {firstchild, nextsibling},
@@ -49,7 +50,7 @@ enum class StepDir : uint8_t {
 };
 
 struct TmnfRuleView {
-  enum class Kind : uint8_t { kCopy, kStep, kAnd };
+  using Kind = tmnf::TmnfRule::Form;
   Kind kind = Kind::kCopy;
   int32_t head = -1;  ///< local IDB index
   OperandRef op0;     ///< kCopy/kStep: the body predicate; kAnd: first
@@ -71,8 +72,9 @@ struct TmnfView {
   /// Parses `program` (TMNF over τ_ur, unary query predicate that is
   /// intensional — or has no rules, in which case the query extent is empty
   /// and `query` is still materialized as an IDB index with no rules).
-  /// InvalidArgument when a rule falls outside the three TMNF shapes or uses
-  /// a predicate outside τ_ur ∪ IDB.
+  /// InvalidArgument when a rule falls outside the three TMNF shapes over
+  /// τ_ur. Operands are read wider than CheckTmnf reads them: firstsibling
+  /// is an EDB test, and a non-schema predicate with no rules an empty IDB.
   static util::Result<TmnfView> Parse(const core::Program& program);
 
   /// Rebases this view onto the shared `alphabet`: labels of this view not

@@ -513,36 +513,6 @@ void AddEdbTriggers(GroundPlan::Impl& plan, const Rule& rule,
   }
 }
 
-/// Theorem 5.2's first step (Lemma 5.6, as in tmnf/pipeline.cc): every
-/// extensional lastchild(x, y) becomes child(x, y) ∧ lastsibling(y). The
-/// plan then grounds it with child's upward step, and the incremental replay
-/// sees it final at y's parent's close, like lastsibling. nullopt when the
-/// program has no such atom.
-std::optional<Program> LowerLastChild(const Program& program) {
-  const PredId lastchild = program.preds().Find("lastchild");
-  if (lastchild < 0 || program.preds().Arity(lastchild) != 2 ||
-      program.IntensionalMask()[lastchild]) {
-    return std::nullopt;
-  }
-  Program out = program;
-  const PredId child = out.preds().MustIntern("child", 2);
-  const PredId lastsibling = out.preds().MustIntern("lastsibling", 1);
-  for (Rule& rule : out.mutable_rules()) {
-    std::vector<Atom> body;
-    body.reserve(rule.body.size());
-    for (Atom& a : rule.body) {
-      if (a.pred != lastchild) {
-        body.push_back(std::move(a));
-        continue;
-      }
-      body.push_back(MakeAtom(child, a.args));
-      body.push_back(MakeAtom(lastsibling, {a.args[1]}));
-    }
-    rule.body = std::move(body);
-  }
-  return out;
-}
-
 }  // namespace
 
 bool GroundPlan::streamable() const { return impl_->streamable; }
@@ -553,7 +523,11 @@ util::Result<GroundPlan> GroundPlan::Compile(const Program& source) {
         "program not groundable over the tree schema (GroundableOverTree: "
         "monadic, safe, no nextsibling_tc)");
   }
-  const std::optional<Program> lowered = LowerLastChild(source);
+  // Lemma 5.6: the plan grounds lastchild with child's upward step, and the
+  // incremental replay sees it final at y's parent's close, like
+  // lastsibling.
+  MD_ASSIGN_OR_RETURN(const std::optional<Program> lowered,
+                      ExpandLastChild(source));
   const Program& program = lowered.has_value() ? *lowered : source;
   auto impl = std::make_unique<Impl>();
   const PredicateTable& preds = program.preds();

@@ -22,10 +22,12 @@
 /// ClassifyTreePredicate maps a name and arity to a TreePred — one of the
 /// kinds root, leaf, firstsibling, lastsibling, label (unary) and
 /// firstchild, nextsibling, child, child_k, lastchild, nextsibling_tc
-/// (binary), with k for child_k. Readers switch on TreePred and read its
-/// meaning from HoldsUnary / StepForward / StepBackward; no reader compares
-/// a predicate name with a tree predicate's spelling. Emitters spell names
-/// (`MustIntern("child", 2)`, LabelPredName).
+/// (binary), with k for child_k. Readers — the grounder, the caterpillar
+/// evaluators, the minimizer, the TMNF rule reader and its users, and MSO's
+/// parser, compiler and reference evaluator — switch on TreePred and read
+/// its meaning from HoldsUnary / StepForward / StepBackward; no reader
+/// compares a predicate name with a tree predicate's spelling. Emitters
+/// spell names (`MustIntern("child", 2)`, LabelPredName).
 ///
 /// label_<l> for a label l not occurring in a tree is the empty relation,
 /// consistent with the infinite-alphabet reading of Remark 2.2.

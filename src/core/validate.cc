@@ -136,4 +136,30 @@ bool IsDatalogLit(const Program& program) {
   return true;
 }
 
+util::Result<std::optional<Program>> ExpandLastChild(const Program& program) {
+  const PredId lastchild = program.preds().Find("lastchild");
+  if (lastchild < 0 || program.preds().Arity(lastchild) != 2 ||
+      program.IntensionalMask()[lastchild]) {
+    return std::optional<Program>();
+  }
+  Program out = program;
+  MD_ASSIGN_OR_RETURN(const PredId child, out.preds().Intern("child", 2));
+  MD_ASSIGN_OR_RETURN(const PredId lastsibling,
+                      out.preds().Intern("lastsibling", 1));
+  for (Rule& rule : out.mutable_rules()) {
+    std::vector<Atom> body;
+    body.reserve(rule.body.size());
+    for (Atom& a : rule.body) {
+      if (a.pred != lastchild) {
+        body.push_back(std::move(a));
+        continue;
+      }
+      body.push_back(MakeAtom(child, a.args));
+      body.push_back(MakeAtom(lastsibling, {a.args[1]}));
+    }
+    rule.body = std::move(body);
+  }
+  return std::optional<Program>(std::move(out));
+}
+
 }  // namespace mdatalog::core

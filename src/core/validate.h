@@ -1,10 +1,11 @@
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/core/ast.h"
-#include "src/util/status.h"
+#include "src/util/result.h"
 
 /// \file validate.h
 /// Structural checks on datalog programs and rules (Section 3.1 definitions:
@@ -44,5 +45,13 @@ bool IsDatalogLit(const Program& program);
 /// what the chase left unfireable, and EvaluateOnTree runs it before
 /// grounding.
 void PruneUnderivableRules(Program* program);
+
+/// Lemma 5.6: lastchild(x, y) ⟺ child(x, y) ∧ lastsibling(y). Returns
+/// `program` with every extensional lastchild(x, y) body atom rewritten so,
+/// or nullopt when it has no extensional lastchild/2 predicate. The TMNF
+/// pipeline runs it before the chase and GroundPlan::Compile before
+/// grounding. InvalidArgument when child or lastsibling names a predicate of
+/// another arity.
+util::Result<std::optional<Program>> ExpandLastChild(const Program& program);
 
 }  // namespace mdatalog::core

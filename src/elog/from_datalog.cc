@@ -11,21 +11,7 @@ namespace mdatalog::elog {
 
 namespace {
 
-using core::Atom;
-using core::PredId;
 using core::Rule;
-
-/// A unary predicate a TMNF body can mention: a pattern (intensional) or a
-/// tree predicate (root, leaf, lastsibling, label_<l>).
-struct UnaryInfo {
-  bool is_pattern = false;
-  core::TreePred::Kind kind = core::TreePred::Kind::kRoot;  ///< !is_pattern
-  std::string name;  ///< pattern name or label
-
-  bool IsRoot() const {
-    return !is_pattern && kind == core::TreePred::Kind::kRoot;
-  }
-};
 
 class ElogTranslator {
  public:
@@ -49,15 +35,6 @@ class ElogTranslator {
     return "__lbl_" + label;
   }
   static std::string RootPattern() { return "__isroot"; }
-
-  UnaryInfo ClassifyUnary(PredId pred) const {
-    const std::string& name = tmnf_.preds().Name(pred);
-    if (intensional_[pred]) return {true, core::TreePred::Kind::kRoot, name};
-    const std::optional<core::TreePred> tp =
-        core::ClassifyTreePredicate(name, 1);
-    MD_CHECK(tp.has_value());
-    return {false, tp->kind, core::LabelFromPredName(name)};
-  }
 
   void EmitDomPattern() {
     ElogRule r1;  // dom(X) ← root(X).
@@ -118,14 +95,21 @@ class ElogTranslator {
     out_.AddRule(std::move(r));
   }
 
-  /// Condition (or pattern reference) testing `info` on variable `var`.
-  ElogCondition UnaryConditionOn(const UnaryInfo& info,
+  static bool IsRoot(const tmnf::TmnfOperand& op) {
+    return op.tree.has_value() && op.tree->kind == core::TreePred::Kind::kRoot;
+  }
+
+  /// Condition (or pattern reference) testing `op` on variable `var`.
+  ElogCondition UnaryConditionOn(const tmnf::TmnfOperand& op,
                                  const std::string& var) {
-    if (info.is_pattern) return PatternRef(info.name, var);
-    switch (info.kind) {
-      case core::TreePred::Kind::kLabel:
-        used_labels_.insert(info.name);
-        return PatternRef(LabelPattern(info.name), var);
+    const std::string& name = tmnf_.preds().Name(op.pred);
+    if (!op.tree.has_value()) return PatternRef(name, var);
+    switch (op.tree->kind) {
+      case core::TreePred::Kind::kLabel: {
+        std::string label = core::LabelFromPredName(name);
+        used_labels_.insert(label);
+        return PatternRef(LabelPattern(label), var);
+      }
       case core::TreePred::Kind::kRoot:
         used_root_pattern_ = true;
         return PatternRef(RootPattern(), var);
@@ -149,70 +133,62 @@ class ElogTranslator {
   }
 
   util::Status TranslateRule(const Rule& rule) {
+    MD_ASSIGN_OR_RETURN(
+        const tmnf::TmnfRule read,
+        tmnf::ReadTmnfRule(tmnf_, intensional_, rule, /*ranked=*/false));
     const std::string head = tmnf_.preds().Name(rule.head.pred);
-    if (rule.body.size() == 1) {
-      // Form (1): p(x) ← p0(x).
-      UnaryInfo info = ClassifyUnary(rule.body[0].pred);
-      if (info.IsRoot()) {
-        ElogRule r;
-        r.head_pattern = head;
-        r.head_var = "X";
-        r.parent_pattern = "root";
-        r.parent_var = "X";
-        out_.AddRule(r);
-      } else if (info.is_pattern) {
-        ElogRule r;  // specialization with p0 as the parent pattern
-        r.head_pattern = head;
-        r.head_var = "X";
-        r.parent_pattern = info.name;
-        r.parent_var = "X";
-        out_.AddRule(r);
-      } else {
-        DomRule(head, {UnaryConditionOn(info, "X")});
-      }
-      return util::Status::OK();
-    }
-    MD_CHECK(rule.body.size() == 2);
-    const Atom& a = rule.body[0];
-    const Atom& b = rule.body[1];
-
-    if (a.args.size() == 1 && b.args.size() == 1) {
-      // Form (3): p(x) ← p0(x), p1(x).
-      std::vector<ElogCondition> conds;
-      bool root_test = false;
-      for (const Atom* atom : {&a, &b}) {
-        UnaryInfo info = ClassifyUnary(atom->pred);
-        if (info.IsRoot()) {
-          root_test = true;
-          continue;
+    switch (read.form) {
+      case tmnf::TmnfRule::Form::kCopy:
+        // Form (1): p(x) ← p0(x).
+        if (IsRoot(read.op0)) {
+          ElogRule r;
+          r.head_pattern = head;
+          r.head_var = "X";
+          r.parent_pattern = "root";
+          r.parent_var = "X";
+          out_.AddRule(r);
+        } else if (!read.op0.tree.has_value()) {
+          ElogRule r;  // specialization with p0 as the parent pattern
+          r.head_pattern = head;
+          r.head_var = "X";
+          r.parent_pattern = tmnf_.preds().Name(read.op0.pred);
+          r.parent_var = "X";
+          out_.AddRule(r);
+        } else {
+          DomRule(head, {UnaryConditionOn(read.op0, "X")});
         }
-        conds.push_back(UnaryConditionOn(info, "X"));
+        return util::Status::OK();
+      case tmnf::TmnfRule::Form::kAnd: {
+        // Form (3): p(x) ← p0(x), p1(x).
+        std::vector<ElogCondition> conds;
+        bool root_test = false;
+        for (const tmnf::TmnfOperand* op : {&read.op0, &read.op1}) {
+          if (IsRoot(*op)) {
+            root_test = true;
+            continue;
+          }
+          conds.push_back(UnaryConditionOn(*op, "X"));
+        }
+        if (root_test) {
+          ElogRule r;
+          r.head_pattern = head;
+          r.head_var = "X";
+          r.parent_pattern = "root";
+          r.parent_var = "X";
+          r.conditions = std::move(conds);
+          out_.AddRule(std::move(r));
+        } else {
+          DomRule(head, std::move(conds));
+        }
+        return util::Status::OK();
       }
-      if (root_test) {
-        ElogRule r;
-        r.head_pattern = head;
-        r.head_var = "X";
-        r.parent_pattern = "root";
-        r.parent_var = "X";
-        r.conditions = std::move(conds);
-        out_.AddRule(std::move(r));
-      } else {
-        DomRule(head, std::move(conds));
-      }
-      return util::Status::OK();
+      case tmnf::TmnfRule::Form::kStep:
+        break;
     }
 
     // Form (2): p(x) ← p0(x0), B(x0, x) with B = R or R^-1.
-    const Atom& unary = a.args.size() == 1 ? a : b;
-    const Atom& binary = a.args.size() == 2 ? a : b;
-    core::VarId head_v = rule.head.args[0].value;
-    bool forward = binary.args[1].value == head_v;  // B = R
-    const std::optional<core::TreePred> rel =
-        core::ClassifyTreePredicate(tmnf_.preds().Name(binary.pred), 2);
-    MD_CHECK(rel.has_value());
-    UnaryInfo p0 = ClassifyUnary(unary.pred);
-
-    if (rel->kind == core::TreePred::Kind::kNextSibling) {
+    const bool forward = !read.inverse;  // B = R
+    if (read.rel.kind == core::TreePred::Kind::kNextSibling) {
       // p(x) ← dom(x), nextsibling(x0, x) [or mirrored], p0(x0).
       ElogCondition ns;
       ns.kind = ElogCondition::Kind::kNextSibling;
@@ -223,10 +199,10 @@ class ElogTranslator {
         ns.var1 = "X";
         ns.var2 = "X0";
       }
-      DomRule(head, {std::move(ns), UnaryConditionOn(p0, "X0")});
+      DomRule(head, {std::move(ns), UnaryConditionOn(read.op0, "X0")});
       return util::Status::OK();
     }
-    MD_CHECK(rel->kind == core::TreePred::Kind::kFirstChild);
+    MD_CHECK(read.rel.kind == core::TreePred::Kind::kFirstChild);
     if (forward) {
       // p(X) ← p0'(X0), subelem__(X0, X), firstsibling(X) — the proof's
       // upward-compatible form with p0 referenced at the parent.
@@ -240,7 +216,7 @@ class ElogTranslator {
       fs.kind = ElogCondition::Kind::kFirstSibling;
       fs.var1 = "X";
       r.conditions.push_back(std::move(fs));
-      r.conditions.push_back(UnaryConditionOn(p0, "X0"));
+      r.conditions.push_back(UnaryConditionOn(read.op0, "X0"));
       out_.AddRule(std::move(r));
     } else {
       // p(X) ← dom(X), contains__(X, Y), firstsibling(Y), p0(Y).
@@ -253,7 +229,7 @@ class ElogTranslator {
       fs.kind = ElogCondition::Kind::kFirstSibling;
       fs.var1 = "Y";
       DomRule(head, {std::move(contains), std::move(fs),
-                     UnaryConditionOn(p0, "Y")});
+                     UnaryConditionOn(read.op0, "Y")});
     }
     return util::Status::OK();
   }
@@ -268,8 +244,8 @@ class ElogTranslator {
 }  // namespace
 
 util::Result<ElogProgram> DatalogToElog(const core::Program& input) {
+  // ToTmnf checks its output with CheckTmnf.
   MD_ASSIGN_OR_RETURN(core::Program tmnf, tmnf::ToTmnf(input));
-  MD_RETURN_NOT_OK(tmnf::CheckTmnf(tmnf));
   return ElogTranslator(tmnf).Run();
 }
 

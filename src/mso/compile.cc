@@ -36,11 +36,11 @@ Bta BuildSmall(int32_t num_classes, int32_t num_bits, int32_t num_states,
 
 /// Unary atoms over variable bit `bit`: kinds label/root/leaf/lastsibling.
 /// The automata enforce that the bit marks exactly one node (strictness).
-Bta UnaryAtom(Formula::Kind kind, int32_t target_class, int32_t num_classes,
-              int32_t num_bits, int32_t bit) {
+Bta UnaryAtom(core::TreePred::Kind kind, int32_t target_class,
+              int32_t num_classes, int32_t num_bits, int32_t bit) {
   switch (kind) {
-    case Formula::Kind::kLabel:
-    case Formula::Kind::kLeaf: {
+    case core::TreePred::Kind::kLabel:
+    case core::TreePred::Kind::kLeaf: {
       // 0 = no x; 1 = x found, condition ok; 2 = sink.
       auto step = [=](int32_t cls, uint32_t mask, BtaState l,
                       BtaState r) -> BtaState {
@@ -49,7 +49,7 @@ Bta UnaryAtom(Formula::Kind kind, int32_t target_class, int32_t num_classes,
         bool here = (mask >> bit) & 1;
         if (here) {
           if (below > 0) return 2;
-          if (kind == Formula::Kind::kLabel) {
+          if (kind == core::TreePred::Kind::kLabel) {
             return cls == target_class ? 1 : 2;
           }
           // leaf(x): no first child = no left child in the encoding.
@@ -60,7 +60,7 @@ Bta UnaryAtom(Formula::Kind kind, int32_t target_class, int32_t num_classes,
       };
       return BuildSmall(num_classes, num_bits, 3, {false, true, false}, step);
     }
-    case Formula::Kind::kRoot: {
+    case core::TreePred::Kind::kRoot: {
       // 0 = no x; 1 = x at the current subtree root; 2 = x strictly below;
       // 3 = sink.
       auto step = [=](int32_t, uint32_t mask, BtaState l,
@@ -75,7 +75,7 @@ Bta UnaryAtom(Formula::Kind kind, int32_t target_class, int32_t num_classes,
       return BuildSmall(num_classes, num_bits, 4, {false, true, false, false},
                         step);
     }
-    case Formula::Kind::kLastSibling: {
+    case core::TreePred::Kind::kLastSibling: {
       // 0 = no x; 1 = x here with no next sibling (pending: must not be the
       // global root); 2 = confirmed (x was consumed as somebody's child);
       // 3 = sink. The root is never a last sibling (Section 2).
@@ -185,34 +185,40 @@ class Compiler {
     };
 
     switch (f->kind) {
-      case Formula::Kind::kLabel: {
-        auto it = std::find(options_.alphabet.begin(),
-                            options_.alphabet.end(), f->name);
-        if (it == options_.alphabet.end()) {
-          return util::Status::InvalidArgument(
-              "label '" + f->name + "' missing from the compile alphabet");
-        }
-        MD_ASSIGN_OR_RETURN(int32_t bit, bit_of(f->var1));
-        return UnaryAtom(f->kind,
-                         static_cast<int32_t>(it - options_.alphabet.begin()),
-                         classes, bits, bit);
-      }
-      case Formula::Kind::kRoot:
-      case Formula::Kind::kLeaf:
-      case Formula::Kind::kLastSibling: {
-        MD_ASSIGN_OR_RETURN(int32_t bit, bit_of(f->var1));
-        return UnaryAtom(f->kind, 0, classes, bits, bit);
-      }
-      case Formula::Kind::kFirstChild:
-      case Formula::Kind::kNextSibling: {
+      case Formula::Kind::kTreeAtom: {
         MD_ASSIGN_OR_RETURN(int32_t bx, bit_of(f->var1));
-        MD_ASSIGN_OR_RETURN(int32_t by, bit_of(f->var2));
-        if (bx == by) {
-          return util::Status::InvalidArgument(
-              "firstchild/nextsibling with identical variables");
+        switch (f->pred.kind) {
+          case core::TreePred::Kind::kLabel: {
+            const std::string label = core::LabelFromPredName(f->name);
+            auto it = std::find(options_.alphabet.begin(),
+                                options_.alphabet.end(), label);
+            if (it == options_.alphabet.end()) {
+              return util::Status::InvalidArgument(
+                  "label '" + label + "' missing from the compile alphabet");
+            }
+            return UnaryAtom(
+                f->pred.kind,
+                static_cast<int32_t>(it - options_.alphabet.begin()), classes,
+                bits, bx);
+          }
+          case core::TreePred::Kind::kRoot:
+          case core::TreePred::Kind::kLeaf:
+          case core::TreePred::Kind::kLastSibling:
+            return UnaryAtom(f->pred.kind, 0, classes, bits, bx);
+          case core::TreePred::Kind::kFirstChild:
+          case core::TreePred::Kind::kNextSibling: {
+            MD_ASSIGN_OR_RETURN(int32_t by, bit_of(f->var2));
+            if (bx == by) {
+              return util::Status::InvalidArgument(
+                  "firstchild/nextsibling with identical variables");
+            }
+            return EdgeAtom(f->pred.kind == core::TreePred::Kind::kFirstChild,
+                            classes, bits, bx, by);
+          }
+          default:
+            break;  // TreeAtom admits τ_ur predicates only
         }
-        return EdgeAtom(f->kind == Formula::Kind::kFirstChild, classes, bits,
-                        bx, by);
+        break;
       }
       case Formula::Kind::kEq: {
         MD_ASSIGN_OR_RETURN(int32_t bx, bit_of(f->var1));

@@ -27,23 +27,17 @@ bool IsSoName(const std::string& v) {
 
 }  // namespace
 
-FormulaPtr Label(const std::string& label, const std::string& x) {
-  return MakeNode(Formula::Kind::kLabel, label, x, "", {});
-}
-FormulaPtr Root(const std::string& x) {
-  return MakeNode(Formula::Kind::kRoot, "", x, "", {});
-}
-FormulaPtr Leaf(const std::string& x) {
-  return MakeNode(Formula::Kind::kLeaf, "", x, "", {});
-}
-FormulaPtr LastSibling(const std::string& x) {
-  return MakeNode(Formula::Kind::kLastSibling, "", x, "", {});
-}
-FormulaPtr FirstChild(const std::string& x, const std::string& y) {
-  return MakeNode(Formula::Kind::kFirstChild, "", x, y, {});
-}
-FormulaPtr NextSibling(const std::string& x, const std::string& y) {
-  return MakeNode(Formula::Kind::kNextSibling, "", x, y, {});
+FormulaPtr TreeAtom(core::TreePred pred, const std::string& name,
+                    const std::string& x, const std::string& y) {
+  MD_CHECK(core::InTmnfSchema(pred, /*ranked=*/false) &&
+           pred.unary() == y.empty());
+  auto f = std::make_shared<Formula>();
+  f->kind = Formula::Kind::kTreeAtom;
+  f->pred = pred;
+  f->name = name;
+  f->var1 = x;
+  f->var2 = y;
+  return f;
 }
 FormulaPtr Eq(const std::string& x, const std::string& y) {
   return MakeNode(Formula::Kind::kEq, "", x, y, {});
@@ -196,43 +190,20 @@ class FormulaParser {
 
   util::Result<FormulaPtr> MakeAtom(const std::string& pred,
                                     const std::vector<std::string>& args) {
-    auto need = [&](size_t n) {
-      return args.size() == n
-                 ? util::Status::OK()
-                 : cur_.Error("atom '" + pred + "' has wrong arity");
-    };
-    if (pred == "root") {
-      MD_RETURN_NOT_OK(need(1));
-      return Root(args[0]);
-    }
-    if (pred == "leaf") {
-      MD_RETURN_NOT_OK(need(1));
-      return Leaf(args[0]);
-    }
-    if (pred == "lastsibling") {
-      MD_RETURN_NOT_OK(need(1));
-      return LastSibling(args[0]);
-    }
-    if (pred == "firstchild") {
-      MD_RETURN_NOT_OK(need(2));
-      return FirstChild(args[0], args[1]);
-    }
-    if (pred == "nextsibling") {
-      MD_RETURN_NOT_OK(need(2));
-      return NextSibling(args[0], args[1]);
-    }
     if (pred == "in") {
-      MD_RETURN_NOT_OK(need(2));
+      if (args.size() != 2) return cur_.Error("atom 'in' has wrong arity");
       if (!IsSoName(args[1])) {
         return cur_.Error("second argument of in(·,·) must be a set variable");
       }
       return In(args[0], args[1]);
     }
-    if (pred.rfind("label_", 0) == 0) {
-      MD_RETURN_NOT_OK(need(1));
-      return Label(pred.substr(6), args[0]);
+    const std::optional<core::TreePred> tp = core::ClassifyTreePredicate(
+        pred, static_cast<int32_t>(args.size()));
+    if (!tp.has_value() || !core::InTmnfSchema(*tp, /*ranked=*/false)) {
+      return cur_.Error("unknown predicate '" + pred + "'/" +
+                        std::to_string(args.size()));
     }
-    return cur_.Error("unknown predicate '" + pred + "'");
+    return TreeAtom(*tp, pred, args[0], tp->unary() ? "" : args[1]);
   }
 
   util::TextCursor cur_;
@@ -260,18 +231,9 @@ std::string OperandToString(const FormulaPtr& f) {
 
 std::string ToString(const FormulaPtr& f) {
   switch (f->kind) {
-    case Formula::Kind::kLabel:
-      return "label_" + f->name + "(" + f->var1 + ")";
-    case Formula::Kind::kRoot:
-      return "root(" + f->var1 + ")";
-    case Formula::Kind::kLeaf:
-      return "leaf(" + f->var1 + ")";
-    case Formula::Kind::kLastSibling:
-      return "lastsibling(" + f->var1 + ")";
-    case Formula::Kind::kFirstChild:
-      return "firstchild(" + f->var1 + ", " + f->var2 + ")";
-    case Formula::Kind::kNextSibling:
-      return "nextsibling(" + f->var1 + ", " + f->var2 + ")";
+    case Formula::Kind::kTreeAtom:
+      return f->name + "(" + f->var1 +
+             (f->pred.unary() ? "" : ", " + f->var2) + ")";
     case Formula::Kind::kEq:
       return f->var1 + " = " + f->var2;
     case Formula::Kind::kIn:
@@ -313,16 +275,9 @@ void FreeVariables(const FormulaPtr& f, std::set<std::string>* fo,
       fo->insert(f->var1);
       so->insert(f->var2);
       return;
-    case Formula::Kind::kFirstChild:
-    case Formula::Kind::kNextSibling:
+    case Formula::Kind::kTreeAtom:
       fo->insert(f->var1);
-      fo->insert(f->var2);
-      return;
-    case Formula::Kind::kLabel:
-    case Formula::Kind::kRoot:
-    case Formula::Kind::kLeaf:
-    case Formula::Kind::kLastSibling:
-      fo->insert(f->var1);
+      if (!f->pred.unary()) fo->insert(f->var2);
       return;
     case Formula::Kind::kExistsFo:
     case Formula::Kind::kForallFo: {
@@ -375,31 +330,17 @@ util::Result<bool> EvalFormulaReference(
     return it->second;
   };
   switch (f->kind) {
-    case Formula::Kind::kLabel: {
-      MD_ASSIGN_OR_RETURN(tree::NodeId n, node_of(f->var1));
-      return t.label_name(n) == f->name;
-    }
-    case Formula::Kind::kRoot: {
-      MD_ASSIGN_OR_RETURN(tree::NodeId n, node_of(f->var1));
-      return t.IsRoot(n);
-    }
-    case Formula::Kind::kLeaf: {
-      MD_ASSIGN_OR_RETURN(tree::NodeId n, node_of(f->var1));
-      return t.IsLeaf(n);
-    }
-    case Formula::Kind::kLastSibling: {
-      MD_ASSIGN_OR_RETURN(tree::NodeId n, node_of(f->var1));
-      return t.IsLastSibling(n);
-    }
-    case Formula::Kind::kFirstChild: {
+    case Formula::Kind::kTreeAtom: {
       MD_ASSIGN_OR_RETURN(tree::NodeId a, node_of(f->var1));
+      if (f->pred.unary()) {
+        const tree::LabelId label =
+            f->pred.kind == core::TreePred::Kind::kLabel
+                ? t.FindLabel(core::LabelFromPredName(f->name))
+                : util::kInvalidSymbol;
+        return core::HoldsUnary(t, f->pred.kind, label, a);
+      }
       MD_ASSIGN_OR_RETURN(tree::NodeId b, node_of(f->var2));
-      return t.first_child(a) == b;
-    }
-    case Formula::Kind::kNextSibling: {
-      MD_ASSIGN_OR_RETURN(tree::NodeId a, node_of(f->var1));
-      MD_ASSIGN_OR_RETURN(tree::NodeId b, node_of(f->var2));
-      return t.next_sibling(a) == b;
+      return core::StepForward(t, f->pred, a) == b;
     }
     case Formula::Kind::kEq: {
       MD_ASSIGN_OR_RETURN(tree::NodeId a, node_of(f->var1));

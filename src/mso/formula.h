@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/tree_schema.h"
 #include "src/tree/tree.h"
 #include "src/util/result.h"
 
@@ -13,7 +14,8 @@
 /// Monadic second-order logic over unranked trees (Section 2): node
 /// variables (lowercase), set variables (capitalized), the τ_ur relation
 /// symbols, equality, membership, boolean connectives and both kinds of
-/// quantifiers.
+/// quantifiers. The parser reads τ_ur atoms with core::ClassifyTreePredicate
+/// and the tree atom carries its core::TreePred.
 ///
 /// The reference evaluator implements the satisfaction relation literally by
 /// enumerating assignments (exponential — for cross-checking the automaton
@@ -26,15 +28,10 @@ using FormulaPtr = std::shared_ptr<const Formula>;
 
 struct Formula {
   enum class Kind {
-    // Atoms. `var1`/`var2` hold variable names; `name` holds the label.
-    kLabel,        ///< label_<name>(var1)
-    kRoot,         ///< root(var1)
-    kLeaf,         ///< leaf(var1)
-    kLastSibling,  ///< lastsibling(var1)
-    kFirstChild,   ///< firstchild(var1, var2)
-    kNextSibling,  ///< nextsibling(var1, var2)
-    kEq,           ///< var1 = var2          (both first-order)
-    kIn,           ///< var1 ∈ var2          (var2 second-order)
+    // Atoms. `var1`/`var2` hold variable names.
+    kTreeAtom,  ///< name(var1) or name(var1, var2), a τ_ur atom: see `pred`
+    kEq,        ///< var1 = var2          (both first-order)
+    kIn,        ///< var1 ∈ var2          (var2 second-order)
     // Connectives (children).
     kNot,
     kAnd,
@@ -49,18 +46,20 @@ struct Formula {
   };
 
   Kind kind;
+  /// kTreeAtom: what the atom means (root, leaf, lastsibling, label_<l>,
+  /// firstchild or nextsibling); `name` is the predicate as written.
+  core::TreePred pred;
   std::string name;
   std::string var1, var2;
   std::vector<FormulaPtr> children;
 };
 
 // Factories.
-FormulaPtr Label(const std::string& label, const std::string& x);
-FormulaPtr Root(const std::string& x);
-FormulaPtr Leaf(const std::string& x);
-FormulaPtr LastSibling(const std::string& x);
-FormulaPtr FirstChild(const std::string& x, const std::string& y);
-FormulaPtr NextSibling(const std::string& x, const std::string& y);
+/// The τ_ur atom `name`(x) or `name`(x, y): `pred` is name's meaning
+/// (core::ClassifyTreePredicate), in τ_ur, unary with y empty or binary with
+/// y set.
+FormulaPtr TreeAtom(core::TreePred pred, const std::string& name,
+                    const std::string& x, const std::string& y = "");
 FormulaPtr Eq(const std::string& x, const std::string& y);
 FormulaPtr In(const std::string& x, const std::string& big_x);
 FormulaPtr Not(FormulaPtr f);
@@ -80,7 +79,9 @@ FormulaPtr ForallSo(const std::string& big_x, FormulaPtr body);
 ///
 /// Precedence: ~ binds tightest, then &, then |, then ->; quantifier bodies
 /// extend as far right as possible. First-order variables are lowercase,
-/// set variables start with an uppercase letter.
+/// set variables start with an uppercase letter. The atoms are in(x, X),
+/// x = y and the τ_ur predicates: root, leaf, lastsibling and label_<l>
+/// (l non-empty) of one variable, firstchild and nextsibling of two.
 ///
 /// `(`, `~`, quantifier bodies and the arrows of one `->` chain (which nests
 /// to the right) together nest at most 256 deep

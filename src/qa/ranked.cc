@@ -1,17 +1,16 @@
 #include "src/qa/ranked.h"
 
+#include "src/qa/two_way_run.h"
 #include "src/tree/ranked.h"
 #include "src/util/check.h"
 
 namespace mdatalog::qa {
 
 util::Status RankedQA::Validate() const {
+  MD_RETURN_NOT_OK(internal::ValidateShared(*this));
   auto check_state = [&](State q) {
     return q >= 0 && q < num_states;
   };
-  if (!check_state(start_state)) {
-    return util::Status::InvalidArgument("start state out of range");
-  }
   for (State q : final_states) {
     if (!check_state(q)) {
       return util::Status::InvalidArgument("final state out of range");
@@ -32,22 +31,6 @@ util::Status RankedQA::Validate() const {
       if (!check_state(s)) {
         return util::Status::InvalidArgument("δ↓ image state out of range");
       }
-    }
-  }
-  for (const auto& [key, q2] : delta_leaf) {
-    if (InU(key.first, key.second)) {
-      return util::Status::InvalidArgument("δ_leaf defined on a U-pair");
-    }
-    if (!check_state(q2)) {
-      return util::Status::InvalidArgument("δ_leaf image out of range");
-    }
-  }
-  for (const auto& [key, q2] : delta_root) {
-    if (!InU(key.first, key.second)) {
-      return util::Status::InvalidArgument("δ_root defined on a D-pair");
-    }
-    if (!check_state(q2)) {
-      return util::Status::InvalidArgument("δ_root image out of range");
     }
   }
   for (const auto& [seq, q2] : delta_up) {
@@ -81,121 +64,29 @@ util::Result<QaRunResult> RunRankedQA(const RankedQA& qa, const tree::Tree& t,
                                       const QaRunOptions& options) {
   MD_RETURN_NOT_OK(qa.Validate());
   MD_RETURN_NOT_OK(tree::ValidateMaxArity(t, qa.max_rank));
-
-  // The cut with its states; kNoState = node not in the cut.
-  constexpr State kNoState = -1;
-  std::vector<State> cut(t.size(), kNoState);
-  cut[t.root()] = qa.start_state;
-
-  QaRunResult result;
-  std::set<tree::NodeId> selected;
-  auto check_select = [&](tree::NodeId n) {
-    if (qa.selection.count({cut[n], t.label_name(n)}) > 0) selected.insert(n);
+  auto down = [&](State q, const std::string& a, int32_t m,
+                  std::vector<State>* states) -> util::Result<bool> {
+    auto it = qa.delta_down.find({q, a, m});
+    if (it == qa.delta_down.end()) return false;
+    *states = it->second;
+    return true;
   };
-  check_select(t.root());
-
-  // Worklist of nodes that may admit a transition. A node admits a down /
-  // leaf / root transition based on its own (state, label); an up transition
-  // is detected at the *parent* of ready children.
-  std::vector<tree::NodeId> work = {t.root()};
-  auto push = [&work](tree::NodeId n) { work.push_back(n); };
-
-  auto try_transition = [&](tree::NodeId n) -> util::Result<bool> {
-    if (cut[n] != kNoState) {
-      State q = cut[n];
-      const std::string& a = t.label_name(n);
-      if (!qa.InU(q, a)) {  // D-pair: leaf or down transition
-        if (t.IsLeaf(n)) {
-          auto it = qa.delta_leaf.find({q, a});
-          if (it == qa.delta_leaf.end()) return false;
-          cut[n] = it->second;
-          if (options.trace) result.trace.push_back({"leaf", n});
-          check_select(n);
-          push(n);
-          return true;
-        }
-        auto it = qa.delta_down.find({q, a, t.NumChildren(n)});
-        if (it == qa.delta_down.end()) return false;
-        cut[n] = kNoState;
-        int32_t i = 0;
-        for (tree::NodeId c = t.first_child(n); c != tree::kNoNode;
-             c = t.next_sibling(c), ++i) {
-          cut[c] = it->second[i];
-          check_select(c);
-          push(c);
-        }
-        if (options.trace) result.trace.push_back({"down", n});
-        return true;
-      }
-      // U-pair: root transition if n is the root.
-      if (t.IsRoot(n)) {
-        auto it = qa.delta_root.find({q, a});
-        if (it == qa.delta_root.end()) return false;
-        cut[n] = it->second;
-        if (options.trace) result.trace.push_back({"root", n});
-        check_select(n);
-        push(n);
-        return true;
-      }
-      // U-pair at a non-root node: its parent may admit an up transition.
-      tree::NodeId parent = t.parent(n);
-      std::vector<std::pair<State, std::string>> seq;
-      for (tree::NodeId c = t.first_child(parent); c != tree::kNoNode;
-           c = t.next_sibling(c)) {
-        if (cut[c] == kNoState || !qa.InU(cut[c], t.label_name(c))) {
-          return false;
-        }
-        seq.emplace_back(cut[c], t.label_name(c));
-      }
-      auto it = qa.delta_up.find(seq);
-      if (it == qa.delta_up.end()) return false;
-      for (tree::NodeId c = t.first_child(parent); c != tree::kNoNode;
-           c = t.next_sibling(c)) {
-        cut[c] = kNoState;
-      }
-      cut[parent] = it->second;
-      if (options.trace) result.trace.push_back({"up", parent});
-      check_select(parent);
-      push(parent);
-      return true;
+  std::vector<std::pair<State, std::string>> seq;
+  auto up = [&](const std::vector<State>& cut,
+                tree::NodeId parent) -> util::Result<State> {
+    seq.clear();
+    for (tree::NodeId c = t.first_child(parent); c != tree::kNoNode;
+         c = t.next_sibling(c)) {
+      seq.emplace_back(cut[c], t.label_name(c));
     }
+    auto it = qa.delta_up.find(seq);
+    return it == qa.delta_up.end() ? internal::kNoState : it->second;
+  };
+  auto no_stay = [](const std::vector<State>&, tree::NodeId,
+                    std::vector<State>*) -> util::Result<bool> {
     return false;
   };
-
-  // Fixpoint: apply transitions until none is possible. The automaton is
-  // deterministic per node (U/D partition), so the visit order does not
-  // change per-node state sequences (Definition 4.8 discussion).
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    // Drain the worklist; retry every cut node once per round as fallback
-    // (an up transition becomes enabled when the *last* sibling gets ready).
-    std::vector<tree::NodeId> round = std::move(work);
-    work.clear();
-    if (round.empty()) {
-      for (tree::NodeId n = 0; n < t.size(); ++n) {
-        if (cut[n] != kNoState) round.push_back(n);
-      }
-    }
-    for (tree::NodeId n : round) {
-      MD_ASSIGN_OR_RETURN(bool fired, try_transition(n));
-      if (fired) {
-        progress = true;
-        ++result.steps;
-        if (result.steps > options.max_steps) {
-          return util::Status::ResourceExhausted(
-              "query automaton exceeded max_steps");
-        }
-      }
-    }
-    if (!progress && !work.empty()) progress = true;
-  }
-
-  result.accepted = cut[t.root()] != kNoState && qa.IsFinal(cut[t.root()]);
-  if (result.accepted) {
-    result.selected.assign(selected.begin(), selected.end());
-  }
-  return result;
+  return internal::RunTwoWay(qa, t, options, down, up, no_stay);
 }
 
 RankedQA EvenAQAr(const std::vector<std::string>& labels) {

@@ -19,9 +19,10 @@
 /// notion — Section 4.3).
 ///
 /// The direct runner implements the cut/configuration semantics literally
-/// and counts transitions; Example 4.21 exhibits runs with
-/// Θ(((n+1)/2)^(α+1)) steps, which bench_paper's E6 series measure against
-/// the linear-time datalog simulation of Theorem 4.11.
+/// and counts transitions; its driver (two_way_run.h) is shared with
+/// RunUnrankedQA, which adds stay transitions. Example 4.21 exhibits runs
+/// with Θ(((n+1)/2)^(α+1)) steps, which bench_paper's E6 series measure
+/// against the linear-time datalog simulation of Theorem 4.11.
 
 namespace mdatalog::qa {
 

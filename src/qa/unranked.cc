@@ -1,5 +1,6 @@
 #include "src/qa/unranked.h"
 
+#include "src/qa/two_way_run.h"
 #include "src/util/check.h"
 
 namespace mdatalog::qa {
@@ -22,10 +23,8 @@ bool PairNfa::Accepts(const std::vector<PairSymbol>& word) const {
 }
 
 util::Status UnrankedQA::Validate() const {
+  MD_RETURN_NOT_OK(internal::ValidateShared(*this));
   auto check_state = [&](State q) { return q >= 0 && q < num_states; };
-  if (!check_state(start_state)) {
-    return util::Status::InvalidArgument("start state out of range");
-  }
   for (const auto& [key, uvws] : delta_down) {
     if (InU(key.first, key.second)) {
       return util::Status::InvalidArgument("L↓ defined on a U-pair");
@@ -38,22 +37,6 @@ util::Status UnrankedQA::Validate() const {
           }
         }
       }
-    }
-  }
-  for (const auto& [key, q2] : delta_leaf) {
-    if (InU(key.first, key.second)) {
-      return util::Status::InvalidArgument("δ_leaf defined on a U-pair");
-    }
-    if (!check_state(q2)) {
-      return util::Status::InvalidArgument("δ_leaf image out of range");
-    }
-  }
-  for (const auto& [key, q2] : delta_root) {
-    if (!InU(key.first, key.second)) {
-      return util::Status::InvalidArgument("δ_root defined on a D-pair");
-    }
-    if (!check_state(q2)) {
-      return util::Status::InvalidArgument("δ_root image out of range");
     }
   }
   for (const auto& [q, nfa] : delta_up) {
@@ -125,30 +108,49 @@ util::Result<QaRunResult> RunUnrankedQA(const UnrankedQA& qa,
                                         const tree::Tree& t,
                                         const QaRunOptions& options) {
   MD_RETURN_NOT_OK(qa.Validate());
-
-  constexpr State kNoState = -1;
-  std::vector<State> cut(t.size(), kNoState);
-  std::vector<bool> stay_done(t.size(), false);
-  cut[t.root()] = qa.start_state;
-
-  QaRunResult result;
-  std::set<tree::NodeId> selected;
-  auto check_select = [&](tree::NodeId n) {
-    if (qa.selection.count({cut[n], t.label_name(n)}) > 0) selected.insert(n);
+  auto down = [&](State q, const std::string& a, int32_t m,
+                  std::vector<State>* states) -> util::Result<bool> {
+    auto word = qa.DownWord(q, a, m);
+    if (!word.ok()) {
+      if (word.status().code() == util::StatusCode::kNotFound) return false;
+      return word.status();
+    }
+    *states = std::move(*word);
+    return true;
   };
-  check_select(t.root());
-
-  std::vector<tree::NodeId> work = {t.root()};
-
-  /// Runs the stay 2DFA on the children of `parent`. Returns true if it
-  /// halted successfully and assigned exactly one state per child.
-  auto run_stay = [&](tree::NodeId parent,
-                      const std::vector<tree::NodeId>& kids)
-      -> util::Result<bool> {
+  // The children's (state, label) word.
+  auto pairs = [&](const std::vector<State>& cut, tree::NodeId parent) {
+    std::vector<PairSymbol> word;
+    for (tree::NodeId c = t.first_child(parent); c != tree::kNoNode;
+         c = t.next_sibling(c)) {
+      word.push_back({cut[c], t.label_name(c)});
+    }
+    return word;
+  };
+  auto up = [&](const std::vector<State>& cut,
+                tree::NodeId parent) -> util::Result<State> {
+    const std::vector<PairSymbol> word = pairs(cut, parent);
+    State target = internal::kNoState;
+    for (const auto& [q_res, nfa] : qa.delta_up) {
+      if (nfa.Accepts(word)) {
+        if (target != internal::kNoState) {
+          return util::Status::InvalidArgument(
+              "nondeterministic SQAu: two L↑ languages accept one word");
+        }
+        target = q_res;
+      }
+    }
+    return target;
+  };
+  // Runs the stay 2DFA over the children of `parent`: true if it halted and
+  // assigned exactly one state per child.
+  auto stay = [&](const std::vector<State>& cut, tree::NodeId parent,
+                  std::vector<State>* states) -> util::Result<bool> {
     if (!qa.stay.has_value()) return false;
     const TwoDfa& dfa = *qa.stay;
-    int32_t m = static_cast<int32_t>(kids.size());
-    std::vector<State> assigned(m, kNoState);
+    const std::vector<PairSymbol> word = pairs(cut, parent);
+    const int32_t m = static_cast<int32_t>(word.size());
+    std::vector<State> assigned(m, internal::kNoState);
     int32_t pos = 0;  // 0-based child index
     int32_t s = dfa.start;
     int64_t budget = static_cast<int64_t>(dfa.num_states) * m * 4 + 16;
@@ -165,137 +167,31 @@ util::Result<QaRunResult> RunUnrankedQA(const UnrankedQA& qa,
         halted = true;
         break;
       }
-      PairSymbol sym{cut[kids[pos]], t.label_name(kids[pos])};
-      auto sel = dfa.select.find({s, sym});
+      auto sel = dfa.select.find({s, word[pos]});
       if (sel != dfa.select.end()) {
-        if (assigned[pos] != kNoState && assigned[pos] != sel->second) {
+        if (assigned[pos] != internal::kNoState &&
+            assigned[pos] != sel->second) {
           return util::Status::InvalidArgument(
               "stay 2DFA assigned two different states to one node");
         }
         assigned[pos] = sel->second;
       }
-      auto step = dfa.trans.find({s, sym});
+      auto step = dfa.trans.find({s, word[pos]});
       if (step == dfa.trans.end()) return false;  // stuck: not in Ustay
       s = step->second.next;
       pos += step->second.dir;
     }
     if (!halted) return false;
     for (State a : assigned) {
-      if (a == kNoState) {
+      if (a == internal::kNoState) {
         return util::Status::InvalidArgument(
             "stay 2DFA halted without assigning every child a state");
       }
     }
-    for (int32_t i = 0; i < m; ++i) {
-      cut[kids[i]] = assigned[i];
-      check_select(kids[i]);
-      work.push_back(kids[i]);
-    }
-    stay_done[parent] = true;
-    if (options.trace) result.trace.push_back({"stay", parent});
+    *states = std::move(assigned);
     return true;
   };
-
-  auto try_transition = [&](tree::NodeId n) -> util::Result<bool> {
-    if (cut[n] == kNoState) return false;
-    State q = cut[n];
-    const std::string& a = t.label_name(n);
-    if (!qa.InU(q, a)) {
-      if (t.IsLeaf(n)) {
-        auto it = qa.delta_leaf.find({q, a});
-        if (it == qa.delta_leaf.end()) return false;
-        cut[n] = it->second;
-        if (options.trace) result.trace.push_back({"leaf", n});
-        check_select(n);
-        work.push_back(n);
-        return true;
-      }
-      auto word = qa.DownWord(q, a, t.NumChildren(n));
-      if (!word.ok()) {
-        if (word.status().code() == util::StatusCode::kNotFound) return false;
-        return word.status();
-      }
-      cut[n] = kNoState;
-      int32_t i = 0;
-      for (tree::NodeId c = t.first_child(n); c != tree::kNoNode;
-           c = t.next_sibling(c), ++i) {
-        cut[c] = (*word)[i];
-        check_select(c);
-        work.push_back(c);
-      }
-      if (options.trace) result.trace.push_back({"down", n});
-      return true;
-    }
-    if (t.IsRoot(n)) {
-      auto it = qa.delta_root.find({q, a});
-      if (it == qa.delta_root.end()) return false;
-      cut[n] = it->second;
-      if (options.trace) result.trace.push_back({"root", n});
-      check_select(n);
-      work.push_back(n);
-      return true;
-    }
-    // Up or stay at the parent.
-    tree::NodeId parent = t.parent(n);
-    std::vector<tree::NodeId> kids = t.Children(parent);
-    std::vector<PairSymbol> word;
-    for (tree::NodeId c : kids) {
-      if (cut[c] == kNoState || !qa.InU(cut[c], t.label_name(c))) {
-        return false;
-      }
-      word.push_back({cut[c], t.label_name(c)});
-    }
-    State up_target = kNoState;
-    for (const auto& [q_res, nfa] : qa.delta_up) {
-      if (nfa.Accepts(word)) {
-        if (up_target != kNoState) {
-          return util::Status::InvalidArgument(
-              "nondeterministic SQAu: two L↑ languages accept one word");
-        }
-        up_target = q_res;
-      }
-    }
-    if (up_target != kNoState) {
-      for (tree::NodeId c : kids) cut[c] = kNoState;
-      cut[parent] = up_target;
-      if (options.trace) result.trace.push_back({"up", parent});
-      check_select(parent);
-      work.push_back(parent);
-      return true;
-    }
-    if (!stay_done[parent]) return run_stay(parent, kids);
-    return false;
-  };
-
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    std::vector<tree::NodeId> round = std::move(work);
-    work.clear();
-    if (round.empty()) {
-      for (tree::NodeId n = 0; n < t.size(); ++n) {
-        if (cut[n] != kNoState) round.push_back(n);
-      }
-    }
-    for (tree::NodeId n : round) {
-      MD_ASSIGN_OR_RETURN(bool fired, try_transition(n));
-      if (fired) {
-        progress = true;
-        ++result.steps;
-        if (result.steps > options.max_steps) {
-          return util::Status::ResourceExhausted(
-              "query automaton exceeded max_steps");
-        }
-      }
-    }
-    if (!progress && !work.empty()) progress = true;
-  }
-
-  result.accepted = cut[t.root()] != kNoState && qa.IsFinal(cut[t.root()]);
-  if (result.accepted) {
-    result.selected.assign(selected.begin(), selected.end());
-  }
-  return result;
+  return internal::RunTwoWay(qa, t, options, down, up, stay);
 }
 
 UnrankedQA EvenASQAu(const std::vector<std::string>& labels) {

@@ -25,8 +25,9 @@
 ///    at most one stay transition may happen per node.
 ///
 /// The runner implements these semantics literally (validating density-1 and
-/// determinism as it goes); the Theorem 4.14 translation is in
-/// unranked_to_datalog.h.
+/// determinism as it goes) on the driver RunRankedQA uses (two_way_run.h):
+/// only the δ↓ word, the δ↑ target and the stay pass are its own. The
+/// Theorem 4.14 translation is in unranked_to_datalog.h.
 
 namespace mdatalog::qa {
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 
+#include "src/util/check.h"
+
 namespace mdatalog::runtime {
 
 namespace {
@@ -25,10 +27,7 @@ int64_t NowNs() {
 
 TenantRegistry::TenantRegistry(telemetry::MetricsRegistry* registry)
     : registry_(registry) {
-  if (registry_ == nullptr) {
-    owned_registry_ = std::make_unique<telemetry::MetricsRegistry>();
-    registry_ = owned_registry_.get();
-  }
+  MD_CHECK(registry_ != nullptr);
   Register(TenantQuota{.name = "default"});  // id 0, unmetered, weight 1
 }
 

@@ -93,10 +93,9 @@ struct RequestAdmission {
 /// per-tenant mutex per request.
 class TenantRegistry {
  public:
-  /// `registry` hosts the per-tenant counters (pass the runtime's metrics
-  /// registry so they export with everything else); null = the registry
-  /// owns a private one (standalone/tests).
-  explicit TenantRegistry(telemetry::MetricsRegistry* registry = nullptr);
+  /// `registry` (not null, outlives this) hosts the per-tenant counters, so
+  /// they export with the runtime's other metrics.
+  explicit TenantRegistry(telemetry::MetricsRegistry* registry);
 
   TenantRegistry(const TenantRegistry&) = delete;
   TenantRegistry& operator=(const TenantRegistry&) = delete;
@@ -143,8 +142,7 @@ class TenantRegistry {
   Tenant* Get(TenantId tenant) const;
   int64_t RefillLocked(Tenant& t) const;  // requires t.mu; returns balance
 
-  telemetry::MetricsRegistry* registry_;
-  std::unique_ptr<telemetry::MetricsRegistry> owned_registry_;
+  telemetry::MetricsRegistry* const registry_;
 
   mutable std::shared_mutex mu_;  // guards the vector, not the tenants
   std::vector<std::unique_ptr<Tenant>> tenants_;

@@ -41,10 +41,17 @@ class TmnfPipeline {
       }
     }
 
-    // Steps 1+2: preprocess and chase each rule.
+    // Step 1: lastchild expands (Lemma 5.6) ...
+    if (!ranked_) {
+      MD_ASSIGN_OR_RETURN(std::optional<Program> expanded,
+                          core::ExpandLastChild(out_));
+      if (expanded.has_value()) out_ = std::move(*expanded);
+    }
+
+    // ... and firstsibling is replaced per rule; step 2: the chase.
     std::vector<Rule> acyclic_rules;
     for (Rule& rule : out_.mutable_rules()) {
-      MD_RETURN_NOT_OK(Preprocess(&rule));
+      Preprocess(&rule);
       auto chased = ranked_ ? MakeRuleAcyclicRanked(&out_, rule)
                             : MakeRuleAcyclicUnranked(&out_, rule);
       if (!chased.ok()) return chased.status();
@@ -142,28 +149,18 @@ class TmnfPipeline {
     return util::Status::OK();
   }
 
-  /// Lemma 5.6 expansion + firstsibling replacement (unranked only).
-  util::Status Preprocess(Rule* rule) {
-    if (ranked_) return util::Status::OK();
-    MD_ASSIGN_OR_RETURN(PredId child, out_.preds().Intern("child", 2));
-    MD_ASSIGN_OR_RETURN(PredId lastsibling,
-                        out_.preds().Intern("lastsibling", 1));
-    PredId lastchild = out_.preds().Find("lastchild");
-    PredId firstsibling = out_.preds().Find("firstsibling");
-    std::vector<Atom> body;
+  /// firstsibling(x) becomes __fsib(x), defined by one TMNF rule (unranked
+  /// only).
+  void Preprocess(Rule* rule) {
+    if (ranked_) return;
+    const PredId firstsibling = out_.preds().Find("firstsibling");
+    if (firstsibling < 0) return;
     for (Atom& a : rule->body) {
-      if (lastchild >= 0 && a.pred == lastchild) {
-        body.push_back(MakeAtom(child, {a.args[0], a.args[1]}));
-        body.push_back(MakeAtom(lastsibling, {a.args[1]}));
-      } else if (firstsibling >= 0 && a.pred == firstsibling) {
+      if (a.pred == firstsibling) {
         used_fsib_ = true;
-        body.push_back(MakeAtom(FsibPred(), {a.args[0]}));
-      } else {
-        body.push_back(std::move(a));
+        a = MakeAtom(FsibPred(), {a.args[0]});
       }
     }
-    rule->body = std::move(body);
-    return util::Status::OK();
   }
 
   PredId FsibPred() { return out_.preds().MustIntern("__fsib", 1); }

@@ -48,6 +48,50 @@ TEST(FormulaParseTest, Errors) {
   EXPECT_FALSE(ParseFormula("root(x) garbage").ok());
 }
 
+// Every τ_ur atom parses, prints back as written and means the same on
+// Figure 1 (n1..n6 are nodes 0..5, all labeled a) to the reference evaluator
+// and to the compiled automaton. Names outside τ_ur, a wrong arity and the
+// empty label are syntax errors.
+TEST(FormulaParseTest, TreeAtomsOnFigure1) {
+  struct Case {
+    const char* text;
+    std::vector<tree::NodeId> selected;
+  };
+  const Case cases[] = {
+      {"root(x)", {0}},
+      {"leaf(x)", {1, 3, 4, 5}},
+      {"lastsibling(x)", {4, 5}},
+      {"label_a(x)", {0, 1, 2, 3, 4, 5}},
+      {"label_b(x)", {}},
+      {"exists y. firstchild(x, y)", {0, 2}},
+      {"exists y. firstchild(y, x)", {1, 3}},
+      {"exists y. nextsibling(x, y)", {1, 2, 3}},
+      {"exists y. nextsibling(y, x)", {2, 4, 5}},
+  };
+  const Tree t = tree::PaperFigure1Tree();
+  MsoCompileOptions opts;
+  opts.alphabet = {"a", "b"};
+  auto cls = ClassOfNodes(t, opts.alphabet);
+  ASSERT_TRUE(cls.ok());
+  for (const Case& c : cases) {
+    FormulaPtr f = MustParse(c.text);
+    EXPECT_EQ(ToString(f), c.text);
+    auto reference = EvalUnaryQueryReference(t, f, "x");
+    ASSERT_TRUE(reference.ok()) << c.text;
+    EXPECT_EQ(*reference, c.selected) << c.text;
+    auto bta = CompileUnaryQuery(f, "x", opts);
+    ASSERT_TRUE(bta.ok()) << bta.status().ToString() << " for " << c.text;
+    auto automaton = BtaUnaryQuery(*bta, t, *cls);
+    ASSERT_TRUE(automaton.ok()) << c.text;
+    EXPECT_EQ(*automaton, c.selected) << c.text;
+  }
+  for (const char* text :
+       {"label_(x)", "firstsibling(x)", "child(x, y)", "root(x, y)",
+        "leaf(x, y)", "firstchild(x)", "nextsibling_tc(x, y)"}) {
+    EXPECT_FALSE(ParseFormula(text).ok()) << text;
+  }
+}
+
 TEST(FormulaParseTest, RoundTrip) {
   for (const char* text :
        {"exists x. forall Y. (in(x, Y) -> label_a(x))",

@@ -351,6 +351,80 @@ TEST(UnrankedQaTest, StayHappensAtMostOncePerNode) {
   EXPECT_EQ(stays, 1);
 }
 
+// The two runners share one driver of the cut semantics; these runs pin its
+// exact behaviour: step counts, transition order and selections.
+std::string TraceString(const QaRunResult& run) {
+  std::string out;
+  for (const QaTraceStep& step : run.trace) {
+    if (!out.empty()) out += ' ';
+    out += step.kind + std::to_string(step.node);
+  }
+  return out;
+}
+
+TEST(BlowupQaTest, StepCountsArePinned) {
+  struct Case {
+    int32_t alpha, depth;
+    int64_t steps;
+  };
+  for (const Case& c : {Case{2, 0, 1}, Case{2, 1, 16}, Case{2, 2, 136},
+                        Case{2, 3, 1096}, Case{3, 0, 1}, Case{3, 1, 32},
+                        Case{3, 2, 528}, Case{3, 3, 8464}}) {
+    auto run = RunRankedQA(BlowupQAr(c.alpha),
+                           tree::CompleteBinaryTree(c.depth, "a"));
+    ASSERT_TRUE(run.ok());
+    EXPECT_TRUE(run->accepted);
+    EXPECT_EQ(run->steps, c.steps) << "alpha=" << c.alpha
+                                   << " depth=" << c.depth;
+  }
+}
+
+TEST(UnrankedQaTest, EvenATracesArePinned) {
+  QaRunOptions opts;
+  opts.trace = true;
+  auto fig1 = RunUnrankedQA(EvenASQAu({"a", "b"}), tree::PaperFigure1Tree(),
+                            opts);
+  ASSERT_TRUE(fig1.ok());
+  EXPECT_TRUE(fig1->accepted);
+  EXPECT_EQ(fig1->steps, 8);
+  EXPECT_EQ(TraceString(*fig1),
+            "down0 leaf1 down2 leaf5 leaf3 leaf4 up2 up0");
+  EXPECT_EQ(fig1->selected, (std::vector<NodeId>{0}));
+
+  // b(a(b, a), b, a(a, b, b)), ids in creation order.
+  tree::TreeBuilder b;
+  const NodeId root = b.Root("b");
+  const NodeId x = b.Child(root, "a");
+  b.Child(x, "b");
+  b.Child(x, "a");
+  b.Child(root, "b");
+  const NodeId y = b.Child(root, "a");
+  b.Child(y, "a");
+  b.Child(y, "b");
+  b.Child(y, "b");
+  auto mixed = RunUnrankedQA(EvenASQAu({"a", "b"}), b.Build(), opts);
+  ASSERT_TRUE(mixed.ok());
+  EXPECT_TRUE(mixed->accepted);
+  EXPECT_EQ(mixed->steps, 12);
+  EXPECT_EQ(TraceString(*mixed),
+            "down0 down1 leaf4 down5 leaf2 leaf3 leaf6 leaf7 leaf8 up1 up5 "
+            "up0");
+  EXPECT_EQ(mixed->selected, (std::vector<NodeId>{0, 1, 2, 4, 5, 7, 8}));
+}
+
+TEST(UnrankedQaTest, StayTraceIsPinned) {
+  QaRunOptions opts;
+  opts.trace = true;
+  auto run = RunUnrankedQA(StayOddPositionSQAu({"a", "b"}),
+                           tree::ChildrenWord("a", {"a", "b", "a", "b", "b"}),
+                           opts);
+  ASSERT_TRUE(run.ok());
+  EXPECT_TRUE(run->accepted);
+  EXPECT_EQ(run->steps, 3);
+  EXPECT_EQ(TraceString(*run), "down0 stay0 up0");
+  EXPECT_EQ(run->selected, (std::vector<NodeId>{1, 3, 5}));
+}
+
 // ---------------------------------------------------------------------------
 // Theorem 4.14: SQAu → monadic datalog (Figure 2 machinery)
 // ---------------------------------------------------------------------------

@@ -125,7 +125,8 @@ TEST(SipHashTest, ProcessKeyIsStableWithinProcessAndKeyed) {
 // ---------------------------------------------------------------------------
 
 TEST(TenantRegistryTest, DefaultTenantIsAlwaysPresentAndUnmetered) {
-  runtime::TenantRegistry tr;
+  telemetry::MetricsRegistry metrics;
+  runtime::TenantRegistry tr(&metrics);
   EXPECT_EQ(tr.num_tenants(), 1);
   EXPECT_EQ(tr.name(runtime::kDefaultTenant), "default");
   EXPECT_FALSE(tr.metered(runtime::kDefaultTenant));
@@ -139,7 +140,8 @@ TEST(TenantRegistryTest, DefaultTenantIsAlwaysPresentAndUnmetered) {
 }
 
 TEST(TenantRegistryTest, SharesAreWeightOverTotalWeight) {
-  runtime::TenantRegistry tr;
+  telemetry::MetricsRegistry metrics;
+  runtime::TenantRegistry tr(&metrics);
   const auto a = tr.Register({.name = "a", .cache_weight = 2.0});
   const auto b = tr.Register({.name = "b", .cache_weight = 1.0});
   ASSERT_EQ(a, 1);
@@ -155,7 +157,8 @@ TEST(TenantRegistryTest, SharesAreWeightOverTotalWeight) {
 }
 
 TEST(TenantRegistryTest, TokenBucketStartsFullAndOverdraftDegrades) {
-  runtime::TenantRegistry tr;
+  telemetry::MetricsRegistry metrics;
+  runtime::TenantRegistry tr(&metrics);
   // Refill rate 1 ns of CPU per second of wall time: effectively frozen for
   // the duration of the test, so the arithmetic is deterministic.
   const auto t = tr.Register({.name = "metered",
@@ -178,7 +181,8 @@ TEST(TenantRegistryTest, TokenBucketStartsFullAndOverdraftDegrades) {
 }
 
 TEST(TenantRegistryTest, PriorityClassesDegradeDifferently) {
-  runtime::TenantRegistry tr;
+  telemetry::MetricsRegistry metrics;
+  runtime::TenantRegistry tr(&metrics);
   auto metered = [&tr](const char* name, runtime::Priority p) {
     const auto id = tr.Register({.name = name,
                                  .cpu_ns_per_sec = 1,
@@ -209,7 +213,8 @@ TEST(TenantRegistryTest, PriorityClassesDegradeDifferently) {
 }
 
 TEST(TenantRegistryTest, DegradationTightensButNeverLoosens) {
-  runtime::TenantRegistry tr;
+  telemetry::MetricsRegistry metrics;
+  runtime::TenantRegistry tr(&metrics);
   const auto t = tr.Register({.name = "metered",
                               .cpu_ns_per_sec = 1,
                               .cpu_burst_ns = 1000});
@@ -262,7 +267,8 @@ std::shared_ptr<const std::string> Blob(size_t bytes) {
 }
 
 TEST(FairShareCacheTest, WithinShareTenantSurvivesAnotherTenantsFlood) {
-  runtime::TenantRegistry tr;
+  telemetry::MetricsRegistry metrics;
+  runtime::TenantRegistry tr(&metrics);
   const auto a = tr.Register({.name = "a"});
   const auto b = tr.Register({.name = "b"});
   // default + a + b, equal weights: everyone's guaranteed share is 1/3 of
@@ -294,7 +300,8 @@ TEST(FairShareCacheTest, WithinShareTenantSurvivesAnotherTenantsFlood) {
 }
 
 TEST(FairShareCacheTest, FairShareOffLetsTheFloodEvictEverything) {
-  runtime::TenantRegistry tr;
+  telemetry::MetricsRegistry metrics;
+  runtime::TenantRegistry tr(&metrics);
   const auto a = tr.Register({.name = "a"});
   const auto b = tr.Register({.name = "b"});
   runtime::CacheOptions opts{.byte_budget = 3000,
@@ -317,7 +324,8 @@ TEST(FairShareCacheTest, FairShareOffLetsTheFloodEvictEverything) {
 }
 
 TEST(FairShareCacheTest, AllVictimsProtectedRejectsTheCandidateUncached) {
-  runtime::TenantRegistry tr;
+  telemetry::MetricsRegistry metrics;
+  runtime::TenantRegistry tr(&metrics);
   const auto a = tr.Register({.name = "a"});
   const auto b = tr.Register({.name = "b"});
   // Guaranteed share: 2000/3 ≈ 666 bytes each.
@@ -344,7 +352,8 @@ TEST(FairShareCacheTest, AllVictimsProtectedRejectsTheCandidateUncached) {
 }
 
 TEST(FairShareCacheTest, TenantsChurnWithinTheirOwnShare) {
-  runtime::TenantRegistry tr;
+  telemetry::MetricsRegistry metrics;
+  runtime::TenantRegistry tr(&metrics);
   const auto a = tr.Register({.name = "a"});
   runtime::CacheOptions opts{.byte_budget = 1000,
                              .num_shards = 1,
@@ -377,7 +386,8 @@ std::string CatalogPage(uint64_t seed) {
 /// the hot tenant's miss delta when it re-requests its hot set after the
 /// flood. 0 = fully protected.
 int64_t HotSetMissesAfterFlood(bool fair_share) {
-  runtime::TenantRegistry tr;
+  telemetry::MetricsRegistry metrics;
+  runtime::TenantRegistry tr(&metrics);
   // The hot tenant pays for twice the weight: its guaranteed share is half
   // the cache (hot(2) / [default(1) + hot(2) + flood(1)]).
   const auto hot = tr.Register({.name = "hot", .cache_weight = 2.0});

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include "src/analysis/tmnf_view.h"
 #include "src/core/examples.h"
 #include "src/core/grounder.h"
 #include "src/core/parser.h"
 #include "src/core/tree_schema.h"
 #include "src/core/validate.h"
+#include "src/elog/from_datalog.h"
 #include "src/tmnf/acyclic.h"
 #include "src/tmnf/normal_form.h"
 #include "src/tmnf/pipeline.h"
@@ -60,6 +62,61 @@ TEST(TmnfCheckTest, RankedModeUsesChildK) {
   EXPECT_FALSE(IsTmnf(p, {.ranked = false}));
   Program ur = MustParse("p(X) :- q(X0), firstchild(X0, X). q(X) :- leaf(X).");
   EXPECT_FALSE(IsTmnf(ur, {.ranked = true}));
+}
+
+// The three readers of Definition 5.1 agree on one rule list. Each verdict
+// is four flags: CheckTmnf over τ_ur, CheckTmnf over τ_rk,
+// analysis::TmnfView::Parse (query p) and elog::DatalogToElog (which runs
+// the whole pipeline first). Only TmnfView reads firstsibling and a
+// rule-less non-schema predicate (as an empty IDB).
+TEST(TmnfCheckTest, ReadersAgreeOnOneRuleTable) {
+  struct Case {
+    const char* name;
+    const char* rule;
+    const char* verdict;  // "1" = accepted: unranked, ranked, view, elog
+  };
+  const Case cases[] = {
+      {"copy EDB", "p(X) :- leaf(X).", "1111"},
+      {"copy IDB", "p(X) :- q(X).", "1111"},
+      {"step firstchild R", "p(X) :- q(X0), firstchild(X0, X).", "1011"},
+      {"step firstchild R^-1", "p(X) :- q(X0), firstchild(X, X0).", "1011"},
+      {"step nextsibling R", "p(X) :- q(X0), nextsibling(X0, X).", "1011"},
+      {"step nextsibling R^-1", "p(X) :- q(X0), nextsibling(X, X0).", "1011"},
+      {"step binary first", "p(X) :- nextsibling(X0, X), q(X0).", "1011"},
+      {"step EDB operand", "p(X) :- label_a(X0), firstchild(X, X0).", "1011"},
+      {"and IDB EDB", "p(X) :- q(X), label_a(X).", "1111"},
+      {"and EDB EDB", "p(X) :- root(X), lastsibling(X).", "1111"},
+      {"step child_k R", "p(X) :- q(X0), child2(X0, X).", "0100"},
+      {"step child_k R^-1", "p(X) :- q(X0), child1(X, X0).", "0100"},
+      {"child outside both schemas", "p(X) :- q(X0), child(X0, X).", "0001"},
+      {"constant", "p(X) :- q(X), label_a(7).", "0000"},
+      {"nullary atom", "p(X) :- q(X), s.", "0000"},
+      {"three atoms", "p(X) :- q(X), r(X), leaf(X).", "0001"},
+      {"two binaries", "p(X) :- firstchild(X0, X), nextsibling(X0, X).",
+       "0001"},
+      {"intensional binary",
+       "p(X) :- q(X0), e(X0, X). e(X, Y) :- firstchild(X, Y).", "0000"},
+      {"unlinked binary", "p(X) :- q(X0), firstchild(X0, Y).", "0000"},
+      {"x0 = x", "p(X) :- q(X), firstchild(X, X).", "0001"},
+      {"unary off the step's source", "p(X) :- q(Y), firstchild(X0, X).",
+       "0001"},
+      {"unary off the head variable", "p(X) :- q(X), r(Y).", "0001"},
+      {"copy off the head variable", "p(X) :- q(Y).", "0000"},
+      {"firstsibling", "p(X) :- firstsibling(X).", "0011"},
+      {"rule-less EDB", "p(X) :- zz(X).", "0010"},
+  };
+  for (const Case& c : cases) {
+    const std::string text =
+        std::string(c.rule) + "\nq(X) :- leaf(X).\nr(X) :- root(X).\n";
+    auto program = core::ParseProgramWithQuery(text, "p");
+    ASSERT_TRUE(program.ok()) << c.name << ": " << program.status().ToString();
+    std::string verdict;
+    verdict += IsTmnf(*program) ? '1' : '0';
+    verdict += IsTmnf(*program, {.ranked = true}) ? '1' : '0';
+    verdict += analysis::TmnfView::Parse(*program).ok() ? '1' : '0';
+    verdict += elog::DatalogToElog(*program).ok() ? '1' : '0';
+    EXPECT_EQ(verdict, c.verdict) << c.name << ": " << c.rule;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -273,6 +330,8 @@ TEST(TmnfPipelineTest, ExtendedSignatureProgramsRoundTrip) {
   const char* programs[] = {
       "q(X) :- child(X, Y), label_a(Y).",
       "q(X) :- lastchild(X, Y), leaf(Y).",
+      // An intensional unary lastchild is only a name: Lemma 5.6 leaves it.
+      "lastchild(X) :- root(X).\nq(X) :- lastchild(X), leaf(X).",
       "q(X) :- child(X, Y), child(Y, Z), label_b(Z).",
       "q(X) :- firstsibling(X), label_a(X).",
       "q(X) :- child(Y, X), q2(Y).\nq2(X) :- root(X).\nq2(X) :- q(X).",
