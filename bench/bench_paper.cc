@@ -20,13 +20,15 @@
 //   E13  BM_AnBn_{Accept,Reject}           Thm 6.6: Elog⁻Δ beyond MSO, still
 //                                          linear (the serving ground plan)
 //   §7   BM_XPath_*                        Sec. 7: Core XPath via monadic
-//                                          datalog
+//                                          datalog, not(·) as a stratum
+//                                          (BM_XPath_Negation); the
+//                                          set-based oracle for contrast
 //
 // run_benches.sh runs this suite into BENCH_paper.json (5 repetitions). CI
 // prints warn-only linearity ratios (cost per unit of the size argument) for
-// BM_DocumentOrder_NfaImage (1k→131k), BM_XPath_ViaDatalog (1k→65k),
-// BM_MsoQuery_Datalog (1k→32k), BM_SQAu_EvenA_DatalogTranslation (256→4k)
-// and BM_AnBn_Accept (512→8k).
+// BM_DocumentOrder_NfaImage (1k→131k), BM_XPath_ViaDatalog and
+// BM_XPath_Negation (1k→65k), BM_MsoQuery_Datalog (1k→32k),
+// BM_SQAu_EvenA_DatalogTranslation (256→4k) and BM_AnBn_Accept (512→8k).
 //
 // Open measurements, not gated: BM_ToTmnf's cost per rule grows 2.3–2.6×
 // from 8 to 512 random rules, and BM_MsoQuery_Automaton's ns/node 1.2–1.6×
@@ -57,6 +59,8 @@
 #include "src/util/rng.h"
 #include "src/xpath/xpath.h"
 #include "tests/support/program_generator.h"
+#include "tests/support/trees.h"
+#include "tests/support/xpath_reference.h"
 
 namespace {
 
@@ -518,6 +522,23 @@ void BM_XPath_Reference(benchmark::State& state) {
   state.SetComplexityN(t.size());
 }
 BENCHMARK(BM_XPath_Reference)->Range(1 << 10, 1 << 16)->Complexity();
+
+// not(·) as a stratum: the lower program runs once, its complement seeds the
+// upper one. On an a-chain every node qualifies, and the set-based oracle's
+// per-node descendant walk would be quadratic.
+void BM_XPath_Negation(benchmark::State& state) {
+  tree::Tree t = tree::ChainTree(static_cast<int32_t>(state.range(0)), "a");
+  for (auto _ : state) {
+    auto r = xpath::EvalXPath(t, "//a[not(descendant::b)]");
+    if (!r.ok() || r->size() != static_cast<size_t>(t.size())) {
+      state.SkipWithError("wrong answer");
+      break;
+    }
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetComplexityN(t.size());
+}
+BENCHMARK(BM_XPath_Negation)->Range(1 << 10, 1 << 16)->Complexity();
 
 }  // namespace
 

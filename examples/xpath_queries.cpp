@@ -25,7 +25,7 @@ int main() {
       "//div@article[span@date]",
       "//div@article[following-sibling::div@article]",
       "//h2/ancestor::div@article",
-      "//div@article[not(h2)]",  // negation: served by the evaluator
+      "//div@article[not(h2)]",  // negation: one more ground-plan stratum
   };
   for (const char* q : queries) {
     auto result = xpath::EvalXPath(t, q);

@@ -817,7 +817,9 @@ class GroundedEvaluator {
       : plan_(plan), tree_(t), arena_(arena), control_(control),
         ticker_(control), n_(t.size()) {}
 
-  util::Result<EvalResult> Run(GroundStats* stats) {
+  util::Result<EvalResult> Run(
+      GroundStats* stats,
+      std::span<const std::pair<PredId, tree::NodeId>> given) {
     // Fast-fail: a request already past its bounds (queue delay, slow parse)
     // must not ground anything. Also makes expiry deterministic for trees
     // smaller than the ticker stride.
@@ -850,9 +852,16 @@ class GroundedEvaluator {
       if (aborted_) return abort_status_;
     }
 
+    // LTUR's initial facts enter the queue like derived atoms.
+    std::vector<std::pair<int32_t, tree::NodeId>>& queue = arena_.queue;
+    for (const auto& [pred, node] : given) {
+      MD_CHECK(pred >= 0 && pred < plan_.num_preds &&
+               plan_.unary_index[pred] >= 0 && node >= 0 && node < n_);
+      queue.emplace_back(plan_.unary_index[pred], node);
+    }
+
     // Propagation: one poll per popped atom. (PopAtom's body, spelled out:
     // as a call, it costs the batch loop ~8% on copy-chain programs.)
-    std::vector<std::pair<int32_t, tree::NodeId>>& queue = arena_.queue;
     while (!queue.empty()) {
       if (!Poll()) return abort_status_;
       const auto [slot, node] = queue.back();
@@ -1480,15 +1489,14 @@ class GroundedEvaluator {
   size_t next_event_ = 0;    // arena_.events[next_event_] is the next to run
 };
 
-util::Result<EvalResult> EvaluateGrounded(const GroundPlan& plan,
-                                          const tree::Tree& t,
-                                          GroundArena* arena,
-                                          GroundStats* stats,
-                                          const util::EvalControl* control) {
+util::Result<EvalResult> EvaluateGrounded(
+    const GroundPlan& plan, const tree::Tree& t, GroundArena* arena,
+    GroundStats* stats, const util::EvalControl* control,
+    std::span<const std::pair<PredId, tree::NodeId>> given) {
   GroundArena local;
   GroundedEvaluator<const tree::Tree> evaluator(
       *plan.impl_, t, arena != nullptr ? *arena : local, control);
-  return evaluator.Run(stats);
+  return evaluator.Run(stats, given);
 }
 
 struct IncrementalReplay::State {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -184,10 +185,10 @@ class GroundPlan {
   explicit GroundPlan(std::unique_ptr<const Impl> impl);
   std::unique_ptr<const Impl> impl_;
 
-  friend util::Result<EvalResult> EvaluateGrounded(const GroundPlan&,
-                                                   const tree::Tree&,
-                                                   GroundArena*, GroundStats*,
-                                                   const util::EvalControl*);
+  friend util::Result<EvalResult> EvaluateGrounded(
+      const GroundPlan&, const tree::Tree&, GroundArena*, GroundStats*,
+      const util::EvalControl*,
+      std::span<const std::pair<PredId, tree::NodeId>>);
   friend class IncrementalReplay;
 };
 
@@ -197,9 +198,18 @@ class GroundPlan {
 /// cooperatively per swept node, per propagated atom, per enumerated node and
 /// per node of the builtin pass — a deadline or cancellation unwinds with the
 /// typed status instead of finishing the page.
+///
+/// `given` holds atoms p(n) that hold before any rule fires: LTUR's initial
+/// facts. Each p must be a unary intensional predicate of the plan's program
+/// (a rule that never fires keeps one intensional) and each n a node of `t`.
+/// They enter the propagation queue like derived atoms, so they trigger the
+/// rules that read p and count among p's members. This is how a stratum
+/// reads the complement of a lower stratum's set (xpath::EvalXPath's
+/// not(·)); monadic datalog itself stays positive.
 util::Result<EvalResult> EvaluateGrounded(
     const GroundPlan& plan, const tree::Tree& t, GroundArena* arena = nullptr,
-    GroundStats* stats = nullptr, const util::EvalControl* control = nullptr);
+    GroundStats* stats = nullptr, const util::EvalControl* control = nullptr,
+    std::span<const std::pair<PredId, tree::NodeId>> given = {});
 
 // --- incremental replay (streaming) -----------------------------------------
 

@@ -11,11 +11,6 @@ util::Status RankedQA::Validate() const {
   auto check_state = [&](State q) {
     return q >= 0 && q < num_states;
   };
-  for (State q : final_states) {
-    if (!check_state(q)) {
-      return util::Status::InvalidArgument("final state out of range");
-    }
-  }
   for (const auto& [key, states] : delta_down) {
     const auto& [q, label, arity] = key;
     if (InU(q, label)) {

@@ -20,8 +20,9 @@ namespace mdatalog::qa::internal {
 
 constexpr State kNoState = -1;
 
-/// The checks on the parts both automata share: the start state, and δ_leaf
-/// on D-pairs and δ_root on U-pairs, into states in range.
+/// The checks on the parts both automata share: the start state, δ_leaf on
+/// D-pairs and δ_root on U-pairs, into states in range, and the final
+/// states.
 template <typename QA>
 util::Status ValidateShared(const QA& qa) {
   auto in_range = [&](State q) { return q >= 0 && q < qa.num_states; };
@@ -42,6 +43,11 @@ util::Status ValidateShared(const QA& qa) {
     }
     if (!in_range(q2)) {
       return util::Status::InvalidArgument("δ_root image out of range");
+    }
+  }
+  for (State q : qa.final_states) {
+    if (!in_range(q)) {
+      return util::Status::InvalidArgument("final state out of range");
     }
   }
   return util::Status::OK();

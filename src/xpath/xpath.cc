@@ -1,8 +1,7 @@
 #include "src/xpath/xpath.h"
 
 #include <cctype>
-#include <functional>
-#include <set>
+#include <utility>
 
 #include "src/caterpillar/expr.h"
 #include "src/caterpillar/to_datalog.h"
@@ -201,147 +200,6 @@ std::string ExprToString(const ExprP& e) {
   return "?";
 }
 
-// --- reference evaluation ---------------------------------------------------
-
-using NodeSet = std::set<tree::NodeId>;
-
-NodeSet AxisImage(const tree::Tree& t, Axis axis, const NodeSet& from) {
-  NodeSet out;
-  // Iterative: a chain of any depth must not exhaust the stack.
-  auto add_descendants = [&](tree::NodeId n) {
-    tree::WalkSubtree(
-        t, n, [&](tree::NodeId m) { if (m != n) out.insert(m); },
-        [](tree::NodeId) {});
-  };
-  for (tree::NodeId n : from) {
-    switch (axis) {
-      case Axis::kSelf:
-        out.insert(n);
-        break;
-      case Axis::kChild:
-        for (tree::NodeId c = t.first_child(n); c != tree::kNoNode;
-             c = t.next_sibling(c)) {
-          out.insert(c);
-        }
-        break;
-      case Axis::kDescendant:
-        add_descendants(n);
-        break;
-      case Axis::kDescendantOrSelf:
-        out.insert(n);
-        add_descendants(n);
-        break;
-      case Axis::kParent:
-        if (t.parent(n) != tree::kNoNode) out.insert(t.parent(n));
-        break;
-      case Axis::kAncestor:
-        for (tree::NodeId p = t.parent(n); p != tree::kNoNode;
-             p = t.parent(p)) {
-          out.insert(p);
-        }
-        break;
-      case Axis::kAncestorOrSelf:
-        for (tree::NodeId p = n; p != tree::kNoNode; p = t.parent(p)) {
-          out.insert(p);
-        }
-        break;
-      case Axis::kFollowingSibling:
-        for (tree::NodeId s = t.next_sibling(n); s != tree::kNoNode;
-             s = t.next_sibling(s)) {
-          out.insert(s);
-        }
-        break;
-      case Axis::kPrecedingSibling:
-        for (tree::NodeId s = t.prev_sibling(n); s != tree::kNoNode;
-             s = t.prev_sibling(s)) {
-          out.insert(s);
-        }
-        break;
-    }
-  }
-  return out;
-}
-
-bool EvalPredicate(const tree::Tree& t, const ExprP& e, tree::NodeId n);
-
-NodeSet EvalSteps(const tree::Tree& t, NodeSet current,
-                  const std::vector<Step>& steps);
-
-/// Absolute paths start at the *virtual document node* above the root
-/// element (standard XPath): its only child is the root; its descendants are
-/// all nodes; every other axis from it is empty.
-NodeSet AbsoluteSeed(const tree::Tree& t, Axis axis) {
-  NodeSet out;
-  switch (axis) {
-    case Axis::kChild:
-      out.insert(t.root());
-      break;
-    case Axis::kDescendant:
-    case Axis::kDescendantOrSelf:
-      for (tree::NodeId n = 0; n < t.size(); ++n) out.insert(n);
-      break;
-    default:
-      break;  // self/parent/ancestor/siblings of the document node: empty
-  }
-  return out;
-}
-
-NodeSet FilterStep(const tree::Tree& t, NodeSet moved, const Step& step) {
-  NodeSet filtered;
-  for (tree::NodeId n : moved) {
-    if (!step.label.empty() && t.label_name(n) != step.label) continue;
-    bool ok = true;
-    for (const ExprP& pred : step.predicates) {
-      if (!EvalPredicate(t, pred, n)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) filtered.insert(n);
-  }
-  return filtered;
-}
-
-NodeSet EvalPathFromContext(const tree::Tree& t, const Path& path,
-                            NodeSet relative_context) {
-  if (!path.absolute) {
-    return EvalSteps(t, std::move(relative_context), path.steps);
-  }
-  MD_CHECK(!path.steps.empty());
-  NodeSet seed = FilterStep(t, AbsoluteSeed(t, path.steps[0].axis),
-                            path.steps[0]);
-  std::vector<Step> rest(path.steps.begin() + 1, path.steps.end());
-  return EvalSteps(t, std::move(seed), rest);
-}
-
-NodeSet EvalSteps(const tree::Tree& t, NodeSet current,
-                  const std::vector<Step>& steps) {
-  for (const Step& step : steps) {
-    current = FilterStep(t, AxisImage(t, step.axis, current), step);
-  }
-  return current;
-}
-
-bool EvalPredicate(const tree::Tree& t, const ExprP& e, tree::NodeId n) {
-  switch (e->kind) {
-    case Expr::Kind::kPath:
-      return !EvalPathFromContext(t, e->path, {n}).empty();
-    case Expr::Kind::kNot:
-      return !EvalPredicate(t, e->children[0], n);
-    case Expr::Kind::kAnd:
-      for (const ExprP& c : e->children) {
-        if (!EvalPredicate(t, c, n)) return false;
-      }
-      return true;
-    case Expr::Kind::kOr:
-      for (const ExprP& c : e->children) {
-        if (EvalPredicate(t, c, n)) return true;
-      }
-      return false;
-  }
-  return false;
-}
-
 // --- datalog compilation ----------------------------------------------------
 
 caterpillar::ExprPtr AxisExpr(Axis axis) {
@@ -366,25 +224,38 @@ caterpillar::ExprPtr AxisExpr(Axis axis) {
 }
 
 /// Compiles paths/predicates into a shared program. Monadic datalog is
-/// positive (Section 3), so not(·) has no image here — queries using it are
-/// reported Unimplemented and served by the reference evaluator instead.
+/// positive (Section 3), so not(e) is a stratum below the program: e's own
+/// program, run once on the tree, whose complement enters this program as
+/// LTUR's initial facts. Without a tree, not(·) is Unimplemented.
 class XPathCompiler {
  public:
-  util::Result<core::Program> Compile(const Path& path) {
+  explicit XPathCompiler(const tree::Tree* t) : tree_(t) {
     dom_ = EnsureDom();
-    core::PredId result;
-    if (path.absolute) {
-      MD_CHECK(!path.steps.empty());
-      MD_ASSIGN_OR_RETURN(core::PredId seed,
-                          AbsoluteSeedSet(path.steps[0].axis));
-      MD_ASSIGN_OR_RETURN(seed, ApplyFilters(seed, path.steps[0]));
-      std::vector<Step> rest(path.steps.begin() + 1, path.steps.end());
-      MD_ASSIGN_OR_RETURN(result, CompileSteps(seed, rest));
-    } else {
-      MD_ASSIGN_OR_RETURN(result, CompileSteps(dom_, path.steps));
-    }
-    program_.set_query_pred(result);
+  }
+
+  /// The predicate selecting exactly `path`'s result.
+  util::Result<core::PredId> CompilePath(const Path& path) {
+    if (!path.absolute) return CompileSteps(dom_, path.steps);
+    MD_CHECK(!path.steps.empty());
+    MD_ASSIGN_OR_RETURN(core::PredId seed,
+                        AbsoluteSeedSet(path.steps[0].axis));
+    MD_ASSIGN_OR_RETURN(seed, ApplyFilters(seed, path.steps[0]));
+    std::vector<Step> rest(path.steps.begin() + 1, path.steps.end());
+    return CompileSteps(seed, rest);
+  }
+
+  /// Hands over the program, `query` its query predicate.
+  core::Program Finish(core::PredId query) {
+    program_.set_query_pred(query);
     return std::move(program_);
+  }
+
+  /// One ground-plan pass over the tree, the strata's complements given.
+  util::Result<core::EvalResult> Run(core::PredId query) {
+    MD_ASSIGN_OR_RETURN(core::GroundPlan plan,
+                        core::GroundPlan::Compile(Finish(query)));
+    return core::EvaluateGrounded(plan, *tree_, nullptr, nullptr, nullptr,
+                                  given_);
   }
 
  private:
@@ -418,10 +289,20 @@ class XPathCompiler {
     return p;
   }
 
+  /// A fresh predicate no rule derives, kept intensional by a never-firing
+  /// rule.
+  core::PredId NeverDerived() {
+    core::PredId p = Fresh();
+    core::PredId ns = program_.preds().MustIntern("nextsibling", 2);
+    core::Term x = core::Term::Var(0);
+    program_.AddRule(core::MakeRule(core::MakeAtom(p, {x}),
+                                    {core::MakeAtom(ns, {x, x})}, {"x"}));
+    return p;
+  }
+
   /// The first step of an absolute path, taken from the virtual document
   /// node: child = {root}, descendant(-or-self) = all nodes, anything else
-  /// is empty (expressed as a never-firing rule to keep the predicate
-  /// intensional).
+  /// is empty.
   util::Result<core::PredId> AbsoluteSeedSet(Axis axis) {
     switch (axis) {
       case Axis::kChild:
@@ -429,14 +310,8 @@ class XPathCompiler {
       case Axis::kDescendant:
       case Axis::kDescendantOrSelf:
         return dom_;
-      default: {
-        core::PredId p = Fresh();
-        core::PredId ns = program_.preds().MustIntern("nextsibling", 2);
-        core::Term x = core::Term::Var(0);
-        program_.AddRule(core::MakeRule(core::MakeAtom(p, {x}),
-                                        {core::MakeAtom(ns, {x, x})}, {"x"}));
-        return p;
-      }
+      default:
+        return NeverDerived();
     }
   }
 
@@ -483,10 +358,22 @@ class XPathCompiler {
   util::Result<core::PredId> CompilePredicate(const ExprP& e) {
     core::Term x = core::Term::Var(0);
     switch (e->kind) {
-      case Expr::Kind::kNot:
-        return util::Status::Unimplemented(
-            "not(·) has no positive-datalog image; use the reference "
-            "evaluator (monadic datalog is positive, Section 3)");
+      case Expr::Kind::kNot: {
+        if (tree_ == nullptr) {
+          return util::Status::Unimplemented(
+              "not(·) has no positive-datalog image; monadic datalog is "
+              "positive (Section 3)");
+        }
+        XPathCompiler lower(tree_);
+        MD_ASSIGN_OR_RETURN(core::PredId holds,
+                            lower.CompilePredicate(e->children[0]));
+        MD_ASSIGN_OR_RETURN(core::EvalResult r, lower.Run(holds));
+        core::PredId complement = NeverDerived();
+        for (tree::NodeId n = 0; n < tree_->size(); ++n) {
+          if (!r.ContainsUnary(holds, n)) given_.emplace_back(complement, n);
+        }
+        return complement;
+      }
       case Expr::Kind::kAnd: {
         MD_ASSIGN_OR_RETURN(core::PredId acc,
                             CompilePredicate(e->children[0]));
@@ -548,8 +435,9 @@ class XPathCompiler {
           // The filter holds of every node iff the absolute path is
           // non-empty from the virtual document node: child axis → the root
           // itself is in B_1; descendant axes → any node is in B_1.
-          core::PredId witness = Fresh();
+          core::PredId witness;
           if (link_axis == Axis::kChild) {
+            witness = Fresh();
             core::PredId root = program_.preds().MustIntern("root", 1);
             program_.AddRule(core::MakeRule(
                 core::MakeAtom(witness, {x}),
@@ -557,10 +445,14 @@ class XPathCompiler {
                 {"x"}));
           } else if (link_axis == Axis::kDescendant ||
                      link_axis == Axis::kDescendantOrSelf) {
+            witness = Fresh();
             program_.AddRule(core::MakeRule(core::MakeAtom(witness, {x}),
                                             {core::MakeAtom(below, {x})},
                                             {"x"}));
-          }  // other axes from the document node: no witness rule (empty)
+          } else {
+            // Other axes from the document node reach nothing.
+            witness = NeverDerived();
+          }
           // Spread to all nodes: filter(x) ← dom(x), witness(y) is
           // disconnected — allowed (the engines split it), but keep it
           // simple with the document-order-free form:
@@ -605,30 +497,12 @@ class XPathCompiler {
     return current;
   }
 
+  const tree::Tree* tree_;
   core::Program program_;
   core::PredId dom_ = -1;
   int32_t counter_ = 0;
+  std::vector<std::pair<core::PredId, tree::NodeId>> given_;
 };
-
-bool UsesNegation(const ExprP& e);
-
-bool PathUsesNegation(const Path& p) {
-  for (const Step& s : p.steps) {
-    for (const ExprP& pred : s.predicates) {
-      if (UsesNegation(pred)) return true;
-    }
-  }
-  return false;
-}
-
-bool UsesNegation(const ExprP& e) {
-  if (e->kind == Expr::Kind::kNot) return true;
-  if (e->kind == Expr::Kind::kPath) return PathUsesNegation(e->path);
-  for (const ExprP& c : e->children) {
-    if (UsesNegation(c)) return true;
-  }
-  return false;
-}
 
 }  // namespace
 
@@ -645,34 +519,19 @@ std::string ToString(const Path& path) {
   return out;
 }
 
-util::Result<std::vector<tree::NodeId>> EvalXPathReference(
-    const tree::Tree& t, const Path& path) {
-  NodeSet everywhere;
-  for (tree::NodeId n = 0; n < t.size(); ++n) everywhere.insert(n);
-  NodeSet result = EvalPathFromContext(t, path, std::move(everywhere));
-  return std::vector<tree::NodeId>(result.begin(), result.end());
-}
-
 util::Result<core::Program> XPathToDatalog(const Path& path) {
-  if (PathUsesNegation(path)) {
-    return util::Status::Unimplemented(
-        "not(·) has no positive-datalog image; monadic datalog is positive "
-        "(Section 3)");
-  }
-  return XPathCompiler().Compile(path);
+  XPathCompiler compiler(nullptr);
+  MD_ASSIGN_OR_RETURN(core::PredId result, compiler.CompilePath(path));
+  return compiler.Finish(result);
 }
 
 util::Result<std::vector<tree::NodeId>> EvalXPath(const tree::Tree& t,
                                                   std::string_view query) {
   MD_ASSIGN_OR_RETURN(Path path, ParseXPath(query));
-  if (PathUsesNegation(path)) {
-    // Stratified fallback: negation is evaluated by the reference engine.
-    return EvalXPathReference(t, path);
-  }
-  MD_ASSIGN_OR_RETURN(core::Program program, XPathToDatalog(path));
-  MD_ASSIGN_OR_RETURN(core::EvalResult result,
-                      core::EvaluateOnTree(program, t));
-  return result.Query();
+  XPathCompiler compiler(&t);
+  MD_ASSIGN_OR_RETURN(core::PredId result, compiler.CompilePath(path));
+  MD_ASSIGN_OR_RETURN(core::EvalResult r, compiler.Run(result));
+  return r.Query();
 }
 
 }  // namespace mdatalog::xpath

@@ -39,8 +39,11 @@
 ///
 /// Queries compile to monadic datalog over τ_ur (axes become caterpillar
 /// expressions, Lemma 5.9) and evaluate with the Theorem 4.2 grounded engine
-/// in O(|P|·|dom|); a direct set-based evaluator provides the reference
-/// semantics for cross-validation.
+/// in O(|P|·|dom|). Monadic datalog is positive (Section 3), so a query with
+/// not(·) is a stratified monadic program: each not(e) is one stratum, e's
+/// own program run once on the tree, whose complement the next stratum
+/// reads as given facts. With k negations that is k + 1 ground-plan passes,
+/// O(k·|P|·|dom|).
 
 namespace mdatalog::xpath {
 
@@ -82,22 +85,16 @@ util::Result<Path> ParseXPath(std::string_view text);
 
 std::string ToString(const Path& path);
 
-/// Reference semantics: the node set selected by `path` (context = root for
-/// absolute paths; every node for relative ones). Direct set-based
-/// evaluation, used to cross-check the datalog compilation.
-util::Result<std::vector<tree::NodeId>> EvalXPathReference(
-    const tree::Tree& t, const Path& path);
-
 /// Compiles `path` to a monadic datalog program over τ_ur whose query
 /// predicate selects exactly the path's result. Size O(|path|); evaluates
-/// with the Theorem 4.2 engine in O(|P|·|dom|).
+/// with the Theorem 4.2 engine in O(|P|·|dom|). A path with not(·) has no
+/// positive program: Unimplemented.
 util::Result<core::Program> XPathToDatalog(const Path& path);
 
-/// Convenience: parse + compile + evaluate (grounded engine). A query with
-/// not(·) is evaluated by EvalXPathReference instead (negation is not
-/// monadic datalog). That evaluator walks a downward axis once per context
-/// node, so a predicate like //a[not(descendant::b)] costs O(|dom|·depth)
-/// — quadratic on a chain; it never recurses, so depth costs no stack.
+/// The node set `query` selects on `t` (context = the virtual document node
+/// for absolute paths; every node for relative ones), sorted ascending.
+/// Parses, then runs the ground plan once per stratum: O(k·|P|·|dom|) for a
+/// query with k not(·)s.
 util::Result<std::vector<tree::NodeId>> EvalXPath(const tree::Tree& t,
                                                   std::string_view query);
 

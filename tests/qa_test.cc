@@ -299,6 +299,21 @@ TEST(UnrankedQaTest, OddPositionSelection) {
   }
 }
 
+// Both automata validate their final states the same way: a final state
+// outside [0, num_states) is a typed error, not a run that never accepts.
+TEST(UnrankedQaTest, BothValidatesRejectAnOutOfRangeFinalState) {
+  RankedQA ranked = EvenAQAr({"a"});
+  ranked.final_states.push_back(ranked.num_states);
+  EXPECT_EQ(ranked.Validate().code(), util::StatusCode::kInvalidArgument);
+
+  UnrankedQA unranked = OddPositionSQAu({"a"});
+  ASSERT_TRUE(unranked.Validate().ok());
+  unranked.final_states.push_back(unranked.num_states);
+  EXPECT_EQ(unranked.Validate().code(), util::StatusCode::kInvalidArgument);
+  unranked.final_states.back() = -1;
+  EXPECT_EQ(unranked.Validate().code(), util::StatusCode::kInvalidArgument);
+}
+
 TEST(UnrankedQaTest, UpDeterminismViolationDetected) {
   UnrankedQA qa = OddPositionSQAu({"a"});
   // A second up language accepting the same words.

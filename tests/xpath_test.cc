@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
 #include "src/core/grounder.h"
 #include "src/html/parser.h"
 #include "src/html/synthetic.h"
 #include "src/tree/generator.h"
 #include "src/util/rng.h"
 #include "src/xpath/xpath.h"
+#include "tests/support/xpath_reference.h"
 
 namespace mdatalog::xpath {
 namespace {
@@ -185,16 +189,164 @@ TEST(XPathToDatalogTest, NegationIsRejectedButEvaluatorHandlesIt) {
   Tree t = DocTree();
   Path with_not = MustParse("//li[not(b)]");
   EXPECT_FALSE(XPathToDatalog(with_not).ok());
-  // EvalXPath falls back to the (stratified) reference evaluation.
+  // EvalXPath runs b's set as a lower stratum and reads its complement.
   auto r = EvalXPath(t, "//li[not(b)]");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(*r, (std::vector<NodeId>{3, 6}));
 }
 
 TEST(XPathToDatalogTest, CompiledProgramIsGroundable) {
-  auto program = XPathToDatalog(MustParse("//li[b]/b"));
-  ASSERT_TRUE(program.ok());
-  EXPECT_TRUE(core::GroundableOverTree(*program));
+  // The second: an absolute predicate whose first axis leaves the document
+  // node empty still names an intensional witness.
+  for (const char* q : {"//li[b]/b", "//li[/parent::b]"}) {
+    auto program = XPathToDatalog(MustParse(q));
+    ASSERT_TRUE(program.ok());
+    EXPECT_TRUE(core::GroundableOverTree(*program)) << q;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Differential: EvalXPath (ground plan, one pass per not(·) stratum) against
+// the set-based oracle on generated queries
+// ---------------------------------------------------------------------------
+
+constexpr const char* kAxes[] = {
+    "self",     "child",           "descendant",        "descendant-or-self",
+    "parent",   "ancestor",        "ancestor-or-self",  "following-sibling",
+    "preceding-sibling"};
+
+/// Random Core XPath over the labels a, b, c: all nine axes, '//' and '*',
+/// and/or/parentheses, absolute paths inside predicates, and not(·) nested
+/// up to three deep. Records what it emitted, so a test can check coverage.
+class QueryGenerator {
+ public:
+  explicit QueryGenerator(util::Rng& rng) : rng_(rng) {}
+
+  std::string Query() { return PathText(/*budget=*/3, /*nots=*/0, false); }
+
+  bool axis_seen[std::size(kAxes)] = {};
+  bool deepest_not_seen = false;  // a not(·) three deep
+  bool absolute_predicate_seen = false;
+  bool and_seen = false, or_seen = false;
+
+ private:
+  std::string PathText(int budget, int nots, bool in_predicate) {
+    std::string out;
+    if (rng_.Chance(1, in_predicate ? 5 : 2)) {
+      if (in_predicate) absolute_predicate_seen = true;
+      out = rng_.Chance(1, 2) ? "//" : "/";
+    }
+    const int64_t num_steps = rng_.Range(1, in_predicate ? 2 : 3);
+    for (int64_t i = 0; i < num_steps; ++i) {
+      if (i > 0) out += rng_.Chance(1, 4) ? "//" : "/";
+      out += StepText(budget, nots);
+    }
+    return out;
+  }
+
+  std::string StepText(int budget, int nots) {
+    static constexpr const char* kTests[] = {"a", "b", "c", "*"};
+    std::string out;
+    if (rng_.Chance(3, 4)) {
+      const size_t axis = rng_.Below(std::size(kAxes));
+      axis_seen[axis] = true;
+      out = std::string(kAxes[axis]) + "::";
+    }
+    out += kTests[rng_.Below(std::size(kTests))];
+    if (budget > 0 && rng_.Chance(1, 3)) {
+      out += "[" + ExprText(budget - 1, nots) + "]";
+    }
+    return out;
+  }
+
+  std::string ExprText(int budget, int nots) {
+    switch (rng_.Below(5)) {
+      case 0:
+        if (nots < 3) {
+          if (nots == 2) deepest_not_seen = true;
+          // Nested not(·)s spend no step budget: three can stack.
+          return "not(" + ExprText(std::max(budget, 1), nots + 1) + ")";
+        }
+        break;
+      case 1:
+        if (budget == 0) break;
+        and_seen = true;
+        return ExprText(budget - 1, nots) + " and " +
+               ExprText(budget - 1, nots);
+      case 2:
+        if (budget == 0) break;
+        or_seen = true;
+        return "(" + ExprText(budget - 1, nots) + " or " +
+               ExprText(budget - 1, nots) + ")";
+      default:
+        break;
+    }
+    return PathText(budget, nots, /*in_predicate=*/true);
+  }
+
+  util::Rng& rng_;
+};
+
+/// EvalXPath == the oracle on `query` over `t`; XPathToDatalog rejects the
+/// query iff it uses not(·).
+void ExpectMatchesOracle(const Tree& t, const std::string& query) {
+  Path path = MustParse(query);
+  auto reference = EvalXPathReference(t, path);
+  ASSERT_TRUE(reference.ok());
+  auto served = EvalXPath(t, query);
+  ASSERT_TRUE(served.ok()) << served.status().ToString() << " for " << query;
+  EXPECT_EQ(*served, *reference) << query << " on " << tree::ToDebugString(t);
+  auto program = XPathToDatalog(path);
+  if (PathUsesNegation(path)) {
+    EXPECT_EQ(program.status().code(), util::StatusCode::kUnimplemented)
+        << query;
+  } else {
+    EXPECT_TRUE(program.ok()) << program.status().ToString() << " " << query;
+  }
+}
+
+TEST(XPathDifferentialTest, GeneratedQueriesOnRandomTrees) {
+  util::Rng rng(20261020);
+  QueryGenerator gen(rng);
+  for (int trial = 0; trial < 300; ++trial) {
+    Tree t = tree::RandomTree(rng, 1 + static_cast<int32_t>(rng.Below(40)),
+                              {"a", "b", "c"});
+    for (int q = 0; q < 4; ++q) ExpectMatchesOracle(t, gen.Query());
+  }
+  for (size_t a = 0; a < std::size(kAxes); ++a) {
+    EXPECT_TRUE(gen.axis_seen[a]) << kAxes[a];
+  }
+  EXPECT_TRUE(gen.deepest_not_seen);
+  EXPECT_TRUE(gen.absolute_predicate_seen);
+  EXPECT_TRUE(gen.and_seen);
+  EXPECT_TRUE(gen.or_seen);
+}
+
+/// A chain of `n` nodes (each the only child of the one before) or a
+/// fan-out (every node a child of the root). The first half draws its
+/// labels from a, b, c; the second half is all a, so the negated queries
+/// below select thousands of nodes.
+Tree AdversarialTree(util::Rng& rng, int32_t n, bool chain) {
+  static constexpr const char* kLabels[] = {"a", "b", "c"};
+  TreeBuilder b;
+  NodeId last = b.Root("a");
+  for (int32_t i = 1; i < n; ++i) {
+    last = b.Child(chain ? last : 0, i < n / 2 ? kLabels[rng.Below(3)] : "a");
+  }
+  return b.Build();
+}
+
+// The oracle walks a downward or sibling axis once per context node, so on
+// these shapes it is quadratic: a few generated queries each.
+TEST(XPathDifferentialTest, GeneratedQueriesOnDeepChainAndWideFanOut) {
+  util::Rng rng(77);
+  QueryGenerator gen(rng);
+  for (const bool chain : {true, false}) {
+    Tree t = AdversarialTree(rng, 10000, chain);
+    for (int q = 0; q < 3; ++q) ExpectMatchesOracle(t, gen.Query());
+    ExpectMatchesOracle(t, chain ? "//a[not(descendant::b)]"
+                                 : "//a[not(following-sibling::b)]");
+  }
 }
 
 TEST(XPathTest, OnSyntheticCatalog) {
