@@ -5,6 +5,13 @@
 //
 //   BM_WrapTelemetry/telemetry:0 — disabled (baseline)
 //   BM_WrapTelemetry/telemetry:1 — enabled, every request traced
+//   BM_TraceOnly                 — tracing's fixed cost per request: one
+//                                  warm request's trace lifecycle around no
+//                                  work (StartTrace, the 5 spans with the tag
+//                                  and values runtime.cc sets, FinishTrace)
+//   BM_ClockRead                 — one steady_clock read; a traced warm
+//                                  request makes 12 (2 per span, 2 for the
+//                                  request), the floor under BM_TraceOnly
 //
 // The memo is off and the runtime single-threaded so every request runs the
 // full instrumented pipeline synchronously — the most tracing-dense
@@ -18,13 +25,17 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/elog/ast.h"
 #include "src/html/synthetic.h"
 #include "src/runtime/runtime.h"
 #include "src/telemetry/metrics.h"
+#include "src/telemetry/telemetry.h"
+#include "src/telemetry/trace.h"
 #include "src/util/check.h"
 #include "src/util/rng.h"
 #include "src/wrapper/wrapper.h"
@@ -115,6 +126,51 @@ BENCHMARK(BM_WrapTelemetry)
     ->ArgNames({"telemetry"})
     ->Arg(0)
     ->Arg(1);
+
+/// The trace a warm request leaves (memo off, document-cache hit, a 2.5 KB
+/// 151-node catalog page), opened and closed around no work: what tracing
+/// alone adds to each request.
+void BM_TraceOnly(benchmark::State& state) {
+  using telemetry::Stage;
+  telemetry::Telemetry tel;
+  for (auto _ : state) {
+    std::unique_ptr<telemetry::TraceContext> trace =
+        tel.StartTrace(telemetry::RequestKind::kWrap);
+    {
+      const telemetry::TraceScope scope(trace.get());
+      trace->set_page_bytes(2500);
+      {
+        telemetry::TraceSpan span(trace.get(), Stage::kHash);
+      }
+      {
+        telemetry::TraceSpan span(trace.get(), Stage::kMemoLookup);
+        span.Tag("off");
+      }
+      {
+        telemetry::TraceSpan span(trace.get(), Stage::kDocFetch);
+        span.Tag("hit");
+      }
+      trace->set_nodes(151);
+      {
+        telemetry::TraceSpan span(trace.get(), Stage::kEvalGrounded);
+        span.Value("clauses", 200);
+        span.Value("derived", 300);
+      }
+      {
+        telemetry::TraceSpan span(trace.get(), Stage::kOutputBuild);
+      }
+    }
+    tel.FinishTrace(std::move(trace), util::StatusCode::kOk);
+  }
+}
+BENCHMARK(BM_TraceOnly);
+
+void BM_ClockRead(benchmark::State& state) {
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(telemetry::MonotonicNowNs());
+  }
+}
+BENCHMARK(BM_ClockRead);
 
 }  // namespace
 

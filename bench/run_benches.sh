@@ -112,11 +112,15 @@ echo "wrote ${REPO_ROOT}/BENCH_stream.json"
 echo "wrote ${REPO_ROOT}/BENCH_analysis.json"
 
 # Telemetry overhead A/B: the fully-traced serving loop vs telemetry
-# disabled. CI gates the pair — enabled must stay within 3% of disabled
+# disabled, plus tracing's fixed cost per request (BM_TraceOnly) and the
+# clock read under it (BM_ClockRead). Five repetitions, interleaved: CI gates
+# the medians of the pair — enabled must stay within 3% of disabled
 # (check_bench_regression.py --overhead-pair).
 "${BUILD_DIR}/bench_telemetry" \
   --benchmark_filter="${FILTER}" \
   --benchmark_min_time=0.2 \
+  --benchmark_repetitions=5 \
+  --benchmark_enable_random_interleaving=true \
   --benchmark_format=json \
   --benchmark_out="${REPO_ROOT}/BENCH_telemetry.json" \
   --benchmark_out_format=json

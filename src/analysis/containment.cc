@@ -443,7 +443,8 @@ util::Result<ContainmentResult> Contains(const core::Program& p,
     const int64_t decisions_before = sat.decisions();
     SatSolver::Outcome outcome;
     {
-      telemetry::TraceSpan span(telemetry::CurrentTrace(), "sat.solve");
+      telemetry::TraceSpan span(telemetry::CurrentTrace(),
+                                telemetry::Stage::kSatSolve);
       outcome = sat.Solve(assumptions, budget);
       if (span) {
         span.Value("depth", d);

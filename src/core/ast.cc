@@ -67,7 +67,7 @@ Rule MakeRule(Atom head, std::vector<Atom> body) {
   r.body = std::move(body);
   int32_t max_var = MaxVarIndex(r);
   for (int32_t i = 0; i <= max_var; ++i) {
-    r.var_names.push_back("v" + std::to_string(i));
+    r.var_names.push_back(std::string("v").append(std::to_string(i)));
   }
   return r;
 }
@@ -154,8 +154,12 @@ std::string ToString(const Program& program, const Rule& rule,
     if (!first) out += ", ";
     first = false;
     if (t.is_var()) {
-      out += t.value < rule.num_vars() ? rule.var_names[t.value]
-                                       : "v" + std::to_string(t.value);
+      if (t.value < rule.num_vars()) {
+        out += rule.var_names[t.value];
+      } else {
+        out += 'v';
+        out += std::to_string(t.value);
+      }
     } else {
       out += std::to_string(t.value);
     }

@@ -87,7 +87,8 @@ Program ChainProgram(int32_t m) {
   PredId prev = preds.MustIntern("p0", 1);
   p.AddRule(MakeRule(MakeAtom(prev, {x}), {MakeAtom(root, {x})}, {"x"}));
   for (int32_t i = 1; i <= m; ++i) {
-    PredId next = preds.MustIntern("p" + std::to_string(i), 1);
+    PredId next =
+        preds.MustIntern(std::string("p").append(std::to_string(i)), 1);
     p.AddRule(MakeRule(MakeAtom(next, {x}), {MakeAtom(prev, {x})}, {"x"}));
     prev = next;
   }

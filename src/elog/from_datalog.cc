@@ -36,20 +36,19 @@ class ElogTranslator {
   }
   static std::string RootPattern() { return "__isroot"; }
 
+  /// head(X) ← parent(parent_var), subelem(parent_var, X), conditions —
+  /// every rule the translation emits has head variable X.
+  static ElogRule MakeRule(std::string head, std::string parent,
+                           const char* parent_var, ElogPath subelem = {},
+                           std::vector<ElogCondition> conditions = {}) {
+    return ElogRule{std::move(head), "X", std::move(parent), parent_var,
+                    std::move(subelem), std::move(conditions)};
+  }
+
   void EmitDomPattern() {
-    ElogRule r1;  // dom(X) ← root(X).
-    r1.head_pattern = kDom;
-    r1.head_var = "X";
-    r1.parent_pattern = "root";
-    r1.parent_var = "X";
-    out_.AddRule(r1);
-    ElogRule r2;  // dom(X) ← dom(X0), subelem__(X0, X).
-    r2.head_pattern = kDom;
-    r2.head_var = "X";
-    r2.parent_pattern = kDom;
-    r2.parent_var = "X0";
-    r2.subelem.steps = {"_"};
-    out_.AddRule(r2);
+    out_.AddRule(MakeRule(kDom, "root", "X"));  // dom(X) ← root(X).
+    // dom(X) ← dom(X0), subelem__(X0, X).
+    out_.AddRule(MakeRule(kDom, kDom, "X0", ElogPath{{"_"}}));
   }
 
   void EmitHelperPatterns() {
@@ -57,42 +56,34 @@ class ElogTranslator {
       // __lbl_a(X) ← dom(X0), subelem_a(X0, X). [An a-labeled *root* is not
       // reachable by subelem — the Theorem 6.5 construction's known corner;
       // see from_datalog.h.]
-      ElogRule r;
-      r.head_pattern = LabelPattern(label);
-      r.head_var = "X";
-      r.parent_pattern = kDom;
-      r.parent_var = "X0";
-      r.subelem.steps = {label};
-      out_.AddRule(std::move(r));
+      out_.AddRule(MakeRule(LabelPattern(label), kDom, "X0",
+                            ElogPath{{label}}));
     }
     if (used_root_pattern_) {
-      ElogRule r;
-      r.head_pattern = RootPattern();
-      r.head_var = "X";
-      r.parent_pattern = "root";
-      r.parent_var = "X";
-      out_.AddRule(std::move(r));
+      out_.AddRule(MakeRule(RootPattern(), "root", "X"));
     }
+  }
+
+  /// kind(var1[, var2]); a caller sets a path or a pattern name itself.
+  static ElogCondition Condition(ElogCondition::Kind kind, std::string var1,
+                                 std::string var2 = {}) {
+    ElogCondition c;
+    c.kind = kind;
+    c.var1 = std::move(var1);
+    c.var2 = std::move(var2);
+    return c;
   }
 
   static ElogCondition PatternRef(const std::string& pattern,
                                   const std::string& var) {
-    ElogCondition c;
-    c.kind = ElogCondition::Kind::kPatternRef;
+    ElogCondition c = Condition(ElogCondition::Kind::kPatternRef, var);
     c.pattern = pattern;
-    c.var1 = var;
     return c;
   }
 
   /// A specialization rule with dom parent.
   void DomRule(const std::string& head, std::vector<ElogCondition> conds) {
-    ElogRule r;
-    r.head_pattern = head;
-    r.head_var = "X";
-    r.parent_pattern = kDom;
-    r.parent_var = "X";
-    r.conditions = std::move(conds);
-    out_.AddRule(std::move(r));
+    out_.AddRule(MakeRule(head, kDom, "X", {}, std::move(conds)));
   }
 
   static bool IsRoot(const tmnf::TmnfOperand& op) {
@@ -113,18 +104,10 @@ class ElogTranslator {
       case core::TreePred::Kind::kRoot:
         used_root_pattern_ = true;
         return PatternRef(RootPattern(), var);
-      case core::TreePred::Kind::kLeaf: {
-        ElogCondition c;
-        c.kind = ElogCondition::Kind::kLeaf;
-        c.var1 = var;
-        return c;
-      }
-      case core::TreePred::Kind::kLastSibling: {
-        ElogCondition c;
-        c.kind = ElogCondition::Kind::kLastSibling;
-        c.var1 = var;
-        return c;
-      }
+      case core::TreePred::Kind::kLeaf:
+        return Condition(ElogCondition::Kind::kLeaf, var);
+      case core::TreePred::Kind::kLastSibling:
+        return Condition(ElogCondition::Kind::kLastSibling, var);
       default:
         break;  // CheckTmnf admits no other unary predicate
     }
@@ -141,19 +124,10 @@ class ElogTranslator {
       case tmnf::TmnfRule::Form::kCopy:
         // Form (1): p(x) ← p0(x).
         if (IsRoot(read.op0)) {
-          ElogRule r;
-          r.head_pattern = head;
-          r.head_var = "X";
-          r.parent_pattern = "root";
-          r.parent_var = "X";
-          out_.AddRule(r);
+          out_.AddRule(MakeRule(head, "root", "X"));
         } else if (!read.op0.tree.has_value()) {
-          ElogRule r;  // specialization with p0 as the parent pattern
-          r.head_pattern = head;
-          r.head_var = "X";
-          r.parent_pattern = tmnf_.preds().Name(read.op0.pred);
-          r.parent_var = "X";
-          out_.AddRule(r);
+          // A specialization with p0 as the parent pattern.
+          out_.AddRule(MakeRule(head, tmnf_.preds().Name(read.op0.pred), "X"));
         } else {
           DomRule(head, {UnaryConditionOn(read.op0, "X")});
         }
@@ -170,13 +144,7 @@ class ElogTranslator {
           conds.push_back(UnaryConditionOn(*op, "X"));
         }
         if (root_test) {
-          ElogRule r;
-          r.head_pattern = head;
-          r.head_var = "X";
-          r.parent_pattern = "root";
-          r.parent_var = "X";
-          r.conditions = std::move(conds);
-          out_.AddRule(std::move(r));
+          out_.AddRule(MakeRule(head, "root", "X", {}, std::move(conds)));
         } else {
           DomRule(head, std::move(conds));
         }
@@ -190,15 +158,9 @@ class ElogTranslator {
     const bool forward = !read.inverse;  // B = R
     if (read.rel.kind == core::TreePred::Kind::kNextSibling) {
       // p(x) ← dom(x), nextsibling(x0, x) [or mirrored], p0(x0).
-      ElogCondition ns;
-      ns.kind = ElogCondition::Kind::kNextSibling;
-      if (forward) {
-        ns.var1 = "X0";
-        ns.var2 = "X";
-      } else {
-        ns.var1 = "X";
-        ns.var2 = "X0";
-      }
+      ElogCondition ns =
+          forward ? Condition(ElogCondition::Kind::kNextSibling, "X0", "X")
+                  : Condition(ElogCondition::Kind::kNextSibling, "X", "X0");
       DomRule(head, {std::move(ns), UnaryConditionOn(read.op0, "X0")});
       return util::Status::OK();
     }
@@ -206,29 +168,16 @@ class ElogTranslator {
     if (forward) {
       // p(X) ← p0'(X0), subelem__(X0, X), firstsibling(X) — the proof's
       // upward-compatible form with p0 referenced at the parent.
-      ElogRule r;
-      r.head_pattern = head;
-      r.head_var = "X";
-      r.parent_pattern = kDom;
-      r.parent_var = "X0";
-      r.subelem.steps = {"_"};
-      ElogCondition fs;
-      fs.kind = ElogCondition::Kind::kFirstSibling;
-      fs.var1 = "X";
-      r.conditions.push_back(std::move(fs));
-      r.conditions.push_back(UnaryConditionOn(read.op0, "X0"));
-      out_.AddRule(std::move(r));
+      out_.AddRule(MakeRule(head, kDom, "X0", ElogPath{{"_"}},
+                            {Condition(ElogCondition::Kind::kFirstSibling, "X"),
+                             UnaryConditionOn(read.op0, "X0")}));
     } else {
       // p(X) ← dom(X), contains__(X, Y), firstsibling(Y), p0(Y).
-      ElogCondition contains;
-      contains.kind = ElogCondition::Kind::kContains;
-      contains.var1 = "X";
-      contains.var2 = "Y";
+      ElogCondition contains =
+          Condition(ElogCondition::Kind::kContains, "X", "Y");
       contains.path.steps = {"_"};
-      ElogCondition fs;
-      fs.kind = ElogCondition::Kind::kFirstSibling;
-      fs.var1 = "Y";
-      DomRule(head, {std::move(contains), std::move(fs),
+      DomRule(head, {std::move(contains),
+                     Condition(ElogCondition::Kind::kFirstSibling, "Y"),
                      UnaryConditionOn(read.op0, "Y")});
     }
     return util::Status::OK();

@@ -19,8 +19,14 @@ const char* kHeadlines[] = {"Local Team Wins Championship",
                             "Museum Announces Exhibit"};
 
 std::string Price(util::Rng& rng) {
-  return "$" + std::to_string(5 + rng.Below(995)) + "." +
-         std::to_string(10 + rng.Below(90));
+  // The cents are drawn before the dollars: the order the pages have always
+  // been generated in.
+  const uint64_t cents = 10 + rng.Below(90);
+  std::string price = "$";
+  price += std::to_string(5 + rng.Below(995));
+  price += '.';
+  price += std::to_string(cents);
+  return price;
 }
 
 }  // namespace

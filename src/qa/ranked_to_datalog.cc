@@ -19,8 +19,11 @@ using core::Term;
 constexpr State kNabla = -1;
 
 std::string PairPredName(State q0, State q) {
-  return "p" + (q0 == kNabla ? std::string("n") : std::to_string(q0)) + "_" +
-         std::to_string(q);
+  std::string name = "p";
+  name += q0 == kNabla ? std::string("n") : std::to_string(q0);
+  name += '_';
+  name += std::to_string(q);
+  return name;
 }
 
 /// Static evolution sets: evolve[d] ⊇ all states a node can carry while its
@@ -136,7 +139,7 @@ util::Result<Program> RankedQAToDatalog(const RankedQA& qa) {
         body.push_back(MakeAtom(pair_pred(q0, q), {x}));
         for (int32_t k = 0; k < m; ++k) {
           Term xk = Term::Var(k + 1);
-          names.push_back("x" + std::to_string(k + 1));
+          names.push_back(std::string("x").append(std::to_string(k + 1)));
           body.push_back(MakeAtom(child_pred(k + 1), {x, xk}));
           body.push_back(MakeAtom(pair_pred(q, seq[k].first), {xk}));
           body.push_back(MakeAtom(label_pred(seq[k].second), {xk}));

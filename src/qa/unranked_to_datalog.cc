@@ -106,7 +106,11 @@ class SqauEncoder {
   void AddRule(core::Rule rule) { program_.AddRule(std::move(rule)); }
 
   PredId Pair(State q0, State q) {
-    return preds().MustIntern("p" + StateName(q0) + "_" + StateName(q), 1);
+    std::string name = "p";
+    name += StateName(q0);
+    name += '_';
+    name += StateName(q);
+    return preds().MustIntern(name, 1);
   }
   PredId Label(const std::string& l) {
     return preds().MustIntern(core::LabelPredName(l), 1);
@@ -144,8 +148,12 @@ class SqauEncoder {
 
     for (size_t i = 0; i < uvws.size(); ++i) {
       const UVW& e = uvws[i];
-      std::string base = "d" + StateName(q) + "_" + a + "_" +
-                         std::to_string(i);
+      std::string base = "d";
+      base += StateName(q);
+      base += '_';
+      base += a;
+      base += '_';
+      base += std::to_string(i);
       auto upred = [&](size_t k) {  // 1-based
         return Tmp(base + "_u" + std::to_string(k));
       };

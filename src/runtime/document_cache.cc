@@ -97,7 +97,8 @@ DocumentCache::PrepareDocument(std::string_view html,
                                bool* from_store) {
   *from_store = false;
   if (corpus_store_ != nullptr) {
-    telemetry::TraceSpan span(telemetry::CurrentTrace(), "store.rehydrate");
+    telemetry::TraceSpan span(telemetry::CurrentTrace(),
+                              telemetry::Stage::kStoreRehydrate);
     util::Result<store::FrozenDocument> frozen =
         corpus_store_->Find(html, project_attr);
     if (frozen.ok()) {
@@ -109,7 +110,8 @@ DocumentCache::PrepareDocument(std::string_view html,
     // but the blob failed validation — the parse below is the safe fallback
     // either way (we still hold the original bytes).
   }
-  telemetry::TraceSpan span(telemetry::CurrentTrace(), "html.parse");
+  telemetry::TraceSpan span(telemetry::CurrentTrace(),
+                            telemetry::Stage::kHtmlParse);
   return CachedDocument::Parse(html, project_attr);
 }
 

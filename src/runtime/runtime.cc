@@ -78,7 +78,7 @@ util::Result<std::string> WrapperRuntime::Wrap(const WrapperHandle& handle,
   // rehydration, HTML parse, the engines) via CurrentTrace() without
   // threading a pointer through signatures.
   std::unique_ptr<telemetry::TraceContext> trace =
-      telemetry_.StartTrace("wrap");
+      telemetry_.StartTrace(telemetry::RequestKind::kWrap);
   const telemetry::TraceScope scope(trace.get());
   if (trace != nullptr) {
     trace->set_page_bytes(static_cast<int64_t>(html.size()));
@@ -107,14 +107,14 @@ util::Result<std::string> WrapperRuntime::WrapImpl(
   // cache key — the page bytes are scanned exactly once.
   util::Hash128 content_hash;
   {
-    telemetry::TraceSpan span(trace, "hash");
+    telemetry::TraceSpan span(trace, telemetry::Stage::kHash);
     content_hash = util::HashBytes128(html);
   }
   const MemoKey key{handle.program->canonical_fingerprint, content_hash,
                     handle.project_attr};
   uint64_t memo_hash = 0;
   {
-    telemetry::TraceSpan span(trace, "memo.lookup");
+    telemetry::TraceSpan span(trace, telemetry::Stage::kMemoLookup);
     // enabled() guard: a disabled memo books nothing (tag "off"), exactly
     // like the pre-template memo.
     if (memo_.enabled()) {
@@ -132,7 +132,7 @@ util::Result<std::string> WrapperRuntime::WrapImpl(
 
   std::shared_ptr<const CachedDocument> doc;
   {
-    telemetry::TraceSpan span(trace, "doc.fetch");
+    telemetry::TraceSpan span(trace, telemetry::Stage::kDocFetch);
     MD_ASSIGN_OR_RETURN(doc,
                         documents_.GetOrParse(html, handle.project_attr,
                                               content_hash, &span, tenant));
@@ -148,7 +148,7 @@ util::Result<std::string> WrapperRuntime::WrapImpl(
   }
   tenants_.counters(tenant)->pages_wrapped->Add(1);
   if (!memo_.enabled()) return xml;
-  telemetry::TraceSpan span(trace, "memo.insert");
+  telemetry::TraceSpan span(trace, telemetry::Stage::kMemoInsert);
   auto shared = std::make_shared<const std::string>(*std::move(xml));
   memo_.Insert(key, memo_hash, shared, tenant);
   return *shared;
@@ -169,7 +169,7 @@ util::Result<std::string> WrapperRuntime::Evaluate(
   if (grounded) {
     core::EvalResult eval;
     {
-      telemetry::TraceSpan span(trace, "eval.grounded");
+      telemetry::TraceSpan span(trace, telemetry::Stage::kEvalGrounded);
       // One arena per worker thread: the queue, binding, cursor and builtin
       // tables amortize across the documents this thread serves.
       core::GroundStats gstats;
@@ -182,7 +182,7 @@ util::Result<std::string> WrapperRuntime::Evaluate(
         span.Value("derived", eval.num_derived());
       }
     }
-    telemetry::TraceSpan span(trace, "output.build");
+    telemetry::TraceSpan span(trace, telemetry::Stage::kOutputBuild);
     std::vector<const core::NodeSet*> sets;
     sets.reserve(patterns.size());
     for (const core::PredId pred : program.pattern_preds) {
@@ -194,12 +194,12 @@ util::Result<std::string> WrapperRuntime::Evaluate(
   } else {
     elog::ElogResult matches;
     {
-      telemetry::TraceSpan span(trace, "eval.native");
+      telemetry::TraceSpan span(trace, telemetry::Stage::kEvalNative);
       MD_ASSIGN_OR_RETURN(
           matches, elog::EvaluateElog(program.prepared.program, doc.tree(),
                                       elog::kDefaultMaxDerivations, control));
     }
-    telemetry::TraceSpan span(trace, "output.build");
+    telemetry::TraceSpan span(trace, telemetry::Stage::kOutputBuild);
     xml = tree::ToXml(wrapper::BuildOutputTree(patterns, matches, doc.tree()));
   }
 

@@ -21,7 +21,7 @@ StreamSession::StreamSession(
       constructor_(project_attr_, ConstructionHooks{this}),
       telemetry_(telemetry) {
   MD_CHECK(program_ != nullptr && telemetry_ != nullptr);
-  trace_ = telemetry_->StartTrace("stream");
+  trace_ = telemetry_->StartTrace(telemetry::RequestKind::kStream);
   // The synthetic root the constructor starts with: whether it survives
   // into the output tree is settled at end of input. Until then the two
   // worlds disagree about it by design: the kept world sees it as the root,
@@ -87,7 +87,7 @@ util::Status StreamSession::CheckLive() {
 }
 
 util::Status StreamSession::PropagateAll() {
-  telemetry::TraceSpan span(trace_.get(), "stream.propagate");
+  telemetry::TraceSpan span(trace_.get(), telemetry::Stage::kStreamPropagate);
   int64_t facts_before = 0;
   if (span) {
     for (const core::IncrementalReplay* world : worlds()) {
@@ -144,7 +144,7 @@ util::Status StreamSession::Feed(std::string_view chunk) {
 util::Status StreamSession::FeedImpl(std::string_view chunk) {
   MD_RETURN_NOT_OK(CheckLive());
   bytes_fed_ += static_cast<int64_t>(chunk.size());
-  telemetry::TraceSpan span(trace_.get(), "stream.feed");
+  telemetry::TraceSpan span(trace_.get(), telemetry::Stage::kStreamFeed);
   span.Value("bytes", static_cast<int64_t>(chunk.size()));
   const int32_t nodes_before = builder().size();
   util::Status s = scanner_.Feed(chunk, &constructor_, control());
@@ -277,7 +277,8 @@ util::Result<std::string> StreamSession::Finish() {
 util::Result<std::string> StreamSession::FinishImpl() {
   MD_RETURN_NOT_OK(CheckLive());
   finished_ = true;
-  telemetry::TraceSpan finish_span(trace_.get(), "stream.finish");
+  telemetry::TraceSpan finish_span(trace_.get(),
+                                   telemetry::Stage::kStreamFinish);
 
   util::Status s = scanner_.Finish(&constructor_, control());
   if (!s.ok()) return Terminal(std::move(s));
@@ -303,7 +304,7 @@ util::Result<std::string> StreamSession::FinishImpl() {
   // The tree is finished: the Δ builtin facts are final too.
   winner->EndOfInput();
   {
-    telemetry::TraceSpan span(trace_.get(), "stream.propagate");
+    telemetry::TraceSpan span(trace_.get(), telemetry::Stage::kStreamPropagate);
     s = winner->Propagate(control());
     if (span) span.Value("facts", winner->num_derived());
   }
@@ -323,7 +324,7 @@ util::Result<std::string> StreamSession::FinishImpl() {
   MD_CHECK(built.ok());  // content exists, checked above
   std::string xml;
   {
-    telemetry::TraceSpan span(trace_.get(), "output.build");
+    telemetry::TraceSpan span(trace_.get(), telemetry::Stage::kOutputBuild);
     std::vector<const core::NodeSet*> sets;
     sets.reserve(program_->pattern_preds.size());
     for (const core::PredId pred : program_->pattern_preds) {

@@ -96,7 +96,7 @@ void AppendHistogramJson(std::string* out, const HistogramSnapshot& h) {
 
 void AppendSpanJson(std::string* out, const SpanRecord& s, int64_t trace_start) {
   *out += "{\"name\":";
-  AppendJsonString(out, s.name);
+  AppendJsonString(out, StageName(s.stage));
   *out += ",\"start_ns\":";
   AppendInt(out, s.start_ns - trace_start);
   *out += ",\"duration_ns\":";
@@ -196,7 +196,7 @@ std::string ToJson(const MetricsSnapshot& snapshot,
     if (!first) out.push_back(',');
     first = false;
     out += "{\"kind\":";
-    AppendJsonString(&out, t.kind != nullptr ? t.kind : "");
+    AppendJsonString(&out, RequestKindName(t.kind));
     out += ",\"duration_ns\":";
     AppendInt(&out, t.duration_ns);
     out += ",\"page_bytes\":";
@@ -240,7 +240,7 @@ std::string ToJson(const MetricsSnapshot& snapshot,
 std::string FormatBreakdown(const FinishedTrace& trace) {
   std::string out;
   out.reserve(512);
-  out += trace.kind != nullptr ? trace.kind : "request";
+  out += RequestKindName(trace.kind);
   out.push_back(' ');
   AppendDurationMs(&out, trace.duration_ns);
   out += " status=";
@@ -256,7 +256,7 @@ std::string FormatBreakdown(const FinishedTrace& trace) {
   out.push_back('\n');
   for (const SpanRecord& s : trace.spans) {
     out.append(static_cast<size_t>(s.depth + 1) * 2, ' ');
-    out += s.name;
+    out += StageName(s.stage);
     out.push_back(' ');
     AppendDurationMs(&out, s.duration_ns());
     if (s.tag != nullptr) {

@@ -1,6 +1,7 @@
 #include "src/telemetry/telemetry.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "src/telemetry/export.h"
@@ -9,7 +10,20 @@ namespace mdatalog::telemetry {
 
 Telemetry::Telemetry(const TelemetryOptions& options) : options_(options) {}
 
-std::unique_ptr<TraceContext> Telemetry::StartTrace(const char* kind) {
+Histogram* Telemetry::Resolve(std::atomic<Histogram*>& slot,
+                              const char* prefix, const char* name) {
+  Histogram* h = slot.load(std::memory_order_acquire);
+  if (h != nullptr) return h;
+  // First use: racing threads get the same handle from the registry.
+  std::string full = prefix;
+  full += name;
+  full += ".ns";
+  h = registry_.GetHistogram(full);
+  slot.store(h, std::memory_order_release);
+  return h;
+}
+
+std::unique_ptr<TraceContext> Telemetry::StartTrace(RequestKind kind) {
   if (!options_.enabled) return nullptr;
   return std::make_unique<TraceContext>(kind);
 }
@@ -19,23 +33,16 @@ void Telemetry::FinishTrace(std::unique_ptr<TraceContext> trace,
   if (trace == nullptr) return;
   trace->Close();
 
-  // Fold every span into its per-stage latency histogram, and the whole
-  // request into the per-kind one. The name strings are short (SSO) and the
-  // registry lookup is a shared-lock map probe — ~µs total per request,
-  // off the request's own critical path only in the sense that the answer
-  // has already been produced; the 3% overhead gate in BENCH_telemetry
-  // keeps this honest.
-  std::string name;
+  // Fold every span into its stage's latency histogram, and the whole
+  // request into its kind's: one indexed Record each.
   for (const SpanRecord& s : trace->spans()) {
-    name.assign("stage.");
-    name += s.name;
-    name += ".ns";
-    registry_.GetHistogram(name)->Record(s.duration_ns());
+    Resolve(stage_ns_[static_cast<size_t>(s.stage)], "stage.",
+            StageName(s.stage))
+        ->Record(s.duration_ns());
   }
-  name.assign("request.");
-  name += trace->kind();
-  name += ".ns";
-  registry_.GetHistogram(name)->Record(trace->duration_ns());
+  Resolve(request_ns_[static_cast<size_t>(trace->kind())], "request.",
+          RequestKindName(trace->kind()))
+      ->Record(trace->duration_ns());
 
   FinishedTrace finished;
   finished.kind = trace->kind();

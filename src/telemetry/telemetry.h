@@ -1,5 +1,7 @@
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -16,18 +18,18 @@
 /// buffer of recently completed traces, and the slow-request log.
 ///
 /// Life of a traced request:
-///   1. the runtime asks StartTrace("wrap") — null when telemetry is
-///      disabled, in which case every downstream TraceSpan is a no-op
-///      branch;
+///   1. the runtime asks StartTrace(RequestKind::kWrap) — null when
+///      telemetry is disabled, in which case every downstream TraceSpan is
+///      a no-op branch;
 ///   2. the executing thread installs the trace (TraceScope) and the
 ///      pipeline's instrumentation points record spans against it;
-///   3. FinishTrace() closes the trace, folds every span into the
-///      per-stage latency histograms ("stage.<name>.ns") and the
-///      per-kind request histogram ("request.<kind>.ns"), pushes the
-///      trace into the ring buffer, and — when the request exceeded the
-///      slow threshold — formats a breakdown into the slow-request log.
-///      None of this touches the request's critical path beyond the fold
-///      itself (~µs).
+///   3. FinishTrace() closes the trace, folds every span into its stage's
+///      latency histogram ("stage.<name>.ns") and the request into its
+///      kind's ("request.<kind>.ns"), pushes the trace into the ring
+///      buffer, and — when the request exceeded the slow threshold —
+///      formats a breakdown into the slow-request log. The fold is by
+///      index: each Stage and RequestKind resolves its Histogram* once, at
+///      its first fold, so a fold builds no string and probes no map.
 ///
 /// Counters are NOT gated by `enabled`: the runtime's serving counters
 /// (pages_wrapped, deadline_exceeded, …) record through the registry
@@ -48,7 +50,7 @@ struct TelemetryOptions {
 
 /// A completed request trace, as retained by the ring buffer.
 struct FinishedTrace {
-  const char* kind = nullptr;
+  RequestKind kind = RequestKind::kWrap;
   int64_t start_ns = 0;
   int64_t duration_ns = 0;
   int64_t page_bytes = 0;
@@ -78,7 +80,7 @@ class Telemetry {
   /// A fresh trace for one request, or nullptr when tracing is disabled.
   /// The caller threads it to the executing thread, wraps the work in a
   /// TraceScope, and hands it back via FinishTrace.
-  std::unique_ptr<TraceContext> StartTrace(const char* kind);
+  std::unique_ptr<TraceContext> StartTrace(RequestKind kind);
 
   /// Closes the trace, folds spans into the stage histograms, retains it
   /// with `status` in the ring buffer and (if slow) the slow-request log.
@@ -92,8 +94,20 @@ class Telemetry {
   std::vector<std::string> SlowRequestLog() const;
 
  private:
+  /// The histogram "<prefix><name>.ns", looked up in the registry the
+  /// first time and read from `slot` after that.
+  Histogram* Resolve(std::atomic<Histogram*>& slot, const char* prefix,
+                     const char* name);
+
   const TelemetryOptions options_;
   MetricsRegistry registry_;
+  // The fold's targets: "stage.<name>.ns" per Stage and "request.<kind>.ns"
+  // per RequestKind, indexed by the enum's value. Each is resolved at its
+  // first fold rather than up front, so a stage this runtime never runs
+  // (sat.solve, the stream stages of a batch-only runtime) allocates no
+  // histogram (~34 KB each) and adds no empty series to an export.
+  std::array<std::atomic<Histogram*>, kNumStages> stage_ns_{};
+  std::array<std::atomic<Histogram*>, kNumRequestKinds> request_ns_{};
 
   mutable std::mutex ring_mu_;
   std::deque<FinishedTrace> ring_;

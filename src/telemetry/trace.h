@@ -2,6 +2,7 @@
 
 #include <array>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -13,15 +14,19 @@
 /// thread-current trace (TraceScope), and every instrumented layer — HTML
 /// parse, cache lookups, plan replay, SAT solve, stream
 /// Feed/Propagate/Finish — opens a TraceSpan against CurrentTrace(). Spans
-/// nest (parent/depth follow the open-span stack), carry nanosecond
-/// monotonic timestamps, an optional outcome tag and up to three named
-/// integer values (fired clauses, derived atoms, SAT conflicts, …).
+/// name their Stage (the one stage vocabulary below), nest (each span
+/// records its parent; the context keeps only the innermost open span),
+/// carry nanosecond monotonic timestamps, an optional outcome tag and up to
+/// three named integer values (fired clauses, derived atoms, SAT
+/// conflicts, …).
 ///
 /// Cost contract:
 ///  * untraced fast path: a TraceSpan over a null context is one branch — no
 ///    clock read, no allocation, nothing;
 ///  * traced path: two steady_clock reads per span plus amortized-O(1)
-///    vector growth (the span array reserves a request's worth up front);
+///    growth of the one span vector (reserved a request's worth up front);
+///    there is no open-span stack to push or pop — closing a span walks
+///    the parent links from the innermost open span;
 ///  * unwind safety: TraceSpan is RAII, so spans close on every early
 ///    return — deadline unwinds included — and Close() force-closes
 ///    stragglers when the trace finishes, so a finished trace never has an
@@ -32,6 +37,64 @@
 
 namespace mdatalog::telemetry {
 
+/// The pipeline stages a span can time. Every span names one, and the
+/// table below is the one place their display names are spelled: the JSON
+/// span `"name"`, the breakdown lines and the `stage.<name>.ns` histograms
+/// all read it.
+enum class Stage : uint8_t {
+  kHash,
+  kMemoLookup,
+  kDocFetch,
+  kStoreRehydrate,
+  kHtmlParse,
+  kEvalGrounded,
+  kEvalNative,
+  kOutputBuild,
+  kMemoInsert,
+  kSatSolve,
+  kStreamFeed,
+  kStreamPropagate,
+  kStreamFinish,
+};
+
+inline constexpr std::array<const char*, 13> kStageNames = {
+    "hash",              // Stage::kHash
+    "memo.lookup",       // Stage::kMemoLookup
+    "doc.fetch",         // Stage::kDocFetch
+    "store.rehydrate",   // Stage::kStoreRehydrate
+    "html.parse",        // Stage::kHtmlParse
+    "eval.grounded",     // Stage::kEvalGrounded
+    "eval.native",       // Stage::kEvalNative
+    "output.build",      // Stage::kOutputBuild
+    "memo.insert",       // Stage::kMemoInsert
+    "sat.solve",         // Stage::kSatSolve
+    "stream.feed",       // Stage::kStreamFeed
+    "stream.propagate",  // Stage::kStreamPropagate
+    "stream.finish",     // Stage::kStreamFinish
+};
+inline constexpr size_t kNumStages = kStageNames.size();
+static_assert(static_cast<size_t>(Stage::kStreamFinish) + 1 == kNumStages);
+
+inline const char* StageName(Stage stage) {
+  return kStageNames[static_cast<size_t>(stage)];
+}
+
+/// What a traced request is; its whole duration folds into
+/// `request.<kind>.ns`.
+enum class RequestKind : uint8_t { kWrap, kStream };
+
+inline constexpr std::array<const char*, 2> kRequestKindNames = {
+    "wrap",    // RequestKind::kWrap
+    "stream",  // RequestKind::kStream
+};
+inline constexpr size_t kNumRequestKinds = kRequestKindNames.size();
+static_assert(static_cast<size_t>(RequestKind::kStream) + 1 ==
+              kNumRequestKinds);
+
+inline const char* RequestKindName(RequestKind kind) {
+  return kRequestKindNames[static_cast<size_t>(kind)];
+}
+
 /// steady_clock now, as nanoseconds since an arbitrary epoch.
 inline int64_t MonotonicNowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -39,20 +102,20 @@ inline int64_t MonotonicNowNs() {
       .count();
 }
 
-/// One completed (or still-open) span. `name`, `tag` and the value names
-/// must be string literals (static lifetime) — spans never own strings.
+/// One completed (or still-open) span. `tag` and the value names must be
+/// string literals (static lifetime) — spans never own strings.
 struct SpanRecord {
   static constexpr int32_t kMaxValues = 3;
 
-  const char* name = nullptr;
-  int64_t start_ns = 0;
-  int64_t end_ns = 0;              ///< 0 while open
+  Stage stage = Stage::kHash;
   int32_t parent = -1;             ///< index into spans(), -1 = top level
   int32_t depth = 0;
+  int32_t num_values = 0;
+  int64_t start_ns = 0;
+  int64_t end_ns = 0;              ///< 0 while open
   const char* tag = nullptr;       ///< outcome ("hit", "miss", …), optional
   std::array<const char*, kMaxValues> value_names{};
   std::array<int64_t, kMaxValues> values{};
-  int32_t num_values = 0;
 
   int64_t duration_ns() const { return end_ns > start_ns ? end_ns - start_ns : 0; }
 };
@@ -65,26 +128,27 @@ class TraceContext {
  public:
   static constexpr size_t kMaxSpans = 4096;
 
-  /// `kind` labels the request ("wrap", "stream", …); static lifetime.
-  explicit TraceContext(const char* kind)
+  explicit TraceContext(RequestKind kind)
       : kind_(kind), start_ns_(MonotonicNowNs()) {
     spans_.reserve(32);
-    open_.reserve(8);
   }
 
   TraceContext(const TraceContext&) = delete;
   TraceContext& operator=(const TraceContext&) = delete;
 
-  /// Opens a span; returns its index, or -1 when the span cap is hit (the
-  /// matching EndSpan(-1) is a no-op).
-  int32_t BeginSpan(const char* name);
+  /// Opens a span as a child of the innermost open one; returns its index,
+  /// or -1 when the span cap is hit (the matching EndSpan(-1) is a no-op).
+  int32_t BeginSpan(Stage stage);
+  /// Closes span `index`, and first any span opened inside it and leaked
+  /// open, all with the same timestamp. A no-op on a span already closed
+  /// that way.
   void EndSpan(int32_t index);
 
   /// Force-closes any spans still open (stamped with the close time) and
   /// stamps the trace end. Idempotent.
   void Close();
 
-  const char* kind() const { return kind_; }
+  RequestKind kind() const { return kind_; }
   int64_t start_ns() const { return start_ns_; }
   int64_t end_ns() const { return end_ns_; }
   int64_t duration_ns() const {
@@ -92,7 +156,9 @@ class TraceContext {
   }
   const std::vector<SpanRecord>& spans() const { return spans_; }
   std::vector<SpanRecord>& mutable_spans() { return spans_; }
-  int32_t open_spans() const { return static_cast<int32_t>(open_.size()); }
+  int32_t open_spans() const {
+    return innermost_ < 0 ? 0 : spans_[innermost_].depth + 1;
+  }
   int64_t dropped_spans() const { return dropped_spans_; }
 
   /// Request metadata for the per-page scatter (nodes vs wall time).
@@ -104,14 +170,18 @@ class TraceContext {
  private:
   friend class TraceSpan;
 
-  const char* kind_;
+  /// Stamps `now` on the innermost open span and its ancestors, up to and
+  /// including `last` (every open span when `last` is -1).
+  void CloseThrough(int32_t last, int64_t now);
+
+  const RequestKind kind_;
   int64_t start_ns_;
   int64_t end_ns_ = 0;
   int64_t page_bytes_ = 0;
   int64_t nodes_ = 0;
   int64_t dropped_spans_ = 0;
   std::vector<SpanRecord> spans_;
-  std::vector<int32_t> open_;  // stack of open span indexes
+  int32_t innermost_ = -1;  // the innermost open span, -1 when none is open
 };
 
 /// The trace of the request this thread is currently executing, or nullptr.
@@ -135,8 +205,8 @@ class TraceScope {
 /// RAII span. Over a null context every member is a no-op (one branch).
 class TraceSpan {
  public:
-  TraceSpan(TraceContext* ctx, const char* name) : ctx_(ctx) {
-    if (ctx_ != nullptr) index_ = ctx_->BeginSpan(name);
+  TraceSpan(TraceContext* ctx, Stage stage) : ctx_(ctx) {
+    if (ctx_ != nullptr) index_ = ctx_->BeginSpan(stage);
   }
   ~TraceSpan() {
     if (ctx_ != nullptr) ctx_->EndSpan(index_);

@@ -94,8 +94,9 @@ Rule RebuildRule(const core::Program& program, const Rule& original,
     VarId rep = uf->Find(raw);
     if (dense[rep] < 0) {
       dense[rep] = static_cast<VarId>(names.size());
-      names.push_back(rep < original.num_vars() ? original.var_names[rep]
-                                                : "w" + std::to_string(rep));
+      names.push_back(rep < original.num_vars()
+                          ? original.var_names[rep]
+                          : std::string("w").append(std::to_string(rep)));
     }
     return dense[rep];
   };

@@ -18,12 +18,12 @@ std::string ToDebugString(const BinaryTree& b) {
   std::string out;
   for (size_t n = 0; n < b.nodes.size(); ++n) {
     if (b.nodes[n].left != kNoNode) {
-      out += "n" + std::to_string(n) + " -fc-> n" +
-             std::to_string(b.nodes[n].left) + "\n";
+      out.append("n").append(std::to_string(n)).append(" -fc-> n");
+      out.append(std::to_string(b.nodes[n].left)).append("\n");
     }
     if (b.nodes[n].right != kNoNode) {
-      out += "n" + std::to_string(n) + " -ns-> n" +
-             std::to_string(b.nodes[n].right) + "\n";
+      out.append("n").append(std::to_string(n)).append(" -ns-> n");
+      out.append(std::to_string(b.nodes[n].right)).append("\n");
     }
   }
   return out;

@@ -174,7 +174,11 @@ std::string ExprToString(const ExprP& e);
 std::string StepToString(const Step& s) {
   std::string out = std::string(AxisName(s.axis)) + "::" +
                     (s.label.empty() ? "*" : s.label);
-  for (const ExprP& p : s.predicates) out += "[" + ExprToString(p) + "]";
+  for (const ExprP& p : s.predicates) {
+    out += '[';
+    out += ExprToString(p);
+    out += ']';
+  }
   return out;
 }
 

@@ -16,9 +16,11 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
+#include <set>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -39,6 +41,8 @@ namespace {
 
 using namespace mdatalog;
 using telemetry::HistogramSnapshot;
+using telemetry::RequestKind;
+using telemetry::Stage;
 
 // ---------------------------------------------------------------------------
 // Fixtures
@@ -185,51 +189,154 @@ TEST(MetricsTest, SnapshotMergeIsBucketwiseAddition) {
 // ---------------------------------------------------------------------------
 
 TEST(TraceTest, SpansNestAndCloseInLifoOrder) {
-  telemetry::TraceContext trace("test");
+  telemetry::TraceContext trace(RequestKind::kWrap);
   {
-    telemetry::TraceSpan outer(&trace, "outer");
+    telemetry::TraceSpan outer(&trace, Stage::kDocFetch);
     {
-      telemetry::TraceSpan inner(&trace, "inner");
-      telemetry::TraceSpan sibling_after(&trace, "deep");
+      telemetry::TraceSpan inner(&trace, Stage::kStoreRehydrate);
+      telemetry::TraceSpan sibling_after(&trace, Stage::kHtmlParse);
     }
-    telemetry::TraceSpan second(&trace, "second");
+    telemetry::TraceSpan second(&trace, Stage::kOutputBuild);
   }
   trace.Close();
 
   ASSERT_EQ(trace.spans().size(), 4u);
   EXPECT_EQ(trace.open_spans(), 0);
-  EXPECT_STREQ(trace.spans()[0].name, "outer");
+  EXPECT_EQ(trace.spans()[0].stage, Stage::kDocFetch);
   EXPECT_EQ(trace.spans()[0].parent, -1);
   EXPECT_EQ(trace.spans()[0].depth, 0);
-  EXPECT_STREQ(trace.spans()[1].name, "inner");
+  EXPECT_EQ(trace.spans()[1].stage, Stage::kStoreRehydrate);
   EXPECT_EQ(trace.spans()[1].parent, 0);
   EXPECT_EQ(trace.spans()[1].depth, 1);
-  EXPECT_STREQ(trace.spans()[2].name, "deep");
+  EXPECT_EQ(trace.spans()[2].stage, Stage::kHtmlParse);
   EXPECT_EQ(trace.spans()[2].parent, 1);
   EXPECT_EQ(trace.spans()[2].depth, 2);
-  EXPECT_STREQ(trace.spans()[3].name, "second");
+  EXPECT_EQ(trace.spans()[3].stage, Stage::kOutputBuild);
   EXPECT_EQ(trace.spans()[3].parent, 0);
   for (const telemetry::SpanRecord& s : trace.spans()) {
-    EXPECT_GE(s.end_ns, s.start_ns) << s.name;
+    EXPECT_GE(s.end_ns, s.start_ns) << StageName(s.stage);
   }
 }
 
+TEST(TraceTest, LeakedSpanClosesWithItsParent) {
+  telemetry::TraceContext trace(RequestKind::kWrap);
+  const int32_t root = trace.BeginSpan(Stage::kDocFetch);
+  const int32_t outer = trace.BeginSpan(Stage::kStoreRehydrate);
+  const int32_t leaked = trace.BeginSpan(Stage::kHtmlParse);  // never ended
+  EXPECT_EQ(trace.open_spans(), 3);
+
+  // Ending `outer` closes the span leaked inside it, at the same instant.
+  trace.EndSpan(outer);
+  const std::vector<telemetry::SpanRecord>& spans = trace.spans();
+  EXPECT_GT(spans[outer].end_ns, 0);
+  EXPECT_EQ(spans[leaked].end_ns, spans[outer].end_ns);
+  EXPECT_EQ(spans[root].end_ns, 0);  // still open
+  EXPECT_EQ(trace.open_spans(), 1);
+
+  // A late EndSpan of the leaked span changes nothing; the next span nests
+  // under the span still open.
+  const int64_t leaked_end = spans[leaked].end_ns;
+  trace.EndSpan(leaked);
+  EXPECT_EQ(trace.spans()[leaked].end_ns, leaked_end);
+  EXPECT_EQ(trace.spans()[root].end_ns, 0);
+  const int32_t next = trace.BeginSpan(Stage::kOutputBuild);
+  EXPECT_EQ(trace.spans()[next].parent, root);
+  EXPECT_EQ(trace.spans()[next].depth, 1);
+  trace.EndSpan(next);
+  trace.EndSpan(root);
+  EXPECT_EQ(trace.open_spans(), 0);
+  EXPECT_GE(trace.spans()[root].end_ns, trace.spans()[next].end_ns);
+}
+
 TEST(TraceTest, NullContextSpanIsANoOp) {
-  telemetry::TraceSpan span(nullptr, "nothing");
+  telemetry::TraceSpan span(nullptr, Stage::kHash);
   EXPECT_FALSE(span);
   span.Tag("ignored");
   span.Value("ignored", 1);  // must not crash, must not allocate
 }
 
 TEST(TraceTest, SpanCapCountsDropsAndStaysBalanced) {
-  telemetry::TraceContext trace("test");
+  telemetry::TraceContext trace(RequestKind::kStream);
   for (size_t i = 0; i < telemetry::TraceContext::kMaxSpans + 100; ++i) {
-    telemetry::TraceSpan span(&trace, "tick");
+    telemetry::TraceSpan span(&trace, Stage::kStreamFeed);
   }
   trace.Close();
   EXPECT_EQ(trace.spans().size(), telemetry::TraceContext::kMaxSpans);
   EXPECT_EQ(trace.dropped_spans(), 100);
   EXPECT_EQ(trace.open_spans(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// The stage vocabulary: names pinned as literals, so exports cannot drift
+// ---------------------------------------------------------------------------
+
+// Every Stage with the display name the exports have always used.
+const std::vector<std::pair<Stage, std::string>>& PinnedStageNames() {
+  static const auto* pinned = new std::vector<std::pair<Stage, std::string>>{
+      {Stage::kHash, "hash"},
+      {Stage::kMemoLookup, "memo.lookup"},
+      {Stage::kDocFetch, "doc.fetch"},
+      {Stage::kStoreRehydrate, "store.rehydrate"},
+      {Stage::kHtmlParse, "html.parse"},
+      {Stage::kEvalGrounded, "eval.grounded"},
+      {Stage::kEvalNative, "eval.native"},
+      {Stage::kOutputBuild, "output.build"},
+      {Stage::kMemoInsert, "memo.insert"},
+      {Stage::kSatSolve, "sat.solve"},
+      {Stage::kStreamFeed, "stream.feed"},
+      {Stage::kStreamPropagate, "stream.propagate"},
+      {Stage::kStreamFinish, "stream.finish"},
+  };
+  return *pinned;
+}
+
+TEST(StageVocabularyTest, EachStageHasItsOwnPinnedName) {
+  ASSERT_EQ(PinnedStageNames().size(), telemetry::kNumStages);
+  std::set<std::string> distinct;
+  for (const auto& [stage, name] : PinnedStageNames()) {
+    EXPECT_EQ(StageName(stage), name);
+    distinct.insert(StageName(stage));
+  }
+  EXPECT_EQ(distinct.size(), telemetry::kNumStages);
+  ASSERT_EQ(telemetry::kNumRequestKinds, 2u);
+  EXPECT_STREQ(RequestKindName(RequestKind::kWrap), "wrap");
+  EXPECT_STREQ(RequestKindName(RequestKind::kStream), "stream");
+}
+
+TEST(StageVocabularyTest, FoldRecordsUnderThePinnedHistogramNames) {
+  telemetry::Telemetry tel;
+  // No histogram exists before its stage first folds.
+  EXPECT_TRUE(tel.registry().Snapshot().histograms.empty());
+
+  auto wrap = tel.StartTrace(RequestKind::kWrap);
+  ASSERT_NE(wrap, nullptr);
+  for (const auto& pinned : PinnedStageNames()) {
+    telemetry::TraceSpan span(wrap.get(), pinned.first);
+  }
+  tel.FinishTrace(std::move(wrap), util::StatusCode::kOk);
+  tel.FinishTrace(tel.StartTrace(RequestKind::kStream),
+                  util::StatusCode::kOk);
+
+  std::set<std::string> expected = {"request.wrap.ns", "request.stream.ns"};
+  for (const auto& pinned : PinnedStageNames()) {
+    expected.insert("stage." + pinned.second + ".ns");
+  }
+  const telemetry::MetricsSnapshot snap = tel.registry().Snapshot();
+  std::set<std::string> got;
+  for (const auto& [name, h] : snap.histograms) {
+    got.insert(name);
+    EXPECT_EQ(h.count, 1u) << name;
+  }
+  EXPECT_EQ(got, expected);
+
+  // Span names and request kinds in the JSON export read the same table.
+  const std::string json = telemetry::ToJson(snap, tel.RecentTraces());
+  for (const auto& pinned : PinnedStageNames()) {
+    EXPECT_NE(json.find("{\"name\":\"" + pinned.second + "\","),
+              std::string::npos)
+        << pinned.second;
+  }
+  EXPECT_NE(json.find("\"kind\":\"stream\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -269,31 +376,32 @@ TEST(RuntimeTelemetryTest, TracedWrapRecordsPipelineStages) {
   const auto traces = rt.telemetry().RecentTraces();
   ASSERT_EQ(traces.size(), 1u);
   const telemetry::FinishedTrace& t = traces[0];
-  EXPECT_STREQ(t.kind, "wrap");
+  EXPECT_EQ(t.kind, RequestKind::kWrap);
   EXPECT_EQ(t.status, util::StatusCode::kOk);
   EXPECT_EQ(t.page_bytes, static_cast<int64_t>(page.size()));
   EXPECT_GT(t.nodes, 0);
 
-  const auto has_span = [&t](const char* name) {
-    return std::any_of(t.spans.begin(), t.spans.end(),
-                       [name](const telemetry::SpanRecord& s) {
-                         return std::string_view(s.name) == name;
-                       });
+  const auto has_span = [&t](Stage stage) {
+    return std::any_of(
+        t.spans.begin(), t.spans.end(),
+        [stage](const telemetry::SpanRecord& s) { return s.stage == stage; });
   };
-  EXPECT_TRUE(has_span("hash"));
-  EXPECT_TRUE(has_span("memo.lookup"));
-  EXPECT_TRUE(has_span("doc.fetch"));
-  EXPECT_TRUE(has_span("html.parse"));
-  EXPECT_TRUE(has_span("eval.grounded") || has_span("eval.native"));
-  EXPECT_TRUE(has_span("output.build"));
+  EXPECT_TRUE(has_span(Stage::kHash));
+  EXPECT_TRUE(has_span(Stage::kMemoLookup));
+  EXPECT_TRUE(has_span(Stage::kDocFetch));
+  EXPECT_TRUE(has_span(Stage::kHtmlParse));
+  EXPECT_TRUE(has_span(Stage::kEvalGrounded) ||
+              has_span(Stage::kEvalNative));
+  EXPECT_TRUE(has_span(Stage::kOutputBuild));
   // Nested spans sit inside their parents.
   for (const telemetry::SpanRecord& s : t.spans) {
-    EXPECT_GE(s.end_ns, s.start_ns) << s.name;
+    const char* name = StageName(s.stage);
+    EXPECT_GE(s.end_ns, s.start_ns) << name;
     if (s.parent >= 0) {
       const telemetry::SpanRecord& p = t.spans[s.parent];
-      EXPECT_GE(s.start_ns, p.start_ns) << s.name;
-      EXPECT_LE(s.end_ns, p.end_ns) << s.name;
-      EXPECT_EQ(s.depth, p.depth + 1) << s.name;
+      EXPECT_GE(s.start_ns, p.start_ns) << name;
+      EXPECT_LE(s.end_ns, p.end_ns) << name;
+      EXPECT_EQ(s.depth, p.depth + 1) << name;
     }
   }
   // The fold produced stage histograms and the per-kind request histogram.
@@ -333,17 +441,18 @@ TEST(RuntimeTelemetryTest, DeadlineUnwindClosesEverySpan) {
   }
   ASSERT_EQ(traces.size(), 1u);
   const telemetry::FinishedTrace& trace = traces.back();
-  EXPECT_STREQ(trace.kind, "wrap");
+  EXPECT_EQ(trace.kind, RequestKind::kWrap);
   EXPECT_EQ(trace.status, result.ok() ? util::StatusCode::kOk
                                       : util::StatusCode::kDeadlineExceeded);
   // All spans closed, none leaked open, nesting intact — even though the
   // deadline unwound the pipeline from an arbitrary depth.
   EXPECT_GT(trace.duration_ns, 0);
   for (const telemetry::SpanRecord& s : trace.spans) {
-    EXPECT_GT(s.end_ns, 0) << s.name;  // 0 = still open
-    EXPECT_GE(s.end_ns, s.start_ns) << s.name;
+    const char* name = StageName(s.stage);
+    EXPECT_GT(s.end_ns, 0) << name;  // 0 = still open
+    EXPECT_GE(s.end_ns, s.start_ns) << name;
     if (s.parent >= 0) {
-      EXPECT_EQ(s.depth, trace.spans[s.parent].depth + 1) << s.name;
+      EXPECT_EQ(s.depth, trace.spans[s.parent].depth + 1) << name;
     }
   }
 }
@@ -376,11 +485,11 @@ TEST(RuntimeTelemetryTest, StreamSessionTraceClosesOnDeadline) {
       rt.telemetry().RecentTraces();
   ASSERT_EQ(traces.size(), 1u);
   const telemetry::FinishedTrace& trace = traces.back();
-  EXPECT_STREQ(trace.kind, "stream");
+  EXPECT_EQ(trace.kind, RequestKind::kStream);
   EXPECT_EQ(trace.status, code);
   for (const telemetry::SpanRecord& span : trace.spans) {
-    EXPECT_GT(span.end_ns, 0) << span.name;  // 0 = still open
-    EXPECT_GE(span.end_ns, span.start_ns) << span.name;
+    EXPECT_GT(span.end_ns, 0) << StageName(span.stage);  // 0 = still open
+    EXPECT_GE(span.end_ns, span.start_ns) << StageName(span.stage);
   }
 }
 
@@ -447,12 +556,12 @@ TEST(ExportTest, JsonCarriesTracesAndScatter) {
 
 TEST(ExportTest, BreakdownIndentsByDepth) {
   telemetry::Telemetry tel;
-  auto trace = tel.StartTrace("wrap");
+  auto trace = tel.StartTrace(RequestKind::kWrap);
   ASSERT_NE(trace, nullptr);
   {
-    telemetry::TraceSpan outer(trace.get(), "doc.fetch");
+    telemetry::TraceSpan outer(trace.get(), Stage::kDocFetch);
     outer.Tag("parse");
-    telemetry::TraceSpan inner(trace.get(), "html.parse");
+    telemetry::TraceSpan inner(trace.get(), Stage::kHtmlParse);
   }
   tel.FinishTrace(std::move(trace), util::StatusCode::kOk);
   const auto traces = tel.RecentTraces();
@@ -471,7 +580,7 @@ TEST(TelemetryTest, SlowRequestLogIsThresholdedAndBounded) {
 
   // A trace finished at once is well under the threshold.
   telemetry::Telemetry quiet;
-  auto fast = quiet.StartTrace("wrap");
+  auto fast = quiet.StartTrace(RequestKind::kWrap);
   ASSERT_NE(fast, nullptr);
   quiet.FinishTrace(std::move(fast), util::StatusCode::kOk);
   EXPECT_TRUE(quiet.SlowRequestLog().empty());
@@ -482,7 +591,7 @@ TEST(TelemetryTest, SlowRequestLogIsThresholdedAndBounded) {
   telemetry::Telemetry tel;
   std::vector<std::unique_ptr<telemetry::TraceContext>> traces;
   for (int i = 0; i < 70; ++i) {
-    traces.push_back(tel.StartTrace("wrap"));
+    traces.push_back(tel.StartTrace(RequestKind::kWrap));
     ASSERT_NE(traces.back(), nullptr);
   }
   std::this_thread::sleep_for(
